@@ -13,9 +13,9 @@
 //!   depending on what the device can honestly account, and the full
 //!   [`SolveReport`] (schema v3 carries the `backend` section);
 //! * [`BackendSpec`] — the `GRAPHENE_BACKEND` registry grammar
-//!   (`ipu-sim[:seq|par|native|legacy] | cpu[:par] | gpu-model`), plus
-//!   the resolution/conflict rules for the deprecated per-knob aliases
-//!   `GRAPHENE_PAR` / `GRAPHENE_NATIVE` / `GRAPHENE_LEGACY_INTERP`.
+//!   (`ipu-sim[:par|fused] | cpu[:par] | gpu-model`): one parser
+//!   ([`BackendSpec::parse`]) and one place that reads the environment
+//!   ([`BackendSpec::from_env`]).
 //!
 //! The CPU ([`cpu::CpuBackend`]) and GPU ([`gpu::GpuModelBackend`])
 //! backends live here; the IPU-simulator backend is implemented in
@@ -47,20 +47,17 @@ use sparse::formats::CsrMatrix;
 // Backend names — the registry grammar
 // ----------------------------------------------------------------------
 
-/// Which host path executes the simulated IPU device.
+/// How the host runs the simulated IPU device. Results, `CycleStats` and
+/// reports are identical across variants; only host wall-clock differs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IpuVariant {
-    /// No pinned executor: the engine's own defaults (and any deprecated
-    /// alias variables) choose, exactly as before this abstraction.
-    Auto,
-    /// One host thread walks the compiled plan (`ExecutorKind::Sequential`).
-    Seq,
-    /// Tile-parallel host workers (`ExecutorKind::Parallel`).
+    /// Every vertex interpreted, one host thread — the reference the
+    /// other two are tested against.
+    Default,
+    /// Every vertex interpreted, tile-parallel host workers.
     Par,
-    /// Fused native kernels (`ExecutorKind::Native`).
-    Native,
-    /// The legacy tree-walking interpreter (differential testing only).
-    Legacy,
+    /// Fused kernels where matched, one host thread.
+    Fused,
 }
 
 /// A parsed backend selection — the value of `GRAPHENE_BACKEND` or
@@ -78,15 +75,15 @@ pub enum BackendSpec {
 }
 
 /// Every name [`BackendSpec::parse`] accepts, in display order.
-pub const KNOWN_BACKENDS: &[&str] = &[
-    "ipu-sim",
-    "ipu-sim:seq",
-    "ipu-sim:par",
-    "ipu-sim:native",
-    "ipu-sim:legacy",
-    "cpu",
-    "cpu:par",
-    "gpu-model",
+pub const KNOWN_BACKENDS: &[&str] =
+    &["ipu-sim", "ipu-sim:par", "ipu-sim:fused", "cpu", "cpu:par", "gpu-model"];
+
+/// Variables `GRAPHENE_BACKEND` replaced, each with the name that now
+/// selects what it used to. Setting one is an error, not a silent ignore.
+const REMOVED_VARIABLES: &[(&str, &str)] = &[
+    ("GRAPHENE_PAR", "ipu-sim:par"),
+    ("GRAPHENE_NATIVE", "ipu-sim:fused"),
+    ("GRAPHENE_LEGACY_INTERP", "ipu-sim (the tree-walking interpreter is gone)"),
 ];
 
 impl BackendSpec {
@@ -95,11 +92,9 @@ impl BackendSpec {
     /// running the default would invalidate a whole evaluation.
     pub fn parse(s: &str) -> Result<BackendSpec, String> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "ipu-sim" => Ok(BackendSpec::IpuSim(IpuVariant::Auto)),
-            "ipu-sim:seq" => Ok(BackendSpec::IpuSim(IpuVariant::Seq)),
+            "ipu-sim" => Ok(BackendSpec::IpuSim(IpuVariant::Default)),
             "ipu-sim:par" => Ok(BackendSpec::IpuSim(IpuVariant::Par)),
-            "ipu-sim:native" => Ok(BackendSpec::IpuSim(IpuVariant::Native)),
-            "ipu-sim:legacy" => Ok(BackendSpec::IpuSim(IpuVariant::Legacy)),
+            "ipu-sim:fused" => Ok(BackendSpec::IpuSim(IpuVariant::Fused)),
             "cpu" => Ok(BackendSpec::Cpu { parallel: false }),
             "cpu:par" => Ok(BackendSpec::Cpu { parallel: true }),
             "gpu-model" => Ok(BackendSpec::GpuModel),
@@ -113,11 +108,9 @@ impl BackendSpec {
     /// Canonical registry name (the string [`parse`](Self::parse) maps back).
     pub fn name(&self) -> &'static str {
         match self {
-            BackendSpec::IpuSim(IpuVariant::Auto) => "ipu-sim",
-            BackendSpec::IpuSim(IpuVariant::Seq) => "ipu-sim:seq",
+            BackendSpec::IpuSim(IpuVariant::Default) => "ipu-sim",
             BackendSpec::IpuSim(IpuVariant::Par) => "ipu-sim:par",
-            BackendSpec::IpuSim(IpuVariant::Native) => "ipu-sim:native",
-            BackendSpec::IpuSim(IpuVariant::Legacy) => "ipu-sim:legacy",
+            BackendSpec::IpuSim(IpuVariant::Fused) => "ipu-sim:fused",
             BackendSpec::Cpu { parallel: false } => "cpu",
             BackendSpec::Cpu { parallel: true } => "cpu:par",
             BackendSpec::GpuModel => "gpu-model",
@@ -134,118 +127,27 @@ impl BackendSpec {
         }
     }
 
-    /// Read `GRAPHENE_BACKEND` (plus the deprecated alias variables, for
-    /// conflict detection) from the environment. `Ok(None)` when no
-    /// backend is selected — the caller keeps today's default behaviour,
-    /// including whatever the deprecated aliases choose at engine level.
+    /// Read `GRAPHENE_BACKEND`: `Ok(None)` when unset or empty (CI matrix
+    /// templating produces empty strings for absent legs). A removed
+    /// variable (`GRAPHENE_PAR`, `GRAPHENE_NATIVE`, `GRAPHENE_LEGACY_INTERP`)
+    /// set to a non-empty value is an error naming its replacement.
     pub fn from_env() -> Result<Option<BackendSpec>, String> {
-        let get = |k: &str| std::env::var(k).ok();
-        BackendSpec::resolve_env(
-            get("GRAPHENE_BACKEND").as_deref(),
-            get("GRAPHENE_PAR").as_deref(),
-            get("GRAPHENE_NATIVE").as_deref(),
-            get("GRAPHENE_LEGACY_INTERP").as_deref(),
-        )
+        BackendSpec::from_vars(|k| std::env::var(k).ok())
     }
 
-    /// The pure half of [`from_env`](Self::from_env): resolve a backend
-    /// selection against the deprecated alias variables.
-    ///
-    /// Precedence and conflict rules (the consolidation contract):
-    ///
-    /// * `GRAPHENE_BACKEND` unset/empty → `Ok(None)`; the aliases keep
-    ///   their historical meaning at engine level, byte-identical to the
-    ///   pre-consolidation behaviour.
-    /// * `GRAPHENE_BACKEND` set → it is authoritative. A *disabling*
-    ///   alias value (`0`/`false`/`off`/`no`) is treated as unset; an
-    ///   *enabling* alias is accepted only when it agrees with the chosen
-    ///   backend (`GRAPHENE_PAR=1` with `ipu-sim:par`, `GRAPHENE_NATIVE=1`
-    ///   with `ipu-sim:native`, `GRAPHENE_LEGACY_INTERP=1` with
-    ///   `ipu-sim:legacy`, anything with the unpinned `ipu-sim`), and is
-    ///   a loud conflict error otherwise — never a silent override.
-    /// * Malformed alias values error even when the backend would win:
-    ///   a typo'd knob must not vanish behind the consolidation.
-    pub fn resolve_env(
-        backend: Option<&str>,
-        par: Option<&str>,
-        native: Option<&str>,
-        legacy: Option<&str>,
-    ) -> Result<Option<BackendSpec>, String> {
-        // Aliases parse strictly first: typos stay loud regardless of
-        // which variable ends up deciding.
-        let par_on = match par {
-            None => None,
-            Some(v) => parse_par_alias(v)?,
-        };
-        let native_on = match native {
-            None => None,
-            Some(v) => parse_bool_alias("GRAPHENE_NATIVE", v)?,
-        };
-        let legacy_on = match legacy {
-            None => None,
-            Some(v) => parse_bool_alias("GRAPHENE_LEGACY_INTERP", v)?,
-        };
-
-        let spec = match backend.map(str::trim).filter(|s| !s.is_empty()) {
-            None => return Ok(None),
-            Some(s) => BackendSpec::parse(s)?,
-        };
-
-        let conflict = |var: &str, val: &str, hint: &str| {
-            Err(format!(
-                "GRAPHENE_BACKEND={} conflicts with deprecated alias {var}={val}; \
-                 unset {var} or select GRAPHENE_BACKEND={hint}",
-                spec.name()
-            ))
-        };
-        let agrees_par = matches!(spec, BackendSpec::IpuSim(IpuVariant::Auto | IpuVariant::Par));
-        if par_on == Some(true) && !agrees_par {
-            return conflict("GRAPHENE_PAR", par.unwrap_or(""), "ipu-sim:par");
+    /// [`from_env`](Self::from_env) over an arbitrary variable lookup.
+    fn from_vars(get: impl Fn(&str) -> Option<String>) -> Result<Option<BackendSpec>, String> {
+        for (var, replacement) in REMOVED_VARIABLES {
+            if get(var).is_some_and(|v| !v.trim().is_empty()) {
+                return Err(format!(
+                    "{var} was removed; unset it and select GRAPHENE_BACKEND={replacement}"
+                ));
+            }
         }
-        let agrees_native =
-            matches!(spec, BackendSpec::IpuSim(IpuVariant::Auto | IpuVariant::Native));
-        if native_on == Some(true) && !agrees_native {
-            return conflict("GRAPHENE_NATIVE", native.unwrap_or(""), "ipu-sim:native");
+        match get("GRAPHENE_BACKEND").as_deref().map(str::trim) {
+            None | Some("") => Ok(None),
+            Some(name) => BackendSpec::parse(name).map(Some),
         }
-        let agrees_legacy =
-            matches!(spec, BackendSpec::IpuSim(IpuVariant::Auto | IpuVariant::Legacy));
-        if legacy_on == Some(true) && !agrees_legacy {
-            return conflict("GRAPHENE_LEGACY_INTERP", legacy.unwrap_or(""), "ipu-sim:legacy");
-        }
-        Ok(Some(spec))
-    }
-}
-
-/// Truthiness of the deprecated `GRAPHENE_PAR` alias: `None` for an
-/// empty value (unset), `Some(true)` for the enabling spellings and
-/// worker counts ≥ 1, `Some(false)` for the disabling spellings and `0`.
-/// Same grammar (and error text) as the engine's own parser.
-fn parse_par_alias(v: &str) -> Result<Option<bool>, String> {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "" => Ok(None),
-        "0" | "false" | "off" | "no" => Ok(Some(false)),
-        "1" | "true" | "on" | "yes" => Ok(Some(true)),
-        other => match other.parse::<usize>() {
-            Ok(0) => Ok(Some(false)),
-            Ok(_) => Ok(Some(true)),
-            Err(_) => Err(format!(
-                "GRAPHENE_PAR: unrecognised value `{v}` \
-                 (expected 0/1/true/false/on/off/yes/no or a worker count)"
-            )),
-        },
-    }
-}
-
-/// Strict tri-state parse of a boolean alias (same grammar and error
-/// text as the engine's `parse_env_bool`).
-fn parse_bool_alias(var: &str, v: &str) -> Result<Option<bool>, String> {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "" => Ok(None),
-        "1" | "true" | "on" | "yes" => Ok(Some(true)),
-        "0" | "false" | "off" | "no" => Ok(Some(false)),
-        other => Err(format!(
-            "{var}: unrecognised value `{other}` (expected 0/1/true/false/on/off/yes/no)"
-        )),
     }
 }
 
@@ -457,139 +359,71 @@ mod tests {
         // Case/whitespace-insensitive.
         assert_eq!(BackendSpec::parse(" CPU:PAR ").unwrap(), BackendSpec::Cpu { parallel: true });
         assert_eq!(
-            BackendSpec::parse("IPU-Sim:Native").unwrap(),
-            BackendSpec::IpuSim(IpuVariant::Native)
+            BackendSpec::parse("IPU-Sim:Fused").unwrap(),
+            BackendSpec::IpuSim(IpuVariant::Fused)
         );
     }
 
     #[test]
     fn unknown_names_error_with_the_known_list() {
-        for bad in ["tpu", "ipu-sim:vector", "cpu:simd", "gpu", "ipu"] {
+        // The spellings of the deleted engine paths are unknown too.
+        let removed = ["ipu-sim:seq", "ipu-sim:native", "ipu-sim:legacy"];
+        for bad in ["tpu", "ipu-sim:vector", "cpu:simd", "gpu", "ipu"].into_iter().chain(removed) {
             let e = BackendSpec::parse(bad).unwrap_err();
             assert!(e.contains("unknown backend"), "{e}");
-            assert!(e.contains("ipu-sim:seq") && e.contains("gpu-model"), "{e}");
+            assert!(e.contains("ipu-sim:fused") && e.contains("gpu-model"), "{e}");
         }
     }
 
     #[test]
     fn families_partition_the_registry() {
         assert_eq!(BackendSpec::parse("ipu-sim:par").unwrap().family(), "ipu-sim");
-        assert_eq!(BackendSpec::parse("ipu-sim:legacy").unwrap().family(), "ipu-sim");
+        assert_eq!(BackendSpec::parse("ipu-sim:fused").unwrap().family(), "ipu-sim");
         assert_eq!(BackendSpec::parse("cpu:par").unwrap().family(), "cpu");
         assert_eq!(BackendSpec::parse("gpu-model").unwrap().family(), "gpu-model");
     }
 
-    // ---- the consolidation contract (satellite: every combination) ----
+    // ---- the environment ----
 
-    fn resolve(
-        backend: Option<&str>,
-        par: Option<&str>,
-        native: Option<&str>,
-        legacy: Option<&str>,
-    ) -> Result<Option<BackendSpec>, String> {
-        BackendSpec::resolve_env(backend, par, native, legacy)
+    fn from_vars(vars: &[(&str, &str)]) -> Result<Option<BackendSpec>, String> {
+        BackendSpec::from_vars(|k| {
+            vars.iter().find(|(name, _)| *name == k).map(|(_, v)| v.to_string())
+        })
     }
 
     #[test]
-    fn unset_backend_defers_to_aliases() {
-        // Without GRAPHENE_BACKEND, resolution never selects a backend —
-        // the engine-level aliases keep their historical behaviour.
-        for par in [None, Some("0"), Some("1"), Some("4")] {
-            for native in [None, Some("0"), Some("1")] {
-                for legacy in [None, Some("0"), Some("1")] {
-                    assert_eq!(resolve(None, par, native, legacy), Ok(None));
-                    assert_eq!(resolve(Some(""), par, native, legacy), Ok(None));
-                    assert_eq!(resolve(Some("  "), par, native, legacy), Ok(None));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn alias_typos_stay_loud_even_when_backend_wins() {
-        assert!(resolve(Some("cpu"), Some("garbage"), None, None)
-            .unwrap_err()
-            .contains("GRAPHENE_PAR"));
-        assert!(resolve(Some("cpu"), None, Some("maybe"), None)
-            .unwrap_err()
-            .contains("GRAPHENE_NATIVE"));
-        assert!(resolve(Some("cpu"), None, None, Some("2"))
-            .unwrap_err()
-            .contains("GRAPHENE_LEGACY_INTERP"));
-        assert!(resolve(None, Some("-3"), None, None).unwrap_err().contains("GRAPHENE_PAR"));
-    }
-
-    #[test]
-    fn every_backend_alias_combination_resolves_or_conflicts() {
-        // The full matrix: 8 backends x {unset, disabling, enabling} per
-        // alias. An enabling alias passes only with the agreeing variant
-        // (or the unpinned `ipu-sim`); a disabling alias is inert.
-        let enabling_par = ["1", "true", "4"];
-        let disabling = ["0", "false", "off", "no"];
-        for name in KNOWN_BACKENDS {
-            let spec = BackendSpec::parse(name).unwrap();
-            let auto = spec == BackendSpec::IpuSim(IpuVariant::Auto);
-            // Disabling aliases never conflict with anything.
-            for v in disabling {
-                assert_eq!(resolve(Some(name), Some(v), None, None), Ok(Some(spec)), "{name}");
-                assert_eq!(resolve(Some(name), None, Some(v), None), Ok(Some(spec)), "{name}");
-                assert_eq!(resolve(Some(name), None, None, Some(v)), Ok(Some(spec)), "{name}");
-                assert_eq!(
-                    resolve(Some(name), Some(v), Some(v), Some(v)),
-                    Ok(Some(spec)),
-                    "{name}"
-                );
-            }
-            // Enabling aliases agree only with their own variant.
-            for v in enabling_par {
-                let r = resolve(Some(name), Some(v), None, None);
-                if auto || spec == BackendSpec::IpuSim(IpuVariant::Par) {
-                    assert_eq!(r, Ok(Some(spec)), "{name} PAR={v}");
-                } else {
-                    let e = r.unwrap_err();
-                    assert!(e.contains("conflicts") && e.contains("GRAPHENE_PAR"), "{name}: {e}");
-                    assert!(e.contains("ipu-sim:par"), "hint missing: {e}");
-                }
-            }
-            let r = resolve(Some(name), None, Some("1"), None);
-            if auto || spec == BackendSpec::IpuSim(IpuVariant::Native) {
-                assert_eq!(r, Ok(Some(spec)), "{name} NATIVE=1");
-            } else {
-                assert!(r.unwrap_err().contains("GRAPHENE_NATIVE"), "{name}");
-            }
-            let r = resolve(Some(name), None, None, Some("1"));
-            if auto || spec == BackendSpec::IpuSim(IpuVariant::Legacy) {
-                assert_eq!(r, Ok(Some(spec)), "{name} LEGACY=1");
-            } else {
-                assert!(r.unwrap_err().contains("GRAPHENE_LEGACY_INTERP"), "{name}");
-            }
-        }
-    }
-
-    #[test]
-    fn agreeing_alias_combinations_pass_together() {
-        // ipu-sim (unpinned) tolerates any alias mix — it delegates the
-        // whole choice to the engine, exactly the historical behaviour.
+    fn graphene_backend_selects_and_empty_counts_as_unset() {
+        assert_eq!(from_vars(&[]), Ok(None));
+        assert_eq!(from_vars(&[("GRAPHENE_BACKEND", "  ")]), Ok(None));
         assert_eq!(
-            resolve(Some("ipu-sim"), Some("4"), Some("1"), Some("1")),
-            Ok(Some(BackendSpec::IpuSim(IpuVariant::Auto)))
-        );
-        // A pinned variant with its own alias and the others disabled.
-        assert_eq!(
-            resolve(Some("ipu-sim:par"), Some("8"), Some("0"), Some("0")),
+            from_vars(&[("GRAPHENE_BACKEND", " ipu-sim:par ")]),
             Ok(Some(BackendSpec::IpuSim(IpuVariant::Par)))
         );
-        assert_eq!(
-            resolve(Some("ipu-sim:native"), Some("0"), Some("1"), None),
-            Ok(Some(BackendSpec::IpuSim(IpuVariant::Native)))
-        );
-        assert_eq!(
-            resolve(Some("ipu-sim:legacy"), None, None, Some("1")),
-            Ok(Some(BackendSpec::IpuSim(IpuVariant::Legacy)))
-        );
-        // Cross-pinned enabling aliases conflict both ways.
-        assert!(resolve(Some("ipu-sim:par"), None, Some("1"), None).is_err());
-        assert!(resolve(Some("ipu-sim:native"), Some("1"), None, None).is_err());
+        assert!(from_vars(&[("GRAPHENE_BACKEND", "ipu-sim:seq")])
+            .unwrap_err()
+            .contains("unknown backend"));
+    }
+
+    #[test]
+    fn a_removed_variable_is_an_error_naming_its_replacement() {
+        for (var, value, replacement) in [
+            ("GRAPHENE_PAR", "1", "ipu-sim:par"),
+            ("GRAPHENE_PAR", "0", "ipu-sim:par"),
+            ("GRAPHENE_NATIVE", "1", "ipu-sim:fused"),
+            ("GRAPHENE_NATIVE", "0", "ipu-sim:fused"),
+            ("GRAPHENE_LEGACY_INTERP", "garbage", "GRAPHENE_BACKEND=ipu-sim "),
+        ] {
+            // Whatever GRAPHENE_BACKEND says, and whatever the value.
+            for backend in [None, Some("cpu"), Some("ipu-sim:par")] {
+                let mut vars = vec![(var, value)];
+                vars.extend(backend.map(|b| ("GRAPHENE_BACKEND", b)));
+                let e = from_vars(&vars).unwrap_err();
+                assert!(e.contains(var) && e.contains("was removed"), "{e}");
+                assert!(e.contains(replacement), "{e}");
+            }
+            // Empty still counts as unset.
+            assert_eq!(from_vars(&[(var, "")]), Ok(None));
+        }
     }
 
     #[test]

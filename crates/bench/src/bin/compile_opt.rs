@@ -1,13 +1,11 @@
 //! Graph-compiler optimisation benchmark — host dispatch overhead of the
-//! compiled `ExecPlan` vs the unoptimised plan vs the legacy
-//! tree-walking interpreter.
+//! optimised `ExecPlan` vs the unoptimised one.
 //!
 //! Workload: the Figure 8 solver — MPIR(double-word) wrapping
 //! PBiCGStab+ILU(0) — on a scaled Poisson system. Device cycles are
-//! *identical* in all three modes (the passes are cycle-neutral by
-//! contract, asserted here); what changes is host wall-clock per solver
-//! iteration, because the optimised plan dispatches fewer steps and the
-//! legacy interpreter re-plans every step of every iteration.
+//! *identical* in both modes (the passes are cycle-neutral by contract,
+//! asserted here); what changes is host wall-clock per solver iteration,
+//! because the optimised plan dispatches fewer steps.
 //!
 //! Output: a small table on stdout and `results/compile_opt.json`
 //! (override with `--out <path>`). `--scale <f>` grows the grid,
@@ -38,7 +36,6 @@ fn fingerprint(r: &SolveResult) -> (Vec<u64>, u64, u64, u64, u64, Vec<(String, [
 /// Best-of-`repeats` host seconds for one compile/execute mode.
 fn run(
     optimise: bool,
-    legacy: bool,
     a: Rc<CsrMatrix>,
     b: &[f64],
     cfg: &SolverConfig,
@@ -52,7 +49,6 @@ fn run(
         // host cost is identical across modes.
         record_history: true,
         optimise: Some(optimise),
-        legacy_interpreter: Some(legacy),
         ..SolveOptions::default()
     };
     let mut best = f64::INFINITY;
@@ -85,8 +81,7 @@ fn main() {
     let scale = args.get("--scale", 0.1);
     let repeats = args.get("--repeats", 3.0) as usize;
     // The paper-style fig8 runs use 32 rows/tile; finer partitions put
-    // proportionally more vertices (and thus more per-superstep planning
-    // work for the legacy interpreter) on the device.
+    // proportionally more vertices on the device.
     let rows_per_tile = args.get("--rows-per-tile", 16.0) as usize;
     let out = args.get_str("--out", "results/compile_opt.json");
 
@@ -112,14 +107,12 @@ fn main() {
         a.nnz()
     ));
 
-    let (r_opt, s_opt) = run(true, false, a.clone(), &b, &cfg, repeats, rows_per_tile);
-    let (r_no, s_no) = run(false, false, a.clone(), &b, &cfg, repeats, rows_per_tile);
-    let (r_leg, s_leg) = run(true, true, a.clone(), &b, &cfg, repeats, rows_per_tile);
+    let (r_opt, s_opt) = run(true, a.clone(), &b, &cfg, repeats, rows_per_tile);
+    let (r_no, s_no) = run(false, a.clone(), &b, &cfg, repeats, rows_per_tile);
 
     // Cycle-neutrality contract: optimisation may only remove host
     // dispatch overhead, never simulated device work.
     assert_eq!(fingerprint(&r_opt), fingerprint(&r_no), "optimisation changed device semantics");
-    assert_eq!(fingerprint(&r_opt), fingerprint(&r_leg), "plan diverged from legacy interpreter");
 
     let iters = r_opt.iterations.max(1) as f64;
     fn report(r: &SolveResult) -> &profile::CompileReport {
@@ -128,11 +121,9 @@ fn main() {
     println!("mode\thost_s\thost_s/iter\tplan_steps");
     println!("optimised\t{s_opt:.4}\t{:.6}\t{}", s_opt / iters, report(&r_opt).plan_steps);
     println!("no_opt\t{s_no:.4}\t{:.6}\t{}", s_no / iters, report(&r_no).plan_steps);
-    println!("legacy\t{s_leg:.4}\t{:.6}\t{}", s_leg / iters, report(&r_leg).plan_steps);
     println!(
-        "speedup vs no_opt: {:.2}x; vs legacy interpreter: {:.2}x (device cycles identical: {})",
+        "speedup vs no_opt: {:.2}x (device cycles identical: {})",
         s_no / s_opt,
-        s_leg / s_opt,
         r_opt.stats.device_cycles()
     );
     print!("{}", report(&r_opt).render());
@@ -147,13 +138,11 @@ fn main() {
         ("device_cycles", Json::from(r_opt.stats.device_cycles() as f64)),
         ("cycle_identical", Json::from(true)),
         ("speedup_vs_no_opt", Json::from(s_no / s_opt)),
-        ("speedup_vs_legacy", Json::from(s_leg / s_opt)),
         (
             "modes",
             Json::arr(vec![
                 mode_json("optimised", &r_opt, s_opt),
                 mode_json("no_opt", &r_no, s_no),
-                mode_json("legacy_interpreter", &r_leg, s_leg),
             ]),
         ),
     ]);

@@ -1,26 +1,26 @@
-//! **native_speedup** — host-dispatch speedup gate for the native
-//! fused-kernel executor (`ExecutorKind::Native`).
+//! **native_speedup** — host-dispatch speedup and coverage gate for the
+//! fused kernels: `ipu-sim:fused` against `ipu-sim`.
 //!
 //! Runs the fig8-class solve (IR-PBiCGStab+ILU(0) with double-word MPIR,
-//! the budget_check workload) under the sequential interpreter and under
-//! the native executor, and
+//! the budget_check workload) with every vertex interpreted and with
+//! fused dispatch, and
 //!
 //! 1. asserts every device observable is identical (solution bits, device
 //!    cycles, exchanged bytes, superstep/sync counts, per-label splits) —
-//!    the native executor's bit-and-cycle-identity contract;
+//!    the fused kernels' bit-and-cycle-identity contract;
 //! 2. asserts the fig8 hot-op codelets actually fused (SpMV, the residual
 //!    SpMV, both triangular sweeps, at least one map and one reduction) —
 //!    a silent fallback would quietly forfeit the speedup;
-//! 3. gates on per-iteration host dispatch time: native must beat the
+//! 3. gates on per-iteration host dispatch time: fused must beat the
 //!    interpreter by at least `--min-speedup` (default 5).
 //!
 //! Output: a small table on stdout and `results/native_speedup.json`
 //! (override with `--out <path>`). `--scale <f>` grows the matrix,
-//! `--repeats <n>` takes the best of `n` timed runs per executor.
+//! `--repeats <n>` takes the best of `n` timed runs per backend.
 
 use std::rc::Rc;
 
-use graph::ExecutorKind;
+use backend::{BackendSpec, IpuVariant};
 use graphene_bench::{header, Args};
 use graphene_core::config::SolverConfig;
 use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
@@ -41,10 +41,10 @@ fn fingerprint(r: &SolveResult) -> (Vec<u64>, u64, u64, u64, u64, Vec<(String, [
     )
 }
 
-/// Best-of-`repeats` host seconds for one executor (plus the last result —
-/// every repeat is bit-identical by construction).
+/// Best-of-`repeats` host seconds for one `ipu-sim` variant (plus the last
+/// result — every repeat is bit-identical by construction).
 fn run(
-    kind: ExecutorKind,
+    variant: IpuVariant,
     a: Rc<CsrMatrix>,
     b: &[f64],
     cfg: &SolverConfig,
@@ -57,7 +57,7 @@ fn run(
         // `iterations` is the real count — per-iteration host dispatch is
         // the number the gate compares.
         record_history: true,
-        executor: Some(kind),
+        backend: Some(BackendSpec::IpuSim(variant)),
         ..SolveOptions::default()
     };
     let mut best = f64::INFINITY;
@@ -71,8 +71,8 @@ fn run(
 }
 
 /// The fused-kernel names the fig8 hot path must hit. A fallback on any of
-/// these rebuilds the interpreter bottleneck this executor exists to
-/// remove, so it fails the gate rather than just slowing down.
+/// these rebuilds the interpreter bottleneck the kernels exist to remove,
+/// so it fails the gate rather than just slowing down.
 const REQUIRED_KERNELS: &[&str] =
     &["spmv", "spmv_residual", "forward_subst", "backward_subst_div", "map", "reduce"];
 
@@ -102,23 +102,23 @@ fn main() {
         a.nnz()
     ));
 
-    let (rs, seq_s) = run(ExecutorKind::Sequential, a.clone(), &b, &cfg, repeats);
-    let (rn, nat_s) = run(ExecutorKind::Native, a.clone(), &b, &cfg, repeats);
+    let (ri, interp_s) = run(IpuVariant::Default, a.clone(), &b, &cfg, repeats);
+    let (rf, fused_s) = run(IpuVariant::Fused, a.clone(), &b, &cfg, repeats);
 
     // 1. Bit-and-cycle identity.
     assert_eq!(
-        fingerprint(&rs),
-        fingerprint(&rn),
-        "native executor disagrees with the interpreter — determinism violation"
+        fingerprint(&ri),
+        fingerprint(&rf),
+        "fused dispatch disagrees with the interpreter — determinism violation"
     );
 
     // 2. Kernel coverage.
-    let sel = rn
+    let sel = rf
         .report
         .compile
         .as_ref()
         .and_then(|c| c.pass("native-kernel-selection"))
-        .expect("native run stamps the kernel selection into its compile report");
+        .expect("the engine stamps the kernel selection into its compile report");
     let fallbacks: Vec<String> = sel
         .counters
         .iter()
@@ -142,13 +142,13 @@ fn main() {
     }
 
     // 3. Per-iteration host-dispatch speedup.
-    let iters = rs.iterations.max(1) as f64;
-    let seq_per_iter = seq_s / iters;
-    let nat_per_iter = nat_s / iters;
-    let speedup = seq_per_iter / nat_per_iter;
-    println!("executor\thost_s\thost_s_per_iter\tdevice_cycles");
-    println!("sequential\t{seq_s:.4}\t{seq_per_iter:.6}\t{}", rs.stats.device_cycles());
-    println!("native\t{nat_s:.4}\t{nat_per_iter:.6}\t{}", rn.stats.device_cycles());
+    let iters = ri.iterations.max(1) as f64;
+    let interp_per_iter = interp_s / iters;
+    let fused_per_iter = fused_s / iters;
+    let speedup = interp_per_iter / fused_per_iter;
+    println!("backend\thost_s\thost_s_per_iter\tdevice_cycles");
+    println!("ipu-sim\t{interp_s:.4}\t{interp_per_iter:.6}\t{}", ri.stats.device_cycles());
+    println!("ipu-sim:fused\t{fused_s:.4}\t{fused_per_iter:.6}\t{}", rf.stats.device_cycles());
     println!("speedup\t{speedup:.2}x\t(gate: >= {min_speedup:.1}x)");
 
     let doc = Json::obj(vec![
@@ -158,17 +158,17 @@ fn main() {
         ("rows", Json::from(a.nrows as f64)),
         ("nnz", Json::from(a.nnz() as f64)),
         ("repeats", Json::from(repeats as f64)),
-        ("iterations", Json::from(rs.iterations as f64)),
-        ("seq_host_seconds", Json::from(seq_s)),
-        ("native_host_seconds", Json::from(nat_s)),
-        ("seq_host_seconds_per_iter", Json::from(seq_per_iter)),
-        ("native_host_seconds_per_iter", Json::from(nat_per_iter)),
+        ("iterations", Json::from(ri.iterations as f64)),
+        ("interp_host_seconds", Json::from(interp_s)),
+        ("fused_host_seconds", Json::from(fused_s)),
+        ("interp_host_seconds_per_iter", Json::from(interp_per_iter)),
+        ("fused_host_seconds_per_iter", Json::from(fused_per_iter)),
         ("speedup", Json::from(speedup)),
         ("min_speedup", Json::from(min_speedup)),
         ("codelets_total", Json::from(sel.counter("codelets_total"))),
         ("codelets_fused", Json::from(sel.counter("codelets_fused"))),
         ("fallbacks", Json::arr(fallbacks.iter().map(|f| Json::from(f.as_str())))),
-        ("device_cycles", Json::from(rs.stats.device_cycles() as f64)),
+        ("device_cycles", Json::from(ri.stats.device_cycles() as f64)),
         ("bit_identical", Json::from(true)),
     ]);
     if let Some(dir) = std::path::Path::new(&out).parent() {
@@ -183,7 +183,7 @@ fn main() {
 
     if speedup < min_speedup {
         eprintln!(
-            "native per-iteration host dispatch speedup {speedup:.2}x is below the \
+            "fused per-iteration host dispatch speedup {speedup:.2}x is below the \
              {min_speedup:.1}x gate"
         );
         std::process::exit(1);

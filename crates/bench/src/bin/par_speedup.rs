@@ -1,20 +1,21 @@
-//! Host-executor speedup check — sequential vs tile-parallel `Engine`.
+//! Host-schedule speedup check — `ipu-sim` (one host thread) vs
+//! `ipu-sim:par` (tile-parallel), same interpreted dispatch.
 //!
-//! Runs the *same* solve under both host executors, asserts that every
-//! observable (solution bits, device cycles, exchanged bytes, superstep
-//! and sync counts, per-label splits) is identical, and reports the host
-//! wall-clock for each. On a multi-core runner the parallel executor
-//! should win; on a single-core box the numbers are informational only,
-//! so this binary never fails on a missing speedup — only on a
-//! determinism violation.
+//! Runs the *same* solve under both, asserts that every observable
+//! (solution bits, device cycles, exchanged bytes, superstep and sync
+//! counts, per-label splits) is identical, and reports the host
+//! wall-clock for each. On a multi-core
+//! runner the tile-parallel schedule should win; on a single-core box the
+//! numbers are informational only, so this binary never fails on a
+//! missing speedup — only on a determinism violation.
 //!
 //! Output: a small table on stdout and `results/par_speedup.json`
 //! (override with `--out <path>`). `--scale <f>` grows the grid,
-//! `--repeats <n>` takes the best of `n` timed runs per executor.
+//! `--repeats <n>` takes the best of `n` timed runs per backend.
 
 use std::rc::Rc;
 
-use graph::ExecutorKind;
+use backend::{BackendSpec, IpuVariant};
 use graphene_bench::{header, Args};
 use graphene_core::config::SolverConfig;
 use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
@@ -34,10 +35,11 @@ fn fingerprint(r: &SolveResult) -> (Vec<u64>, u64, u64, u64, u64, Vec<(String, [
     )
 }
 
-/// Best-of-`repeats` host seconds for one executor (plus the last result
-/// for fingerprinting — every repeat is bit-identical by construction).
+/// Best-of-`repeats` host seconds for one `ipu-sim` variant (plus the last
+/// result for fingerprinting — every repeat is bit-identical by
+/// construction).
 fn run(
-    kind: ExecutorKind,
+    variant: IpuVariant,
     a: Rc<CsrMatrix>,
     b: &[f64],
     cfg: &SolverConfig,
@@ -46,7 +48,7 @@ fn run(
     let opts = SolveOptions {
         model: IpuModel::mk2(),
         record_history: false,
-        executor: Some(kind),
+        backend: Some(BackendSpec::IpuSim(variant)),
         ..SolveOptions::default()
     };
     let mut best = f64::INFINITY;
@@ -78,16 +80,16 @@ fn main() {
         a.nnz()
     ));
 
-    let (rs, seq_s) = run(ExecutorKind::Sequential, a.clone(), &b, &cfg, repeats);
-    let (rp, par_s) = run(ExecutorKind::Parallel, a.clone(), &b, &cfg, repeats);
+    let (rs, seq_s) = run(IpuVariant::Default, a.clone(), &b, &cfg, repeats);
+    let (rp, par_s) = run(IpuVariant::Par, a.clone(), &b, &cfg, repeats);
 
     // Determinism contract: nothing observable may differ.
-    assert_eq!(fingerprint(&rs), fingerprint(&rp), "executors disagree — determinism violation");
+    assert_eq!(fingerprint(&rs), fingerprint(&rp), "ipu-sim:par disagrees with ipu-sim");
 
     let speedup = seq_s / par_s;
-    println!("executor\thost_s\tdevice_cycles");
-    println!("sequential\t{seq_s:.4}\t{}", rs.stats.device_cycles());
-    println!("parallel\t{par_s:.4}\t{}", rp.stats.device_cycles());
+    println!("backend\thost_s\tdevice_cycles");
+    println!("ipu-sim\t{seq_s:.4}\t{}", rs.stats.device_cycles());
+    println!("ipu-sim:par\t{par_s:.4}\t{}", rp.stats.device_cycles());
     println!("speedup\t{speedup:.2}x\t(threads={threads})");
 
     let doc = Json::obj(vec![
@@ -97,7 +99,7 @@ fn main() {
         ("nnz", Json::from(a.nnz() as f64)),
         ("threads", Json::from(threads as f64)),
         ("repeats", Json::from(repeats as f64)),
-        ("seq_host_seconds", Json::from(seq_s)),
+        ("host_seconds", Json::from(seq_s)),
         ("par_host_seconds", Json::from(par_s)),
         ("speedup", Json::from(speedup)),
         ("device_cycles", Json::from(rs.stats.device_cycles() as f64)),

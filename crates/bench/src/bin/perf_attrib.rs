@@ -2,19 +2,19 @@
 //! headline solver stack (the fig8 configuration: IR-PBiCGStab+ILU(0)
 //! with double-word MPIR).
 //!
-//! Runs the same solve under the sequential and the tile-parallel host
-//! executor, hard-asserts the attribution contract —
+//! Runs the same solve on `ipu-sim`, `ipu-sim:par` and `ipu-sim:fused`,
+//! hard-asserts the attribution contract —
 //!
 //! * per-step cycles partition `device_cycles` with zero remainder,
-//! * the attribution section is bit-identical across executors,
-//! * attaching the recorder adds zero device cycles,
+//! * the attribution section and the device cycles of the other two are
+//!   bit-identical to `ipu-sim`'s,
 //!
 //! — then prints the top steps by cycles with their imbalance and
 //! roofline numbers, and writes `results/perf_attrib.json`.
 
 use std::rc::Rc;
 
-use graph::ExecutorKind;
+use backend::{BackendSpec, IpuVariant};
 use graphene_bench::{header, Args};
 use graphene_core::config::SolverConfig;
 use graphene_core::runner::{solve_or_panic, SolveOptions};
@@ -47,37 +47,38 @@ fn main() {
     };
     let model = IpuModel::m2000();
 
-    let run = |executor: ExecutorKind| {
+    let run = |variant: IpuVariant| {
         let opts = SolveOptions {
             model: model.clone(),
             rows_per_tile: 32,
-            executor: Some(executor),
+            backend: Some(BackendSpec::IpuSim(variant)),
             ..SolveOptions::default()
         };
         solve_or_panic(a.clone(), &b, &cfg, &opts)
     };
 
-    let seq = run(ExecutorKind::Sequential);
-    let par = run(ExecutorKind::Parallel);
+    let seq = run(IpuVariant::Default);
 
     // -- The attribution contract, hard-asserted on every run. ---------
-    let perf = seq.report.perf.as_ref().expect("planned runs always record attribution");
-    let perf_par = par.report.perf.as_ref().expect("planned runs always record attribution");
+    let perf = seq.report.perf.as_ref().expect("every run records attribution");
     assert_eq!(
         perf.steps_total(),
         seq.stats.device_cycles(),
         "per-step cycles must partition device_cycles exactly"
     );
-    assert_eq!(
-        perf.attribution_json(),
-        perf_par.attribution_json(),
-        "attribution must be bit-identical across host executors"
-    );
-    assert_eq!(
-        seq.stats.device_cycles(),
-        par.stats.device_cycles(),
-        "attaching the recorder must not perturb device cycles"
-    );
+    for other in [run(IpuVariant::Par), run(IpuVariant::Fused)] {
+        let name = &other.report.executor;
+        assert_eq!(
+            perf.attribution_json(),
+            other.report.perf.as_ref().expect("every run records attribution").attribution_json(),
+            "{name}: attribution must be bit-identical to ipu-sim"
+        );
+        assert_eq!(
+            seq.stats.device_cycles(),
+            other.stats.device_cycles(),
+            "{name}: device cycles must be identical to ipu-sim"
+        );
+    }
 
     println!(
         "rows\t{}\tnnz\t{}\titers\t{}\tdevice_cycles\t{}\tattributed\t{}",
@@ -117,7 +118,7 @@ fn main() {
         ("device_cycles", Json::from(seq.stats.device_cycles())),
         ("attributed_cycles", Json::from(perf.steps_total())),
         ("partition_exact", Json::from(true)),
-        ("bit_identical_across_executors", Json::from(true)),
+        ("bit_identical_across_backends", Json::from(true)),
         (
             "speed_of_light",
             Json::obj([

@@ -143,7 +143,7 @@ fn main() {
     let out = args.get_str("--out", "results/serve.json");
 
     let spec = match BackendSpec::from_env() {
-        Ok(s) => s.unwrap_or(BackendSpec::IpuSim(backend::IpuVariant::Auto)),
+        Ok(s) => s.unwrap_or(BackendSpec::IpuSim(backend::IpuVariant::Default)),
         Err(e) => fail(&e),
     };
     let fault_capable = spec.family() == "ipu-sim";

@@ -1,5 +1,5 @@
 //! **tune_cache** — gate for the cost-model auto-tuner and its persistent
-//! plan cache (`GRAPHENE_TUNE`, see DESIGN.md §15).
+//! plan cache (`GRAPHENE_TUNE`, see DESIGN.md §14).
 //!
 //! Runs the fig8-class solve (IR-PBiCGStab+ILU(0) with double-word MPIR,
 //! the budget_check workload) with tuning enabled against a dedicated
@@ -11,9 +11,9 @@
 //! 2. the second solve is a **cache hit**: zero candidates scored, and
 //!    the solve it produces is bit-identical to the cold-tuned one —
 //!    loading a plan must be indistinguishable from searching for it;
-//! 3. the tuned configuration keeps the executor-equivalence contract:
-//!    sequential, tile-parallel, native and native-fusion-off runs agree
-//!    on every device observable.
+//! 3. the tuned configuration keeps the engine-equivalence contract:
+//!    `ipu-sim:par` and `ipu-sim:fused` agree with `ipu-sim` on every
+//!    device observable.
 //!
 //! `--expect-hit` additionally requires the *first* solve to already hit
 //! the cache (the CI second invocation); `--cache <dir>` overrides the
@@ -23,7 +23,7 @@
 
 use std::rc::Rc;
 
-use graph::ExecutorKind;
+use backend::{BackendSpec, IpuVariant};
 use graphene_bench::{header, Args};
 use graphene_core::config::SolverConfig;
 use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
@@ -81,18 +81,18 @@ fn main() {
         cache.display()
     ));
 
-    let tuned_opts = |executor| SolveOptions {
+    let tuned_opts = |variant| SolveOptions {
         model: IpuModel::m2000(),
         rows_per_tile: 32,
         record_history: true,
-        executor: Some(executor),
+        backend: Some(BackendSpec::IpuSim(variant)),
         tune: Some(true),
         tune_cache: Some(cache.clone()),
         ..SolveOptions::default()
     };
 
     // -- 1st solve: cold tune (or a hit, when the cache is pre-warmed). --
-    let r1 = solve_or_panic(a.clone(), &b, &cfg, &tuned_opts(ExecutorKind::Sequential));
+    let r1 = solve_or_panic(a.clone(), &b, &cfg, &tuned_opts(IpuVariant::Default));
     let p1 = tune_pass(&r1);
     println!(
         "run1: cache_hit={} candidates={} modelled={} default={} rpt={} tiles={} search_us={}",
@@ -124,7 +124,7 @@ fn main() {
     }
 
     // -- 2nd solve: must hit, score nothing, and reproduce run1 exactly. --
-    let r2 = solve_or_panic(a.clone(), &b, &cfg, &tuned_opts(ExecutorKind::Sequential));
+    let r2 = solve_or_panic(a.clone(), &b, &cfg, &tuned_opts(IpuVariant::Default));
     let p2 = tune_pass(&r2);
     println!(
         "run2: cache_hit={} candidates={} search_us={}",
@@ -141,28 +141,20 @@ fn main() {
         std::process::exit(1);
     }
 
-    // -- Gate 3: executor equivalence of the tuned (cache-hit) config. --
-    for (name, executor, fusion) in [
-        ("parallel", ExecutorKind::Parallel, None),
-        ("native", ExecutorKind::Native, None),
-        ("native-nofusion", ExecutorKind::Native, Some(false)),
-    ] {
-        let r = solve_or_panic(
-            a.clone(),
-            &b,
-            &cfg,
-            &SolveOptions { native_fusion: fusion, ..tuned_opts(executor) },
-        );
+    // -- Gate 3: engine equivalence of the tuned (cache-hit) config. ----
+    for variant in [IpuVariant::Par, IpuVariant::Fused] {
+        let r = solve_or_panic(a.clone(), &b, &cfg, &tuned_opts(variant));
+        let name = &r.report.executor;
         if tune_pass(&r).counter("cache_hit") != 1 {
             eprintln!("{name}: tuned leg missed the cache");
             std::process::exit(1);
         }
         if fingerprint(&r1) != fingerprint(&r) {
-            eprintln!("{name}: tuned solve differs from the sequential reference");
+            eprintln!("{name}: tuned solve differs from ipu-sim");
             std::process::exit(1);
         }
     }
-    println!("executors: sequential/parallel/native/native-nofusion bit-identical under tuning");
+    println!("backends: ipu-sim:par and ipu-sim:fused bit-identical to ipu-sim under tuning");
 
     // -- Informational: the untuned solve on the same stack. ------------
     let untuned = solve_or_panic(
@@ -173,7 +165,6 @@ fn main() {
             model: IpuModel::m2000(),
             rows_per_tile: 32,
             record_history: true,
-            executor: Some(ExecutorKind::Sequential),
             tune: Some(false),
             ..SolveOptions::default()
         },

@@ -38,9 +38,13 @@ fn partial_sweep_skips_casualties_and_keeps_the_rest() {
     let a = Rc::new(sparse::gen::poisson_2d_5pt(8, 8, 1.0));
     let b = sparse::gen::rhs_for_ones(&a);
     let cfg = SolverConfig::BiCgStab { max_iters: 50, rel_tol: 1e-5, precond: None };
+    // Pinned, so the backend column below does not depend on the ambient
+    // `GRAPHENE_BACKEND`.
+    let pinned = backend::BackendSpec::IpuSim(backend::IpuVariant::Par);
     let opts = SolveOptions {
         model: ipu_sim::IpuModel::tiny(4),
         tiles: Some(4),
+        backend: Some(pinned),
         ..SolveOptions::default()
     };
     let res = solve_or_panic(a, &b, &cfg, &opts);
@@ -80,7 +84,7 @@ fn partial_sweep_skips_casualties_and_keeps_the_rest() {
     // were simulator runs by construction).
     let backends: Vec<&str> =
         s.solves.iter().filter_map(|r| r.get("backend").and_then(Json::as_str)).collect();
-    assert!(backends.contains(&"ipu-sim:seq"), "{backends:?}");
+    assert!(backends.contains(&pinned.name()), "{backends:?}");
     assert!(backends.contains(&"ipu-sim"), "v1 fallback: {backends:?}");
     let bins: Vec<&str> = s.bins.iter().map(|(b, _)| b.as_str()).collect();
     assert_eq!(bins, ["bespoke", "unit", "oldrun"], "sorted file order, bespoke first");

@@ -7,7 +7,7 @@
 //! The probe is value-independent — the cost model charges by structure,
 //! not data — and fault-free (fault state is only ever injected by the
 //! runner into solve attempts), so scores are bit-deterministic and
-//! executor-independent.
+//! independent of the engine options.
 //!
 //! The search itself, the argmin and the persistent plan cache live in
 //! `tune`; this module supplies the scorer, derives the cache key from

@@ -5,11 +5,10 @@
 //! module adds the piece that must live above the DSL and solver layers:
 //!
 //! * [`IpuSimBackend`] — the cycle-modelled IPU simulator behind the
-//!   trait. One type, four variants ([`IpuVariant`]): the sequential,
-//!   parallel and native host executors plus the legacy tree-walking
-//!   interpreter, each a pinned [`runner::solve`] under the hood, so a
-//!   trait-level run is bit- and cycle-identical to the corresponding
-//!   `SolveOptions::executor` run.
+//!   trait. One type, three variants ([`IpuVariant`]), each a
+//!   [`runner::solve`] with `SolveOptions::backend` pinned under the
+//!   hood, so a trait-level run is bit- and cycle-identical to calling
+//!   the runner with that backend.
 //! * [`resolve`] / [`backend_for`] — the name → backend registry behind
 //!   `GRAPHENE_BACKEND` and `SolveOptions::backend`. Unknown names are
 //!   [`SolveError::Config`].
@@ -39,13 +38,12 @@ use crate::runner::{solve, SolveOptions, SolveResult, TOLERANCE_SAFETY};
 
 /// The simulated IPU behind the [`Backend`] trait. Each prepared plan
 /// replays through [`runner::solve`](crate::runner::solve) with the
-/// variant's executor pinned, so results, `CycleStats` and reports are
-/// identical to calling the runner directly.
+/// variant pinned, so results, `CycleStats` and reports are identical to
+/// calling the runner directly.
 pub struct IpuSimBackend {
     variant: IpuVariant,
     /// Machine/partition options every execution of this backend uses
-    /// (its `executor`/`legacy_interpreter`/`backend` fields are
-    /// overridden by the variant).
+    /// (its `backend` field is overridden by the variant).
     base: SolveOptions,
 }
 
@@ -69,8 +67,7 @@ impl Backend for IpuSimBackend {
             cycle_accounting: true,
             fault_injection: true,
             auto_tuning: true,
-            // The legacy tree-walker has no plan step ids to attribute to.
-            perf_attribution: self.variant != IpuVariant::Legacy,
+            perf_attribution: true,
             parallel_host: self.variant == IpuVariant::Par,
             ..Capabilities::default()
         }
@@ -82,8 +79,6 @@ impl Backend for IpuSimBackend {
         })?;
         let mut opts = self.base.clone();
         opts.backend = Some(BackendSpec::IpuSim(self.variant));
-        opts.executor = None;
-        opts.legacy_interpreter = None;
         opts.record_history = plan.record_history;
         Ok(Box::new(IpuSimPrepared { name: self.name(), a: Rc::clone(&plan.a), config, opts }))
     }
@@ -158,15 +153,6 @@ pub(crate) fn external_solve(
     let caps = be.capabilities();
     let name = be.name();
 
-    // Engine-level pins are ipu-sim knobs; combining them with an
-    // external backend is a configuration error, not a silent ignore.
-    if opts.executor.is_some() || opts.legacy_interpreter.is_some() || opts.native_fusion.is_some()
-    {
-        return Err(SolveError::Config(format!(
-            "backend `{name}` does not take ipu-sim engine options \
-             (executor/legacy_interpreter/native_fusion)"
-        )));
-    }
     // Capability mismatches are typed refusals (satellite contract).
     let fault_plan = match &opts.faults {
         Some(p) => Some(p.clone()),
@@ -293,7 +279,7 @@ mod tests {
         let b = rhs_for_ones(&a);
         let direct = solve(Rc::clone(&a), &b, &cfg(), &sim_opts()).unwrap();
 
-        let be = IpuSimBackend::new(IpuVariant::Seq, sim_opts());
+        let be = IpuSimBackend::new(IpuVariant::Fused, sim_opts());
         assert!(be.capabilities().cycle_accounting);
         let plan = SolvePlan { a: Rc::clone(&a), solver: cfg().to_value(), record_history: false };
         let run = be.prepare(&plan).unwrap().execute(&b, None).unwrap();
@@ -303,13 +289,14 @@ mod tests {
         let stats = run.timing.cycle_stats().expect("ipu-sim counts cycles");
         assert_eq!(stats.device_cycles(), direct.stats.device_cycles());
         let info = run.report.backend.as_ref().expect("schema v3 stamps the backend");
-        assert_eq!(info.name, "ipu-sim:seq");
+        assert_eq!(info.name, be.name());
+        assert_eq!(run.report.executor, be.name());
         assert_eq!(info.timing, "cycle-model");
     }
 
     #[test]
     fn ipu_sim_backend_refuses_malformed_solver_json() {
-        let be = IpuSimBackend::new(IpuVariant::Seq, sim_opts());
+        let be = IpuSimBackend::new(IpuVariant::Default, sim_opts());
         let plan = SolvePlan {
             a: Rc::new(poisson_2d_5pt(4, 4, 1.0)),
             solver: json::Json::obj([("type", json::Json::Str("warp-drive".into()))]),
@@ -317,7 +304,7 @@ mod tests {
         };
         match be.prepare(&plan) {
             Err(BackendError::Unsupported { backend, what }) => {
-                assert_eq!(backend, "ipu-sim:seq");
+                assert_eq!(backend, be.name());
                 assert!(what.contains("solver config"), "{what}");
             }
             Err(other) => panic!("expected Unsupported, got {other}"),

@@ -20,7 +20,7 @@
 //!   candidates by a modelled-cycle SpMV probe and caches winners on disk
 //!   keyed by the matrix structure fingerprint (see the `tune` crate).
 //! * [`backends`] — the device registry behind `GRAPHENE_BACKEND`: the
-//!   IPU simulator (all four executor variants), the native-CPU baseline
+//!   IPU simulator (all three `ipu-sim` variants), the native-CPU baseline
 //!   and the GPU roofline model behind one `backend::Backend` trait, with
 //!   typed capability-mismatch refusals.
 //! * [`resilience`] — structured solve outcomes ([`SolveError`] /

@@ -77,10 +77,9 @@ pub enum SolveError {
     /// zero iteration budgets, malformed fault specs).
     Config(String),
     /// The solver program failed to compile onto the machine (e.g. a
-    /// tile's tensors exceed its SRAM).
+    /// tile's tensors exceed its SRAM, or `ipu-sim:par` was asked for a
+    /// program with a cross-tile read/write hazard).
     Compile(String),
-    /// The requested host executor is unavailable.
-    Executor(String),
     /// A monitored scalar went NaN/Inf and the recovery budget is spent.
     NonFinite { attempt: u32 },
     /// The residual grew past the policy's divergence factor and the
@@ -113,7 +112,6 @@ impl fmt::Display for SolveError {
         match self {
             SolveError::Config(msg) => write!(f, "invalid solve configuration: {msg}"),
             SolveError::Compile(msg) => write!(f, "solver program failed to compile: {msg}"),
-            SolveError::Executor(msg) => write!(f, "executor unavailable: {msg}"),
             SolveError::NonFinite { attempt } => {
                 write!(f, "non-finite values detected (attempt {attempt}, recovery exhausted)")
             }

@@ -20,7 +20,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use dsl::prelude::*;
-use graph::{ExecutorKind, FaultState};
+use graph::FaultState;
 use ipu_sim::clock::CycleStats;
 use ipu_sim::fault::FaultPlan;
 use profile::{DetectionRecord, PerfReport, Resilience, SolveReport, TraceRecorder};
@@ -53,25 +53,11 @@ pub struct SolveOptions {
     pub partition: Option<Partition>,
     /// Initial guess (zeros if `None`).
     pub x0: Option<Vec<f64>>,
-    /// Host executor for the simulated device (`None`: whatever
-    /// `GRAPHENE_PAR` selects, sequential when unset). The choice affects
-    /// host wall-clock only — results, `CycleStats` and traces are
-    /// bit-identical across executors.
-    pub executor: Option<ExecutorKind>,
     /// Run the graph compiler's optimisation passes (`None`: whatever
     /// `GRAPHENE_NO_OPT` selects, optimised when unset). Optimisation
     /// affects host dispatch overhead only — results and `CycleStats` are
     /// bit-identical either way.
     pub optimise: Option<bool>,
-    /// Run the legacy tree-walking interpreter instead of the compiled
-    /// plan (`None`: whatever `GRAPHENE_LEGACY_INTERP` selects).
-    /// Differential testing only.
-    pub legacy_interpreter: Option<bool>,
-    /// Whether the native executor may dispatch fused kernels (`None`:
-    /// whatever `GRAPHENE_NATIVE` selects, enabled when unset). `Some(false)`
-    /// keeps [`ExecutorKind::Native`] selected but forces the interpreter
-    /// fallback for every codelet — the differential-testing leg.
-    pub native_fusion: Option<bool>,
     /// Deterministic hardware fault injection (`None`: whatever
     /// `GRAPHENE_FAULTS` selects, no faults when unset). See
     /// `ipu_sim::fault::FaultPlan` for the spec grammar.
@@ -94,14 +80,11 @@ pub struct SolveOptions {
     /// count does not match the matrix.
     pub grid: Option<sparse::gen::Grid3>,
     /// Backend to run the solve on (`None`: whatever `GRAPHENE_BACKEND`
-    /// selects, the IPU simulator when unset). `ipu-sim:<variant>` pins
-    /// the host executor (conflicting with an explicit `executor` /
-    /// `legacy_interpreter` pin is a [`SolveError::Config`]); `cpu`,
-    /// `cpu:par` and `gpu-model` dispatch to the baseline backends via
-    /// [`crate::backends`] — same report schema, their own timing domain.
-    /// The env selector only applies when `executor`,
-    /// `legacy_interpreter` and `native_fusion` are all left open, so
-    /// explicitly pinned engine options keep their meaning unchanged.
+    /// selects, `ipu-sim` when unset) — the one selector of how a solve
+    /// executes. `ipu-sim[:par|:fused]` run on the simulated IPU and
+    /// differ in host wall-clock only; `cpu`, `cpu:par` and `gpu-model`
+    /// dispatch to the baseline backends via [`crate::backends`] — same
+    /// report schema, their own timing domain.
     pub backend: Option<backend::BackendSpec>,
     /// Wall-clock budget for the whole solve, measured from `solve()`
     /// entry (`None`: unlimited — the default, byte-identical to before
@@ -122,10 +105,7 @@ impl Default for SolveOptions {
             record_history: true,
             partition: None,
             x0: None,
-            executor: None,
             optimise: None,
-            legacy_interpreter: None,
-            native_fusion: None,
             faults: None,
             recovery: None,
             tune: None,
@@ -177,9 +157,6 @@ struct Attempt {
     stats: CycleStats,
     seconds: f64,
     host_seconds: f64,
-    executor: String,
-    /// Whether the legacy tree-walking interpreter ran this attempt.
-    legacy: bool,
     compile: profile::CompileReport,
     /// Sentinel detection that tripped mid-run, if any.
     detection: Option<Detection>,
@@ -187,8 +164,7 @@ struct Attempt {
     snapshot_global: Option<Vec<f64>>,
     checkpoints: u64,
     checkpoint_cycles: u64,
-    /// Per-step performance attribution (absent under the legacy
-    /// interpreter, which has no plan step ids).
+    /// Per-step performance attribution.
     perf: Option<PerfReport>,
 }
 
@@ -208,8 +184,9 @@ enum Verdict {
 /// does.
 pub const TOLERANCE_SAFETY: f64 = 100.0;
 
-/// Solve `A x = b` with the configured solver hierarchy on the simulated
-/// IPU. `opts.x0` is the initial guess (zeros if `None`).
+/// Solve `A x = b` with the configured solver hierarchy on the backend
+/// `opts.backend` / `GRAPHENE_BACKEND` selects (the simulated IPU when
+/// neither does). `opts.x0` is the initial guess (zeros if `None`).
 ///
 /// Returns a structured [`SolveError`] instead of panicking on invalid
 /// inputs, compile failures, or detected-but-unrecoverable numerical
@@ -222,6 +199,50 @@ pub fn solve(
     b: &[f64],
     config: &SolverConfig,
     opts: &SolveOptions,
+) -> Result<SolveResult, SolveError> {
+    solve_impl(a, b, config, opts, None)
+}
+
+/// [`solve`] on the simulated IPU with the engine options given outright,
+/// ignoring `opts.backend` and `GRAPHENE_BACKEND`. The equivalence sweeps
+/// use it to reach fused dispatch under the tile-parallel schedule, the
+/// one combination no registry name selects.
+pub fn solve_with_engine(
+    a: Rc<CsrMatrix>,
+    b: &[f64],
+    config: &SolverConfig,
+    opts: &SolveOptions,
+    engine: EngineOptions,
+) -> Result<SolveResult, SolveError> {
+    solve_impl(a, b, config, opts, Some(engine))
+}
+
+/// The engine options an `ipu-sim` registry name stands for.
+fn engine_options(variant: backend::IpuVariant) -> EngineOptions {
+    match variant {
+        backend::IpuVariant::Default => EngineOptions::default(),
+        backend::IpuVariant::Par => EngineOptions { threads: 0, fusion: false },
+        backend::IpuVariant::Fused => EngineOptions { threads: 1, fusion: true },
+    }
+}
+
+/// The name a solve under `engine` reports as `backend.name` and
+/// `executor`: the registry name that selects it, where there is one.
+fn ipu_sim_name(engine: EngineOptions) -> &'static str {
+    match (engine.fusion, engine.threads == 1) {
+        (false, true) => "ipu-sim",
+        (false, false) => "ipu-sim:par",
+        (true, true) => "ipu-sim:fused",
+        (true, false) => "ipu-sim:fused+par",
+    }
+}
+
+fn solve_impl(
+    a: Rc<CsrMatrix>,
+    b: &[f64],
+    config: &SolverConfig,
+    opts: &SolveOptions,
+    engine: Option<EngineOptions>,
 ) -> Result<SolveResult, SolveError> {
     // Wall-clock origin for the deadline and the retry budget. Both are
     // measured from entry, so time spent queued before `solve()` is the
@@ -287,30 +308,21 @@ pub fn solve(
     }
 
     // ---- Backend dispatch (SolveOptions::backend / GRAPHENE_BACKEND). -
-    let spec = match opts.backend {
-        Some(s) => Some(s),
-        // The env-level selector applies only when the caller left every
-        // engine-level pin open: explicit `executor` /
-        // `legacy_interpreter` / `native_fusion` options keep their
-        // historical meaning regardless of the environment.
-        None if opts.executor.is_none()
-            && opts.legacy_interpreter.is_none()
-            && opts.native_fusion.is_none() =>
-        {
-            backend::BackendSpec::from_env().map_err(SolveError::Config)?
+    let engine = match engine {
+        Some(e) => e,
+        None => {
+            let spec = match opts.backend {
+                Some(s) => Some(s),
+                None => backend::BackendSpec::from_env().map_err(SolveError::Config)?,
+            };
+            match spec {
+                None => EngineOptions::default(),
+                Some(backend::BackendSpec::IpuSim(variant)) => engine_options(variant),
+                Some(external) => {
+                    return crate::backends::external_solve(external, a, b, config, opts)
+                }
+            }
         }
-        None => None,
-    };
-    let pinned;
-    let opts = match spec {
-        Some(s @ (backend::BackendSpec::Cpu { .. } | backend::BackendSpec::GpuModel)) => {
-            return crate::backends::external_solve(s, a, b, config, opts);
-        }
-        Some(backend::BackendSpec::IpuSim(variant)) => {
-            pinned = pin_ipu_variant(opts, variant)?;
-            &pinned
-        }
-        None => opts,
     };
 
     // ---- Fault plan + recovery policy. -------------------------------
@@ -391,6 +403,7 @@ pub fn solve(
             x0.as_deref(),
             deadline_at,
             &mut fault_state,
+            engine,
         )?;
         checkpoints_total += att.checkpoints;
         total_device_cycles += att.stats.device_cycles();
@@ -411,21 +424,12 @@ pub fn solve(
                 report.final_residual = att.residual;
                 report.seconds = att.seconds;
                 report.host_seconds = att.host_seconds;
-                report.executor = att.executor.clone();
+                report.executor = ipu_sim_name(engine).to_string();
                 report.history = att.history.clone();
                 // Schema-v3 backend section: which device family ran this
                 // solve and in which timing domain its seconds live.
-                let variant = if att.legacy {
-                    "legacy"
-                } else {
-                    match att.executor.as_str() {
-                        "parallel" => "par",
-                        "native" => "native",
-                        _ => "seq",
-                    }
-                };
                 report.backend = Some(profile::BackendInfo {
-                    name: format!("ipu-sim:{variant}"),
+                    name: report.executor.clone(),
                     family: "ipu-sim".to_string(),
                     timing: "cycle-model".to_string(),
                     seconds: att.seconds,
@@ -594,49 +598,6 @@ fn backoff_sleep(
     Ok(())
 }
 
-/// Pin the engine-level options an `ipu-sim:<variant>` backend selection
-/// implies. An explicit *disagreeing* pin in the caller's options is a
-/// configuration conflict, never a silent override.
-fn pin_ipu_variant(
-    opts: &SolveOptions,
-    variant: backend::IpuVariant,
-) -> Result<SolveOptions, SolveError> {
-    use backend::IpuVariant as V;
-    let name = backend::BackendSpec::IpuSim(variant).name();
-    let want = match variant {
-        V::Auto | V::Legacy => None,
-        V::Seq => Some(ExecutorKind::Sequential),
-        V::Par => Some(ExecutorKind::Parallel),
-        V::Native => Some(ExecutorKind::Native),
-    };
-    if let (Some(w), Some(e)) = (want, opts.executor) {
-        if w != e {
-            return Err(SolveError::Config(format!(
-                "backend `{name}` conflicts with explicit executor `{}`",
-                e.name()
-            )));
-        }
-    }
-    if variant == V::Legacy && opts.legacy_interpreter == Some(false) {
-        return Err(SolveError::Config(format!(
-            "backend `{name}` conflicts with explicit legacy_interpreter = false"
-        )));
-    }
-    if matches!(variant, V::Seq | V::Par | V::Native) && opts.legacy_interpreter == Some(true) {
-        return Err(SolveError::Config(format!(
-            "backend `{name}` conflicts with explicit legacy_interpreter = true"
-        )));
-    }
-    let mut o = opts.clone();
-    if let Some(w) = want {
-        o.executor = Some(w);
-    }
-    if variant == V::Legacy {
-        o.legacy_interpreter = Some(true);
-    }
-    Ok(o)
-}
-
 /// [`solve`], panicking with the error's `Display` on failure — the
 /// drop-in shim for benches and examples that treat failure as fatal.
 pub fn solve_or_panic(
@@ -721,6 +682,7 @@ fn run_attempt(
     x0: Option<&[f64]>,
     deadline_at: Option<Instant>,
     fault_state: &mut Option<FaultState>,
+    engine: EngineOptions,
 ) -> Result<Attempt, SolveError> {
     let _ = tiles;
     let mut ctx = DslCtx::new(opts.model.clone());
@@ -777,24 +739,10 @@ fn run_attempt(
         Some(optimise) => CompileOptions { optimise },
     };
     let mut engine =
-        ctx.build_engine_with(copts).map_err(|e| SolveError::Compile(e.to_string()))?;
-    if let Some(kind) = opts.executor {
-        engine.set_executor(kind).map_err(|e| {
-            SolveError::Executor(format!("requested {} executor, but: {e}", kind.name()))
-        })?;
-    }
-    if let Some(legacy) = opts.legacy_interpreter {
-        engine.set_legacy_interpreter(legacy);
-    }
-    if let Some(fusion) = opts.native_fusion {
-        engine.set_native_fusion(fusion);
-    }
-    // Per-step performance attribution rides along with every planned
-    // run: pure host-side bookkeeping, zero device cycles. The legacy
-    // tree-walker has no step ids to attribute to.
-    if !engine.legacy_interpreter() {
-        engine.enable_perf();
-    }
+        ctx.build_engine_on(copts, engine).map_err(|e| SolveError::Compile(e.to_string()))?;
+    // Per-step performance attribution rides along with every run: pure
+    // host-side bookkeeping, zero device cycles.
+    engine.enable_perf();
     // Hand the (cross-attempt) fault state to this attempt's engine.
     engine.set_fault_state(fault_state.take());
     // Tracing is opt-in via GRAPHENE_TRACE=<path>: record a timeline
@@ -810,8 +758,8 @@ fn run_attempt(
         engine.write_tensor(xt.id, &sys.to_device_order(x0));
     }
     // Host wall-clock around the device run — device `seconds` come from
-    // the cycle model and are executor-independent; `host_seconds` is
-    // what the parallel host executor improves.
+    // the cycle model and do not depend on the engine options;
+    // `host_seconds` is what they change.
     let host_start = Instant::now();
     engine.run();
     let host_seconds = host_start.elapsed().as_secs_f64();
@@ -857,8 +805,6 @@ fn run_attempt(
         iterations,
         seconds,
         host_seconds,
-        executor: engine.executor().name().to_string(),
-        legacy: engine.legacy_interpreter(),
         compile: engine.compile_report().clone(),
         detection: sentinel.as_ref().and_then(|s| s.detection()),
         snapshot_global,
@@ -1183,7 +1129,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_executor_solve_is_bit_identical_and_reported() {
+    fn every_ipu_sim_backend_is_bit_identical_and_reported() {
+        use backend::{BackendSpec, IpuVariant};
         let a = Rc::new(poisson_2d_5pt(10, 10, 1.0));
         let b = rhs_for_ones(&a);
         let cfg = SolverConfig::BiCgStab {
@@ -1191,75 +1138,37 @@ mod tests {
             rel_tol: 1e-6,
             precond: Some(Box::new(SolverConfig::Ilu0 {})),
         };
-        let seq = solve_or_panic(
-            a.clone(),
-            &b,
-            &cfg,
-            &SolveOptions { executor: Some(ExecutorKind::Sequential), ..opts(4) },
-        );
-        let par = solve_or_panic(
-            a,
-            &b,
-            &cfg,
-            &SolveOptions { executor: Some(ExecutorKind::Parallel), ..opts(4) },
-        );
-        let sb: Vec<u64> = seq.x.iter().map(|v| v.to_bits()).collect();
-        let pb: Vec<u64> = par.x.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(sb, pb, "solutions differ between executors");
-        assert_eq!(seq.iterations, par.iterations);
-        assert_eq!(seq.stats.device_cycles(), par.stats.device_cycles());
-        assert_eq!(seq.seconds, par.seconds, "device time is executor-independent");
-        assert_eq!(seq.report.executor, "sequential");
-        assert_eq!(par.report.executor, "parallel");
-        assert!(seq.report.host_seconds > 0.0);
-        assert!(par.report.host_seconds > 0.0);
-    }
-
-    #[test]
-    fn native_executor_solve_is_bit_identical_and_fuses_hot_codelets() {
-        let a = Rc::new(poisson_2d_5pt(10, 10, 1.0));
-        let b = rhs_for_ones(&a);
-        let cfg = SolverConfig::BiCgStab {
-            max_iters: 60,
-            rel_tol: 1e-6,
-            precond: Some(Box::new(SolverConfig::Ilu0 {})),
+        let run = |variant| {
+            let spec = BackendSpec::IpuSim(variant);
+            let res = solve_or_panic(
+                a.clone(),
+                &b,
+                &cfg,
+                &SolveOptions { backend: Some(spec), ..opts(4) },
+            );
+            assert_eq!(res.report.executor, spec.name());
+            assert_eq!(res.report.backend.as_ref().expect("backend stamped").name, spec.name());
+            assert!(res.report.host_seconds > 0.0);
+            res
         };
-        let seq = solve_or_panic(
-            a.clone(),
-            &b,
-            &cfg,
-            &SolveOptions { executor: Some(ExecutorKind::Sequential), ..opts(4) },
-        );
-        let nat = solve_or_panic(
-            a.clone(),
-            &b,
-            &cfg,
-            &SolveOptions { executor: Some(ExecutorKind::Native), ..opts(4) },
-        );
-        // Fusion force-disabled: still the native executor, every vertex
-        // down the interpreter fallback.
-        let off = solve_or_panic(
-            a,
-            &b,
-            &cfg,
-            &SolveOptions {
-                executor: Some(ExecutorKind::Native),
-                native_fusion: Some(false),
-                ..opts(4)
-            },
-        );
-        for (name, other) in [("native", &nat), ("native-nofusion", &off)] {
-            let sb: Vec<u64> = seq.x.iter().map(|v| v.to_bits()).collect();
-            let ob: Vec<u64> = other.x.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sb, ob, "{name}: solutions differ from sequential");
-            assert_eq!(seq.iterations, other.iterations, "{name}");
-            assert_eq!(seq.stats.device_cycles(), other.stats.device_cycles(), "{name}");
-            assert_eq!(other.report.executor, "native", "{name}");
+        let interp = run(IpuVariant::Default);
+        let fused = run(IpuVariant::Fused);
+        let par = run(IpuVariant::Par);
+        let bits = |r: &SolveResult| r.x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        for other in [&fused, &par] {
+            let name = &other.report.executor;
+            assert_eq!(bits(&interp), bits(other), "{name}: solutions differ from interp");
+            assert_eq!(interp.iterations, other.iterations, "{name}");
+            assert_eq!(interp.stats.device_cycles(), other.stats.device_cycles(), "{name}");
+            assert_eq!(interp.seconds, other.seconds, "{name}: device time is host-independent");
         }
         // The compile report records the selection; the fig8-class hot ops
         // (SpMV, the triangular sweeps, maps and reductions) must fuse.
-        let compile = nat.report.compile.as_ref().expect("compile report present");
-        let sel = compile.pass("native-kernel-selection").expect("selection stamped");
+        let selection = |r: &SolveResult| {
+            let compile = r.report.compile.as_ref().expect("compile report present");
+            compile.pass("native-kernel-selection").expect("selection stamped").clone()
+        };
+        let sel = selection(&fused);
         assert!(sel.counter("codelets_total") > 0);
         assert!(
             sel.counter("codelets_fused") >= sel.counter("codelets_total") / 2,
@@ -1270,14 +1179,7 @@ mod tests {
         assert!(sel.counter("fused.forward_subst") > 0, "{:?}", sel.counters);
         assert!(sel.counter("fused.backward_subst_div") > 0, "{:?}", sel.counters);
         assert!(sel.counter("fused.map") > 0, "{:?}", sel.counters);
-        // Fusion-off leg stamps a selection with zero fused codelets.
-        let off_sel = off
-            .report
-            .compile
-            .as_ref()
-            .and_then(|c| c.pass("native-kernel-selection"))
-            .expect("selection stamped on the no-fusion leg");
-        assert_eq!(off_sel.counter("codelets_fused"), 0);
+        assert_eq!(selection(&interp).counter("codelets_fused"), 0);
     }
 
     #[test]

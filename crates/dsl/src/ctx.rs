@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use graph::codelet::{Codelet, Expr, ParamDecl, Stmt, Value};
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
-use graph::engine::{Engine, HostCallback, HostView};
+use graph::engine::{Engine, EngineOptions, HostCallback, HostView};
 use graph::graph::{CompileError, Graph};
 use graph::passes::CompileOptions;
 use graph::program::{ElemCopy, ExchangeStep, Prog};
@@ -526,13 +526,25 @@ impl DslCtx {
     /// Like [`DslCtx::build_engine`] with explicit compile options — the
     /// graph compiler lowers the program to an [`graph::ExecPlan`] and
     /// (optionally) runs the optimisation pass pipeline over it.
-    pub fn build_engine_with(mut self, options: CompileOptions) -> Result<Engine, CompileError> {
+    pub fn build_engine_with(self, options: CompileOptions) -> Result<Engine, CompileError> {
+        self.build_engine_on(options, EngineOptions::default())
+    }
+
+    /// Like [`DslCtx::build_engine_with`], also pinning how the engine
+    /// dispatches and schedules vertices. A tile-parallel schedule on a
+    /// program with a cross-tile read/write hazard is a
+    /// [`CompileError::Program`] carrying the hazard diagnostic.
+    pub fn build_engine_on(
+        mut self,
+        options: CompileOptions,
+        engine: EngineOptions,
+    ) -> Result<Engine, CompileError> {
         assert_eq!(self.frames.len(), 1, "unbalanced control-flow stack");
         let steps = self.frames.pop().unwrap();
         let program =
             if steps.len() == 1 { steps.into_iter().next().unwrap() } else { Prog::Seq(steps) };
         let exec = self.graph.compile_with(program, options)?;
-        let mut engine = Engine::new(exec);
+        let mut engine = Engine::with_options(exec, engine).map_err(CompileError::Program)?;
         for (id, cb) in self.callbacks {
             engine.register_callback(id, cb);
         }

@@ -476,7 +476,7 @@ impl Codelet {
 ///
 /// Immutable parameters are carried as shared (`*Ro`) slices so the engine
 /// never materialises an aliasing `&mut` for data a vertex only reads —
-/// the property the host-parallel executor relies on when several workers
+/// the property the tile-parallel schedule relies on when several workers
 /// read the same broadcast operand concurrently. [`Codelet::validate`]
 /// statically rejects stores to immutable parameters, so `set` on a
 /// read-only variant is unreachable.

@@ -20,26 +20,26 @@
 //! * `Copy` — an on-tile memcpy parallelised over the worker threads.
 //! * `If`/`While` — control-flow decisions synchronise all tiles.
 //!
-//! A legacy tree-walking interpreter is retained behind
-//! `GRAPHENE_LEGACY_INTERP=1` (or [`Engine::set_legacy_interpreter`]) for
-//! differential testing: it re-plans every step through
-//! [`crate::passes`]'s planners on each execution — the per-iteration host
-//! overhead the compiled plan eliminates — and must produce bit-identical
-//! results and cycle profiles.
+//! # One path, two independent properties
 //!
-//! # Host executors
+//! The simulated *device* semantics are fixed; [`EngineOptions`] only
+//! chooses how the *host* gets through a compute set:
 //!
-//! The simulated *device* semantics are fixed, but the *host* may run the
-//! vertices of a compute set either on one thread ([`ExecutorKind::Sequential`])
-//! or partitioned by tile across scoped worker threads
-//! ([`ExecutorKind::Parallel`]). Tile-mapped writes are disjoint by
-//! construction (mutable operands must be resident on the vertex's tile and
-//! tensor chunks never overlap across tiles), so parallel execution is safe
-//! whenever no vertex *reads* a region another tile *writes* within the same
-//! compute set — checked by [`parallel_hazards`] at engine-build time. Both
-//! executors merge per-tile cycle counts in tile-id order, so `CycleStats`
-//! and traces are bit-identical between them. Select with
-//! `GRAPHENE_PAR=1` (or `Engine::set_executor`).
+//! * **Dispatch**, per vertex: the fused kernel matched to its codelet at
+//!   engine build ([`crate::kernels`]), else the codelet interpreter.
+//!   `fusion: false`, the default, interprets every vertex — the
+//!   reference the fused kernels are tested against.
+//! * **Schedule**, per compute set: the vertices in program order on the
+//!   caller's thread (`threads: 1`), or the plan's tile groups on scoped
+//!   worker threads. Tile-mapped writes are disjoint by construction
+//!   (mutable operands must be resident on the vertex's tile and tensor
+//!   chunks never overlap across tiles), so tile-parallel execution is
+//!   safe whenever no vertex *reads* a region another tile *writes* within
+//!   the same compute set — checked by [`parallel_hazards`] at engine
+//!   build. Either schedule merges per-tile cycle counts in tile-id order.
+//!
+//! All four combinations leave bit-identical storage, `CycleStats`, perf
+//! attribution and traces behind; only host wall-clock differs.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -55,294 +55,40 @@ use twofloat::{SoftDouble, TwoF32, TwoFloat};
 use crate::codelet::{Codelet, Interp, ParamData, Value};
 use crate::compute::{TensorSlice, Vertex, VertexKind};
 use crate::graph::{Executable, Graph};
-use crate::kernels::KernelTable;
-use crate::passes;
+use crate::kernels::{KernelRun, KernelTable};
 use crate::plan::{CopyStep, ExchangePhase, ExecPlan, ExecuteStep, PlanStep, StepId};
-use crate::program::{ElemCopy, Prog};
+use crate::program::ElemCopy;
 use crate::tensor::TensorId;
 
-/// Which host executor runs the vertices of each compute set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// One host thread walks the vertices in program order.
-    Sequential,
-    /// Vertices are partitioned by tile and run on scoped host worker
-    /// threads; per-tile results are merged in tile-id order, so stats
-    /// and traces are bit-identical to sequential execution.
-    Parallel,
-    /// One host thread walks the vertices in program order, but codelets
-    /// matched against the fused-kernel library ([`crate::kernels`]) run
-    /// as monomorphised Rust instead of the tree-walking interpreter.
-    /// Results, cycle stats and traces are bit-identical to sequential
-    /// execution; only host wall-clock time changes.
-    Native,
-}
-
-impl ExecutorKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecutorKind::Sequential => "sequential",
-            ExecutorKind::Parallel => "parallel",
-            ExecutorKind::Native => "native",
-        }
-    }
-}
-
-/// Host-execution options for an [`Engine`].
+/// Host-execution options for an [`Engine`] (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineOptions {
-    pub executor: ExecutorKind,
-    /// Worker-thread cap for the parallel executor; `0` means one per
-    /// available core.
+    /// Host threads per compute set: `1` walks the vertices in program
+    /// order on the caller's thread; anything else runs the plan's tile
+    /// groups on scoped workers — `0` one per available core, `N` at most
+    /// `N` — and requires a [`parallel_hazards`]-free program.
     pub threads: usize,
-    /// Run the legacy tree-walking interpreter instead of the compiled
-    /// plan (re-plans every step on every execution). Differential
-    /// testing only; `GRAPHENE_LEGACY_INTERP=1`.
-    pub legacy_interpreter: bool,
-    /// Whether the native executor may actually fuse matched codelets.
-    /// `false` forces every codelet down the interpreter fallback even
-    /// under [`ExecutorKind::Native`] — the differential-testing leg of
-    /// the bit-identity contract (`GRAPHENE_NATIVE=0`).
-    pub native_fusion: bool,
+    /// Run each vertex on the fused kernel matched at engine build where
+    /// there is one. `false`, the default, interprets every vertex.
+    pub fusion: bool,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        EngineOptions {
-            executor: ExecutorKind::Sequential,
-            threads: 0,
-            legacy_interpreter: false,
-            native_fusion: true,
-        }
+        EngineOptions { threads: 1, fusion: false }
     }
 }
 
 impl EngineOptions {
-    /// Parse the `GRAPHENE_PAR` environment variable: unset, empty, `0`,
-    /// `false`, `off` or `no` select the sequential executor; `1`,
-    /// `true`, `on` or `yes` select the parallel executor with one
-    /// worker per core; an integer `N >= 2` caps the workers at `N`.
-    /// `GRAPHENE_LEGACY_INTERP=1` additionally selects the legacy
-    /// tree-walking interpreter. `GRAPHENE_NATIVE=1` selects the native
-    /// fused-kernel executor (overriding `GRAPHENE_PAR`, since it is
-    /// parsed after it); `GRAPHENE_NATIVE=0` leaves the executor choice
-    /// alone but force-disables kernel fusion, so a native engine falls
-    /// back to the interpreter for every codelet.
-    ///
-    /// Any other value **panics** with the offending string: a typo'd
-    /// knob silently running the wrong executor is far worse than a loud
-    /// failure (an empty value counts as unset, as CI matrix templating
-    /// produces empty strings for absent legs).
-    ///
-    /// The three per-knob variables are **deprecated aliases** of the
-    /// consolidated `GRAPHENE_BACKEND` selector
-    /// (`ipu-sim[:seq|par|native|legacy] | cpu[:par] | gpu-model`, see
-    /// [`EngineOptions::resolve_env`]): with `GRAPHENE_BACKEND` unset they
-    /// keep their historical meaning byte-for-byte; with it set, the
-    /// backend name is authoritative and a *disagreeing* enabling alias is
-    /// a loud conflict error, never a silent override.
-    pub fn from_env() -> Self {
-        let get = |k: &str| std::env::var(k).ok();
-        match Self::resolve_env(
-            get("GRAPHENE_BACKEND").as_deref(),
-            get("GRAPHENE_PAR").as_deref(),
-            get("GRAPHENE_NATIVE").as_deref(),
-            get("GRAPHENE_LEGACY_INTERP").as_deref(),
-        ) {
-            Ok(o) => o,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The pure resolution behind [`from_env`](Self::from_env): combine a
-    /// `GRAPHENE_BACKEND` selection with the deprecated alias knobs.
-    ///
-    /// Rules (the consolidation contract, mirrored by
-    /// `backend::BackendSpec::resolve_env` for the runner-level registry):
-    ///
-    /// * aliases parse strictly first — a typo'd knob errors no matter
-    ///   which variable ends up deciding;
-    /// * backend unset/empty (or the unpinned `ipu-sim`) → the historical
-    ///   alias composition: `GRAPHENE_PAR` picks the executor and thread
-    ///   cap, `GRAPHENE_LEGACY_INTERP` the interpreter,
-    ///   `GRAPHENE_NATIVE=1` overrides the executor to native and
-    ///   `GRAPHENE_NATIVE=0` force-disables fusion;
-    /// * a pinned `ipu-sim:<variant>` accepts only *agreeing* enabling
-    ///   aliases (`GRAPHENE_PAR=8` with `ipu-sim:par` still sets the
-    ///   thread cap; disabling values are inert) and rejects disagreeing
-    ///   ones with a conflict error naming both sides;
-    /// * `cpu`, `cpu:par` and `gpu-model` resolve to default engine
-    ///   options after the same conflict checks — the runner never routes
-    ///   those solves through this engine;
-    /// * unknown names error listing the known registry.
-    pub fn resolve_env(
-        backend: Option<&str>,
-        par: Option<&str>,
-        native: Option<&str>,
-        legacy: Option<&str>,
-    ) -> Result<EngineOptions, String> {
-        let par_base = match par {
-            None => None,
-            Some(v) => Some(Self::try_parse_par(v)?),
-        };
-        let native_on = match native {
-            None => None,
-            Some(v) => try_parse_env_bool("GRAPHENE_NATIVE", v)?,
-        };
-        let legacy_on = match legacy {
-            None => None,
-            Some(v) => try_parse_env_bool("GRAPHENE_LEGACY_INTERP", v)?,
-        };
-
-        // The historical (pre-consolidation) composition of the aliases.
-        let compose = || {
-            let mut o = par_base.unwrap_or_default();
-            if let Some(b) = legacy_on {
-                o.legacy_interpreter = b;
-            }
-            match native_on {
-                Some(true) => o.executor = ExecutorKind::Native,
-                Some(false) => o.native_fusion = false,
-                None => {}
-            }
-            o
-        };
-
-        let name = match backend.map(str::trim).filter(|s| !s.is_empty()) {
-            None => return Ok(compose()),
-            Some(s) => s.to_ascii_lowercase(),
-        };
-
-        let par_enabled = par_base.is_some_and(|o| o.executor == ExecutorKind::Parallel);
-        let conflict = |var: &str, val: Option<&str>, hint: &str| {
-            format!(
-                "GRAPHENE_BACKEND={name} conflicts with deprecated alias {var}={}; \
-                 unset {var} or select GRAPHENE_BACKEND={hint}",
-                val.unwrap_or("")
-            )
-        };
-        let check = |allow_par: bool, allow_native: bool, allow_legacy: bool| {
-            if par_enabled && !allow_par {
-                return Err(conflict("GRAPHENE_PAR", par, "ipu-sim:par"));
-            }
-            if native_on == Some(true) && !allow_native {
-                return Err(conflict("GRAPHENE_NATIVE", native, "ipu-sim:native"));
-            }
-            if legacy_on == Some(true) && !allow_legacy {
-                return Err(conflict("GRAPHENE_LEGACY_INTERP", legacy, "ipu-sim:legacy"));
-            }
-            Ok(())
-        };
-
-        let mut o = EngineOptions::default();
-        match name.as_str() {
-            // Unpinned: delegate the whole choice to the aliases.
-            "ipu-sim" => return Ok(compose()),
-            "ipu-sim:seq" => check(false, false, false)?,
-            "ipu-sim:par" => {
-                check(true, false, false)?;
-                o.executor = ExecutorKind::Parallel;
-                if let Some(p) = par_base {
-                    if p.executor == ExecutorKind::Parallel {
-                        o.threads = p.threads;
-                    }
-                }
-            }
-            "ipu-sim:native" => {
-                check(false, true, false)?;
-                o.executor = ExecutorKind::Native;
-            }
-            "ipu-sim:legacy" => {
-                check(false, false, true)?;
-                o.legacy_interpreter = true;
-            }
-            // Non-engine backends: the runner dispatches these solves
-            // elsewhere; the engine itself stays on its defaults.
-            "cpu" | "cpu:par" | "gpu-model" => check(false, false, false)?,
-            other => {
-                return Err(format!(
-                    "GRAPHENE_BACKEND: unknown backend `{other}` (known: ipu-sim, \
-                     ipu-sim:seq, ipu-sim:par, ipu-sim:native, ipu-sim:legacy, cpu, \
-                     cpu:par, gpu-model)"
-                ))
-            }
-        }
-        if native_on == Some(false) {
-            o.native_fusion = false;
-        }
-        Ok(o)
-    }
-
-    /// Panicking wrapper over [`try_parse_par`](Self::try_parse_par),
-    /// kept for the env-grammar tests (the panic message is the contract
-    /// `from_env` surfaces on a malformed knob).
-    #[cfg(test)]
-    fn parse_par(v: &str) -> Self {
-        match Self::try_parse_par(v) {
-            Ok(o) => o,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`parse_par`](Self::parse_par) — same grammar,
-    /// `Err` instead of panicking.
-    fn try_parse_par(v: &str) -> Result<Self, String> {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "" | "0" | "false" | "off" | "no" => Ok(EngineOptions::default()),
-            "1" | "true" | "on" | "yes" => {
-                Ok(EngineOptions { executor: ExecutorKind::Parallel, ..EngineOptions::default() })
-            }
-            other => match other.parse::<usize>() {
-                Ok(0) => Ok(EngineOptions::default()),
-                Ok(1) => Ok(EngineOptions {
-                    executor: ExecutorKind::Parallel,
-                    ..EngineOptions::default()
-                }),
-                Ok(n) => Ok(EngineOptions {
-                    executor: ExecutorKind::Parallel,
-                    threads: n,
-                    ..EngineOptions::default()
-                }),
-                Err(_) => Err(format!(
-                    "GRAPHENE_PAR: unrecognised value `{v}` \
-                     (expected 0/1/true/false/on/off/yes/no or a worker count)"
-                )),
-            },
-        }
-    }
-
-    fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.threads
-        }
-    }
-}
-
-/// Strict tri-state parse of a boolean env knob: `None` for an empty
-/// value (treated as unset — CI matrix templating produces empty strings
-/// for absent legs), `Some(bool)` for the recognised spellings, and a
-/// panic naming the variable and the offending string for anything else.
-#[cfg(test)]
-fn parse_env_bool(var: &str, v: &str) -> Option<bool> {
-    match try_parse_env_bool(var, v) {
-        Ok(o) => o,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`parse_env_bool`] — same grammar, `Err` instead of
-/// panicking.
-fn try_parse_env_bool(var: &str, v: &str) -> Result<Option<bool>, String> {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "" => Ok(None),
-        "1" | "true" | "on" | "yes" => Ok(Some(true)),
-        "0" | "false" | "off" | "no" => Ok(Some(false)),
-        other => Err(format!(
-            "{var}: unrecognised value `{other}` (expected 0/1/true/false/on/off/yes/no)"
-        )),
-    }
+    /// Every dispatch x schedule combination — what the equivalence tests
+    /// sweep. The first entry, every vertex interpreted in program order,
+    /// is the reference the other three are compared against.
+    pub const ALL: [EngineOptions; 4] = [
+        EngineOptions { threads: 1, fusion: false },
+        EngineOptions { threads: 1, fusion: true },
+        EngineOptions { threads: 0, fusion: false },
+        EngineOptions { threads: 0, fusion: true },
+    ];
 }
 
 /// Runtime state of a [`FaultPlan`] inside one engine.
@@ -369,7 +115,7 @@ pub struct FaultState {
 impl FaultState {
     /// Resolve `plan` against a concrete tile count. Resolution is a pure
     /// function of (plan, `num_tiles`), so the same plan replays
-    /// bit-identically on both host executors and across runs.
+    /// bit-identically under every engine option and across runs.
     pub fn new(plan: FaultPlan, num_tiles: usize) -> FaultState {
         let resolved = plan.resolve(num_tiles);
         let fired = vec![false; resolved.len()];
@@ -485,8 +231,6 @@ pub type HostCallback = Box<dyn FnMut(&mut HostView<'_>)>;
 /// The execution engine for one compiled program.
 pub struct Engine {
     graph: Graph,
-    /// Source program tree — only consulted by the legacy interpreter.
-    program: Prog,
     /// The compiled plan the engine replays.
     plan: ExecPlan,
     /// What the compiler's pass pipeline did to produce `plan`.
@@ -505,39 +249,52 @@ pub struct Engine {
     /// with `stats`. Purely observational: it never reads or advances the
     /// clock, so device cycle totals are identical with or without it.
     perf: Option<PerfRecorder>,
-    /// Per-codelet fused-kernel selection, built iff the native executor
-    /// is selected (`None` otherwise). Rebuilt by [`Engine::set_executor`]
-    /// and [`Engine::set_native_fusion`]; the selection is stamped into
-    /// the compile report as the `"native-kernel-selection"` pass.
-    kernels: Option<KernelTable>,
+    /// Per-codelet fused-kernel selection (empty of kernels when
+    /// `options.fusion` is off), stamped into the compile report as the
+    /// `"native-kernel-selection"` pass.
+    kernels: KernelTable,
 }
 
 impl Engine {
-    /// Build an engine with the executor selected by `GRAPHENE_PAR`
-    /// (sequential when unset). Panics with the hazard diagnostic if the
-    /// environment requests the parallel executor for a program that is
-    /// not parallel-safe — use [`Engine::with_options`] to handle the
-    /// error instead.
+    /// Build an engine with the default options: every vertex
+    /// interpreted, one host thread.
     pub fn new(exec: Executable) -> Self {
-        let options = EngineOptions::from_env();
-        Self::with_options(exec, options)
-            .unwrap_or_else(|e| panic!("GRAPHENE_PAR requested the parallel executor, but: {e}"))
+        Self::with_options(exec, EngineOptions::default())
+            .expect("the single-threaded schedule accepts every program")
     }
 
-    /// Build an engine with explicit host-execution options. Selecting
-    /// [`ExecutorKind::Parallel`] validates the program with
+    /// Build an engine with explicit host-execution options. A
+    /// tile-parallel schedule (`threads != 1`) validates the program with
     /// [`parallel_hazards`] and returns its diagnostic on failure.
     pub fn with_options(exec: Executable, options: EngineOptions) -> Result<Self, String> {
-        if options.executor == ExecutorKind::Parallel {
-            parallel_hazards(&exec.graph)?;
+        let Executable { graph, plan, mut report } = exec;
+        if options.threads != 1 {
+            parallel_hazards(&graph)?;
         }
-        let storage = exec.graph.tensors.iter().map(|t| Storage::zeros(t.dtype, t.len())).collect();
-        let stats = CycleStats::new(exec.graph.model.num_tiles());
-        let mut engine = Engine {
-            graph: exec.graph,
-            program: exec.program,
-            plan: exec.plan,
-            report: exec.report,
+        // Codelet matching is pure structure (bytecode + operand
+        // declarations), so the table depends only on the graph.
+        let kernels =
+            if options.fusion { KernelTable::build(&graph) } else { KernelTable::disabled(&graph) };
+        let mut stat = PassStat::new("native-kernel-selection", report.plan_steps);
+        stat.count("codelets_total", kernels.total() as u64);
+        stat.count("codelets_fused", kernels.fused_count() as u64);
+        // A fallback is a codelet no kernel matched; with fusion off none
+        // was tried, and the totals above say all there is to say.
+        if options.fusion {
+            for (codelet, kernel) in kernels.selection(&graph) {
+                match kernel {
+                    Some(k) => stat.count(&format!("fused.{k}"), 1),
+                    None => stat.count(&format!("fallback.{codelet}"), 1),
+                }
+            }
+        }
+        report.passes.push(stat);
+        let storage = graph.tensors.iter().map(|t| Storage::zeros(t.dtype, t.len())).collect();
+        let stats = CycleStats::new(graph.model.num_tiles());
+        Ok(Engine {
+            graph,
+            plan,
+            report,
             storage,
             stats,
             callbacks: HashMap::new(),
@@ -545,45 +302,13 @@ impl Engine {
             options,
             faults: None,
             perf: None,
-            kernels: None,
-        };
-        engine.rebuild_kernels();
-        Ok(engine)
-    }
-
-    /// (Re)build the fused-kernel table for the current options and stamp
-    /// the selection into the compile report. Codelet matching is pure
-    /// structure (bytecode + operand declarations), so the table only
-    /// depends on the graph and the `native_fusion` flag.
-    fn rebuild_kernels(&mut self) {
-        if self.options.executor != ExecutorKind::Native {
-            self.kernels = None;
-            return;
-        }
-        let table = if self.options.native_fusion {
-            KernelTable::build(&self.graph)
-        } else {
-            KernelTable::disabled(&self.graph)
-        };
-        // Idempotent: replace any stamp left by a previous executor switch.
-        self.report.passes.retain(|p| p.name != "native-kernel-selection");
-        let mut stat = PassStat::new("native-kernel-selection", self.report.plan_steps);
-        stat.count("codelets_total", table.total() as u64);
-        stat.count("codelets_fused", table.fused_count() as u64);
-        for (codelet, kernel) in table.selection(&self.graph) {
-            match kernel {
-                Some(k) => stat.count(&format!("fused.{k}"), 1),
-                None => stat.count(&format!("fallback.{codelet}"), 1),
-            }
-        }
-        self.report.passes.push(stat);
-        self.kernels = Some(table);
+            kernels,
+        })
     }
 
     /// Attach a fresh per-step performance recorder sized to this engine's
     /// plan and machine; subsequent `run()` calls attribute every cycle
-    /// charge to its `StepId`. No effect on device cycles. The legacy
-    /// interpreter has no plan steps and records nothing.
+    /// charge to its `StepId`. No effect on device cycles.
     pub fn enable_perf(&mut self) {
         self.perf = Some(PerfRecorder::new(self.plan.steps.len(), self.graph.model.num_tiles()));
     }
@@ -629,56 +354,6 @@ impl Engine {
     /// Faults that have fired so far (empty when no plan is armed).
     pub fn fault_log(&self) -> &[FaultEvent] {
         self.faults.as_ref().map(|f| f.log.as_slice()).unwrap_or(&[])
-    }
-
-    /// Switch host executor between runs. Switching to
-    /// [`ExecutorKind::Parallel`] re-validates the program and reports
-    /// the aliasing hazard (if any) without changing the executor.
-    pub fn set_executor(&mut self, executor: ExecutorKind) -> Result<(), String> {
-        if executor == ExecutorKind::Parallel {
-            parallel_hazards(&self.graph)?;
-        }
-        self.options.executor = executor;
-        self.rebuild_kernels();
-        Ok(())
-    }
-
-    /// The host executor currently selected.
-    pub fn executor(&self) -> ExecutorKind {
-        self.options.executor
-    }
-
-    /// Enable or force-disable fused-kernel dispatch under the native
-    /// executor (no effect on the other executors). Disabling keeps
-    /// [`ExecutorKind::Native`] selected but routes every codelet through
-    /// the interpreter fallback — the differential-testing leg.
-    pub fn set_native_fusion(&mut self, enabled: bool) {
-        self.options.native_fusion = enabled;
-        self.rebuild_kernels();
-    }
-
-    /// Whether fused-kernel dispatch is enabled for the native executor.
-    pub fn native_fusion(&self) -> bool {
-        self.options.native_fusion
-    }
-
-    /// The fused-kernel selection, one entry per codelet: `(codelet name,
-    /// Some(kernel name) | None)`. Empty unless the native executor is
-    /// selected.
-    pub fn kernel_selection(&self) -> Vec<(&str, Option<&'static str>)> {
-        self.kernels.as_ref().map(|t| t.selection(&self.graph)).unwrap_or_default()
-    }
-
-    /// Switch between the compiled-plan walker (default) and the legacy
-    /// tree-walking interpreter that re-plans every step per execution.
-    /// Differential testing only.
-    pub fn set_legacy_interpreter(&mut self, legacy: bool) {
-        self.options.legacy_interpreter = legacy;
-    }
-
-    /// Whether the legacy interpreter is selected.
-    pub fn legacy_interpreter(&self) -> bool {
-        self.options.legacy_interpreter
     }
 
     /// What the compiler's pass pipeline did to produce the plan this
@@ -766,7 +441,13 @@ impl Engine {
                  registered (Engine::register_callback) before Engine::run"
             );
         }
-        let opts = EngineOptions { threads: self.options.effective_threads(), ..self.options };
+        // `None`: program order on this thread; `Some(n)`: tile groups on
+        // up to `n` scoped workers.
+        let workers = match self.options.threads {
+            1 => None,
+            0 => Some(rayon::current_num_threads()),
+            n => Some(n),
+        };
         if let Some(f) = self.faults.as_mut() {
             // Superstep coordinates are per-run; fired flags persist.
             f.superstep = 0;
@@ -777,17 +458,12 @@ impl Engine {
             stats: &mut self.stats,
             callbacks: &mut self.callbacks,
             trace: &mut self.trace,
-            opts,
+            workers,
             faults: &mut self.faults,
             perf: &mut self.perf,
             kernels: &self.kernels,
         };
-        if opts.legacy_interpreter {
-            let program = self.program.clone();
-            ctx.exec(&program);
-        } else {
-            ctx.exec_step(&self.plan, self.plan.root);
-        }
+        ctx.exec_step(&self.plan, self.plan.root);
         debug_assert_eq!(
             self.stats.label_depth(),
             0,
@@ -807,10 +483,10 @@ struct ExecCtx<'a> {
     stats: &'a mut CycleStats,
     callbacks: &'a mut HashMap<usize, HostCallback>,
     trace: &'a mut Option<TraceRecorder>,
-    opts: EngineOptions,
+    workers: Option<usize>,
     faults: &'a mut Option<FaultState>,
     perf: &'a mut Option<PerfRecorder>,
-    kernels: &'a Option<KernelTable>,
+    kernels: &'a KernelTable,
 }
 
 impl ExecCtx<'_> {
@@ -822,11 +498,11 @@ impl ExecCtx<'_> {
             PlanStep::Seq(children) => {
                 children.iter().for_each(|&c| self.exec_step(plan, c));
             }
-            PlanStep::Execute(es) => self.execute_planned(Some(id), es),
+            PlanStep::Execute(es) => self.execute_planned(id, es),
             PlanStep::Exchange(phases) => {
-                phases.iter().for_each(|ph| self.exchange_planned(Some(id), ph));
+                phases.iter().for_each(|ph| self.exchange_planned(id, ph));
             }
-            PlanStep::Copy(cp) => self.copy_planned(Some(id), cp),
+            PlanStep::Copy(cp) => self.copy_planned(id, cp),
             PlanStep::Repeat(n, body) => {
                 for _ in 0..*n {
                     self.exec_step(plan, *body);
@@ -836,7 +512,7 @@ impl ExecCtx<'_> {
                 // A control-flow decision synchronises all tiles; both
                 // branches must leave the label stack balanced.
                 let depth = self.stats.label_depth();
-                self.record_sync(Some(id), *sync_cycles);
+                self.record_sync(id, *sync_cycles);
                 if self.read_pred(*pred) {
                     self.exec_step(plan, *then);
                 } else {
@@ -852,7 +528,7 @@ impl ExecCtx<'_> {
                 let depth = self.stats.label_depth();
                 loop {
                     self.exec_step(plan, *cond);
-                    self.record_sync(Some(id), *sync_cycles);
+                    self.record_sync(id, *sync_cycles);
                     if !self.read_pred(*pred) {
                         break;
                     }
@@ -885,85 +561,6 @@ impl ExecCtx<'_> {
         }
     }
 
-    /// Walk the source tree — the legacy interpreter, retained behind
-    /// `GRAPHENE_LEGACY_INTERP` for differential testing. Each `Execute`
-    /// / `Exchange` / `Copy` is re-planned through `crate::passes` on
-    /// *every* execution (inside solver loops: every iteration), which is
-    /// exactly the host overhead the compiled plan removes.
-    fn exec(&mut self, p: &Prog) {
-        match p {
-            Prog::Nop => {}
-            Prog::Seq(steps) => steps.iter().for_each(|s| self.exec(s)),
-            Prog::Execute(cs) => {
-                let es = passes::plan_execute(self.graph, *cs);
-                self.execute_planned(None, &es);
-            }
-            Prog::Exchange(ex) => {
-                let ph = passes::plan_exchange(self.graph, ex);
-                self.exchange_planned(None, &ph);
-            }
-            Prog::Copy { src, dst } => {
-                let cp = passes::plan_copy(self.graph, *src, *dst);
-                self.copy_planned(None, &cp);
-            }
-            Prog::Repeat(n, body) => {
-                for _ in 0..*n {
-                    self.exec(body);
-                }
-            }
-            Prog::If { pred, then, otherwise } => {
-                // A control-flow decision synchronises all tiles; both
-                // branches must leave the label stack balanced.
-                let depth = self.stats.label_depth();
-                self.record_sync(None, self.graph.cost.sync_on_chip_cycles);
-                if self.read_pred(*pred) {
-                    self.exec(then);
-                } else {
-                    self.exec(otherwise);
-                }
-                debug_assert_eq!(
-                    self.stats.label_depth(),
-                    depth,
-                    "If branch left label stack unbalanced"
-                );
-            }
-            Prog::While { cond, pred, body } => {
-                let depth = self.stats.label_depth();
-                loop {
-                    self.exec(cond);
-                    self.record_sync(None, self.graph.cost.sync_on_chip_cycles);
-                    if !self.read_pred(*pred) {
-                        break;
-                    }
-                    self.exec(body);
-                    debug_assert_eq!(
-                        self.stats.label_depth(),
-                        depth,
-                        "While body left label stack unbalanced"
-                    );
-                }
-            }
-            Prog::Label(name, body) => {
-                let depth = self.stats.label_depth();
-                self.stats.push_label(name.clone());
-                if let Some(t) = self.trace.as_mut() {
-                    t.begin_label(name);
-                }
-                self.exec(body);
-                if let Some(t) = self.trace.as_mut() {
-                    t.end_label();
-                }
-                self.stats.pop_label();
-                debug_assert_eq!(
-                    self.stats.label_depth(),
-                    depth,
-                    "Label body left label stack unbalanced"
-                );
-            }
-            Prog::Callback(id) => self.invoke_callback(*id),
-        }
-    }
-
     fn invoke_callback(&mut self, id: usize) {
         if let Some(mut cb) = self.callbacks.remove(&id) {
             let mut view = HostView { graph: self.graph, storage: self.storage };
@@ -978,22 +575,21 @@ impl ExecCtx<'_> {
 
     /// Record a sync barrier into the stats and the trace, keeping both
     /// clocks in lock-step. `step` attributes the charge to a plan step
-    /// for the perf recorder; the legacy interpreter has no step ids and
-    /// passes `None`.
-    fn record_sync(&mut self, step: Option<StepId>, cycles: u64) {
+    /// for the perf recorder.
+    fn record_sync(&mut self, step: StepId, cycles: u64) {
         self.stats.record_sync(cycles);
         if let Some(t) = self.trace.as_mut() {
             t.sync(cycles);
         }
-        if let (Some(p), Some(id)) = (self.perf.as_mut(), step) {
-            p.record_sync(id, cycles);
+        if let Some(p) = self.perf.as_mut() {
+            p.record_sync(step, cycles);
         }
     }
 
     /// Record an exchange phase (time + volume) into the stats and trace.
     fn record_exchange(
         &mut self,
-        step: Option<StepId>,
+        step: StepId,
         name: &str,
         program: &ExchangeProgram,
         cycles: u64,
@@ -1003,78 +599,61 @@ impl ExecCtx<'_> {
         if let Some(t) = self.trace.as_mut() {
             t.exchange(name, cycles, program.total_bytes() as u64, program.num_regions());
         }
-        if let (Some(p), Some(id)) = (self.perf.as_mut(), step) {
+        if let Some(p) = self.perf.as_mut() {
             let (on_chip, link) = crate::perf::split_bytes_by_link(program, &self.graph.model);
-            p.record_exchange(id, cycles, on_chip, link);
+            p.record_exchange(step, cycles, on_chip, link);
         }
     }
 
     /// Record a compute superstep into the stats and trace.
-    fn record_compute(&mut self, step: Option<StepId>, name: &str, per_tile: Vec<(TileId, u64)>) {
+    fn record_compute(&mut self, step: StepId, name: &str, per_tile: Vec<(TileId, u64)>) {
         if let Some(t) = self.trace.as_mut() {
             t.compute(name, &per_tile);
         }
-        if let (Some(p), Some(id)) = (self.perf.as_mut(), step) {
-            p.record_compute(id, &per_tile);
+        if let Some(p) = self.perf.as_mut() {
+            p.record_compute(step, &per_tile);
         }
         self.stats.record_compute(per_tile);
     }
 
     /// Replay one precomputed `Execute` step: the compiler-inserted
-    /// broadcast (if any), the BSP barrier, then the vertices — on one
-    /// host thread in program order, or partitioned by tile across scoped
-    /// workers. Both executors emit the per-tile cycle list sorted by
-    /// tile id, so the recorded stats and trace events are identical
-    /// whichever executor ran and whatever the host's thread or
-    /// hash-iteration order was.
-    fn execute_planned(&mut self, step: Option<StepId>, es: &ExecuteStep) {
+    /// broadcast (if any), the BSP barrier, then the vertices under the
+    /// engine's schedule. Either schedule emits the per-tile cycle list
+    /// sorted by tile id, so the recorded stats and trace events do not
+    /// depend on it, nor on the host's thread or hash-iteration order.
+    fn execute_planned(&mut self, step: StepId, es: &ExecuteStep) {
         let cs = &self.graph.compute_sets[es.cs];
         if !es.bcast.is_empty() {
             self.record_exchange(step, &es.bcast_name, &es.bcast, es.bcast_cycles);
         }
         self.record_sync(step, es.sync_cycles);
         if self.faults.is_some() {
-            // Fault hooks run on the engine thread before the vertex
-            // executors fan out, so the perturbed state (and hence every
-            // downstream bit) is identical under both executors.
+            // Fault hooks run on the engine thread before the vertices fan
+            // out, so the perturbed state (and hence every downstream bit)
+            // is identical under either schedule.
             self.apply_sram_faults(es);
         }
 
-        let bases = TensorBases::new(self.storage);
+        let (graph, kernels) = (self.graph, self.kernels);
+        let bases = &TensorBases::new(self.storage);
         // Per-tile cycles plus the superstep's total work counters
-        // (flops/bytes are tile-order independent sums, so both executors
-        // produce the same integers).
-        let (per_tile, flops, mem_bytes): (Vec<(TileId, u64)>, u64, u64) = match self.opts.executor
-        {
-            ExecutorKind::Sequential => {
-                // Program order, not tile order: hazardous programs
-                // accepted sequentially are order-dependent.
+        // (flops/bytes are tile-order independent sums, so either schedule
+        // produces the same integers).
+        let (per_tile, flops, mem_bytes): (Vec<(TileId, u64)>, u64, u64) = match self.workers {
+            None => {
+                // Program order, not tile order: hazardous programs are
+                // accepted on one thread and are order-dependent.
                 let mut acc: BTreeMap<TileId, u64> = BTreeMap::new();
                 let (mut flops, mut mem) = (0u64, 0u64);
                 for v in &cs.vertices {
-                    let run = run_vertex(self.graph, &bases, v);
+                    let run = run_vertex(graph, bases, v, kernels);
                     *acc.entry(v.tile).or_insert(0) += run.cycles;
                     flops += run.flops;
                     mem += run.mem_bytes;
                 }
                 (acc.into_iter().collect(), flops, mem)
             }
-            ExecutorKind::Native => {
-                // Same program-order walk as Sequential (so hazardous
-                // programs stay order-identical); the only difference is
-                // per-vertex dispatch into the fused-kernel library.
-                let table = self.kernels.as_ref();
-                let mut acc: BTreeMap<TileId, u64> = BTreeMap::new();
-                let (mut flops, mut mem) = (0u64, 0u64);
-                for v in &cs.vertices {
-                    let run = run_vertex_native(self.graph, &bases, v, table);
-                    *acc.entry(v.tile).or_insert(0) += run.cycles;
-                    flops += run.flops;
-                    mem += run.mem_bytes;
-                }
-                (acc.into_iter().collect(), flops, mem)
-            }
-            ExecutorKind::Parallel => {
+            Some(threads) => {
                 // The plan's tile groups preserve each tile's vertex order
                 // (a tile's vertices may have read-after-write dependencies
                 // among themselves; cross-tile dependencies were rejected
@@ -1082,14 +661,12 @@ impl ExecCtx<'_> {
                 // worker an owned, contiguous span of tile groups and
                 // reassembles results positionally, so the merge order is
                 // tile-ascending by construction.
-                let graph = self.graph;
-                let bases = &bases;
                 let work: Vec<(TileId, &[usize])> =
                     es.tile_groups.iter().map(|(t, ids)| (*t, ids.as_slice())).collect();
-                let runs = rayon::par_chunks_map(work, self.opts.threads, move |(tile, ids)| {
+                let runs = rayon::par_chunks_map(work, threads, move |(tile, ids)| {
                     let (mut cycles, mut flops, mut mem) = (0u64, 0u64, 0u64);
                     for &i in ids {
-                        let run = run_vertex(graph, bases, &cs.vertices[i]);
+                        let run = run_vertex(graph, bases, &cs.vertices[i], kernels);
                         cycles += run.cycles;
                         flops += run.flops;
                         mem += run.mem_bytes;
@@ -1113,8 +690,8 @@ impl ExecCtx<'_> {
         } else {
             per_tile
         };
-        if let (Some(p), Some(id)) = (self.perf.as_mut(), step) {
-            p.record_flops(id, flops, mem_bytes);
+        if let Some(p) = self.perf.as_mut() {
+            p.record_flops(step, flops, mem_bytes);
         }
         self.record_compute(step, &es.name, per_tile);
         if let Some(f) = self.faults.as_mut() {
@@ -1124,7 +701,7 @@ impl ExecCtx<'_> {
 
     /// Replay one precomputed exchange phase: barrier, fabric cost, then
     /// the element copies against host storage.
-    fn exchange_planned(&mut self, step: Option<StepId>, ph: &ExchangePhase) {
+    fn exchange_planned(&mut self, step: StepId, ph: &ExchangePhase) {
         self.record_sync(step, ph.sync_cycles);
         self.record_exchange(step, &ph.name, &ph.program, ph.cycles);
         if self.faults.is_some() {
@@ -1139,14 +716,14 @@ impl ExecCtx<'_> {
     /// Replay one precomputed whole-tensor copy: worker-parallel memcpy
     /// cycles per tile, then the data movement (self-copies cost the same
     /// but move nothing).
-    fn copy_planned(&mut self, step: Option<StepId>, cp: &CopyStep) {
+    fn copy_planned(&mut self, step: StepId, cp: &CopyStep) {
         let per_tile = if self.faults.is_some() {
             self.apply_stall_faults(&cp.name, cp.per_tile.clone())
         } else {
             cp.per_tile.clone()
         };
-        if let (Some(p), Some(id)) = (self.perf.as_mut(), step) {
-            p.record_flops(id, 0, crate::perf::copy_mem_bytes(self.graph, cp.src, cp.dst));
+        if let Some(p) = self.perf.as_mut() {
+            p.record_flops(step, 0, crate::perf::copy_mem_bytes(self.graph, cp.src, cp.dst));
         }
         self.record_compute(step, &cp.name, per_tile);
         if cp.src != cp.dst {
@@ -1343,8 +920,8 @@ impl ExecCtx<'_> {
     }
 }
 
-/// Check that every compute set in `graph` is safe to execute with the
-/// tile-parallel host executor.
+/// Check that every compute set in `graph` is safe to execute under the
+/// tile-parallel schedule.
 ///
 /// Graph compilation already guarantees that *writes* are disjoint across
 /// tiles (mutable operands must be resident on the vertex's tile, and a
@@ -1352,8 +929,8 @@ impl ExecCtx<'_> {
 /// vertex on one tile **reading** a region that a vertex on *another* tile
 /// **writes** within the same compute set: sequential execution would give
 /// an order-dependent answer and parallel execution a data race. Reads and
-/// writes on the *same* tile are fine — the parallel executor preserves
-/// each tile's vertex order.
+/// writes on the *same* tile are fine — the tile-parallel schedule
+/// preserves each tile's vertex order.
 ///
 /// Returns a diagnostic naming the compute set, tensor, tiles and element
 /// ranges of the first aliasing pair found.
@@ -1415,7 +992,7 @@ pub fn parallel_hazards(graph: &Graph) -> Result<(), String> {
 ///
 /// Built once per compute set on the engine thread from the unique
 /// `&mut [Storage]`, then shared read-only across the host workers of the
-/// parallel executor (or used in place by the sequential one).
+/// tile-parallel schedule (or used in place by the single-threaded one).
 struct TensorBases {
     bases: Vec<RawBase>,
 }
@@ -1434,7 +1011,7 @@ enum RawBase {
 // compilation guarantees mutable operands are resident on the vertex's
 // tile, tensor tile chunks are disjoint, and operands within a vertex
 // never alias; `parallel_hazards` additionally rejects any cross-tile
-// read/write overlap within a compute set. The parallel executor assigns
+// read/write overlap within a compute set. The tile-parallel schedule assigns
 // each tile's vertices to exactly one worker, so no two threads ever hold
 // overlapping ranges with at least one `&mut`.
 unsafe impl Send for TensorBases {}
@@ -1513,32 +1090,31 @@ fn params_from_bases<'a>(
         .collect()
 }
 
-/// One vertex's dynamic footprint: BSP time plus the *work* counters
-/// (logical flops, SRAM traffic) the roofline analysis needs. Cycles are
-/// time (worker-parallel constructs shrink them); flops/bytes are work
-/// (parallelism leaves them unchanged).
-struct VertexRun {
-    cycles: u64,
-    flops: u64,
-    mem_bytes: u64,
-}
-
-/// Interpret one vertex and return its cycle count. Free of engine state
-/// so both executors share it verbatim — a vertex's result depends only
-/// on the graph, the storage it reads and its own operands.
-fn run_vertex(graph: &Graph, bases: &TensorBases, v: &Vertex) -> VertexRun {
+/// Run one vertex and return its footprint: BSP time plus the *work*
+/// counters (logical flops, SRAM traffic) the roofline analysis needs.
+/// Cycles are time (worker-parallel constructs shrink them); flops/bytes
+/// are work (parallelism leaves them unchanged).
+///
+/// The fused kernel matched to the vertex's codelet runs when there is
+/// one and the runtime operand layout accepts it (`run` returns `None`
+/// for e.g. a storage dtype the monomorphised code was not built for);
+/// otherwise the interpreter does. Free of engine state so either
+/// schedule shares it verbatim — a vertex's result depends only on the
+/// graph, the storage it reads and its own operands.
+fn run_vertex(graph: &Graph, bases: &TensorBases, v: &Vertex, kernels: &KernelTable) -> KernelRun {
     let codelet = &graph.codelets[v.codelet];
     let cost = &graph.cost;
     let workers = graph.model.workers_per_tile as u64;
     let mut params = params_from_bases(bases, codelet, &v.operands);
-    match &v.kind {
-        VertexKind::Simple => {
-            let mut interp = Interp::new(cost, &mut params, codelet.num_locals, workers);
-            let cycles = interp.run(&codelet.body);
-            VertexRun { cycles, flops: interp.flops, mem_bytes: interp.mem_bytes }
-        }
+    if let Some(run) =
+        kernels.get(v.codelet).and_then(|k| k.run(&v.kind, &mut params, cost, workers))
+    {
+        return run;
+    }
+    let mut interp = Interp::new(cost, &mut params, codelet.num_locals, workers);
+    let cycles = match &v.kind {
+        VertexKind::Simple => interp.run(&codelet.body),
         VertexKind::LevelSet { levels } => {
-            let mut interp = Interp::new(cost, &mut params, codelet.num_locals, workers);
             let mut row_cost: HashMap<usize, u64> = HashMap::new();
             for level in levels {
                 for &row in level {
@@ -1552,33 +1128,10 @@ fn run_vertex(graph: &Graph, bases: &TensorBases, v: &Vertex) -> VertexRun {
                 ipu_sim::threading::LevelSchedule::build(levels, workers as usize, |i| {
                     row_cost[&i]
                 });
-            let cycles = schedule.cycles(|i| row_cost[&i], cost);
-            VertexRun { cycles, flops: interp.flops, mem_bytes: interp.mem_bytes }
+            schedule.cycles(|i| row_cost[&i], cost)
         }
-    }
-}
-
-/// Native-executor dispatch for one vertex: try the fused kernel matched
-/// to its codelet, fall back to the interpreter when no kernel matched at
-/// build time or the runtime operand layout declines (`run` returns
-/// `None`, e.g. a storage dtype the monomorphised code was not built
-/// for). The fallback is `run_vertex` itself, so a declined vertex is
-/// bit- and cycle-identical to sequential execution by construction.
-fn run_vertex_native(
-    graph: &Graph,
-    bases: &TensorBases,
-    v: &Vertex,
-    table: Option<&KernelTable>,
-) -> VertexRun {
-    if let Some(kernel) = table.and_then(|t| t.get(v.codelet)) {
-        let codelet = &graph.codelets[v.codelet];
-        let workers = graph.model.workers_per_tile as u64;
-        let mut params = params_from_bases(bases, codelet, &v.operands);
-        if let Some(run) = kernel.run(&v.kind, &mut params, &graph.cost, workers) {
-            return VertexRun { cycles: run.cycles, flops: run.flops, mem_bytes: run.mem_bytes };
-        }
-    }
-    run_vertex(graph, bases, v)
+    };
+    KernelRun { cycles, flops: interp.flops, mem_bytes: interp.mem_bytes }
 }
 
 fn index_two(storage: &mut [Storage], a: usize, b: usize) -> (&mut Storage, &mut Storage) {
@@ -1667,13 +1220,14 @@ mod tests {
     use super::*;
     use crate::codelet::{BinOp, Codelet, Expr, ParamDecl, Stmt};
     use crate::compute::{ComputeSet, Vertex};
-    use crate::program::ExchangeStep;
+    use crate::program::{ExchangeStep, Prog};
     use crate::tensor::TensorDef;
     use ipu_sim::clock::Phase;
     use ipu_sim::model::IpuModel;
 
-    /// Build a two-tile graph that doubles a distributed tensor in place.
-    fn double_in_place() -> (Executable, TensorId) {
+    /// A two-tile graph and the program that doubles its distributed
+    /// tensor in place.
+    fn double_graph() -> (Graph, Prog, TensorId) {
         let mut g = Graph::new(IpuModel::tiny(2));
         let x = g.add_tensor(TensorDef::linear("x", DType::F32, 8, 2)).unwrap();
         let c = g
@@ -1707,7 +1261,12 @@ mod tests {
             });
         }
         let cs = g.add_compute_set(cs).unwrap();
-        (g.compile(Prog::Execute(cs)).unwrap(), x)
+        (g, Prog::Execute(cs), x)
+    }
+
+    fn double_in_place() -> (Executable, TensorId) {
+        let (g, prog, x) = double_graph();
+        (g.compile(prog).unwrap(), x)
     }
 
     #[test]
@@ -1726,10 +1285,8 @@ mod tests {
 
     #[test]
     fn repeat_multiplies_work() {
-        let (exec, x) = double_in_place();
-        let prog = Prog::Repeat(3, Box::new(exec.program.clone()));
-        let exec3 = exec.graph.clone().compile(prog).unwrap();
-        let mut e = Engine::new(exec3);
+        let (g, prog, x) = double_graph();
+        let mut e = Engine::new(g.compile(Prog::Repeat(3, Box::new(prog))).unwrap());
         e.write_tensor(x, &[1.0; 8]);
         e.run();
         assert_eq!(e.read_tensor(x), vec![8.0; 8]);
@@ -1893,9 +1450,8 @@ mod tests {
 
     #[test]
     fn labels_attribute_cycles() {
-        let (exec, _) = double_in_place();
-        let prog = Prog::Label("phase_a".into(), Box::new(exec.program.clone()));
-        let mut e = Engine::new(exec.graph.clone().compile(prog).unwrap());
+        let (g, prog, _) = double_graph();
+        let mut e = Engine::new(g.compile(Prog::Label("phase_a".into(), Box::new(prog))).unwrap());
         e.run();
         assert_eq!(e.stats().label_cycles("phase_a"), e.stats().device_cycles());
     }
@@ -1936,26 +1492,6 @@ mod tests {
         let prog = Prog::Repeat(0, Box::new(Prog::Callback(3)));
         let mut e = Engine::new(g.compile(prog).unwrap());
         e.run();
-    }
-
-    #[test]
-    fn legacy_interpreter_matches_compiled_plan() {
-        let (exec, x) = double_in_place();
-        let mut plan_e = Engine::new(exec.graph.clone().compile(exec.program.clone()).unwrap());
-        let mut legacy_e = Engine::new(exec);
-        legacy_e.set_legacy_interpreter(true);
-        assert!(legacy_e.legacy_interpreter());
-        let input = [1.0, -2.0, 3.5, 4.0, 0.25, -6.0, 7.0, 8.0];
-        plan_e.write_tensor(x, &input);
-        legacy_e.write_tensor(x, &input);
-        plan_e.run();
-        legacy_e.run();
-        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        assert_eq!(bits(plan_e.read_tensor(x)), bits(legacy_e.read_tensor(x)));
-        assert_eq!(plan_e.stats().device_cycles(), legacy_e.stats().device_cycles());
-        assert_eq!(plan_e.stats().supersteps(), legacy_e.stats().supersteps());
-        assert_eq!(plan_e.stats().sync_count(), legacy_e.stats().sync_count());
-        assert_eq!(plan_e.stats().exchange_bytes(), legacy_e.stats().exchange_bytes());
     }
 
     #[test]
@@ -2314,7 +1850,7 @@ mod tests {
         );
     }
 
-    // ---- the parallel host executor ----------------------------------
+    // ---- dispatch x schedule -----------------------------------------
 
     fn fingerprint(e: &Engine) -> (u64, u64, u64, u64, Vec<(String, [u64; 3])>) {
         (
@@ -2327,39 +1863,50 @@ mod tests {
     }
 
     #[test]
-    fn parallel_executor_matches_sequential_bitwise() {
-        for threads in [0usize, 2, 3, 16] {
-            let (exec, x) = double_in_place();
-            let mut seq = Engine::with_options(
-                exec.graph.clone().compile(exec.program.clone()).unwrap(),
-                EngineOptions::default(),
-            )
-            .unwrap();
-            let mut par = Engine::with_options(
-                exec,
-                EngineOptions { executor: ExecutorKind::Parallel, threads, ..Default::default() },
-            )
-            .unwrap();
-            let input = [1.5, -2.0, 3.25, 4.0, 5.5, -6.0, 7.75, 8.0];
-            seq.write_tensor(x, &input);
-            par.write_tensor(x, &input);
-            seq.run();
-            par.run();
-            let sx: Vec<u64> = seq.read_tensor(x).iter().map(|v| v.to_bits()).collect();
-            let px: Vec<u64> = par.read_tensor(x).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sx, px, "threads={threads}: tensor bits differ");
-            assert_eq!(fingerprint(&seq), fingerprint(&par), "threads={threads}: stats differ");
-            for t in 0..2 {
-                assert_eq!(seq.stats().tile_busy(t), par.stats().tile_busy(t));
+    fn every_dispatch_and_schedule_matches_the_interpreted_single_thread_bitwise() {
+        let (exec, x) = double_in_place();
+        let input = [1.5, -2.0, 3.25, 4.0, 5.5, -6.0, 7.75, 8.0];
+        let run = |options: EngineOptions| {
+            let mut e = Engine::with_options(exec.clone(), options).unwrap();
+            e.write_tensor(x, &input);
+            e.run();
+            e
+        };
+        let reference = run(EngineOptions { threads: 1, fusion: false });
+        let bits = |e: &Engine| e.read_tensor(x).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for threads in [1usize, 0, 2, 3, 16] {
+            for fusion in [false, true] {
+                let e = run(EngineOptions { threads, fusion });
+                let who = format!("threads={threads} fusion={fusion}");
+                assert_eq!(bits(&reference), bits(&e), "{who}: tensor bits differ");
+                assert_eq!(fingerprint(&reference), fingerprint(&e), "{who}: stats differ");
+                for t in 0..2 {
+                    assert_eq!(reference.stats().tile_busy(t), e.stats().tile_busy(t), "{who}");
+                }
             }
         }
     }
 
     #[test]
-    fn parallel_executor_rejects_cross_tile_read_write_hazard() {
+    fn fusion_off_fuses_nothing_and_says_so() {
+        let (exec, _) = double_in_place();
+        let sel = |fusion| {
+            let e = Engine::with_options(exec.clone(), EngineOptions { threads: 1, fusion });
+            e.unwrap().compile_report().pass("native-kernel-selection").cloned().unwrap()
+        };
+        assert_eq!(sel(true).counter("codelets_fused"), 1);
+        assert_eq!(sel(false).counter("codelets_fused"), 0);
+        assert_eq!(sel(false).counter("codelets_total"), 1);
+        // No per-codelet rows: nothing was matched, so nothing fell back.
+        assert_eq!(sel(false).counters.len(), 2, "{:?}", sel(false).counters);
+    }
+
+    #[test]
+    fn tile_parallel_schedule_rejects_cross_tile_read_write_hazard() {
         // Tile 0 writes x[0..4] while tile 1 reads it in the same
-        // compute set: sequential execution is order-dependent, parallel
-        // execution a race — the engine must refuse with a clear error.
+        // compute set: single-threaded execution is order-dependent,
+        // tile-parallel execution a race — the engine must refuse the
+        // latter with a clear error.
         let mut g = Graph::new(IpuModel::tiny(2));
         let x = g.add_tensor(TensorDef::linear("x", DType::F32, 8, 2)).unwrap();
         let y = g.add_tensor(TensorDef::on_tile("y", DType::F32, 4, 1)).unwrap();
@@ -2381,20 +1928,14 @@ mod tests {
         let cs = g.add_compute_set(cs).unwrap();
         let exec = g.compile(Prog::Execute(cs)).unwrap();
         assert!(parallel_hazards(&exec.graph).is_err());
-        let err = Engine::with_options(
-            exec.graph.clone().compile(exec.program.clone()).unwrap(),
-            EngineOptions { executor: ExecutorKind::Parallel, threads: 0, ..Default::default() },
-        )
-        .err()
-        .expect("hazardous program must be rejected");
+        let err = Engine::with_options(exec.clone(), EngineOptions { threads: 0, fusion: true })
+            .err()
+            .expect("hazardous program must be rejected");
         assert!(err.contains("not parallel-safe"), "{err}");
         assert!(err.contains("reads") && err.contains("writes"), "{err}");
 
-        // The sequential engine still accepts it, and switching later
-        // reports the same diagnostic without changing the executor.
-        let mut e = Engine::with_options(exec, EngineOptions::default()).unwrap();
-        assert!(e.set_executor(ExecutorKind::Parallel).is_err());
-        assert_eq!(e.executor(), ExecutorKind::Sequential);
+        // One thread in program order still accepts it.
+        assert!(Engine::with_options(exec, EngineOptions::default()).is_ok());
     }
 
     #[test]
@@ -2422,213 +1963,10 @@ mod tests {
         let cs = g.add_compute_set(cs).unwrap();
         let exec = g.compile(Prog::Execute(cs)).unwrap();
         assert!(parallel_hazards(&exec.graph).is_ok());
-        let mut e = Engine::with_options(
-            exec,
-            EngineOptions { executor: ExecutorKind::Parallel, threads: 4, ..Default::default() },
-        )
-        .unwrap();
+        let mut e = Engine::with_options(exec, EngineOptions { threads: 4, fusion: true }).unwrap();
         e.write_tensor(x, &[2.0, 0.0, 0.0, 0.0]);
         e.run();
         assert_eq!(e.read_tensor(y), vec![4.0; 4], "same-tile RAW order must be preserved");
-    }
-
-    #[test]
-    fn graphene_par_values_parse() {
-        use ExecutorKind::*;
-        for (v, kind, threads) in [
-            ("0", Sequential, 0),
-            ("false", Sequential, 0),
-            ("off", Sequential, 0),
-            ("", Sequential, 0),
-            ("1", Parallel, 0),
-            ("true", Parallel, 0),
-            ("ON", Parallel, 0),
-            ("2", Parallel, 2),
-            ("8", Parallel, 8),
-            ("01", Parallel, 0),
-        ] {
-            let o = EngineOptions::parse_par(v);
-            assert_eq!((o.executor, o.threads), (kind, threads), "GRAPHENE_PAR={v}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "GRAPHENE_PAR: unrecognised value `garbage`")]
-    fn graphene_par_garbage_fails_loudly() {
-        EngineOptions::parse_par("garbage");
-    }
-
-    #[test]
-    #[should_panic(expected = "GRAPHENE_PAR: unrecognised value `-3`")]
-    fn graphene_par_negative_fails_loudly() {
-        EngineOptions::parse_par("-3");
-    }
-
-    #[test]
-    fn env_bool_knobs_parse() {
-        for (v, want) in [
-            ("", None),
-            ("  ", None),
-            ("1", Some(true)),
-            ("TRUE", Some(true)),
-            ("on", Some(true)),
-            ("yes", Some(true)),
-            ("0", Some(false)),
-            ("false", Some(false)),
-            ("Off", Some(false)),
-            ("no", Some(false)),
-        ] {
-            assert_eq!(parse_env_bool("GRAPHENE_NATIVE", v), want, "value `{v}`");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "GRAPHENE_NATIVE: unrecognised value `maybe`")]
-    fn graphene_native_garbage_fails_loudly() {
-        parse_env_bool("GRAPHENE_NATIVE", "maybe");
-    }
-
-    #[test]
-    #[should_panic(expected = "GRAPHENE_LEGACY_INTERP: unrecognised value `2`")]
-    fn graphene_legacy_interp_garbage_fails_loudly() {
-        // `2` is a worker count for GRAPHENE_PAR but meaningless for a
-        // pure on/off knob — it must not silently read as "off".
-        parse_env_bool("GRAPHENE_LEGACY_INTERP", "2");
-    }
-
-    // ---- GRAPHENE_BACKEND consolidation (resolve_env) ----
-
-    fn renv(
-        backend: Option<&str>,
-        par: Option<&str>,
-        native: Option<&str>,
-        legacy: Option<&str>,
-    ) -> Result<EngineOptions, String> {
-        EngineOptions::resolve_env(backend, par, native, legacy)
-    }
-
-    #[test]
-    fn backend_unset_reproduces_historical_alias_composition() {
-        use ExecutorKind::*;
-        // Every alias combination must compose exactly as the old
-        // from_env did: PAR picks executor+threads, LEGACY the
-        // interpreter, NATIVE=1 overrides the executor, NATIVE=0 only
-        // disables fusion.
-        for backend in [None, Some(""), Some("ipu-sim")] {
-            let cases: &[(
-                (Option<&str>, Option<&str>, Option<&str>),
-                (ExecutorKind, usize, bool, bool),
-            )] = &[
-                ((None, None, None), (Sequential, 0, false, true)),
-                ((Some("0"), None, None), (Sequential, 0, false, true)),
-                ((Some("1"), None, None), (Parallel, 0, false, true)),
-                ((Some("8"), None, None), (Parallel, 8, false, true)),
-                ((Some("8"), Some("1"), None), (Native, 8, false, true)),
-                ((Some("8"), Some("0"), None), (Parallel, 8, false, false)),
-                ((None, Some("1"), Some("1")), (Native, 0, true, true)),
-                ((None, Some("0"), Some("1")), (Sequential, 0, true, false)),
-                ((None, None, Some("1")), (Sequential, 0, true, true)),
-                ((None, Some(""), Some("")), (Sequential, 0, false, true)),
-            ];
-            for ((par, native, legacy), (exec, threads, leg, fusion)) in cases {
-                let o = renv(backend, *par, *native, *legacy).unwrap();
-                assert_eq!(
-                    (o.executor, o.threads, o.legacy_interpreter, o.native_fusion),
-                    (*exec, *threads, *leg, *fusion),
-                    "backend={backend:?} PAR={par:?} NATIVE={native:?} LEGACY={legacy:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pinned_backend_variants_select_their_executor() {
-        use ExecutorKind::*;
-        let o = renv(Some("ipu-sim:seq"), None, None, None).unwrap();
-        assert_eq!((o.executor, o.legacy_interpreter), (Sequential, false));
-        let o = renv(Some("ipu-sim:par"), None, None, None).unwrap();
-        assert_eq!((o.executor, o.threads), (Parallel, 0));
-        let o = renv(Some("ipu-sim:native"), None, None, None).unwrap();
-        assert_eq!((o.executor, o.native_fusion), (Native, true));
-        let o = renv(Some("ipu-sim:legacy"), None, None, None).unwrap();
-        assert_eq!((o.executor, o.legacy_interpreter), (Sequential, true));
-        // Case/whitespace-insensitive, like every other knob.
-        let o = renv(Some("  IPU-Sim:Par "), None, None, None).unwrap();
-        assert_eq!(o.executor, Parallel);
-    }
-
-    #[test]
-    fn agreeing_aliases_refine_a_pinned_backend() {
-        use ExecutorKind::*;
-        // GRAPHENE_PAR=8 with ipu-sim:par still sets the thread cap.
-        let o = renv(Some("ipu-sim:par"), Some("8"), None, None).unwrap();
-        assert_eq!((o.executor, o.threads), (Parallel, 8));
-        // NATIVE=1 with ipu-sim:native is redundant but consistent.
-        let o = renv(Some("ipu-sim:native"), None, Some("1"), None).unwrap();
-        assert_eq!(o.executor, Native);
-        // NATIVE=0 is a fusion toggle, not an executor choice — inert as
-        // a conflict, still honoured as the differential-testing leg.
-        let o = renv(Some("ipu-sim:native"), None, Some("0"), None).unwrap();
-        assert_eq!((o.executor, o.native_fusion), (Native, false));
-        // Disabling values never conflict.
-        let o = renv(Some("ipu-sim:seq"), Some("0"), Some("0"), Some("no")).unwrap();
-        assert_eq!((o.executor, o.legacy_interpreter, o.native_fusion), (Sequential, false, false));
-    }
-
-    #[test]
-    fn disagreeing_enabling_aliases_conflict_loudly() {
-        for (backend, par, native, legacy, var) in [
-            ("ipu-sim:seq", Some("1"), None, None, "GRAPHENE_PAR"),
-            ("ipu-sim:seq", None, Some("1"), None, "GRAPHENE_NATIVE"),
-            ("ipu-sim:seq", None, None, Some("1"), "GRAPHENE_LEGACY_INTERP"),
-            ("ipu-sim:par", None, Some("1"), None, "GRAPHENE_NATIVE"),
-            ("ipu-sim:native", Some("4"), None, None, "GRAPHENE_PAR"),
-            ("ipu-sim:legacy", Some("true"), None, None, "GRAPHENE_PAR"),
-            ("cpu", Some("1"), None, None, "GRAPHENE_PAR"),
-            ("cpu:par", None, Some("1"), None, "GRAPHENE_NATIVE"),
-            ("gpu-model", None, None, Some("1"), "GRAPHENE_LEGACY_INTERP"),
-        ] {
-            let e = renv(Some(backend), par, native, legacy).unwrap_err();
-            assert!(e.contains("conflicts with deprecated alias"), "{backend}: {e}");
-            assert!(e.contains(var), "{backend}: {e}");
-            assert!(e.contains(backend), "{backend}: {e}");
-        }
-    }
-
-    #[test]
-    fn non_engine_backends_resolve_to_defaults() {
-        // cpu / gpu-model solves never reach this engine; from_env must
-        // still succeed so unrelated engine construction keeps working.
-        for name in ["cpu", "cpu:par", "gpu-model"] {
-            assert_eq!(renv(Some(name), None, None, None).unwrap(), EngineOptions::default());
-            // Disabling aliases stay inert here too.
-            assert_eq!(
-                renv(Some(name), Some("0"), None, Some("off")).unwrap(),
-                EngineOptions::default()
-            );
-        }
-    }
-
-    #[test]
-    fn unknown_backend_names_error_with_the_known_list() {
-        for bad in ["tpu", "ipu", "ipu-sim:vector", "cpu:simd"] {
-            let e = renv(Some(bad), None, None, None).unwrap_err();
-            assert!(e.contains("unknown backend"), "{e}");
-            assert!(e.contains("ipu-sim:native") && e.contains("gpu-model"), "{e}");
-        }
-    }
-
-    #[test]
-    fn alias_typos_error_even_when_backend_is_set() {
-        assert!(renv(Some("cpu"), Some("garbage"), None, None)
-            .unwrap_err()
-            .contains("GRAPHENE_PAR"));
-        assert!(renv(Some("ipu-sim:seq"), None, Some("maybe"), None)
-            .unwrap_err()
-            .contains("GRAPHENE_NATIVE"));
-        assert!(renv(Some("ipu-sim"), None, None, Some("2"))
-            .unwrap_err()
-            .contains("GRAPHENE_LEGACY_INTERP"));
     }
 
     #[test]
@@ -2684,11 +2022,7 @@ mod tests {
     use ipu_sim::fault::FaultPlan;
 
     fn run_faulted(exec: &Executable, x: TensorId, spec: &str, par: bool) -> (Vec<f64>, u64) {
-        let options = if par {
-            EngineOptions { executor: ExecutorKind::Parallel, threads: 2, ..Default::default() }
-        } else {
-            EngineOptions::default()
-        };
+        let options = EngineOptions { threads: if par { 2 } else { 1 }, fusion: true };
         let mut e = Engine::with_options(exec.clone(), options).unwrap();
         e.set_faults(FaultPlan::parse(spec).unwrap());
         e.write_tensor(x, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
@@ -2697,14 +2031,14 @@ mod tests {
     }
 
     #[test]
-    fn sram_flip_perturbs_one_word_identically_on_both_executors() {
+    fn sram_flip_perturbs_one_word_identically_under_both_schedules() {
         let (exec, x) = double_in_place();
         // Flip bit 30 of float word 1 on tile 1 (tile 1 owns x[4..8], so
         // word 1 is x[5]) before superstep 0.
         let spec = "flip@s0.t1:w1.b30";
         let (seq, seq_cycles) = run_faulted(&exec, x, spec, false);
         let (par, par_cycles) = run_faulted(&exec, x, spec, true);
-        assert_eq!(seq, par, "fault replay must be executor-independent");
+        assert_eq!(seq, par, "fault replay must be schedule-independent");
         assert_eq!(seq_cycles, par_cycles);
         // Only x[5] differs from the clean answer.
         let clean = vec![2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0];

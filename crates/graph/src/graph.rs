@@ -319,19 +319,16 @@ impl Graph {
     ) -> Result<Executable, CompileError> {
         self.validate_prog(&program)?;
         let (plan, report) = passes::compile_plan(&self, &program, options);
-        Ok(Executable { graph: self, program, plan, report })
+        Ok(Executable { graph: self, plan, report })
     }
 }
 
-/// A compiled (graph, program) pair ready for the engine: the validated
-/// source program, its lowered [`ExecPlan`], and the [`CompileReport`]
-/// describing what the pass pipeline did.
+/// A compiled (graph, program) pair ready for the engine: the graph, the
+/// validated program lowered to an [`ExecPlan`], and the
+/// [`CompileReport`] describing what the pass pipeline did.
 #[derive(Clone, Debug)]
 pub struct Executable {
     pub graph: Graph,
-    /// The validated source tree — retained for the legacy tree-walking
-    /// interpreter (`GRAPHENE_LEGACY_INTERP`, differential testing only).
-    pub program: Prog,
     /// The lowered, pass-optimised plan the engine executes.
     pub plan: ExecPlan,
     /// Per-pass compile statistics.

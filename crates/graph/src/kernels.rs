@@ -1,11 +1,11 @@
-//! The native fused-kernel library behind [`ExecutorKind::Native`].
+//! The fused-kernel library the engine dispatches vertices to.
 //!
-//! Both interpreted executors walk the codelet IR per vertex per iteration
-//! — ROADMAP item 1's ~17 ms/iteration of host dispatch. The fast path in
-//! every production sparse stack (PopSparse's pre-specialised block
-//! kernels, kease-sparse-knl's template-monomorphised micro-kernels) is
-//! code *selected at plan time*, not interpreted. This module is that
-//! selection: at engine build, [`KernelTable::build`] pattern-matches each
+//! Interpreting the codelet IR per vertex per iteration is the bulk of
+//! host time on a solver stack. The fast path in every production sparse
+//! stack (PopSparse's pre-specialised block kernels, kease-sparse-knl's
+//! template-monomorphised micro-kernels) is code *selected at plan time*,
+//! not interpreted. This module is that selection: when an engine is built
+//! with `EngineOptions::fusion` on, [`KernelTable::build`] pattern-matches each
 //! codelet's IR + operand declarations against a small library of fused,
 //! monomorphised Rust kernels — modified-CSR SpMV/residual, the four
 //! triangular level-set sweeps, fused element-wise maps (axpy/scale/…),
@@ -23,9 +23,9 @@
 //! ipu-sim's cost model stays the accounting *oracle*; native code is only
 //! the *data path*. Anything the matchers do not recognise — and any
 //! operand whose runtime storage dtype differs from what the match assumed
-//! — falls back to the interpreter, per vertex.
-//!
-//! [`ExecutorKind::Native`]: crate::engine::ExecutorKind
+//! — falls back to the interpreter, per vertex. The interpreter alone
+//! (`fusion` off, the default) is the reference every kernel is compared
+//! against.
 
 use crate::codelet::{
     apply_bin, apply_un, BinOp, Codelet, Expr, ParamData, ParamDecl, Stmt, UnOp, Value,
@@ -1345,8 +1345,8 @@ impl KernelTable {
         }
     }
 
-    /// A table that fuses nothing (`GRAPHENE_NATIVE=0`): the native
-    /// executor runs, but every vertex takes the interpreter fallback.
+    /// A table that fuses nothing (`EngineOptions::fusion` off): every
+    /// vertex takes the interpreter.
     pub fn disabled(graph: &Graph) -> KernelTable {
         KernelTable { kernels: vec![None; graph.codelets.len()] }
     }

@@ -92,16 +92,13 @@ pub(crate) fn spans_chips(model: &IpuModel, tiles: impl IntoIterator<Item = Tile
 }
 
 // ----------------------------------------------------------------------
-// Step planners — the single home of communication/sync derivation.
-// The compile-time passes call these over the arena; the legacy
-// tree-walking interpreter (retained behind `GRAPHENE_LEGACY_INTERP` for
-// differential testing) calls them per step at run time, which is exactly
-// the per-iteration overhead the plan removes.
+// Step planners — the single home of communication/sync derivation,
+// called by the compile-time passes over the arena.
 // ----------------------------------------------------------------------
 
 /// Plan one `Prog::Execute`: the compiler-inserted broadcast for operands
 /// resident on other tiles, the BSP sync cost, and the tile-grouped
-/// vertex spans for the parallel host executor.
+/// vertex spans for the tile-parallel schedule.
 pub fn plan_execute(graph: &Graph, cs_id: ComputeSetId) -> ExecuteStep {
     let cs = &graph.compute_sets[cs_id];
     let model = &graph.model;
@@ -150,7 +147,7 @@ pub fn plan_execute(graph: &Graph, cs_id: ComputeSetId) -> ExecuteStep {
     };
 
     // Vertex indices grouped by tile (tile-ascending, program order
-    // within a tile) — the parallel executor's work list.
+    // within a tile) — the tile-parallel schedule's work list.
     let mut groups: BTreeMap<TileId, Vec<usize>> = BTreeMap::new();
     for (i, v) in cs.vertices.iter().enumerate() {
         groups.entry(v.tile).or_default().push(i);

@@ -46,9 +46,9 @@ pub struct ExecuteStep {
     /// tiles or broadcast sources span chips).
     pub sync_cycles: u64,
     /// Vertex indices grouped by tile, tile-ascending, each group in
-    /// program order — the parallel executor's work list. The sequential
-    /// executor iterates `vertices` in program order directly (hazardous
-    /// programs accepted sequentially are order-dependent).
+    /// program order — the tile-parallel schedule's work list. On one
+    /// host thread the engine iterates `vertices` in program order
+    /// directly (hazardous programs, accepted there, are order-dependent).
     pub tile_groups: Vec<(TileId, Vec<usize>)>,
 }
 

@@ -1,14 +1,15 @@
-//! Property test: random `Prog` trees lower to plans that execute
-//! identically to the legacy tree-walking interpreter.
+//! Property test: random `Prog` trees execute identically whatever the
+//! pass pipeline did to the plan and however the engine runs it.
 //!
-//! The graph compiler's contract is observational equivalence: whatever
-//! the pass pipeline does to the plan, the optimised plan, the
-//! unoptimised plan and the legacy interpreter must leave bit-identical
-//! tensor storage and cycle-identical `CycleStats` behind. This test
-//! generates depth-bounded random program trees over a small fixed graph
-//! (compute sets with and without compiler-inserted broadcasts, a
-//! cross-tile exchange, whole-tensor copies, loops, branches, labels and
-//! host callbacks) and checks all three modes against each other.
+//! The graph compiler's contract is observational equivalence: the
+//! optimised and the unoptimised plan must leave bit-identical tensor
+//! storage and cycle-identical `CycleStats` behind. The engine's is the
+//! same across its options: fused or interpreted dispatch, one thread or
+//! tile-parallel. This test generates depth-bounded random program trees
+//! over a small fixed graph (compute sets with and without
+//! compiler-inserted broadcasts, a cross-tile exchange, whole-tensor
+//! copies, loops, branches, labels and host callbacks) and checks every
+//! combination against the interpreted single-threaded run.
 
 use graph::codelet::{BinOp, Codelet, Expr, ParamDecl, Stmt, Value};
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
@@ -16,9 +17,10 @@ use graph::engine::EngineOptions;
 use graph::graph::Graph;
 use graph::program::{ElemCopy, ExchangeStep, Prog};
 use graph::tensor::{TensorDef, TensorId};
-use graph::{CompileOptions, Engine, ExecutorKind};
+use graph::{CompileOptions, Engine};
 use ipu_sim::cost::DType;
 use ipu_sim::model::IpuModel;
+use profile::TraceRecorder;
 use proptest::TestRng;
 
 /// The fixed material a random program is built from.
@@ -173,21 +175,40 @@ fn gen_prog(rng: &mut TestRng, f: &Fixture, depth: usize) -> Prog {
     }
 }
 
-/// Build an engine for `prog`, seed its storage deterministically, run,
-/// and fingerprint storage bits + the cycle profile.
-fn run_mode(
-    f: &Fixture,
-    prog: &Prog,
-    optimise: bool,
-    legacy: bool,
-) -> (Vec<Vec<u64>>, u64, u64, u64, u64, Vec<(String, [u64; 3])>, Vec<u64>) {
+/// Everything one run leaves behind that must not depend on the engine
+/// options or on optimisation.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    tensors: Vec<Vec<u64>>,
+    device_cycles: u64,
+    exchange_bytes: u64,
+    supersteps: u64,
+    sync_count: u64,
+    labels: Vec<(String, [u64; 3])>,
+    tile_busy: Vec<u64>,
+}
+
+/// What additionally must not depend on the engine options (step ids
+/// differ between the optimised and the unoptimised plan).
+#[derive(Debug, PartialEq)]
+struct PerPlan {
+    /// Σ per-step cycles of the perf attribution.
+    perf_total: u64,
+    perf_json: String,
+    trace: String,
+}
+
+/// Build an engine for `prog`, seed its storage deterministically, run
+/// with the perf recorder and a trace attached, and collect the lot.
+fn run(f: &Fixture, prog: &Prog, optimise: bool, options: EngineOptions) -> (Observed, PerPlan) {
     let exec = f
         .graph
         .clone()
         .compile_with(prog.clone(), CompileOptions { optimise })
         .expect("random program must validate");
-    let mut e = Engine::new(exec);
-    e.set_legacy_interpreter(legacy);
+    let mut e = Engine::with_options(exec, options).expect("fixture graph is hazard-free");
+    e.enable_perf();
+    e.set_trace(TraceRecorder::new());
     for (k, cb) in [(0usize, 10.0f64), (1, 100.0)] {
         e.register_callback(
             k,
@@ -211,95 +232,53 @@ fn run_mode(
     for t in f.data.iter().chain([&f.y, &f.s, &f.pred_false, &f.pred_true]) {
         tensors.push(e.read_tensor(*t).into_iter().map(f64::to_bits).collect());
     }
-    (
+    let report = e.perf_report(8).expect("perf recorder was armed");
+    let observed = Observed {
         tensors,
-        e.stats().device_cycles(),
-        e.stats().exchange_bytes(),
-        e.stats().supersteps(),
-        e.stats().sync_count(),
-        e.stats().labels_by_phase_sorted(),
-        e.stats().tile_busy_all().to_vec(),
-    )
+        device_cycles: e.stats().device_cycles(),
+        exchange_bytes: e.stats().exchange_bytes(),
+        supersteps: e.stats().supersteps(),
+        sync_count: e.stats().sync_count(),
+        labels: e.stats().labels_by_phase_sorted(),
+        tile_busy: e.stats().tile_busy_all().to_vec(),
+    };
+    let per_plan = PerPlan {
+        perf_total: report.steps_total(),
+        perf_json: report.attribution_json(),
+        trace: format!("{:?}", e.trace().expect("trace was attached").events()),
+    };
+    (observed, per_plan)
 }
 
+/// {fused, interpreted} x {one thread, tile-parallel} x {optimised,
+/// unoptimised plan}: storage bits and the cycle profile are the same in
+/// all eight; per plan, the perf attribution (which partitions
+/// `device_cycles` with no remainder) and the trace events are the same
+/// under all four engine options.
 #[test]
-fn random_trees_execute_identically_in_all_three_modes() {
+fn random_trees_execute_identically_under_every_dispatch_schedule_and_plan() {
     let f = fixture();
     for seed in 0..48u64 {
         let mut rng = TestRng::seed_from_u64(0x5eed_0000 + seed);
         let prog = gen_prog(&mut rng, &f, 4);
-        let opt = run_mode(&f, &prog, true, false);
-        let noopt = run_mode(&f, &prog, false, false);
-        let legacy = run_mode(&f, &prog, true, true);
-        assert_eq!(opt, noopt, "optimised vs unoptimised diverged (seed {seed}): {prog:?}");
-        assert_eq!(opt, legacy, "plan vs legacy interpreter diverged (seed {seed}): {prog:?}");
-    }
-}
-
-/// Run `prog` under an explicit executor with the perf recorder armed and
-/// return `(device_cycles, perf steps total, attribution JSON)`.
-fn run_perf(
-    f: &Fixture,
-    prog: &Prog,
-    optimise: bool,
-    executor: ExecutorKind,
-) -> (u64, u64, String) {
-    let exec = f
-        .graph
-        .clone()
-        .compile_with(prog.clone(), CompileOptions { optimise })
-        .expect("random program must validate");
-    let opts = EngineOptions { executor, ..EngineOptions::default() };
-    let mut e = Engine::with_options(exec, opts).expect("fixture graph is hazard-free");
-    e.enable_perf();
-    for (k, cb) in [(0usize, 10.0f64), (1, 100.0)] {
-        e.register_callback(
-            k,
-            Box::new(move |view: &mut graph::engine::HostView<'_>| {
-                let mut v = view.read_f64(0);
-                v[0] += cb;
-                view.write_f64(0, &v);
-            }),
-        );
-    }
-    for (i, t) in f.data.iter().enumerate() {
-        let vals: Vec<f64> = (0..8).map(|j| (i as f64 + 1.0) * 0.5 + j as f64).collect();
-        e.write_tensor(*t, &vals);
-    }
-    e.write_tensor(f.y, &[0.0; 4]);
-    e.write_scalar(f.s, 7.5);
-    e.write_scalar(f.pred_false, 0.0);
-    e.write_scalar(f.pred_true, 1.0);
-    e.run();
-    let report = e.perf_report(8).expect("perf recorder was armed");
-    (e.stats().device_cycles(), report.steps_total(), report.attribution_json())
-}
-
-/// Per-step attribution is exact and executor-independent: the per-step
-/// cycle totals partition `device_cycles` with no remainder (for both the
-/// optimised and unoptimised plan), and the whole attribution section —
-/// steps, bytes, flops, imbalance, speed-of-light — is bit-identical
-/// whether the sequential or the parallel host executor replayed the plan.
-#[test]
-fn random_trees_perf_attribution_partitions_cycles_and_is_executor_independent() {
-    let f = fixture();
-    for seed in 0..32u64 {
-        let mut rng = TestRng::seed_from_u64(0x9e4f_0000 + seed);
-        let prog = gen_prog(&mut rng, &f, 4);
+        let reference = EngineOptions::ALL[0];
+        let (want, _) = run(&f, &prog, true, reference);
         for optimise in [true, false] {
-            let (seq_cycles, seq_total, seq_json) =
-                run_perf(&f, &prog, optimise, ExecutorKind::Sequential);
+            let (got, want_plan) = run(&f, &prog, optimise, reference);
+            assert_eq!(want, got, "optimise {optimise} diverged (seed {seed}): {prog:?}");
             assert_eq!(
-                seq_total, seq_cycles,
+                want_plan.perf_total, got.device_cycles,
                 "per-step cycles must partition device_cycles (seed {seed}, optimise {optimise}): {prog:?}"
             );
-            let (par_cycles, par_total, par_json) =
-                run_perf(&f, &prog, optimise, ExecutorKind::Parallel);
-            assert_eq!(par_total, par_cycles, "partition broke under the parallel executor");
-            assert_eq!(
-                seq_json, par_json,
-                "attribution diverged across executors (seed {seed}, optimise {optimise}): {prog:?}"
-            );
+            for options in &EngineOptions::ALL[1..] {
+                let (got, got_plan) = run(&f, &prog, optimise, *options);
+                let who = format!("{options:?}, optimise {optimise}");
+                assert_eq!(want, got, "{who} diverged (seed {seed}): {prog:?}");
+                assert_eq!(
+                    want_plan, got_plan,
+                    "{who}: perf/trace diverged (seed {seed}): {prog:?}"
+                );
+            }
         }
     }
 }

@@ -123,9 +123,9 @@ impl CycleStats {
     /// (the BSP makespan).
     ///
     /// The accumulation is order-independent (per-tile sums and a max), so
-    /// per-worker cycle buffers produced by a parallel host executor can be
-    /// merged in any deterministic order — the engine uses tile-id order —
-    /// and yield stats identical to sequential execution.
+    /// per-worker cycle buffers produced by tile-parallel host threads can
+    /// be merged in any deterministic order — the engine uses tile-id
+    /// order — and yield stats identical to single-threaded execution.
     pub fn record_compute(&mut self, per_tile: impl IntoIterator<Item = (TileId, u64)>) {
         let mut max = 0;
         for (tile, cycles) in per_tile {
@@ -298,8 +298,8 @@ mod tests {
 
     #[test]
     fn record_compute_is_order_independent() {
-        // The parallel host executor merges per-worker buffers in tile-id
-        // order; sequential execution feeds vertices in program order. The
+        // The tile-parallel schedule merges per-worker buffers in tile-id
+        // order; one host thread feeds vertices in program order. The
         // contract both rely on: any permutation of the same per-tile
         // pairs records identical stats.
         let mut fwd = CycleStats::new(4);

@@ -39,7 +39,7 @@
 //!
 //! Seeded entries and explicit entries may be mixed; resolution
 //! ([`FaultPlan::resolve`]) is a pure function of (spec, tile count), so
-//! the same spec replays bit-identically on both host executors.
+//! the same spec replays bit-identically however the host runs the plan.
 
 use crate::model::TileId;
 use std::fmt;
@@ -270,7 +270,7 @@ impl FaultPlan {
     /// Resolve the plan against a concrete tile count: explicit faults are
     /// kept as-is (tiles clamped into range), seeded faults are derived by
     /// a splitmix64 stream — a pure function of (spec, `num_tiles`), hence
-    /// bit-identical across executors and runs.
+    /// bit-identical across engine options and runs.
     pub fn resolve(&self, num_tiles: usize) -> Vec<Fault> {
         let num_tiles = num_tiles.max(1);
         let mut out: Vec<Fault> =

@@ -23,8 +23,8 @@
 //!   and/or zero exchange.
 //!
 //! Everything is host-side observation: attaching a recorder never
-//! changes device cycle totals, and the report is bit-identical across
-//! the sequential and parallel host executors (all aggregation is
+//! changes device cycle totals, and the report is bit-identical on one
+//! host thread and tile-parallel (all aggregation is
 //! order-independent integer arithmetic; derived floats are computed from
 //! identical integers by identical expressions).
 //!
@@ -430,8 +430,8 @@ impl PerfReport {
     }
 
     /// The deterministic attribution subset (no host-side metrics),
-    /// serialised compactly — what the executor bit-identity tests and
-    /// `perf_attrib` compare.
+    /// serialised compactly — what the engine-option bit-identity tests
+    /// and `perf_attrib` compare.
     pub fn attribution_json(&self) -> String {
         self.value_impl(false).to_string()
     }

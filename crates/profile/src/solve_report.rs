@@ -30,7 +30,7 @@
 //!   ],
 //!   "tiles": { "used": 4, "min": 10, "median": 12, "max": 20,
 //!               "mean": 13.5, "balance": 0.675 },
-//!   "backend": { "name": "ipu-sim:seq", "family": "ipu-sim",
+//!   "backend": { "name": "ipu-sim:par", "family": "ipu-sim",
 //!                "timing": "cycle-model", "seconds": 0.0123 }
 //! }
 //! ```
@@ -62,7 +62,7 @@ pub const SCHEMA_VERSION: u32 = 3;
 /// (schema v3). Reports written by earlier schemas parse with `None`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BackendInfo {
-    /// Registry name: `"ipu-sim:seq"`, `"cpu:par"`, `"gpu-model"`, ...
+    /// Registry name: `"ipu-sim:par"`, `"cpu:par"`, `"gpu-model"`, ...
     pub name: String,
     /// Backend family: `"ipu-sim"` | `"cpu"` | `"gpu-model"`.
     pub family: String,
@@ -160,11 +160,12 @@ pub struct SolveReport {
     pub final_residual: f64,
     pub seconds: f64,
     /// Host wall-clock seconds spent inside `engine.run()` (0.0 when not
-    /// measured) — the quantity the parallel host executor improves;
-    /// device `seconds` are identical across executors by construction.
+    /// measured) — what the choice of backend variant changes; device
+    /// `seconds` are identical across them by construction.
     pub host_seconds: f64,
-    /// Host executor that ran the solve (`"sequential"`/`"parallel"`;
-    /// empty when unrecorded).
+    /// What ran the solve — the same string as `backend.name`, e.g.
+    /// `"ipu-sim:par"` (reports written before schema v3 carry
+    /// `"sequential"`/`"parallel"`; empty when unrecorded).
     pub executor: String,
     /// (iteration, true relative residual) samples.
     pub history: Vec<(usize, f64)>,
@@ -181,8 +182,8 @@ pub struct SolveReport {
     pub resilience: Option<Resilience>,
     /// Plan-aware performance attribution (per-step cycles, imbalance,
     /// congestion, roofline, host metrics); `None` for reports written
-    /// before schema v2 and for runs that recorded no attribution (e.g.
-    /// the legacy tree-walking interpreter, which has no plan steps).
+    /// before schema v2 and for runs that recorded no attribution (the
+    /// baseline backends, which have no plan steps).
     pub perf: Option<PerfReport>,
     /// Which backend executed the solve and its timing domain (schema
     /// v3); `None` for reports written before the backend abstraction.

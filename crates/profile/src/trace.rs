@@ -133,10 +133,10 @@ impl TraceRecorder {
     /// busy cycles; device time advances by the maximum (BSP makespan).
     ///
     /// Tile lane events are emitted in the order given. The engine always
-    /// supplies `per_tile` sorted by tile id — both host executors merge
-    /// their per-worker cycle buffers in tile-id order — so the recorded
-    /// timeline (and its Chrome-trace serialisation) is bit-identical
-    /// whichever executor ran and whatever the host thread count was.
+    /// supplies `per_tile` sorted by tile id — either schedule merges its
+    /// per-tile cycles in tile-id order — so the recorded timeline (and
+    /// its Chrome-trace serialisation) is bit-identical whatever the
+    /// host thread count was.
     pub fn compute(&mut self, name: &str, per_tile: &[(usize, u64)]) {
         let makespan = per_tile.iter().map(|&(_, c)| c).max().unwrap_or(0);
         let start = self.clock;
@@ -571,7 +571,7 @@ mod tests {
 
     #[test]
     fn identical_recordings_serialise_identically() {
-        // The dual-executor guarantee leans on this: equal event streams
+        // The engine-equivalence guarantee leans on this: equal event streams
         // (per-tile lists pre-sorted by tile id) must produce equal bytes.
         let a = sample().to_chrome_trace().to_string();
         let b = sample().to_chrome_trace().to_string();

@@ -7,7 +7,7 @@
 //! so each worker leases its own handle from the shared
 //! [`BackendPool`] and keeps thread-local plan caches.
 //!
-//! The job state machine (documented in DESIGN.md §17):
+//! The job state machine (documented in DESIGN.md §16):
 //!
 //! ```text
 //! submit ─┬─ rejected (QueueFull / Rejected)                [terminal]
@@ -311,16 +311,20 @@ impl ServeEngine {
 /// tears the worker down — a respawned worker starts clean.
 struct WorkerCtx {
     handle: Box<dyn Backend>,
-    /// Matrix identity (`Arc` data pointer) → the worker's `Rc` copy.
-    mats: HashMap<usize, Rc<CsrMatrix>>,
-    /// (matrix identity, solver-config JSON) → prepared plan. Many jobs
+    /// Every distinct job matrix seen since the last eviction: the job's
+    /// `Arc` and the worker's `Rc` copy of it. Identity is `Arc::ptr_eq`;
+    /// holding the `Arc` is what makes that sound — the allocation cannot
+    /// be freed and its address handed to a different matrix while a plan
+    /// below still refers to this entry.
+    mats: Vec<(Arc<CsrMatrix>, Rc<CsrMatrix>)>,
+    /// (index into `mats`, solver-config JSON) → prepared plan. Many jobs
     /// sharing one structure and solver coalesce onto one prepare.
     plans: HashMap<(usize, String), Box<dyn PreparedPlan>>,
 }
 
-/// Cache growth bound: past this many distinct (matrix, solver) pairs
-/// the worker's caches reset (simple epoch eviction — correctness does
-/// not depend on cache contents).
+/// Cache growth bound: past this many distinct matrices or (matrix,
+/// solver) pairs the worker's caches reset (simple epoch eviction —
+/// correctness does not depend on cache contents).
 const PLAN_CACHE_CAP: usize = 32;
 
 fn spawn_worker(shared: Arc<Shared>, worker_id: usize) -> JoinHandle<()> {
@@ -332,7 +336,7 @@ fn spawn_worker(shared: Arc<Shared>, worker_id: usize) -> JoinHandle<()> {
 
 fn worker_main(shared: Arc<Shared>, worker_id: usize) {
     let mut ctx =
-        WorkerCtx { handle: shared.pool.lease(), mats: HashMap::new(), plans: HashMap::new() };
+        WorkerCtx { handle: shared.pool.lease(), mats: Vec::new(), plans: HashMap::new() };
     loop {
         // ---- pick ----------------------------------------------------
         let mut job = {
@@ -542,6 +546,11 @@ fn attempt(
         (None, None) => None,
     };
 
+    if ctx.plans.len() >= PLAN_CACHE_CAP || ctx.mats.len() >= PLAN_CACHE_CAP {
+        ctx.plans.clear();
+        ctx.mats.clear();
+    }
+    let (mat_id, rc) = worker_matrix(ctx, spec);
     let (x, residual, iterations, report) = if storm_faults.is_some() || job.deadline_at.is_some() {
         let mut run_opts = shared.opts.base.clone();
         run_opts.backend = Some(shared.opts.backend);
@@ -553,7 +562,6 @@ fn attempt(
             Some(at) => Some(at.saturating_duration_since(Instant::now())),
             None => None,
         };
-        let rc = worker_matrix(ctx, spec);
         match runner::solve(rc, &spec.b, &spec.config, &run_opts) {
             Ok(res) => (res.x, res.residual, res.iterations, res.report),
             Err(e) => {
@@ -565,18 +573,13 @@ fn attempt(
         }
     } else {
         // Plan-coalescing path: one prepare per (worker, matrix, solver).
-        let key = (Arc::as_ptr(&spec.a) as *const () as usize, spec.config.to_value().to_string());
-        if ctx.plans.len() >= PLAN_CACHE_CAP {
-            ctx.plans.clear();
-            ctx.mats.clear();
-        }
+        let key = (mat_id, spec.config.to_value().to_string());
         let hit = ctx.plans.contains_key(&key);
         {
             let mut st = lock(&shared.state);
             st.metrics.counter_add(if hit { "serve.plan_hits" } else { "serve.plan_misses" }, 1);
         }
         if !hit {
-            let rc = worker_matrix(ctx, spec);
             let plan = SolvePlan { a: rc, solver: spec.config.to_value(), record_history: false };
             let prepared = ctx
                 .handle
@@ -630,11 +633,15 @@ fn attempt(
     })
 }
 
-/// The worker's `Rc` copy of a job's matrix (one deep copy per distinct
-/// matrix per worker, then shared by every job and plan using it).
-fn worker_matrix(ctx: &mut WorkerCtx, spec: &JobSpec) -> Rc<CsrMatrix> {
-    let key = Arc::as_ptr(&spec.a) as *const () as usize;
-    Rc::clone(ctx.mats.entry(key).or_insert_with(|| Rc::new((*spec.a).clone())))
+/// The worker's cache slot and `Rc` copy of a job's matrix (one deep copy
+/// per distinct matrix per worker, then shared by every job and plan
+/// using it).
+fn worker_matrix(ctx: &mut WorkerCtx, spec: &JobSpec) -> (usize, Rc<CsrMatrix>) {
+    let id = ctx.mats.iter().position(|(job, _)| Arc::ptr_eq(job, &spec.a)).unwrap_or_else(|| {
+        ctx.mats.push((Arc::clone(&spec.a), Rc::new((*spec.a).clone())));
+        ctx.mats.len() - 1
+    });
+    (id, Rc::clone(&ctx.mats[id].1))
 }
 
 /// How far the independent recompute may drift from the run's claimed

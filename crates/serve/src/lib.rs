@@ -198,7 +198,7 @@ impl Default for ServeOptions {
             backoff: Backoff::default(),
             seed: 0,
             storm: None,
-            backend: backend::BackendSpec::IpuSim(backend::IpuVariant::Auto),
+            backend: backend::BackendSpec::IpuSim(backend::IpuVariant::Default),
             base: SolveOptions::default(),
             default_deadline: None,
         }

@@ -237,3 +237,48 @@ fn storm_requires_fault_injection_capability() {
     assert!(matches!(engine.outcome(id), Some(JobOutcome::Done(_))));
     assert!(engine.finish().accounting_ok());
 }
+
+/// The plan cache identifies a matrix by its `Arc` allocation. A job's
+/// matrix freed after the job, and a different matrix allocated where it
+/// was, must not be served the first one's prepared plan.
+#[test]
+fn a_freed_matrix_whose_address_is_reused_does_not_hit_its_plan() {
+    let engine = ServeEngine::start(ServeOptions { workers: 1, ..ServeOptions::default() })
+        .expect("engine starts");
+    let n = 24;
+    let run = |a: &Arc<sparse::formats::CsrMatrix>| {
+        let id = engine.submit(JobSpec::new("t", Arc::clone(a), vec![1.0; n], cg(200))).unwrap();
+        engine.drain(DRAIN).unwrap();
+        match engine.outcome(id) {
+            Some(JobOutcome::Done(r)) => r,
+            other => panic!("expected Done, got {other:?}"),
+        }
+    };
+
+    let first = Arc::new(tridiagonal(n));
+    let first_x = run(&first).x;
+    // The one worker takes its next job only after dropping the previous
+    // one, so once this job is done the engine's queue no longer holds
+    // `first`.
+    run(&Arc::new(poisson_2d_5pt(6, 4, 1.0)));
+
+    // Same shape, twice the values: half the solution.
+    let mut scaled = tridiagonal(n);
+    scaled.values.iter_mut().for_each(|v| *v *= 2.0);
+    let address = Arc::as_ptr(&first) as usize;
+    drop(first);
+    // Allocate until the allocator hands the freed block out again (the
+    // first try, with a thread-local free list), keeping the misses alive.
+    let mut second = Arc::new(scaled.clone());
+    let mut misses = Vec::new();
+    while Arc::as_ptr(&second) as usize != address && misses.len() < 64 {
+        misses.push(std::mem::replace(&mut second, Arc::new(scaled.clone())));
+    }
+
+    let r = run(&second);
+    assert!(!r.sdc_escape, "the job was served another matrix's plan");
+    for (x2, x1) in r.x.iter().zip(&first_x) {
+        assert!((x2 - x1 / 2.0).abs() < 1e-4, "{x2} is not half of {x1}");
+    }
+    assert!(engine.finish().accounting_ok());
+}

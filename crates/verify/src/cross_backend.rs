@@ -112,7 +112,7 @@ pub fn check_cross_backend(names: &[&str]) -> Vec<CrossOutcome> {
         .collect();
 
     let base = sim_opts();
-    let ipu = backend_for(BackendSpec::parse("ipu-sim:seq").unwrap(), &base);
+    let ipu = backend_for(BackendSpec::parse("ipu-sim").unwrap(), &base);
     let cpu = backend_for(BackendSpec::parse("cpu").unwrap(), &base);
     let cpu_par = backend_for(BackendSpec::parse("cpu:par").unwrap(), &base);
 
@@ -137,13 +137,11 @@ pub fn check_cross_backend(names: &[&str]) -> Vec<CrossOutcome> {
             );
             assert_eq!(it_cpu, it_cpu_par);
 
-            for (backend_name, x, iterations) in
-                [("ipu-sim:seq", &x_ipu, it_ipu), ("cpu", &x_cpu, it_cpu)]
-            {
+            for (backend, x, iterations) in [(&ipu, &x_ipu, it_ipu), (&cpu, &x_cpu, it_cpu)] {
                 let out = CrossOutcome {
                     case: case.name,
                     family: prep.fam.name,
-                    backend: backend_name.to_string(),
+                    backend: backend.name(),
                     residual: oracle::rel_residual(&prep.a32, x, &prep.b),
                     forward: oracle::rel_error(x, &x_ref),
                     iterations,

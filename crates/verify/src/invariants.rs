@@ -12,20 +12,21 @@
 //!   `CycleStats::exchange_bytes()`, the label stack must balance
 //!   (`label_underflows == 0`), and the per-label cycle attribution must
 //!   partition `device_cycles` exactly.
-//! * [`assert_executor_equivalence`] — the same solve under the
-//!   sequential and the tile-parallel host executor must produce
-//!   bit-identical solution tensors *and* identical cycle profiles
-//!   (device cycles, per-phase splits, per-label partitions, per-tile
-//!   busy time). Any drift means the parallel merge order or the
+//! * [`assert_executor_equivalence`] — the same solve under every
+//!   combination of the engine's two options ([`EngineOptions::ALL`]: fused or
+//!   interpreted dispatch, one host thread or tile-parallel) must produce
+//!   bit-identical solution tensors *and* identical cycle profiles, perf
+//!   attribution and trace events. Any drift means a fused kernel
+//!   disagrees with the interpreter, or the parallel merge order or the
 //!   storage-view partitioning leaked into observable state.
 
 use std::rc::Rc;
 
 use dsl::prelude::*;
-use graph::ExecutorKind;
+use graph::Engine;
 use graphene_core::config::SolverConfig;
 use graphene_core::dist::DistSystem;
-use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
+use graphene_core::runner::{solve_or_panic, solve_with_engine, SolveOptions, SolveResult};
 use graphene_core::solvers::solver_from_config;
 use ipu_sim::clock::Phase;
 use profile::TraceRecorder;
@@ -79,69 +80,61 @@ pub fn assert_deterministic(
     DeterminismReport { device_cycles: dc1, iterations: r1.iterations, exchange_bytes: xb1 }
 }
 
-/// What the dual-executor equivalence check compared.
+/// What the engine-option equivalence check compared.
 #[derive(Clone, Debug)]
 pub struct ExecutorEquivalence {
     pub device_cycles: u64,
     pub iterations: usize,
 }
 
-/// Require a candidate run to be observationally identical to the
-/// sequential reference: solution bits, device cycles, per-phase splits,
-/// per-label partitions, per-tile busy time, superstep and sync counts,
-/// exchanged bytes, the recorded history and device seconds.
-fn assert_runs_identical(reference: &SolveResult, candidate: &SolveResult, who: &str) {
-    let (xs, dcs, xbs, sss, scs, lbs) = fingerprint(reference);
-    let (xp, dcp, xbp, ssp, scp, lbp) = fingerprint(candidate);
-    assert_eq!(xs, xp, "{who}: solution bits differ from sequential");
-    assert_eq!(dcs, dcp, "{who}: device cycles differ from sequential");
-    assert_eq!(xbs, xbp, "{who}: exchanged bytes differ from sequential");
-    assert_eq!(sss, ssp, "{who}: superstep counts differ from sequential");
-    assert_eq!(scs, scp, "{who}: sync counts differ from sequential");
-    assert_eq!(lbs, lbp, "{who}: per-label cycle partitions differ from sequential");
+/// Require `other` to be observationally identical to `base`: solution
+/// bits, device cycles, per-phase splits, per-label partitions, per-tile
+/// busy time, superstep and sync counts, exchanged bytes, the recorded
+/// history and device seconds.
+pub(crate) fn assert_same(mode: &str, base: &SolveResult, other: &SolveResult) {
+    let (xb, dcb, xbb, ssb, scb, lbb) = fingerprint(base);
+    let (xo, dco, xbo, sso, sco, lbo) = fingerprint(other);
+    assert_eq!(xb, xo, "solution bits differ ({mode})");
+    assert_eq!(dcb, dco, "device cycles differ ({mode})");
+    assert_eq!(xbb, xbo, "exchanged bytes differ ({mode})");
+    assert_eq!(ssb, sso, "superstep counts differ ({mode})");
+    assert_eq!(scb, sco, "sync counts differ ({mode})");
+    assert_eq!(lbb, lbo, "per-label cycle partitions differ ({mode})");
     for phase in [Phase::Compute, Phase::Exchange, Phase::Sync] {
         assert_eq!(
-            reference.stats.phase_cycles(phase),
-            candidate.stats.phase_cycles(phase),
-            "{who}: {phase:?} cycles differ from sequential"
+            base.stats.phase_cycles(phase),
+            other.stats.phase_cycles(phase),
+            "{phase:?} cycles differ ({mode})"
         );
         assert_eq!(
-            reference.stats.unlabelled_phase_cycles(phase),
-            candidate.stats.unlabelled_phase_cycles(phase),
-            "{who}: unlabelled {phase:?} cycles differ from sequential"
+            base.stats.unlabelled_phase_cycles(phase),
+            other.stats.unlabelled_phase_cycles(phase),
+            "unlabelled {phase:?} cycles differ ({mode})"
         );
     }
     assert_eq!(
-        reference.stats.tile_busy_all(),
-        candidate.stats.tile_busy_all(),
-        "{who}: per-tile busy cycles differ from sequential"
+        base.stats.tile_busy_all(),
+        other.stats.tile_busy_all(),
+        "per-tile busy cycles differ ({mode})"
     );
-    assert_eq!(
-        reference.iterations, candidate.iterations,
-        "{who}: iteration counts differ from sequential"
-    );
-    let hs: Vec<(usize, u64)> = reference.history.iter().map(|&(i, r)| (i, r.to_bits())).collect();
-    let hp: Vec<(usize, u64)> = candidate.history.iter().map(|&(i, r)| (i, r.to_bits())).collect();
-    assert_eq!(hs, hp, "{who}: residual histories differ from sequential");
-    assert_eq!(
-        reference.report.seconds, candidate.report.seconds,
-        "{who}: device seconds differ from sequential"
-    );
+    assert_eq!(base.iterations, other.iterations, "iteration counts differ ({mode})");
+    let hb: Vec<(usize, u64)> = base.history.iter().map(|&(i, r)| (i, r.to_bits())).collect();
+    let ho: Vec<(usize, u64)> = other.history.iter().map(|&(i, r)| (i, r.to_bits())).collect();
+    assert_eq!(hb, ho, "residual histories differ ({mode})");
+    assert_eq!(base.report.seconds, other.report.seconds, "device seconds differ ({mode})");
 }
 
-/// Run the same solve under every host executor — sequential (the
-/// reference), tile-parallel, native fused-kernel, and native with fusion
-/// force-disabled — and require bit-identical solutions and cycle-identical
-/// profiles across all four.
+/// Run the same solve under every entry of [`EngineOptions::ALL`] and require
+/// bit-identical solutions and identical cycle profiles, perf attribution
+/// and trace events across all four.
 ///
-/// This is the determinism contract of the executor family: the parallel
-/// executor partitions vertices across host workers but merges per-tile
-/// cycles in tile-id order; the native executor swaps the tree-walking
-/// interpreter for monomorphised Rust kernels that re-derive the same
-/// cycle charges; the fusion-off leg pins the native dispatch path itself.
-/// *Nothing* observable may differ — solution bits, device cycles,
-/// per-phase splits, per-label partitions, per-tile busy time, superstep
-/// and sync counts, exchanged bytes, or the recorded history.
+/// This is the contract that lets the engine have one path: a fused
+/// kernel re-derives the interpreter's values and cycle charges exactly,
+/// and the tile-parallel schedule partitions vertices across host workers
+/// but merges per-tile cycles in tile-id order. *Nothing* observable may
+/// differ — solution bits, device cycles, per-phase splits, per-label
+/// partitions, per-tile busy time, superstep and sync counts, exchanged
+/// bytes, the recorded history, the per-step attribution or the timeline.
 pub fn assert_executor_equivalence(
     a: Rc<CsrMatrix>,
     b: &[f64],
@@ -151,30 +144,38 @@ pub fn assert_executor_equivalence(
 }
 
 /// [`assert_executor_equivalence`] over caller-supplied base options —
-/// the same four-legged sweep, but e.g. with auto-tuning enabled or a
-/// bigger machine. Only the executor selection is overridden per leg;
-/// everything else in `base` is honoured.
+/// the same sweep, but e.g. with auto-tuning enabled or a bigger machine.
+/// Only the engine options change per leg; everything else in `base` is
+/// honoured (the trace comparison builds its own engines and takes only
+/// the machine and tile count from it).
 pub fn assert_executor_equivalence_with(
     a: Rc<CsrMatrix>,
     b: &[f64],
     config: &SolverConfig,
     base: &SolveOptions,
 ) -> ExecutorEquivalence {
-    let with = |executor, native_fusion| SolveOptions {
-        executor: Some(executor),
-        native_fusion,
-        record_history: true,
-        ..base.clone()
+    let opts = SolveOptions { record_history: true, ..base.clone() };
+    let perf_json = |r: &SolveResult| {
+        r.report.perf.as_ref().expect("runner arms the perf recorder").attribution_json()
     };
-    let rs = solve_or_panic(a.clone(), b, config, &with(ExecutorKind::Sequential, None));
-    let rp = solve_or_panic(a.clone(), b, config, &with(ExecutorKind::Parallel, None));
-    let rn = solve_or_panic(a.clone(), b, config, &with(ExecutorKind::Native, None));
-    let rn_off = solve_or_panic(a.clone(), b, config, &with(ExecutorKind::Native, Some(false)));
-    assert_runs_identical(&rs, &rp, "parallel");
-    assert_runs_identical(&rs, &rn, "native");
-    assert_runs_identical(&rs, &rn_off, "native(fusion off)");
-    let (_, dcs, ..) = fingerprint(&rs);
-    ExecutorEquivalence { device_cycles: dcs, iterations: rs.iterations }
+    let trace_events = |engine: EngineOptions| {
+        let e = traced_run(&a, b, config, base.model.clone(), base.tiles.unwrap_or(4), engine);
+        format!("{:?}", e.trace().expect("trace was attached").events())
+    };
+    let run = |engine| {
+        solve_with_engine(a.clone(), b, config, &opts, engine)
+            .unwrap_or_else(|e| panic!("solve failed: {e}"))
+    };
+    let reference = EngineOptions::ALL[0];
+    let want = run(reference);
+    let want_trace = trace_events(reference);
+    for engine in &EngineOptions::ALL[1..] {
+        let got = run(*engine);
+        assert_same(&format!("{engine:?} vs {reference:?}"), &want, &got);
+        assert_eq!(perf_json(&want), perf_json(&got), "perf attribution differs ({engine:?})");
+        assert_eq!(want_trace, trace_events(*engine), "trace events differ ({engine:?})");
+    }
+    ExecutorEquivalence { device_cycles: want.stats.device_cycles(), iterations: want.iterations }
 }
 
 /// What the exchange-conservation audit measured.
@@ -195,22 +196,7 @@ pub fn audit_exchange_conservation(
     b: &[f64],
     config: &SolverConfig,
 ) -> ExchangeAudit {
-    let tiles = 4;
-    let part = sparse::partition::Partition::balanced_by_nnz(&a, tiles);
-    let mut ctx = DslCtx::new(IpuModel::tiny(tiles));
-    let sys = DistSystem::build(&mut ctx, a.clone(), part);
-    let bt = sys.new_vector(&mut ctx, "b", DType::F32);
-    let xt = sys.new_vector(&mut ctx, "x", DType::F32);
-    let mut solver = solver_from_config(config);
-    solver.setup(&mut ctx, &sys);
-    solver.solve(&mut ctx, &sys, bt, xt);
-
-    let mut engine = ctx.build_engine().expect("solver program compiles");
-    engine.set_trace(TraceRecorder::new());
-    sys.upload(&mut engine);
-    engine.write_tensor(bt.id, &sys.to_device_order(b));
-    engine.run();
-
+    let engine = traced_run(&a, b, config, IpuModel::tiny(4), 4, EngineOptions::default());
     let stats = engine.stats();
     assert_eq!(stats.label_underflows(), 0, "label stack underflowed during execution");
     let labelled: u64 = stats.labels_sorted().iter().map(|(_, c)| c).sum();
@@ -235,6 +221,34 @@ pub fn audit_exchange_conservation(
     }
 }
 
+/// Build the solver program for `config` on `tiles` tiles of `model` and
+/// run it once under `engine` with a trace attached.
+fn traced_run(
+    a: &Rc<CsrMatrix>,
+    b: &[f64],
+    config: &SolverConfig,
+    model: IpuModel,
+    tiles: usize,
+    engine: EngineOptions,
+) -> Engine {
+    let part = sparse::partition::Partition::balanced_by_nnz(a, tiles);
+    let mut ctx = DslCtx::new(model);
+    let sys = DistSystem::build(&mut ctx, a.clone(), part);
+    let bt = sys.new_vector(&mut ctx, "b", DType::F32);
+    let xt = sys.new_vector(&mut ctx, "x", DType::F32);
+    let mut solver = solver_from_config(config);
+    solver.setup(&mut ctx, &sys);
+    solver.solve(&mut ctx, &sys, bt, xt);
+
+    let mut engine =
+        ctx.build_engine_on(CompileOptions::from_env(), engine).expect("solver program compiles");
+    engine.set_trace(TraceRecorder::new());
+    sys.upload(&mut engine);
+    engine.write_tensor(bt.id, &sys.to_device_order(b));
+    engine.run();
+    engine
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn small_bicgstab_run_matches_across_executors() {
+    fn small_bicgstab_run_matches_across_engine_options() {
         let a = Rc::new(poisson_2d_5pt(6, 6, 1.0));
         let b = rhs_for_ones(&a);
         let cfg = SolverConfig::BiCgStab { max_iters: 12, rel_tol: 0.0, precond: None };

@@ -22,15 +22,17 @@
 //!   adversarial operands and asserts the Joldes et al. error bounds and
 //!   the normalisation invariant;
 //! * [`invariants`] — simulator-level checks: double-run bit determinism,
-//!   label-stack balance and exchange-byte conservation;
+//!   label-stack balance, exchange-byte conservation, and equivalence of
+//!   the engine's {fused, interpreted} x {one thread, tile-parallel}
+//!   options;
 //! * [`resilience`] — fault-injection properties: the outcome trichotomy
 //!   under seeded faults (converged | recovered | structured error, with
 //!   the accepted residual independently recomputed so no silently-wrong
 //!   answer escapes), bit-determinism of faulted replays across runs and
-//!   executors, and zero overhead when the machinery is off;
-//! * [`plan_equiv`] — graph-compiler checks: the optimised plan, the
-//!   unoptimised plan and the legacy tree-walking interpreter must
-//!   produce bit-identical solutions and cycle-identical profiles.
+//!   engine options, and zero overhead when the machinery is off;
+//! * [`plan_equiv`] — graph-compiler checks: the optimised and the
+//!   unoptimised plan must produce bit-identical solutions and
+//!   cycle-identical profiles.
 //!
 //! The heavyweight sweeps scale with the `GRAPHENE_VERIFY_CASES`
 //! environment variable (see [`cases_from_env`]) so CI can turn the dial

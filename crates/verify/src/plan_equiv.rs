@@ -4,14 +4,9 @@
 //! (unless `GRAPHENE_NO_OPT` is set) runs the optimisation pass pipeline
 //! over it. Every pass must be *observationally cycle-neutral*: it may
 //! remove host dispatch overhead, never simulated device work. The
-//! contract, checked here across three execution modes of the same solve:
-//!
-//! 1. the optimised plan (the default),
-//! 2. the unoptimised plan (`GRAPHENE_NO_OPT=1`),
-//! 3. the legacy tree-walking interpreter
-//!    (`GRAPHENE_LEGACY_INTERP=1`), which re-plans every step on every
-//!    execution,
-//!
+//! contract, checked here: the optimised plan (the default) and the
+//! unoptimised plan (`GRAPHENE_NO_OPT=1`) — a direct lowering of the
+//! program tree, every step planned on its own — of the same solve
 //! must produce **bit-identical solutions** and **cycle-identical
 //! profiles**: device cycles, per-phase splits, per-label partitions,
 //! per-tile busy time, superstep and sync counts, exchanged bytes, the
@@ -24,7 +19,6 @@ use std::rc::Rc;
 use dsl::prelude::*;
 use graphene_core::config::SolverConfig;
 use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
-use ipu_sim::clock::Phase;
 use profile::CompileReport;
 use sparse::formats::CsrMatrix;
 
@@ -37,7 +31,7 @@ fn sim_opts() -> SolveOptions {
     }
 }
 
-/// What the three-way plan equivalence check compared.
+/// What the plan equivalence check compared.
 #[derive(Clone, Debug)]
 pub struct PlanEquivalence {
     pub device_cycles: u64,
@@ -48,83 +42,22 @@ pub struct PlanEquivalence {
     pub unoptimised_steps: usize,
 }
 
-fn fingerprint(r: &SolveResult) -> (Vec<u64>, u64, u64, u64, u64, Vec<(String, [u64; 3])>) {
-    (
-        r.x.iter().map(|v| v.to_bits()).collect(),
-        r.stats.device_cycles(),
-        r.stats.exchange_bytes(),
-        r.stats.supersteps(),
-        r.stats.sync_count(),
-        r.stats.labels_by_phase_sorted(),
-    )
-}
-
-fn assert_same(mode: &str, base: &SolveResult, other: &SolveResult) {
-    let (xb, dcb, xbb, ssb, scb, lbb) = fingerprint(base);
-    let (xo, dco, xbo, sso, sco, lbo) = fingerprint(other);
-    assert_eq!(xb, xo, "solution bits differ ({mode})");
-    assert_eq!(dcb, dco, "device cycles differ ({mode})");
-    assert_eq!(xbb, xbo, "exchanged bytes differ ({mode})");
-    assert_eq!(ssb, sso, "superstep counts differ ({mode})");
-    assert_eq!(scb, sco, "sync counts differ ({mode})");
-    assert_eq!(lbb, lbo, "per-label cycle partitions differ ({mode})");
-    for phase in [Phase::Compute, Phase::Exchange, Phase::Sync] {
-        assert_eq!(
-            base.stats.phase_cycles(phase),
-            other.stats.phase_cycles(phase),
-            "{phase:?} cycles differ ({mode})"
-        );
-        assert_eq!(
-            base.stats.unlabelled_phase_cycles(phase),
-            other.stats.unlabelled_phase_cycles(phase),
-            "unlabelled {phase:?} cycles differ ({mode})"
-        );
-    }
-    assert_eq!(
-        base.stats.tile_busy_all(),
-        other.stats.tile_busy_all(),
-        "per-tile busy cycles differ ({mode})"
-    );
-    assert_eq!(base.iterations, other.iterations, "iteration counts differ ({mode})");
-    let hb: Vec<(usize, u64)> = base.history.iter().map(|&(i, r)| (i, r.to_bits())).collect();
-    let ho: Vec<(usize, u64)> = other.history.iter().map(|&(i, r)| (i, r.to_bits())).collect();
-    assert_eq!(hb, ho, "residual histories differ ({mode})");
-    assert_eq!(base.report.seconds, other.report.seconds, "device seconds differ ({mode})");
-}
-
 fn compile_report(r: &SolveResult) -> &CompileReport {
     r.report.compile.as_ref().expect("runner stamps the compile report")
 }
 
-/// Run the same solve through the optimised plan, the unoptimised plan
-/// and the legacy tree-walking interpreter, and require bit-identical
-/// solutions and cycle-identical profiles across all three.
+/// Run the same solve through the optimised and the unoptimised plan and
+/// require bit-identical solutions and cycle-identical profiles.
 pub fn assert_plan_equivalence(
     a: Rc<CsrMatrix>,
     b: &[f64],
     config: &SolverConfig,
 ) -> PlanEquivalence {
-    let opt = solve_or_panic(
-        a.clone(),
-        b,
-        config,
-        &SolveOptions { optimise: Some(true), legacy_interpreter: Some(false), ..sim_opts() },
-    );
-    let noopt = solve_or_panic(
-        a.clone(),
-        b,
-        config,
-        &SolveOptions { optimise: Some(false), legacy_interpreter: Some(false), ..sim_opts() },
-    );
-    let legacy = solve_or_panic(
-        a.clone(),
-        b,
-        config,
-        &SolveOptions { optimise: Some(true), legacy_interpreter: Some(true), ..sim_opts() },
-    );
+    let with = |optimise| SolveOptions { optimise: Some(optimise), ..sim_opts() };
+    let opt = solve_or_panic(a.clone(), b, config, &with(true));
+    let noopt = solve_or_panic(a.clone(), b, config, &with(false));
 
-    assert_same("optimised vs unoptimised plan", &opt, &noopt);
-    assert_same("optimised plan vs legacy interpreter", &opt, &legacy);
+    crate::invariants::assert_same("optimised vs unoptimised plan", &opt, &noopt);
 
     let ro = compile_report(&opt);
     let rn = compile_report(&noopt);

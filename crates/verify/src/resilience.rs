@@ -14,7 +14,7 @@
 //! * [`assert_faulted_determinism`] — a faulted solve replays
 //!   bit-identically: same solution bits, same cycle counts, same
 //!   resilience record (or the same structured error) across repeated
-//!   runs and across both host executors.
+//!   runs and across every engine option (`EngineOptions::ALL`).
 //! * [`assert_zero_overhead_when_off`] — with no fault plan and the inert
 //!   default [`RecoveryPolicy`], the runner emits *exactly* the pre-fault
 //!   program: solution bits, device cycles and label partitions match a
@@ -23,10 +23,9 @@
 
 use std::rc::Rc;
 
-use dsl::prelude::IpuModel;
-use graph::ExecutorKind;
+use dsl::prelude::{EngineOptions, IpuModel};
 use graphene_core::config::SolverConfig;
-use graphene_core::runner::{solve, SolveOptions, SolveResult};
+use graphene_core::runner::{solve, solve_with_engine, SolveOptions, SolveResult};
 use graphene_core::{RecoveryPolicy, SolveError, SolveStatus};
 use ipu_sim::fault::FaultPlan;
 use sparse::formats::CsrMatrix;
@@ -160,56 +159,25 @@ fn fingerprint(r: &SolveResult) -> (Vec<u64>, u64, u64, Vec<(String, [u64; 3])>)
     )
 }
 
-/// Run the same faulted solve twice per executor and require identical
-/// outcomes — bit-identical solutions, cycle-identical stats and an equal
-/// resilience record, or exactly the same structured error.
+/// Run the same faulted solve twice under every entry of
+/// [`EngineOptions::ALL`] and require one outcome throughout — bit-identical
+/// solutions, cycle-identical stats and an equal resilience record, or
+/// exactly the same structured error. The fault layer keys on superstep
+/// coordinates, not on host dispatch or scheduling.
 pub fn assert_faulted_determinism(a: Rc<CsrMatrix>, b: &[f64], config: &SolverConfig, spec: &str) {
     let plan = FaultPlan::parse(spec).expect("fault spec parses");
-    let run = |kind: ExecutorKind| {
-        let opts = SolveOptions { faults: Some(plan.clone()), executor: Some(kind), ..sim_opts(2) };
-        solve(a.clone(), b, config, &opts)
+    let opts = SolveOptions { faults: Some(plan), ..sim_opts(2) };
+    // What must replay: the fingerprint, status and resilience record, or
+    // the structured error.
+    let run = |engine| {
+        solve_with_engine(a.clone(), b, config, &opts, engine)
+            .map(|r| (fingerprint(&r), r.status, r.report.resilience))
     };
-    for kind in [ExecutorKind::Sequential, ExecutorKind::Parallel] {
-        match (run(kind), run(kind)) {
-            (Ok(r1), Ok(r2)) => {
-                assert_eq!(
-                    fingerprint(&r1),
-                    fingerprint(&r2),
-                    "faulted solve drifted between identical runs ({kind:?})"
-                );
-                assert_eq!(r1.status, r2.status, "status drifted ({kind:?})");
-                assert_eq!(
-                    r1.report.resilience, r2.report.resilience,
-                    "resilience record drifted ({kind:?})"
-                );
-            }
-            (Err(e1), Err(e2)) => {
-                assert_eq!(e1, e2, "faulted solve error drifted ({kind:?})")
-            }
-            (r1, r2) => panic!(
-                "faulted solve outcome class drifted ({kind:?}): {:?} vs {:?}",
-                r1.map(|r| r.residual),
-                r2.map(|r| r.residual)
-            ),
+    let want = run(EngineOptions::ALL[0]);
+    for engine in EngineOptions::ALL {
+        for replay in 0..2 {
+            assert_eq!(want, run(engine), "faulted solve drifted ({engine:?}, replay {replay})");
         }
-    }
-    // And the two executors must agree with each other (the fault layer
-    // keys on superstep coordinates, not host scheduling).
-    match (run(ExecutorKind::Sequential), run(ExecutorKind::Parallel)) {
-        (Ok(rs), Ok(rp)) => {
-            assert_eq!(
-                fingerprint(&rs),
-                fingerprint(&rp),
-                "faulted solve differs between executors"
-            );
-            assert_eq!(rs.report.resilience, rp.report.resilience);
-        }
-        (Err(es), Err(ep)) => assert_eq!(es, ep, "faulted error differs between executors"),
-        (rs, rp) => panic!(
-            "faulted outcome class differs between executors: {:?} vs {:?}",
-            rs.map(|r| r.residual),
-            rp.map(|r| r.residual)
-        ),
     }
 }
 

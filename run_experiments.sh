@@ -28,7 +28,7 @@ run "Resilience" resilience                | tee results/resilience.txt
 run "Serve (throughput)" serve             | tee results/serve.txt
 run "Serve (chaos)" serve -- --chaos --out results/serve_chaos.json | tee results/serve_chaos.txt
 run "Perf attribution" perf_attrib         | tee results/perf_attrib.txt
-run "Native kernels" native_speedup        | tee results/native_speedup.txt
+run "Fused kernels" native_speedup         | tee results/native_speedup.txt
 # Auto-tuner gate: cold search populates results/tune-cache, the second
 # invocation must hit it and reproduce the solve bit for bit.
 rm -rf results/tune-cache

@@ -12,8 +12,10 @@
 //!   GraphCore Mk2 IPU: tiles, SRAM, six worker threads per tile, BSP
 //!   supersteps, and the all-to-all exchange fabric.
 //! * [`graph`] — the Poplar-style programming model: tensors with tile
-//!   mappings, compute sets, program steps, codelets (a typed stack VM) and
-//!   the graph compiler/engine.
+//!   mappings, compute sets, program steps, codelets (a typed stack VM),
+//!   the graph compiler and the engine, which interprets each vertex or,
+//!   with fusion on, runs it on the fused kernel matched to its codelet,
+//!   on one host thread or tile-parallel.
 //! * [`dsl`] — CodeDSL (tile-local codelet description) and TensorDSL
 //!   (global tensor expressions with lazy, fusing materialisation and a
 //!   control-flow stack).
@@ -29,8 +31,10 @@
 //!   (roofline model) comparators used by the evaluation benches.
 //! * [`backend`] — the device/backend abstraction unifying the simulator
 //!   and the baselines behind one `Backend` trait and the
-//!   `GRAPHENE_BACKEND` registry grammar (see
-//!   [`graphene_core::backends`] for the registry itself).
+//!   `GRAPHENE_BACKEND` registry grammar — `ipu-sim`, `ipu-sim:par`,
+//!   `ipu-sim:fused`, `cpu`, `cpu:par`, `gpu-model`; the one selector of
+//!   how a solve executes (see [`graphene_core::backends`] for the
+//!   registry itself).
 //! * [`serve`] — the fault-tolerant multi-tenant solve service: bounded
 //!   per-tenant queues with deficit-round-robin fairness, per-job
 //!   deadlines, seeded retry backoff, poison-job quarantine,

@@ -5,8 +5,9 @@
 //! * the cross-backend differential sweep — the Krylov subset of the
 //!   verification suite on both the IPU simulator and the CPU baseline,
 //!   judged against the oracle and against each other;
-//! * `SolveOptions::backend = ipu-sim:<variant>` is bit- and
-//!   cycle-identical to pinning the corresponding executor directly;
+//! * every `SolveOptions::backend = ipu-sim[:<variant>]` is bit- and
+//!   cycle-identical to `ipu-sim`, the interpreted reference, and reports
+//!   the name it was pinned to;
 //! * the registry refuses unknown names with `SolveError::Config` and
 //!   capability mismatches with `SolveError::Backend` — typed errors,
 //!   never panics;
@@ -25,8 +26,6 @@ use graphene::prelude::IpuModel;
 use graphene::profile::SolveReport;
 use graphene::sparse::gen::{poisson_2d_5pt, rhs_for_ones};
 use verify::cross_backend::{check_cross_backend, cpu_supported_cases};
-
-use graphene::graph::ExecutorKind;
 
 fn sim_opts() -> SolveOptions {
     SolveOptions {
@@ -49,60 +48,48 @@ fn cross_backend_differential_suite() {
     // Two backend rows per (case, family); at least 3 families per case.
     assert!(outcomes.len() >= cpu_supported_cases().len() * 3 * 2);
     assert!(outcomes.iter().any(|o| o.backend == "cpu"));
-    assert!(outcomes.iter().any(|o| o.backend == "ipu-sim:seq"));
+    assert!(outcomes.iter().any(|o| o.backend == "ipu-sim"));
 }
 
 // ---- backend selection equivalence (tentpole acceptance) --------------
 
 #[test]
-fn backend_pinning_matches_executor_pinning() {
+fn every_ipu_sim_backend_matches_the_interpreted_reference() {
     let a = Rc::new(poisson_2d_5pt(10, 10, 1.0));
     let b = rhs_for_ones(&a);
     let cfg = krylov();
-    for (variant, kind) in [
-        (IpuVariant::Seq, ExecutorKind::Sequential),
-        (IpuVariant::Par, ExecutorKind::Parallel),
-        (IpuVariant::Native, ExecutorKind::Native),
-    ] {
-        let via_backend = solve(
-            Rc::clone(&a),
-            &b,
-            &cfg,
-            &SolveOptions { backend: Some(BackendSpec::IpuSim(variant)), ..sim_opts() },
-        )
-        .unwrap();
-        let via_executor =
-            solve(Rc::clone(&a), &b, &cfg, &SolveOptions { executor: Some(kind), ..sim_opts() })
+    let run = |variant| {
+        let spec = BackendSpec::IpuSim(variant);
+        let res =
+            solve(Rc::clone(&a), &b, &cfg, &SolveOptions { backend: Some(spec), ..sim_opts() })
                 .unwrap();
-        assert_eq!(via_backend.x, via_executor.x, "{variant:?}: bits must match");
-        assert_eq!(
-            via_backend.stats.device_cycles(),
-            via_executor.stats.device_cycles(),
-            "{variant:?}: cycles must match"
-        );
-        assert_eq!(via_backend.report.executor, kind.name());
-        let info = via_backend.report.backend.as_ref().expect("v3 report names its backend");
+        assert_eq!(res.report.executor, spec.name());
+        let info = res.report.backend.as_ref().expect("v3 report names its backend");
         assert_eq!(info.family, "ipu-sim");
         assert_eq!(info.timing, "cycle-model");
-        assert_eq!(info.name, BackendSpec::IpuSim(variant).name());
+        assert_eq!(info.name, spec.name());
+        res
+    };
+    let reference = run(IpuVariant::Default);
+    for variant in [IpuVariant::Par, IpuVariant::Fused] {
+        let res = run(variant);
+        assert_eq!(res.x, reference.x, "{variant:?}: bits must match");
+        assert_eq!(
+            res.stats.device_cycles(),
+            reference.stats.device_cycles(),
+            "{variant:?}: cycles must match"
+        );
     }
 }
 
 #[test]
-fn conflicting_backend_and_executor_pins_are_config_errors() {
-    let a = Rc::new(poisson_2d_5pt(6, 6, 1.0));
-    let b = rhs_for_ones(&a);
-    let opts = SolveOptions {
-        backend: Some(BackendSpec::IpuSim(IpuVariant::Seq)),
-        executor: Some(ExecutorKind::Parallel),
-        ..sim_opts()
-    };
-    match solve(a, &b, &krylov(), &opts) {
-        Err(SolveError::Config(msg)) => {
-            assert!(msg.contains("ipu-sim:seq"), "{msg}");
-            assert!(msg.contains("parallel"), "{msg}");
+fn removed_backend_spellings_are_config_errors() {
+    for name in ["ipu-sim:seq", "ipu-sim:native", "ipu-sim:legacy"] {
+        match resolve_backend(name, &sim_opts()) {
+            Err(SolveError::Config(msg)) => assert!(msg.contains("unknown backend"), "{msg}"),
+            Ok(_) => panic!("`{name}` must not resolve"),
+            Err(other) => panic!("expected Config, got {other}"),
         }
-        other => panic!("expected Config error, got {other:?}"),
     }
 }
 
@@ -113,7 +100,7 @@ fn unknown_backend_is_a_config_error() {
     match resolve_backend("quantum-annealer", &sim_opts()) {
         Err(SolveError::Config(msg)) => {
             assert!(msg.contains("unknown backend"), "{msg}");
-            assert!(msg.contains("gpu-model") && msg.contains("ipu-sim:seq"), "{msg}");
+            assert!(msg.contains("gpu-model") && msg.contains("ipu-sim:fused"), "{msg}");
         }
         Ok(_) => panic!("unknown backend must not resolve"),
         Err(other) => panic!("expected Config, got {other}"),

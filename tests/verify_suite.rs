@@ -100,10 +100,11 @@ fn double_runs_are_bit_identical() {
 
 /// Every configuration in the verification suite must be bit-identical
 /// (solution tensors) and cycle-identical (device cycles, per-phase and
-/// per-label splits, per-tile busy time) under the sequential and the
-/// tile-parallel host executor.
+/// per-label splits, per-tile busy time), with identical perf attribution
+/// and trace events, under fused and interpreted dispatch, on one host
+/// thread and tile-parallel.
 #[test]
-fn executors_are_equivalent_across_suite() {
+fn engine_options_are_equivalent_across_suite() {
     let a = Rc::new(poisson_2d_5pt(8, 8, 1.0));
     let b = rhs_for_ones(&a);
     for case in graphene::graphene_core::config::verification_suite() {
@@ -115,9 +116,8 @@ fn executors_are_equivalent_across_suite() {
 /// Every configuration in the verification suite must be bit-identical
 /// (solution tensors) and cycle-identical (device cycles, per-phase and
 /// per-label splits, per-tile busy time, histories) across the optimised
-/// plan, the unoptimised plan (`GRAPHENE_NO_OPT=1`) and the legacy
-/// tree-walking interpreter — the graph compiler's passes only remove
-/// host dispatch overhead, never simulated device work.
+/// and the unoptimised plan (`GRAPHENE_NO_OPT=1`) — the graph compiler's
+/// passes only remove host dispatch overhead, never simulated device work.
 #[test]
 fn plans_are_equivalent_across_suite() {
     let a = Rc::new(poisson_2d_5pt(8, 8, 1.0));
@@ -135,10 +135,10 @@ fn plans_are_equivalent_across_suite() {
 
 /// Auto-tuning must preserve both halves of the determinism contract: a
 /// plan-cache hit reproduces the cold-tune solve bit for bit, and the
-/// tuned configuration stays bit-and-cycle-identical across all four host
-/// executors.
+/// tuned configuration stays bit-and-cycle-identical under every engine
+/// option.
 #[test]
-fn tuned_solves_hit_the_cache_and_stay_executor_equivalent() {
+fn tuned_solves_hit_the_cache_and_stay_engine_equivalent() {
     use graphene::graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
 
     let a = Rc::new(poisson_2d_5pt(8, 8, 1.0));
@@ -180,7 +180,7 @@ fn tuned_solves_hit_the_cache_and_stay_executor_equivalent() {
     assert_eq!(cb, wb, "cache hit diverged from the cold tune");
     assert_eq!(cold.stats.device_cycles(), warm.stats.device_cycles());
 
-    // The tuned (cache-hit) configuration keeps the four-way executor
+    // The tuned (cache-hit) configuration keeps the engine-option
     // equivalence contract.
     let eq = assert_executor_equivalence_with(a, &b, &cfg, &base);
     assert!(eq.device_cycles > 0);
@@ -208,8 +208,8 @@ fn seeded_faults_never_yield_silently_wrong_answers() {
     assert!(rep.faults_fired > 0, "sweep never fired a fault: {rep:?}");
 }
 
-/// A faulted solve replays bit-identically across runs and across both
-/// host executors, and the machinery costs nothing when off.
+/// A faulted solve replays bit-identically across runs and across every
+/// engine option, and the machinery costs nothing when off.
 #[test]
 fn faulted_solves_are_deterministic_and_free_when_off() {
     let a = Rc::new(poisson_2d_5pt(8, 8, 1.0));
