@@ -26,6 +26,7 @@ use std::rc::Rc;
 
 use graphene_bench::{header, ipu_friendly_grid, measure_spmv, Args};
 use graphene_core::config::SolverConfig;
+use graphene_core::env::EnvConfig;
 use graphene_core::runner::{solve_or_panic, SolveOptions};
 use graphene_core::solvers::ExtendedPrecision;
 use ipu_sim::model::IpuModel;
@@ -106,8 +107,10 @@ fn to_json(ms: &[Measurement]) -> Json {
     ])
 }
 
+/// An on/off variable through the one flag grammar; a typo stops the gate
+/// rather than reading as "off".
 fn env_on(key: &str) -> bool {
-    std::env::var(key).is_ok_and(|v| v == "1")
+    EnvConfig::flag(key).unwrap_or_else(|e| panic!("{e}")) == Some(true)
 }
 
 fn main() {

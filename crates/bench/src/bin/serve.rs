@@ -26,6 +26,7 @@ use std::time::Duration;
 use backend::BackendSpec;
 use graphene_bench::{header, Args};
 use graphene_core::config::SolverConfig;
+use graphene_core::env::EnvConfig;
 use graphene_core::resilience::Backoff;
 use json::Json;
 use serve::{Chaos, JobSpec, ServeEngine, ServeOptions, ServeStats, StormSpec};
@@ -142,9 +143,9 @@ fn main() {
     let chaos = args.has("--chaos");
     let out = args.get_str("--out", "results/serve.json");
 
-    let spec = match BackendSpec::from_env() {
+    let spec = match EnvConfig::backend() {
         Ok(s) => s.unwrap_or(BackendSpec::IpuSim(backend::IpuVariant::Default)),
-        Err(e) => fail(&e),
+        Err(e) => fail(&e.to_string()),
     };
     let fault_capable = spec.family() == "ipu-sim";
     header(&format!(

@@ -14,7 +14,10 @@
 //! A missing results directory, unreadable files, truncated JSON and
 //! unknown shapes are all listed under `"skipped"` rather than failing
 //! the aggregation: a half-finished experiment sweep still summarises.
-//! The logic lives in `graphene_bench::summary` (tested there).
+//! The one thing that fails it is finding no solve row at all: the
+//! documents are still written, but the exit code is 1, so the Solves
+//! table cannot go empty unnoticed. The logic lives in
+//! `graphene_bench::summary` (tested there).
 
 use graphene_bench::summary::summarize_dir;
 use graphene_bench::{header, Args};
@@ -31,10 +34,10 @@ fn main() {
 
     if summary.files.is_empty() && !summary.skipped.is_empty() {
         // Nothing aggregatable (most likely the directory is missing):
-        // warn, still write nothing, but exit cleanly.
+        // warn and write nothing.
         eprintln!("[graphene] nothing to summarize under {}", dir.display());
         println!("summarized 0 files: 0 solve rows, 0 bins, {} skipped", summary.skipped.len());
-        return;
+        std::process::exit(1);
     }
 
     let json_path = dir.join("summary.json");
@@ -54,4 +57,13 @@ fn main() {
         summary.bins.len(),
         summary.skipped.len()
     );
+    if summary.solves.is_empty() {
+        eprintln!(
+            "[graphene] no solve rows under {}: run the figure/table binaries with \
+             GRAPHENE_REPORT={} first",
+            dir.display(),
+            dir.display()
+        );
+        std::process::exit(1);
+    }
 }

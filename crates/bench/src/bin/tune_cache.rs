@@ -17,8 +17,8 @@
 //!
 //! `--expect-hit` additionally requires the *first* solve to already hit
 //! the cache (the CI second invocation); `--cache <dir>` overrides the
-//! cache directory (default `results/tune-cache`, or `GRAPHENE_TUNE_CACHE`
-//! when set). Output: a table on stdout and `results/tune.json`
+//! cache directory (default: `GRAPHENE_TUNE_CACHE`, else `.graphene-cache`,
+//! as for any tuned solve). Output: a table on stdout and `results/tune.json`
 //! (override with `--out <path>`).
 
 use std::rc::Rc;
@@ -26,6 +26,7 @@ use std::rc::Rc;
 use backend::{BackendSpec, IpuVariant};
 use graphene_bench::{header, Args};
 use graphene_core::config::SolverConfig;
+use graphene_core::env::EnvConfig;
 use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
 use graphene_core::solvers::ExtendedPrecision;
 use ipu_sim::model::IpuModel;
@@ -57,9 +58,8 @@ fn main() {
     let scale = args.get("--scale", 0.002);
     let expect_hit = args.has("--expect-hit");
     let out = args.get_str("--out", "results/tune.json");
-    let cache_default =
-        std::env::var("GRAPHENE_TUNE_CACHE").unwrap_or_else(|_| "results/tune-cache".to_string());
-    let cache = std::path::PathBuf::from(args.get_str("--cache", &cache_default));
+    let cache_default = EnvConfig::tune_cache();
+    let cache = std::path::PathBuf::from(args.get_str("--cache", &cache_default.to_string_lossy()));
 
     // The budget_check fig8 workload: MPIR(dw) { PBiCGStab(100) { ILU(0) } }.
     let a = Rc::new(sparse::gen::suitesparse::by_name("G3_circuit", scale));

@@ -12,6 +12,7 @@ use std::rc::Rc;
 
 use dsl::prelude::*;
 use graphene_core::dist::DistSystem;
+use graphene_core::env::EnvConfig;
 use graphene_core::runner::SolveResult;
 use ipu_sim::clock::Phase;
 use json::Json;
@@ -97,7 +98,7 @@ pub struct Reporter {
 impl Reporter {
     /// A reporter for binary `bin`; inert unless `GRAPHENE_REPORT` is set.
     pub fn from_env(bin: &str) -> Reporter {
-        Reporter { bin: bin.to_string(), dir: profile::report_dir_from_env(), runs: Vec::new() }
+        Reporter { bin: bin.to_string(), dir: EnvConfig::report_dir(), runs: Vec::new() }
     }
 
     /// Whether reports will actually be written.
@@ -201,16 +202,17 @@ pub fn measure_spmv_with_partition(
     let mut engine = ctx.build_engine().expect("spmv program compiles");
     // GRAPHENE_TRACE=<path> drops a Chrome trace + text report per
     // measurement (sequence-numbered across runs in one process).
-    let trace_path = profile::next_trace_path();
-    if trace_path.is_some() {
-        engine.set_trace(profile::TraceRecorder::new());
+    let trace_cfg = EnvConfig::trace();
+    if let Some(t) = &trace_cfg {
+        engine.set_trace(profile::TraceRecorder::new(t.tile_lanes));
         engine.enable_perf();
     }
     sys.upload(&mut engine);
     engine.run();
-    if let (Some(path), Some(trace)) = (&trace_path, engine.trace()) {
+    if let (Some(t), Some(trace)) = (&trace_cfg, engine.trace()) {
         let perf = engine.perf_report(12);
-        profile::write_trace_artifacts(path, trace, engine.stats(), perf.as_ref(), 12);
+        let path = profile::numbered_trace_path(&t.path);
+        profile::write_trace_artifacts(&path, trace, engine.stats(), perf.as_ref(), 12);
     }
     let stats = engine.stats();
     SpmvMeasurement {

@@ -95,5 +95,23 @@ fn partial_sweep_skips_casualties_and_keeps_the_rest() {
     let md = s.to_markdown();
     assert!(md.contains("truncated.json"));
     assert!(md.contains("### bespoke"));
+
+    // The binary: exit 0 while there are solve rows, non-zero once none is
+    // left (the documents are written either way), so an empty Solves
+    // table fails whatever ran it.
+    let summarize = || {
+        std::process::Command::new(env!("CARGO_BIN_EXE_summarize"))
+            .arg("--dir")
+            .arg(&dir)
+            .output()
+            .expect("summarize runs")
+    };
+    assert!(summarize().status.success());
+    assert!(std::fs::read_to_string(dir.join("summary.md")).unwrap().contains("| solve |"));
+    std::fs::remove_file(dir.join("good.json")).unwrap();
+    std::fs::remove_file(dir.join("oldrun.json")).unwrap();
+    let out = summarize();
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(dir.join("summary.md").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

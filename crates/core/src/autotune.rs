@@ -25,7 +25,7 @@ use sparse::gen::Grid3;
 use sparse::partition::Partition;
 use tune::{
     candidate_space, pick_sell_c, solver_key, tune_with_cache, Candidate, PlanCache, Score,
-    Strategy, TuneKey, TunedPlan, SELL_C_LADDER,
+    Strategy, TuneKey, TunedPlan, DEFAULT_CACHE_DIR, SELL_C_LADDER,
 };
 
 use crate::config::SolverConfig;
@@ -71,37 +71,6 @@ impl TuneDecision {
     }
 }
 
-/// Strict `GRAPHENE_TUNE` parse: unset/empty and the usual falsy spellings
-/// disable, truthy spellings enable, anything else is a configuration
-/// error (same contract as the engine's env knobs — no silent typo-off).
-pub fn tune_enabled_from_env() -> Result<bool, SolveError> {
-    match std::env::var("GRAPHENE_TUNE") {
-        Err(_) => Ok(false),
-        Ok(v) => parse_tune_flag(&v).map_err(SolveError::Config),
-    }
-}
-
-/// The pure half of [`tune_enabled_from_env`]: empty means unset (CI
-/// templating produces empty strings), typos are errors, not silent offs.
-pub fn parse_tune_flag(v: &str) -> Result<bool, String> {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "" => Ok(false),
-        "1" | "true" | "on" | "yes" => Ok(true),
-        "0" | "false" | "off" | "no" => Ok(false),
-        other => Err(format!(
-            "GRAPHENE_TUNE: unrecognised value `{other}` (expected 0/1/true/false/on/off/yes/no)"
-        )),
-    }
-}
-
-/// Tile count a candidate's rows-per-tile maps to — the same rule as
-/// `SolveOptions::pick_tiles`, with the ladder's rpt in place of the
-/// configured one. A pinned `opts.tiles` wins outright.
-fn tiles_for(opts: &SolveOptions, nrows: usize, rows_per_tile: usize) -> usize {
-    let by_rows = nrows.div_ceil(rows_per_tile).max(1);
-    opts.tiles.unwrap_or(by_rows).min(opts.model.num_tiles()).min(nrows)
-}
-
 /// Build the partition a candidate describes, or say why it cannot exist
 /// (only the geometric family can fail — an unfactorable part count).
 fn build_partition(
@@ -142,7 +111,9 @@ fn probe_cycles(
     Ok(engine.stats().device_cycles())
 }
 
-/// Search (or load) the best plan for `(a, config, opts)`.
+/// Search (or load) the best plan for `(a, config, opts)`. Reads nothing
+/// from the environment: `opts` are taken as resolved, a `None` meaning
+/// the default.
 ///
 /// Only called when tuning is enabled and the caller did not pin a
 /// partition. Never fails the solve on cache trouble — only on a
@@ -152,21 +123,15 @@ pub fn tune(
     config: &SolverConfig,
     opts: &SolveOptions,
 ) -> Result<TuneDecision, SolveError> {
-    // The effective pass-toggle default, and whether it is pinned. A
-    // pinned toggle (explicit option or GRAPHENE_NO_OPT in the
-    // environment) keeps the search inside the caller's compile mode, so
-    // e.g. the plan-equivalence harness's optimise-on/off legs still
-    // enumerate identical partition candidates (passes are cycle-neutral,
-    // so the winner cannot depend on the toggle either way).
-    let no_opt_env = std::env::var("GRAPHENE_NO_OPT").is_ok();
-    let eff_optimise = match opts.optimise {
-        Some(o) => o,
-        None => CompileOptions::from_env().optimise,
-    };
-    let optimise_choices: Vec<bool> = if opts.optimise.is_some() || no_opt_env {
-        vec![eff_optimise]
-    } else {
-        vec![eff_optimise, !eff_optimise]
+    // A pinned pass toggle (`opts.optimise`, which `resolved()` also fills
+    // from an explicit GRAPHENE_NO_OPT=0/1) keeps the search inside the
+    // caller's compile mode, so e.g. the plan-equivalence harness's
+    // optimise-on/off legs still enumerate identical partition candidates
+    // (passes are cycle-neutral, so the winner cannot depend on the toggle
+    // either way). An open one is searched, optimised first.
+    let optimise_choices: Vec<bool> = match opts.optimise {
+        Some(pinned) => vec![pinned],
+        None => vec![true, false],
     };
     // The geometric family needs a grid that actually describes the rows.
     let grid = opts.grid.filter(|g| g.num_cells() == a.nrows);
@@ -201,14 +166,11 @@ pub fn tune(
     ];
     let key_refs: Vec<&str> = key_parts.iter().map(String::as_str).collect();
     let key = TuneKey::new(fp.digest, solver_key(&key_refs));
-    let cache = match &opts.tune_cache {
-        Some(dir) => PlanCache::at(dir.clone()),
-        None => PlanCache::at(PlanCache::default_dir()),
-    };
+    let cache = PlanCache::at(opts.tune_cache.clone().unwrap_or_else(|| DEFAULT_CACHE_DIR.into()));
 
     let (sell_c, _bytes) = pick_sell_c(a, SELL_C_LADDER);
     let score = |cand: &Candidate| -> Result<Score, String> {
-        let tiles = tiles_for(opts, a.nrows, cand.rows_per_tile);
+        let tiles = opts.pick_tiles(a.nrows, cand.rows_per_tile);
         let part = build_partition(a, grid, cand.strategy, tiles)?;
         let device_cycles = probe_cycles(a, &opts.model, &part, cand.optimise)?;
         let imbalance_milli = (part.nnz_imbalance(a) * 1000.0).round() as u64;
@@ -221,7 +183,7 @@ pub fn tune(
     // Materialise the winner (identical whether it was just scored or
     // loaded: partition construction is deterministic in the plan).
     let plan = outcome.plan;
-    let tiles = tiles_for(opts, a.nrows, plan.rows_per_tile);
+    let tiles = opts.pick_tiles(a.nrows, plan.rows_per_tile);
     let partition = build_partition(a, grid, plan.strategy, tiles).map_err(|e| {
         SolveError::Config(format!("cached plan is not realisable ({e}); clear the tune cache"))
     })?;
@@ -239,28 +201,6 @@ pub fn tune(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tune_flag_grammar() {
-        for (v, want) in [
-            ("", false),
-            ("  ", false),
-            ("1", true),
-            ("true", true),
-            ("ON", true),
-            ("yes", true),
-            ("0", false),
-            ("false", false),
-            ("off", false),
-            ("No", false),
-        ] {
-            assert_eq!(parse_tune_flag(v).unwrap(), want, "{v:?}");
-        }
-        for v in ["maybe", "2", "tuned", "-1"] {
-            let e = parse_tune_flag(v).unwrap_err();
-            assert!(e.contains("GRAPHENE_TUNE") && e.contains(v), "{e}");
-        }
-    }
 
     #[test]
     fn probe_cycles_are_deterministic_and_partition_sensitive() {

@@ -5,41 +5,45 @@
 //! module adds the piece that must live above the DSL and solver layers:
 //!
 //! * [`IpuSimBackend`] — the cycle-modelled IPU simulator behind the
-//!   trait. One type, three variants ([`IpuVariant`]), each a
-//!   [`runner::solve`] with `SolveOptions::backend` pinned under the
-//!   hood, so a trait-level run is bit- and cycle-identical to calling
-//!   the runner with that backend.
+//!   trait. One type, three variants ([`IpuVariant`]). `prepare` resolves
+//!   the options and builds a [`runner::Plan`](crate::runner::Plan);
+//!   `execute` is `Plan::run`, so a trait-level run is bit-, cycle- and
+//!   report-identical to `runner::solve` with that backend pinned.
 //! * [`resolve`] / [`backend_for`] — the name → backend registry behind
 //!   `GRAPHENE_BACKEND` and `SolveOptions::backend`. Unknown names are
 //!   [`SolveError::Config`].
-//! * [`external_solve`] — the runner's dispatch path for non-IPU
-//!   backends: capability checks first (fault injection or auto-tuning on
-//!   a backend that lacks them is a typed [`SolveError::Backend`], never
-//!   a panic), then prepare/execute through the trait, then the same
-//!   tolerance judgement the IPU path applies.
+//! * [`external_solve`] — where `runner::solve` sends non-IPU backends:
+//!   the runner's own input checks and host answers, capability checks
+//!   (fault injection or auto-tuning on a backend that lacks them is a
+//!   typed [`SolveError::Backend`], never a panic), prepare/execute
+//!   through the trait, then the same tolerance judgement the IPU path
+//!   applies.
+//!
+//! The call graph is a DAG: `runner::solve` → {`Plan`, `external_solve`},
+//! `IpuSimPrepared` → `Plan`; nothing here calls back into `solve`.
 
 use std::rc::Rc;
+use std::time::Instant;
 
 use backend::{
     Backend, BackendError, BackendRun, BackendSpec, Capabilities, IpuVariant, PreparedPlan,
     SolvePlan, Timing,
 };
 use ipu_sim::clock::CycleStats;
-use ipu_sim::fault::FaultPlan;
 use sparse::formats::CsrMatrix;
 
 use crate::config::SolverConfig;
 use crate::resilience::{target_tolerance, SolveError, SolveStatus};
-use crate::runner::{solve, SolveOptions, SolveResult, TOLERANCE_SAFETY};
+use crate::runner::{
+    check_system, deadline_error, engine_options, preflight, Plan, SolveOptions, SolveResult,
+    TOLERANCE_SAFETY,
+};
 
 // ----------------------------------------------------------------------
 // The IPU simulator as a backend
 // ----------------------------------------------------------------------
 
-/// The simulated IPU behind the [`Backend`] trait. Each prepared plan
-/// replays through [`runner::solve`](crate::runner::solve) with the
-/// variant pinned, so results, `CycleStats` and reports are identical to
-/// calling the runner directly.
+/// The simulated IPU behind the [`Backend`] trait.
 pub struct IpuSimBackend {
     variant: IpuVariant,
     /// Machine/partition options every execution of this backend uses
@@ -73,30 +77,42 @@ impl Backend for IpuSimBackend {
         }
     }
 
+    /// Everything that does not depend on the right-hand side happens
+    /// here, once: the environment is resolved, the matrix, configuration
+    /// and partition are validated (a non-square matrix or a malformed
+    /// configuration is refused now, not by the first `execute`), the
+    /// tuner decides and the matrix is partitioned. One visible
+    /// consequence: under tuning the decision is taken once per plan, so
+    /// every execute's report carries the prepare-time `tune.*` counters
+    /// (a cache miss stays a miss however many times the plan runs).
     fn prepare(&self, plan: &SolvePlan) -> Result<Box<dyn PreparedPlan>, BackendError> {
+        let name = self.name();
         let config = SolverConfig::from_value(&plan.solver).map_err(|e| {
-            BackendError::Unsupported { backend: self.name(), what: format!("solver config: {e}") }
+            BackendError::Unsupported { backend: name.clone(), what: format!("solver config: {e}") }
         })?;
-        let mut opts = self.base.clone();
-        opts.backend = Some(BackendSpec::IpuSim(self.variant));
-        opts.record_history = plan.record_history;
-        Ok(Box::new(IpuSimPrepared { name: self.name(), a: Rc::clone(&plan.a), config, opts }))
+        let opts = SolveOptions {
+            backend: Some(BackendSpec::IpuSim(self.variant)),
+            record_history: plan.record_history,
+            ..self.base.clone()
+        };
+        let plan = opts
+            .resolved()
+            .and_then(|o| Plan::new(Rc::clone(&plan.a), &config, &o, engine_options(self.variant)))
+            .map_err(|e| BackendError::Failed { backend: name.clone(), reason: e.to_string() })?;
+        Ok(Box::new(IpuSimPrepared { name, plan }))
     }
 }
 
 struct IpuSimPrepared {
     name: String,
-    a: Rc<CsrMatrix>,
-    config: SolverConfig,
-    opts: SolveOptions,
+    plan: Plan,
 }
 
 impl PreparedPlan for IpuSimPrepared {
     fn execute(&mut self, b: &[f64], x0: Option<&[f64]>) -> Result<BackendRun, BackendError> {
-        let mut opts = self.opts.clone();
-        opts.x0 = x0.map(<[f64]>::to_vec);
-        let res = solve(Rc::clone(&self.a), b, &self.config, &opts).map_err(|e| {
-            BackendError::Failed { backend: self.name.clone(), reason: e.to_string() }
+        let res = self.plan.run(b, x0, Instant::now()).map_err(|e| BackendError::Failed {
+            backend: self.name.clone(),
+            reason: e.to_string(),
         })?;
         Ok(BackendRun {
             x: res.x,
@@ -135,44 +151,36 @@ pub fn resolve(name: &str, base: &SolveOptions) -> Result<Box<dyn Backend>, Solv
 // The runner's external dispatch path
 // ----------------------------------------------------------------------
 
-/// Run a solve on a non-IPU backend: capability checks, then the trait.
-/// Called by `runner::solve` when `SolveOptions::backend` /
-/// `GRAPHENE_BACKEND` selects `cpu`, `cpu:par` or `gpu-model`.
+/// Run a solve on a non-IPU backend: the runner's input checks and host
+/// answers, capability checks, then the trait. Called by `runner::solve`
+/// with resolved options when they select `cpu`, `cpu:par` or
+/// `gpu-model`; `start` is the solve's entry time.
 pub(crate) fn external_solve(
     spec: BackendSpec,
     a: Rc<CsrMatrix>,
     b: &[f64],
     config: &SolverConfig,
     opts: &SolveOptions,
+    start: Instant,
 ) -> Result<SolveResult, SolveError> {
-    // External backends have no mid-run abort hook, so the deadline is
-    // enforced post-hoc: a run that finishes past the cutoff is a typed
-    // DeadlineExceeded, never a silently late result.
-    let start = std::time::Instant::now();
+    check_system(&a, config, opts.partition.as_ref())?;
+    if let Some(done) = preflight(&a, b, opts.x0.as_deref(), config, start, opts.deadline)? {
+        return Ok(done);
+    }
     let be = backend_for(spec, opts);
     let caps = be.capabilities();
     let name = be.name();
 
-    // Capability mismatches are typed refusals (satellite contract).
-    let fault_plan = match &opts.faults {
-        Some(p) => Some(p.clone()),
-        None => FaultPlan::from_env().map_err(SolveError::Config)?,
+    // Capability mismatches are typed refusals.
+    let refuse = |what: &str| SolveError::Backend {
+        backend: name.clone(),
+        reason: format!("{what} requested, but this backend does not support it"),
     };
-    if fault_plan.is_some() && !caps.fault_injection {
-        return Err(SolveError::Backend {
-            backend: name.clone(),
-            reason: "fault injection requested, but this backend does not support it".into(),
-        });
+    if opts.faults.is_some() && !caps.fault_injection {
+        return Err(refuse("fault injection"));
     }
-    let tune_on = match opts.tune {
-        Some(t) => t,
-        None => crate::autotune::tune_enabled_from_env()?,
-    };
-    if tune_on && !caps.auto_tuning {
-        return Err(SolveError::Backend {
-            backend: name.clone(),
-            reason: "auto-tuning requested, but this backend does not support it".into(),
-        });
+    if opts.tune == Some(true) && !caps.auto_tuning {
+        return Err(refuse("auto-tuning"));
     }
 
     let plan = SolvePlan {
@@ -189,13 +197,11 @@ pub(crate) fn external_solve(
     };
     let mut prepared = be.prepare(&plan).map_err(map_err)?;
     let run = prepared.execute(b, opts.x0.as_deref()).map_err(map_err)?;
-    if let Some(budget) = opts.deadline {
-        if start.elapsed() >= budget {
-            return Err(SolveError::DeadlineExceeded {
-                elapsed_ms: start.elapsed().as_millis() as u64,
-                budget_ms: budget.as_millis() as u64,
-            });
-        }
+    // External backends have no mid-run abort hook, so the deadline is
+    // enforced post-hoc: a run that finishes past the cutoff is a typed
+    // DeadlineExceeded, never a silently late result.
+    if opts.deadline.is_some_and(|budget| start.elapsed() >= budget) {
+        return Err(deadline_error(start, opts.deadline));
     }
 
     // The same judgement contract as the IPU path: a non-finite or
@@ -204,17 +210,14 @@ pub(crate) fn external_solve(
         return Err(SolveError::NonFinite { attempt: 1 });
     }
     let status = match target_tolerance(config) {
-        Some(t) => {
-            if run.residual <= t * TOLERANCE_SAFETY {
-                SolveStatus::Converged
-            } else {
-                return Err(SolveError::ToleranceNotReached {
-                    residual: run.residual,
-                    target: t,
-                    attempts: 1,
-                });
-            }
+        Some(t) if run.residual > t * TOLERANCE_SAFETY => {
+            return Err(SolveError::ToleranceNotReached {
+                residual: run.residual,
+                target: t,
+                attempts: 1,
+            })
         }
+        Some(_) => SolveStatus::Converged,
         None => SolveStatus::MaxIters,
     };
     let seconds = run.timing.seconds();
@@ -238,6 +241,7 @@ mod tests {
     use sparse::gen::{poisson_2d_5pt, rhs_for_ones};
 
     use super::*;
+    use crate::runner::solve;
 
     fn sim_opts() -> SolveOptions {
         SolveOptions {
@@ -273,25 +277,136 @@ mod tests {
         }
     }
 
+    /// A report with what legitimately differs between an execute of a
+    /// prepared plan and a direct solve blanked: host wall-clock, and how
+    /// the tuner's plan was *obtained* (searched at prepare vs hit from the
+    /// cache that search wrote).
+    fn comparable(report: &profile::SolveReport) -> String {
+        let mut r = report.clone();
+        r.host_seconds = 0.0;
+        let perf = r.perf.take().expect("ipu-sim attributes every run");
+        for pass in r.compile.iter_mut().flat_map(|c| &mut c.passes) {
+            let volatile = ["cache_hit", "candidates_scored", "search_micros"];
+            if pass.name == "graphene-tune" {
+                pass.counters.retain(|(k, _)| !volatile.contains(&k.as_str()));
+            }
+        }
+        let m = &perf.metrics;
+        let counters = ["attempts", "restarts", "degradations", "detections", "checkpoints"]
+            .map(|k| m.counter(&format!("solve.{k}")));
+        let gauges = ["solve.iterations", "solve.final_residual", "tune.modelled_cycles"]
+            .map(|k| m.gauge(k).map(f64::to_bits));
+        format!("{}\n{}\n{counters:?}\n{gauges:?}", r.to_value(), perf.attribution_json())
+    }
+
     #[test]
     fn ipu_sim_backend_matches_a_direct_runner_call() {
         let a = Rc::new(poisson_2d_5pt(8, 8, 1.0));
         let b = rhs_for_ones(&a);
-        let direct = solve(Rc::clone(&a), &b, &cfg(), &sim_opts()).unwrap();
+        let b2: Vec<f64> = b.iter().enumerate().map(|(i, v)| 2.0 * v + i as f64).collect();
+        let ones = vec![1.0; a.nrows];
+        let tiny = |n: usize, values: Vec<f64>| {
+            let row_ptr = (0..=n).collect();
+            Rc::new(CsrMatrix { nrows: n, ncols: n, row_ptr, col_idx: vec![0; n], values })
+        };
+        let cache = std::env::temp_dir().join(format!("graphene-plan-tune-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache);
+        let faults = ipu_sim::fault::FaultPlan::parse("seed=7;n=3;classes=flip+xflip").unwrap();
 
-        let be = IpuSimBackend::new(IpuVariant::Fused, sim_opts());
-        assert!(be.capabilities().cycle_accounting);
-        let plan = SolvePlan { a: Rc::clone(&a), solver: cfg().to_value(), record_history: false };
-        let run = be.prepare(&plan).unwrap().execute(&b, None).unwrap();
+        // One prepare, then every (b, x0) through `execute`, against the
+        // same number of direct `runner::solve` calls.
+        type Runs<'a> = Vec<(&'a [f64], Option<&'a [f64]>)>;
+        let cases: Vec<(&str, Rc<CsrMatrix>, SolveOptions, Runs<'_>)> = vec![
+            ("plain", a.clone(), sim_opts(), vec![(&b, None), (&b2, Some(&ones)), (&b, None)]),
+            ("0x0", tiny(0, vec![]), sim_opts(), vec![(&[], None), (&[], None)]),
+            ("1x1", tiny(1, vec![4.0]), sim_opts(), vec![(&[8.0], None), (&[3.0], Some(&[1.0]))]),
+            (
+                "faulted",
+                a.clone(),
+                SolveOptions { faults: Some(faults), ..sim_opts() },
+                vec![(&b, None), (&b2, None)],
+            ),
+            (
+                "tuned",
+                a.clone(),
+                SolveOptions { tune: Some(true), tune_cache: Some(cache.clone()), ..sim_opts() },
+                vec![(&b, None), (&b2, Some(&ones))],
+            ),
+            (
+                "expired deadline",
+                a.clone(),
+                SolveOptions { deadline: Some(std::time::Duration::ZERO), ..sim_opts() },
+                vec![(&b, None)],
+            ),
+        ];
+        for (case, a, base, runs) in cases {
+            let be = IpuSimBackend::new(IpuVariant::Fused, base.clone());
+            assert!(be.capabilities().cycle_accounting);
+            let plan =
+                SolvePlan { a: Rc::clone(&a), solver: cfg().to_value(), record_history: false };
+            let mut prepared = be.prepare(&plan).unwrap_or_else(|e| panic!("{case}: {e}"));
+            for (b, x0) in runs {
+                let pinned = SolveOptions {
+                    backend: Some(BackendSpec::IpuSim(IpuVariant::Fused)),
+                    x0: x0.map(<[f64]>::to_vec),
+                    ..base.clone()
+                };
+                let (run, direct) =
+                    match (prepared.execute(b, x0), solve(a.clone(), b, &cfg(), &pinned)) {
+                        (Ok(run), Ok(direct)) => (run, direct),
+                        (Err(BackendError::Failed { reason, .. }), Err(e)) => {
+                            // Elapsed milliseconds aside, the same typed error.
+                            let kind = |s: &str| s.split(':').next().map(str::to_string);
+                            assert_eq!(kind(&reason), kind(&e.to_string()), "{case}");
+                            continue;
+                        }
+                        (run, direct) => {
+                            panic!(
+                                "{case}: outcomes diverged: {:?} vs {:?}",
+                                run.err(),
+                                direct.err()
+                            )
+                        }
+                    };
+                assert_ne!(case, "expired deadline", "an expired deadline must not run");
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+                assert_eq!(bits(&run.x), bits(&direct.x), "{case}: solution bits");
+                assert_eq!(run.residual.to_bits(), direct.residual.to_bits(), "{case}");
+                assert_eq!(run.iterations, direct.iterations, "{case}");
+                let stats = run.timing.cycle_stats().expect("ipu-sim counts cycles");
+                assert_eq!(stats.device_cycles(), direct.stats.device_cycles(), "{case}");
+                assert_eq!(stats.supersteps(), direct.stats.supersteps(), "{case}");
+                assert_eq!(
+                    stats.labels_by_phase_sorted(),
+                    direct.stats.labels_by_phase_sorted(),
+                    "{case}"
+                );
+                if a.nrows > 1 {
+                    assert_eq!(comparable(&run.report), comparable(&direct.report), "{case}");
+                    let info = run.report.backend.as_ref().expect("schema v3 stamps the backend");
+                    assert_eq!(
+                        (info.name.as_str(), info.timing.as_str()),
+                        ("ipu-sim:fused", "cycle-model")
+                    );
+                    assert_eq!(run.report.executor, be.name());
+                    assert!(run.iterations > 0, "{case}: iterations are counted without history");
+                } else {
+                    assert_eq!(run.report.to_value(), direct.report.to_value(), "{case}");
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&cache);
 
-        assert_eq!(run.x, direct.x, "trait-level run must be bit-identical");
-        assert_eq!(run.residual, direct.residual);
-        let stats = run.timing.cycle_stats().expect("ipu-sim counts cycles");
-        assert_eq!(stats.device_cycles(), direct.stats.device_cycles());
-        let info = run.report.backend.as_ref().expect("schema v3 stamps the backend");
-        assert_eq!(info.name, be.name());
-        assert_eq!(run.report.executor, be.name());
-        assert_eq!(info.timing, "cycle-model");
+        // What does not depend on b is refused by `prepare`, not by the
+        // first `execute`: a non-square matrix, a configuration that
+        // parses but is invalid (an unparseable one: the next test).
+        let be = IpuSimBackend::new(IpuVariant::Default, sim_opts());
+        let wide = Rc::new(CsrMatrix { ncols: a.ncols + 1, ..(*a).clone() });
+        let zero_budget = SolverConfig::Cg { max_iters: 0, rel_tol: 1e-6, precond: None };
+        for (a, solver) in [(wide, cfg()), (a.clone(), zero_budget)] {
+            let plan = SolvePlan { a, solver: solver.to_value(), record_history: false };
+            assert!(matches!(be.prepare(&plan), Err(BackendError::Failed { .. })));
+        }
     }
 
     #[test]

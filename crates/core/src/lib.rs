@@ -12,9 +12,10 @@
 //!   (§V-B) with double-word or emulated-double extended precision. Any
 //!   solver nests as a preconditioner of any other.
 //! * [`config`] — the JSON solver-hierarchy configuration (§V).
-//! * [`runner`] — the one-call host API: partition a matrix, build the
-//!   program, run it, return the solution with cycle statistics and
-//!   residual history.
+//! * [`runner`] — the one-call host API and the [`runner::Plan`] behind
+//!   it: partition a matrix, build the program, run it, return the
+//!   solution with cycle statistics and residual history.
+//! * [`env`] — the one place the process environment is read.
 //! * [`autotune`] — opt-in cost-model auto-tuning (`GRAPHENE_TUNE=1` or
 //!   `SolveOptions::tune`): scores partition/rows-per-tile/pass-toggle
 //!   candidates by a modelled-cycle SpMV probe and caches winners on disk
@@ -33,6 +34,7 @@ pub mod autotune;
 pub mod backends;
 pub mod config;
 pub mod dist;
+pub mod env;
 pub mod resilience;
 pub mod runner;
 pub mod solvers;

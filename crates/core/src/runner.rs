@@ -1,23 +1,37 @@
-//! The one-call host API.
+//! The one-call host API, and the plan behind it.
 //!
-//! [`solve`] performs the full pipeline of the paper's Figure 2: partition
-//! the matrix, build the distributed system, symbolically execute the
-//! configured solver into a graph program, compile, upload, run on the
-//! simulated device, and gather results and profiling data back.
+//! The paper's Figure 2 as it runs here, in order:
 //!
-//! Failures are structured ([`SolveError`]), and when a
-//! [`RecoveryPolicy`] (or an active fault plan, which auto-selects
-//! [`RecoveryPolicy::resilient`]) arms the detectors, the runner drives
-//! the detect → rollback → restart → degrade state machine of
-//! [`crate::resilience`]: each *attempt* is one full device run; a
-//! detection rolls back to the last finite checkpoint and retries, first
-//! with the same configuration (up to `max_restarts` per rung), then down
-//! the degradation ladder (up to `max_degradations` steps), before the
-//! detection's typed error is returned. Everything that happened is
-//! stamped into the report's `resilience` section.
+//! 1. **entry** — [`solve`] (or `IpuSimBackend::prepare`) takes the
+//!    caller's [`SolveOptions`];
+//! 2. **resolve** — [`SolveOptions::resolved`] fills every option left at
+//!    "ask the environment" from [`EnvConfig`], once; below this line
+//!    nothing reads the environment and `None` means the default;
+//! 3. **dispatch** — `cpu`, `cpu:par` and `gpu-model` leave for
+//!    `backends::external_solve`; everything else is the simulated IPU;
+//! 4. **[`Plan::new`]** — what depends on the matrix, configuration and
+//!    options only: validation, recovery policy, fault plan, the tuner's
+//!    decision, the partition;
+//! 5. **[`Plan::run`]** — what depends on `b` and `x0`: validation, the
+//!    deadline, the 0×0 / 1×1 host answers, then the attempt loop;
+//! 6. **attempt** — one full device run: distribute, symbolically execute
+//!    the solver (probes attached through `Solver::instrument`), compile,
+//!    upload, run, read back, recompute the true residual in f64;
+//! 7. **judge** — accept, or name a detection; a detection rolls back to
+//!    the last finite checkpoint and retries, first with the same
+//!    configuration (up to `max_restarts` per rung), then down the
+//!    degradation ladder (up to `max_degradations` steps) — the detect →
+//!    rollback → restart → degrade state machine of [`crate::resilience`]
+//!    — before the detection's typed error is returned;
+//! 8. **report** — the accepted attempt and everything that happened on
+//!    the way, as one [`SolveReport`].
+//!
+//! Failures are structured ([`SolveError`]). The detectors are armed by a
+//! [`RecoveryPolicy`] or by an active fault plan, which auto-selects
+//! [`RecoveryPolicy::resilient`].
 
 use std::rc::Rc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dsl::prelude::*;
 use graph::FaultState;
@@ -27,13 +41,15 @@ use profile::{DetectionRecord, PerfReport, Resilience, SolveReport, TraceRecorde
 use sparse::formats::CsrMatrix;
 use sparse::partition::Partition;
 
+use crate::autotune::TuneDecision;
 use crate::config::SolverConfig;
 use crate::dist::DistSystem;
+use crate::env::{EnvConfig, TraceConfig};
 use crate::resilience::{
     degrade, target_tolerance, validate_config, Checkpointer, Detection, DetectionKind,
     RecoveryPolicy, Sentinel, SolveError, SolveStatus,
 };
-use crate::solvers::{solver_from_config, BiCgStab, Cg, Monitor, Mpir};
+use crate::solvers::{solver_from_config, Monitor, Mpir, Probes};
 
 /// Options controlling partitioning, machine size and instrumentation.
 #[derive(Clone, Debug)]
@@ -54,7 +70,8 @@ pub struct SolveOptions {
     /// Initial guess (zeros if `None`).
     pub x0: Option<Vec<f64>>,
     /// Run the graph compiler's optimisation passes (`None`: whatever
-    /// `GRAPHENE_NO_OPT` selects, optimised when unset). Optimisation
+    /// `GRAPHENE_NO_OPT` selects, optimised when unset; under tuning, an
+    /// open toggle is the tuner's to choose). Optimisation
     /// affects host dispatch overhead only — results and `CycleStats` are
     /// bit-identical either way.
     pub optimise: Option<bool>,
@@ -93,7 +110,7 @@ pub struct SolveOptions {
     /// the next superstep and the solve returns
     /// [`SolveError::DeadlineExceeded`]. Deadlines are terminal — the
     /// recovery loop never restarts or degrades past one.
-    pub deadline: Option<std::time::Duration>,
+    pub deadline: Option<Duration>,
 }
 
 impl Default for SolveOptions {
@@ -118,9 +135,38 @@ impl Default for SolveOptions {
 }
 
 impl SolveOptions {
-    fn pick_tiles(&self, rows: usize) -> usize {
-        let by_rows = rows.div_ceil(self.rows_per_tile).max(1);
+    /// Tiles for `rows` rows at `rows_per_tile` (the tuner varies it): a
+    /// pinned `tiles` wins outright, capped by the machine and the rows.
+    pub(crate) fn pick_tiles(&self, rows: usize, rows_per_tile: usize) -> usize {
+        let by_rows = rows.div_ceil(rows_per_tile).max(1);
         self.tiles.unwrap_or(by_rows).min(self.model.num_tiles()).min(rows)
+    }
+
+    /// These options with each of the five fields that can stand for "ask
+    /// the environment" (`backend`, `optimise`, `faults`, `tune`,
+    /// `tune_cache`) filled from [`EnvConfig`] where the caller left it
+    /// `None`. A pinned field's variable is not read, so it cannot fail
+    /// the solve; a malformed value of one that is read does. In the
+    /// result a remaining `None` means the default (`ipu-sim`, optimise,
+    /// no faults, no tuning).
+    pub fn resolved(&self) -> Result<SolveOptions, SolveError> {
+        let mut o = self.clone();
+        if o.backend.is_none() {
+            o.backend = EnvConfig::backend()?;
+        }
+        if o.optimise.is_none() {
+            o.optimise = EnvConfig::optimise()?;
+        }
+        if o.faults.is_none() {
+            o.faults = EnvConfig::faults()?;
+        }
+        if o.tune.is_none() {
+            o.tune = EnvConfig::flag("GRAPHENE_TUNE")?;
+        }
+        if o.tune_cache.is_none() {
+            o.tune_cache = Some(EnvConfig::tune_cache());
+        }
+        Ok(o)
     }
 }
 
@@ -188,6 +234,9 @@ pub const TOLERANCE_SAFETY: f64 = 100.0;
 /// `opts.backend` / `GRAPHENE_BACKEND` selects (the simulated IPU when
 /// neither does). `opts.x0` is the initial guess (zeros if `None`).
 ///
+/// A straight line: resolve the options against the environment, dispatch
+/// on the backend, then [`Plan::new`] and [`Plan::run`].
+///
 /// Returns a structured [`SolveError`] instead of panicking on invalid
 /// inputs, compile failures, or detected-but-unrecoverable numerical
 /// trouble. A successful return is *judged*: when the configuration
@@ -200,13 +249,25 @@ pub fn solve(
     config: &SolverConfig,
     opts: &SolveOptions,
 ) -> Result<SolveResult, SolveError> {
-    solve_impl(a, b, config, opts, None)
+    // Wall-clock origin for the deadline and the retry budget. Both are
+    // measured from entry, so time spent queued before `solve()` is the
+    // caller's to account for (the serve layer passes *remaining* time).
+    let start = Instant::now();
+    let opts = opts.resolved()?;
+    let engine = match opts.backend {
+        None => EngineOptions::default(),
+        Some(backend::BackendSpec::IpuSim(variant)) => engine_options(variant),
+        Some(external) => {
+            return crate::backends::external_solve(external, a, b, config, &opts, start)
+        }
+    };
+    Plan::new(a, config, &opts, engine)?.run(b, opts.x0.as_deref(), start)
 }
 
 /// [`solve`] on the simulated IPU with the engine options given outright,
-/// ignoring `opts.backend` and `GRAPHENE_BACKEND`. The equivalence sweeps
-/// use it to reach fused dispatch under the tile-parallel schedule, the
-/// one combination no registry name selects.
+/// whatever `opts.backend` and `GRAPHENE_BACKEND` name. The equivalence
+/// sweeps use it to reach fused dispatch under the tile-parallel schedule,
+/// the one combination no registry name selects.
 pub fn solve_with_engine(
     a: Rc<CsrMatrix>,
     b: &[f64],
@@ -214,11 +275,13 @@ pub fn solve_with_engine(
     opts: &SolveOptions,
     engine: EngineOptions,
 ) -> Result<SolveResult, SolveError> {
-    solve_impl(a, b, config, opts, Some(engine))
+    let start = Instant::now();
+    let opts = opts.resolved()?;
+    Plan::new(a, config, &opts, engine)?.run(b, opts.x0.as_deref(), start)
 }
 
 /// The engine options an `ipu-sim` registry name stands for.
-fn engine_options(variant: backend::IpuVariant) -> EngineOptions {
+pub(crate) fn engine_options(variant: backend::IpuVariant) -> EngineOptions {
     match variant {
         backend::IpuVariant::Default => EngineOptions::default(),
         backend::IpuVariant::Par => EngineOptions { threads: 0, fusion: false },
@@ -237,306 +300,449 @@ fn ipu_sim_name(engine: EngineOptions) -> &'static str {
     }
 }
 
-fn solve_impl(
+/// Everything about a solve on the simulated IPU that is a function of the
+/// matrix, the solver configuration and the (resolved) options alone:
+/// validated inputs, the recovery policy, the fault plan, the tuner's
+/// decision and the partition. Built once — per [`solve`] call, or per
+/// `Backend::prepare` and then shared by every `execute` — and run once
+/// per right-hand side. The compiled engine is rebuilt by every attempt;
+/// holding it here is ROADMAP item 2.
+pub struct Plan {
     a: Rc<CsrMatrix>,
-    b: &[f64],
-    config: &SolverConfig,
-    opts: &SolveOptions,
-    engine: Option<EngineOptions>,
-) -> Result<SolveResult, SolveError> {
-    // Wall-clock origin for the deadline and the retry budget. Both are
-    // measured from entry, so time spent queued before `solve()` is the
-    // caller's to account for (the serve layer passes *remaining* time).
-    let solve_start = Instant::now();
-    let deadline_at = opts.deadline.map(|d| solve_start + d);
+    config: SolverConfig,
+    model: IpuModel,
+    engine: EngineOptions,
+    compile: CompileOptions,
+    record_history: bool,
+    deadline: Option<Duration>,
+    faults: Option<FaultPlan>,
+    policy: RecoveryPolicy,
+    tiles: usize,
+    partition: Partition,
+    decision: Option<TuneDecision>,
+    trace: Option<TraceConfig>,
+}
 
-    // ---- Validation: typed errors instead of panics. -----------------
-    if a.nrows != b.len() {
-        return Err(SolveError::Config(format!(
-            "matrix has {} rows but b has {} entries",
-            a.nrows,
-            b.len()
-        )));
-    }
+/// What the attempt loop has accumulated so far; stamped into the report.
+#[derive(Default)]
+struct Ledger {
+    attempts: u32,
+    restarts: u32,
+    degradations: Vec<String>,
+    detections: Vec<DetectionRecord>,
+    checkpoints: u64,
+    device_cycles: u64,
+}
+
+/// Matrix-side validation: typed errors instead of panics.
+pub(crate) fn check_system(
+    a: &CsrMatrix,
+    config: &SolverConfig,
+    partition: Option<&Partition>,
+) -> Result<(), SolveError> {
     if a.nrows != a.ncols {
         return Err(SolveError::Config(format!("matrix is {}x{}, not square", a.nrows, a.ncols)));
     }
     validate_config(config)?;
-    if let Some(p) = &opts.partition {
-        if p.num_rows() != a.nrows {
-            return Err(SolveError::Config(format!(
-                "partition covers {} rows but matrix has {}",
-                p.num_rows(),
-                a.nrows
-            )));
-        }
+    match partition {
+        Some(p) if p.num_rows() != a.nrows => Err(SolveError::Config(format!(
+            "partition covers {} rows but matrix has {}",
+            p.num_rows(),
+            a.nrows
+        ))),
+        _ => Ok(()),
     }
-    if let Some(x0) = &opts.x0 {
-        if x0.len() != a.nrows {
-            return Err(SolveError::Config(format!(
-                "x0 has {} entries but matrix has {} rows",
-                x0.len(),
-                a.nrows
-            )));
-        }
-    }
+}
 
-    // An already-expired deadline never runs the device at all.
-    if deadline_at.is_some_and(|at| Instant::now() >= at) {
-        return Err(deadline_error(solve_start, opts.deadline));
+/// Vector-side validation, the already-expired deadline (which never runs
+/// a device at all) and the degenerate systems answered on the host:
+/// `Ok(Some(_))` is the finished result of a 0×0 or 1×1 system.
+pub(crate) fn preflight(
+    a: &CsrMatrix,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    config: &SolverConfig,
+    start: Instant,
+    deadline: Option<Duration>,
+) -> Result<Option<SolveResult>, SolveError> {
+    let bad_len = |name: &str, len: usize| {
+        SolveError::Config(format!("{name} has {len} entries but matrix has {} rows", a.nrows))
+    };
+    if b.len() != a.nrows {
+        return Err(bad_len("b", b.len()));
     }
-
-    // ---- Degenerate systems: answer on the host, no device run. ------
+    if let Some(x0) = x0.filter(|x0| x0.len() != a.nrows) {
+        return Err(bad_len("x0", x0.len()));
+    }
+    if deadline.is_some_and(|d| start.elapsed() >= d) {
+        return Err(deadline_error(start, deadline));
+    }
     if a.nrows == 0 {
-        return Ok(trivial_result(config, &a, SolveStatus::Converged, Vec::new(), 0.0));
+        return Ok(Some(trivial_result(config, a, Vec::new(), 0.0)));
     }
-    if a.nrows == 1 {
-        // Solve in f64 against the f32-rounded value the device would see.
-        let a00 = a.values.first().copied().unwrap_or(0.0) as f32 as f64;
-        let b0 = b[0] as f32 as f64;
-        if a00 == 0.0 {
-            if b0 != 0.0 {
-                return Err(SolveError::Breakdown(
-                    "singular 1x1 system: A[0,0] = 0 with b != 0".into(),
-                ));
-            }
-            return Ok(trivial_result(config, &a, SolveStatus::Converged, vec![0.0], 0.0));
-        }
-        let x = b0 / a00;
-        let residual = if b0 != 0.0 { ((b0 - a00 * x) / b0).abs() } else { 0.0 };
-        return Ok(trivial_result(config, &a, SolveStatus::Converged, vec![x], residual));
+    if a.nrows > 1 {
+        return Ok(None);
     }
+    // 1×1: solve in f64 against the f32-rounded value the device would see.
+    let a00 = a.values.first().copied().unwrap_or(0.0) as f32 as f64;
+    let b0 = b[0] as f32 as f64;
+    if a00 == 0.0 {
+        if b0 != 0.0 {
+            return Err(SolveError::Breakdown(
+                "singular 1x1 system: A[0,0] = 0 with b != 0".into(),
+            ));
+        }
+        return Ok(Some(trivial_result(config, a, vec![0.0], 0.0)));
+    }
+    let x = b0 / a00;
+    let residual = if b0 != 0.0 { ((b0 - a00 * x) / b0).abs() } else { 0.0 };
+    Ok(Some(trivial_result(config, a, vec![x], residual)))
+}
 
-    // ---- Backend dispatch (SolveOptions::backend / GRAPHENE_BACKEND). -
-    let engine = match engine {
-        Some(e) => e,
-        None => {
-            let spec = match opts.backend {
-                Some(s) => Some(s),
-                None => backend::BackendSpec::from_env().map_err(SolveError::Config)?,
-            };
-            match spec {
-                None => EngineOptions::default(),
-                Some(backend::BackendSpec::IpuSim(variant)) => engine_options(variant),
-                Some(external) => {
-                    return crate::backends::external_solve(external, a, b, config, opts)
-                }
+impl Plan {
+    /// The b-independent half of a solve. `opts` are taken as resolved
+    /// ([`SolveOptions::resolved`]): a `None` below means the default, not
+    /// "ask the environment". The trace destination backs no option, so
+    /// it is read here, once per plan.
+    pub fn new(
+        a: Rc<CsrMatrix>,
+        config: &SolverConfig,
+        opts: &SolveOptions,
+        engine: EngineOptions,
+    ) -> Result<Plan, SolveError> {
+        check_system(&a, config, opts.partition.as_ref())?;
+        let policy = opts.recovery.clone().unwrap_or_else(|| {
+            if opts.faults.is_some() {
+                RecoveryPolicy::resilient()
+            } else {
+                RecoveryPolicy::default()
             }
-        }
-    };
-
-    // ---- Fault plan + recovery policy. -------------------------------
-    let fault_plan = match &opts.faults {
-        Some(p) => Some(p.clone()),
-        None => FaultPlan::from_env().map_err(SolveError::Config)?,
-    };
-    let policy = opts.recovery.clone().unwrap_or_else(|| {
-        if fault_plan.is_some() {
-            RecoveryPolicy::resilient()
-        } else {
-            RecoveryPolicy::default()
-        }
-    });
-    // One FaultState for the whole solve: one-shot faults that fired in a
-    // rolled-back attempt stay fired (transient faults don't replay), and
-    // the event log accumulates across attempts.
-    let mut fault_state =
-        fault_plan.as_ref().map(|p| FaultState::new(p.clone(), opts.model.num_tiles()));
-
-    // ---- Auto-tuning (opt-in; zero behaviour change when off). -------
-    let tune_on = match opts.tune {
-        Some(b) => b,
-        None => crate::autotune::tune_enabled_from_env()?,
-    };
-    let decision = if tune_on && opts.partition.is_none() {
-        Some(crate::autotune::tune(&a, config, opts)?)
-    } else {
-        None
-    };
-    let (tiles, part) = match &decision {
-        Some(d) => (d.tiles, d.partition.clone()),
-        None => {
-            let tiles = opts.pick_tiles(a.nrows);
-            let part = match &opts.partition {
-                Some(p) => p.clone(),
-                None => Partition::balanced_by_nnz(&a, tiles),
-            };
-            (tiles, part)
-        }
-    };
-    // The tuned pass toggle applies only when the caller left it open
-    // (a pinned toggle already constrained the search to its own value).
-    let eff_opts = match &decision {
-        Some(d) if opts.optimise.is_none() => {
-            let mut o = opts.clone();
-            o.optimise = Some(d.optimise);
-            o
-        }
-        _ => opts.clone(),
-    };
-    let opts = &eff_opts;
-
-    // ---- The attempt loop. -------------------------------------------
-    let mut cfg = config.clone();
-    let mut x0 = opts.x0.clone();
-    let mut attempts: u32 = 0;
-    let mut restarts_total: u32 = 0;
-    let mut restarts_this_rung: u32 = 0;
-    let mut degradations: Vec<String> = Vec::new();
-    let mut detections: Vec<DetectionRecord> = Vec::new();
-    let mut checkpoints_total: u64 = 0;
-    let mut total_device_cycles: u64 = 0;
-
-    loop {
-        attempts += 1;
-        if deadline_at.is_some_and(|at| Instant::now() >= at) {
-            return Err(deadline_error(solve_start, opts.deadline));
-        }
-        let att = run_attempt(
-            &a,
-            b,
-            &cfg,
-            opts,
-            &part,
-            tiles,
-            &policy,
-            x0.as_deref(),
-            deadline_at,
-            &mut fault_state,
+        });
+        // Auto-tuning is opt-in, yields to a pinned partition, and has
+        // nothing to decide for a system the host answers (0×0, 1×1).
+        let tune_on = opts.tune == Some(true) && opts.partition.is_none() && a.nrows > 1;
+        let decision = tune_on.then(|| crate::autotune::tune(&a, config, opts)).transpose()?;
+        let (tiles, partition) = match &decision {
+            Some(d) => (d.tiles, d.partition.clone()),
+            None => {
+                // 0 tiles only for the 0×0 system, which never reaches them.
+                let tiles = opts.pick_tiles(a.nrows, opts.rows_per_tile);
+                let partition = opts
+                    .partition
+                    .clone()
+                    .unwrap_or_else(|| Partition::balanced_by_nnz(&a, tiles.max(1)));
+                (tiles, partition)
+            }
+        };
+        // The tuned pass toggle applies only when the caller left it open
+        // (a pinned toggle already constrained the search to its own value).
+        let optimise = opts.optimise.or(decision.as_ref().map(|d| d.optimise)).unwrap_or(true);
+        Ok(Plan {
+            a,
+            config: config.clone(),
+            model: opts.model.clone(),
             engine,
-        )?;
-        checkpoints_total += att.checkpoints;
-        total_device_cycles += att.stats.device_cycles();
+            compile: CompileOptions { optimise },
+            record_history: opts.record_history,
+            deadline: opts.deadline,
+            faults: opts.faults.clone(),
+            policy,
+            tiles,
+            partition,
+            decision,
+            trace: EnvConfig::trace(),
+        })
+    }
 
-        match judge(&att, &cfg, &policy) {
-            Verdict::Accept(status) => {
-                let status = if attempts > 1 { SolveStatus::Recovered } else { status };
-                let stamp = fault_plan.is_some()
-                    || attempts > 1
-                    || !detections.is_empty()
-                    || checkpoints_total > 0;
-                let mut report = SolveReport::new("solve").with_stats(&att.stats);
-                report.solver = cfg.to_value();
-                report.n = a.nrows;
-                report.nnz = a.nnz();
-                report.tiles = tiles;
-                report.iterations = att.iterations;
-                report.final_residual = att.residual;
-                report.seconds = att.seconds;
-                report.host_seconds = att.host_seconds;
-                report.executor = ipu_sim_name(engine).to_string();
-                report.history = att.history.clone();
-                // Schema-v3 backend section: which device family ran this
-                // solve and in which timing domain its seconds live.
-                report.backend = Some(profile::BackendInfo {
-                    name: report.executor.clone(),
-                    family: "ipu-sim".to_string(),
-                    timing: "cycle-model".to_string(),
-                    seconds: att.seconds,
-                });
-                let mut compile = att.compile.clone();
-                if let Some(d) = &decision {
-                    compile.passes.push(d.pass_stat());
-                }
-                report.compile = Some(compile);
-                report.perf = att.perf.clone().map(|mut p| {
-                    // Host-side solve metrics live in the perf section's
-                    // registry; device attribution stays deterministic
-                    // (see `PerfReport::attribution_json`).
-                    let m = &mut p.metrics;
-                    m.counter_add("solve.attempts", attempts as u64);
-                    m.counter_add("solve.restarts", restarts_total as u64);
-                    m.counter_add("solve.degradations", degradations.len() as u64);
-                    m.counter_add("solve.detections", detections.len() as u64);
-                    m.counter_add("solve.checkpoints", checkpoints_total);
-                    m.gauge_set("solve.iterations", att.iterations as f64);
-                    m.gauge_set("solve.final_residual", att.residual);
-                    if let Some(d) = &decision {
-                        m.counter_add("tune.cache_hits", d.cache_hit as u64);
-                        m.counter_add("tune.cache_misses", (!d.cache_hit) as u64);
-                        m.counter_add("tune.candidates_scored", d.candidates_scored as u64);
-                        m.counter_add("tune.search_micros", d.search_micros);
-                        m.gauge_set("tune.modelled_cycles", d.plan.modelled_cycles as f64);
-                        m.gauge_set("tune.default_cycles", d.plan.default_cycles as f64);
-                    }
-                    if let Some(sel) = att.compile.pass("native-kernel-selection") {
-                        m.counter_add("native.codelets_total", sel.counter("codelets_total"));
-                        m.counter_add("native.codelets_fused", sel.counter("codelets_fused"));
-                    }
-                    m.observe(
-                        "solve.host_seconds",
-                        &[1e-3, 1e-2, 1e-1, 1.0, 10.0],
-                        att.host_seconds,
-                    );
-                    p
-                });
-                if stamp {
-                    report.resilience = Some(Resilience {
-                        status: status.name().to_string(),
-                        attempts,
-                        restarts: restarts_total,
-                        degradations: degradations.clone(),
-                        faults_injected: fault_state
-                            .as_ref()
-                            .map(|f| f.log().to_vec())
-                            .unwrap_or_default(),
-                        detections: detections.clone(),
-                        checkpoints: checkpoints_total,
-                        checkpoint_cycles: att.checkpoint_cycles,
-                        total_device_cycles,
+    /// The per-right-hand-side half: validate `b` and `x0`, answer
+    /// degenerate systems on the host, then drive attempts — run, judge,
+    /// and on a detection roll back, restart or degrade — until one is
+    /// accepted or the policy's budget is spent. `start` is the origin of
+    /// the deadline and of the retry budget.
+    pub fn run(
+        &self,
+        b: &[f64],
+        x0: Option<&[f64]>,
+        start: Instant,
+    ) -> Result<SolveResult, SolveError> {
+        if let Some(done) = preflight(&self.a, b, x0, &self.config, start, self.deadline)? {
+            return Ok(done);
+        }
+        let deadline_at = self.deadline.map(|d| start + d);
+        let policy = &self.policy;
+        // One FaultState for the whole run: one-shot faults that fired in
+        // a rolled-back attempt stay fired (transient faults don't
+        // replay), and the event log accumulates across attempts.
+        let mut fault_state =
+            self.faults.as_ref().map(|p| FaultState::new(p.clone(), self.model.num_tiles()));
+        let mut cfg = self.config.clone();
+        let mut guess = x0.map(<[f64]>::to_vec);
+        let mut restarts_this_rung: u32 = 0;
+        let mut ledger = Ledger::default();
+
+        loop {
+            ledger.attempts += 1;
+            if deadline_at.is_some_and(|at| Instant::now() >= at) {
+                return Err(deadline_error(start, self.deadline));
+            }
+            let att = self.run_attempt(b, &cfg, guess.as_deref(), deadline_at, &mut fault_state)?;
+            ledger.checkpoints += att.checkpoints;
+            ledger.device_cycles += att.stats.device_cycles();
+
+            let det = match judge(&att, &cfg, policy) {
+                Verdict::Accept(status) => {
+                    let status = if ledger.attempts > 1 { SolveStatus::Recovered } else { status };
+                    let report = self.report(&att, &cfg, status, &ledger, fault_state.as_ref());
+                    return Ok(SolveResult {
+                        x: att.x,
+                        residual: att.residual,
+                        history: att.history,
+                        iterations: att.iterations,
+                        stats: att.stats,
+                        seconds: att.seconds,
+                        status,
+                        report,
                     });
                 }
-                return Ok(SolveResult {
-                    x: att.x,
-                    residual: att.residual,
-                    history: att.history,
-                    iterations: att.iterations,
-                    stats: att.stats,
-                    seconds: att.seconds,
-                    status,
-                    report,
-                });
+                Verdict::Recover(det) => det,
+            };
+            ledger.detections.push(DetectionRecord {
+                attempt: ledger.attempts,
+                kind: det.kind.name().to_string(),
+                iteration: det.iteration,
+                residual: det.residual,
+                detail: det.detail.clone(),
+            });
+            // Deadlines are terminal: the budget is wall-clock, so another
+            // attempt can only finish even later.
+            if det.kind == DetectionKind::Deadline {
+                return Err(deadline_error(start, self.deadline));
             }
-            Verdict::Recover(det) => {
-                detections.push(DetectionRecord {
-                    attempt: attempts,
-                    kind: det.kind.name().to_string(),
-                    iteration: det.iteration,
-                    residual: det.residual,
-                    detail: det.detail.clone(),
-                });
-                // Deadlines are terminal: the budget is wall-clock, so
-                // another attempt can only finish even later.
-                if det.kind == DetectionKind::Deadline {
-                    return Err(deadline_error(solve_start, opts.deadline));
-                }
-                // The retry budget is wall-clock too (satellite: total
-                // retry budget on the backoff schedule).
-                let spent = policy.backoff.budget_exhausted(solve_start.elapsed());
-                // Roll back to the last finite checkpoint (else the
-                // caller's initial guess).
-                let rollback = att.snapshot_global.clone().or_else(|| opts.x0.clone());
-                if !spent && restarts_this_rung < policy.max_restarts {
-                    restarts_this_rung += 1;
-                    restarts_total += 1;
-                    x0 = rollback;
-                    backoff_sleep(&policy, attempts - 1, solve_start, deadline_at, opts)?;
-                    continue;
-                }
-                if !spent && (degradations.len() as u32) < policy.max_degradations {
-                    if let Some((next, desc)) = degrade(&cfg) {
-                        cfg = next;
-                        degradations.push(desc);
-                        restarts_this_rung = 0;
-                        x0 = rollback;
-                        backoff_sleep(&policy, attempts - 1, solve_start, deadline_at, opts)?;
-                        continue;
-                    }
-                }
+            // The retry budget is wall-clock too. Within it: restart from
+            // the last finite checkpoint (else the caller's initial guess)
+            // with the same configuration, then one rung down the ladder.
+            let spent = policy.backoff.budget_exhausted(start.elapsed());
+            let may_degrade =
+                !spent && (ledger.degradations.len() as u32) < policy.max_degradations;
+            if !spent && restarts_this_rung < policy.max_restarts {
+                restarts_this_rung += 1;
+                ledger.restarts += 1;
+            } else if let Some((next, desc)) = may_degrade.then(|| degrade(&cfg)).flatten() {
+                cfg = next;
+                ledger.degradations.push(desc);
+                restarts_this_rung = 0;
+            } else {
                 // Budget spent: surface the detection as a typed error.
-                return Err(detection_error(&det, attempts, att.residual, &cfg));
+                return Err(detection_error(&det, ledger.attempts, att.residual, &cfg));
             }
+            guess = att.snapshot_global.or_else(|| x0.map(<[f64]>::to_vec));
+            backoff_sleep(policy, ledger.attempts - 1, start, deadline_at, self.deadline)?;
         }
+    }
+
+    /// The report of an accepted attempt.
+    fn report(
+        &self,
+        att: &Attempt,
+        cfg: &SolverConfig,
+        status: SolveStatus,
+        ledger: &Ledger,
+        fault_state: Option<&FaultState>,
+    ) -> SolveReport {
+        let mut report = SolveReport::new("solve").with_stats(&att.stats);
+        report.solver = cfg.to_value();
+        report.n = self.a.nrows;
+        report.nnz = self.a.nnz();
+        report.tiles = self.tiles;
+        report.iterations = att.iterations;
+        report.final_residual = att.residual;
+        report.seconds = att.seconds;
+        report.host_seconds = att.host_seconds;
+        report.executor = ipu_sim_name(self.engine).to_string();
+        report.history = att.history.clone();
+        // Schema-v3 backend section: which device family ran this solve
+        // and in which timing domain its seconds live.
+        report.backend = Some(profile::BackendInfo {
+            name: report.executor.clone(),
+            family: "ipu-sim".to_string(),
+            timing: "cycle-model".to_string(),
+            seconds: att.seconds,
+        });
+        let mut compile = att.compile.clone();
+        compile.passes.extend(self.decision.as_ref().map(TuneDecision::pass_stat));
+        report.perf = att.perf.clone().map(|mut p| {
+            // Host-side solve metrics live in the perf section's registry;
+            // device attribution stays deterministic (see
+            // `PerfReport::attribution_json`).
+            let m = &mut p.metrics;
+            m.counter_add("solve.attempts", ledger.attempts as u64);
+            m.counter_add("solve.restarts", ledger.restarts as u64);
+            m.counter_add("solve.degradations", ledger.degradations.len() as u64);
+            m.counter_add("solve.detections", ledger.detections.len() as u64);
+            m.counter_add("solve.checkpoints", ledger.checkpoints);
+            m.gauge_set("solve.iterations", att.iterations as f64);
+            m.gauge_set("solve.final_residual", att.residual);
+            if let Some(d) = &self.decision {
+                m.counter_add("tune.cache_hits", d.cache_hit as u64);
+                m.counter_add("tune.cache_misses", (!d.cache_hit) as u64);
+                m.counter_add("tune.candidates_scored", d.candidates_scored as u64);
+                m.counter_add("tune.search_micros", d.search_micros);
+                m.gauge_set("tune.modelled_cycles", d.plan.modelled_cycles as f64);
+                m.gauge_set("tune.default_cycles", d.plan.default_cycles as f64);
+            }
+            if let Some(sel) = att.compile.pass("native-kernel-selection") {
+                m.counter_add("native.codelets_total", sel.counter("codelets_total"));
+                m.counter_add("native.codelets_fused", sel.counter("codelets_fused"));
+            }
+            m.observe("solve.host_seconds", &[1e-3, 1e-2, 1e-1, 1.0, 10.0], att.host_seconds);
+            p
+        });
+        report.compile = Some(compile);
+        // A healthy, fault-free, checkpoint-free first attempt carries no
+        // resilience section.
+        let eventful = self.faults.is_some()
+            || ledger.attempts > 1
+            || !ledger.detections.is_empty()
+            || ledger.checkpoints > 0;
+        report.resilience = eventful.then(|| Resilience {
+            status: status.name().to_string(),
+            attempts: ledger.attempts,
+            restarts: ledger.restarts,
+            degradations: ledger.degradations.clone(),
+            faults_injected: fault_state.map(|f| f.log().to_vec()).unwrap_or_default(),
+            detections: ledger.detections.clone(),
+            checkpoints: ledger.checkpoints,
+            checkpoint_cycles: att.checkpoint_cycles,
+            total_device_cycles: ledger.device_cycles,
+        });
+        report
+    }
+
+    /// One full device run: build, compile, execute, read back.
+    fn run_attempt(
+        &self,
+        b: &[f64],
+        cfg: &SolverConfig,
+        x0: Option<&[f64]>,
+        deadline_at: Option<Instant>,
+        fault_state: &mut Option<FaultState>,
+    ) -> Result<Attempt, SolveError> {
+        let policy = &self.policy;
+        let mut ctx = DslCtx::new(self.model.clone());
+        let sys = DistSystem::build(&mut ctx, self.a.clone(), self.partition.clone());
+        let bt = sys.new_vector(&mut ctx, "b", DType::F32);
+        let xt = sys.new_vector(&mut ctx, "x", DType::F32);
+
+        let monitor = Monitor::new(&sys, Rc::new(b.to_vec()));
+        // A deadline arms the sentinel even under an otherwise-inert
+        // policy: its abort hook is what unwinds the device loop at the
+        // cutoff.
+        let sentinel = (policy.wants_sentinel() || deadline_at.is_some()).then(|| {
+            let s = Sentinel::new(policy.divergence_factor, policy.stagnation_window);
+            match deadline_at {
+                Some(at) => s.with_deadline(at),
+                None => s,
+            }
+        });
+        let checkpoint =
+            (policy.checkpoint_every > 0).then(|| Checkpointer::new(policy.checkpoint_every));
+        // Every run counts its iterations; the per-iteration true residual
+        // (an f64 SpMV on the host) is paid for only when the caller wants
+        // the history or the sentinel needs the stream for its detectors.
+        let residuals = self.record_history || sentinel.is_some();
+        let probes = Probes {
+            monitor: Some(if residuals { monitor.clone() } else { monitor.clone().count_only() }),
+            sentinel,
+            checkpoint,
+        };
+        let mut solver = solver_from_config(cfg);
+        solver.instrument(&probes, None);
+        solver.setup(&mut ctx, &sys);
+        solver.solve(&mut ctx, &sys, bt, xt);
+
+        // If MPIR ran, read the extended-precision solution tensor instead
+        // of the rounded f32 output.
+        let x_ext = solver.as_any().downcast_mut::<Mpir>().and_then(|m| m.x_ext);
+
+        let mut engine = ctx
+            .build_engine_on(self.compile, self.engine)
+            .map_err(|e| SolveError::Compile(e.to_string()))?;
+        // Per-step performance attribution rides along with every run: pure
+        // host-side bookkeeping, zero device cycles.
+        engine.enable_perf();
+        // Hand the (cross-attempt) fault state to this attempt's engine.
+        engine.set_fault_state(fault_state.take());
+        // Tracing is opt-in (`GRAPHENE_TRACE`): record a timeline alongside
+        // the cycle accounting and drop a Chrome trace + a text profile
+        // report next to it after the run.
+        if let Some(t) = &self.trace {
+            engine.set_trace(TraceRecorder::new(t.tile_lanes));
+        }
+        sys.upload(&mut engine);
+        engine.write_tensor(bt.id, &sys.to_device_order(b));
+        if let Some(x0) = x0 {
+            engine.write_tensor(xt.id, &sys.to_device_order(x0));
+        }
+        // Host wall-clock around the device run — device `seconds` come
+        // from the cycle model and do not depend on the engine options;
+        // `host_seconds` is what they change.
+        let host_start = Instant::now();
+        engine.run();
+        let host_seconds = host_start.elapsed().as_secs_f64();
+        let perf = engine.perf_report(12);
+        if let (Some(t), Some(trace)) = (&self.trace, engine.trace()) {
+            let path = profile::numbered_trace_path(&t.path);
+            eprint!(
+                "{}",
+                profile::write_trace_artifacts(&path, trace, engine.stats(), perf.as_ref(), 12)
+            );
+        }
+        // Take the fault state back (fired flags + event log) for the next
+        // attempt / the final report.
+        *fault_state = engine.take_fault_state();
+
+        let raw = engine.read_tensor(x_ext.map(|t| t.id).unwrap_or(xt.id));
+        let x = sys.from_device_order(&raw);
+        let residual = true_residual(&monitor, &x);
+
+        let stats = engine.stats().clone();
+        // Map the last finite device-order snapshot to global row order.
+        let snapshot_global = probes
+            .checkpoint
+            .as_ref()
+            .and_then(|c| c.snapshot())
+            .map(|snap| monitor.gather.iter().map(|&slot| snap[slot]).collect());
+        Ok(Attempt {
+            x,
+            residual,
+            history: if self.record_history { monitor.take_history() } else { Vec::new() },
+            iterations: monitor.iterations(),
+            seconds: engine.elapsed_seconds(),
+            host_seconds,
+            compile: engine.compile_report().clone(),
+            detection: probes.sentinel.as_ref().and_then(|s| s.detection()),
+            snapshot_global,
+            checkpoints: probes.checkpoint.as_ref().map_or(0, |c| c.count()),
+            checkpoint_cycles: stats.label_cycles("checkpoint"),
+            stats,
+            perf,
+        })
+    }
+}
+
+/// ‖b − A·x‖/‖b‖ against the system as the device sees it (f32-rounded
+/// data, f64 arithmetic — see [`Monitor`] for why), recomputed on the host
+/// from the returned `x` so a corrupted device cannot under-report it. For
+/// b = 0 the absolute norm ‖Ax‖ is reported instead (a zero rhs has no
+/// scale to be relative to).
+fn true_residual(monitor: &Monitor, x: &[f64]) -> f64 {
+    let ax = monitor.a.spmv_alloc(x);
+    let r2: f64 = monitor.b.iter().zip(&ax).map(|(b, a)| (b - a) * (b - a)).sum();
+    let b2: f64 = monitor.b.iter().map(|v| v * v).sum();
+    if b2 > 0.0 {
+        (r2 / b2).sqrt()
+    } else {
+        r2.sqrt()
     }
 }
 
@@ -566,7 +772,7 @@ fn detection_error(
 
 /// The [`SolveError::DeadlineExceeded`] for a solve that started at
 /// `start` under the given budget.
-fn deadline_error(start: Instant, budget: Option<std::time::Duration>) -> SolveError {
+pub(crate) fn deadline_error(start: Instant, budget: Option<Duration>) -> SolveError {
     SolveError::DeadlineExceeded {
         elapsed_ms: start.elapsed().as_millis() as u64,
         budget_ms: budget.map(|d| d.as_millis() as u64).unwrap_or(0),
@@ -580,19 +786,17 @@ fn deadline_error(start: Instant, budget: Option<std::time::Duration>) -> SolveE
 fn backoff_sleep(
     policy: &RecoveryPolicy,
     retry: u32,
-    solve_start: Instant,
+    start: Instant,
     deadline_at: Option<Instant>,
-    opts: &SolveOptions,
+    budget: Option<Duration>,
 ) -> Result<(), SolveError> {
     let delay = policy.backoff.delay_ms(retry);
     if delay == 0 {
         return Ok(());
     }
-    let delay = std::time::Duration::from_millis(delay);
-    if let Some(at) = deadline_at {
-        if Instant::now() + delay >= at {
-            return Err(deadline_error(solve_start, opts.deadline));
-        }
+    let delay = Duration::from_millis(delay);
+    if deadline_at.is_some_and(|at| Instant::now() + delay >= at) {
+        return Err(deadline_error(start, budget));
     }
     std::thread::sleep(delay);
     Ok(())
@@ -669,160 +873,8 @@ fn judge(att: &Attempt, cfg: &SolverConfig, policy: &RecoveryPolicy) -> Verdict 
     }
 }
 
-/// One full device run: build, compile, execute, read back.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    a: &Rc<CsrMatrix>,
-    b: &[f64],
-    cfg: &SolverConfig,
-    opts: &SolveOptions,
-    part: &Partition,
-    tiles: usize,
-    policy: &RecoveryPolicy,
-    x0: Option<&[f64]>,
-    deadline_at: Option<Instant>,
-    fault_state: &mut Option<FaultState>,
-    engine: EngineOptions,
-) -> Result<Attempt, SolveError> {
-    let _ = tiles;
-    let mut ctx = DslCtx::new(opts.model.clone());
-    let sys = DistSystem::build(&mut ctx, a.clone(), part.clone());
-    let bt = sys.new_vector(&mut ctx, "b", DType::F32);
-    let xt = sys.new_vector(&mut ctx, "x", DType::F32);
-
-    let b_rc = Rc::new(b.to_vec());
-    let monitor = Monitor::new(&sys, b_rc.clone());
-    // A deadline arms the sentinel even under an otherwise-inert policy:
-    // its abort hook is what unwinds the device loop at the cutoff.
-    let sentinel = (policy.wants_sentinel() || deadline_at.is_some()).then(|| {
-        let s = Sentinel::new(policy.divergence_factor, policy.stagnation_window);
-        match deadline_at {
-            Some(at) => s.with_deadline(at),
-            None => s,
-        }
-    });
-    let checkpointer =
-        (policy.checkpoint_every > 0).then(|| Checkpointer::new(policy.checkpoint_every));
-
-    let mut solver = solver_from_config(cfg);
-    // The monitor is wired when the caller wants the history *or* the
-    // sentinel needs the residual stream for its detectors.
-    let wire_monitor = opts.record_history || sentinel.is_some();
-    if let Some(s) = solver.as_any().downcast_mut::<BiCgStab>() {
-        if wire_monitor {
-            s.monitor = Some(monitor.clone());
-        }
-        s.sentinel = sentinel.clone();
-        s.checkpoint = checkpointer.clone();
-    } else if let Some(s) = solver.as_any().downcast_mut::<Cg>() {
-        if wire_monitor {
-            s.monitor = Some(monitor.clone());
-        }
-        s.sentinel = sentinel.clone();
-        s.checkpoint = checkpointer.clone();
-    } else if let Some(s) = solver.as_any().downcast_mut::<Mpir>() {
-        if wire_monitor {
-            s.monitor = Some(monitor.clone());
-        }
-        s.sentinel = sentinel.clone();
-        s.checkpoint = checkpointer.clone();
-    }
-    solver.setup(&mut ctx, &sys);
-    solver.solve(&mut ctx, &sys, bt, xt);
-
-    // If MPIR ran, read the extended-precision solution tensor instead of
-    // the rounded f32 output.
-    let x_ext = solver.as_any().downcast_mut::<Mpir>().and_then(|m| m.x_ext);
-
-    let copts = match opts.optimise {
-        None => CompileOptions::from_env(),
-        Some(optimise) => CompileOptions { optimise },
-    };
-    let mut engine =
-        ctx.build_engine_on(copts, engine).map_err(|e| SolveError::Compile(e.to_string()))?;
-    // Per-step performance attribution rides along with every run: pure
-    // host-side bookkeeping, zero device cycles.
-    engine.enable_perf();
-    // Hand the (cross-attempt) fault state to this attempt's engine.
-    engine.set_fault_state(fault_state.take());
-    // Tracing is opt-in via GRAPHENE_TRACE=<path>: record a timeline
-    // alongside the cycle accounting and drop a Chrome trace + a text
-    // profile report next to it after the run.
-    let trace_path = profile::next_trace_path();
-    if trace_path.is_some() {
-        engine.set_trace(TraceRecorder::new());
-    }
-    sys.upload(&mut engine);
-    engine.write_tensor(bt.id, &sys.to_device_order(b));
-    if let Some(x0) = x0 {
-        engine.write_tensor(xt.id, &sys.to_device_order(x0));
-    }
-    // Host wall-clock around the device run — device `seconds` come from
-    // the cycle model and do not depend on the engine options;
-    // `host_seconds` is what they change.
-    let host_start = Instant::now();
-    engine.run();
-    let host_seconds = host_start.elapsed().as_secs_f64();
-    let perf = engine.perf_report(12);
-    if let (Some(path), Some(trace)) = (&trace_path, engine.trace()) {
-        let report = profile::write_trace_artifacts(path, trace, engine.stats(), perf.as_ref(), 12);
-        eprint!("{report}");
-    }
-    // Take the fault state back (fired flags + event log) for the next
-    // attempt / the final report.
-    *fault_state = engine.take_fault_state();
-
-    let raw = engine.read_tensor(x_ext.map(|t| t.id).unwrap_or(xt.id));
-    let x = sys.from_device_order(&raw);
-    // Residual against the system as the device sees it (f32-rounded data,
-    // f64 arithmetic) — see `Monitor` for why. Recomputed on the host from
-    // the returned x, so a corrupted device cannot under-report it.
-    let ax = monitor.a.spmv_alloc(&x);
-    let r2: f64 = monitor.b.iter().zip(&ax).map(|(b, a)| (b - a) * (b - a)).sum();
-    let b2: f64 = monitor.b.iter().map(|v| v * v).sum();
-    // Relative residual; for b = 0 the absolute norm ‖Ax‖ is reported
-    // instead (a zero rhs has no scale to be relative to).
-    let residual = if b2 > 0.0 { (r2 / b2).sqrt() } else { r2.sqrt() };
-
-    let history = if opts.record_history { monitor.take_history() } else { Vec::new() };
-    let iterations = monitor.iterations();
-    let stats = engine.stats().clone();
-    let seconds = engine.elapsed_seconds();
-    let checkpoint_cycles = stats.label_cycles("checkpoint");
-    // Map the last finite device-order snapshot to global row order.
-    let snapshot_global = checkpointer.as_ref().and_then(|c| c.snapshot()).map(|snap| {
-        let mut g = vec![0.0; sys.num_rows()];
-        for (row, &slot) in monitor.gather.iter().enumerate() {
-            g[row] = snap[slot];
-        }
-        g
-    });
-
-    Ok(Attempt {
-        x,
-        residual,
-        history,
-        iterations,
-        seconds,
-        host_seconds,
-        compile: engine.compile_report().clone(),
-        detection: sentinel.as_ref().and_then(|s| s.detection()),
-        snapshot_global,
-        checkpoints: checkpointer.as_ref().map(|c| c.count()).unwrap_or(0),
-        checkpoint_cycles,
-        stats,
-        perf,
-    })
-}
-
 /// Result for degenerate systems answered on the host (0×0 and 1×1).
-fn trivial_result(
-    config: &SolverConfig,
-    a: &CsrMatrix,
-    status: SolveStatus,
-    x: Vec<f64>,
-    residual: f64,
-) -> SolveResult {
+fn trivial_result(config: &SolverConfig, a: &CsrMatrix, x: Vec<f64>, residual: f64) -> SolveResult {
     let mut report = SolveReport::new("solve");
     report.solver = config.to_value();
     report.n = a.nrows;
@@ -834,7 +886,7 @@ fn trivial_result(
         iterations: 0,
         stats: CycleStats::new(0),
         seconds: 0.0,
-        status,
+        status: SolveStatus::Converged,
         report,
     }
 }
@@ -1030,6 +1082,37 @@ mod tests {
         assert!(last < first, "no progress: {first} -> {last}");
         // Iterations numbered 1..n.
         assert_eq!(res.history[0].0, 1);
+    }
+
+    #[test]
+    fn iterations_are_counted_with_and_without_history() {
+        // The counter used to live in the residual-recording callback, so
+        // `iterations` read 0 whenever `record_history` was off. Counting
+        // is a host callback of its own: free on the device either way.
+        let a = Rc::new(poisson_2d_5pt(8, 8, 1.0));
+        let b = rhs_for_ones(&a);
+        let bicg = SolverConfig::BiCgStab { max_iters: 50, rel_tol: 1e-6, precond: None };
+        let mpir = SolverConfig::Mpir {
+            inner: Box::new(SolverConfig::Cg { max_iters: 10, rel_tol: 0.0, precond: None }),
+            precision: crate::solvers::ExtendedPrecision::DoubleWord,
+            max_outer: 8,
+            rel_tol: 1e-10,
+        };
+        for cfg in [bicg, mpir] {
+            let run = |record_history| {
+                solve_or_panic(a.clone(), &b, &cfg, &SolveOptions { record_history, ..opts(2) })
+            };
+            let (on, off) = (run(true), run(false));
+            assert!(on.iterations > 0, "{cfg:?}");
+            assert_eq!(on.iterations, off.iterations, "{cfg:?}");
+            assert_eq!(on.report.iterations, off.report.iterations, "{cfg:?}");
+            assert_eq!(on.history.len(), on.iterations, "{cfg:?}");
+            assert!(off.history.is_empty());
+            assert_eq!(on.stats.device_cycles(), off.stats.device_cycles(), "{cfg:?}");
+            assert_eq!(on.stats.supersteps(), off.stats.supersteps(), "{cfg:?}");
+            let bits = |r: &SolveResult| r.x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&on), bits(&off), "{cfg:?}");
+        }
     }
 
     #[test]

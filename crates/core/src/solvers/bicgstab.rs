@@ -19,8 +19,7 @@ use dsl::prelude::*;
 use dsl::TExpr;
 
 use crate::dist::DistSystem;
-use crate::resilience::{Checkpointer, Sentinel};
-use crate::solvers::{zero, Monitor, Solver};
+use crate::solvers::{zero, Probes, Solver};
 
 pub struct BiCgStab {
     max_iters: u32,
@@ -28,35 +27,17 @@ pub struct BiCgStab {
     /// (the fixed-iteration inner mode MPIR uses).
     rel_tol: f32,
     precond: Option<Box<dyn Solver>>,
-    /// Optional convergence monitor (records true residuals via host
-    /// callbacks).
-    pub monitor: Option<Monitor>,
+    /// See [`Solver::instrument`].
+    probes: Probes,
     /// When this solver refines a correction on top of an extended base
     /// solution (MPIR step 2), the base tensor for true-residual records.
-    pub shift: Option<TensorRef>,
-    /// Device scalar holding the iteration count (readable after run).
-    pub iter_count: Option<TensorRef>,
-    /// Optional in-flight watchdog: fed by the monitor's residual stream,
-    /// and hooked into the loop condition so a trip aborts the solve at
-    /// the next iteration boundary.
-    pub sentinel: Option<Sentinel>,
-    /// Optional periodic checkpoints of `x` for rollback recovery.
-    pub checkpoint: Option<Checkpointer>,
+    shift: Option<TensorRef>,
 }
 
 impl BiCgStab {
     pub fn new(max_iters: u32, rel_tol: f32, precond: Option<Box<dyn Solver>>) -> BiCgStab {
         assert!(max_iters > 0);
-        BiCgStab {
-            max_iters,
-            rel_tol,
-            precond,
-            monitor: None,
-            shift: None,
-            iter_count: None,
-            sentinel: None,
-            checkpoint: None,
-        }
+        BiCgStab { max_iters, rel_tol, precond, probes: Probes::default(), shift: None }
     }
 }
 
@@ -67,6 +48,11 @@ impl Solver for BiCgStab {
 
     fn name(&self) -> &'static str {
         "bicgstab"
+    }
+
+    fn instrument(&mut self, probes: &Probes, shift: Option<TensorRef>) {
+        self.probes = probes.clone();
+        self.shift = shift;
     }
 
     fn setup(&mut self, ctx: &mut DslCtx, sys: &DistSystem) {
@@ -93,7 +79,6 @@ impl Solver for BiCgStab {
         let b2 = ctx.scalar("bicg_b2", DType::F32);
         let iter = ctx.scalar("bicg_iter", DType::F32);
         let pred = ctx.scalar("bicg_pred", DType::Bool);
-        self.iter_count = Some(iter);
 
         let max_iters = self.max_iters as f32;
         let tol2 = self.rel_tol * self.rel_tol;
@@ -109,9 +94,8 @@ impl Solver for BiCgStab {
                 ctx.reduce_into(res2, r * r);
             });
             ctx.assign(iter, TExpr::c_f32(0.0));
-            let chk = self.checkpoint.as_ref().map(|c| (c.clone(), c.setup(ctx, sys, DType::F32)));
-            let sentinel = self.sentinel.clone();
-            let sentinel_body = self.sentinel.clone();
+            let Probes { monitor, sentinel, checkpoint } = self.probes.clone();
+            let chk = checkpoint.map(|c| (c.setup(ctx, sys, DType::F32), c));
 
             ctx.while_(
                 |ctx| {
@@ -214,10 +198,10 @@ impl Solver for BiCgStab {
                         },
                     );
                     ctx.assign(iter, iter + 1.0f32);
-                    if let Some(mon) = &self.monitor {
-                        mon.record(ctx, x, self.shift, sentinel_body.clone());
+                    if let Some(mon) = &monitor {
+                        mon.record(ctx, x, self.shift, sentinel.clone());
                     }
-                    if let Some((ck, st)) = &chk {
+                    if let Some((st, ck)) = &chk {
                         ck.emit_step(ctx, st, x, iter);
                     }
                 },

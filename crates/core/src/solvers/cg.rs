@@ -10,33 +10,21 @@ use dsl::prelude::*;
 use dsl::TExpr;
 
 use crate::dist::DistSystem;
-use crate::resilience::{Checkpointer, Sentinel};
-use crate::solvers::{zero, Monitor, Solver};
+use crate::solvers::{zero, Probes, Solver};
 
 pub struct Cg {
     max_iters: u32,
     rel_tol: f32,
     precond: Option<Box<dyn Solver>>,
-    pub monitor: Option<Monitor>,
-    pub shift: Option<TensorRef>,
-    /// Optional in-flight watchdog; see `BiCgStab::sentinel`.
-    pub sentinel: Option<Sentinel>,
-    /// Optional periodic checkpoints of `x` for rollback recovery.
-    pub checkpoint: Option<Checkpointer>,
+    /// See [`Solver::instrument`].
+    probes: Probes,
+    shift: Option<TensorRef>,
 }
 
 impl Cg {
     pub fn new(max_iters: u32, rel_tol: f32, precond: Option<Box<dyn Solver>>) -> Cg {
         assert!(max_iters > 0);
-        Cg {
-            max_iters,
-            rel_tol,
-            precond,
-            monitor: None,
-            shift: None,
-            sentinel: None,
-            checkpoint: None,
-        }
+        Cg { max_iters, rel_tol, precond, probes: Probes::default(), shift: None }
     }
 }
 
@@ -47,6 +35,11 @@ impl Solver for Cg {
 
     fn name(&self) -> &'static str {
         "cg"
+    }
+
+    fn instrument(&mut self, probes: &Probes, shift: Option<TensorRef>) {
+        self.probes = probes.clone();
+        self.shift = shift;
     }
 
     fn setup(&mut self, ctx: &mut DslCtx, sys: &DistSystem) {
@@ -87,9 +80,8 @@ impl Solver for Cg {
                 ctx.reduce_into(res2, r * r);
             });
             ctx.assign(iter, TExpr::c_f32(0.0));
-            let chk = self.checkpoint.as_ref().map(|c| (c.clone(), c.setup(ctx, sys, DType::F32)));
-            let sentinel = self.sentinel.clone();
-            let sentinel_body = self.sentinel.clone();
+            let Probes { monitor, sentinel, checkpoint } = self.probes.clone();
+            let chk = checkpoint.map(|c| (c.setup(ctx, sys, DType::F32), c));
 
             ctx.while_(
                 |ctx| {
@@ -132,10 +124,10 @@ impl Solver for Cg {
                     ctx.assign(rz_old, rz.ex());
                     ctx.label("reduce", |ctx| ctx.reduce_into(res2, r * r));
                     ctx.assign(iter, iter + 1.0f32);
-                    if let Some(mon) = &self.monitor {
-                        mon.record(ctx, x, self.shift, sentinel_body.clone());
+                    if let Some(mon) = &monitor {
+                        mon.record(ctx, x, self.shift, sentinel.clone());
                     }
-                    if let Some((ck, st)) = &chk {
+                    if let Some((st, ck)) = &chk {
                         ck.emit_step(ctx, st, x, iter);
                     }
                 },

@@ -5,6 +5,12 @@
 //! is preserved: **any solver can serve as the preconditioner of any
 //! other**, so a configuration is a tree —
 //! e.g. `MPIR { BiCGStab { ILU(0) } }`.
+//!
+//! The tree is composed and observed through the one interface: the
+//! runner attaches its host-side [`Probes`] (iteration counter / residual
+//! [`Monitor`], sentinel, checkpointer) with [`Solver::instrument`], and a
+//! nesting solver forwards what its children should carry — no solver
+//! downcasts a child to wire it.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -44,9 +50,16 @@ pub use multigrid::TwoGrid;
 pub trait Solver: std::any::Any {
     fn name(&self) -> &'static str;
 
-    /// Runtime-typed access (used by MPIR to wire convergence monitors
-    /// into a nested BiCGStab).
+    /// Runtime-typed access, for reading a concrete solver's outputs after
+    /// symbolic execution (`Mpir::x_ext`).
     fn as_any(&mut self) -> &mut dyn std::any::Any;
+
+    /// Attach host-side probes to the program `solve` will emit; `shift`
+    /// is the extended-precision base when this solver refines a
+    /// correction on top of one (MPIR's inner solver). Call before
+    /// `solve`. The default ignores them: stationary methods and
+    /// factorisations have no iteration to probe.
+    fn instrument(&mut self, _probes: &Probes, _shift: Option<TensorRef>) {}
 
     /// One-time setup: workspace allocation, ILU factorisation, nested
     /// preconditioner setup.
@@ -55,6 +68,21 @@ pub trait Solver: std::any::Any {
     /// Emit the solve program. `b` and `x` are distributed vectors in the
     /// system's halo layout.
     fn solve(&mut self, ctx: &mut DslCtx, sys: &DistSystem, b: TensorRef, x: TensorRef);
+}
+
+/// What the runner can attach to a Krylov solver's loop: all optional, all
+/// host-side (callbacks cost zero device cycles; only the checkpoint's
+/// device copy is charged, under its own label).
+#[derive(Clone, Default)]
+pub struct Probes {
+    /// Iteration counter and true-residual recorder.
+    pub monitor: Option<Monitor>,
+    /// In-flight watchdog: fed by the monitor's residual stream, and
+    /// hooked into every loop condition so a trip aborts the whole solver
+    /// nest at the next iteration boundary.
+    pub sentinel: Option<crate::resilience::Sentinel>,
+    /// Periodic snapshots of the solution for rollback recovery.
+    pub checkpoint: Option<crate::resilience::Checkpointer>,
 }
 
 /// Records the *true* relative residual ‖b − A·x‖₂ / ‖b‖₂ in f64 on the
@@ -79,6 +107,8 @@ pub struct Monitor {
     pub history: Rc<RefCell<Vec<(usize, f64)>>>,
     pub b_norm: f64,
     counter: Rc<RefCell<usize>>,
+    /// `false`: [`record`](Monitor::record) only counts the iteration.
+    residuals: bool,
 }
 
 impl Monitor {
@@ -104,7 +134,16 @@ impl Monitor {
             history: Rc::new(RefCell::new(Vec::new())),
             b_norm,
             counter: Rc::new(RefCell::new(0)),
+            residuals: true,
         }
+    }
+
+    /// This monitor (same counter), counting iterations only: no tensor is
+    /// read back and no f64 SpMV runs per iteration, so `iterations()` is
+    /// right even when nobody wants the history.
+    pub fn count_only(mut self) -> Monitor {
+        self.residuals = false;
+        self
     }
 
     /// Emit a callback recording the true residual of `x` (plus `shift`,
@@ -120,6 +159,9 @@ impl Monitor {
         sentinel: Option<crate::resilience::Sentinel>,
     ) {
         let m = self.clone();
+        if !m.residuals {
+            return ctx.callback(move |_| *m.counter.borrow_mut() += 1);
+        }
         let xid = x.id;
         let sid = shift.map(|s| s.id);
         ctx.callback(move |view| {
@@ -145,11 +187,6 @@ impl Monitor {
     /// The recorded history: (iteration, relative residual).
     pub fn take_history(&self) -> Vec<(usize, f64)> {
         self.history.borrow().clone()
-    }
-
-    /// Final relative residual, if any was recorded.
-    pub fn final_residual(&self) -> Option<f64> {
-        self.history.borrow().last().map(|&(_, r)| r)
     }
 
     /// Total recorded iterations.

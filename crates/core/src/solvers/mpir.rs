@@ -18,8 +18,7 @@ use dsl::prelude::*;
 use dsl::TExpr;
 
 use crate::dist::DistSystem;
-use crate::resilience::{Checkpointer, Sentinel};
-use crate::solvers::{zero, Monitor, Solver};
+use crate::solvers::{zero, Probes, Solver};
 
 /// Which arithmetic carries MPIR steps 1 and 3.
 ///
@@ -52,16 +51,14 @@ pub struct Mpir {
     precision: ExtendedPrecision,
     max_outer: u32,
     rel_tol: f64,
-    pub monitor: Option<Monitor>,
     /// Extended-precision solution tensor (readable after run for the
     /// full-precision result).
     pub x_ext: Option<TensorRef>,
-    /// Optional in-flight watchdog; propagated to the inner solver so a
-    /// trip unwinds both loop levels (see `BiCgStab::sentinel`).
-    pub sentinel: Option<Sentinel>,
-    /// Optional periodic checkpoints of the extended solution `x_ext`
-    /// (taken once per outer refinement step).
-    pub checkpoint: Option<Checkpointer>,
+    /// See [`Solver::instrument`]. The monitor and the sentinel are
+    /// forwarded to the inner solver (so true residuals are recorded on
+    /// top of `x_ext` and a trip unwinds both loop levels); the checkpoint
+    /// stays here and snapshots `x_ext` once per outer refinement step.
+    probes: Probes,
 }
 
 impl Mpir {
@@ -72,16 +69,7 @@ impl Mpir {
         rel_tol: f64,
     ) -> Mpir {
         assert!(max_outer > 0);
-        Mpir {
-            inner,
-            precision,
-            max_outer,
-            rel_tol,
-            monitor: None,
-            x_ext: None,
-            sentinel: None,
-            checkpoint: None,
-        }
+        Mpir { inner, precision, max_outer, rel_tol, x_ext: None, probes: Probes::default() }
     }
 }
 
@@ -92,6 +80,10 @@ impl Solver for Mpir {
 
     fn name(&self) -> &'static str {
         "mpir"
+    }
+
+    fn instrument(&mut self, probes: &Probes, _shift: Option<TensorRef>) {
+        self.probes = probes.clone();
     }
 
     fn setup(&mut self, ctx: &mut DslCtx, sys: &DistSystem) {
@@ -113,33 +105,18 @@ impl Solver for Mpir {
         let max_outer = self.max_outer as f32;
         let tol2 = (self.rel_tol * self.rel_tol) as f32;
 
-        // Wire the inner solver's monitor to record true residuals on top
-        // of the extended base, if it supports one; the sentinel rides
-        // along so detections abort the inner loop too.
-        if let Some(mon) = &self.monitor {
-            if let Some(bicg) = self.inner.as_any().downcast_mut::<super::BiCgStab>() {
-                bicg.monitor = Some(mon.clone());
-                bicg.shift = Some(x_ext);
-            } else if let Some(cg) = self.inner.as_any().downcast_mut::<super::Cg>() {
-                cg.monitor = Some(mon.clone());
-                cg.shift = Some(x_ext);
-            }
-        }
-        if let Some(sen) = &self.sentinel {
-            if let Some(bicg) = self.inner.as_any().downcast_mut::<super::BiCgStab>() {
-                bicg.sentinel = Some(sen.clone());
-            } else if let Some(cg) = self.inner.as_any().downcast_mut::<super::Cg>() {
-                cg.sentinel = Some(sen.clone());
-            }
-        }
-        let sentinel = self.sentinel.clone();
+        let Probes { monitor, sentinel, checkpoint } = self.probes.clone();
+        self.inner.instrument(
+            &Probes { monitor, sentinel: sentinel.clone(), checkpoint: None },
+            Some(x_ext),
+        );
 
         ctx.label("mpir", |ctx| {
             // x_ext = x (promoted); ‖b‖² in extended precision.
             ctx.assign(x_ext, x.to(ext));
             ctx.reduce_into(b2, b.to(ext) * b.to(ext));
             ctx.assign(outer, TExpr::c_f32(0.0));
-            let chk = self.checkpoint.as_ref().map(|c| (c.clone(), c.setup(ctx, sys, ext)));
+            let chk = checkpoint.map(|c| (c.setup(ctx, sys, ext), c));
 
             ctx.while_(
                 |ctx| {
@@ -177,7 +154,7 @@ impl Solver for Mpir {
                     // Step 3: extended-precision update.
                     ctx.label("extended", |ctx| ctx.assign(x_ext, x_ext + c.to(ext)));
                     ctx.assign(outer, outer + 1.0f32);
-                    if let Some((ck, st)) = &chk {
+                    if let Some((st, ck)) = &chk {
                         ck.emit_step(ctx, st, x_ext, outer);
                     }
                 },

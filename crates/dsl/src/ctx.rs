@@ -517,10 +517,14 @@ impl DslCtx {
 
     /// Compile the graph + program and construct the engine (registering
     /// all callbacks) — steps 3 and 4 of the paper's pipeline. Compile
-    /// options come from the environment (`GRAPHENE_NO_OPT`); use
-    /// [`DslCtx::build_engine_with`] to pin them explicitly.
+    /// options come from the environment ([`CompileOptions::from_env`]; a
+    /// malformed `GRAPHENE_NO_OPT` is a [`CompileError::Program`]), which
+    /// is what lets engine-level tests ride the no-opt CI leg. The solve
+    /// runner does not come through here: it resolves the environment once
+    /// at its entry and pins the options with
+    /// [`DslCtx::build_engine_on`].
     pub fn build_engine(self) -> Result<Engine, CompileError> {
-        self.build_engine_with(CompileOptions::from_env())
+        self.build_engine_with(CompileOptions::from_env().map_err(CompileError::Program)?)
     }
 
     /// Like [`DslCtx::build_engine`] with explicit compile options — the

@@ -99,7 +99,7 @@ mod tests {
             let x = ctx.vector("x", DType::F32, 9, 3);
             let y = ctx.vector("y", DType::F32, 9, 3);
             let z = ctx.materialize(x * 2.0f32 + y);
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_tensor(x.id, &(0..9).map(|i| i as f64).collect::<Vec<_>>());
             e.write_tensor(y.id, &[1.0; 9]);
             e.run();
@@ -116,7 +116,7 @@ mod tests {
             let x = ctx.vector("x", DType::F32, 6, 2);
             let alpha = ctx.scalar("alpha", DType::F32);
             let z = ctx.materialize(x * alpha);
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_tensor(x.id, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
             e.write_scalar(alpha.id, 10.0);
             e.run();
@@ -143,7 +143,7 @@ mod tests {
             let mut ctx = DslCtx::new(IpuModel::tiny(4));
             let x = ctx.vector("x", DType::F32, 100, 4);
             let dot = ctx.reduce(x * x);
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_tensor(x.id, &vec![2.0; 100]);
             e.run();
             assert_eq!(e.read_scalar(dot.id), 400.0);
@@ -162,7 +162,7 @@ mod tests {
             // Two levels of tree + stage 1 ⇒ strictly more compute sets than a
             // flat reduction's two.
             assert!(ctx.graph().compute_sets.len() >= 3);
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             let vals: Vec<f64> = (0..n).map(|i| (i % 7) as f64 - 3.0).collect();
             e.write_tensor(x.id, &vals);
             e.run();
@@ -178,7 +178,7 @@ mod tests {
             let mut ctx = DslCtx::new(IpuModel::tiny(tiles));
             let x = ctx.vector("x", DType::DoubleWord, 160, tiles);
             let s = ctx.reduce(x.ex());
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_tensor(x.id, &vec![1.0 + 1e-9; 160]);
             e.run();
             let want = 160.0 * (1.0 + 1e-9);
@@ -194,7 +194,7 @@ mod tests {
             let den = ctx.scalar("den", DType::F32);
             let out = ctx.scalar("out", DType::F32);
             ctx.assign(out, TExpr::select(den.ex().eq_(0.0f32), 0.0f32, num / den));
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_scalar(num.id, 6.0);
             e.write_scalar(den.id, 0.0);
             e.run();
@@ -205,7 +205,7 @@ mod tests {
             let den = ctx.scalar("den", DType::F32);
             let out = ctx.scalar("out", DType::F32);
             ctx.assign(out, TExpr::select(den.ex().eq_(0.0f32), 0.0f32, num / den));
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_scalar(num.id, 6.0);
             e.write_scalar(den.id, 2.0);
             e.run();
@@ -226,7 +226,7 @@ mod tests {
                     c.assign(iters, iters + 1.0f32);
                 },
             );
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_scalar(n.id, 5.0);
             e.run();
             assert_eq!(e.read_scalar(n.id), 0.0);
@@ -247,7 +247,7 @@ mod tests {
                 |c| c.assign(out, TExpr::c_f32(1.0)),
                 |c| c.assign(out, TExpr::c_f32(2.0)),
             );
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_scalar(x.id, 5.0);
             e.run();
             assert_eq!(e.read_scalar(out.id), 2.0);
@@ -260,7 +260,7 @@ mod tests {
             let mut ctx = DslCtx::new(IpuModel::tiny(2));
             let x = ctx.vector("x", DType::F32, 4, 2);
             ctx.repeat(5, |c| c.assign(x, x + 1.0f32));
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.run();
             assert_eq!(e.read_tensor(x.id), vec![5.0; 4]);
         }
@@ -272,7 +272,7 @@ mod tests {
             let mut ctx = DslCtx::new(IpuModel::tiny(2));
             let x = ctx.vector("x", DType::DoubleWord, 4, 2);
             let y = ctx.materialize(x + TExpr::c_dw(1e-9));
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_tensor(x.id, &[1.0; 4]);
             e.run();
             let got = e.read_tensor(y.id);
@@ -291,7 +291,7 @@ mod tests {
             ctx.assign(xd, x.to(DType::DoubleWord));
             let back = ctx.alloc_like(x, DType::F32);
             ctx.assign(back, xd.to(DType::F32));
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_tensor(x.id, &[1.5, -2.25]);
             e.run();
             assert_eq!(e.read_tensor(back.id), vec![1.5, -2.25]);
@@ -315,7 +315,7 @@ mod tests {
                     seen3.borrow_mut().push(view.read_scalar(kid));
                 });
             });
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.run();
             assert_eq!(*seen.borrow(), vec![1.0, 2.0, 3.0]);
         }
@@ -336,7 +336,7 @@ mod tests {
             };
             let x = ctx.add_tensor(def).unwrap();
             ctx.assign(x, x + 1.0f32);
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_tensor(x.id, &[1.0, 2.0, 99.0, 3.0, 4.0, 88.0]);
             e.run();
             assert_eq!(e.read_tensor(x.id), vec![2.0, 3.0, 99.0, 4.0, 5.0, 88.0]);
@@ -357,7 +357,7 @@ mod tests {
             };
             let x = ctx.add_tensor(def).unwrap();
             let s = ctx.reduce(x.ex());
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_tensor(x.id, &[1.0, 2.0, 1000.0, 3.0, 4.0, 1000.0]);
             e.run();
             assert_eq!(e.read_scalar(s.id), 10.0);
@@ -374,7 +374,7 @@ mod tests {
             #[allow(clippy::approx_constant)] // the paper's literal
             let close = (pi - 3.141f32).abs().lt(0.001f32);
             ctx.assign(found, close);
-            let mut e = ctx.build_engine_on(CompileOptions::from_env(), o).unwrap();
+            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
             e.write_scalar(pi.id, std::f64::consts::PI);
             e.run();
             assert_eq!(e.read_scalar(found.id), 1.0);

@@ -301,7 +301,8 @@ impl Graph {
     /// pipeline selected by `GRAPHENE_NO_OPT` (optimising by default),
     /// and freeze an executable.
     pub fn compile(self, program: Prog) -> Result<Executable, CompileError> {
-        self.compile_with(program, CompileOptions::from_env())
+        let options = CompileOptions::from_env().map_err(CompileError::Program)?;
+        self.compile_with(program, options)
     }
 
     /// Like [`Graph::compile`] with explicit compile options.

@@ -39,7 +39,7 @@ pub use compute::{ComputeSet, ComputeSetId, Vertex, VertexKind};
 pub use engine::{parallel_hazards, Engine, EngineOptions, FaultState};
 pub use graph::{CompileError, Executable, Graph};
 pub use kernels::{FusedKernel, KernelRun, KernelTable};
-pub use passes::CompileOptions;
+pub use passes::{parse_flag, CompileOptions};
 pub use plan::{ExecPlan, PlanStep, StepId};
 pub use program::{ExchangeStep, Prog};
 pub use tensor::{TensorChunk, TensorDef, TensorId};

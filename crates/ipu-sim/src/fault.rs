@@ -259,14 +259,6 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Read `GRAPHENE_FAULTS`. `Ok(None)` when unset or empty.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var("GRAPHENE_FAULTS") {
-            Ok(s) if !s.trim().is_empty() => FaultPlan::parse(&s).map(Some),
-            _ => Ok(None),
-        }
-    }
-
     /// Resolve the plan against a concrete tile count: explicit faults are
     /// kept as-is (tiles clamped into range), seeded faults are derived by
     /// a splitmix64 stream — a pure function of (spec, `num_tiles`), hence

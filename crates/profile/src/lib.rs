@@ -19,9 +19,10 @@
 //!   per-label cycle totals partition `device_cycles` exactly.
 //!
 //! Everything is gated behind explicit opt-in: the engine records nothing
-//! unless a recorder is attached, and the host APIs check the
-//! `GRAPHENE_TRACE` / `GRAPHENE_REPORT` environment variables (see
-//! [`trace_path_from_env`] / [`report_dir_from_env`]).
+//! unless a recorder is attached, and the host APIs attach one only under
+//! `GRAPHENE_TRACE` / write reports only under `GRAPHENE_REPORT` (read by
+//! `graphene_core::env::EnvConfig`; nothing in this crate reads the
+//! environment).
 
 mod compile_report;
 pub mod metrics;
@@ -43,43 +44,24 @@ pub use trace::{parse_tile_lanes, ExchangeRecord, Lane, TraceEvent, TraceRecorde
 
 use std::path::PathBuf;
 
-/// Path of the Chrome trace to write, from `GRAPHENE_TRACE` (unset or
-/// empty: tracing disabled).
-pub fn trace_path_from_env() -> Option<PathBuf> {
-    match std::env::var("GRAPHENE_TRACE") {
-        Ok(v) if !v.is_empty() => Some(PathBuf::from(v)),
-        _ => None,
-    }
-}
-
-/// Directory for JSON solve reports, from `GRAPHENE_REPORT` (unset or
-/// empty: reporting disabled).
-pub fn report_dir_from_env() -> Option<PathBuf> {
-    match std::env::var("GRAPHENE_REPORT") {
-        Ok(v) if !v.is_empty() => Some(PathBuf::from(v)),
-        _ => None,
-    }
-}
-
 static TRACE_SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
-/// Like [`trace_path_from_env`], but sequence-numbered: the first call in
-/// a process returns the path verbatim, the `n`-th (n ≥ 1) inserts `-n`
-/// before the extension (`fig5.trace.json` → `fig5.trace-1.json`), so a
-/// binary that runs the device several times keeps one trace per run
-/// instead of clobbering the same file.
-pub fn next_trace_path() -> Option<PathBuf> {
-    let base = trace_path_from_env()?;
+/// `base`, sequence-numbered: the first call in a process returns the
+/// path verbatim, the `n`-th (n ≥ 1) inserts `-n` before the extension
+/// (`fig5.trace.json` → `fig5.trace-1.json`), so a binary that runs the
+/// device several times keeps one trace per run instead of clobbering
+/// the same file.
+pub fn numbered_trace_path(base: &std::path::Path) -> PathBuf {
     let n = TRACE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     if n == 0 {
-        return Some(base);
+        return base.to_path_buf();
     }
     let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
     let name = match base.extension().and_then(|e| e.to_str()) {
         Some(ext) => format!("{stem}-{n}.{ext}"),
         None => format!("{stem}-{n}"),
     };
-    Some(base.with_file_name(name))
+    base.with_file_name(name)
 }
 
 /// Write a Chrome trace and its companion text report (`*.report.txt`)

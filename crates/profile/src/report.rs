@@ -233,7 +233,7 @@ mod tests {
         s.pop_label();
         s.record_sync(5);
 
-        let mut t = TraceRecorder::new().with_tile_lanes(4);
+        let mut t = TraceRecorder::new(4);
         t.begin_label("spmv");
         t.compute("spmv_cs", &[(0, 100), (1, 90), (2, 110), (3, 95)]);
         t.exchange("halo", 30, 512, 2);

@@ -19,7 +19,7 @@ use json::Json;
 /// 16-IPU partition would be unusable (and enormous), so only the first
 /// `tile_lanes` tiles get individual lanes. Override with the
 /// `GRAPHENE_TRACE_TILES` environment variable or
-/// [`TraceRecorder::with_tile_lanes`].
+/// [`TraceRecorder::new`].
 pub const DEFAULT_TILE_LANES: usize = 16;
 
 /// Hard cap on recorded events; past it, new events are dropped (counted
@@ -78,7 +78,7 @@ pub struct TraceRecorder {
 
 impl Default for TraceRecorder {
     fn default() -> Self {
-        TraceRecorder::new()
+        TraceRecorder::new(DEFAULT_TILE_LANES)
     }
 }
 
@@ -95,13 +95,10 @@ pub fn parse_tile_lanes(v: Option<&str>) -> usize {
 }
 
 impl TraceRecorder {
-    /// New recorder; tile-lane cap taken from `GRAPHENE_TRACE_TILES` when
-    /// set (see [`parse_tile_lanes`]), else [`DEFAULT_TILE_LANES`].
-    pub fn new() -> TraceRecorder {
-        let env = std::env::var("GRAPHENE_TRACE_TILES").ok();
-        let lanes = parse_tile_lanes(env.as_deref());
+    /// New recorder with `tile_lanes` per-tile lanes.
+    pub fn new(tile_lanes: usize) -> TraceRecorder {
         TraceRecorder {
-            tile_lanes: lanes,
+            tile_lanes,
             clock: 0,
             events: Vec::new(),
             dropped: 0,
@@ -109,12 +106,6 @@ impl TraceRecorder {
             exchanges: Vec::new(),
             compute_totals: HashMap::new(),
         }
-    }
-
-    /// Set the number of per-tile lanes.
-    pub fn with_tile_lanes(mut self, lanes: usize) -> TraceRecorder {
-        self.tile_lanes = lanes;
-        self
     }
 
     fn push(&mut self, ev: TraceEvent) {
@@ -439,7 +430,7 @@ mod tests {
     use super::*;
 
     fn sample() -> TraceRecorder {
-        let mut t = TraceRecorder::new().with_tile_lanes(4);
+        let mut t = TraceRecorder::new(4);
         t.begin_label("solver");
         t.sync(10);
         t.exchange("halo", 20, 512, 3);
@@ -542,22 +533,22 @@ mod tests {
 
         // The parsed cap is respected by the recorder: a lane count of 2
         // drops tiles ≥ 2, "all" keeps every tile, 0 keeps none.
-        let mut capped = TraceRecorder::new().with_tile_lanes(parse_tile_lanes(Some("2")));
+        let mut capped = TraceRecorder::new(parse_tile_lanes(Some("2")));
         capped.compute("cs", &[(0, 5), (1, 5), (2, 5), (9, 5)]);
         assert!(capped.events().iter().any(|e| e.lane == Lane::Tile(1)));
         assert!(capped.events().iter().all(|e| e.lane != Lane::Tile(2)));
-        let mut all = TraceRecorder::new().with_tile_lanes(parse_tile_lanes(Some("all")));
+        let mut all = TraceRecorder::new(parse_tile_lanes(Some("all")));
         all.compute("cs", &[(0, 5), (9, 5)]);
         assert!(all.events().iter().any(|e| e.lane == Lane::Tile(9)));
         all.to_chrome_trace(); // uncapped lanes must not blow up serialisation
-        let mut none = TraceRecorder::new().with_tile_lanes(parse_tile_lanes(Some("0")));
+        let mut none = TraceRecorder::new(parse_tile_lanes(Some("0")));
         none.compute("cs", &[(0, 5)]);
         assert!(none.events().iter().all(|e| !matches!(e.lane, Lane::Tile(_))));
     }
 
     #[test]
     fn open_labels_are_closed_in_serialisation() {
-        let mut t = TraceRecorder::new().with_tile_lanes(1);
+        let mut t = TraceRecorder::new(1);
         t.begin_label("dangling");
         t.sync(7);
         let v = t.to_chrome_trace();

@@ -48,10 +48,8 @@ use sparse::sell::SellMatrix;
 /// older files then read as cache misses, never as garbage plans.
 pub const TUNE_SCHEMA_VERSION: u64 = 1;
 
-/// Environment variable overriding the cache directory.
-pub const CACHE_ENV: &str = "GRAPHENE_TUNE_CACHE";
-
-/// Default cache directory (relative to the working directory).
+/// Default cache directory (relative to the working directory;
+/// `GRAPHENE_TUNE_CACHE` / `SolveOptions::tune_cache` override it).
 pub const DEFAULT_CACHE_DIR: &str = ".graphene-cache";
 
 // ---------------------------------------------------------------------
@@ -305,15 +303,6 @@ pub struct PlanCache {
 impl PlanCache {
     pub fn at(dir: impl Into<PathBuf>) -> PlanCache {
         PlanCache { dir: dir.into() }
-    }
-
-    /// The cache directory the environment selects: `GRAPHENE_TUNE_CACHE`
-    /// when set and non-empty, else `.graphene-cache`.
-    pub fn default_dir() -> PathBuf {
-        match std::env::var(CACHE_ENV) {
-            Ok(d) if !d.trim().is_empty() => PathBuf::from(d),
-            _ => PathBuf::from(DEFAULT_CACHE_DIR),
-        }
     }
 
     pub fn path_of(&self, key: &TuneKey) -> PathBuf {

@@ -48,17 +48,17 @@ pub mod plan_equiv;
 pub mod resilience;
 pub mod ulp_audit;
 
-/// Number of randomised cases a sweep should run.
+/// Number of randomised cases a sweep should run: `GRAPHENE_VERIFY_CASES`
+/// when set, else `default`. The value scales *per-sweep* case counts, so
+/// a single knob deepens every property in the suite.
 ///
-/// Reads `GRAPHENE_VERIFY_CASES`; falls back to `default` when unset or
-/// unparsable. The value scales *per-sweep* case counts, so a single knob
-/// deepens every property in the suite.
+/// Panics (failing the sweep) on a value that is not a positive integer:
+/// CI's deep pass must not silently run the shallow default on a typo.
 pub fn cases_from_env(default: u32) -> u32 {
-    std::env::var("GRAPHENE_VERIFY_CASES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
+    match graphene_core::env::EnvConfig::verify_cases() {
+        Ok(cases) => cases.unwrap_or(default),
+        Err(e) => panic!("{e}"),
+    }
 }
 
 #[cfg(test)]

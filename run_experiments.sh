@@ -32,8 +32,8 @@ run "Fused kernels" native_speedup         | tee results/native_speedup.txt
 # Auto-tuner gate: cold search populates results/tune-cache, the second
 # invocation must hit it and reproduce the solve bit for bit.
 rm -rf results/tune-cache
-run "Auto-tune (cold)" tune_cache          | tee results/tune_cache.txt
-run "Auto-tune (hit)"  tune_cache -- --expect-hit | tee -a results/tune_cache.txt
+run "Auto-tune (cold)" tune_cache -- --cache results/tune-cache | tee results/tune_cache.txt
+run "Auto-tune (hit)"  tune_cache -- --cache results/tune-cache --expect-hit | tee -a results/tune_cache.txt
 # Aggregate every results/*.json artifact written above into
 # results/summary.json + a markdown table at results/summary.md.
 run "Summary"    summarize                 | tee results/summary.txt
