@@ -1,8 +1,17 @@
 //! Criterion benchmarks of the host-side kernels: the CPU baseline's CSR
-//! SpMV (sequential vs rayon), ILU(0) factorisation, and the framework's
-//! compile-time analyses (halo decomposition, level sets, partitioning).
+//! SpMV (sequential vs rayon), ILU(0) factorisation, the framework's
+//! compile-time analyses (halo decomposition, level sets, partitioning),
+//! and the codelet interpreter on the three vertex shapes a solve replays.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use graph::codelet::{BinOp, Codelet, Expr, Interp, ParamData, ParamDecl, Stmt, Value};
+use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
+use graph::kernels::{forward_subst_template, spmv_template};
+use graph::program::Prog;
+use graph::tensor::TensorDef;
+use graph::{Engine, Graph};
+use ipu_sim::cost::{CostModel, DType};
+use ipu_sim::model::IpuModel;
 use sparse::formats::CsrMatrix;
 use sparse::gen::{poisson_3d_7pt, Grid3};
 use sparse::halo::HaloDecomposition;
@@ -53,5 +62,126 @@ fn bench_analyses(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_spmv, bench_ilu_factorise, bench_analyses);
+/// `y[i] = a[0] * x[i] + y[i]`, the shape of every fused-expression map.
+fn axpy_codelet() -> Codelet {
+    let ro = |dtype| ParamDecl { dtype, mutable: false };
+    Codelet {
+        name: "axpy".into(),
+        params: vec![
+            ro(DType::F32),
+            ParamDecl { dtype: DType::F32, mutable: true },
+            ro(DType::F32),
+        ],
+        num_locals: 1,
+        body: vec![Stmt::ParFor {
+            local: 0,
+            start: Expr::c(Value::I32(0)),
+            end: Expr::ParamLen(0),
+            body: vec![Stmt::Store {
+                param: 1,
+                index: Expr::Local(0),
+                value: Expr::bin(
+                    BinOp::Add,
+                    Expr::bin(
+                        BinOp::Mul,
+                        Expr::index(2, Expr::c(Value::I32(0))),
+                        Expr::index(0, Expr::Local(0)),
+                    ),
+                    Expr::index(1, Expr::Local(0)),
+                ),
+            }],
+        }],
+    }
+}
+
+fn from_template(
+    name: &str,
+    (params, num_locals, body): (Vec<ParamDecl>, usize, Vec<Stmt>),
+) -> Codelet {
+    Codelet { name: name.into(), params, num_locals, body }
+}
+
+/// The reference interpreter, per element, on one tile's worth of rows (32
+/// is what the benchmark's `fig8_mpir` maps to a tile, 64 what `cold_oneshot`
+/// does): an axpy map and the SpMV codelet straight through `Interp`, and a
+/// forward-substitution `LevelSet` vertex through `Engine::run`, so the
+/// engine's per-vertex path (operand slicing, the per-level LPT makespan)
+/// is inside the measurement. A regression in the interpreter shows here in
+/// seconds, without the 16 s host benchmark.
+fn bench_interpreter(c: &mut Criterion) {
+    let cost = CostModel::default();
+    let mut g = c.benchmark_group("interpreter");
+    for n in [32usize, 64] {
+        g.throughput(Throughput::Elements(n as u64));
+        // One tile's block of a 5-point stencil, in the device's layout:
+        // dense f32 diagonal + off-diagonal CSR with i32 indices.
+        let a = sparse::gen::poisson_2d_5pt(8, n / 8, 1.0);
+        let m = a.to_modified();
+        let diag: Vec<f32> = m.diag.iter().map(|&v| v as f32).collect();
+        let vals: Vec<f32> = m.values.iter().map(|&v| v as f32).collect();
+        let cols: Vec<i32> = m.col_idx.iter().map(|&c| c as i32).collect();
+        let rptr: Vec<i32> = m.row_ptr.iter().map(|&p| p as i32).collect();
+        let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).sin()).collect();
+        let mut y = vec![0.0f32; n];
+
+        let axpy = axpy_codelet();
+        let alpha = [0.5f32];
+        g.bench_function(format!("axpy/{n}"), |b| {
+            b.iter(|| {
+                let mut p =
+                    [ParamData::F32Ro(&x), ParamData::F32(&mut y), ParamData::F32Ro(&alpha)];
+                Interp::new(&cost, &mut p, axpy.num_locals, 6).run(black_box(&axpy.body))
+            })
+        });
+
+        let spmv = from_template("spmv", spmv_template(false));
+        g.bench_function(format!("spmv/{n}"), |b| {
+            b.iter(|| {
+                let mut p = [
+                    ParamData::F32(&mut y),
+                    ParamData::F32Ro(&x),
+                    ParamData::F32Ro(&diag),
+                    ParamData::F32Ro(&vals),
+                    ParamData::I32Ro(&cols),
+                    ParamData::I32Ro(&rptr),
+                ];
+                Interp::new(&cost, &mut p, spmv.num_locals, 6).run(black_box(&spmv.body))
+            })
+        });
+
+        let mut graph = Graph::new(IpuModel::tiny(1));
+        let mut tensor = |name: &str, dtype, values: &[f64]| {
+            let t = graph.add_tensor(TensorDef::on_tile(name, dtype, values.len(), 0)).unwrap();
+            (t, values.to_vec())
+        };
+        let as_f64 = |v: &[i32]| v.iter().map(|&i| i as f64).collect::<Vec<_>>();
+        let operands = [
+            tensor("w", DType::F32, &vec![0.0; n]),
+            tensor("b", DType::F32, &vec![1.0; n]),
+            tensor("lvals", DType::F32, &m.values),
+            tensor("ldiag", DType::F32, &m.diag),
+            tensor("cols", DType::I32, &as_f64(&cols)),
+            tensor("rptr", DType::I32, &as_f64(&rptr)),
+        ];
+        let codelet = graph
+            .add_codelet(from_template("forward_subst", forward_subst_template(true)))
+            .unwrap();
+        let mut cs = ComputeSet::new("forward_subst");
+        cs.add(Vertex {
+            tile: 0,
+            codelet,
+            operands: operands.iter().map(|(t, v)| TensorSlice::whole(*t, v.len())).collect(),
+            kind: VertexKind::LevelSet { levels: LevelSets::analyze(&a, Sweep::Forward).levels },
+        });
+        let cs = graph.add_compute_set(cs).unwrap();
+        let mut engine = Engine::new(graph.compile(Prog::Execute(cs)).unwrap());
+        for (t, values) in &operands {
+            engine.write_tensor(*t, values);
+        }
+        g.bench_function(format!("forward_subst_level_set/{n}"), |b| b.iter(|| engine.run()));
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_spmv, bench_ilu_factorise, bench_analyses, bench_interpreter);
 criterion_main!(benches);

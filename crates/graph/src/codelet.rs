@@ -158,93 +158,107 @@ pub(crate) fn promote(a: DType, b: DType) -> DType {
 /// Apply a binary operation with dynamic promotion. Returns the result and
 /// the dtype whose cost applies.
 pub fn apply_bin(op: BinOp, a: Value, b: Value) -> (Value, DType) {
-    use BinOp::*;
     let dt = promote(a.dtype(), b.dtype());
-    // Comparisons / logic produce Bool but cost at the operand type.
     let val = match dt {
-        DType::I32 | DType::Bool => {
-            let (x, y) = (a.as_i64(), b.as_i64());
-            match op {
-                Add => Value::I32((x + y) as i32),
-                Sub => Value::I32((x - y) as i32),
-                Mul => Value::I32((x * y) as i32),
-                Div => Value::I32((x / y) as i32),
-                Rem => Value::I32((x % y) as i32),
-                Min => Value::I32(x.min(y) as i32),
-                Max => Value::I32(x.max(y) as i32),
-                Eq => Value::Bool(x == y),
-                Ne => Value::Bool(x != y),
-                Lt => Value::Bool(x < y),
-                Le => Value::Bool(x <= y),
-                Gt => Value::Bool(x > y),
-                Ge => Value::Bool(x >= y),
-                And => Value::Bool(x != 0 && y != 0),
-                Or => Value::Bool(x != 0 || y != 0),
-            }
-        }
-        DType::F32 => {
-            let (x, y) = (a.as_f64() as f32, b.as_f64() as f32);
-            match op {
-                Add => Value::F32(x + y),
-                Sub => Value::F32(x - y),
-                Mul => Value::F32(x * y),
-                Div => Value::F32(x / y),
-                Rem => Value::F32(x % y),
-                Min => Value::F32(x.min(y)),
-                Max => Value::F32(x.max(y)),
-                Eq => Value::Bool(x == y),
-                Ne => Value::Bool(x != y),
-                Lt => Value::Bool(x < y),
-                Le => Value::Bool(x <= y),
-                Gt => Value::Bool(x > y),
-                Ge => Value::Bool(x >= y),
-                And => Value::Bool(x != 0.0 && y != 0.0),
-                Or => Value::Bool(x != 0.0 || y != 0.0),
-            }
-        }
-        DType::DoubleWord => {
-            let x = as_dw(a);
-            let y = as_dw(b);
-            match op {
-                Add => Value::Dw(x + y),
-                Sub => Value::Dw(x - y),
-                Mul => Value::Dw(x * y),
-                Div => Value::Dw(x / y),
-                Rem => Value::Dw(TwoFloat::from_f64(x.to_f64() % y.to_f64())),
-                Min => Value::Dw(if x < y { x } else { y }),
-                Max => Value::Dw(if x > y { x } else { y }),
-                Eq => Value::Bool(x == y),
-                Ne => Value::Bool(x != y),
-                Lt => Value::Bool(x < y),
-                Le => Value::Bool(x <= y || x == y),
-                Gt => Value::Bool(x > y),
-                Ge => Value::Bool(x >= y || x == y),
-                And => Value::Bool(x.to_f64() != 0.0 && y.to_f64() != 0.0),
-                Or => Value::Bool(x.to_f64() != 0.0 || y.to_f64() != 0.0),
-            }
-        }
-        DType::F64Emulated => {
-            let (x, y) = (a.as_f64(), b.as_f64());
-            match op {
-                Add => Value::F64(x + y),
-                Sub => Value::F64(x - y),
-                Mul => Value::F64(x * y),
-                Div => Value::F64(x / y),
-                Rem => Value::F64(x % y),
-                Min => Value::F64(x.min(y)),
-                Max => Value::F64(x.max(y)),
-                Eq => Value::Bool(x == y),
-                Ne => Value::Bool(x != y),
-                Lt => Value::Bool(x < y),
-                Le => Value::Bool(x <= y),
-                Gt => Value::Bool(x > y),
-                Ge => Value::Bool(x >= y),
-                And => Value::Bool(x != 0.0 && y != 0.0),
-                Or => Value::Bool(x != 0.0 || y != 0.0),
-            }
-        }
+        DType::I32 | DType::Bool => bin_i64(op, a.as_i64(), b.as_i64()),
+        DType::F32 => bin_f32(op, a.as_f64() as f32, b.as_f64() as f32),
+        DType::DoubleWord => bin_dw(op, as_dw(a), as_dw(b)),
+        DType::F64Emulated => bin_f64(op, a.as_f64(), b.as_f64()),
     };
     (val, dt)
+}
+
+// One helper per promoted domain: the single definition of every operator.
+// `apply_bin` reaches them through the promotion ladder, `Interp::eval`
+// directly when both operands already have the domain's dtype.
+// Comparisons / logic produce Bool but cost at the operand type.
+
+/// The I32 / Bool domain, evaluated in i64 and wrapped to i32. `Div` and
+/// `Rem` by zero panic (Rust's integer division), on every path.
+#[inline]
+fn bin_i64(op: BinOp, x: i64, y: i64) -> Value {
+    use BinOp::*;
+    match op {
+        Add => Value::I32((x + y) as i32),
+        Sub => Value::I32((x - y) as i32),
+        Mul => Value::I32((x * y) as i32),
+        Div => Value::I32((x / y) as i32),
+        Rem => Value::I32((x % y) as i32),
+        Min => Value::I32(x.min(y) as i32),
+        Max => Value::I32(x.max(y) as i32),
+        Eq => Value::Bool(x == y),
+        Ne => Value::Bool(x != y),
+        Lt => Value::Bool(x < y),
+        Le => Value::Bool(x <= y),
+        Gt => Value::Bool(x > y),
+        Ge => Value::Bool(x >= y),
+        And => Value::Bool(x != 0 && y != 0),
+        Or => Value::Bool(x != 0 || y != 0),
+    }
+}
+
+#[inline]
+fn bin_f32(op: BinOp, x: f32, y: f32) -> Value {
+    use BinOp::*;
+    match op {
+        Add => Value::F32(x + y),
+        Sub => Value::F32(x - y),
+        Mul => Value::F32(x * y),
+        Div => Value::F32(x / y),
+        Rem => Value::F32(x % y),
+        Min => Value::F32(x.min(y)),
+        Max => Value::F32(x.max(y)),
+        Eq => Value::Bool(x == y),
+        Ne => Value::Bool(x != y),
+        Lt => Value::Bool(x < y),
+        Le => Value::Bool(x <= y),
+        Gt => Value::Bool(x > y),
+        Ge => Value::Bool(x >= y),
+        And => Value::Bool(x != 0.0 && y != 0.0),
+        Or => Value::Bool(x != 0.0 || y != 0.0),
+    }
+}
+
+fn bin_dw(op: BinOp, x: TwoF32, y: TwoF32) -> Value {
+    use BinOp::*;
+    match op {
+        Add => Value::Dw(x + y),
+        Sub => Value::Dw(x - y),
+        Mul => Value::Dw(x * y),
+        Div => Value::Dw(x / y),
+        Rem => Value::Dw(TwoFloat::from_f64(x.to_f64() % y.to_f64())),
+        Min => Value::Dw(if x < y { x } else { y }),
+        Max => Value::Dw(if x > y { x } else { y }),
+        Eq => Value::Bool(x == y),
+        Ne => Value::Bool(x != y),
+        Lt => Value::Bool(x < y),
+        Le => Value::Bool(x <= y || x == y),
+        Gt => Value::Bool(x > y),
+        Ge => Value::Bool(x >= y || x == y),
+        And => Value::Bool(x.to_f64() != 0.0 && y.to_f64() != 0.0),
+        Or => Value::Bool(x.to_f64() != 0.0 || y.to_f64() != 0.0),
+    }
+}
+
+fn bin_f64(op: BinOp, x: f64, y: f64) -> Value {
+    use BinOp::*;
+    match op {
+        Add => Value::F64(x + y),
+        Sub => Value::F64(x - y),
+        Mul => Value::F64(x * y),
+        Div => Value::F64(x / y),
+        Rem => Value::F64(x % y),
+        Min => Value::F64(x.min(y)),
+        Max => Value::F64(x.max(y)),
+        Eq => Value::Bool(x == y),
+        Ne => Value::Bool(x != y),
+        Lt => Value::Bool(x < y),
+        Le => Value::Bool(x <= y),
+        Gt => Value::Bool(x > y),
+        Ge => Value::Bool(x >= y),
+        And => Value::Bool(x != 0.0 && y != 0.0),
+        Or => Value::Bool(x != 0.0 || y != 0.0),
+    }
 }
 
 pub(crate) fn as_dw(v: Value) -> TwoF32 {
@@ -608,18 +622,37 @@ impl<'a, 'b> Interp<'a, 'b> {
             Expr::Binary { op, lhs, rhs } => {
                 let a = self.eval(lhs);
                 let b = self.eval(rhs);
-                let (da, db) = (a.dtype(), b.dtype());
-                let (v, dt) = apply_bin(*op, a, b);
-                // Mixed double-word ⊗ single-word ops use the cheaper
-                // Joldes DW⊗FP algorithms (cost only; the value is computed
-                // at full pair precision either way).
-                let mixed = dt == DType::DoubleWord && (da == DType::F32 || db == DType::F32);
-                self.cycles += if mixed {
-                    self.cost.op_cycles_mixed_dw(op.cost_op())
-                } else {
-                    self.cost.op_cycles(op.cost_op(), dt)
+                let cost_op = op.cost_op();
+                let (v, dt, cycles) = match (a, b) {
+                    // Same dtype on both sides (almost every node of SpMV,
+                    // substitution, axpy and dot): nothing to promote or
+                    // convert, and never the mixed double-word charge.
+                    (Value::F32(x), Value::F32(y)) => {
+                        (bin_f32(*op, x, y), DType::F32, self.cost.op_cycles(cost_op, DType::F32))
+                    }
+                    (Value::I32(x), Value::I32(y)) => (
+                        bin_i64(*op, x as i64, y as i64),
+                        DType::I32,
+                        self.cost.op_cycles(cost_op, DType::I32),
+                    ),
+                    _ => {
+                        let (da, db) = (a.dtype(), b.dtype());
+                        let (v, dt) = apply_bin(*op, a, b);
+                        // Mixed double-word ⊗ single-word ops use the cheaper
+                        // Joldes DW⊗FP algorithms (cost only; the value is
+                        // computed at full pair precision either way).
+                        let mixed =
+                            dt == DType::DoubleWord && (da == DType::F32 || db == DType::F32);
+                        let cycles = if mixed {
+                            self.cost.op_cycles_mixed_dw(cost_op)
+                        } else {
+                            self.cost.op_cycles(cost_op, dt)
+                        };
+                        (v, dt, cycles)
+                    }
                 };
-                self.flops += self.cost.op_flops(op.cost_op(), dt);
+                self.cycles += cycles;
+                self.flops += self.cost.op_flops(cost_op, dt);
                 v
             }
             Expr::Convert { to, arg } => {
@@ -836,6 +869,126 @@ mod tests {
             Value::Dw(d) => assert!((d.to_f64() - (1.0 + 1e-9)).abs() < 1e-15),
             other => panic!("expected Dw, got {other:?}"),
         }
+    }
+
+    const ALL_BINOPS: [BinOp; 15] =
+        [Add, Sub, Mul, Div, Min, Max, Eq, Ne, Lt, Le, Gt, Ge, And, Or, Rem];
+
+    /// Adversarial operands per dtype: signed zeros, infinities, NaN,
+    /// subnormals and the extremes for F32; the wrap-around corners for
+    /// I32; and Dw / F64 values that f32 cannot represent.
+    ///
+    /// The NaN is quiet. A *signalling* F32 NaN is the one input whose bits
+    /// are not pinned here: `apply_bin` widens F32 operands to f64 and back
+    /// (which quiets them) and the fast path does not, so `Min` / `Max` of
+    /// two NaNs may keep the signalling payload in a local. No operator
+    /// produces one (only a bit flip can), every arithmetic operator quiets
+    /// it, and `ParamData::set` narrows through f64, so tensor storage never
+    /// sees the difference.
+    fn adversarial_operands() -> Vec<Value> {
+        let f32s = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 2.0,
+            f32::MAX,
+            -1.0,
+            1.5,
+        ];
+        let i32s = [i32::MIN, -1, 0, 1, i32::MAX];
+        let dws = [1.0 + 1e-9, 16_777_217.0, -0.0, f64::INFINITY, f64::NAN];
+        let f64s = [1.0 + 1e-9, 1e300, -0.0, i32::MAX as f64 + 0.5, f64::NEG_INFINITY, f64::NAN];
+        let mut out: Vec<Value> = f32s.into_iter().map(Value::F32).collect();
+        out.extend(i32s.into_iter().map(Value::I32));
+        out.extend([Value::Bool(false), Value::Bool(true)]);
+        out.extend(dws.into_iter().map(|v| Value::Dw(TwoFloat::from_f64(v))));
+        out.extend(f64s.into_iter().map(Value::F64));
+        out
+    }
+
+    /// A value's dtype and exact bit pattern (so NaNs and signed zeros
+    /// compare as what they are).
+    fn bits(v: Value) -> (DType, u64) {
+        let b = match v {
+            Value::F32(x) => x.to_bits() as u64,
+            Value::I32(x) => x as u32 as u64,
+            Value::Bool(x) => x as u64,
+            Value::Dw(x) => (x.hi().to_bits() as u64) << 32 | x.lo().to_bits() as u64,
+            Value::F64(x) => x.to_bits(),
+        };
+        (v.dtype(), b)
+    }
+
+    /// `Interp::eval` of one `Expr::Binary` over constants: value, cycles
+    /// and flops, or `None` if evaluation panicked.
+    fn interp_binary(op: BinOp, a: Value, b: Value) -> Option<(Value, u64, u64)> {
+        std::panic::catch_unwind(|| {
+            let cost = cm();
+            let mut params: [ParamData; 0] = [];
+            let mut interp = Interp::new(&cost, &mut params, 0, 6);
+            let v = interp.eval(&Expr::bin(op, Expr::c(a), Expr::c(b)));
+            (v, interp.cycles, interp.flops)
+        })
+        .ok()
+    }
+
+    /// The interpreter's same-dtype fast paths are an optimisation, not a
+    /// second semantics: for every operator and every ordered pair of
+    /// operands (hence of dtypes), `Interp` yields the bits `apply_bin`
+    /// yields and charges what the cost model says for the promoted dtype
+    /// (the mixed double-word rate iff the result is double-word and one
+    /// side is f32).
+    ///
+    /// Integer `Div` / `Rem` by zero (both sides I32 or Bool) **panics** —
+    /// Rust's integer division, "attempt to divide by zero" — through
+    /// `apply_bin` and through the interpreter alike.
+    #[test]
+    fn interp_binary_matches_apply_bin_and_the_cost_formulas() {
+        let cost = cm();
+        let operands = adversarial_operands();
+        let mut checked = 0;
+        let mut div_by_zero = 0;
+        for op in ALL_BINOPS {
+            for &a in &operands {
+                for &b in &operands {
+                    let (da, db) = (a.dtype(), b.dtype());
+                    let dt = promote(da, db);
+                    let int_domain = matches!(dt, DType::I32 | DType::Bool);
+                    if int_domain && matches!(op, Div | Rem) && b.as_i64() == 0 {
+                        assert!(
+                            std::panic::catch_unwind(|| apply_bin(op, a, b)).is_err(),
+                            "apply_bin {op:?} {a:?} {b:?} must panic"
+                        );
+                        assert!(
+                            interp_binary(op, a, b).is_none(),
+                            "Interp {op:?} {a:?} {b:?} must panic"
+                        );
+                        div_by_zero += 1;
+                        continue;
+                    }
+                    let (want, want_dt) = apply_bin(op, a, b);
+                    assert_eq!(want_dt, dt);
+                    let mixed = dt == DType::DoubleWord && (da == DType::F32 || db == DType::F32);
+                    let want_cycles = if mixed {
+                        cost.op_cycles_mixed_dw(op.cost_op())
+                    } else {
+                        cost.op_cycles(op.cost_op(), dt)
+                    };
+                    let want_flops = cost.op_flops(op.cost_op(), dt);
+                    let (got, cycles, flops) =
+                        interp_binary(op, a, b).unwrap_or_else(|| panic!("{op:?} {a:?} {b:?}"));
+                    assert_eq!(bits(got), bits(want), "{op:?} {a:?} {b:?}");
+                    assert_eq!((cycles, flops), (want_cycles, want_flops), "{op:?} {a:?} {b:?}");
+                    checked += 1;
+                }
+            }
+        }
+        // Every dtype pair was present, and the zero divisors were met.
+        assert_eq!(checked + div_by_zero, ALL_BINOPS.len() * operands.len() * operands.len());
+        assert!(div_by_zero > 0);
     }
 
     #[test]

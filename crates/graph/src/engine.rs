@@ -1115,20 +1115,14 @@ fn run_vertex(graph: &Graph, bases: &TensorBases, v: &Vertex, kernels: &KernelTa
     let cycles = match &v.kind {
         VertexKind::Simple => interp.run(&codelet.body),
         VertexKind::LevelSet { levels } => {
-            let mut row_cost: HashMap<usize, u64> = HashMap::new();
-            for level in levels {
-                for &row in level {
-                    interp.locals[0] = Value::I32(row as i32);
-                    let before = interp.cycles;
-                    interp.run(&codelet.body);
-                    row_cost.insert(row, interp.cycles - before);
-                }
-            }
-            let schedule =
-                ipu_sim::threading::LevelSchedule::build(levels, workers as usize, |i| {
-                    row_cost[&i]
-                });
-            schedule.cycles(|i| row_cost[&i], cost)
+            // Each row runs inside the makespan's cost callback (once, in
+            // level order), so no per-row table outlives its level.
+            ipu_sim::threading::level_set_cycles(levels, workers as usize, cost, |row| {
+                interp.locals[0] = Value::I32(row as i32);
+                let before = interp.cycles;
+                interp.run(&codelet.body);
+                interp.cycles - before
+            })
         }
     };
     KernelRun { cycles, flops: interp.flops, mem_bytes: interp.mem_bytes }

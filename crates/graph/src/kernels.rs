@@ -33,6 +33,9 @@ use crate::codelet::{
 use crate::compute::VertexKind;
 use crate::graph::Graph;
 use ipu_sim::cost::{CostModel, DType, Op};
+use ipu_sim::threading::level_set_cycles;
+// The tests' interpreter oracle (`interp_level_set`) builds the full schedule.
+#[cfg(test)]
 use ipu_sim::threading::LevelSchedule;
 use twofloat::{TwoF32, TwoFloat};
 
@@ -812,49 +815,46 @@ impl SubstKernel {
         };
         let base_mem: u64 = if forward { 4 + 8 } else { 8 };
 
-        let mut row_cost = vec![0u64; n];
         let (mut flops, mut mem) = (0u64, 0u64);
-        for level in levels {
-            for &i in level {
-                let lo = rptr[i] as usize;
-                let hi = rptr[i + 1] as usize;
-                let entries = (hi - lo) as u64;
-                let mut taken = 0u64;
-                match self.kind {
-                    SubstKind::Forward { divide } => {
-                        let mut acc = b.unwrap()[i];
-                        for k in lo..hi {
-                            let j = cols[k];
-                            if (j as i64) < (i as i64) {
-                                acc -= lvals[k] * w_slice[j as usize];
-                                taken += 1;
-                            }
+        // Each row is solved inside the makespan's cost callback (called
+        // once per row, in level order) and returns the row's charge.
+        let cycles = level_set_cycles(levels, workers as usize, cost, |i| {
+            let lo = rptr[i] as usize;
+            let hi = rptr[i + 1] as usize;
+            let entries = (hi - lo) as u64;
+            let mut taken = 0u64;
+            match self.kind {
+                SubstKind::Forward { divide } => {
+                    let mut acc = b.unwrap()[i];
+                    for k in lo..hi {
+                        let j = cols[k];
+                        if (j as i64) < (i as i64) {
+                            acc -= lvals[k] * w_slice[j as usize];
+                            taken += 1;
                         }
-                        w_slice[i] = if divide { acc / ldiag[i] } else { acc };
                     }
-                    SubstKind::Backward { divide } => {
-                        let mut acc = 0.0f32;
-                        for k in lo..hi {
-                            let j = cols[k];
-                            if (j as i64) > (i as i64) && (j as i64) < (n as i64) {
-                                acc += lvals[k] * w_slice[j as usize];
-                                taken += 1;
-                            }
-                        }
-                        w_slice[i] = if divide {
-                            (w_slice[i] - acc) / ldiag[i]
-                        } else {
-                            w_slice[i] - acc / ldiag[i]
-                        };
-                    }
+                    w_slice[i] = if divide { acc / ldiag[i] } else { acc };
                 }
-                row_cost[i] = base + entries * per_entry + taken * per_taken + epi;
-                flops += 2 * taken + epi_flops;
-                mem += base_mem + entries * 4 + taken * 8 + epi_mem;
+                SubstKind::Backward { divide } => {
+                    let mut acc = 0.0f32;
+                    for k in lo..hi {
+                        let j = cols[k];
+                        if (j as i64) > (i as i64) && (j as i64) < (n as i64) {
+                            acc += lvals[k] * w_slice[j as usize];
+                            taken += 1;
+                        }
+                    }
+                    w_slice[i] = if divide {
+                        (w_slice[i] - acc) / ldiag[i]
+                    } else {
+                        w_slice[i] - acc / ldiag[i]
+                    };
+                }
             }
-        }
-        let schedule = LevelSchedule::build(levels, workers as usize, |i| row_cost[i]);
-        let cycles = schedule.cycles(|i| row_cost[i], cost);
+            flops += 2 * taken + epi_flops;
+            mem += base_mem + entries * 4 + taken * 8 + epi_mem;
+            base + entries * per_entry + taken * per_taken + epi
+        });
         Some(KernelRun { cycles, flops, mem_bytes: mem })
     }
 }
@@ -986,7 +986,12 @@ impl SumKernel {
 /// the `CodeDsl` builder lowers it, for exact structural comparison. Any
 /// drift in the real builder makes the match fail — a safe fallback, never
 /// a wrong kernel.
-fn spmv_template(residual: bool) -> (Vec<ParamDecl>, usize, Vec<Stmt>) {
+///
+/// Returns `(params, num_locals, body)`. Public (like
+/// [`forward_subst_template`]) for the interpreter microbench in
+/// `crates/bench/benches/host_kernels.rs`, which times the interpreter on
+/// the codelets the solvers really run.
+pub fn spmv_template(residual: bool) -> (Vec<ParamDecl>, usize, Vec<Stmt>) {
     use BinOp::*;
     let ro = |dtype| ParamDecl { dtype, mutable: false };
     let mut params = vec![ParamDecl { dtype: DType::F32, mutable: true }, ro(DType::F32)];
@@ -1039,8 +1044,9 @@ fn spmv_template(residual: bool) -> (Vec<ParamDecl>, usize, Vec<Stmt>) {
     (params, 5, body)
 }
 
-/// Rebuild `forward_subst_codelet` (crates/core/src/solvers/ilu.rs).
-fn forward_subst_template(divide: bool) -> (Vec<ParamDecl>, usize, Vec<Stmt>) {
+/// Rebuild `forward_subst_codelet` (crates/core/src/solvers/ilu.rs): a
+/// level-set codelet, the row index in local 0.
+pub fn forward_subst_template(divide: bool) -> (Vec<ParamDecl>, usize, Vec<Stmt>) {
     use BinOp::*;
     let ro = |dtype| ParamDecl { dtype, mutable: false };
     let params = vec![

@@ -1,0 +1,113 @@
+//! A level-set vertex's row ids are opaque labels: the engine hands each to
+//! the codelet in local 0 and schedules the measured row costs, and nothing
+//! on that path may size a table by the *value* of a row id.
+//!
+//! This is its own test binary because it installs a counting global
+//! allocator; with one test in the process nothing else allocates on the
+//! measured thread.
+
+use graph::codelet::{BinOp, Codelet, Expr, ParamDecl, Stmt, Value};
+use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
+use graph::graph::Graph;
+use graph::program::Prog;
+use graph::tensor::TensorDef;
+use graph::Engine;
+use ipu_sim::clock::Phase;
+use ipu_sim::cost::{CostModel, DType, Op};
+use ipu_sim::model::IpuModel;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes this thread has requested from the allocator.
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a `const`-initialised thread-local
+// `Cell` without a destructor, so touching it neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = REQUESTED.try_with(|b| b.set(b.get() + layout.size()));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = REQUESTED.try_with(|b| b.set(b.get() + new_size));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const FAR_ROW: usize = 1_000_000;
+
+#[test]
+fn sparse_row_ids_cost_what_dense_ones_do_and_size_no_table() {
+    // Row 0 seeds x[0]; the other row, whatever its id, writes x[1] from it.
+    let mut g = Graph::new(IpuModel::tiny(1));
+    let x = g.add_tensor(TensorDef::on_tile("x", DType::F32, 2, 0)).unwrap();
+    let c = g
+        .add_codelet(Codelet {
+            name: "seed_then_step".into(),
+            params: vec![ParamDecl { dtype: DType::F32, mutable: true }],
+            num_locals: 1,
+            body: vec![Stmt::If {
+                cond: Expr::bin(BinOp::Eq, Expr::Local(0), Expr::c(Value::I32(0))),
+                then: vec![Stmt::Store {
+                    param: 0,
+                    index: Expr::c(Value::I32(0)),
+                    value: Expr::c(Value::F32(1.0)),
+                }],
+                otherwise: vec![Stmt::Store {
+                    param: 0,
+                    index: Expr::c(Value::I32(1)),
+                    value: Expr::bin(
+                        BinOp::Add,
+                        Expr::index(0, Expr::c(Value::I32(0))),
+                        Expr::c(Value::F32(1.0)),
+                    ),
+                }],
+            }],
+        })
+        .unwrap();
+    let mut cs = ComputeSet::new("sparse_rows");
+    cs.add(Vertex {
+        tile: 0,
+        codelet: c,
+        operands: vec![TensorSlice::whole(x, 2)],
+        kind: VertexKind::LevelSet { levels: vec![vec![0], vec![FAR_ROW]] },
+    });
+    let cs = g.add_compute_set(cs).unwrap();
+    let mut e = Engine::new(g.compile(Prog::Execute(cs)).unwrap());
+
+    e.run(); // warm-up: lazily built engine state is not the vertex's cost
+    let before = REQUESTED.with(Cell::get);
+    e.run();
+    let requested = REQUESTED.with(Cell::get) - before;
+
+    assert_eq!(e.read_tensor(x), vec![1.0, 2.0]);
+
+    // The charge is what it always was: spawn + per level (row + barrier),
+    // a row being compare + branch (+ load + add) + store.
+    let cm = CostModel::default();
+    let head = cm.op_cycles(Op::Cmp, DType::I32) + cm.op_cycles(Op::Branch, DType::Bool);
+    let store = cm.op_cycles(Op::Store, DType::F32);
+    let row0 = head + store;
+    let far = head + cm.op_cycles(Op::Load, DType::F32) + cm.op_cycles(Op::Add, DType::F32) + store;
+    let vertex = cm.worker_spawn_cycles + row0 + far + 2 * cm.worker_sync_cycles;
+    assert_eq!(e.stats().phase_cycles(Phase::Compute), 2 * vertex, "two runs of one vertex");
+
+    // A table indexed by row id would be FAR_ROW + 1 entries (≥ 8 MB of u64).
+    assert!(
+        requested < FAR_ROW,
+        "one run requested {requested} bytes: something is sized by the row id"
+    );
+}

@@ -31,6 +31,7 @@ pub enum DType {
 
 impl DType {
     /// Bytes occupied by one element in tile SRAM.
+    #[inline]
     pub fn size_bytes(self) -> usize {
         match self {
             DType::F32 => 4,
@@ -42,6 +43,7 @@ impl DType {
     }
 
     /// Whether this is one of the floating-point families of Table I.
+    #[inline]
     pub fn is_float(self) -> bool {
         matches!(self, DType::F32 | DType::DoubleWord | DType::F64Emulated)
     }
@@ -120,9 +122,13 @@ impl Default for CostModel {
     }
 }
 
+// The per-(op, dtype) lookups here and on `DType` are `#[inline]` because the
+// codelet interpreter (another crate) calls them once or twice per IR node,
+// and without LTO a non-generic function is not inlined across crates.
 impl CostModel {
     /// Cycles for one execution of `op` on `dtype` (paper Table I for the
     /// floating-point arithmetic rows).
+    #[inline]
     pub fn op_cycles(&self, op: Op, dtype: DType) -> u64 {
         use DType::*;
         use Op::*;
@@ -173,6 +179,7 @@ impl CostModel {
     /// (`DWPlusFP` 10 flops, `DWTimesFP3` 6 flops, `DWDivFP3` 10 flops).
     /// Matrix coefficients stay in working precision during MPIR's
     /// extended residual, so its SpMV is dominated by these.
+    #[inline]
     pub fn op_cycles_mixed_dw(&self, op: Op) -> u64 {
         match op {
             Op::Mul | Op::Fma => 36,
@@ -188,6 +195,7 @@ impl CostModel {
     /// and achieved-vs-peak comparisons are only meaningful over *useful*
     /// work; the emulation overhead shows up as cycles, not flops.
     /// Non-arithmetic ops (compares, sign ops, moves) count zero.
+    #[inline]
     pub fn op_flops(&self, op: Op, dtype: DType) -> u64 {
         if !dtype.is_float() {
             return 0;

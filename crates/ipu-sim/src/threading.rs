@@ -37,17 +37,11 @@ impl LevelSchedule {
     ) -> Self {
         assert!(num_workers > 0);
         let mut assignments = Vec::with_capacity(levels.len());
+        let mut loads = vec![0u64; num_workers];
         for level in levels {
             let mut items: Vec<(usize, u64)> = level.iter().map(|&i| (i, cost(i))).collect();
-            // LPT: heaviest first; ties broken by index for determinism.
-            items.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            let mut loads = vec![0u64; num_workers];
             let mut per_worker: Vec<Vec<usize>> = vec![Vec::new(); num_workers];
-            for (idx, c) in items {
-                let w = least_loaded(&loads);
-                loads[w] += c;
-                per_worker[w].push(idx);
-            }
+            lpt_level(&mut items, &mut loads, |w, idx| per_worker[w].push(idx));
             assignments.push(per_worker);
         }
         LevelSchedule { assignments, num_workers }
@@ -103,6 +97,52 @@ impl LevelSchedule {
     }
 }
 
+/// Cycles of one level-set vertex — what
+/// `LevelSchedule::build(levels, num_workers, cost).cycles(cost, cm)`
+/// returns — without materialising the schedule: the same per-level LPT
+/// over two scratch vectors that every level reuses, keeping only each
+/// level's makespan.
+///
+/// `cost` is called exactly once per item, levels in order and items in
+/// listed order, so a caller may *execute* the item there and return the
+/// cycles that took. Item ids are opaque (never used as an index).
+pub fn level_set_cycles(
+    levels: &[Vec<usize>],
+    num_workers: usize,
+    cm: &CostModel,
+    mut cost: impl FnMut(usize) -> u64,
+) -> u64 {
+    assert!(num_workers > 0);
+    let mut loads = vec![0u64; num_workers];
+    let mut items: Vec<(usize, u64)> = Vec::new();
+    let mut total = cm.worker_spawn_cycles;
+    for level in levels {
+        items.clear();
+        items.extend(level.iter().map(|&i| (i, cost(i))));
+        total += lpt_level(&mut items, &mut loads, |_, _| {}) + cm.worker_sync_cycles;
+    }
+    total
+}
+
+/// One level of the schedule: assign `items` (`(index, cycles)`) to workers
+/// longest-processing-time-first, each to the least-loaded worker, and
+/// return the level's makespan. Reorders `items` and overwrites `loads`.
+fn lpt_level(
+    items: &mut [(usize, u64)],
+    loads: &mut [u64],
+    mut assign: impl FnMut(WorkerId, usize),
+) -> u64 {
+    // LPT: heaviest first; ties broken by index for determinism.
+    items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    loads.fill(0);
+    for &(idx, c) in items.iter() {
+        let w = least_loaded(loads);
+        loads[w] += c;
+        assign(w, idx);
+    }
+    loads.iter().copied().max().unwrap_or(0)
+}
+
 fn least_loaded(loads: &[u64]) -> WorkerId {
     let mut best = 0;
     for (w, &l) in loads.iter().enumerate() {
@@ -116,6 +156,51 @@ fn least_loaded(loads: &[u64]) -> WorkerId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `level_set_cycles` is `build(..).cycles(..)` without the schedule:
+        /// empty levels, single rows, cost ties (costs drawn from 0..4) and
+        /// sparse row ids included, for 1–8 workers. It also keeps its
+        /// calling contract: one `cost` call per item, in listed order.
+        #[test]
+        fn level_set_cycles_equals_the_built_schedule(
+            workers in 1usize..9,
+            level_costs in proptest::collection::vec(
+                proptest::collection::vec(0u64..4, 0..10),
+                0..8,
+            ),
+        ) {
+            let mut cost_of = HashMap::new();
+            let levels: Vec<Vec<usize>> = level_costs
+                .iter()
+                .map(|costs| {
+                    costs
+                        .iter()
+                        .map(|&c| {
+                            // Ids are opaque: spread them so nothing can index by them.
+                            let id = 1_000_003 * (cost_of.len() + 1);
+                            cost_of.insert(id, c * 10);
+                            id
+                        })
+                        .collect()
+                })
+                .collect();
+            let cm = CostModel::default();
+            let want = LevelSchedule::build(&levels, workers, |i| cost_of[&i])
+                .cycles(|i| cost_of[&i], &cm);
+            let mut calls = Vec::new();
+            let got = level_set_cycles(&levels, workers, &cm, |i| {
+                calls.push(i);
+                cost_of[&i]
+            });
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(calls, levels.concat());
+        }
+    }
 
     #[test]
     fn single_level_balances_uniform_work() {

@@ -5,7 +5,8 @@
 //! `bench_with_input`, `criterion_group!` (both forms), `criterion_main!`
 //! and `black_box`. Each benchmark warms up briefly, then runs timed
 //! batches until ~200 ms or `sample_size` batches have elapsed, and prints
-//! the mean time per iteration. No statistics, no HTML reports — the
+//! the mean time per iteration (and per element, for a group that declared
+//! `Throughput::Elements`). No statistics, no HTML reports — the
 //! point is that `cargo bench` keeps working without registry access.
 
 use std::fmt::Display;
@@ -50,24 +51,38 @@ impl Criterion {
     }
 
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_one(name, self.sample_size, f);
+        run_one(name, self.sample_size, None, f);
         self
     }
 
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { criterion: self, group: name.to_string() }
+        BenchmarkGroup { criterion: self, group: name.to_string(), throughput: None }
     }
+}
+
+/// How much work one iteration does, so a time can be reported per unit.
+#[derive(Clone, Copy)]
+pub enum Throughput {
+    Elements(u64),
 }
 
 /// A named group of related benchmarks.
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     group: String,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
+    /// Applies to the benchmarks declared after it, until set again.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
+        self
+    }
+
     pub fn bench_function(&mut self, name: impl Display, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_one(&format!("{}/{}", self.group, name), self.criterion.sample_size, f);
+        let name = format!("{}/{}", self.group, name);
+        run_one(&name, self.criterion.sample_size, self.throughput, f);
         self
     }
 
@@ -77,7 +92,8 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
-        run_one(&format!("{}/{}", self.group, id.0), self.criterion.sample_size, |b| f(b, input));
+        let name = format!("{}/{}", self.group, id.0);
+        run_one(&name, self.criterion.sample_size, self.throughput, |b| f(b, input));
         self
     }
 
@@ -102,7 +118,12 @@ impl BenchmarkId {
     }
 }
 
-fn run_one(name: &str, sample_size: usize, mut f: impl FnMut(&mut Bencher)) {
+fn run_one(
+    name: &str,
+    sample_size: usize,
+    throughput: Option<Throughput>,
+    mut f: impl FnMut(&mut Bencher),
+) {
     // Calibration: one iteration to estimate cost and pick a batch size
     // aiming at ~10 ms per sample.
     let mut b = Bencher { samples: Vec::new(), batch: 1 };
@@ -123,7 +144,11 @@ fn run_one(name: &str, sample_size: usize, mut f: impl FnMut(&mut Bencher)) {
     let (total, iters) =
         bench.samples.iter().fold((Duration::ZERO, 0u64), |(d, n), (sd, sn)| (d + *sd, n + sn));
     let mean_ns = total.as_nanos() as f64 / iters.max(1) as f64;
-    println!("{name:<50} time: [{:.1} ns/iter]  ({} iters)", mean_ns, iters);
+    let per_unit = match throughput {
+        Some(Throughput::Elements(n)) => format!(", {:.1} ns/elem", mean_ns / n.max(1) as f64),
+        None => String::new(),
+    };
+    println!("{name:<50} time: [{mean_ns:.1} ns/iter{per_unit}]  ({iters} iters)");
 }
 
 /// Declare a group of benchmark functions.
