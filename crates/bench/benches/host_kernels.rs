@@ -1,10 +1,11 @@
 //! Criterion benchmarks of the host-side kernels: the CPU baseline's CSR
 //! SpMV (sequential vs rayon), ILU(0) factorisation, the framework's
 //! compile-time analyses (halo decomposition, level sets, partitioning),
-//! and the codelet interpreter on the three vertex shapes a solve replays.
+//! and both codelet interpreter routes on the three vertex shapes a solve
+//! replays.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use graph::codelet::{BinOp, Codelet, Expr, Interp, ParamData, ParamDecl, Stmt, Value};
+use graph::codelet::{BinOp, Codelet, Expr, Interp, Lowered, ParamData, ParamDecl, Stmt, Value};
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
 use graph::kernels::{forward_subst_template, spmv_template};
 use graph::program::Prog;
@@ -101,13 +102,15 @@ fn from_template(
     Codelet { name: name.into(), params, num_locals, body }
 }
 
-/// The reference interpreter, per element, on one tile's worth of rows (32
+/// The two interpreter routes, per element, on one tile's worth of rows (32
 /// is what the benchmark's `fig8_mpir` maps to a tile, 64 what `cold_oneshot`
-/// does): an axpy map and the SpMV codelet straight through `Interp`, and a
-/// forward-substitution `LevelSet` vertex through `Engine::run`, so the
-/// engine's per-vertex path (operand slicing, the per-level LPT makespan)
-/// is inside the measurement. A regression in the interpreter shows here in
-/// seconds, without the 16 s host benchmark.
+/// does): `lowered` is the form the engine builds per vertex and runs by
+/// default, `dynamic` the tree-walking `Interp` it falls back to and is
+/// tested against. An axpy map, the SpMV codelet and a forward-substitution
+/// `LevelSet` vertex go through both at codelet level; `engine` is the same
+/// level-set vertex through `Engine::run`, so the per-vertex path around
+/// the lowered form (operand slicing, scratch, stats) is measured too. A
+/// regression shows here in seconds, without the 16 s host benchmark.
 fn bench_interpreter(c: &mut Criterion) {
     let cost = CostModel::default();
     let mut g = c.benchmark_group("interpreter");
@@ -122,32 +125,68 @@ fn bench_interpreter(c: &mut Criterion) {
         let cols: Vec<i32> = m.col_idx.iter().map(|&c| c as i32).collect();
         let rptr: Vec<i32> = m.row_ptr.iter().map(|&p| p as i32).collect();
         let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).sin()).collect();
+        let ones = vec![1.0f32; n];
         let mut y = vec![0.0f32; n];
-
-        let axpy = axpy_codelet();
         let alpha = [0.5f32];
-        g.bench_function(format!("axpy/{n}"), |b| {
-            b.iter(|| {
-                let mut p =
-                    [ParamData::F32Ro(&x), ParamData::F32(&mut y), ParamData::F32Ro(&alpha)];
-                Interp::new(&cost, &mut p, axpy.num_locals, 6).run(black_box(&axpy.body))
-            })
-        });
+        let levels = VertexKind::LevelSet { levels: LevelSets::analyze(&a, Sweep::Forward).levels };
 
-        let spmv = from_template("spmv", spmv_template(false));
-        g.bench_function(format!("spmv/{n}"), |b| {
-            b.iter(|| {
-                let mut p = [
-                    ParamData::F32(&mut y),
-                    ParamData::F32Ro(&x),
-                    ParamData::F32Ro(&diag),
-                    ParamData::F32Ro(&vals),
-                    ParamData::I32Ro(&cols),
-                    ParamData::I32Ro(&rptr),
-                ];
-                Interp::new(&cost, &mut p, spmv.num_locals, 6).run(black_box(&spmv.body))
-            })
-        });
+        // Both routes over one vertex: `$params` is re-evaluated per
+        // iteration, as the engine re-slices operands per vertex.
+        macro_rules! both_routes {
+            ($name:expr, $codelet:expr, $kind:expr, $params:expr) => {{
+                let (codelet, kind): (&Codelet, &VertexKind) = (&$codelet, &$kind);
+                let storage: Vec<DType> = codelet.params.iter().map(|p| p.dtype).collect();
+                let level_set = matches!(kind, VertexKind::LevelSet { .. });
+                let lowered = Lowered::lower(codelet, &storage, level_set, &cost)
+                    .expect("the solver codelets lower");
+                let mut locals = Vec::new();
+                g.bench_function(format!("{}/{n}/lowered", $name), |b| {
+                    b.iter(|| {
+                        black_box(&lowered).run_vertex(kind, &mut $params, &mut locals, &cost, 6)
+                    })
+                });
+                g.bench_function(format!("{}/{n}/dynamic", $name), |b| {
+                    b.iter(|| {
+                        Interp::new(&cost, &mut $params, codelet.num_locals, 6)
+                            .run_vertex(kind, black_box(&codelet.body))
+                    })
+                });
+            }};
+        }
+
+        both_routes!(
+            "axpy",
+            axpy_codelet(),
+            VertexKind::Simple,
+            [ParamData::F32Ro(&x), ParamData::F32(&mut y), ParamData::F32Ro(&alpha)]
+        );
+        both_routes!(
+            "spmv",
+            from_template("spmv", spmv_template(false)),
+            VertexKind::Simple,
+            [
+                ParamData::F32(&mut y),
+                ParamData::F32Ro(&x),
+                ParamData::F32Ro(&diag),
+                ParamData::F32Ro(&vals),
+                ParamData::I32Ro(&cols),
+                ParamData::I32Ro(&rptr),
+            ]
+        );
+        let forward_subst = from_template("forward_subst", forward_subst_template(true));
+        both_routes!(
+            "forward_subst_level_set",
+            forward_subst,
+            levels,
+            [
+                ParamData::F32(&mut y),
+                ParamData::F32Ro(&ones),
+                ParamData::F32Ro(&vals),
+                ParamData::F32Ro(&diag),
+                ParamData::I32Ro(&cols),
+                ParamData::I32Ro(&rptr),
+            ]
+        );
 
         let mut graph = Graph::new(IpuModel::tiny(1));
         let mut tensor = |name: &str, dtype, values: &[f64]| {
@@ -163,22 +202,22 @@ fn bench_interpreter(c: &mut Criterion) {
             tensor("cols", DType::I32, &as_f64(&cols)),
             tensor("rptr", DType::I32, &as_f64(&rptr)),
         ];
-        let codelet = graph
-            .add_codelet(from_template("forward_subst", forward_subst_template(true)))
-            .unwrap();
+        let codelet = graph.add_codelet(forward_subst).unwrap();
         let mut cs = ComputeSet::new("forward_subst");
         cs.add(Vertex {
             tile: 0,
             codelet,
             operands: operands.iter().map(|(t, v)| TensorSlice::whole(*t, v.len())).collect(),
-            kind: VertexKind::LevelSet { levels: LevelSets::analyze(&a, Sweep::Forward).levels },
+            kind: levels,
         });
         let cs = graph.add_compute_set(cs).unwrap();
         let mut engine = Engine::new(graph.compile(Prog::Execute(cs)).unwrap());
         for (t, values) in &operands {
             engine.write_tensor(*t, values);
         }
-        g.bench_function(format!("forward_subst_level_set/{n}"), |b| b.iter(|| engine.run()));
+        g.bench_function(format!("forward_subst_level_set/{n}/engine"), |b| {
+            b.iter(|| engine.run())
+        });
     }
     g.finish();
 }

@@ -593,6 +593,7 @@ impl Plan {
             if let Some(sel) = att.compile.pass("native-kernel-selection") {
                 m.counter_add("native.codelets_total", sel.counter("codelets_total"));
                 m.counter_add("native.codelets_fused", sel.counter("codelets_fused"));
+                m.counter_add("native.vertices_lowered", sel.counter("vertices_lowered"));
             }
             m.observe("solve.host_seconds", &[1e-3, 1e-2, 1e-1, 1.0, 10.0], att.host_seconds);
             p

@@ -1,17 +1,23 @@
-//! The codelet IR and its cycle-accounting interpreter.
+//! The codelet IR and its two cycle-accounting interpreters.
 //!
 //! A codelet is the unit of computation bound to a tile — Poplar's
 //! C++-compiled vertex code. Here it is a small structured IR (expressions
 //! and statements over *dynamically typed* values, matching the paper's
 //! dynamically typed DSLs) executed by a tree-walking interpreter that
 //! charges the [`ipu_sim::CostModel`] for every operation it performs.
+//! [`Interp`] walks the IR as built, discovering dtypes and charges node by
+//! node; [`Lowered`] is the same codelet typed and costed once for the
+//! storage dtypes of one vertex's operands — what the engine runs, with
+//! `Interp` as its fallback and its oracle.
 //!
 //! Codelets access data exclusively through their declared **parameters**
 //! (tensor slices handed to the vertex), mirroring the tile-local
 //! perspective of CodeDSL: "algorithms … can only access parts of tensors
 //! that are mapped to the executing tile".
 
+use crate::compute::VertexKind;
 use ipu_sim::cost::{CostModel, DType, Op};
+use ipu_sim::threading::level_set_cycles;
 use twofloat::{SoftDouble, TwoF32, TwoFloat};
 
 /// Index of a codelet within a graph.
@@ -161,7 +167,7 @@ pub fn apply_bin(op: BinOp, a: Value, b: Value) -> (Value, DType) {
     let dt = promote(a.dtype(), b.dtype());
     let val = match dt {
         DType::I32 | DType::Bool => bin_i64(op, a.as_i64(), b.as_i64()),
-        DType::F32 => bin_f32(op, a.as_f64() as f32, b.as_f64() as f32),
+        DType::F32 => bin_f32(op, as_f32(a), as_f32(b)),
         DType::DoubleWord => bin_dw(op, as_dw(a), as_dw(b)),
         DType::F64Emulated => bin_f64(op, a.as_f64(), b.as_f64()),
     };
@@ -169,9 +175,14 @@ pub fn apply_bin(op: BinOp, a: Value, b: Value) -> (Value, DType) {
 }
 
 // One helper per promoted domain: the single definition of every operator.
-// `apply_bin` reaches them through the promotion ladder, `Interp::eval`
-// directly when both operands already have the domain's dtype.
+// `apply_bin` reaches them through the promotion ladder, the lowered form
+// directly (its operands are promoted once, at lowering).
 // Comparisons / logic produce Bool but cost at the operand type.
+//
+// The three float helpers are `#[inline(never)]`: of two different NaNs,
+// which payload `+`, `*`, `min` or `max` returns is the compiler's choice
+// per call site (IEEE 754 leaves it open and LLVM commutes all four), so
+// one answer on every route takes one compiled copy of each operator.
 
 /// The I32 / Bool domain, evaluated in i64 and wrapped to i32. `Div` and
 /// `Rem` by zero panic (Rust's integer division), on every path.
@@ -197,7 +208,7 @@ fn bin_i64(op: BinOp, x: i64, y: i64) -> Value {
     }
 }
 
-#[inline]
+#[inline(never)]
 fn bin_f32(op: BinOp, x: f32, y: f32) -> Value {
     use BinOp::*;
     match op {
@@ -219,6 +230,7 @@ fn bin_f32(op: BinOp, x: f32, y: f32) -> Value {
     }
 }
 
+#[inline(never)]
 fn bin_dw(op: BinOp, x: TwoF32, y: TwoF32) -> Value {
     use BinOp::*;
     match op {
@@ -240,6 +252,7 @@ fn bin_dw(op: BinOp, x: TwoF32, y: TwoF32) -> Value {
     }
 }
 
+#[inline(never)]
 fn bin_f64(op: BinOp, x: f64, y: f64) -> Value {
     use BinOp::*;
     match op {
@@ -258,6 +271,16 @@ fn bin_f64(op: BinOp, x: f64, y: f64) -> Value {
         Ge => Value::Bool(x >= y),
         And => Value::Bool(x != 0.0 && y != 0.0),
         Or => Value::Bool(x != 0.0 || y != 0.0),
+    }
+}
+
+/// An operand of the F32 domain: an f32 payload exactly as it is (a
+/// signalling NaN keeps its bits), an I32 or Bool widened.
+#[inline]
+fn as_f32(v: Value) -> f32 {
+    match v {
+        Value::F32(x) => x,
+        other => other.as_f64() as f32,
     }
 }
 
@@ -622,36 +645,18 @@ impl<'a, 'b> Interp<'a, 'b> {
             Expr::Binary { op, lhs, rhs } => {
                 let a = self.eval(lhs);
                 let b = self.eval(rhs);
+                let (da, db) = (a.dtype(), b.dtype());
+                let (v, dt) = apply_bin(*op, a, b);
                 let cost_op = op.cost_op();
-                let (v, dt, cycles) = match (a, b) {
-                    // Same dtype on both sides (almost every node of SpMV,
-                    // substitution, axpy and dot): nothing to promote or
-                    // convert, and never the mixed double-word charge.
-                    (Value::F32(x), Value::F32(y)) => {
-                        (bin_f32(*op, x, y), DType::F32, self.cost.op_cycles(cost_op, DType::F32))
-                    }
-                    (Value::I32(x), Value::I32(y)) => (
-                        bin_i64(*op, x as i64, y as i64),
-                        DType::I32,
-                        self.cost.op_cycles(cost_op, DType::I32),
-                    ),
-                    _ => {
-                        let (da, db) = (a.dtype(), b.dtype());
-                        let (v, dt) = apply_bin(*op, a, b);
-                        // Mixed double-word ⊗ single-word ops use the cheaper
-                        // Joldes DW⊗FP algorithms (cost only; the value is
-                        // computed at full pair precision either way).
-                        let mixed =
-                            dt == DType::DoubleWord && (da == DType::F32 || db == DType::F32);
-                        let cycles = if mixed {
-                            self.cost.op_cycles_mixed_dw(cost_op)
-                        } else {
-                            self.cost.op_cycles(cost_op, dt)
-                        };
-                        (v, dt, cycles)
-                    }
+                // Mixed double-word ⊗ single-word ops use the cheaper
+                // Joldes DW⊗FP algorithms (cost only; the value is
+                // computed at full pair precision either way).
+                let mixed = dt == DType::DoubleWord && (da == DType::F32 || db == DType::F32);
+                self.cycles += if mixed {
+                    self.cost.op_cycles_mixed_dw(cost_op)
+                } else {
+                    self.cost.op_cycles(cost_op, dt)
                 };
-                self.cycles += cycles;
                 self.flops += self.cost.op_flops(cost_op, dt);
                 v
             }
@@ -734,8 +739,7 @@ impl<'a, 'b> Interp<'a, 'b> {
                 // Independent iterations spread over the workers: replace
                 // the serial cost with the parallel makespan.
                 let serial = self.cycles - before;
-                let parallel = self.cost.worker_spawn_cycles + serial.div_ceil(self.workers);
-                self.cycles = before + parallel.min(serial.max(1));
+                self.cycles = before + parfor_makespan(serial, self.workers, self.cost);
             }
         }
     }
@@ -744,6 +748,750 @@ impl<'a, 'b> Interp<'a, 'b> {
     pub fn run(&mut self, body: &[Stmt]) -> u64 {
         self.exec_block(body);
         self.cycles
+    }
+
+    /// Run one vertex of `kind` over `body`; returns the cycles it takes
+    /// (for a `LevelSet`, the per-level LPT makespan over the workers).
+    pub fn run_vertex(&mut self, kind: &VertexKind, body: &[Stmt]) -> u64 {
+        match kind {
+            VertexKind::Simple => self.run(body),
+            VertexKind::LevelSet { levels } => {
+                // Each row runs inside the makespan's cost callback (once, in
+                // level order), so no per-row table outlives its level.
+                level_set_cycles(levels, self.workers as usize, self.cost, |row| {
+                    self.locals[0] = Value::I32(row as i32);
+                    let before = self.cycles;
+                    self.run(body);
+                    self.cycles - before
+                })
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The lowered form: a codelet typed and costed once, at engine build.
+//
+// A codelet is dynamically typed only while it is being *built*. Bound to a
+// vertex its operands have fixed storage dtypes, so every expression node's
+// dtype — hence its promotion, its arithmetic domain and its `CostModel`
+// charge — is known before the first run. `Lowered::lower` resolves all
+// three; what is left to run time is data: values, trip counts, the `ParFor`
+// makespan and the level-set schedule. `Interp` above stays as the fallback
+// for what cannot be typed, and as the oracle the lowered form is tested
+// against.
+// ---------------------------------------------------------------------------
+
+/// What a fragment of codelet IR costs every time it executes — and, summed
+/// over a run, a vertex's footprint: time (`cycles`, which worker-parallel
+/// constructs shrink) plus work (logical flops and SRAM traffic, which they
+/// do not).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Charge {
+    pub cycles: u64,
+    pub flops: u64,
+    pub mem_bytes: u64,
+}
+
+impl Charge {
+    pub(crate) fn cy(cycles: u64) -> Charge {
+        Charge { cycles, flops: 0, mem_bytes: 0 }
+    }
+
+    pub(crate) fn plus(self, o: Charge) -> Charge {
+        Charge {
+            cycles: self.cycles + o.cycles,
+            flops: self.flops + o.flops,
+            mem_bytes: self.mem_bytes + o.mem_bytes,
+        }
+    }
+}
+
+/// The `ParFor` makespan rule: serial body cycles replaced by
+/// `spawn + ceil(serial / workers)`, never worse than serial, floor one
+/// cycle for the degenerate empty loop.
+pub(crate) fn parfor_makespan(serial: u64, workers: u64, cost: &CostModel) -> u64 {
+    let parallel = cost.worker_spawn_cycles + serial.div_ceil(workers);
+    parallel.min(serial.max(1))
+}
+
+/// A typed expression: `dtype` is what evaluating the node yields, on every
+/// execution.
+#[derive(Debug)]
+pub(crate) struct TExpr {
+    pub(crate) dtype: DType,
+    kind: TKind,
+}
+
+#[derive(Debug)]
+enum TKind {
+    Const(Value),
+    Local(LocalId),
+    ParamLen(ParamId),
+    /// `index` is I32.
+    Load {
+        param: ParamId,
+        index: Box<TExpr>,
+    },
+    /// `Neg` / `Abs` / `Sqrt`: the result stays in the argument's domain.
+    Unary {
+        op: UnOp,
+        arg: Box<TExpr>,
+    },
+    /// Logical not of the argument's truth value, whatever its dtype.
+    Not(Box<TExpr>),
+    /// Arithmetic: both operands already have this node's dtype (never
+    /// Bool: Bool operands are taken as I32).
+    Arith {
+        op: BinOp,
+        lhs: Box<TExpr>,
+        rhs: Box<TExpr>,
+    },
+    /// Comparison or logic: both operands have dtype `dom`, the result is Bool.
+    Compare {
+        op: BinOp,
+        dom: DType,
+        lhs: Box<TExpr>,
+        rhs: Box<TExpr>,
+    },
+    /// `Value::convert` to this node's dtype: an explicit `Convert`, an
+    /// operand's promotion, or a stored value's narrowing.
+    Cast(Box<TExpr>),
+    Select {
+        cond: Box<TExpr>,
+        then: Box<TExpr>,
+        otherwise: Box<TExpr>,
+    },
+}
+
+impl TExpr {
+    fn new(dtype: DType, kind: TKind) -> TExpr {
+        TExpr { dtype, kind }
+    }
+
+    /// This expression as a `to`, converted if it is not one already.
+    fn cast(self, to: DType) -> TExpr {
+        if self.dtype == to {
+            self
+        } else {
+            TExpr::new(to, TKind::Cast(Box::new(self)))
+        }
+    }
+}
+
+/// A statement with its static charge: expressions have no control flow
+/// (`Select` evaluates both sides), so everything a statement's own
+/// expressions cost is one precomputed sum.
+#[derive(Debug)]
+enum LStmt {
+    SetLocal {
+        local: LocalId,
+        value: TExpr,
+        charge: Charge,
+    },
+    /// `value` already has the parameter's storage dtype.
+    Store {
+        param: ParamId,
+        index: TExpr,
+        value: TExpr,
+        charge: Charge,
+    },
+    /// `charge`: the condition and the branch.
+    If {
+        cond: TExpr,
+        charge: Charge,
+        then: Vec<LStmt>,
+        otherwise: Vec<LStmt>,
+    },
+    /// `charge`: one test of the condition and its branch.
+    While {
+        cond: TExpr,
+        charge: Charge,
+        body: Vec<LStmt>,
+    },
+    /// `head`: the bounds, evaluated once. Each trip adds `loop_step`.
+    For {
+        local: LocalId,
+        start: TExpr,
+        end: TExpr,
+        step: TExpr,
+        head: Charge,
+        body: Vec<LStmt>,
+    },
+    ParFor {
+        local: LocalId,
+        start: TExpr,
+        end: TExpr,
+        head: Charge,
+        body: Vec<LStmt>,
+    },
+}
+
+/// Per local: the dtype it holds on every path reaching a program point, or
+/// `None` where paths disagree (reading it there cannot be typed).
+type Locals = Vec<Option<DType>>;
+
+fn join(into: &mut Locals, other: &Locals) {
+    for (a, b) in into.iter_mut().zip(other) {
+        if *a != *b {
+            *a = None;
+        }
+    }
+}
+
+/// Typing context of one lowering: the operands' *storage* dtypes — not
+/// `ParamDecl::dtype`: MPIR binds the F32-declared SpMV to double-word
+/// storage, and loads and stores are charged at storage dtype.
+pub(crate) struct Lowerer<'a> {
+    pub(crate) storage: &'a [DType],
+    pub(crate) cost: &'a CostModel,
+}
+
+impl Lowerer<'_> {
+    /// Type `e` under `locals`, adding what one evaluation costs to `ch`.
+    /// `None` for what cannot be typed or what `Interp` would panic on
+    /// whenever it ran: a local read where two dtypes meet, `Select` arms
+    /// of different dtypes, a non-integer index, `Sqrt` of I32 / Bool
+    /// (which has no cost row).
+    pub(crate) fn expr(
+        &self,
+        e: &Expr,
+        locals: &[Option<DType>],
+        ch: &mut Charge,
+    ) -> Option<TExpr> {
+        let cost = self.cost;
+        Some(match e {
+            Expr::Const(v) => TExpr::new(v.dtype(), TKind::Const(*v)),
+            Expr::Local(l) => TExpr::new((*locals.get(*l)?)?, TKind::Local(*l)),
+            Expr::ParamLen(p) => {
+                self.storage.get(*p)?;
+                TExpr::new(DType::I32, TKind::ParamLen(*p))
+            }
+            Expr::Index { param, index } => {
+                let index = Box::new(self.int(index, locals, ch)?);
+                let dt = *self.storage.get(*param)?;
+                ch.cycles += cost.op_cycles(Op::Load, dt);
+                ch.mem_bytes += dt.size_bytes() as u64;
+                TExpr::new(dt, TKind::Load { param: *param, index })
+            }
+            Expr::Unary { op, arg } => {
+                let arg = Box::new(self.expr(arg, locals, ch)?);
+                let dt = arg.dtype;
+                let cost_op = match op {
+                    UnOp::Neg => Op::Neg,
+                    UnOp::Abs => Op::Abs,
+                    UnOp::Sqrt if dt.is_float() => Op::Sqrt,
+                    UnOp::Sqrt => return None,
+                    UnOp::Not => Op::Cmp,
+                };
+                ch.cycles += cost.op_cycles(cost_op, dt);
+                ch.flops += cost.op_flops(cost_op, dt);
+                match op {
+                    UnOp::Not => TExpr::new(DType::Bool, TKind::Not(arg)),
+                    _ => TExpr::new(dt, TKind::Unary { op: *op, arg }),
+                }
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                let a = self.expr(lhs, locals, ch)?;
+                let b = self.expr(rhs, locals, ch)?;
+                let (da, db) = (a.dtype, b.dtype);
+                let dt = promote(da, db);
+                let cost_op = op.cost_op();
+                // The cheaper Joldes DW⊗FP algorithms (cost only).
+                let mixed = dt == DType::DoubleWord && (da == DType::F32 || db == DType::F32);
+                ch.cycles += if mixed {
+                    cost.op_cycles_mixed_dw(cost_op)
+                } else {
+                    cost.op_cycles(cost_op, dt)
+                };
+                ch.flops += cost.op_flops(cost_op, dt);
+                // Bool ⊗ Bool is charged as Bool and, like any `apply_bin`
+                // of the integer domain, evaluated in i64: `true + true` is
+                // the I32 2, so arithmetic takes its operands as I32.
+                let compares = cost_op == Op::Cmp;
+                let dom = if dt == DType::Bool && !compares { DType::I32 } else { dt };
+                let (lhs, rhs) = (Box::new(a.cast(dom)), Box::new(b.cast(dom)));
+                if compares {
+                    TExpr::new(DType::Bool, TKind::Compare { op: *op, dom, lhs, rhs })
+                } else {
+                    TExpr::new(dom, TKind::Arith { op: *op, lhs, rhs })
+                }
+            }
+            Expr::Convert { to, arg } => {
+                let arg = Box::new(self.expr(arg, locals, ch)?);
+                ch.cycles += cost.op_cycles(Op::Convert, *to);
+                TExpr::new(*to, TKind::Cast(arg))
+            }
+            Expr::Select { cond, then, otherwise } => {
+                let cond = Box::new(self.expr(cond, locals, ch)?);
+                let then = Box::new(self.expr(then, locals, ch)?);
+                let otherwise = Box::new(self.expr(otherwise, locals, ch)?);
+                if then.dtype != otherwise.dtype {
+                    return None;
+                }
+                ch.cycles += cost.op_cycles(Op::Branch, DType::Bool);
+                TExpr::new(then.dtype, TKind::Select { cond, then, otherwise })
+            }
+        })
+    }
+
+    /// An index or loop bound: typed, and I32.
+    fn int(&self, e: &Expr, locals: &[Option<DType>], ch: &mut Charge) -> Option<TExpr> {
+        self.expr(e, locals, ch).filter(|e| e.dtype == DType::I32)
+    }
+
+    fn block(&self, stmts: &[Stmt], locals: &mut Locals) -> Option<Vec<LStmt>> {
+        stmts.iter().map(|s| self.stmt(s, locals)).collect()
+    }
+
+    /// Lower a loop body to the fixpoint of its entry state: `entry` comes
+    /// in as the state before the loop and goes out as the join of that
+    /// with the state after any number of trips, which is also the state
+    /// after the loop. `pass` lowers one trip from a given entry and
+    /// returns the state at its end. A local's state only ever falls from
+    /// a dtype to `None`, so this takes at most one pass per local, and a
+    /// pass that fails early would fail at the fixpoint too.
+    fn fixpoint<R>(
+        &self,
+        entry: &mut Locals,
+        mut pass: impl FnMut(&Locals) -> Option<(R, Locals)>,
+    ) -> Option<R> {
+        loop {
+            let (lowered, exit) = pass(entry)?;
+            let before = entry.clone();
+            join(entry, &exit);
+            if *entry == before {
+                return Some(lowered);
+            }
+        }
+    }
+
+    /// A counted loop's body: each trip starts with `local` an I32.
+    fn counted(&self, local: LocalId, body: &[Stmt], locals: &mut Locals) -> Option<Vec<LStmt>> {
+        locals.get(local)?;
+        self.fixpoint(locals, |entry| {
+            let mut trip = entry.clone();
+            trip[local] = Some(DType::I32);
+            Some((self.block(body, &mut trip)?, trip))
+        })
+    }
+
+    fn stmt(&self, s: &Stmt, locals: &mut Locals) -> Option<LStmt> {
+        let branch = Charge::cy(self.cost.op_cycles(Op::Branch, DType::Bool));
+        Some(match s {
+            Stmt::SetLocal(local, e) => {
+                let mut charge = Charge::default();
+                let value = self.expr(e, locals, &mut charge)?;
+                *locals.get_mut(*local)? = Some(value.dtype);
+                LStmt::SetLocal { local: *local, value, charge }
+            }
+            Stmt::Store { param, index, value } => {
+                let mut charge = Charge::default();
+                let index = self.int(index, locals, &mut charge)?;
+                let value = self.expr(value, locals, &mut charge)?;
+                let dt = *self.storage.get(*param)?;
+                charge.cycles += self.cost.op_cycles(Op::Store, dt);
+                charge.mem_bytes += dt.size_bytes() as u64;
+                LStmt::Store { param: *param, index, value: value.cast(dt), charge }
+            }
+            Stmt::If { cond, then, otherwise } => {
+                let mut charge = branch;
+                let cond = self.expr(cond, locals, &mut charge)?;
+                let mut other = locals.clone();
+                let then = self.block(then, locals)?;
+                let otherwise = self.block(otherwise, &mut other)?;
+                join(locals, &other);
+                LStmt::If { cond, charge, then, otherwise }
+            }
+            Stmt::While { cond, body } => {
+                let (cond, charge, body) = self.fixpoint(locals, |head| {
+                    let mut charge = branch;
+                    let cond = self.expr(cond, head, &mut charge)?;
+                    let mut trip = head.clone();
+                    Some(((cond, charge, self.block(body, &mut trip)?), trip))
+                })?;
+                LStmt::While { cond, charge, body }
+            }
+            Stmt::For { local, start, end, step, body } => {
+                let mut head = Charge::default();
+                let start = self.int(start, locals, &mut head)?;
+                let end = self.int(end, locals, &mut head)?;
+                let step = self.int(step, locals, &mut head)?;
+                let body = self.counted(*local, body, locals)?;
+                LStmt::For { local: *local, start, end, step, head, body }
+            }
+            Stmt::ParFor { local, start, end, body } => {
+                let mut head = Charge::default();
+                let start = self.int(start, locals, &mut head)?;
+                let end = self.int(end, locals, &mut head)?;
+                let body = self.counted(*local, body, locals)?;
+                LStmt::ParFor { local: *local, start, end, head, body }
+            }
+        })
+    }
+}
+
+/// A codelet lowered for one binding: operand storage dtypes and vertex
+/// kind fixed, every node typed, every statement costed.
+#[derive(Debug)]
+pub struct Lowered {
+    body: Vec<LStmt>,
+    num_locals: usize,
+    /// Whether this was lowered for a `LevelSet` vertex, whose locals carry
+    /// over from one row to the next.
+    level_set: bool,
+    /// `LoopStep`, charged per trip of `For` / `ParFor`.
+    loop_step: u64,
+}
+
+impl Lowered {
+    /// Lower `codelet` for operands of the given storage dtypes, for a
+    /// `LevelSet` vertex or a `Simple` one. `None` — never a panic — when
+    /// the body cannot be typed (see [`Lowerer::expr`]); such a vertex
+    /// keeps the dynamic [`Interp`].
+    pub fn lower(
+        codelet: &Codelet,
+        storage: &[DType],
+        level_set: bool,
+        cost: &CostModel,
+    ) -> Option<Lowered> {
+        if storage.len() != codelet.params.len() {
+            return None;
+        }
+        let lowerer = Lowerer { storage, cost };
+        // Locals start as the I32 zero.
+        let mut locals: Locals = vec![Some(DType::I32); codelet.num_locals];
+        let body = if level_set {
+            // One set of locals serves every row, so a row may start with
+            // what the previous one left behind; local 0 is the row index.
+            lowerer.counted(0, &codelet.body, &mut locals)?
+        } else {
+            lowerer.block(&codelet.body, &mut locals)?
+        };
+        Some(Lowered {
+            body,
+            num_locals: codelet.num_locals,
+            level_set,
+            loop_step: cost.op_cycles(Op::LoopStep, DType::I32),
+        })
+    }
+
+    /// Run one vertex; `locals` is scratch (any contents, any length).
+    /// Storage bits and the returned footprint are what [`Interp::run_vertex`]
+    /// leaves and reports for the same binding.
+    pub fn run_vertex(
+        &self,
+        kind: &VertexKind,
+        params: &mut [ParamData],
+        locals: &mut Vec<Value>,
+        cost: &CostModel,
+        workers: u64,
+    ) -> Charge {
+        assert_eq!(
+            self.level_set,
+            matches!(kind, VertexKind::LevelSet { .. }),
+            "lowered for the other vertex kind"
+        );
+        locals.clear();
+        locals.resize(self.num_locals, Value::I32(0));
+        let mut ex = Exec { lowered: self, cost, params, locals, run: Charge::default(), workers };
+        let cycles = match kind {
+            VertexKind::Simple => {
+                ex.block(&self.body);
+                ex.run.cycles
+            }
+            VertexKind::LevelSet { levels } => {
+                level_set_cycles(levels, workers as usize, cost, |row| {
+                    ex.locals[0] = Value::I32(row as i32);
+                    let before = ex.run.cycles;
+                    ex.block(&self.body);
+                    ex.run.cycles - before
+                })
+            }
+        };
+        Charge { cycles, ..ex.run }
+    }
+}
+
+#[cold]
+fn mistyped(v: Value, want: DType) -> ! {
+    unreachable!("lowering typed this node {want:?}, evaluation produced {v:?}")
+}
+
+/// An evaluation domain of the lowered form: the Rust type a dtype's values
+/// have in registers.
+trait Domain: Copy {
+    fn of(v: Value) -> Self;
+    fn value(self) -> Value;
+    /// `p[i]`, for a parameter whose storage is this domain's.
+    fn load(p: &ParamData, i: usize) -> Self;
+    /// The domain's operator table.
+    fn bin(op: BinOp, a: Self, b: Self) -> Value;
+}
+
+impl Domain for i64 {
+    #[inline]
+    fn of(v: Value) -> i64 {
+        match v {
+            Value::I32(x) => x as i64,
+            other => mistyped(other, DType::I32),
+        }
+    }
+
+    #[inline]
+    fn value(self) -> Value {
+        Value::I32(self as i32)
+    }
+
+    #[inline]
+    fn load(p: &ParamData, i: usize) -> i64 {
+        match p {
+            ParamData::I32(s) => s[i] as i64,
+            ParamData::I32Ro(s) => s[i] as i64,
+            other => mistyped(other.get(i), DType::I32),
+        }
+    }
+
+    #[inline]
+    fn bin(op: BinOp, a: i64, b: i64) -> Value {
+        bin_i64(op, a, b)
+    }
+}
+
+impl Domain for bool {
+    #[inline]
+    fn of(v: Value) -> bool {
+        match v {
+            Value::Bool(x) => x,
+            other => mistyped(other, DType::Bool),
+        }
+    }
+
+    #[inline]
+    fn value(self) -> Value {
+        Value::Bool(self)
+    }
+
+    #[inline]
+    fn load(p: &ParamData, i: usize) -> bool {
+        match p {
+            ParamData::Bool(s) => s[i],
+            ParamData::BoolRo(s) => s[i],
+            other => mistyped(other.get(i), DType::Bool),
+        }
+    }
+
+    /// Two Bools compare as the integers 0 and 1, as in `apply_bin`.
+    #[inline]
+    fn bin(op: BinOp, a: bool, b: bool) -> Value {
+        bin_i64(op, a as i64, b as i64)
+    }
+}
+
+impl Domain for f32 {
+    #[inline]
+    fn of(v: Value) -> f32 {
+        match v {
+            Value::F32(x) => x,
+            other => mistyped(other, DType::F32),
+        }
+    }
+
+    #[inline]
+    fn value(self) -> Value {
+        Value::F32(self)
+    }
+
+    #[inline]
+    fn load(p: &ParamData, i: usize) -> f32 {
+        match p {
+            ParamData::F32(s) => s[i],
+            ParamData::F32Ro(s) => s[i],
+            other => mistyped(other.get(i), DType::F32),
+        }
+    }
+
+    #[inline]
+    fn bin(op: BinOp, a: f32, b: f32) -> Value {
+        bin_f32(op, a, b)
+    }
+}
+
+impl Domain for TwoF32 {
+    #[inline]
+    fn of(v: Value) -> TwoF32 {
+        match v {
+            Value::Dw(x) => x,
+            other => mistyped(other, DType::DoubleWord),
+        }
+    }
+
+    #[inline]
+    fn value(self) -> Value {
+        Value::Dw(self)
+    }
+
+    #[inline]
+    fn load(p: &ParamData, i: usize) -> TwoF32 {
+        match p {
+            ParamData::Dw(s) => s[i],
+            ParamData::DwRo(s) => s[i],
+            other => mistyped(other.get(i), DType::DoubleWord),
+        }
+    }
+
+    #[inline]
+    fn bin(op: BinOp, a: TwoF32, b: TwoF32) -> Value {
+        bin_dw(op, a, b)
+    }
+}
+
+impl Domain for f64 {
+    #[inline]
+    fn of(v: Value) -> f64 {
+        match v {
+            Value::F64(x) => x,
+            other => mistyped(other, DType::F64Emulated),
+        }
+    }
+
+    #[inline]
+    fn value(self) -> Value {
+        Value::F64(self)
+    }
+
+    #[inline]
+    fn load(p: &ParamData, i: usize) -> f64 {
+        match p {
+            ParamData::F64(s) => s[i].0,
+            ParamData::F64Ro(s) => s[i].0,
+            other => mistyped(other.get(i), DType::F64Emulated),
+        }
+    }
+
+    #[inline]
+    fn bin(op: BinOp, a: f64, b: f64) -> Value {
+        bin_f64(op, a, b)
+    }
+}
+
+/// One run of a lowered vertex.
+struct Exec<'a, 'b> {
+    lowered: &'a Lowered,
+    cost: &'a CostModel,
+    params: &'a mut [ParamData<'b>],
+    locals: &'a mut [Value],
+    /// Charged so far.
+    run: Charge,
+    workers: u64,
+}
+
+impl Exec<'_, '_> {
+    /// Evaluate `e`, whose dtype is `D`'s. Touches no counter: the charge
+    /// was summed into the statement at lowering.
+    fn eval<D: Domain>(&self, e: &TExpr) -> D {
+        match &e.kind {
+            TKind::Const(v) => D::of(*v),
+            TKind::Local(l) => D::of(self.locals[*l]),
+            TKind::ParamLen(p) => D::of(Value::I32(self.params[*p].len() as i32)),
+            TKind::Load { param, index } => {
+                D::load(&self.params[*param], self.eval::<i64>(index) as usize)
+            }
+            TKind::Unary { op, arg } => D::of(apply_un(*op, self.eval::<D>(arg).value()).0),
+            TKind::Not(arg) => D::of(Value::Bool(!self.value(arg).as_bool())),
+            TKind::Arith { op, lhs, rhs } => D::of(D::bin(*op, self.eval(lhs), self.eval(rhs))),
+            TKind::Compare { op, dom, lhs, rhs } => D::of(match dom {
+                DType::I32 => bin_i64(*op, self.eval(lhs), self.eval(rhs)),
+                DType::F32 => bin_f32(*op, self.eval(lhs), self.eval(rhs)),
+                DType::DoubleWord => bin_dw(*op, self.eval(lhs), self.eval(rhs)),
+                DType::F64Emulated => bin_f64(*op, self.eval(lhs), self.eval(rhs)),
+                DType::Bool => bool::bin(*op, self.eval(lhs), self.eval(rhs)),
+            }),
+            TKind::Cast(arg) => D::of(self.value(arg).convert(e.dtype)),
+            TKind::Select { cond, then, otherwise } => {
+                let c = self.value(cond).as_bool();
+                let (t, o) = (self.eval::<D>(then), self.eval::<D>(otherwise));
+                if c {
+                    t
+                } else {
+                    o
+                }
+            }
+        }
+    }
+
+    /// Evaluate `e` in its own domain, as a tagged value.
+    fn value(&self, e: &TExpr) -> Value {
+        match e.dtype {
+            DType::I32 => self.eval::<i64>(e).value(),
+            DType::Bool => self.eval::<bool>(e).value(),
+            DType::F32 => self.eval::<f32>(e).value(),
+            DType::DoubleWord => self.eval::<TwoF32>(e).value(),
+            DType::F64Emulated => self.eval::<f64>(e).value(),
+        }
+    }
+
+    fn charge(&mut self, c: &Charge) {
+        self.run = self.run.plus(*c);
+    }
+
+    fn block(&mut self, stmts: &[LStmt]) {
+        for s in stmts {
+            self.exec(s);
+        }
+    }
+
+    fn exec(&mut self, s: &LStmt) {
+        match s {
+            LStmt::SetLocal { local, value, charge } => {
+                self.locals[*local] = self.value(value);
+                self.charge(charge);
+            }
+            LStmt::Store { param, index, value, charge } => {
+                let i = self.eval::<i64>(index) as usize;
+                let v = self.value(value);
+                self.params[*param].set(i, v);
+                self.charge(charge);
+            }
+            LStmt::If { cond, charge, then, otherwise } => {
+                let c = self.value(cond).as_bool();
+                self.charge(charge);
+                self.block(if c { then } else { otherwise });
+            }
+            LStmt::While { cond, charge, body } => loop {
+                let c = self.value(cond).as_bool();
+                self.charge(charge);
+                if !c {
+                    break;
+                }
+                self.block(body);
+            },
+            LStmt::For { local, start, end, step, head, body } => {
+                let mut i = self.eval::<i64>(start);
+                let e = self.eval::<i64>(end);
+                let st = self.eval::<i64>(step).max(1);
+                self.charge(head);
+                while i < e {
+                    self.locals[*local] = Value::I32(i as i32);
+                    self.run.cycles += self.lowered.loop_step;
+                    self.block(body);
+                    i += st;
+                }
+            }
+            LStmt::ParFor { local, start, end, head, body } => {
+                let s0 = self.eval::<i64>(start);
+                let e0 = self.eval::<i64>(end);
+                self.charge(head);
+                let before = self.run.cycles;
+                for i in s0..e0 {
+                    self.locals[*local] = Value::I32(i as i32);
+                    self.run.cycles += self.lowered.loop_step;
+                    self.block(body);
+                }
+                let serial = self.run.cycles - before;
+                self.run.cycles = before + parfor_makespan(serial, self.workers, self.cost);
+            }
+        }
     }
 }
 
@@ -874,17 +1622,15 @@ mod tests {
     const ALL_BINOPS: [BinOp; 15] =
         [Add, Sub, Mul, Div, Min, Max, Eq, Ne, Lt, Le, Gt, Ge, And, Or, Rem];
 
-    /// Adversarial operands per dtype: signed zeros, infinities, NaN,
-    /// subnormals and the extremes for F32; the wrap-around corners for
-    /// I32; and Dw / F64 values that f32 cannot represent.
+    /// Adversarial operands per dtype: signed zeros, infinities, a quiet and
+    /// a *signalling* NaN, subnormals and the extremes for F32; the
+    /// wrap-around corners for I32; and Dw / F64 values that f32 cannot
+    /// represent.
     ///
-    /// The NaN is quiet. A *signalling* F32 NaN is the one input whose bits
-    /// are not pinned here: `apply_bin` widens F32 operands to f64 and back
-    /// (which quiets them) and the fast path does not, so `Min` / `Max` of
-    /// two NaNs may keep the signalling payload in a local. No operator
-    /// produces one (only a bit flip can), every arithmetic operator quiets
-    /// it, and `ParamData::set` narrows through f64, so tensor storage never
-    /// sees the difference.
+    /// The signalling NaN (only a bit flip produces one) is what an F32
+    /// operand's route to `bin_f32` decides: widened to f64 and back it
+    /// would be quieted, handed over untouched `Min` / `Max` may return its
+    /// bits. Every route hands it over untouched.
     fn adversarial_operands() -> Vec<Value> {
         let f32s = [
             0.0,
@@ -892,6 +1638,7 @@ mod tests {
             f32::INFINITY,
             f32::NEG_INFINITY,
             f32::NAN,
+            f32::from_bits(0x7fa0_0000),
             f32::from_bits(1),
             -f32::MIN_POSITIVE / 2.0,
             f32::MAX,
@@ -935,16 +1682,40 @@ mod tests {
         .ok()
     }
 
-    /// The interpreter's same-dtype fast paths are an optimisation, not a
-    /// second semantics: for every operator and every ordered pair of
-    /// operands (hence of dtypes), `Interp` yields the bits `apply_bin`
-    /// yields and charges what the cost model says for the promoted dtype
-    /// (the mixed double-word rate iff the result is double-word and one
-    /// side is f32).
+    /// The same `Expr::Binary` through the lowered form: `local 0 = a op b`
+    /// typed and costed at lowering, then run.
+    fn lowered_binary(op: BinOp, a: Value, b: Value) -> Option<(Value, u64, u64)> {
+        let cost = cm();
+        let c = Codelet {
+            name: "binary".into(),
+            params: vec![],
+            num_locals: 1,
+            body: vec![Stmt::SetLocal(0, Expr::bin(op, Expr::c(a), Expr::c(b)))],
+        };
+        // Typing two constants never fails, whatever they would divide by.
+        let lowered = Lowered::lower(&c, &[], false, &cost).expect("two constants type");
+        std::panic::catch_unwind(|| {
+            let mut locals = Vec::new();
+            let run = lowered.run_vertex(&VertexKind::Simple, &mut [], &mut locals, &cost, 6);
+            (locals[0], run.cycles, run.flops)
+        })
+        .ok()
+    }
+
+    /// One semantics, three routes: for every operator and every ordered
+    /// pair of operands (hence of dtypes), the dynamic `Interp` and the
+    /// lowered form yield the bits `apply_bin` yields and charge what the
+    /// cost model says for the promoted dtype (the mixed double-word rate
+    /// iff the result is double-word and one side is f32).
     ///
     /// Integer `Div` / `Rem` by zero (both sides I32 or Bool) **panics** —
-    /// Rust's integer division, "attempt to divide by zero" — through
-    /// `apply_bin` and through the interpreter alike.
+    /// Rust's integer division, "attempt to divide by zero" — on all three;
+    /// the lowered form when it runs, not when it is built.
+    ///
+    /// Two *different* NaNs are held to their bits like any other pair:
+    /// all routes end in the one compiled copy of `bin_f32` / `bin_dw` /
+    /// `bin_f64` (run this under `--release` too, where inlining would
+    /// otherwise let each call site pick its own payload).
     #[test]
     fn interp_binary_matches_apply_bin_and_the_cost_formulas() {
         let cost = cm();
@@ -966,6 +1737,10 @@ mod tests {
                             interp_binary(op, a, b).is_none(),
                             "Interp {op:?} {a:?} {b:?} must panic"
                         );
+                        assert!(
+                            lowered_binary(op, a, b).is_none(),
+                            "lowered {op:?} {a:?} {b:?} must panic"
+                        );
                         div_by_zero += 1;
                         continue;
                     }
@@ -978,10 +1753,14 @@ mod tests {
                         cost.op_cycles(op.cost_op(), dt)
                     };
                     let want_flops = cost.op_flops(op.cost_op(), dt);
-                    let (got, cycles, flops) =
-                        interp_binary(op, a, b).unwrap_or_else(|| panic!("{op:?} {a:?} {b:?}"));
-                    assert_eq!(bits(got), bits(want), "{op:?} {a:?} {b:?}");
-                    assert_eq!((cycles, flops), (want_cycles, want_flops), "{op:?} {a:?} {b:?}");
+                    for (route, got) in
+                        [("Interp", interp_binary(op, a, b)), ("lowered", lowered_binary(op, a, b))]
+                    {
+                        let who = format!("{route}: {op:?} {a:?} {b:?}");
+                        let (got, cycles, flops) = got.unwrap_or_else(|| panic!("{who} panicked"));
+                        assert_eq!(bits(got), bits(want), "{who}");
+                        assert_eq!((cycles, flops), (want_cycles, want_flops), "{who}");
+                    }
                     checked += 1;
                 }
             }

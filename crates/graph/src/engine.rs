@@ -25,10 +25,12 @@
 //! The simulated *device* semantics are fixed; [`EngineOptions`] only
 //! chooses how the *host* gets through a compute set:
 //!
-//! * **Dispatch**, per vertex: the fused kernel matched to its codelet at
-//!   engine build ([`crate::kernels`]), else the codelet interpreter.
-//!   `fusion: false`, the default, interprets every vertex — the
-//!   reference the fused kernels are tested against.
+//! * **Dispatch**, per vertex, three tiers decided at engine build: the
+//!   fused kernel matched to its codelet ([`crate::kernels`], only with
+//!   `fusion` on), else the codelet's lowered form — typed and costed for
+//!   the vertex's operand storage dtypes ([`Lowered`]) — else, for a body
+//!   that cannot be typed, the dynamic [`Interp`]. `fusion: false`, the
+//!   default, runs no fused kernel — the reference they are tested against.
 //! * **Schedule**, per compute set: the vertices in program order on the
 //!   caller's thread (`threads: 1`), or the plan's tile groups on scoped
 //!   worker threads. Tile-mapped writes are disjoint by construction
@@ -41,7 +43,7 @@
 //! All four combinations leave bit-identical storage, `CycleStats`, perf
 //! attribution and traces behind; only host wall-clock differs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use ipu_sim::clock::CycleStats;
 use ipu_sim::cost::DType;
@@ -52,10 +54,10 @@ use profile::perf::{PerfRecorder, PerfReport};
 use profile::{CompileReport, PassStat, TraceRecorder};
 use twofloat::{SoftDouble, TwoF32, TwoFloat};
 
-use crate::codelet::{Codelet, Interp, ParamData, Value};
+use crate::codelet::{Charge, Codelet, Interp, Lowered, ParamData, Value};
 use crate::compute::{TensorSlice, Vertex, VertexKind};
 use crate::graph::{Executable, Graph};
-use crate::kernels::{KernelRun, KernelTable};
+use crate::kernels::KernelTable;
 use crate::plan::{CopyStep, ExchangePhase, ExecPlan, ExecuteStep, PlanStep, StepId};
 use crate::program::ElemCopy;
 use crate::tensor::TensorId;
@@ -253,6 +255,8 @@ pub struct Engine {
     /// `options.fusion` is off), stamped into the compile report as the
     /// `"native-kernel-selection"` pass.
     kernels: KernelTable,
+    /// Every vertex's codelet lowered for its operand storage dtypes.
+    lowered: LoweredTable,
 }
 
 impl Engine {
@@ -275,9 +279,15 @@ impl Engine {
         // declarations), so the table depends only on the graph.
         let kernels =
             if options.fusion { KernelTable::build(&graph) } else { KernelTable::disabled(&graph) };
+        let lowered = LoweredTable::build(&graph);
         let mut stat = PassStat::new("native-kernel-selection", report.plan_steps);
         stat.count("codelets_total", kernels.total() as u64);
         stat.count("codelets_fused", kernels.fused_count() as u64);
+        // Two totals, not a row per codelet: a vertex that is not lowered
+        // runs on the dynamic interpreter, correct but slower.
+        let (vertices, vertices_lowered) = lowered.coverage();
+        stat.count("vertices_total", vertices);
+        stat.count("vertices_lowered", vertices_lowered);
         // A fallback is a codelet no kernel matched; with fusion off none
         // was tried, and the totals above say all there is to say.
         if options.fusion {
@@ -303,6 +313,7 @@ impl Engine {
             faults: None,
             perf: None,
             kernels,
+            lowered,
         })
     }
 
@@ -462,6 +473,7 @@ impl Engine {
             faults: &mut self.faults,
             perf: &mut self.perf,
             kernels: &self.kernels,
+            lowered: &self.lowered,
         };
         ctx.exec_step(&self.plan, self.plan.root);
         debug_assert_eq!(
@@ -487,6 +499,7 @@ struct ExecCtx<'a> {
     faults: &'a mut Option<FaultState>,
     perf: &'a mut Option<PerfRecorder>,
     kernels: &'a KernelTable,
+    lowered: &'a LoweredTable,
 }
 
 impl ExecCtx<'_> {
@@ -634,7 +647,7 @@ impl ExecCtx<'_> {
             self.apply_sram_faults(es);
         }
 
-        let (graph, kernels) = (self.graph, self.kernels);
+        let (graph, kernels, lowered) = (self.graph, self.kernels, self.lowered);
         let bases = &TensorBases::new(self.storage);
         // Per-tile cycles plus the superstep's total work counters
         // (flops/bytes are tile-order independent sums, so either schedule
@@ -643,15 +656,21 @@ impl ExecCtx<'_> {
             None => {
                 // Program order, not tile order: hazardous programs are
                 // accepted on one thread and are order-dependent.
-                let mut acc: BTreeMap<TileId, u64> = BTreeMap::new();
+                let mut per_tile: Vec<(TileId, u64)> =
+                    es.tile_groups.iter().map(|(t, _)| (*t, 0)).collect();
                 let (mut flops, mut mem) = (0u64, 0u64);
-                for v in &cs.vertices {
-                    let run = run_vertex(graph, bases, v, kernels);
-                    *acc.entry(v.tile).or_insert(0) += run.cycles;
+                let mut scratch = Scratch::default();
+                for (i, v) in cs.vertices.iter().enumerate() {
+                    let form = lowered.get(es.cs, i);
+                    let run = run_vertex(graph, bases, v, form, kernels, &mut scratch);
+                    let slot = per_tile
+                        .binary_search_by_key(&v.tile, |&(t, _)| t)
+                        .expect("the plan's tile groups cover every vertex's tile");
+                    per_tile[slot].1 += run.cycles;
                     flops += run.flops;
                     mem += run.mem_bytes;
                 }
-                (acc.into_iter().collect(), flops, mem)
+                (per_tile, flops, mem)
             }
             Some(threads) => {
                 // The plan's tile groups preserve each tile's vertex order
@@ -665,8 +684,10 @@ impl ExecCtx<'_> {
                     es.tile_groups.iter().map(|(t, ids)| (*t, ids.as_slice())).collect();
                 let runs = rayon::par_chunks_map(work, threads, move |(tile, ids)| {
                     let (mut cycles, mut flops, mut mem) = (0u64, 0u64, 0u64);
+                    let mut scratch = Scratch::default();
                     for &i in ids {
-                        let run = run_vertex(graph, bases, &cs.vertices[i], kernels);
+                        let (v, form) = (&cs.vertices[i], lowered.get(es.cs, i));
+                        let run = run_vertex(graph, bases, v, form, kernels, &mut scratch);
                         cycles += run.cycles;
                         flops += run.flops;
                         mem += run.mem_bytes;
@@ -1033,61 +1054,129 @@ impl TensorBases {
     }
 }
 
+/// Every vertex's codelet lowered at engine build, memoised per (codelet,
+/// operand storage dtypes, vertex kind): a graph has a few dozen distinct
+/// bindings and thousands of vertices, so each vertex holds an index.
+struct LoweredTable {
+    /// One entry per distinct binding; `None` for one that cannot be typed
+    /// (remembered too, so it is tried once).
+    forms: Vec<Option<Lowered>>,
+    /// Per compute set, per vertex: its form's index.
+    of_vertex: Vec<Vec<u32>>,
+}
+
+impl LoweredTable {
+    fn build(graph: &Graph) -> LoweredTable {
+        let mut forms: Vec<Option<Lowered>> = Vec::new();
+        // What each form was lowered for, and each codelet's forms: the
+        // memo keys, needed only here.
+        let mut bindings: Vec<(bool, Vec<DType>)> = Vec::new();
+        let mut of_codelet: Vec<Vec<u32>> = vec![Vec::new(); graph.codelets.len()];
+        let mut form_of = |v: &Vertex| -> u32 {
+            let level_set = matches!(v.kind, VertexKind::LevelSet { .. });
+            // Compared in place: a hit allocates nothing.
+            let storage = || v.operands.iter().map(|op| graph.tensors[op.tensor].dtype);
+            let known = of_codelet[v.codelet].iter().copied().find(|&f| {
+                let (for_level_set, for_storage) = &bindings[f as usize];
+                *for_level_set == level_set && for_storage.iter().copied().eq(storage())
+            });
+            known.unwrap_or_else(|| {
+                let storage: Vec<DType> = storage().collect();
+                let f = u32::try_from(forms.len()).expect("fewer than 2^32 distinct bindings");
+                forms.push(Lowered::lower(
+                    &graph.codelets[v.codelet],
+                    &storage,
+                    level_set,
+                    &graph.cost,
+                ));
+                bindings.push((level_set, storage));
+                of_codelet[v.codelet].push(f);
+                f
+            })
+        };
+        let of_vertex = graph
+            .compute_sets
+            .iter()
+            .map(|cs| cs.vertices.iter().map(&mut form_of).collect())
+            .collect();
+        LoweredTable { forms, of_vertex }
+    }
+
+    /// The lowered form of vertex `vertex` of compute set `cs`, if its
+    /// binding could be typed.
+    fn get(&self, cs: usize, vertex: usize) -> Option<&Lowered> {
+        self.forms[self.of_vertex[cs][vertex] as usize].as_ref()
+    }
+
+    /// `(vertices, vertices with a lowered form)`.
+    fn coverage(&self) -> (u64, u64) {
+        let all = self.of_vertex.iter().flatten();
+        let lowered = all.clone().filter(|&&f| self.forms[f as usize].is_some()).count();
+        (all.count() as u64, lowered as u64)
+    }
+}
+
+/// Buffers reused from vertex to vertex — one per compute set on one
+/// thread, one per tile group on several — so replay allocates per compute
+/// set, not per vertex.
+#[derive(Default)]
+struct Scratch<'a> {
+    /// Empty between vertices; only the allocation is kept.
+    params: Vec<ParamData<'a>>,
+    locals: Vec<Value>,
+}
+
 /// Hand out one slice per operand: `&mut` for mutable parameters, shared
 /// for immutable ones (so concurrent readers of a broadcast operand never
 /// manufacture aliasing `&mut` references).
 fn params_from_bases<'a>(
     bases: &'a TensorBases,
-    codelet: &Codelet,
-    operands: &[TensorSlice],
-) -> Vec<ParamData<'a>> {
-    operands
-        .iter()
-        .zip(&codelet.params)
-        .map(|(op, decl)| {
-            // SAFETY: slices validated in-bounds at compile time; see the
-            // disjointness argument on `TensorBases`.
-            unsafe {
-                match bases.bases[op.tensor] {
-                    RawBase::F32(p) => {
-                        if decl.mutable {
-                            ParamData::F32(std::slice::from_raw_parts_mut(p.add(op.start), op.len))
-                        } else {
-                            ParamData::F32Ro(std::slice::from_raw_parts(p.add(op.start), op.len))
-                        }
+    codelet: &'a Codelet,
+    operands: &'a [TensorSlice],
+) -> impl Iterator<Item = ParamData<'a>> {
+    operands.iter().zip(&codelet.params).map(|(op, decl)| {
+        // SAFETY: slices validated in-bounds at compile time; see the
+        // disjointness argument on `TensorBases`.
+        unsafe {
+            match bases.bases[op.tensor] {
+                RawBase::F32(p) => {
+                    if decl.mutable {
+                        ParamData::F32(std::slice::from_raw_parts_mut(p.add(op.start), op.len))
+                    } else {
+                        ParamData::F32Ro(std::slice::from_raw_parts(p.add(op.start), op.len))
                     }
-                    RawBase::I32(p) => {
-                        if decl.mutable {
-                            ParamData::I32(std::slice::from_raw_parts_mut(p.add(op.start), op.len))
-                        } else {
-                            ParamData::I32Ro(std::slice::from_raw_parts(p.add(op.start), op.len))
-                        }
+                }
+                RawBase::I32(p) => {
+                    if decl.mutable {
+                        ParamData::I32(std::slice::from_raw_parts_mut(p.add(op.start), op.len))
+                    } else {
+                        ParamData::I32Ro(std::slice::from_raw_parts(p.add(op.start), op.len))
                     }
-                    RawBase::Bool(p) => {
-                        if decl.mutable {
-                            ParamData::Bool(std::slice::from_raw_parts_mut(p.add(op.start), op.len))
-                        } else {
-                            ParamData::BoolRo(std::slice::from_raw_parts(p.add(op.start), op.len))
-                        }
+                }
+                RawBase::Bool(p) => {
+                    if decl.mutable {
+                        ParamData::Bool(std::slice::from_raw_parts_mut(p.add(op.start), op.len))
+                    } else {
+                        ParamData::BoolRo(std::slice::from_raw_parts(p.add(op.start), op.len))
                     }
-                    RawBase::Dw(p) => {
-                        if decl.mutable {
-                            ParamData::Dw(std::slice::from_raw_parts_mut(p.add(op.start), op.len))
-                        } else {
-                            ParamData::DwRo(std::slice::from_raw_parts(p.add(op.start), op.len))
-                        }
+                }
+                RawBase::Dw(p) => {
+                    if decl.mutable {
+                        ParamData::Dw(std::slice::from_raw_parts_mut(p.add(op.start), op.len))
+                    } else {
+                        ParamData::DwRo(std::slice::from_raw_parts(p.add(op.start), op.len))
                     }
-                    RawBase::F64(p) => {
-                        if decl.mutable {
-                            ParamData::F64(std::slice::from_raw_parts_mut(p.add(op.start), op.len))
-                        } else {
-                            ParamData::F64Ro(std::slice::from_raw_parts(p.add(op.start), op.len))
-                        }
+                }
+                RawBase::F64(p) => {
+                    if decl.mutable {
+                        ParamData::F64(std::slice::from_raw_parts_mut(p.add(op.start), op.len))
+                    } else {
+                        ParamData::F64Ro(std::slice::from_raw_parts(p.add(op.start), op.len))
                     }
                 }
             }
-        })
-        .collect()
+        }
+    })
 }
 
 /// Run one vertex and return its footprint: BSP time plus the *work*
@@ -1095,37 +1184,38 @@ fn params_from_bases<'a>(
 /// Cycles are time (worker-parallel constructs shrink them); flops/bytes
 /// are work (parallelism leaves them unchanged).
 ///
-/// The fused kernel matched to the vertex's codelet runs when there is
-/// one and the runtime operand layout accepts it (`run` returns `None`
-/// for e.g. a storage dtype the monomorphised code was not built for);
-/// otherwise the interpreter does. Free of engine state so either
-/// schedule shares it verbatim — a vertex's result depends only on the
-/// graph, the storage it reads and its own operands.
-fn run_vertex(graph: &Graph, bases: &TensorBases, v: &Vertex, kernels: &KernelTable) -> KernelRun {
+/// Three tiers, each decided at engine build: the fused kernel matched to
+/// the vertex's codelet, when there is one and the runtime operand layout
+/// accepts it (`run` returns `None` for e.g. a storage dtype the
+/// monomorphised code was not built for); else the codelet's lowered form;
+/// else — a body lowering could not type — the dynamic interpreter. Free of
+/// engine state so either schedule shares it verbatim — a vertex's result
+/// depends only on the graph, the storage it reads and its own operands.
+fn run_vertex<'a>(
+    graph: &'a Graph,
+    bases: &'a TensorBases,
+    v: &'a Vertex,
+    lowered: Option<&Lowered>,
+    kernels: &KernelTable,
+    scratch: &mut Scratch<'a>,
+) -> Charge {
     let codelet = &graph.codelets[v.codelet];
     let cost = &graph.cost;
     let workers = graph.model.workers_per_tile as u64;
-    let mut params = params_from_bases(bases, codelet, &v.operands);
-    if let Some(run) =
-        kernels.get(v.codelet).and_then(|k| k.run(&v.kind, &mut params, cost, workers))
-    {
-        return run;
-    }
-    let mut interp = Interp::new(cost, &mut params, codelet.num_locals, workers);
-    let cycles = match &v.kind {
-        VertexKind::Simple => interp.run(&codelet.body),
-        VertexKind::LevelSet { levels } => {
-            // Each row runs inside the makespan's cost callback (once, in
-            // level order), so no per-row table outlives its level.
-            ipu_sim::threading::level_set_cycles(levels, workers as usize, cost, |row| {
-                interp.locals[0] = Value::I32(row as i32);
-                let before = interp.cycles;
-                interp.run(&codelet.body);
-                interp.cycles - before
-            })
+    let Scratch { params, locals } = scratch;
+    params.extend(params_from_bases(bases, codelet, &v.operands));
+    let fused = kernels.get(v.codelet).and_then(|k| k.run(&v.kind, params, cost, workers));
+    let run = match (fused, lowered) {
+        (Some(run), _) => run,
+        (None, Some(l)) => l.run_vertex(&v.kind, params, locals, cost, workers),
+        (None, None) => {
+            let mut interp = Interp::new(cost, params, codelet.num_locals, workers);
+            let cycles = interp.run_vertex(&v.kind, &codelet.body);
+            Charge { cycles, flops: interp.flops, mem_bytes: interp.mem_bytes }
         }
     };
-    KernelRun { cycles, flops: interp.flops, mem_bytes: interp.mem_bytes }
+    params.clear();
+    run
 }
 
 fn index_two(storage: &mut [Storage], a: usize, b: usize) -> (&mut Storage, &mut Storage) {
@@ -1891,8 +1981,13 @@ mod tests {
         assert_eq!(sel(true).counter("codelets_fused"), 1);
         assert_eq!(sel(false).counter("codelets_fused"), 0);
         assert_eq!(sel(false).counter("codelets_total"), 1);
+        // Lowering does not depend on fusion: both vertices, either way.
+        for fusion in [false, true] {
+            assert_eq!(sel(fusion).counter("vertices_total"), 2);
+            assert_eq!(sel(fusion).counter("vertices_lowered"), 2);
+        }
         // No per-codelet rows: nothing was matched, so nothing fell back.
-        assert_eq!(sel(false).counters.len(), 2, "{:?}", sel(false).counters);
+        assert_eq!(sel(false).counters.len(), 4, "{:?}", sel(false).counters);
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //! against.
 
 use crate::codelet::{
-    apply_bin, apply_un, BinOp, Codelet, Expr, ParamData, ParamDecl, Stmt, UnOp, Value,
+    apply_bin, apply_un, parfor_makespan, promote, BinOp, Charge, Codelet, Expr, Lowerer,
+    ParamData, ParamDecl, Stmt, UnOp, Value,
 };
 use crate::compute::VertexKind;
 use crate::graph::Graph;
@@ -38,51 +39,6 @@ use ipu_sim::threading::level_set_cycles;
 #[cfg(test)]
 use ipu_sim::threading::LevelSchedule;
 use twofloat::{TwoF32, TwoFloat};
-
-fn promote(a: DType, b: DType) -> DType {
-    crate::codelet::promote(a, b)
-}
-
-/// Dynamic footprint of one fused vertex execution — mirrors the
-/// interpreter's cycle/flop/byte counters exactly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KernelRun {
-    pub cycles: u64,
-    pub flops: u64,
-    pub mem_bytes: u64,
-}
-
-/// A static charge: what one fragment of codelet IR costs every time the
-/// interpreter executes it. Hoisting these out of the data loop is what
-/// decouples accounting from execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Charge {
-    cycles: u64,
-    flops: u64,
-    mem: u64,
-}
-
-impl Charge {
-    fn cy(cycles: u64) -> Charge {
-        Charge { cycles, flops: 0, mem: 0 }
-    }
-
-    fn plus(self, o: Charge) -> Charge {
-        Charge {
-            cycles: self.cycles + o.cycles,
-            flops: self.flops + o.flops,
-            mem: self.mem + o.mem,
-        }
-    }
-}
-
-/// The interpreter's `ParFor` makespan rule: serial body cycles replaced by
-/// `spawn + ceil(serial / workers)`, never worse than serial, floor one
-/// cycle for the degenerate empty loop.
-fn parfor_makespan(serial: u64, workers: u64, cost: &CostModel) -> u64 {
-    let parallel = cost.worker_spawn_cycles + serial.div_ceil(workers);
-    parallel.min(serial.max(1))
-}
 
 /// Runtime storage dtype of a parameter slice.
 fn dtype_of(p: &ParamData) -> DType {
@@ -111,99 +67,17 @@ fn as_i32s<'s>(p: &'s ParamData) -> Option<&'s [i32]> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Static cost analysis: mirror Interp::eval's charging rules over an
-// expression tree, using *declared* dtypes. Callers that rely on this must
-// verify storage dtype == declared dtype at run time (the interpreter
-// charges loads/stores at the runtime storage dtype).
-// ---------------------------------------------------------------------------
-
-/// Charge + result dtype of evaluating `e` once, or `None` when the cost
-/// (or result dtype) is not statically constant. Only `Local(0)` — the
-/// fused loop index — is permitted; any other local reference bails.
+/// Charge + result dtype of evaluating `e` once inside a fused loop, as
+/// the lowering derives them with the *declared* dtypes standing in for
+/// storage and `Local(0)` — the loop index — the only typed local. `None`
+/// when the lowering cannot type `e`. Callers that rely on this must verify
+/// storage dtype == declared dtype at run time (loads and stores are
+/// charged at the runtime storage dtype).
 fn expr_charge(e: &Expr, decls: &[ParamDecl], cost: &CostModel) -> Option<(Charge, DType)> {
-    match e {
-        Expr::Const(v) => Some((Charge::default(), v.dtype())),
-        Expr::Local(0) => Some((Charge::default(), DType::I32)),
-        Expr::Local(_) => None,
-        Expr::ParamLen(_) => Some((Charge::default(), DType::I32)),
-        Expr::Index { param, index } => {
-            let (ic, _) = expr_charge(index, decls, cost)?;
-            let dt = decls.get(*param)?.dtype;
-            let load = Charge {
-                cycles: cost.op_cycles(Op::Load, dt),
-                flops: 0,
-                mem: dt.size_bytes() as u64,
-            };
-            Some((ic.plus(load), dt))
-        }
-        Expr::Unary { op, arg } => {
-            let (c, dt) = expr_charge(arg, decls, cost)?;
-            if *op == UnOp::Sqrt && dt == DType::Bool {
-                return None; // the interpreter panics on sqrt(bool)
-            }
-            let cost_op = match op {
-                UnOp::Neg => Op::Neg,
-                UnOp::Abs => Op::Abs,
-                UnOp::Sqrt => Op::Sqrt,
-                UnOp::Not => Op::Cmp,
-            };
-            let ch = Charge {
-                cycles: cost.op_cycles(cost_op, dt),
-                flops: cost.op_flops(cost_op, dt),
-                mem: 0,
-            };
-            let out = match op {
-                UnOp::Not => DType::Bool,
-                UnOp::Sqrt if dt == DType::I32 => DType::F32,
-                _ => dt,
-            };
-            Some((c.plus(ch), out))
-        }
-        Expr::Binary { op, lhs, rhs } => {
-            let (ca, da) = expr_charge(lhs, decls, cost)?;
-            let (cb, db) = expr_charge(rhs, decls, cost)?;
-            let dt = promote(da, db);
-            let is_cmp = matches!(
-                op,
-                BinOp::Eq
-                    | BinOp::Ne
-                    | BinOp::Lt
-                    | BinOp::Le
-                    | BinOp::Gt
-                    | BinOp::Ge
-                    | BinOp::And
-                    | BinOp::Or
-            );
-            if !is_cmp && dt == DType::Bool {
-                return None; // bool arithmetic produces I32 values; not worth fusing
-            }
-            let mixed = dt == DType::DoubleWord && (da == DType::F32 || db == DType::F32);
-            let cycles = if mixed {
-                cost.op_cycles_mixed_dw(op.cost_op())
-            } else {
-                cost.op_cycles(op.cost_op(), dt)
-            };
-            let ch = Charge { cycles, flops: cost.op_flops(op.cost_op(), dt), mem: 0 };
-            Some((ca.plus(cb).plus(ch), if is_cmp { DType::Bool } else { dt }))
-        }
-        Expr::Convert { to, arg } => {
-            let (c, _) = expr_charge(arg, decls, cost)?;
-            Some((c.plus(Charge::cy(cost.op_cycles(Op::Convert, *to))), *to))
-        }
-        Expr::Select { cond, then, otherwise } => {
-            // The interpreter evaluates cond and *both* branches, then
-            // charges one branch-free select.
-            let (cc, _) = expr_charge(cond, decls, cost)?;
-            let (ct, dt_t) = expr_charge(then, decls, cost)?;
-            let (co, dt_o) = expr_charge(otherwise, decls, cost)?;
-            if dt_t != dt_o {
-                return None;
-            }
-            let sel = Charge::cy(cost.op_cycles(Op::Branch, DType::Bool));
-            Some((cc.plus(ct).plus(co).plus(sel), dt_t))
-        }
-    }
+    let storage: Vec<DType> = decls.iter().map(|p| p.dtype).collect();
+    let mut charge = Charge::default();
+    let typed = Lowerer { storage: &storage, cost }.expr(e, &[Some(DType::I32)], &mut charge)?;
+    Some((charge, typed.dtype))
 }
 
 /// Generic (but charge-free) expression evaluation — semantically identical
@@ -631,7 +505,7 @@ impl FusedKernel {
         params: &mut [ParamData],
         cost: &CostModel,
         workers: u64,
-    ) -> Option<KernelRun> {
+    ) -> Option<Charge> {
         match (self, kind) {
             (FusedKernel::Spmv(k), VertexKind::Simple) => k.run(params, cost, workers),
             (FusedKernel::Subst(k), VertexKind::LevelSet { levels }) => {
@@ -653,7 +527,7 @@ fn storage_matches(params: &[ParamData], decls: &[DType]) -> bool {
 }
 
 impl SpmvKernel {
-    fn run(&self, params: &mut [ParamData], cost: &CostModel, workers: u64) -> Option<KernelRun> {
+    fn run(&self, params: &mut [ParamData], cost: &CostModel, workers: u64) -> Option<Charge> {
         let o = if self.residual { 3 } else { 2 };
         if params.len() != o + 4 {
             return None;
@@ -747,7 +621,7 @@ impl SpmvKernel {
             let v = if self.residual { apply_bin(BinOp::Sub, rest[1].get(r), acc).0 } else { acc };
             y.set(r, v.convert(dy));
         }
-        Some(KernelRun { cycles: parfor_makespan(serial, workers, cost), flops, mem_bytes: mem })
+        Some(Charge { cycles: parfor_makespan(serial, workers, cost), flops, mem_bytes: mem })
     }
 }
 
@@ -758,7 +632,7 @@ impl SubstKernel {
         params: &mut [ParamData],
         cost: &CostModel,
         workers: u64,
-    ) -> Option<KernelRun> {
+    ) -> Option<Charge> {
         let forward = matches!(self.kind, SubstKind::Forward { .. });
         let want = if forward { 6 } else { 5 };
         if params.len() != want {
@@ -855,12 +729,12 @@ impl SubstKernel {
             mem += base_mem + entries * 4 + taken * 8 + epi_mem;
             base + entries * per_entry + taken * per_taken + epi
         });
-        Some(KernelRun { cycles, flops, mem_bytes: mem })
+        Some(Charge { cycles, flops, mem_bytes: mem })
     }
 }
 
 impl MapKernel {
-    fn run(&self, params: &mut [ParamData], cost: &CostModel, workers: u64) -> Option<KernelRun> {
+    fn run(&self, params: &mut [ParamData], cost: &CostModel, workers: u64) -> Option<Charge> {
         let _ = cost;
         if !storage_matches(params, &self.decls) {
             return None;
@@ -880,16 +754,16 @@ impl MapKernel {
                 }
             }
         }
-        Some(KernelRun {
+        Some(Charge {
             cycles: parfor_makespan(n as u64 * self.iter.cycles, workers, cost),
             flops: n as u64 * self.iter.flops,
-            mem_bytes: n as u64 * self.iter.mem,
+            mem_bytes: n as u64 * self.iter.mem_bytes,
         })
     }
 }
 
 impl ReduceKernel {
-    fn run(&self, params: &mut [ParamData], cost: &CostModel, workers: u64) -> Option<KernelRun> {
+    fn run(&self, params: &mut [ParamData], cost: &CostModel, workers: u64) -> Option<Charge> {
         if !storage_matches(params, &self.decls) {
             return None;
         }
@@ -937,16 +811,16 @@ impl ReduceKernel {
         };
         let dst_dt = self.decls[0];
         params[0].set(0, acc.convert(dst_dt));
-        Some(KernelRun {
+        Some(Charge {
             cycles: parfor_makespan(n as u64 * self.iter.cycles, workers, cost) + self.fin.cycles,
             flops: n as u64 * self.iter.flops + self.fin.flops,
-            mem_bytes: n as u64 * self.iter.mem + self.fin.mem,
+            mem_bytes: n as u64 * self.iter.mem_bytes + self.fin.mem_bytes,
         })
     }
 }
 
 impl SumKernel {
-    fn run(&self, params: &mut [ParamData], cost: &CostModel) -> Option<KernelRun> {
+    fn run(&self, params: &mut [ParamData], cost: &CostModel) -> Option<Charge> {
         let _ = cost;
         if !storage_matches(params, &self.decls) {
             return None;
@@ -969,11 +843,11 @@ impl SumKernel {
             _ => return None,
         };
         params[0].set(0, acc.convert(self.decls[0]));
-        Some(KernelRun {
+        Some(Charge {
             // A *serial* For loop: no worker makespan, no spawn.
             cycles: n as u64 * self.iter.cycles + self.fin.cycles,
             flops: n as u64 * self.iter.flops + self.fin.flops,
-            mem_bytes: n as u64 * self.iter.mem + self.fin.mem,
+            mem_bytes: n as u64 * self.iter.mem_bytes + self.fin.mem_bytes,
         })
     }
 }
@@ -1213,7 +1087,7 @@ fn match_map(c: &Codelet, cost: &CostModel) -> Option<FusedKernel> {
     let store = Charge {
         cycles: cost.op_cycles(Op::Store, dst_dt),
         flops: 0,
-        mem: dst_dt.size_bytes() as u64,
+        mem_bytes: dst_dt.size_bytes() as u64,
     };
     let iter = Charge::cy(cost.op_cycles(Op::LoopStep, DType::I32)).plus(vc).plus(store);
     Some(FusedKernel::Map(MapKernel {
@@ -1256,13 +1130,13 @@ fn match_reduce(c: &Codelet, cost: &CostModel) -> Option<FusedKernel> {
     let mixed = acc_dt == DType::DoubleWord && vdt == DType::F32;
     let add_c =
         if mixed { cost.op_cycles_mixed_dw(Op::Add) } else { cost.op_cycles(Op::Add, acc_dt) };
-    let add = Charge { cycles: add_c, flops: cost.op_flops(Op::Add, acc_dt), mem: 0 };
+    let add = Charge { cycles: add_c, flops: cost.op_flops(Op::Add, acc_dt), mem_bytes: 0 };
     let iter = Charge::cy(cost.op_cycles(Op::LoopStep, DType::I32)).plus(vc).plus(add);
     let dst_dt = c.params[0].dtype;
     let fin = Charge {
         cycles: cost.op_cycles(Op::Store, dst_dt),
         flops: 0,
-        mem: dst_dt.size_bytes() as u64,
+        mem_bytes: dst_dt.size_bytes() as u64,
     };
     Some(FusedKernel::Reduce(ReduceKernel {
         lead: *lead,
@@ -1304,22 +1178,18 @@ fn match_sum(c: &Codelet, cost: &CostModel) -> Option<FusedKernel> {
     {
         return None;
     }
-    let load = Charge {
-        cycles: cost.op_cycles(Op::Load, in_dt),
-        flops: 0,
-        mem: in_dt.size_bytes() as u64,
-    };
+    let (load, _) = expr_charge(&Expr::index(1, Expr::Local(0)), &c.params, cost)?;
     let add = Charge {
         cycles: cost.op_cycles(Op::Add, acc_dt),
         flops: cost.op_flops(Op::Add, acc_dt),
-        mem: 0,
+        mem_bytes: 0,
     };
     let iter = Charge::cy(cost.op_cycles(Op::LoopStep, DType::I32)).plus(load).plus(add);
     let dst_dt = c.params[0].dtype;
     let fin = Charge {
         cycles: cost.op_cycles(Op::Store, dst_dt),
         flops: 0,
-        mem: dst_dt.size_bytes() as u64,
+        mem_bytes: dst_dt.size_bytes() as u64,
     };
     Some(FusedKernel::Sum(SumKernel {
         decls: c.params.iter().map(|p| p.dtype).collect(),
@@ -1418,10 +1288,10 @@ mod tests {
     }
 
     /// Exactly `run_vertex`'s Simple arm.
-    fn interp_simple(c: &Codelet, params: &mut [ParamData], cost: &CostModel) -> KernelRun {
+    fn interp_simple(c: &Codelet, params: &mut [ParamData], cost: &CostModel) -> Charge {
         let mut it = Interp::new(cost, params, c.num_locals, WORKERS);
         let cycles = it.run(&c.body);
-        KernelRun { cycles, flops: it.flops, mem_bytes: it.mem_bytes }
+        Charge { cycles, flops: it.flops, mem_bytes: it.mem_bytes }
     }
 
     /// Exactly `run_vertex`'s LevelSet arm.
@@ -1430,7 +1300,7 @@ mod tests {
         params: &mut [ParamData],
         levels: &[Vec<usize>],
         cost: &CostModel,
-    ) -> KernelRun {
+    ) -> Charge {
         let mut it = Interp::new(cost, params, c.num_locals, WORKERS);
         let mut row_cost: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
         for level in levels {
@@ -1442,7 +1312,7 @@ mod tests {
             }
         }
         let schedule = LevelSchedule::build(levels, WORKERS as usize, |i| row_cost[&i]);
-        KernelRun {
+        Charge {
             cycles: schedule.cycles(|i| row_cost[&i], cost),
             flops: it.flops,
             mem_bytes: it.mem_bytes,
@@ -1878,6 +1748,80 @@ mod tests {
         let mut y = vec![TwoFloat::from_f64(0.0); 2];
         let mut p = vec![ParamData::Dw(&mut y), ParamData::F32Ro(&x), ParamData::F32Ro(&a)];
         assert!(k.run(&VertexKind::Simple, &mut p, &cost, WORKERS).is_none());
+    }
+
+    /// `y[i] = value` over `y`, reading `x` (parameter 1).
+    fn map_codelet(dy: DType, value: Expr) -> Codelet {
+        codelet(
+            "map",
+            vec![mutp(dy), rop(DType::F32)],
+            1,
+            vec![Stmt::ParFor {
+                local: 0,
+                start: Expr::Const(Value::I32(0)),
+                end: Expr::ParamLen(0),
+                body: vec![Stmt::Store { param: 0, index: Expr::Local(0), value }],
+            }],
+        )
+    }
+
+    #[test]
+    fn map_bool_arithmetic_matches_interpreter() {
+        // `(x[i] > 0) + (x[i] < 1)`: Bool + Bool is charged as Bool and is
+        // the I32 0, 1 or 2. The per-element charge comes from the lowering,
+        // which types it; stored to an I32 and to an F32 destination.
+        let cost = cm();
+        let x_i = || Expr::index(1, Expr::Local(0));
+        let value = Expr::bin(
+            BinOp::Add,
+            Expr::bin(BinOp::Gt, x_i(), Expr::Const(Value::F32(0.0))),
+            Expr::bin(BinOp::Lt, x_i(), Expr::Const(Value::F32(1.0))),
+        );
+        let x = vec![-1.0f32, 0.0, 0.5, 1.0, 2.0, f32::NAN];
+
+        let c = map_codelet(DType::I32, value.clone());
+        let k = match_codelet(&c, &cost).expect("a Bool-arithmetic map is a map");
+        assert_eq!(k.name(), "map");
+        let (mut y_int, mut y_nat) = (vec![7i32; x.len()], vec![7i32; x.len()]);
+        let ri = interp_simple(&c, &mut [ParamData::I32(&mut y_int), ParamData::F32Ro(&x)], &cost);
+        let rn = k
+            .run(
+                &VertexKind::Simple,
+                &mut [ParamData::I32(&mut y_nat), ParamData::F32Ro(&x)],
+                &cost,
+                WORKERS,
+            )
+            .expect("layout accepted");
+        assert_eq!(ri, rn);
+        assert_eq!(y_int, y_nat);
+        assert_eq!(y_int, [1, 1, 2, 1, 1, 0]);
+
+        let c = map_codelet(DType::F32, value);
+        let k = match_codelet(&c, &cost).expect("a Bool-arithmetic map is a map");
+        let (mut y_int, mut y_nat) = (vec![7.0f32; x.len()], vec![7.0f32; x.len()]);
+        let ri = interp_simple(&c, &mut [ParamData::F32(&mut y_int), ParamData::F32Ro(&x)], &cost);
+        let rn = k
+            .run(
+                &VertexKind::Simple,
+                &mut [ParamData::F32(&mut y_nat), ParamData::F32Ro(&x)],
+                &cost,
+                WORKERS,
+            )
+            .expect("layout accepted");
+        assert_eq!(ri, rn);
+        assert_eq!(f32_bits(&y_int), f32_bits(&y_nat));
+    }
+
+    #[test]
+    fn map_with_a_non_integer_index_is_not_fused() {
+        // `x[1.0]`: the dynamic interpreter truncates any index to an
+        // integer, the lowering — where the map's charge comes from — types
+        // only I32 indices, so this codelet stays on `Interp`.
+        let cost = cm();
+        let c = map_codelet(DType::F32, Expr::index(1, Expr::Const(Value::F32(1.0))));
+        assert!(match_codelet(&c, &cost).is_none());
+        let c = map_codelet(DType::F32, Expr::index(1, Expr::Const(Value::I32(1))));
+        assert!(match_codelet(&c, &cost).is_some());
     }
 
     /// `out[0] = sum_i x[i] * y[i]` with an explicit accumulator dtype.

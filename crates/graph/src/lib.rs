@@ -33,12 +33,12 @@ pub mod program;
 pub mod tensor;
 
 pub use codelet::{
-    BinOp, Codelet, CodeletId, Expr, LocalId, ParamDecl, ParamId, Stmt, UnOp, Value,
+    BinOp, Charge, Codelet, CodeletId, Expr, LocalId, ParamDecl, ParamId, Stmt, UnOp, Value,
 };
 pub use compute::{ComputeSet, ComputeSetId, Vertex, VertexKind};
 pub use engine::{parallel_hazards, Engine, EngineOptions, FaultState};
 pub use graph::{CompileError, Executable, Graph};
-pub use kernels::{FusedKernel, KernelRun, KernelTable};
+pub use kernels::{FusedKernel, KernelTable};
 pub use passes::{parse_flag, CompileOptions};
 pub use plan::{ExecPlan, PlanStep, StepId};
 pub use program::{ExchangeStep, Prog};

@@ -2,9 +2,13 @@
 //! the codelet in local 0 and schedules the measured row costs, and nothing
 //! on that path may size a table by the *value* of a row id.
 //!
+//! Nor may a vertex allocate at all: the operand slices and the locals live
+//! in a scratch that serves the whole compute set, so what one `Engine::run`
+//! requests depends on its compute sets, not on how many vertices they hold.
+//!
 //! This is its own test binary because it installs a counting global
-//! allocator; with one test in the process nothing else allocates on the
-//! measured thread.
+//! allocator; the counters are per thread, so nothing else is counted on a
+//! measured one.
 
 use graph::codelet::{BinOp, Codelet, Expr, ParamDecl, Stmt, Value};
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
@@ -21,16 +25,19 @@ use std::cell::Cell;
 thread_local! {
     /// Bytes this thread has requested from the allocator.
     static REQUESTED: Cell<usize> = const { Cell::new(0) };
+    /// Requests (allocations and reallocations) this thread has made.
+    static REQUESTS: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a `const`-initialised thread-local
-// `Cell` without a destructor, so touching it neither allocates nor unwinds.
+// `GlobalAlloc` contract; the counters are `const`-initialised thread-local
+// `Cell`s without a destructor, so touching them neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = REQUESTED.try_with(|b| b.set(b.get() + layout.size()));
+        let _ = REQUESTS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -40,6 +47,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = REQUESTED.try_with(|b| b.set(b.get() + new_size));
+        let _ = REQUESTS.try_with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -110,4 +118,74 @@ fn sparse_row_ids_cost_what_dense_ones_do_and_size_no_table() {
         requested < FAR_ROW,
         "one run requested {requested} bytes: something is sized by the row id"
     );
+}
+
+/// Allocator requests of one warm `Engine::run` of a single compute set of
+/// `vertices` `Simple` vertices, spread over four tiles, each scaling its
+/// own two elements of `x` by a scalar operand.
+fn requests_of_one_run(vertices: usize) -> usize {
+    let mut g = Graph::new(IpuModel::tiny(4));
+    let x = g.add_tensor(TensorDef::linear("x", DType::F32, 2 * 64, 4)).unwrap();
+    let a = g.add_tensor(TensorDef::linear("a", DType::F32, 4, 4)).unwrap();
+    let c = g
+        .add_codelet(Codelet {
+            name: "scale".into(),
+            params: vec![
+                ParamDecl { dtype: DType::F32, mutable: true },
+                ParamDecl { dtype: DType::F32, mutable: false },
+            ],
+            num_locals: 2,
+            body: vec![
+                Stmt::SetLocal(1, Expr::index(1, Expr::c(Value::I32(0)))),
+                Stmt::ParFor {
+                    local: 0,
+                    start: Expr::c(Value::I32(0)),
+                    end: Expr::ParamLen(0),
+                    body: vec![Stmt::Store {
+                        param: 0,
+                        index: Expr::Local(0),
+                        value: Expr::bin(
+                            BinOp::Mul,
+                            Expr::index(0, Expr::Local(0)),
+                            Expr::Local(1),
+                        ),
+                    }],
+                },
+            ],
+        })
+        .unwrap();
+    let mut cs = ComputeSet::new("scale");
+    for v in 0..vertices {
+        // `linear` maps 32 consecutive elements of `x`, one of `a`, per tile.
+        let tile = v / 16;
+        cs.add(Vertex {
+            tile,
+            codelet: c,
+            operands: vec![
+                TensorSlice { tensor: x, start: 2 * v, len: 2 },
+                TensorSlice { tensor: a, start: tile, len: 1 },
+            ],
+            kind: VertexKind::Simple,
+        });
+    }
+    let cs = g.add_compute_set(cs).unwrap();
+    let mut e = Engine::new(g.compile(Prog::Execute(cs)).unwrap());
+    e.write_tensor(x, &[1.0; 128]);
+    e.write_tensor(a, &[2.0; 4]);
+
+    e.run(); // warm-up, as above
+    let before = REQUESTS.with(Cell::get);
+    e.run();
+    let requests = REQUESTS.with(Cell::get) - before;
+
+    let mut want = vec![1.0; 128];
+    want[..2 * vertices].fill(4.0);
+    assert_eq!(e.read_tensor(x), want, "{vertices} vertices, two runs");
+    requests
+}
+
+#[test]
+fn a_compute_set_of_64_vertices_requests_no_more_allocations_than_one_of_1() {
+    let (one, many) = (requests_of_one_run(1), requests_of_one_run(64));
+    assert!(many <= one, "1 vertex: {one} requests per run; 64 vertices: {many}");
 }

@@ -1,0 +1,716 @@
+//! The lowered form against the dynamic interpreter, at codelet level.
+//!
+//! `Lowered::lower` types and costs a codelet once for a binding (operand
+//! storage dtypes, vertex kind); `Interp` discovers both per node per run.
+//! The contract: where lowering returns `Some`, one vertex leaves the same
+//! storage bits, the same locals and the same cycles / flops / SRAM bytes
+//! behind on both routes (or panics on both); where the body cannot be
+//! typed it returns `None` — at build, without a panic — and the engine
+//! runs the vertex on `Interp`.
+
+use graph::codelet::{
+    BinOp, Charge, Codelet, Expr, Interp, Lowered, ParamData, ParamDecl, Stmt, UnOp, Value,
+};
+use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
+use graph::kernels::spmv_template;
+use graph::program::Prog;
+use graph::tensor::TensorDef;
+use graph::{Engine, Graph};
+use ipu_sim::clock::Phase;
+use ipu_sim::cost::{CostModel, DType};
+use ipu_sim::model::IpuModel;
+use proptest::TestRng;
+use twofloat::{SoftDouble, TwoF32, TwoFloat};
+
+const WORKERS: u64 = 6;
+const DTYPES: [DType; 5] =
+    [DType::F32, DType::I32, DType::Bool, DType::DoubleWord, DType::F64Emulated];
+
+/// Owned storage of one operand.
+#[derive(Clone, Debug)]
+enum Buf {
+    F32(Vec<f32>),
+    I32(Vec<i32>),
+    Bool(Vec<bool>),
+    Dw(Vec<TwoF32>),
+    F64(Vec<SoftDouble>),
+}
+
+impl Buf {
+    fn param(&mut self, mutable: bool) -> ParamData<'_> {
+        match (self, mutable) {
+            (Buf::F32(v), true) => ParamData::F32(v),
+            (Buf::F32(v), false) => ParamData::F32Ro(v),
+            (Buf::I32(v), true) => ParamData::I32(v),
+            (Buf::I32(v), false) => ParamData::I32Ro(v),
+            (Buf::Bool(v), true) => ParamData::Bool(v),
+            (Buf::Bool(v), false) => ParamData::BoolRo(v),
+            (Buf::Dw(v), true) => ParamData::Dw(v),
+            (Buf::Dw(v), false) => ParamData::DwRo(v),
+            (Buf::F64(v), true) => ParamData::F64(v),
+            (Buf::F64(v), false) => ParamData::F64Ro(v),
+        }
+    }
+
+    fn dtype(&self) -> DType {
+        match self {
+            Buf::F32(_) => DType::F32,
+            Buf::I32(_) => DType::I32,
+            Buf::Bool(_) => DType::Bool,
+            Buf::Dw(_) => DType::DoubleWord,
+            Buf::F64(_) => DType::F64Emulated,
+        }
+    }
+
+    /// Exact bit patterns, so NaNs and signed zeros compare as what they are.
+    fn bits(&self) -> Vec<u64> {
+        match self {
+            Buf::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+            Buf::I32(v) => v.iter().map(|&x| x as u32 as u64).collect(),
+            Buf::Bool(v) => v.iter().map(|&x| x as u64).collect(),
+            Buf::Dw(v) => v.iter().map(|x| value_bits(Value::Dw(*x)).1).collect(),
+            Buf::F64(v) => v.iter().map(|x| x.0.to_bits()).collect(),
+        }
+    }
+}
+
+fn value_bits(v: Value) -> (DType, u64) {
+    let b = match v {
+        Value::F32(x) => x.to_bits() as u64,
+        Value::I32(x) => x as u32 as u64,
+        Value::Bool(x) => x as u64,
+        Value::Dw(x) => (x.hi().to_bits() as u64) << 32 | x.lo().to_bits() as u64,
+        Value::F64(x) => x.to_bits(),
+    };
+    (v.dtype(), b)
+}
+
+/// What one vertex leaves behind.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    run: Charge,
+    storage: Vec<Vec<u64>>,
+    locals: Vec<(DType, u64)>,
+}
+
+fn params<'a>(codelet: &Codelet, bufs: &'a mut [Buf]) -> Vec<ParamData<'a>> {
+    bufs.iter_mut().zip(&codelet.params).map(|(b, decl)| b.param(decl.mutable)).collect()
+}
+
+/// `None` when the run panicked (an integer division by zero, say).
+fn outcome(
+    bufs: &[Buf],
+    run: impl FnOnce(&mut [Buf]) -> (Charge, Vec<Value>) + std::panic::UnwindSafe,
+) -> Option<Outcome> {
+    let mut bufs = bufs.to_vec();
+    std::panic::catch_unwind(move || {
+        let (run, locals) = run(&mut bufs);
+        Outcome {
+            run,
+            storage: bufs.iter().map(Buf::bits).collect(),
+            locals: locals.into_iter().map(value_bits).collect(),
+        }
+    })
+    .ok()
+}
+
+fn interp_outcome(c: &Codelet, kind: &VertexKind, bufs: &[Buf]) -> Option<Outcome> {
+    let cost = CostModel::default();
+    outcome(bufs, |bufs| {
+        let mut p = params(c, bufs);
+        let mut interp = Interp::new(&cost, &mut p, c.num_locals, WORKERS);
+        let cycles = interp.run_vertex(kind, &c.body);
+        (Charge { cycles, flops: interp.flops, mem_bytes: interp.mem_bytes }, interp.locals)
+    })
+}
+
+fn lower(c: &Codelet, kind: &VertexKind, bufs: &[Buf]) -> Option<Lowered> {
+    let storage: Vec<DType> = bufs.iter().map(Buf::dtype).collect();
+    let level_set = matches!(kind, VertexKind::LevelSet { .. });
+    Lowered::lower(c, &storage, level_set, &CostModel::default())
+}
+
+fn lowered_outcome(c: &Codelet, l: &Lowered, kind: &VertexKind, bufs: &[Buf]) -> Option<Outcome> {
+    let cost = CostModel::default();
+    outcome(bufs, |bufs| {
+        let mut p = params(c, bufs);
+        // Scratch comes in dirty: the lowered form must reset it itself.
+        let mut locals = vec![Value::F64(f64::NAN); 9];
+        let run = l.run_vertex(kind, &mut p, &mut locals, &cost, WORKERS);
+        (run, locals)
+    })
+}
+
+/// Lower, run both routes, compare. `None` if the codelet did not lower,
+/// else whether the run completed (on both routes) rather than panicked (on
+/// both).
+fn check(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str) -> Option<bool> {
+    c.validate().unwrap_or_else(|e| panic!("{who}: generated codelet is invalid: {e}"));
+    let lowered = lower(c, kind, bufs)?;
+    let want = interp_outcome(c, kind, bufs);
+    let got = lowered_outcome(c, &lowered, kind, bufs);
+    assert_eq!(want, got, "{who}: lowered diverged from Interp\n{c:#?}\n{kind:?}\n{bufs:?}");
+    Some(want.is_some())
+}
+
+// ---- the generator ---------------------------------------------------------
+
+struct Gen<'r> {
+    rng: &'r mut TestRng,
+    /// Common length of every operand, so a loop bounded by any `ParamLen`
+    /// indexes every parameter in range.
+    n: usize,
+    storage: Vec<DType>,
+    mutable: Vec<bool>,
+    num_locals: usize,
+    /// Loop variables and `While` counters in scope: never assigned by a
+    /// generated `SetLocal`, so loops terminate and indices stay in range.
+    reserved: Vec<usize>,
+    /// Locals that hold an in-range index here.
+    index_locals: Vec<usize>,
+}
+
+impl Gen<'_> {
+    fn below(&mut self, n: usize) -> usize {
+        self.rng.below(n)
+    }
+
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.rng.below(xs.len())]
+    }
+
+    fn constant(&mut self) -> Value {
+        let x = (self.below(17) as f64 - 8.0) * 0.75;
+        match self.pick(&DTYPES) {
+            DType::F32 => Value::F32(x as f32),
+            DType::I32 => Value::I32(self.below(7) as i32 - 2),
+            DType::Bool => Value::Bool(self.below(2) == 1),
+            DType::DoubleWord => Value::Dw(TwoFloat::from_f64(x + 1e-9)),
+            DType::F64Emulated => Value::F64(x + 1e-12),
+        }
+    }
+
+    /// An in-range index, if this scope has one: a loop variable, a constant
+    /// below `n`, or an element of an immutable I32 operand (generated in
+    /// `0..n`).
+    fn index(&mut self, depth: usize) -> Option<Expr> {
+        let mut sources = self.index_locals.len() + (self.n > 0) as usize;
+        if sources == 0 {
+            return None;
+        }
+        let cols: Vec<usize> = (0..self.storage.len())
+            .filter(|&p| self.storage[p] == DType::I32 && !self.mutable[p])
+            .collect();
+        if depth > 0 && !cols.is_empty() {
+            sources += 1;
+        }
+        let k = self.below(sources);
+        Some(if k < self.index_locals.len() {
+            Expr::Local(self.index_locals[k])
+        } else if k == self.index_locals.len() && self.n > 0 {
+            Expr::c(Value::I32(self.below(self.n) as i32))
+        } else {
+            Expr::index(self.pick(&cols), self.index(depth - 1)?)
+        })
+    }
+
+    fn load(&mut self, depth: usize) -> Option<Expr> {
+        let p = self.below(self.storage.len());
+        Some(Expr::index(p, self.index(depth)?))
+    }
+
+    fn expr(&mut self, depth: usize) -> Expr {
+        if depth == 0 || self.below(3) == 0 {
+            return match self.below(5) {
+                0 => Expr::c(self.constant()),
+                1 => Expr::Local(self.below(self.num_locals)),
+                2 => Expr::ParamLen(self.below(self.storage.len())),
+                _ => self.load(1).unwrap_or_else(|| Expr::c(self.constant())),
+            };
+        }
+        // Mostly steer away from what cannot be typed; the rest exercises
+        // the `None` path.
+        let steer = self.below(5) > 0;
+        let float = self.pick(&[DType::F32, DType::DoubleWord, DType::F64Emulated]);
+        match self.below(6) {
+            0 => {
+                let op = self.pick(&[UnOp::Neg, UnOp::Abs, UnOp::Sqrt, UnOp::Not]);
+                let arg = self.expr(depth - 1);
+                let arg = if op == UnOp::Sqrt && steer {
+                    Expr::Convert { to: float, arg: Box::new(arg) }
+                } else {
+                    arg
+                };
+                Expr::un(op, arg)
+            }
+            1 | 2 => {
+                use BinOp::*;
+                let op = self
+                    .pick(&[Add, Sub, Mul, Div, Min, Max, Eq, Ne, Lt, Le, Gt, Ge, And, Or, Rem]);
+                Expr::bin(op, self.expr(depth - 1), self.expr(depth - 1))
+            }
+            3 => Expr::Convert { to: self.pick(&DTYPES), arg: Box::new(self.expr(depth - 1)) },
+            4 => {
+                let to = self.pick(&DTYPES);
+                let arm = |g: &mut Self| {
+                    let e = g.expr(depth - 1);
+                    Box::new(if steer { Expr::Convert { to, arg: Box::new(e) } } else { e })
+                };
+                let (then, otherwise) = (arm(self), arm(self));
+                Expr::Select { cond: Box::new(self.expr(depth - 1)), then, otherwise }
+            }
+            _ => self.load(2).unwrap_or_else(|| self.expr(depth - 1)),
+        }
+    }
+
+    /// A local no loop in scope depends on.
+    fn free_local(&mut self) -> Option<usize> {
+        let free: Vec<usize> =
+            (0..self.num_locals).filter(|l| !self.reserved.contains(l)).collect();
+        (!free.is_empty()).then(|| self.pick(&free))
+    }
+
+    fn block(&mut self, depth: usize) -> Vec<Stmt> {
+        let len = 1 + self.below(3);
+        (0..len).flat_map(|_| self.stmt(depth)).collect()
+    }
+
+    /// A loop body with `local` reserved, and an index if `indexes`.
+    fn body(&mut self, local: usize, indexes: bool, depth: usize) -> Vec<Stmt> {
+        self.reserved.push(local);
+        if indexes {
+            self.index_locals.push(local);
+        }
+        let body = self.block(depth - 1);
+        if indexes {
+            self.index_locals.pop();
+        }
+        self.reserved.pop();
+        body
+    }
+
+    fn stmt(&mut self, depth: usize) -> Vec<Stmt> {
+        let set_local = |g: &mut Self| match g.free_local() {
+            Some(l) => vec![Stmt::SetLocal(l, g.expr(2))],
+            None => vec![],
+        };
+        let kinds = if depth == 0 { 3 } else { 7 };
+        match self.below(kinds) {
+            0 | 1 => set_local(self),
+            2 => {
+                let targets: Vec<usize> =
+                    (0..self.storage.len()).filter(|&p| self.mutable[p]).collect();
+                match self.index(1) {
+                    Some(index) => {
+                        vec![Stmt::Store { param: self.pick(&targets), index, value: self.expr(2) }]
+                    }
+                    None => set_local(self),
+                }
+            }
+            3 => vec![Stmt::If {
+                cond: self.expr(2),
+                then: self.block(depth - 1),
+                otherwise: if self.below(2) == 0 { vec![] } else { self.block(depth - 1) },
+            }],
+            4 | 5 => {
+                let Some(local) = self.free_local() else { return set_local(self) };
+                let end = if self.below(2) == 0 {
+                    Expr::ParamLen(self.below(self.storage.len()))
+                } else {
+                    Expr::c(Value::I32(self.below(self.n + 1) as i32))
+                };
+                let start = Expr::c(Value::I32(self.below(2) as i32));
+                let parallel = self.below(2) == 0;
+                let body = self.body(local, true, depth);
+                vec![if parallel {
+                    Stmt::ParFor { local, start, end, body }
+                } else {
+                    let step = Expr::c(Value::I32(self.below(3) as i32));
+                    Stmt::For { local, start, end, step, body }
+                }]
+            }
+            _ => {
+                // `w = 0; while w < k { …; w = w + 1 }`, `w` untouched by `…`.
+                let Some(w) = self.free_local() else { return set_local(self) };
+                let k = self.below(3) as i32;
+                let mut body = self.body(w, false, depth);
+                body.push(Stmt::SetLocal(
+                    w,
+                    Expr::bin(BinOp::Add, Expr::Local(w), Expr::c(Value::I32(1))),
+                ));
+                vec![
+                    Stmt::SetLocal(w, Expr::c(Value::I32(0))),
+                    Stmt::While {
+                        cond: Expr::bin(BinOp::Lt, Expr::Local(w), Expr::c(Value::I32(k))),
+                        body,
+                    },
+                ]
+            }
+        }
+    }
+
+    fn buf(&mut self, dtype: DType, mutable: bool) -> Buf {
+        let n = self.n;
+        let x = |g: &mut Self| (g.below(33) as f64 - 16.0) * 0.375;
+        match dtype {
+            DType::F32 => Buf::F32((0..n).map(|_| x(self) as f32).collect()),
+            // Immutable I32 operands are index sources: keep them in range.
+            DType::I32 if !mutable => Buf::I32((0..n).map(|_| self.below(n) as i32).collect()),
+            DType::I32 => Buf::I32((0..n).map(|_| self.below(9) as i32 - 4).collect()),
+            DType::Bool => Buf::Bool((0..n).map(|_| self.below(2) == 1).collect()),
+            DType::DoubleWord => {
+                Buf::Dw((0..n).map(|_| TwoFloat::from_f64(x(self) + 1e-9)).collect())
+            }
+            DType::F64Emulated => Buf::F64((0..n).map(|_| SoftDouble(x(self) + 1e-12)).collect()),
+        }
+    }
+}
+
+/// One random vertex: a codelet over every `Expr` / `Stmt` form, a storage
+/// dtype per operand drawn independently of the F32 / I32 it declares, and
+/// a vertex kind.
+fn random_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
+    let n = rng.below(6);
+    let num_params = 1 + rng.below(4);
+    let storage: Vec<DType> = (0..num_params).map(|_| DTYPES[rng.below(5)]).collect();
+    let mutable: Vec<bool> = (0..num_params).map(|p| p == 0 || rng.below(3) == 0).collect();
+    let level_set = rng.below(3) == 0;
+    let mut g = Gen {
+        rng,
+        n,
+        storage,
+        mutable,
+        num_locals: 2 + level_set as usize + 3,
+        reserved: vec![],
+        index_locals: vec![],
+    };
+    if level_set {
+        // Local 0 is the row, set by the vertex for every row.
+        g.reserved.push(0);
+        g.index_locals.push(0);
+    }
+    let body = g.block(2);
+    let params = (0..num_params)
+        .map(|p| ParamDecl {
+            dtype: if g.storage[p] == DType::I32 { DType::I32 } else { DType::F32 },
+            mutable: g.mutable[p],
+        })
+        .collect();
+    let bufs = (0..num_params).map(|p| g.buf(g.storage[p], g.mutable[p])).collect();
+    let kind = if level_set {
+        // Rows in `0..n`, in up to three levels, some of them empty.
+        let levels = (0..g.below(4))
+            .map(|_| if n == 0 { vec![] } else { (0..g.below(4)).map(|_| g.below(n)).collect() })
+            .collect();
+        VertexKind::LevelSet { levels }
+    } else {
+        VertexKind::Simple
+    };
+    let codelet = Codelet { name: "random".into(), params, num_locals: g.num_locals, body };
+    (codelet, kind, bufs)
+}
+
+#[test]
+fn random_codelets_run_identically_lowered_and_dynamic() {
+    let cases = 1500;
+    let (mut lowered, mut completed, mut level_sets, mut wide) = (0, 0, 0, 0);
+    for seed in 0..cases {
+        let mut rng = TestRng::seed_from_u64(0x10e7_0000 + seed);
+        let (codelet, kind, bufs) = random_case(&mut rng);
+        if let Some(ran) = check(&codelet, &kind, &bufs, &format!("seed {seed}")) {
+            lowered += 1;
+            completed += ran as u64;
+            level_sets += matches!(kind, VertexKind::LevelSet { .. }) as u32;
+            wide += bufs.iter().any(|b| matches!(b.dtype(), DType::DoubleWord | DType::F64Emulated))
+                as u32;
+        }
+    }
+    // Not vacuous: most random bodies type and run to the end, level sets
+    // and wide storage under F32-declared parameters among them.
+    assert!(completed * 2 > cases, "{completed} of {cases} ran lowered ({lowered} lowered)");
+    assert!(level_sets > 200 && wide > 500, "{level_sets} level sets, {wide} wide");
+}
+
+// ---- directed cases --------------------------------------------------------
+
+fn i(v: i32) -> Expr {
+    Expr::c(Value::I32(v))
+}
+
+fn f(v: f32) -> Expr {
+    Expr::c(Value::F32(v))
+}
+
+fn rw(dtype: DType) -> ParamDecl {
+    ParamDecl { dtype, mutable: true }
+}
+
+fn ro(dtype: DType) -> ParamDecl {
+    ParamDecl { dtype, mutable: false }
+}
+
+fn codelet(params: Vec<ParamDecl>, num_locals: usize, body: Vec<Stmt>) -> Codelet {
+    Codelet { name: "directed".into(), params, num_locals, body }
+}
+
+fn must_lower(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str) {
+    assert_eq!(check(c, kind, bufs, who), Some(true), "{who}: must lower and run");
+}
+
+/// MPIR binds the F32-declared SpMV to double-word and to emulated-f64
+/// vectors: loads, the mixed multiply and the store are typed and charged
+/// by storage, not by declaration.
+#[test]
+fn spmv_lowers_for_every_vector_storage_under_its_f32_declaration() {
+    let (params, num_locals, body) = spmv_template(false);
+    let c = codelet(params, num_locals, body);
+    let x64: Vec<f64> = (0..4).map(|k| 1.0 / (3.0 + k as f64)).collect();
+    let vectors = |dtype| match dtype {
+        DType::F32 => Buf::F32(x64.iter().map(|&v| v as f32).collect()),
+        DType::DoubleWord => Buf::Dw(x64.iter().map(|&v| TwoFloat::from_f64(v)).collect()),
+        _ => Buf::F64(x64.iter().map(|&v| SoftDouble(v)).collect()),
+    };
+    let mut cycles = vec![];
+    for dtype in [DType::F32, DType::DoubleWord, DType::F64Emulated] {
+        let bufs = vec![
+            vectors(dtype),
+            vectors(dtype),
+            Buf::F32(vec![2.0, 2.5, 3.0, 3.5]),
+            Buf::F32(vec![0.5, -0.25, 0.125, 0.75, -1.5]),
+            Buf::I32(vec![1, 0, 3, 2, 0]),
+            Buf::I32(vec![0, 1, 3, 3, 5]),
+        ];
+        must_lower(&c, &VertexKind::Simple, &bufs, &format!("spmv over {dtype:?}"));
+        cycles.push(interp_outcome(&c, &VertexKind::Simple, &bufs).unwrap().run.cycles);
+    }
+    assert!(cycles[0] < cycles[1] && cycles[1] < cycles[2], "{cycles:?}");
+}
+
+/// Local 1 is an I32 before the loop and a double-word at its back-edge,
+/// so no dtype holds at the loop head — but every trip writes it before
+/// reading it.
+#[test]
+fn a_local_retyped_across_a_back_edge_lowers_when_written_before_read() {
+    let c = codelet(
+        vec![rw(DType::F32), ro(DType::F32)],
+        2,
+        vec![Stmt::For {
+            local: 0,
+            start: i(0),
+            end: Expr::ParamLen(0),
+            step: i(1),
+            body: vec![
+                Stmt::SetLocal(1, Expr::index(1, Expr::Local(0))),
+                Stmt::Store {
+                    param: 0,
+                    index: Expr::Local(0),
+                    value: Expr::bin(BinOp::Mul, Expr::Local(1), f(3.0)),
+                },
+                Stmt::SetLocal(
+                    1,
+                    Expr::Convert { to: DType::DoubleWord, arg: Box::new(Expr::Local(1)) },
+                ),
+            ],
+        }],
+    );
+    let bufs = vec![Buf::F32(vec![0.0; 3]), Buf::F32(vec![1.5, -2.0, 0.25])];
+    must_lower(&c, &VertexKind::Simple, &bufs, "retyped local");
+
+    // Read first, and the head's two dtypes meet: not typed.
+    let mut read_first = c.clone();
+    let Stmt::For { body, .. } = &mut read_first.body[0] else { unreachable!() };
+    body.swap(0, 1);
+    assert!(lower(&read_first, &VertexKind::Simple, &bufs).is_none());
+}
+
+/// A level-set vertex keeps one set of locals across its rows: local 1
+/// counts the rows seen so far, carried from each row to the next.
+#[test]
+fn level_set_rows_carry_locals_over() {
+    let c = codelet(
+        vec![rw(DType::I32)],
+        2,
+        vec![
+            Stmt::SetLocal(1, Expr::bin(BinOp::Add, Expr::Local(1), i(1))),
+            Stmt::Store { param: 0, index: Expr::Local(0), value: Expr::Local(1) },
+        ],
+    );
+    let kind = VertexKind::LevelSet { levels: vec![vec![2, 0], vec![], vec![3]] };
+    let bufs = vec![Buf::I32(vec![0; 4])];
+    must_lower(&c, &kind, &bufs, "row carry-over");
+    let storage = lowered_outcome(&c, &lower(&c, &kind, &bufs).unwrap(), &kind, &bufs);
+    assert_eq!(storage.unwrap().storage[0], vec![2, 0, 1, 3]);
+
+    // Carried over as an F32 into a row that reads it as the I32 it began
+    // as: the first row and the rest disagree, so it is not typed — though
+    // as a `Simple` vertex, which runs the body once, it is.
+    let retyped = codelet(
+        vec![rw(DType::I32)],
+        2,
+        vec![
+            Stmt::Store { param: 0, index: Expr::Local(0), value: Expr::Local(1) },
+            Stmt::SetLocal(1, f(1.0)),
+        ],
+    );
+    assert!(lower(&retyped, &kind, &bufs).is_none());
+    must_lower(&retyped, &VertexKind::Simple, &bufs, "one row");
+}
+
+/// An empty `ParFor` costs its bounds plus the one cycle the makespan rule
+/// floors at; nested in a `For`, once per outer trip.
+#[test]
+fn empty_and_nested_parfor() {
+    let parfor = |body| Stmt::ParFor { local: 1, start: i(0), end: Expr::ParamLen(1), body };
+    let store = Stmt::Store {
+        param: 0,
+        index: Expr::Local(0),
+        value: Expr::bin(
+            BinOp::Add,
+            Expr::index(0, Expr::Local(0)),
+            Expr::index(1, Expr::Local(1)),
+        ),
+    };
+    let c = codelet(
+        vec![rw(DType::F32), ro(DType::F32)],
+        2,
+        vec![Stmt::For {
+            local: 0,
+            start: i(0),
+            end: Expr::ParamLen(0),
+            step: i(1),
+            body: vec![parfor(vec![store])],
+        }],
+    );
+    let bufs = vec![Buf::F32(vec![1.0, 2.0]), Buf::F32(vec![0.5, 0.25, 0.125])];
+    must_lower(&c, &VertexKind::Simple, &bufs, "ParFor in For");
+
+    let empty = vec![Buf::F32(vec![1.0, 2.0]), Buf::F32(vec![])];
+    must_lower(&c, &VertexKind::Simple, &empty, "empty ParFor in For");
+    let alone = codelet(vec![rw(DType::F32), ro(DType::F32)], 2, vec![parfor(vec![])]);
+    must_lower(&alone, &VertexKind::Simple, &empty, "empty ParFor");
+    assert_eq!(interp_outcome(&alone, &VertexKind::Simple, &empty).unwrap().run.cycles, 1);
+}
+
+/// Bool ⊗ Bool arithmetic is charged as Bool and yields an I32.
+#[test]
+fn bool_arithmetic_yields_i32() {
+    let t = || Expr::c(Value::Bool(true));
+    let c = codelet(
+        vec![rw(DType::I32), ro(DType::Bool)],
+        1,
+        vec![
+            Stmt::SetLocal(0, Expr::bin(BinOp::Add, t(), Expr::index(1, i(0)))),
+            Stmt::Store {
+                param: 0,
+                index: i(0),
+                value: Expr::bin(BinOp::Mul, Expr::Local(0), Expr::bin(BinOp::Max, t(), t())),
+            },
+            Stmt::Store { param: 0, index: i(1), value: Expr::un(UnOp::Neg, t()) },
+        ],
+    );
+    let bufs = vec![Buf::I32(vec![0, 9]), Buf::Bool(vec![true])];
+    must_lower(&c, &VertexKind::Simple, &bufs, "bool arithmetic");
+    let got = interp_outcome(&c, &VertexKind::Simple, &bufs).unwrap();
+    assert_eq!(got.storage[0], vec![2, 0], "true + true = 2; -true = false = 0");
+    assert_eq!(got.locals, vec![(DType::I32, 2)]);
+}
+
+/// What lowering declines: what it cannot type, and what `Interp` panics on
+/// whenever it gets there.
+#[test]
+fn untypable_bodies_are_none_not_a_panic() {
+    let set = |e| vec![Stmt::SetLocal(0, e)];
+    let meet = vec![
+        Stmt::If {
+            cond: Expr::index(1, i(0)),
+            then: vec![Stmt::SetLocal(1, f(1.0))],
+            otherwise: vec![Stmt::SetLocal(1, i(1))],
+        },
+        Stmt::SetLocal(0, Expr::Local(1)),
+    ];
+    let sqrt_i32 = Expr::un(UnOp::Sqrt, i(4));
+    let table: Vec<(&str, Vec<Stmt>)> = vec![
+        ("a local read where two dtypes meet", meet),
+        (
+            "Select arms of different dtypes",
+            set(Expr::Select {
+                cond: Box::new(Expr::c(Value::Bool(true))),
+                then: Box::new(f(1.0)),
+                otherwise: Box::new(i(1)),
+            }),
+        ),
+        ("an F32 index", set(Expr::index(0, f(0.0)))),
+        (
+            "a Bool store index",
+            vec![Stmt::Store { param: 0, index: Expr::c(Value::Bool(false)), value: f(0.0) }],
+        ),
+        (
+            "an F32 loop bound",
+            vec![Stmt::For { local: 0, start: i(0), end: f(2.0), step: i(1), body: vec![] }],
+        ),
+        (
+            "an F32 ParFor start",
+            vec![Stmt::ParFor { local: 0, start: f(0.0), end: i(2), body: vec![] }],
+        ),
+        ("Sqrt of I32", set(sqrt_i32.clone())),
+        ("Sqrt of Bool", set(Expr::un(UnOp::Sqrt, Expr::c(Value::Bool(true))))),
+        (
+            "Sqrt of I32 behind a false condition",
+            vec![Stmt::If {
+                cond: Expr::c(Value::Bool(false)),
+                then: set(sqrt_i32),
+                otherwise: vec![],
+            }],
+        ),
+    ];
+    let bufs = vec![Buf::F32(vec![0.0; 2]), Buf::Bool(vec![true])];
+    for (what, body) in table {
+        let c = codelet(vec![rw(DType::F32), ro(DType::Bool)], 2, body);
+        c.validate().unwrap();
+        assert!(lower(&c, &VertexKind::Simple, &bufs).is_none(), "{what} must not lower");
+    }
+}
+
+/// The engine builds with a vertex it cannot lower, says so, and runs it on
+/// the dynamic interpreter: here `sqrt` of an I32, which has no cost row,
+/// behind a condition that is never true.
+#[test]
+fn an_unlowered_vertex_builds_runs_and_matches_the_interpreter() {
+    let c = codelet(
+        vec![rw(DType::F32)],
+        0,
+        vec![
+            Stmt::If {
+                cond: Expr::c(Value::Bool(false)),
+                then: vec![Stmt::Store {
+                    param: 0,
+                    index: i(0),
+                    value: Expr::un(UnOp::Sqrt, i(4)),
+                }],
+                otherwise: vec![],
+            },
+            Stmt::Store { param: 0, index: i(1), value: f(3.0) },
+        ],
+    );
+    let bufs = vec![Buf::F32(vec![0.0; 2])];
+    assert!(lower(&c, &VertexKind::Simple, &bufs).is_none());
+    let want = interp_outcome(&c, &VertexKind::Simple, &bufs).expect("the sqrt never runs");
+
+    let mut g = Graph::new(IpuModel::tiny(1));
+    let x = g.add_tensor(TensorDef::on_tile("x", DType::F32, 2, 0)).unwrap();
+    let codelet = g.add_codelet(c).unwrap();
+    let mut cs = ComputeSet::new("unlowered");
+    cs.add(Vertex {
+        tile: 0,
+        codelet,
+        operands: vec![TensorSlice::whole(x, 2)],
+        kind: VertexKind::Simple,
+    });
+    let cs = g.add_compute_set(cs).unwrap();
+    let mut e = Engine::new(g.compile(Prog::Execute(cs)).unwrap());
+    let sel = e.compile_report().pass("native-kernel-selection").unwrap();
+    assert_eq!((sel.counter("vertices_total"), sel.counter("vertices_lowered")), (1, 0));
+    e.run();
+    assert_eq!(e.read_tensor(x), vec![0.0, 3.0]);
+    assert_eq!(e.stats().phase_cycles(Phase::Compute), want.run.cycles);
+}

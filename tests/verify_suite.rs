@@ -113,6 +113,55 @@ fn engine_options_are_equivalent_across_suite() {
     }
 }
 
+/// Every vertex of every configuration in the verification suite, and of
+/// the four stacks the host benchmark replays (fig8's MPIR{BiCGStab{ILU0}}
+/// in double-word, heat's CG, symmetric Gauss-Seidel, damped Jacobi), runs
+/// on its codelet's lowered form. A DSL change that builds a codelet the
+/// lowering cannot type leaves those vertices on the dynamic interpreter —
+/// still correct, ≈1.4× slower — and fails here instead.
+#[test]
+fn every_solver_vertex_is_lowered() {
+    use graphene::graphene_core::runner::{solve_or_panic, SolveOptions};
+    use graphene::graphene_core::solvers::ExtendedPrecision;
+
+    let a = Rc::new(poisson_2d_5pt(8, 8, 1.0));
+    let b = rhs_for_ones(&a);
+    let opts = SolveOptions {
+        model: graphene::dsl::prelude::IpuModel::tiny(4),
+        tiles: Some(4),
+        ..SolveOptions::default()
+    };
+    let suite = graphene::graphene_core::config::verification_suite();
+    let mut stacks: Vec<(&str, SolverConfig)> =
+        suite.into_iter().map(|case| (case.name, case.config)).collect();
+    stacks.extend([
+        (
+            "fig8",
+            SolverConfig::Mpir {
+                inner: Box::new(SolverConfig::BiCgStab {
+                    max_iters: 20,
+                    rel_tol: 0.0,
+                    precond: Some(Box::new(SolverConfig::Ilu0 {})),
+                }),
+                precision: ExtendedPrecision::DoubleWord,
+                max_outer: 4,
+                rel_tol: 1e-9,
+            },
+        ),
+        ("heat", SolverConfig::Cg { max_iters: 100, rel_tol: 1e-6, precond: None }),
+        ("sgs", SolverConfig::GaussSeidel { sweeps: 1, symmetric: true, rel_tol: 0.0 }),
+        ("jacobi", SolverConfig::Jacobi { sweeps: 2, omega: 2.0 / 3.0 }),
+    ]);
+    for (name, config) in stacks {
+        let res = solve_or_panic(a.clone(), &b, &config, &opts);
+        let compile = res.report.compile.as_ref().expect("compile report present");
+        let sel = compile.pass("native-kernel-selection").expect("selection stamped");
+        let (total, lowered) = (sel.counter("vertices_total"), sel.counter("vertices_lowered"));
+        assert!(total > 0, "[{name}] no vertices");
+        assert_eq!(lowered, total, "[{name}] {} vertices run unlowered", total - lowered);
+    }
+}
+
 /// Every configuration in the verification suite must be bit-identical
 /// (solution tensors) and cycle-identical (device cycles, per-phase and
 /// per-label splits, per-tile busy time, histories) across the optimised
