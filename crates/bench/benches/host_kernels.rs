@@ -5,7 +5,9 @@
 //! replays.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use graph::codelet::{BinOp, Codelet, Expr, Interp, Lowered, ParamData, ParamDecl, Stmt, Value};
+use graph::codelet::{
+    BinOp, Codelet, Expr, Interp, Lowered, ParamData, ParamDecl, Regs, Stmt, Value,
+};
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
 use graph::kernels::{forward_subst_template, spmv_template};
 use graph::program::Prog;
@@ -139,10 +141,10 @@ fn bench_interpreter(c: &mut Criterion) {
                 let level_set = matches!(kind, VertexKind::LevelSet { .. });
                 let lowered = Lowered::lower(codelet, &storage, level_set, &cost)
                     .expect("the solver codelets lower");
-                let mut locals = Vec::new();
+                let mut regs = Regs::default();
                 g.bench_function(format!("{}/{n}/lowered", $name), |b| {
                     b.iter(|| {
-                        black_box(&lowered).run_vertex(kind, &mut $params, &mut locals, &cost, 6)
+                        black_box(&lowered).run_vertex(kind, &mut $params, &mut regs, &cost, 6)
                     })
                 });
                 g.bench_function(format!("{}/{n}/dynamic", $name), |b| {

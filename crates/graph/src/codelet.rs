@@ -7,8 +7,9 @@
 //! charges the [`ipu_sim::CostModel`] for every operation it performs.
 //! [`Interp`] walks the IR as built, discovering dtypes and charges node by
 //! node; [`Lowered`] is the same codelet typed and costed once for the
-//! storage dtypes of one vertex's operands — what the engine runs, with
-//! `Interp` as its fallback and its oracle.
+//! storage dtypes of one vertex's operands and flattened into a register
+//! program — what the engine runs, with `Interp` as its fallback and its
+//! oracle.
 //!
 //! Codelets access data exclusively through their declared **parameters**
 //! (tensor slices handed to the vertex), mirroring the tile-local
@@ -17,7 +18,7 @@
 
 use crate::compute::VertexKind;
 use ipu_sim::cost::{CostModel, DType, Op};
-use ipu_sim::threading::level_set_cycles;
+use ipu_sim::threading::{level_set_cycles, level_set_cycles_in, LptScratch};
 use twofloat::{SoftDouble, TwoF32, TwoFloat};
 
 /// Index of a codelet within a graph.
@@ -776,10 +777,12 @@ impl<'a, 'b> Interp<'a, 'b> {
 // vertex its operands have fixed storage dtypes, so every expression node's
 // dtype — hence its promotion, its arithmetic domain and its `CostModel`
 // charge — is known before the first run. `Lowered::lower` resolves all
-// three; what is left to run time is data: values, trip counts, the `ParFor`
-// makespan and the level-set schedule. `Interp` above stays as the fallback
-// for what cannot be typed, and as the oracle the lowered form is tested
-// against.
+// three into a typed tree, then flattens that into a linear program over one
+// register file per domain, with control flow as jumps and one charge per
+// basic block. What is left to run time is data: values, trip counts, the
+// `ParFor` makespan and the level-set schedule. `Interp` above stays as the
+// fallback for what cannot be typed, and as the oracle the lowered form is
+// tested against.
 // ---------------------------------------------------------------------------
 
 /// What a fragment of codelet IR costs every time it executes — and, summed
@@ -909,7 +912,7 @@ enum LStmt {
         charge: Charge,
         body: Vec<LStmt>,
     },
-    /// `head`: the bounds, evaluated once. Each trip adds `loop_step`.
+    /// `head`: the bounds, evaluated once. Each trip also costs `LoopStep`.
     For {
         local: LocalId,
         start: TExpr,
@@ -1132,16 +1135,23 @@ impl Lowerer<'_> {
 }
 
 /// A codelet lowered for one binding: operand storage dtypes and vertex
-/// kind fixed, every node typed, every statement costed.
+/// kind fixed, every node typed and costed, then flattened into a linear
+/// register program. The typed tree does not outlive [`Lowered::lower`].
 #[derive(Debug)]
 pub struct Lowered {
-    body: Vec<LStmt>,
-    num_locals: usize,
+    code: Vec<Ins>,
+    /// What each `Charge` instruction adds: one per basic block.
+    charges: Vec<Charge>,
+    /// Registers per file (in [`file`] order): the locals, then the
+    /// temporaries and loop counters at their deepest.
+    files: [Reg; 5],
+    /// `ParFor` sites, one snapshot slot each.
+    sites: usize,
+    /// Each local's dtype when the vertex ends, where every path agrees.
+    exit: Vec<Option<DType>>,
     /// Whether this was lowered for a `LevelSet` vertex, whose locals carry
     /// over from one row to the next.
     level_set: bool,
-    /// `LoopStep`, charged per trip of `For` / `ParFor`.
-    loop_step: u64,
 }
 
 impl Lowered {
@@ -1168,22 +1178,28 @@ impl Lowered {
         } else {
             lowerer.block(&codelet.body, &mut locals)?
         };
+        let mut em = Emitter::new(codelet.num_locals, cost.op_cycles(Op::LoopStep, DType::I32))?;
+        em.block(&body)?;
+        em.close();
         Some(Lowered {
-            body,
-            num_locals: codelet.num_locals,
+            code: em.code,
+            charges: em.charges,
+            files: em.size,
+            sites: em.sites,
+            exit: locals,
             level_set,
-            loop_step: cost.op_cycles(Op::LoopStep, DType::I32),
         })
     }
 
-    /// Run one vertex; `locals` is scratch (any contents, any length).
-    /// Storage bits and the returned footprint are what [`Interp::run_vertex`]
-    /// leaves and reports for the same binding.
+    /// Run one vertex in `regs` (any contents). Storage bits and the
+    /// returned footprint are what [`Interp::run_vertex`] leaves and
+    /// reports for the same binding; [`Lowered::local`] reads back the
+    /// locals it leaves.
     pub fn run_vertex(
         &self,
         kind: &VertexKind,
         params: &mut [ParamData],
-        locals: &mut Vec<Value>,
+        regs: &mut Regs,
         cost: &CostModel,
         workers: u64,
     ) -> Charge {
@@ -1192,24 +1208,643 @@ impl Lowered {
             matches!(kind, VertexKind::LevelSet { .. }),
             "lowered for the other vertex kind"
         );
-        locals.clear();
-        locals.resize(self.num_locals, Value::I32(0));
-        let mut ex = Exec { lowered: self, cost, params, locals, run: Charge::default(), workers };
+        let Regs { files, lpt } = regs;
+        files.reset(&self.files, self.sites);
+        let mut run = Charge::default();
         let cycles = match kind {
             VertexKind::Simple => {
-                ex.block(&self.body);
-                ex.run.cycles
+                self.exec(files, params, &mut run, cost, workers);
+                run.cycles
             }
             VertexKind::LevelSet { levels } => {
-                level_set_cycles(levels, workers as usize, cost, |row| {
-                    ex.locals[0] = Value::I32(row as i32);
-                    let before = ex.run.cycles;
-                    ex.block(&self.body);
-                    ex.run.cycles - before
+                level_set_cycles_in(lpt, levels, workers as usize, cost, |row| {
+                    files.i[0] = row as i32 as i64;
+                    let before = run.cycles;
+                    self.exec(files, params, &mut run, cost, workers);
+                    run.cycles - before
                 })
             }
         };
-        Charge { cycles, ..ex.run }
+        Charge { cycles, ..run }
+    }
+
+    /// Local `l` as the last [`Lowered::run_vertex`] in `regs` left it —
+    /// what [`Interp`] leaves in `locals[l]` — when its dtype at the end is
+    /// known statically. `None` where paths disagree: nothing after that
+    /// point could have read it and been typed, so it is dead.
+    pub fn local(&self, regs: &Regs, l: LocalId) -> Option<Value> {
+        Some(regs.files.get((*self.exit.get(l)?)?, l as Reg))
+    }
+
+    /// Run the program once from the top: the whole body, or one row.
+    fn exec(
+        &self,
+        reg: &mut Files,
+        params: &mut [ParamData],
+        run: &mut Charge,
+        cost: &CostModel,
+        workers: u64,
+    ) {
+        let mut pc = 0;
+        while let Some(&ins) = self.code.get(pc) {
+            pc += 1;
+            match ins {
+                Ins::Charge(k) => *run = run.plus(self.charges[k]),
+                Ins::ConstI(r, v) => reg.i[r] = v as i64,
+                Ins::ConstB(r, v) => reg.b[r] = v,
+                Ins::ConstF(r, v) => reg.f[r] = v,
+                Ins::ConstW(r, v) => reg.w[r] = v,
+                Ins::ConstD(r, v) => reg.d[r] = v,
+                Ins::Mov { dt, dst, src } => {
+                    let v = reg.get(dt, src);
+                    reg.put(dst, v);
+                }
+                Ins::Len(r, param) => reg.i[r] = params[param].len() as i32 as i64,
+                Ins::LoadI(Load { dst, param, index }) => {
+                    reg.i[dst] = i64::load(&params[param], reg.i[index] as usize)
+                }
+                Ins::LoadB(Load { dst, param, index }) => {
+                    reg.b[dst] = bool::load(&params[param], reg.i[index] as usize)
+                }
+                Ins::LoadF(Load { dst, param, index }) => {
+                    reg.f[dst] = f32::load(&params[param], reg.i[index] as usize)
+                }
+                Ins::LoadW(Load { dst, param, index }) => {
+                    reg.w[dst] = TwoF32::load(&params[param], reg.i[index] as usize)
+                }
+                Ins::LoadD(Load { dst, param, index }) => {
+                    reg.d[dst] = f64::load(&params[param], reg.i[index] as usize)
+                }
+                Ins::ArithI(Bin { op, dst, a, b }) => {
+                    reg.i[dst] = i64::of(bin_i64(op, reg.i[a], reg.i[b]))
+                }
+                Ins::ArithF(Bin { op, dst, a, b }) => {
+                    reg.f[dst] = f32::of(bin_f32(op, reg.f[a], reg.f[b]))
+                }
+                Ins::ArithW(Bin { op, dst, a, b }) => {
+                    reg.w[dst] = TwoF32::of(bin_dw(op, reg.w[a], reg.w[b]))
+                }
+                Ins::ArithD(Bin { op, dst, a, b }) => {
+                    reg.d[dst] = f64::of(bin_f64(op, reg.d[a], reg.d[b]))
+                }
+                Ins::CmpI(Bin { op, dst, a, b }) => {
+                    reg.b[dst] = bool::of(bin_i64(op, reg.i[a], reg.i[b]))
+                }
+                // Two Bools compare as the integers 0 and 1, as in `apply_bin`.
+                Ins::CmpB(Bin { op, dst, a, b }) => {
+                    reg.b[dst] = bool::of(bin_i64(op, reg.b[a] as i64, reg.b[b] as i64))
+                }
+                Ins::CmpF(Bin { op, dst, a, b }) => {
+                    reg.b[dst] = bool::of(bin_f32(op, reg.f[a], reg.f[b]))
+                }
+                Ins::CmpW(Bin { op, dst, a, b }) => {
+                    reg.b[dst] = bool::of(bin_dw(op, reg.w[a], reg.w[b]))
+                }
+                Ins::CmpD(Bin { op, dst, a, b }) => {
+                    reg.b[dst] = bool::of(bin_f64(op, reg.d[a], reg.d[b]))
+                }
+                Ins::Cast { from, to, dst, src } => {
+                    let v = reg.get(from, src).convert(to);
+                    reg.put(dst, v);
+                }
+                Ins::Unary { op, dt, dst, src } => {
+                    let v = apply_un(op, reg.get(dt, src)).0;
+                    reg.put(dst, v);
+                }
+                Ins::Not { from, dst, src } => reg.b[dst] = !reg.get(from, src).as_bool(),
+                Ins::Truth { from, dst, src } => reg.b[dst] = reg.get(from, src).as_bool(),
+                Ins::Select { dt, dst, cond, then, otherwise } => {
+                    let v = reg.get(dt, if reg.b[cond] { then } else { otherwise });
+                    reg.put(dst, v);
+                }
+                Ins::Store { param, dt, index, src } => {
+                    params[param].set(reg.i[index] as usize, reg.get(dt, src))
+                }
+                Ins::Jmp(to) => pc = to,
+                Ins::JmpIfNot { cond, to } => {
+                    if !reg.b[cond] {
+                        pc = to;
+                    }
+                }
+                Ins::ForInit { ctr, local, exit } => {
+                    reg.i[ctr + 2] = reg.i[ctr + 2].max(1);
+                    if reg.i[ctr] < reg.i[ctr + 1] {
+                        reg.i[local] = reg.i[ctr] as i32 as i64;
+                    } else {
+                        pc = exit;
+                    }
+                }
+                Ins::ForNext { ctr, local, body } => {
+                    reg.i[ctr] += reg.i[ctr + 2];
+                    if reg.i[ctr] < reg.i[ctr + 1] {
+                        reg.i[local] = reg.i[ctr] as i32 as i64;
+                        pc = body;
+                    }
+                }
+                Ins::ParBegin(site) => reg.par[site] = run.cycles,
+                Ins::ParEnd(site) => {
+                    // Independent trips spread over the workers: the serial
+                    // cycles since `ParBegin` become the parallel makespan.
+                    let before = reg.par[site];
+                    run.cycles = before + parfor_makespan(run.cycles - before, workers, cost);
+                }
+            }
+        }
+    }
+}
+
+/// A register: a slot of the file its dtype implies.
+type Reg = u16;
+
+/// Which file holds a dtype's values: the order of [`Lowered::files`].
+fn file(dt: DType) -> usize {
+    match dt {
+        DType::I32 => 0,
+        DType::Bool => 1,
+        DType::F32 => 2,
+        DType::DoubleWord => 3,
+        DType::F64Emulated => 4,
+    }
+}
+
+/// One instruction of a lowered codelet, one per typed node. Registers are
+/// read in the file their dtype names (`I` i64, `B` bool, `F` f32, `W`
+/// double-word, `D` emulated f64) before `dst` is written, so `dst` may be
+/// an operand; `param`s index the vertex's operands and jump targets the
+/// program.
+#[derive(Clone, Copy, Debug)]
+enum Ins {
+    /// Add `charges[k]`: what the basic block this closes costs.
+    Charge(usize),
+    /// `X[r] = v`.
+    ConstI(Reg, i32),
+    ConstB(Reg, bool),
+    ConstF(Reg, f32),
+    ConstW(Reg, TwoF32),
+    ConstD(Reg, f64),
+    /// `I[r] = len(params[param])`.
+    Len(Reg, ParamId),
+    LoadI(Load),
+    LoadB(Load),
+    LoadF(Load),
+    LoadW(Load),
+    LoadD(Load),
+    /// Arithmetic in one domain (never Bool).
+    ArithI(Bin),
+    ArithF(Bin),
+    ArithW(Bin),
+    ArithD(Bin),
+    /// A comparison or logic in the operands' domain, into a Bool register.
+    CmpI(Bin),
+    CmpB(Bin),
+    CmpF(Bin),
+    CmpW(Bin),
+    CmpD(Bin),
+    Mov {
+        dt: DType,
+        dst: Reg,
+        src: Reg,
+    },
+    /// `Value::convert`.
+    Cast {
+        from: DType,
+        to: DType,
+        dst: Reg,
+        src: Reg,
+    },
+    /// `Neg` / `Abs` / `Sqrt` through `apply_un`, within `dt`'s file.
+    Unary {
+        op: UnOp,
+        dt: DType,
+        dst: Reg,
+        src: Reg,
+    },
+    /// `B[dst] = !truth(src)`.
+    Not {
+        from: DType,
+        dst: Reg,
+        src: Reg,
+    },
+    /// `B[dst] = truth(src)`: a condition that is not a Bool.
+    Truth {
+        from: DType,
+        dst: Reg,
+        src: Reg,
+    },
+    /// Both arms are already evaluated; `B[cond]` picks one.
+    Select {
+        dt: DType,
+        dst: Reg,
+        cond: Reg,
+        then: Reg,
+        otherwise: Reg,
+    },
+    /// `params[param][I[index]] = src`, through `ParamData::set`.
+    Store {
+        param: ParamId,
+        dt: DType,
+        index: Reg,
+        src: Reg,
+    },
+    Jmp(usize),
+    JmpIfNot {
+        cond: Reg,
+        to: usize,
+    },
+    /// Enter a counted loop whose counter, bound and step are
+    /// `I[ctr..ctr + 3]`: the step becomes at least 1; with a trip to run,
+    /// `I[local]` is the counter, else jump to `exit`.
+    ForInit {
+        ctr: Reg,
+        local: Reg,
+        exit: usize,
+    },
+    /// Step the counter; with another trip to run, `I[local]` is the
+    /// counter and the body runs again from `body`.
+    ForNext {
+        ctr: Reg,
+        local: Reg,
+        body: usize,
+    },
+    /// Remember, in the site's slot, the cycles charged before a `ParFor`.
+    ParBegin(usize),
+    /// Replace the site's serial cycles by the `ParFor` makespan.
+    ParEnd(usize),
+}
+
+/// `X[dst] = params[param][I[index]]`, in the parameter's storage domain.
+#[derive(Clone, Copy, Debug)]
+struct Load {
+    dst: Reg,
+    param: ParamId,
+    index: Reg,
+}
+
+/// `dst = X[a] op X[b]`.
+#[derive(Clone, Copy, Debug)]
+struct Bin {
+    op: BinOp,
+    dst: Reg,
+    a: Reg,
+    b: Reg,
+}
+
+/// Scratch a lowered vertex runs in, reused from vertex to vertex: one
+/// register file per domain, a snapshot slot per `ParFor` site, and the
+/// level-set schedule's buffers.
+#[derive(Debug, Default)]
+pub struct Regs {
+    files: Files,
+    lpt: LptScratch,
+}
+
+#[derive(Debug, Default)]
+struct Files {
+    i: File<i64>,
+    b: File<bool>,
+    f: File<f32>,
+    w: File<TwoF32>,
+    d: File<f64>,
+    par: Vec<u64>,
+}
+
+impl Files {
+    /// Size every file for one program, all zero: locals start as the I32
+    /// zero, and nothing else is read before it is written.
+    fn reset(&mut self, sizes: &[Reg; 5], sites: usize) {
+        self.i.reset(sizes[0]);
+        self.b.reset(sizes[1]);
+        self.f.reset(sizes[2]);
+        self.w.reset(sizes[3]);
+        self.d.reset(sizes[4]);
+        self.par.clear();
+        self.par.resize(sites, 0);
+    }
+
+    #[inline]
+    fn get(&self, dt: DType, r: Reg) -> Value {
+        match dt {
+            DType::I32 => Value::I32(self.i[r] as i32),
+            DType::Bool => Value::Bool(self.b[r]),
+            DType::F32 => Value::F32(self.f[r]),
+            DType::DoubleWord => Value::Dw(self.w[r]),
+            DType::F64Emulated => Value::F64(self.d[r]),
+        }
+    }
+
+    #[inline]
+    fn put(&mut self, r: Reg, v: Value) {
+        match v {
+            Value::I32(x) => self.i[r] = x as i64,
+            Value::Bool(x) => self.b[r] = x,
+            Value::F32(x) => self.f[r] = x,
+            Value::Dw(x) => self.w[r] = x,
+            Value::F64(x) => self.d[r] = x,
+        }
+    }
+}
+
+/// One domain's registers, indexed by [`Reg`].
+#[derive(Debug, Default)]
+struct File<T>(Vec<T>);
+
+impl<T: Copy + Default> File<T> {
+    fn reset(&mut self, n: Reg) {
+        self.0.clear();
+        self.0.resize(n as usize, T::default());
+    }
+}
+
+impl<T> std::ops::Index<Reg> for File<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, r: Reg) -> &T {
+        &self.0[r as usize]
+    }
+}
+
+impl<T> std::ops::IndexMut<Reg> for File<T> {
+    #[inline]
+    fn index_mut(&mut self, r: Reg) -> &mut T {
+        &mut self.0[r as usize]
+    }
+}
+
+/// Flattens a typed body: registers allocated stack-wise, statements to
+/// instructions, control flow to jumps, and per-statement charges summed
+/// per basic block.
+struct Emitter {
+    code: Vec<Ins>,
+    charges: Vec<Charge>,
+    /// The open block's charge so far.
+    pending: Charge,
+    /// Per file: the next free register, and the most ever in use.
+    top: [Reg; 5],
+    size: [Reg; 5],
+    sites: usize,
+    /// `LoopStep`, charged per trip of `For` / `ParFor`.
+    loop_step: u64,
+}
+
+impl Emitter {
+    /// Registers `0..num_locals` of every file are the locals: local `l`
+    /// lives in register `l` of the file of its dtype at that point.
+    fn new(num_locals: usize, loop_step: u64) -> Option<Emitter> {
+        let n = Reg::try_from(num_locals).ok()?;
+        Some(Emitter {
+            code: Vec::new(),
+            charges: Vec::new(),
+            pending: Charge::default(),
+            top: [n; 5],
+            size: [n; 5],
+            sites: 0,
+            loop_step,
+        })
+    }
+
+    /// A fresh register of `dt`'s file, free again when `top` is restored.
+    fn temp(&mut self, dt: DType) -> Option<Reg> {
+        let f = file(dt);
+        let r = self.top[f];
+        // Three counter registers sit at `ctr..ctr + 3`: keep `r + 2` in range.
+        r.checked_add(3)?;
+        self.top[f] = r + 1;
+        self.size[f] = self.size[f].max(r + 1);
+        Some(r)
+    }
+
+    fn charge(&mut self, c: Charge) {
+        self.pending = self.pending.plus(c);
+    }
+
+    /// Close the open block: what it costs becomes one instruction.
+    fn close(&mut self) {
+        if self.pending != Charge::default() {
+            self.code.push(Ins::Charge(self.charges.len()));
+            self.charges.push(self.pending);
+            self.pending = Charge::default();
+        }
+    }
+
+    /// Close the open block with `ins` (a jump or a `ParFor` bracket);
+    /// returns where it sits, for [`Emitter::patch`].
+    fn end_block(&mut self, ins: Ins) -> usize {
+        self.close();
+        self.code.push(ins);
+        self.code.len() - 1
+    }
+
+    /// A jump target here: the open block closes.
+    fn label(&mut self) -> usize {
+        self.close();
+        self.code.len()
+    }
+
+    /// Aim the forward jump at `at` here.
+    fn patch(&mut self, at: usize) {
+        let here = self.label();
+        match &mut self.code[at] {
+            Ins::Jmp(to) | Ins::JmpIfNot { to, .. } | Ins::ForInit { exit: to, .. } => *to = here,
+            other => unreachable!("patched a non-jump {other:?}"),
+        }
+    }
+
+    /// Emit `e`; returns the register holding its value. The outermost
+    /// node writes `dst` if given (an operand may be `dst`: every
+    /// instruction reads before it writes); a local read is its own
+    /// register and emits nothing unless it must move.
+    fn expr(&mut self, e: &TExpr, dst: Option<Reg>) -> Option<Reg> {
+        let dt = e.dtype;
+        if let TKind::Local(l) = e.kind {
+            let src = Reg::try_from(l).ok()?;
+            return Some(match dst {
+                Some(dst) if dst != src => {
+                    self.code.push(Ins::Mov { dt, dst, src });
+                    dst
+                }
+                _ => src,
+            });
+        }
+        let mark = self.top;
+        let [a, b, c] = match &e.kind {
+            TKind::Const(_) | TKind::ParamLen(_) | TKind::Local(_) => [0; 3],
+            TKind::Load { index: arg, .. }
+            | TKind::Unary { arg, .. }
+            | TKind::Not(arg)
+            | TKind::Cast(arg) => [self.expr(arg, None)?, 0, 0],
+            TKind::Arith { lhs, rhs, .. } | TKind::Compare { lhs, rhs, .. } => {
+                [self.expr(lhs, None)?, self.expr(rhs, None)?, 0]
+            }
+            TKind::Select { cond, then, otherwise } => {
+                [self.truth(cond)?, self.expr(then, None)?, self.expr(otherwise, None)?]
+            }
+        };
+        // The operands' temporaries are free once this node has read them.
+        self.top = mark;
+        let dst = match dst {
+            Some(dst) => dst,
+            None => self.temp(dt)?,
+        };
+        self.code.push(match &e.kind {
+            TKind::Const(v) => match *v {
+                Value::I32(v) => Ins::ConstI(dst, v),
+                Value::Bool(v) => Ins::ConstB(dst, v),
+                Value::F32(v) => Ins::ConstF(dst, v),
+                Value::Dw(v) => Ins::ConstW(dst, v),
+                Value::F64(v) => Ins::ConstD(dst, v),
+            },
+            TKind::Local(_) => unreachable!("a local read emits no instruction"),
+            TKind::ParamLen(param) => Ins::Len(dst, *param),
+            &TKind::Load { param, .. } => {
+                let load = Load { dst, param, index: a };
+                match dt {
+                    DType::I32 => Ins::LoadI(load),
+                    DType::Bool => Ins::LoadB(load),
+                    DType::F32 => Ins::LoadF(load),
+                    DType::DoubleWord => Ins::LoadW(load),
+                    DType::F64Emulated => Ins::LoadD(load),
+                }
+            }
+            TKind::Unary { op, .. } => Ins::Unary { op: *op, dt, dst, src: a },
+            TKind::Not(arg) => Ins::Not { from: arg.dtype, dst, src: a },
+            TKind::Cast(arg) => Ins::Cast { from: arg.dtype, to: dt, dst, src: a },
+            &TKind::Arith { op, .. } => {
+                let bin = Bin { op, dst, a, b };
+                match dt {
+                    DType::I32 => Ins::ArithI(bin),
+                    DType::F32 => Ins::ArithF(bin),
+                    DType::DoubleWord => Ins::ArithW(bin),
+                    DType::F64Emulated => Ins::ArithD(bin),
+                    DType::Bool => unreachable!("Bool arithmetic is typed I32"),
+                }
+            }
+            &TKind::Compare { op, dom, .. } => {
+                let bin = Bin { op, dst, a, b };
+                match dom {
+                    DType::I32 => Ins::CmpI(bin),
+                    DType::Bool => Ins::CmpB(bin),
+                    DType::F32 => Ins::CmpF(bin),
+                    DType::DoubleWord => Ins::CmpW(bin),
+                    DType::F64Emulated => Ins::CmpD(bin),
+                }
+            }
+            TKind::Select { .. } => Ins::Select { dt, dst, cond: a, then: b, otherwise: c },
+        });
+        Some(dst)
+    }
+
+    /// Emit a condition; returns the Bool register holding its truth.
+    fn truth(&mut self, e: &TExpr) -> Option<Reg> {
+        if e.dtype == DType::Bool {
+            return self.expr(e, None);
+        }
+        let mark = self.top;
+        let src = self.expr(e, None)?;
+        self.top = mark;
+        let dst = self.temp(DType::Bool)?;
+        self.code.push(Ins::Truth { from: e.dtype, dst, src });
+        Some(dst)
+    }
+
+    fn block(&mut self, stmts: &[LStmt]) -> Option<()> {
+        stmts.iter().try_for_each(|s| self.stmt(s))
+    }
+
+    /// Emit one statement; its temporaries are free again after it.
+    fn stmt(&mut self, s: &LStmt) -> Option<()> {
+        let mark = self.top;
+        match s {
+            LStmt::SetLocal { local, value, charge } => {
+                self.expr(value, Some(Reg::try_from(*local).ok()?))?;
+                self.charge(*charge);
+            }
+            LStmt::Store { param, index, value, charge } => {
+                let index = self.expr(index, None)?;
+                let src = self.expr(value, None)?;
+                self.code.push(Ins::Store { param: *param, dt: value.dtype, index, src });
+                self.charge(*charge);
+            }
+            LStmt::If { cond, charge, then, otherwise } => {
+                let cond = self.truth(cond)?;
+                self.charge(*charge);
+                let to_else = self.end_block(Ins::JmpIfNot { cond, to: 0 });
+                self.top = mark;
+                self.block(then)?;
+                if otherwise.is_empty() {
+                    self.patch(to_else);
+                } else {
+                    let to_end = self.end_block(Ins::Jmp(0));
+                    self.patch(to_else);
+                    self.block(otherwise)?;
+                    self.patch(to_end);
+                }
+            }
+            LStmt::While { cond, charge, body } => {
+                let head = self.label();
+                let cond = self.truth(cond)?;
+                self.charge(*charge);
+                let exit = self.end_block(Ins::JmpIfNot { cond, to: 0 });
+                self.top = mark;
+                self.block(body)?;
+                self.end_block(Ins::Jmp(head));
+                self.patch(exit);
+            }
+            LStmt::For { local, start, end, step, head, body } => {
+                self.counted(*local, [start, end], Some(step), *head, body)?
+            }
+            LStmt::ParFor { local, start, end, head, body } => {
+                self.counted(*local, [start, end], None, *head, body)?
+            }
+        }
+        self.top = mark;
+        Some(())
+    }
+
+    /// A `For` (`step` given) or a `ParFor` (no `step`: step 1, bracketed by
+    /// `ParBegin` / `ParEnd`): the bounds go into hidden counter registers,
+    /// so a body that writes `local` does not change the trip count.
+    fn counted(
+        &mut self,
+        local: LocalId,
+        [start, end]: [&TExpr; 2],
+        step: Option<&TExpr>,
+        head: Charge,
+        body: &[LStmt],
+    ) -> Option<()> {
+        let local = Reg::try_from(local).ok()?;
+        let ctr = self.temp(DType::I32)?;
+        self.temp(DType::I32)?;
+        self.temp(DType::I32)?;
+        self.expr(start, Some(ctr))?;
+        self.expr(end, Some(ctr + 1))?;
+        match step {
+            Some(step) => {
+                self.expr(step, Some(ctr + 2))?;
+            }
+            None => self.code.push(Ins::ConstI(ctr + 2, 1)),
+        }
+        self.charge(head);
+        // The snapshot sees every charge before it: `ParBegin` closes the
+        // block the bounds were charged in.
+        let site = if step.is_none() {
+            let site = self.sites;
+            self.sites += 1;
+            self.end_block(Ins::ParBegin(site));
+            Some(site)
+        } else {
+            None
+        };
+        let init = self.end_block(Ins::ForInit { ctr, local, exit: 0 });
+        let trip = self.label();
+        self.charge(Charge::cy(self.loop_step));
+        self.block(body)?;
+        self.end_block(Ins::ForNext { ctr, local, body: trip });
+        self.patch(init);
+        if let Some(site) = site {
+            self.end_block(Ins::ParEnd(site));
+        }
+        Some(())
     }
 }
 
@@ -1218,15 +1853,12 @@ fn mistyped(v: Value, want: DType) -> ! {
     unreachable!("lowering typed this node {want:?}, evaluation produced {v:?}")
 }
 
-/// An evaluation domain of the lowered form: the Rust type a dtype's values
-/// have in registers.
+/// A register domain: the Rust type a dtype's values have in registers.
 trait Domain: Copy {
+    /// The payload of `v`, which lowering typed as this domain.
     fn of(v: Value) -> Self;
-    fn value(self) -> Value;
     /// `p[i]`, for a parameter whose storage is this domain's.
     fn load(p: &ParamData, i: usize) -> Self;
-    /// The domain's operator table.
-    fn bin(op: BinOp, a: Self, b: Self) -> Value;
 }
 
 impl Domain for i64 {
@@ -1239,22 +1871,12 @@ impl Domain for i64 {
     }
 
     #[inline]
-    fn value(self) -> Value {
-        Value::I32(self as i32)
-    }
-
-    #[inline]
     fn load(p: &ParamData, i: usize) -> i64 {
         match p {
             ParamData::I32(s) => s[i] as i64,
             ParamData::I32Ro(s) => s[i] as i64,
             other => mistyped(other.get(i), DType::I32),
         }
-    }
-
-    #[inline]
-    fn bin(op: BinOp, a: i64, b: i64) -> Value {
-        bin_i64(op, a, b)
     }
 }
 
@@ -1268,23 +1890,12 @@ impl Domain for bool {
     }
 
     #[inline]
-    fn value(self) -> Value {
-        Value::Bool(self)
-    }
-
-    #[inline]
     fn load(p: &ParamData, i: usize) -> bool {
         match p {
             ParamData::Bool(s) => s[i],
             ParamData::BoolRo(s) => s[i],
             other => mistyped(other.get(i), DType::Bool),
         }
-    }
-
-    /// Two Bools compare as the integers 0 and 1, as in `apply_bin`.
-    #[inline]
-    fn bin(op: BinOp, a: bool, b: bool) -> Value {
-        bin_i64(op, a as i64, b as i64)
     }
 }
 
@@ -1298,22 +1909,12 @@ impl Domain for f32 {
     }
 
     #[inline]
-    fn value(self) -> Value {
-        Value::F32(self)
-    }
-
-    #[inline]
     fn load(p: &ParamData, i: usize) -> f32 {
         match p {
             ParamData::F32(s) => s[i],
             ParamData::F32Ro(s) => s[i],
             other => mistyped(other.get(i), DType::F32),
         }
-    }
-
-    #[inline]
-    fn bin(op: BinOp, a: f32, b: f32) -> Value {
-        bin_f32(op, a, b)
     }
 }
 
@@ -1327,22 +1928,12 @@ impl Domain for TwoF32 {
     }
 
     #[inline]
-    fn value(self) -> Value {
-        Value::Dw(self)
-    }
-
-    #[inline]
     fn load(p: &ParamData, i: usize) -> TwoF32 {
         match p {
             ParamData::Dw(s) => s[i],
             ParamData::DwRo(s) => s[i],
             other => mistyped(other.get(i), DType::DoubleWord),
         }
-    }
-
-    #[inline]
-    fn bin(op: BinOp, a: TwoF32, b: TwoF32) -> Value {
-        bin_dw(op, a, b)
     }
 }
 
@@ -1356,141 +1947,11 @@ impl Domain for f64 {
     }
 
     #[inline]
-    fn value(self) -> Value {
-        Value::F64(self)
-    }
-
-    #[inline]
     fn load(p: &ParamData, i: usize) -> f64 {
         match p {
             ParamData::F64(s) => s[i].0,
             ParamData::F64Ro(s) => s[i].0,
             other => mistyped(other.get(i), DType::F64Emulated),
-        }
-    }
-
-    #[inline]
-    fn bin(op: BinOp, a: f64, b: f64) -> Value {
-        bin_f64(op, a, b)
-    }
-}
-
-/// One run of a lowered vertex.
-struct Exec<'a, 'b> {
-    lowered: &'a Lowered,
-    cost: &'a CostModel,
-    params: &'a mut [ParamData<'b>],
-    locals: &'a mut [Value],
-    /// Charged so far.
-    run: Charge,
-    workers: u64,
-}
-
-impl Exec<'_, '_> {
-    /// Evaluate `e`, whose dtype is `D`'s. Touches no counter: the charge
-    /// was summed into the statement at lowering.
-    fn eval<D: Domain>(&self, e: &TExpr) -> D {
-        match &e.kind {
-            TKind::Const(v) => D::of(*v),
-            TKind::Local(l) => D::of(self.locals[*l]),
-            TKind::ParamLen(p) => D::of(Value::I32(self.params[*p].len() as i32)),
-            TKind::Load { param, index } => {
-                D::load(&self.params[*param], self.eval::<i64>(index) as usize)
-            }
-            TKind::Unary { op, arg } => D::of(apply_un(*op, self.eval::<D>(arg).value()).0),
-            TKind::Not(arg) => D::of(Value::Bool(!self.value(arg).as_bool())),
-            TKind::Arith { op, lhs, rhs } => D::of(D::bin(*op, self.eval(lhs), self.eval(rhs))),
-            TKind::Compare { op, dom, lhs, rhs } => D::of(match dom {
-                DType::I32 => bin_i64(*op, self.eval(lhs), self.eval(rhs)),
-                DType::F32 => bin_f32(*op, self.eval(lhs), self.eval(rhs)),
-                DType::DoubleWord => bin_dw(*op, self.eval(lhs), self.eval(rhs)),
-                DType::F64Emulated => bin_f64(*op, self.eval(lhs), self.eval(rhs)),
-                DType::Bool => bool::bin(*op, self.eval(lhs), self.eval(rhs)),
-            }),
-            TKind::Cast(arg) => D::of(self.value(arg).convert(e.dtype)),
-            TKind::Select { cond, then, otherwise } => {
-                let c = self.value(cond).as_bool();
-                let (t, o) = (self.eval::<D>(then), self.eval::<D>(otherwise));
-                if c {
-                    t
-                } else {
-                    o
-                }
-            }
-        }
-    }
-
-    /// Evaluate `e` in its own domain, as a tagged value.
-    fn value(&self, e: &TExpr) -> Value {
-        match e.dtype {
-            DType::I32 => self.eval::<i64>(e).value(),
-            DType::Bool => self.eval::<bool>(e).value(),
-            DType::F32 => self.eval::<f32>(e).value(),
-            DType::DoubleWord => self.eval::<TwoF32>(e).value(),
-            DType::F64Emulated => self.eval::<f64>(e).value(),
-        }
-    }
-
-    fn charge(&mut self, c: &Charge) {
-        self.run = self.run.plus(*c);
-    }
-
-    fn block(&mut self, stmts: &[LStmt]) {
-        for s in stmts {
-            self.exec(s);
-        }
-    }
-
-    fn exec(&mut self, s: &LStmt) {
-        match s {
-            LStmt::SetLocal { local, value, charge } => {
-                self.locals[*local] = self.value(value);
-                self.charge(charge);
-            }
-            LStmt::Store { param, index, value, charge } => {
-                let i = self.eval::<i64>(index) as usize;
-                let v = self.value(value);
-                self.params[*param].set(i, v);
-                self.charge(charge);
-            }
-            LStmt::If { cond, charge, then, otherwise } => {
-                let c = self.value(cond).as_bool();
-                self.charge(charge);
-                self.block(if c { then } else { otherwise });
-            }
-            LStmt::While { cond, charge, body } => loop {
-                let c = self.value(cond).as_bool();
-                self.charge(charge);
-                if !c {
-                    break;
-                }
-                self.block(body);
-            },
-            LStmt::For { local, start, end, step, head, body } => {
-                let mut i = self.eval::<i64>(start);
-                let e = self.eval::<i64>(end);
-                let st = self.eval::<i64>(step).max(1);
-                self.charge(head);
-                while i < e {
-                    self.locals[*local] = Value::I32(i as i32);
-                    self.run.cycles += self.lowered.loop_step;
-                    self.block(body);
-                    i += st;
-                }
-            }
-            LStmt::ParFor { local, start, end, head, body } => {
-                let s0 = self.eval::<i64>(start);
-                let e0 = self.eval::<i64>(end);
-                self.charge(head);
-                let before = self.run.cycles;
-                for i in s0..e0 {
-                    self.locals[*local] = Value::I32(i as i32);
-                    self.run.cycles += self.lowered.loop_step;
-                    self.block(body);
-                }
-                let serial = self.run.cycles - before;
-                self.run.cycles = before + parfor_makespan(serial, self.workers, self.cost);
-            }
         }
     }
 }
@@ -1695,9 +2156,10 @@ mod tests {
         // Typing two constants never fails, whatever they would divide by.
         let lowered = Lowered::lower(&c, &[], false, &cost).expect("two constants type");
         std::panic::catch_unwind(|| {
-            let mut locals = Vec::new();
-            let run = lowered.run_vertex(&VertexKind::Simple, &mut [], &mut locals, &cost, 6);
-            (locals[0], run.cycles, run.flops)
+            let mut regs = Regs::default();
+            let run = lowered.run_vertex(&VertexKind::Simple, &mut [], &mut regs, &cost, 6);
+            let local = lowered.local(&regs, 0).expect("local 0 is typed at the end");
+            (local, run.cycles, run.flops)
         })
         .ok()
     }

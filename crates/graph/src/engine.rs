@@ -28,9 +28,10 @@
 //! * **Dispatch**, per vertex, three tiers decided at engine build: the
 //!   fused kernel matched to its codelet ([`crate::kernels`], only with
 //!   `fusion` on), else the codelet's lowered form — typed and costed for
-//!   the vertex's operand storage dtypes ([`Lowered`]) — else, for a body
-//!   that cannot be typed, the dynamic [`Interp`]. `fusion: false`, the
-//!   default, runs no fused kernel — the reference they are tested against.
+//!   the vertex's operand storage dtypes and flattened into a register
+//!   program ([`Lowered`]) — else, for a body that cannot be typed, the
+//!   dynamic [`Interp`]. `fusion: false`, the default, runs no fused
+//!   kernel — the reference they are tested against.
 //! * **Schedule**, per compute set: the vertices in program order on the
 //!   caller's thread (`threads: 1`), or the plan's tile groups on scoped
 //!   worker threads. Tile-mapped writes are disjoint by construction
@@ -54,7 +55,7 @@ use profile::perf::{PerfRecorder, PerfReport};
 use profile::{CompileReport, PassStat, TraceRecorder};
 use twofloat::{SoftDouble, TwoF32, TwoFloat};
 
-use crate::codelet::{Charge, Codelet, Interp, Lowered, ParamData, Value};
+use crate::codelet::{Charge, Codelet, Interp, Lowered, ParamData, Regs};
 use crate::compute::{TensorSlice, Vertex, VertexKind};
 use crate::graph::{Executable, Graph};
 use crate::kernels::KernelTable;
@@ -474,6 +475,7 @@ impl Engine {
             perf: &mut self.perf,
             kernels: &self.kernels,
             lowered: &self.lowered,
+            regs: Regs::default(),
         };
         ctx.exec_step(&self.plan, self.plan.root);
         debug_assert_eq!(
@@ -500,6 +502,9 @@ struct ExecCtx<'a> {
     perf: &'a mut Option<PerfRecorder>,
     kernels: &'a KernelTable,
     lowered: &'a LoweredTable,
+    /// The lowered form's registers on one thread, kept for the whole run:
+    /// replay allocates per run, not per compute set or vertex.
+    regs: Regs,
 }
 
 impl ExecCtx<'_> {
@@ -659,10 +664,12 @@ impl ExecCtx<'_> {
                 let mut per_tile: Vec<(TileId, u64)> =
                     es.tile_groups.iter().map(|(t, _)| (*t, 0)).collect();
                 let (mut flops, mut mem) = (0u64, 0u64);
-                let mut scratch = Scratch::default();
+                // Empty between vertices; only the allocation is kept.
+                let mut params = Vec::new();
                 for (i, v) in cs.vertices.iter().enumerate() {
                     let form = lowered.get(es.cs, i);
-                    let run = run_vertex(graph, bases, v, form, kernels, &mut scratch);
+                    let run =
+                        run_vertex(graph, bases, v, form, kernels, &mut params, &mut self.regs);
                     let slot = per_tile
                         .binary_search_by_key(&v.tile, |&(t, _)| t)
                         .expect("the plan's tile groups cover every vertex's tile");
@@ -684,10 +691,11 @@ impl ExecCtx<'_> {
                     es.tile_groups.iter().map(|(t, ids)| (*t, ids.as_slice())).collect();
                 let runs = rayon::par_chunks_map(work, threads, move |(tile, ids)| {
                     let (mut cycles, mut flops, mut mem) = (0u64, 0u64, 0u64);
-                    let mut scratch = Scratch::default();
+                    let (mut params, mut regs) = (Vec::new(), Regs::default());
                     for &i in ids {
                         let (v, form) = (&cs.vertices[i], lowered.get(es.cs, i));
-                        let run = run_vertex(graph, bases, v, form, kernels, &mut scratch);
+                        let run =
+                            run_vertex(graph, bases, v, form, kernels, &mut params, &mut regs);
                         cycles += run.cycles;
                         flops += run.flops;
                         mem += run.mem_bytes;
@@ -1116,16 +1124,6 @@ impl LoweredTable {
     }
 }
 
-/// Buffers reused from vertex to vertex — one per compute set on one
-/// thread, one per tile group on several — so replay allocates per compute
-/// set, not per vertex.
-#[derive(Default)]
-struct Scratch<'a> {
-    /// Empty between vertices; only the allocation is kept.
-    params: Vec<ParamData<'a>>,
-    locals: Vec<Value>,
-}
-
 /// Hand out one slice per operand: `&mut` for mutable parameters, shared
 /// for immutable ones (so concurrent readers of a broadcast operand never
 /// manufacture aliasing `&mut` references).
@@ -1191,23 +1189,27 @@ fn params_from_bases<'a>(
 /// else — a body lowering could not type — the dynamic interpreter. Free of
 /// engine state so either schedule shares it verbatim — a vertex's result
 /// depends only on the graph, the storage it reads and its own operands.
+///
+/// `params` (empty between vertices) and `regs` are buffers reused from
+/// vertex to vertex — on one thread for a compute set and a whole run, on
+/// several per tile group — so replay does not allocate per vertex.
 fn run_vertex<'a>(
     graph: &'a Graph,
     bases: &'a TensorBases,
     v: &'a Vertex,
     lowered: Option<&Lowered>,
     kernels: &KernelTable,
-    scratch: &mut Scratch<'a>,
+    params: &mut Vec<ParamData<'a>>,
+    regs: &mut Regs,
 ) -> Charge {
     let codelet = &graph.codelets[v.codelet];
     let cost = &graph.cost;
     let workers = graph.model.workers_per_tile as u64;
-    let Scratch { params, locals } = scratch;
     params.extend(params_from_bases(bases, codelet, &v.operands));
     let fused = kernels.get(v.codelet).and_then(|k| k.run(&v.kind, params, cost, workers));
     let run = match (fused, lowered) {
         (Some(run), _) => run,
-        (None, Some(l)) => l.run_vertex(&v.kind, params, locals, cost, workers),
+        (None, Some(l)) => l.run_vertex(&v.kind, params, regs, cost, workers),
         (None, None) => {
             let mut interp = Interp::new(cost, params, codelet.num_locals, workers);
             let cycles = interp.run_vertex(&v.kind, &codelet.body);
@@ -1302,7 +1304,7 @@ fn apply_copy(storage: &mut [Storage], c: &ElemCopy) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codelet::{BinOp, Codelet, Expr, ParamDecl, Stmt};
+    use crate::codelet::{BinOp, Codelet, Expr, ParamDecl, Stmt, Value};
     use crate::compute::{ComputeSet, Vertex};
     use crate::program::{ExchangeStep, Prog};
     use crate::tensor::TensorDef;

@@ -2,9 +2,11 @@
 //! the codelet in local 0 and schedules the measured row costs, and nothing
 //! on that path may size a table by the *value* of a row id.
 //!
-//! Nor may a vertex allocate at all: the operand slices and the locals live
-//! in a scratch that serves the whole compute set, so what one `Engine::run`
-//! requests depends on its compute sets, not on how many vertices they hold.
+//! Nor may a vertex allocate at all: the operand slices live in a buffer
+//! that serves the whole compute set, the registers and the level-set
+//! schedule's buffers in one that serves the whole run, so what one
+//! `Engine::run` requests depends on its compute sets, not on how many
+//! vertices they hold.
 //!
 //! This is its own test binary because it installs a counting global
 //! allocator; the counters are per thread, so nothing else is counted on a
@@ -121,12 +123,31 @@ fn sparse_row_ids_cost_what_dense_ones_do_and_size_no_table() {
 }
 
 /// Allocator requests of one warm `Engine::run` of a single compute set of
-/// `vertices` `Simple` vertices, spread over four tiles, each scaling its
-/// own two elements of `x` by a scalar operand.
-fn requests_of_one_run(vertices: usize) -> usize {
+/// `vertices` vertices, spread over four tiles, each scaling its own two
+/// elements of `x` by a scalar operand: `Simple` vertices in a `ParFor`, or
+/// `LevelSet` vertices a row at a time over two levels.
+fn requests_of_one_run(vertices: usize, level_set: bool) -> usize {
     let mut g = Graph::new(IpuModel::tiny(4));
     let x = g.add_tensor(TensorDef::linear("x", DType::F32, 2 * 64, 4)).unwrap();
     let a = g.add_tensor(TensorDef::linear("a", DType::F32, 4, 4)).unwrap();
+    let scale = Stmt::Store {
+        param: 0,
+        index: Expr::Local(0),
+        value: Expr::bin(BinOp::Mul, Expr::index(0, Expr::Local(0)), Expr::Local(1)),
+    };
+    let body = if level_set {
+        vec![Stmt::SetLocal(1, Expr::index(1, Expr::c(Value::I32(0)))), scale]
+    } else {
+        vec![
+            Stmt::SetLocal(1, Expr::index(1, Expr::c(Value::I32(0)))),
+            Stmt::ParFor {
+                local: 0,
+                start: Expr::c(Value::I32(0)),
+                end: Expr::ParamLen(0),
+                body: vec![scale],
+            },
+        ]
+    };
     let c = g
         .add_codelet(Codelet {
             name: "scale".into(),
@@ -135,23 +156,7 @@ fn requests_of_one_run(vertices: usize) -> usize {
                 ParamDecl { dtype: DType::F32, mutable: false },
             ],
             num_locals: 2,
-            body: vec![
-                Stmt::SetLocal(1, Expr::index(1, Expr::c(Value::I32(0)))),
-                Stmt::ParFor {
-                    local: 0,
-                    start: Expr::c(Value::I32(0)),
-                    end: Expr::ParamLen(0),
-                    body: vec![Stmt::Store {
-                        param: 0,
-                        index: Expr::Local(0),
-                        value: Expr::bin(
-                            BinOp::Mul,
-                            Expr::index(0, Expr::Local(0)),
-                            Expr::Local(1),
-                        ),
-                    }],
-                },
-            ],
+            body,
         })
         .unwrap();
     let mut cs = ComputeSet::new("scale");
@@ -165,7 +170,11 @@ fn requests_of_one_run(vertices: usize) -> usize {
                 TensorSlice { tensor: x, start: 2 * v, len: 2 },
                 TensorSlice { tensor: a, start: tile, len: 1 },
             ],
-            kind: VertexKind::Simple,
+            kind: if level_set {
+                VertexKind::LevelSet { levels: vec![vec![1], vec![0]] }
+            } else {
+                VertexKind::Simple
+            },
         });
     }
     let cs = g.add_compute_set(cs).unwrap();
@@ -186,6 +195,12 @@ fn requests_of_one_run(vertices: usize) -> usize {
 
 #[test]
 fn a_compute_set_of_64_vertices_requests_no_more_allocations_than_one_of_1() {
-    let (one, many) = (requests_of_one_run(1), requests_of_one_run(64));
+    let (one, many) = (requests_of_one_run(1, false), requests_of_one_run(64, false));
+    assert!(many <= one, "1 vertex: {one} requests per run; 64 vertices: {many}");
+}
+
+#[test]
+fn a_compute_set_of_64_level_set_vertices_requests_no_more_allocations_than_one_of_1() {
+    let (one, many) = (requests_of_one_run(1, true), requests_of_one_run(64, true));
     assert!(many <= one, "1 vertex: {one} requests per run; 64 vertices: {many}");
 }

@@ -1,15 +1,20 @@
 //! The lowered form against the dynamic interpreter, at codelet level.
 //!
 //! `Lowered::lower` types and costs a codelet once for a binding (operand
-//! storage dtypes, vertex kind); `Interp` discovers both per node per run.
-//! The contract: where lowering returns `Some`, one vertex leaves the same
-//! storage bits, the same locals and the same cycles / flops / SRAM bytes
-//! behind on both routes (or panics on both); where the body cannot be
-//! typed it returns `None` — at build, without a panic — and the engine
-//! runs the vertex on `Interp`.
+//! storage dtypes, vertex kind) and flattens it into a register program;
+//! `Interp` discovers both per node per run. The contract: where lowering
+//! returns `Some`, one vertex leaves the same storage bits, the same locals
+//! and the same cycles / flops / SRAM bytes behind on both routes (or
+//! panics on both); where the body cannot be typed it returns `None` — at
+//! build, without a panic — and the engine runs the vertex on `Interp`.
+//!
+//! The lowered form's locals are registers, read back through
+//! `Lowered::local`, which knows a local's dtype at the end wherever every
+//! path agrees on it. Where paths disagree the local is dead — no typed
+//! read of it can follow — so there is nothing to compare.
 
 use graph::codelet::{
-    BinOp, Charge, Codelet, Expr, Interp, Lowered, ParamData, ParamDecl, Stmt, UnOp, Value,
+    BinOp, Charge, Codelet, Expr, Interp, Lowered, ParamData, ParamDecl, Regs, Stmt, UnOp, Value,
 };
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
 use graph::kernels::spmv_template;
@@ -17,7 +22,7 @@ use graph::program::Prog;
 use graph::tensor::TensorDef;
 use graph::{Engine, Graph};
 use ipu_sim::clock::Phase;
-use ipu_sim::cost::{CostModel, DType};
+use ipu_sim::cost::{CostModel, DType, Op};
 use ipu_sim::model::IpuModel;
 use proptest::TestRng;
 use twofloat::{SoftDouble, TwoF32, TwoFloat};
@@ -85,12 +90,13 @@ fn value_bits(v: Value) -> (DType, u64) {
     (v.dtype(), b)
 }
 
-/// What one vertex leaves behind.
+/// What one vertex leaves behind. A local is `None` where the lowered form
+/// has no static dtype for it at the end.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     run: Charge,
     storage: Vec<Vec<u64>>,
-    locals: Vec<(DType, u64)>,
+    locals: Vec<Option<(DType, u64)>>,
 }
 
 fn params<'a>(codelet: &Codelet, bufs: &'a mut [Buf]) -> Vec<ParamData<'a>> {
@@ -100,7 +106,7 @@ fn params<'a>(codelet: &Codelet, bufs: &'a mut [Buf]) -> Vec<ParamData<'a>> {
 /// `None` when the run panicked (an integer division by zero, say).
 fn outcome(
     bufs: &[Buf],
-    run: impl FnOnce(&mut [Buf]) -> (Charge, Vec<Value>) + std::panic::UnwindSafe,
+    run: impl FnOnce(&mut [Buf]) -> (Charge, Vec<Option<Value>>) + std::panic::UnwindSafe,
 ) -> Option<Outcome> {
     let mut bufs = bufs.to_vec();
     std::panic::catch_unwind(move || {
@@ -108,7 +114,7 @@ fn outcome(
         Outcome {
             run,
             storage: bufs.iter().map(Buf::bits).collect(),
-            locals: locals.into_iter().map(value_bits).collect(),
+            locals: locals.into_iter().map(|v| v.map(value_bits)).collect(),
         }
     })
     .ok()
@@ -120,7 +126,8 @@ fn interp_outcome(c: &Codelet, kind: &VertexKind, bufs: &[Buf]) -> Option<Outcom
         let mut p = params(c, bufs);
         let mut interp = Interp::new(&cost, &mut p, c.num_locals, WORKERS);
         let cycles = interp.run_vertex(kind, &c.body);
-        (Charge { cycles, flops: interp.flops, mem_bytes: interp.mem_bytes }, interp.locals)
+        let locals = interp.locals.iter().copied().map(Some).collect();
+        (Charge { cycles, flops: interp.flops, mem_bytes: interp.mem_bytes }, locals)
     })
 }
 
@@ -133,11 +140,14 @@ fn lower(c: &Codelet, kind: &VertexKind, bufs: &[Buf]) -> Option<Lowered> {
 fn lowered_outcome(c: &Codelet, l: &Lowered, kind: &VertexKind, bufs: &[Buf]) -> Option<Outcome> {
     let cost = CostModel::default();
     outcome(bufs, |bufs| {
+        // Scratch comes in dirty, from a run of the same vertex on other
+        // storage: the lowered form must reset it itself.
+        let mut regs = Regs::default();
+        let mut other = bufs.to_vec();
+        let _ = l.run_vertex(kind, &mut params(c, &mut other), &mut regs, &cost, WORKERS);
         let mut p = params(c, bufs);
-        // Scratch comes in dirty: the lowered form must reset it itself.
-        let mut locals = vec![Value::F64(f64::NAN); 9];
-        let run = l.run_vertex(kind, &mut p, &mut locals, &cost, WORKERS);
-        (run, locals)
+        let run = l.run_vertex(kind, &mut p, &mut regs, &cost, WORKERS);
+        (run, (0..c.num_locals).map(|local| l.local(&regs, local)).collect())
     })
 }
 
@@ -147,8 +157,16 @@ fn lowered_outcome(c: &Codelet, l: &Lowered, kind: &VertexKind, bufs: &[Buf]) ->
 fn check(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str) -> Option<bool> {
     c.validate().unwrap_or_else(|e| panic!("{who}: generated codelet is invalid: {e}"));
     let lowered = lower(c, kind, bufs)?;
-    let want = interp_outcome(c, kind, bufs);
+    let mut want = interp_outcome(c, kind, bufs);
     let got = lowered_outcome(c, &lowered, kind, bufs);
+    if let (Some(want), Some(got)) = (&mut want, &got) {
+        // A local with no static dtype at the end is dead by construction.
+        for (w, g) in want.locals.iter_mut().zip(&got.locals) {
+            if g.is_none() {
+                *w = None;
+            }
+        }
+    }
     assert_eq!(want, got, "{who}: lowered diverged from Interp\n{c:#?}\n{kind:?}\n{bufs:?}");
     Some(want.is_some())
 }
@@ -557,7 +575,8 @@ fn level_set_rows_carry_locals_over() {
 }
 
 /// An empty `ParFor` costs its bounds plus the one cycle the makespan rule
-/// floors at; nested in a `For`, once per outer trip.
+/// floors at; nested in a `For`, once per outer trip — and that `For` in a
+/// `While`, three back-edges around one snapshot slot.
 #[test]
 fn empty_and_nested_parfor() {
     let parfor = |body| Stmt::ParFor { local: 1, start: i(0), end: Expr::ParamLen(1), body };
@@ -583,6 +602,21 @@ fn empty_and_nested_parfor() {
     );
     let bufs = vec![Buf::F32(vec![1.0, 2.0]), Buf::F32(vec![0.5, 0.25, 0.125])];
     must_lower(&c, &VertexKind::Simple, &bufs, "ParFor in For");
+    let in_while = codelet(
+        vec![rw(DType::F32), ro(DType::F32)],
+        3,
+        vec![
+            Stmt::SetLocal(2, i(0)),
+            Stmt::While {
+                cond: Expr::bin(BinOp::Lt, Expr::Local(2), i(3)),
+                body: vec![
+                    c.body[0].clone(),
+                    Stmt::SetLocal(2, Expr::bin(BinOp::Add, Expr::Local(2), i(1))),
+                ],
+            },
+        ],
+    );
+    must_lower(&in_while, &VertexKind::Simple, &bufs, "ParFor in For in While");
 
     let empty = vec![Buf::F32(vec![1.0, 2.0]), Buf::F32(vec![])];
     must_lower(&c, &VertexKind::Simple, &empty, "empty ParFor in For");
@@ -612,7 +646,7 @@ fn bool_arithmetic_yields_i32() {
     must_lower(&c, &VertexKind::Simple, &bufs, "bool arithmetic");
     let got = interp_outcome(&c, &VertexKind::Simple, &bufs).unwrap();
     assert_eq!(got.storage[0], vec![2, 0], "true + true = 2; -true = false = 0");
-    assert_eq!(got.locals, vec![(DType::I32, 2)]);
+    assert_eq!(got.locals, vec![Some((DType::I32, 2))]);
 }
 
 /// What lowering declines: what it cannot type, and what `Interp` panics on
@@ -713,4 +747,266 @@ fn an_unlowered_vertex_builds_runs_and_matches_the_interpreter() {
     e.run();
     assert_eq!(e.read_tensor(x), vec![0.0, 3.0]);
     assert_eq!(e.stats().phase_cycles(Phase::Compute), want.run.cycles);
+}
+
+// ---- flattening edge cases -------------------------------------------------
+
+/// Run `c` lowered on `bufs`; the lowered form and the registers it left.
+fn run_lowered(c: &Codelet, kind: &VertexKind, bufs: &mut [Buf]) -> (Lowered, Regs) {
+    let lowered = lower(c, kind, bufs).expect("lowers");
+    let mut regs = Regs::default();
+    lowered.run_vertex(kind, &mut params(c, bufs), &mut regs, &CostModel::default(), WORKERS);
+    (lowered, regs)
+}
+
+/// A statement in the block a `ParFor` begins is charged before the
+/// makespan snapshot: the workers do not share it. Charged after, it would
+/// have been divided among them.
+#[test]
+fn a_statement_before_a_parfor_is_charged_before_its_snapshot() {
+    let c = codelet(
+        vec![rw(DType::F64Emulated), ro(DType::F64Emulated)],
+        2,
+        vec![
+            Stmt::SetLocal(1, Expr::bin(BinOp::Div, Expr::index(1, i(0)), Expr::index(1, i(1)))),
+            Stmt::ParFor {
+                local: 0,
+                start: i(0),
+                end: Expr::ParamLen(0),
+                body: vec![Stmt::Store {
+                    param: 0,
+                    index: Expr::Local(0),
+                    value: Expr::bin(BinOp::Mul, Expr::Local(1), Expr::index(1, Expr::Local(0))),
+                }],
+            },
+        ],
+    );
+    let n = 12;
+    let bufs = vec![
+        Buf::F64(vec![SoftDouble(0.0); n]),
+        Buf::F64((0..n).map(|k| SoftDouble(1.0 + k as f64)).collect()),
+    ];
+    must_lower(&c, &VertexKind::Simple, &bufs, "statement before ParFor");
+
+    let cm = CostModel::default();
+    let (f64e, i32) = (DType::F64Emulated, DType::I32);
+    let stmt = 2 * cm.op_cycles(Op::Load, f64e) + cm.op_cycles(Op::Div, f64e);
+    let trip = cm.op_cycles(Op::LoopStep, i32)
+        + cm.op_cycles(Op::Load, f64e)
+        + cm.op_cycles(Op::Mul, f64e)
+        + cm.op_cycles(Op::Store, f64e);
+    let serial = n as u64 * trip;
+    let makespan = |serial: u64| (cm.worker_spawn_cycles + serial.div_ceil(WORKERS)).min(serial);
+    let got = interp_outcome(&c, &VertexKind::Simple, &bufs).unwrap().run.cycles;
+    assert_eq!(got, stmt + makespan(serial));
+    assert_ne!(got, makespan(stmt + serial), "the charge's place is observable");
+}
+
+/// A step of zero or less counts as one, whether it is a constant or read
+/// from an operand at run time.
+#[test]
+fn a_for_step_of_zero_or_less_counts_as_one() {
+    for step in [0, -3] {
+        for from_data in [false, true] {
+            let c = codelet(
+                vec![rw(DType::F32), ro(DType::I32)],
+                1,
+                vec![Stmt::For {
+                    local: 0,
+                    start: i(1),
+                    end: Expr::ParamLen(0),
+                    step: if from_data { Expr::index(1, i(0)) } else { i(step) },
+                    body: vec![Stmt::Store {
+                        param: 0,
+                        index: Expr::Local(0),
+                        value: Expr::Convert { to: DType::F32, arg: Box::new(Expr::Local(0)) },
+                    }],
+                }],
+            );
+            let bufs = vec![Buf::F32(vec![-1.0; 4]), Buf::I32(vec![step])];
+            let who = format!("step {step}, from data: {from_data}");
+            must_lower(&c, &VertexKind::Simple, &bufs, &who);
+            let got = interp_outcome(&c, &VertexKind::Simple, &bufs).unwrap();
+            assert_eq!(got.storage[0], Buf::F32(vec![-1.0, 1.0, 2.0, 3.0]).bits(), "{who}");
+        }
+    }
+}
+
+/// A body that overwrites its own loop local — with another I32, or with a
+/// value of another dtype — changes neither the trip count nor what the
+/// next trip sees: a hidden counter drives the loop.
+#[test]
+fn a_body_overwriting_its_loop_local_keeps_the_trip_count() {
+    let store = |value| Stmt::Store { param: 0, index: i(0), value };
+    let sum = |value| Expr::bin(BinOp::Add, Expr::index(0, i(0)), value);
+    for (what, overwrite, then) in [
+        ("I32", Expr::bin(BinOp::Add, Expr::Local(0), i(100)), Expr::Local(0)),
+        ("F32", f(0.5), Expr::bin(BinOp::Mul, Expr::Local(0), f(3.0))),
+    ] {
+        let body = vec![
+            store(sum(Expr::Convert { to: DType::F32, arg: Box::new(Expr::Local(0)) })),
+            Stmt::SetLocal(0, overwrite),
+            store(sum(Expr::Convert { to: DType::F32, arg: Box::new(then) })),
+        ];
+        let bufs = vec![Buf::F32(vec![0.0; 5])];
+        let for_ = Stmt::For {
+            local: 0,
+            start: i(0),
+            end: Expr::ParamLen(0),
+            step: i(1),
+            body: body.clone(),
+        };
+        let par = Stmt::ParFor { local: 0, start: i(0), end: Expr::ParamLen(0), body };
+        for (kind, stmt) in [("For", for_), ("ParFor", par)] {
+            let who = format!("{kind} overwriting its local with an {what}");
+            let c = codelet(vec![rw(DType::F32)], 1, vec![stmt]);
+            must_lower(&c, &VertexKind::Simple, &bufs, &who);
+            let trips: f32 = (0..5).map(|t| t as f32).sum();
+            let second: f32 = if what == "I32" { trips + 500.0 } else { 5.0 * 1.5 };
+            let want = Buf::F32(vec![trips + second, 0.0, 0.0, 0.0, 0.0]).bits();
+            let got = interp_outcome(&c, &VertexKind::Simple, &bufs).unwrap();
+            assert_eq!(got.storage[0], want, "{who}");
+        }
+    }
+}
+
+/// A `While` whose condition reads a local its body writes, here an F32
+/// accumulator.
+#[test]
+fn a_while_condition_on_a_body_written_local() {
+    use BinOp::*;
+    let c = codelet(
+        vec![rw(DType::F32)],
+        2,
+        vec![
+            Stmt::SetLocal(1, f(0.0)),
+            Stmt::While {
+                cond: Expr::bin(Lt, Expr::Local(1), f(3.5)),
+                body: vec![
+                    Stmt::SetLocal(1, Expr::bin(Add, Expr::Local(1), f(1.25))),
+                    Stmt::Store {
+                        param: 0,
+                        index: i(0),
+                        value: Expr::bin(Add, Expr::index(0, i(0)), Expr::Local(1)),
+                    },
+                ],
+            },
+        ],
+    );
+    let bufs = vec![Buf::F32(vec![0.0])];
+    must_lower(&c, &VertexKind::Simple, &bufs, "while on a body-written local");
+    let got = interp_outcome(&c, &VertexKind::Simple, &bufs).unwrap();
+    assert_eq!(got.storage[0], Buf::F32(vec![1.25 + 2.5 + 3.75]).bits());
+}
+
+/// An `If` with an empty else as a `LevelSet` row's last statement: its
+/// jump lands on the end of the program, and the next row starts over.
+#[test]
+fn an_if_with_an_empty_else_ends_a_level_set_row() {
+    let c = codelet(
+        vec![rw(DType::F32), ro(DType::F32)],
+        2,
+        vec![
+            Stmt::SetLocal(1, Expr::index(1, Expr::Local(0))),
+            Stmt::If {
+                cond: Expr::bin(BinOp::Gt, Expr::Local(1), f(0.0)),
+                then: vec![Stmt::Store {
+                    param: 0,
+                    index: Expr::Local(0),
+                    value: Expr::bin(BinOp::Mul, Expr::Local(1), f(2.0)),
+                }],
+                otherwise: vec![],
+            },
+        ],
+    );
+    let kind = VertexKind::LevelSet { levels: vec![vec![0, 2], vec![1], vec![3]] };
+    let bufs = vec![Buf::F32(vec![9.0; 4]), Buf::F32(vec![1.0, -1.0, 0.5, 2.0])];
+    must_lower(&c, &kind, &bufs, "empty else ending a row");
+    let got = interp_outcome(&c, &kind, &bufs).unwrap();
+    assert_eq!(got.storage[0], Buf::F32(vec![2.0, 9.0, 1.0, 4.0]).bits());
+}
+
+/// `Select`, `If`, `While` and `Not` take the truth of a condition of any
+/// dtype: zero is false, anything else — a NaN included — is true.
+#[test]
+fn non_bool_conditions_take_their_truth() {
+    let cond = |k| Expr::index(1, i(k));
+    let select = |k| Expr::Select {
+        cond: Box::new(cond(k)),
+        then: Box::new(f(1.0)),
+        otherwise: Box::new(f(-1.0)),
+    };
+    let store = |k, value| Stmt::Store { param: 0, index: i(k), value };
+    let c = codelet(
+        vec![rw(DType::F32), ro(DType::F32)],
+        1,
+        vec![
+            store(0, select(0)),
+            store(1, select(1)),
+            store(2, select(2)),
+            Stmt::If {
+                cond: cond(1),
+                then: vec![store(3, f(5.0))],
+                otherwise: vec![store(3, f(6.0))],
+            },
+            Stmt::If { cond: cond(0), then: vec![store(4, f(5.0))], otherwise: vec![] },
+            store(5, Expr::Convert { to: DType::F32, arg: Box::new(Expr::un(UnOp::Not, cond(0))) }),
+            Stmt::SetLocal(0, i(0)),
+            Stmt::While {
+                cond: Expr::bin(
+                    BinOp::Sub,
+                    cond(1),
+                    Expr::Convert { to: DType::F32, arg: Box::new(Expr::Local(0)) },
+                ),
+                body: vec![Stmt::SetLocal(0, Expr::bin(BinOp::Add, Expr::Local(0), i(1)))],
+            },
+            store(6, Expr::Convert { to: DType::F32, arg: Box::new(Expr::Local(0)) }),
+        ],
+    );
+    for dtype in [DType::F32, DType::I32, DType::DoubleWord, DType::F64Emulated] {
+        // Zero, three, and (for the floats) a NaN.
+        let bufs = vec![
+            Buf::F32(vec![0.0; 7]),
+            match dtype {
+                DType::F32 => Buf::F32(vec![0.0, 3.0, f32::NAN]),
+                DType::I32 => Buf::I32(vec![0, 3, 7]),
+                DType::DoubleWord => {
+                    Buf::Dw([0.0, 3.0, f64::NAN].into_iter().map(TwoFloat::from_f64).collect())
+                }
+                _ => Buf::F64([0.0, 3.0, f64::NAN].into_iter().map(SoftDouble).collect()),
+            },
+        ];
+        let who = format!("{dtype:?} conditions");
+        must_lower(&c, &VertexKind::Simple, &bufs, &who);
+        let got = interp_outcome(&c, &VertexKind::Simple, &bufs).unwrap();
+        let want = Buf::F32(vec![-1.0, 1.0, 1.0, 5.0, 0.0, 1.0, 3.0]).bits();
+        assert_eq!(got.storage[0], want, "{who}");
+    }
+}
+
+/// Two paths leave local 1 as an F32 and as an I32: no dtype is static at
+/// the end, so it reads back `None` — dead, since no typed read could
+/// follow — while `Interp` holds whichever path ran. Local 0 reads back.
+#[test]
+fn a_local_without_a_static_exit_dtype_reads_back_none() {
+    let c = codelet(
+        vec![rw(DType::F32), ro(DType::Bool)],
+        2,
+        vec![
+            Stmt::If {
+                cond: Expr::index(1, i(0)),
+                then: vec![Stmt::SetLocal(1, f(1.0))],
+                otherwise: vec![Stmt::SetLocal(1, i(1))],
+            },
+            Stmt::SetLocal(0, f(2.0)),
+        ],
+    );
+    let mut bufs = vec![Buf::F32(vec![0.0]), Buf::Bool(vec![true])];
+    must_lower(&c, &VertexKind::Simple, &bufs, "dead local");
+    let (lowered, regs) = run_lowered(&c, &VertexKind::Simple, &mut bufs);
+    assert_eq!(lowered.local(&regs, 0), Some(Value::F32(2.0)));
+    assert_eq!(lowered.local(&regs, 1), None);
+    assert_eq!(lowered.local(&regs, 2), None, "out of range");
+    let interp = interp_outcome(&c, &VertexKind::Simple, &bufs).unwrap();
+    assert_eq!(interp.locals[1], Some((DType::F32, 1.0f32.to_bits() as u64)));
 }

@@ -110,16 +110,37 @@ pub fn level_set_cycles(
     levels: &[Vec<usize>],
     num_workers: usize,
     cm: &CostModel,
+    cost: impl FnMut(usize) -> u64,
+) -> u64 {
+    level_set_cycles_in(&mut LptScratch::default(), levels, num_workers, cm, cost)
+}
+
+/// The two buffers [`level_set_cycles_in`] schedules a level in, kept by a
+/// caller that runs many level-set vertices so that only the first
+/// allocates.
+#[derive(Debug, Default)]
+pub struct LptScratch {
+    loads: Vec<u64>,
+    items: Vec<(usize, u64)>,
+}
+
+/// [`level_set_cycles`] in the caller's buffers.
+pub fn level_set_cycles_in(
+    scratch: &mut LptScratch,
+    levels: &[Vec<usize>],
+    num_workers: usize,
+    cm: &CostModel,
     mut cost: impl FnMut(usize) -> u64,
 ) -> u64 {
     assert!(num_workers > 0);
-    let mut loads = vec![0u64; num_workers];
-    let mut items: Vec<(usize, u64)> = Vec::new();
+    let LptScratch { loads, items } = scratch;
+    // `lpt_level` zeroes the loads per level.
+    loads.resize(num_workers, 0);
     let mut total = cm.worker_spawn_cycles;
     for level in levels {
         items.clear();
         items.extend(level.iter().map(|&i| (i, cost(i))));
-        total += lpt_level(&mut items, &mut loads, |_, _| {}) + cm.worker_sync_cycles;
+        total += lpt_level(items, loads, |_, _| {}) + cm.worker_sync_cycles;
     }
     total
 }
