@@ -1,7 +1,7 @@
 //! Criterion benchmarks of the host-side kernels: the CPU baseline's CSR
 //! SpMV (sequential vs rayon), ILU(0) factorisation, the framework's
 //! compile-time analyses (halo decomposition, level sets, partitioning),
-//! and both codelet interpreter routes on the three vertex shapes a solve
+//! and both codelet interpreter routes on the vertex shapes a solve
 //! replays.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -9,7 +9,7 @@ use graph::codelet::{
     BinOp, Codelet, Expr, Interp, Lowered, ParamData, ParamDecl, Regs, Stmt, Value,
 };
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
-use graph::kernels::{forward_subst_template, spmv_template};
+use graph::kernels::{backward_subst_template, forward_subst_template, spmv_template};
 use graph::program::Prog;
 use graph::tensor::TensorDef;
 use graph::{Engine, Graph};
@@ -97,6 +97,35 @@ fn axpy_codelet() -> Codelet {
     }
 }
 
+/// `out[0] = Σ x[i] * y[i]`: a dot product's per-tile stage, the shape
+/// `DslCtx::reduce` builds.
+fn dot_codelet() -> Codelet {
+    let ro = |dtype| ParamDecl { dtype, mutable: false };
+    let at = |param| Expr::index(param, Expr::Local(0));
+    Codelet {
+        name: "dot".into(),
+        params: vec![
+            ParamDecl { dtype: DType::F32, mutable: true },
+            ro(DType::F32),
+            ro(DType::F32),
+        ],
+        num_locals: 2,
+        body: vec![
+            Stmt::SetLocal(1, Expr::c(Value::F32(0.0))),
+            Stmt::ParFor {
+                local: 0,
+                start: Expr::c(Value::I32(0)),
+                end: Expr::ParamLen(1),
+                body: vec![Stmt::SetLocal(
+                    1,
+                    Expr::bin(BinOp::Add, Expr::Local(1), Expr::bin(BinOp::Mul, at(1), at(2))),
+                )],
+            },
+            Stmt::Store { param: 0, index: Expr::c(Value::I32(0)), value: Expr::Local(1) },
+        ],
+    }
+}
+
 fn from_template(
     name: &str,
     (params, num_locals, body): (Vec<ParamDecl>, usize, Vec<Stmt>),
@@ -108,11 +137,12 @@ fn from_template(
 /// is what the benchmark's `fig8_mpir` maps to a tile, 64 what `cold_oneshot`
 /// does): `lowered` is the form the engine builds per vertex and runs by
 /// default, `dynamic` the tree-walking `Interp` it falls back to and is
-/// tested against. An axpy map, the SpMV codelet and a forward-substitution
-/// `LevelSet` vertex go through both at codelet level; `engine` is the same
-/// level-set vertex through `Engine::run`, so the per-vertex path around
-/// the lowered form (operand slicing, scratch, stats) is measured too. A
-/// regression shows here in seconds, without the 16 s host benchmark.
+/// tested against. An axpy map, the SpMV codelet, a dot product's per-tile
+/// stage and the forward- and backward-substitution `LevelSet` vertices go
+/// through both at codelet level; `engine` is the forward vertex through
+/// `Engine::run`, so the per-vertex path around the lowered form (operand
+/// slicing, scratch, stats) is measured too. A regression shows here in
+/// seconds, without the 16 s host benchmark.
 fn bench_interpreter(c: &mut Criterion) {
     let cost = CostModel::default();
     let mut g = c.benchmark_group("interpreter");
@@ -129,8 +159,11 @@ fn bench_interpreter(c: &mut Criterion) {
         let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).sin()).collect();
         let ones = vec![1.0f32; n];
         let mut y = vec![0.0f32; n];
+        let mut sum = [0.0f32];
         let alpha = [0.5f32];
         let levels = VertexKind::LevelSet { levels: LevelSets::analyze(&a, Sweep::Forward).levels };
+        let backward_levels =
+            VertexKind::LevelSet { levels: LevelSets::analyze(&a, Sweep::Backward).levels };
 
         // Both routes over one vertex: `$params` is re-evaluated per
         // iteration, as the engine re-slices operands per vertex.
@@ -175,6 +208,12 @@ fn bench_interpreter(c: &mut Criterion) {
                 ParamData::I32Ro(&rptr),
             ]
         );
+        both_routes!(
+            "dot",
+            dot_codelet(),
+            VertexKind::Simple,
+            [ParamData::F32(&mut sum), ParamData::F32Ro(&x), ParamData::F32Ro(&ones)]
+        );
         let forward_subst = from_template("forward_subst", forward_subst_template(true));
         both_routes!(
             "forward_subst_level_set",
@@ -183,6 +222,18 @@ fn bench_interpreter(c: &mut Criterion) {
             [
                 ParamData::F32(&mut y),
                 ParamData::F32Ro(&ones),
+                ParamData::F32Ro(&vals),
+                ParamData::F32Ro(&diag),
+                ParamData::I32Ro(&cols),
+                ParamData::I32Ro(&rptr),
+            ]
+        );
+        both_routes!(
+            "backward_subst_level_set",
+            from_template("backward_subst", backward_subst_template(true)),
+            backward_levels,
+            [
+                ParamData::F32(&mut y),
                 ParamData::F32Ro(&vals),
                 ParamData::F32Ro(&diag),
                 ParamData::I32Ro(&cols),

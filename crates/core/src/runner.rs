@@ -594,6 +594,7 @@ impl Plan {
                 m.counter_add("native.codelets_total", sel.counter("codelets_total"));
                 m.counter_add("native.codelets_fused", sel.counter("codelets_fused"));
                 m.counter_add("native.vertices_lowered", sel.counter("vertices_lowered"));
+                m.counter_add("native.vertices_looped", sel.counter("vertices_looped"));
             }
             m.observe("solve.host_seconds", &[1e-3, 1e-2, 1e-1, 1.0, 10.0], att.host_seconds);
             p

@@ -779,7 +779,9 @@ impl<'a, 'b> Interp<'a, 'b> {
 // charge — is known before the first run. `Lowered::lower` resolves all
 // three into a typed tree, then flattens that into a linear program over one
 // register file per domain, with control flow as jumps and one charge per
-// basic block. What is left to run time is data: values, trip counts, the
+// basic block — except that a counted loop whose body is one (guarded)
+// multiply-accumulate becomes one instruction that runs the loop to its end
+// ([`MacLoop`]). What is left to run time is data: values, trip counts, the
 // `ParFor` makespan and the level-set schedule. `Interp` above stays as the
 // fallback for what cannot be typed, and as the oracle the lowered form is
 // tested against.
@@ -807,6 +809,11 @@ impl Charge {
             flops: self.flops + o.flops,
             mem_bytes: self.mem_bytes + o.mem_bytes,
         }
+    }
+
+    /// `n` of these, summed.
+    fn times(self, n: u64) -> Charge {
+        Charge { cycles: self.cycles * n, flops: self.flops * n, mem_bytes: self.mem_bytes * n }
     }
 }
 
@@ -1142,6 +1149,8 @@ pub struct Lowered {
     code: Vec<Ins>,
     /// What each `Charge` instruction adds: one per basic block.
     charges: Vec<Charge>,
+    /// What each `MacLoop` instruction runs.
+    loops: Vec<MacLoop>,
     /// Registers per file (in [`file`] order): the locals, then the
     /// temporaries and loop counters at their deepest.
     files: [Reg; 5],
@@ -1184,6 +1193,7 @@ impl Lowered {
         Some(Lowered {
             code: em.code,
             charges: em.charges,
+            loops: em.loops,
             files: em.size,
             sites: em.sites,
             exit: locals,
@@ -1234,6 +1244,12 @@ impl Lowered {
     /// point could have read it and been typed, so it is dead.
     pub fn local(&self, regs: &Regs, l: LocalId) -> Option<Value> {
         Some(regs.files.get((*self.exit.get(l)?)?, l as Reg))
+    }
+
+    /// How many counted loops run as one accumulate instruction
+    /// ([`MacLoop`]) rather than a trip at a time.
+    pub fn loops(&self) -> usize {
+        self.loops.len()
     }
 
     /// Run the program once from the top: the whole body, or one row.
@@ -1339,6 +1355,15 @@ impl Lowered {
                     if reg.i[ctr] < reg.i[ctr + 1] {
                         reg.i[local] = reg.i[ctr] as i32 as i64;
                         pc = body;
+                    }
+                }
+                Ins::MacLoop(n) => {
+                    let m = &self.loops[n];
+                    match m.dt {
+                        DType::F32 => mac_loop::<f32>(m, reg, params, run),
+                        DType::DoubleWord => mac_loop::<TwoF32>(m, reg, params, run),
+                        DType::F64Emulated => mac_loop::<f64>(m, reg, params, run),
+                        DType::I32 | DType::Bool => unreachable!("accumulates in a float domain"),
                     }
                 }
                 Ins::ParBegin(site) => reg.par[site] = run.cycles,
@@ -1466,11 +1491,18 @@ enum Ins {
         local: Reg,
         body: usize,
     },
+    /// Run the rest of a counted loop `ForInit` has entered, body and
+    /// `ForNext` both: `loops[n]`.
+    MacLoop(usize),
     /// Remember, in the site's slot, the cycles charged before a `ParFor`.
     ParBegin(usize),
     /// Replace the site's serial cycles by the `ParFor` makespan.
     ParEnd(usize),
 }
+
+// Dispatch copies an instruction per step; the loop's operands live in a
+// side table so that no variant outgrows a load.
+const _: () = assert!(std::mem::size_of::<Ins>() <= 24);
 
 /// `X[dst] = params[param][I[index]]`, in the parameter's storage domain.
 #[derive(Clone, Copy, Debug)]
@@ -1487,6 +1519,227 @@ struct Bin {
     dst: Reg,
     a: Reg,
     b: Reg,
+}
+
+/// A counted loop whose body is one multiply-accumulate, run to its end by
+/// one instruction — the inner loop of SpMV, of forward and backward
+/// substitution, of a Gauss-Seidel row, of a dot product. In a float domain
+/// `dt`, with `x` and `y` already in it:
+///
+/// ```text
+/// (A)  acc = acc ⊕ (x ⊗ y)
+/// (B)  j = cols[k]; if test { (A) }        (k the loop local, no else)
+/// ```
+///
+/// It does what the flat program does, in its order and through the same
+/// checked loads and the same out-of-line operators: every register is read
+/// where the flat program reads it, and the loop local, `j` and `acc` are
+/// written every trip that writes them. What it charges is the flat
+/// program's per-block sums: `trip` on every trip, `taken` on every trip
+/// that accumulates.
+#[derive(Clone, Copy, Debug)]
+struct MacLoop {
+    dt: DType,
+    /// The loop's counter registers and its local, as in `ForNext`.
+    ctr: Reg,
+    local: Reg,
+    acc: Reg,
+    add: BinOp,
+    mul: BinOp,
+    x: Operand,
+    y: Operand,
+    /// Shape (B): `j = params[cols][k]` and the test.
+    guard: Option<Guard>,
+    /// `LoopStep`, plus the load of `j`, the test and its branch in (B).
+    trip: Charge,
+    /// The accumulate.
+    taken: Charge,
+}
+
+/// An accumulate operand in the accumulator's domain.
+#[derive(Clone, Copy, Debug)]
+enum Operand {
+    /// A local.
+    Reg(Reg),
+    /// `params[param][I[index]]`.
+    Load { param: ParamId, index: Reg },
+    /// `params[param][params[via][I[index]]]`.
+    Gather { param: ParamId, via: ParamId, index: Reg },
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Guard {
+    j: Reg,
+    cols: ParamId,
+    test: Test,
+}
+
+/// An I32 comparison of two locals, or two of them joined by `And` / `Or`.
+#[derive(Clone, Copy, Debug)]
+enum Test {
+    One(Cmp),
+    Two(BinOp, Cmp, Cmp),
+}
+
+/// `I[a] op I[b]`.
+#[derive(Clone, Copy, Debug)]
+struct Cmp {
+    op: BinOp,
+    a: Reg,
+    b: Reg,
+}
+
+/// A local's register, if `e` reads one.
+fn local_reg(e: &TExpr) -> Option<Reg> {
+    match e.kind {
+        TKind::Local(l) => Reg::try_from(l).ok(),
+        _ => None,
+    }
+}
+
+impl MacLoop {
+    /// The accumulate loop a counted loop over `local` is, if its typed
+    /// body has shape (A) or (B). `ctr` holds its counter registers.
+    fn recognise(local: Reg, ctr: Reg, loop_step: u64, body: &[LStmt]) -> Option<MacLoop> {
+        let (guard, unconditional, acc) = match body {
+            [acc] => (None, Charge::default(), acc),
+            [set_j, branch] => {
+                let LStmt::SetLocal { local: j, value, charge: load } = set_j else { return None };
+                let LStmt::If { cond, charge: test, then, otherwise } = branch else { return None };
+                let ([acc], []) = (then.as_slice(), otherwise.as_slice()) else { return None };
+                let TKind::Load { param: cols, index } = &value.kind else { return None };
+                if value.dtype != DType::I32 || local_reg(index)? != local {
+                    return None;
+                }
+                let guard =
+                    Guard { j: Reg::try_from(*j).ok()?, cols: *cols, test: Test::of(cond)? };
+                (Some(guard), load.plus(*test), acc)
+            }
+            _ => return None,
+        };
+        let LStmt::SetLocal { local: acc, value, charge: taken } = acc else { return None };
+        let TKind::Arith { op: add, lhs, rhs } = &value.kind else { return None };
+        let TKind::Arith { op: mul, lhs: x, rhs: y } = &rhs.kind else { return None };
+        let acc = Reg::try_from(*acc).ok()?;
+        if !value.dtype.is_float() || local_reg(lhs)? != acc {
+            return None;
+        }
+        Some(MacLoop {
+            dt: value.dtype,
+            ctr,
+            local,
+            acc,
+            add: *add,
+            mul: *mul,
+            x: Operand::of(x)?,
+            y: Operand::of(y)?,
+            guard,
+            trip: Charge::cy(loop_step).plus(unconditional),
+            taken: *taken,
+        })
+    }
+}
+
+impl Operand {
+    /// A local or a load through at most one index load, each index a
+    /// local: no `Cast`, so already in the arithmetic's domain.
+    fn of(e: &TExpr) -> Option<Operand> {
+        match &e.kind {
+            TKind::Local(_) => Some(Operand::Reg(local_reg(e)?)),
+            TKind::Load { param, index } => Some(match &index.kind {
+                TKind::Local(_) => Operand::Load { param: *param, index: local_reg(index)? },
+                TKind::Load { param: via, index } => {
+                    Operand::Gather { param: *param, via: *via, index: local_reg(index)? }
+                }
+                _ => return None,
+            }),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn read<D: Accumulate>(self, reg: &Files, params: &[ParamData]) -> D {
+        match self {
+            Operand::Reg(r) => D::regs(reg)[r],
+            Operand::Load { param, index } => D::load(&params[param], reg.i[index] as usize),
+            Operand::Gather { param, via, index } => {
+                let at = i64::load(&params[via], reg.i[index] as usize);
+                D::load(&params[param], at as usize)
+            }
+        }
+    }
+}
+
+impl Test {
+    fn of(e: &TExpr) -> Option<Test> {
+        match &e.kind {
+            &TKind::Compare {
+                op: op @ (BinOp::And | BinOp::Or),
+                dom: DType::Bool,
+                ref lhs,
+                ref rhs,
+            } => Some(Test::Two(op, Cmp::of(lhs)?, Cmp::of(rhs)?)),
+            _ => Cmp::of(e).map(Test::One),
+        }
+    }
+
+    #[inline]
+    fn holds(self, i: &File<i64>) -> bool {
+        match self {
+            Test::One(c) => c.holds(i),
+            // Two Bools join as the integers 0 and 1, as `CmpB` joins them.
+            Test::Two(op, a, b) => bool::of(bin_i64(op, a.holds(i) as i64, b.holds(i) as i64)),
+        }
+    }
+}
+
+impl Cmp {
+    fn of(e: &TExpr) -> Option<Cmp> {
+        use BinOp::*;
+        match &e.kind {
+            &TKind::Compare {
+                op: op @ (Eq | Ne | Lt | Le | Gt | Ge),
+                dom: DType::I32,
+                ref lhs,
+                ref rhs,
+            } => Some(Cmp { op, a: local_reg(lhs)?, b: local_reg(rhs)? }),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn holds(self, i: &File<i64>) -> bool {
+        bool::of(bin_i64(self.op, i[self.a], i[self.b]))
+    }
+}
+
+/// Run the loop `m` from its first trip, which `ForInit` has found and
+/// written the local for, to its end. The counter advances in a variable:
+/// its registers are temporaries no instruction after the loop reads. One
+/// compiled copy per domain, out of line: the flat program's dispatch loop
+/// keeps its shape.
+#[inline(never)]
+fn mac_loop<D: Accumulate>(m: &MacLoop, reg: &mut Files, params: &[ParamData], run: &mut Charge) {
+    let (end, step) = (reg.i[m.ctr + 1], reg.i[m.ctr + 2]);
+    let mut ctr = reg.i[m.ctr];
+    let (mut trips, mut taken) = (0, 0);
+    while ctr < end {
+        reg.i[m.local] = ctr as i32 as i64;
+        ctr += step;
+        trips += 1;
+        if let Some(g) = m.guard {
+            reg.i[g.j] = i64::load(&params[g.cols], reg.i[m.local] as usize);
+            if !g.test.holds(&reg.i) {
+                continue;
+            }
+        }
+        let x: D = m.x.read(reg, params);
+        let y: D = m.y.read(reg, params);
+        let acc = D::arith(m.add, D::regs(reg)[m.acc], D::arith(m.mul, x, y));
+        D::regs_mut(reg)[m.acc] = acc;
+        taken += 1;
+    }
+    *run = run.plus(m.trip.times(trips)).plus(m.taken.times(taken));
 }
 
 /// Scratch a lowered vertex runs in, reused from vertex to vertex: one
@@ -1577,6 +1830,7 @@ impl<T> std::ops::IndexMut<Reg> for File<T> {
 struct Emitter {
     code: Vec<Ins>,
     charges: Vec<Charge>,
+    loops: Vec<MacLoop>,
     /// The open block's charge so far.
     pending: Charge,
     /// Per file: the next free register, and the most ever in use.
@@ -1595,6 +1849,7 @@ impl Emitter {
         Some(Emitter {
             code: Vec::new(),
             charges: Vec::new(),
+            loops: Vec::new(),
             pending: Charge::default(),
             top: [n; 5],
             size: [n; 5],
@@ -1803,7 +2058,9 @@ impl Emitter {
 
     /// A `For` (`step` given) or a `ParFor` (no `step`: step 1, bracketed by
     /// `ParBegin` / `ParEnd`): the bounds go into hidden counter registers,
-    /// so a body that writes `local` does not change the trip count.
+    /// so a body that writes `local` does not change the trip count. An
+    /// accumulate body runs as one [`MacLoop`] in place of itself and its
+    /// `ForNext`.
     fn counted(
         &mut self,
         local: LocalId,
@@ -1836,10 +2093,18 @@ impl Emitter {
             None
         };
         let init = self.end_block(Ins::ForInit { ctr, local, exit: 0 });
-        let trip = self.label();
-        self.charge(Charge::cy(self.loop_step));
-        self.block(body)?;
-        self.end_block(Ins::ForNext { ctr, local, body: trip });
+        match MacLoop::recognise(local, ctr, self.loop_step, body) {
+            Some(m) => {
+                self.code.push(Ins::MacLoop(self.loops.len()));
+                self.loops.push(m);
+            }
+            None => {
+                let trip = self.label();
+                self.charge(Charge::cy(self.loop_step));
+                self.block(body)?;
+                self.end_block(Ins::ForNext { ctr, local, body: trip });
+            }
+        }
         self.patch(init);
         if let Some(site) = site {
             self.end_block(Ins::ParEnd(site));
@@ -1953,6 +2218,65 @@ impl Domain for f64 {
             ParamData::F64Ro(s) => s[i].0,
             other => mistyped(other.get(i), DType::F64Emulated),
         }
+    }
+}
+
+/// A float domain a [`MacLoop`] accumulates in: its register file, and its
+/// arithmetic through the one compiled copy of each operator.
+trait Accumulate: Domain {
+    fn regs(f: &Files) -> &File<Self>;
+    fn regs_mut(f: &mut Files) -> &mut File<Self>;
+    fn arith(op: BinOp, x: Self, y: Self) -> Self;
+}
+
+impl Accumulate for f32 {
+    #[inline]
+    fn regs(f: &Files) -> &File<f32> {
+        &f.f
+    }
+
+    #[inline]
+    fn regs_mut(f: &mut Files) -> &mut File<f32> {
+        &mut f.f
+    }
+
+    #[inline]
+    fn arith(op: BinOp, x: f32, y: f32) -> f32 {
+        f32::of(bin_f32(op, x, y))
+    }
+}
+
+impl Accumulate for TwoF32 {
+    #[inline]
+    fn regs(f: &Files) -> &File<TwoF32> {
+        &f.w
+    }
+
+    #[inline]
+    fn regs_mut(f: &mut Files) -> &mut File<TwoF32> {
+        &mut f.w
+    }
+
+    #[inline]
+    fn arith(op: BinOp, x: TwoF32, y: TwoF32) -> TwoF32 {
+        TwoF32::of(bin_dw(op, x, y))
+    }
+}
+
+impl Accumulate for f64 {
+    #[inline]
+    fn regs(f: &Files) -> &File<f64> {
+        &f.d
+    }
+
+    #[inline]
+    fn regs_mut(f: &mut Files) -> &mut File<f64> {
+        &mut f.d
+    }
+
+    #[inline]
+    fn arith(op: BinOp, x: f64, y: f64) -> f64 {
+        f64::of(bin_f64(op, x, y))
     }
 }
 
@@ -2164,6 +2488,53 @@ mod tests {
         .ok()
     }
 
+    /// `acc = a; for k in 0..1 { acc = acc op (xs[k] op ys[k]) }` over
+    /// `xs = [a]`, `ys = [b]` of one float dtype: a trip of the accumulate
+    /// loop instruction. The accumulator at the end, cycles and flops.
+    fn looped_binary(op: BinOp, a: Value, b: Value) -> (Value, u64, u64) {
+        let cost = cm();
+        let dt = a.dtype();
+        let at = |param, k| Expr::index(param, Expr::c(Value::I32(k)));
+        let k = |param| Expr::index(param, Expr::Local(0));
+        let c = Codelet {
+            name: "looped".into(),
+            params: vec![ParamDecl { dtype: dt, mutable: false }; 2],
+            num_locals: 2,
+            body: vec![
+                Stmt::SetLocal(1, at(0, 0)),
+                Stmt::For {
+                    local: 0,
+                    start: Expr::c(Value::I32(0)),
+                    end: Expr::c(Value::I32(1)),
+                    step: Expr::c(Value::I32(1)),
+                    body: vec![Stmt::SetLocal(
+                        1,
+                        Expr::bin(op, Expr::Local(1), Expr::bin(op, k(0), k(1))),
+                    )],
+                },
+            ],
+        };
+        let lowered = Lowered::lower(&c, &[dt, dt], false, &cost).expect("one float dtype types");
+        assert_eq!(lowered.loops(), 1, "{op:?} {a:?} {b:?}: one loop instruction");
+        let mut regs = Regs::default();
+        let mut run = |params: &mut [ParamData]| {
+            lowered.run_vertex(&VertexKind::Simple, params, &mut regs, &cost, 6)
+        };
+        let run = match (a, b) {
+            (Value::F32(a), Value::F32(b)) => {
+                run(&mut [ParamData::F32Ro(&[a]), ParamData::F32Ro(&[b])])
+            }
+            (Value::Dw(a), Value::Dw(b)) => {
+                run(&mut [ParamData::DwRo(&[a]), ParamData::DwRo(&[b])])
+            }
+            (Value::F64(a), Value::F64(b)) => {
+                run(&mut [ParamData::F64Ro(&[SoftDouble(a)]), ParamData::F64Ro(&[SoftDouble(b)])])
+            }
+            other => unreachable!("{other:?} is not one float dtype"),
+        };
+        (lowered.local(&regs, 1).expect("the accumulator is typed"), run.cycles, run.flops)
+    }
+
     /// One semantics, three routes: for every operator and every ordered
     /// pair of operands (hence of dtypes), the dynamic `Interp` and the
     /// lowered form yield the bits `apply_bin` yields and charge what the
@@ -2178,12 +2549,17 @@ mod tests {
     /// all routes end in the one compiled copy of `bin_f32` / `bin_dw` /
     /// `bin_f64` (run this under `--release` too, where inlining would
     /// otherwise let each call site pick its own payload).
+    ///
+    /// An arithmetic operator over two operands of one float dtype also
+    /// goes through the accumulate loop instruction, as `a op (a op b)`:
+    /// both of its operator slots.
     #[test]
     fn interp_binary_matches_apply_bin_and_the_cost_formulas() {
         let cost = cm();
         let operands = adversarial_operands();
         let mut checked = 0;
         let mut div_by_zero = 0;
+        let mut looped = 0;
         for op in ALL_BINOPS {
             for &a in &operands {
                 for &b in &operands {
@@ -2224,12 +2600,31 @@ mod tests {
                         assert_eq!((cycles, flops), (want_cycles, want_flops), "{who}");
                     }
                     checked += 1;
+                    if da == db && dt.is_float() && op.cost_op() != Op::Cmp {
+                        let who = format!("loop instruction: {op:?} {a:?} {b:?}");
+                        let (got, cycles, flops) = looped_binary(op, a, b);
+                        assert_eq!(bits(got), bits(apply_bin(op, a, want).0), "{who}");
+                        let loads = 3 * cost.op_cycles(Op::Load, dt);
+                        let trip = cost.op_cycles(Op::LoopStep, DType::I32);
+                        assert_eq!(cycles, loads + trip + 2 * want_cycles, "{who}");
+                        assert_eq!(flops, 2 * want_flops, "{who}");
+                        looped += 1;
+                    }
                 }
             }
         }
-        // Every dtype pair was present, and the zero divisors were met.
+        // Every dtype pair was present, and the zero divisors were met; every
+        // arithmetic operator went through the loop instruction over every
+        // pair of one float dtype.
         assert_eq!(checked + div_by_zero, ALL_BINOPS.len() * operands.len() * operands.len());
         assert!(div_by_zero > 0);
+        let float = |v: &&Value| v.dtype().is_float();
+        let same = operands
+            .iter()
+            .filter(float)
+            .map(|a| operands.iter().filter(|b| b.dtype() == a.dtype()).count());
+        let arithmetic = ALL_BINOPS.iter().filter(|op| op.cost_op() != Op::Cmp).count();
+        assert_eq!(looped, arithmetic * same.sum::<usize>());
     }
 
     #[test]

@@ -284,11 +284,13 @@ impl Engine {
         let mut stat = PassStat::new("native-kernel-selection", report.plan_steps);
         stat.count("codelets_total", kernels.total() as u64);
         stat.count("codelets_fused", kernels.fused_count() as u64);
-        // Two totals, not a row per codelet: a vertex that is not lowered
-        // runs on the dynamic interpreter, correct but slower.
-        let (vertices, vertices_lowered) = lowered.coverage();
+        // Totals, not a row per codelet: a vertex that is not lowered runs
+        // on the dynamic interpreter, correct but slower; one whose inner
+        // loops are not recognised runs them a trip at a time.
+        let (vertices, vertices_lowered, vertices_looped) = lowered.coverage();
         stat.count("vertices_total", vertices);
         stat.count("vertices_lowered", vertices_lowered);
+        stat.count("vertices_looped", vertices_looped);
         // A fallback is a codelet no kernel matched; with fusion off none
         // was tried, and the totals above say all there is to say.
         if options.fusion {
@@ -475,6 +477,9 @@ impl Engine {
             perf: &mut self.perf,
             kernels: &self.kernels,
             lowered: &self.lowered,
+            bases: TensorBases::default(),
+            per_tile: Vec::new(),
+            params: Vec::new(),
             regs: Regs::default(),
         };
         ctx.exec_step(&self.plan, self.plan.root);
@@ -502,8 +507,14 @@ struct ExecCtx<'a> {
     perf: &'a mut Option<PerfRecorder>,
     kernels: &'a KernelTable,
     lowered: &'a LoweredTable,
-    /// The lowered form's registers on one thread, kept for the whole run:
-    /// replay allocates per run, not per compute set or vertex.
+    // Buffers kept for the whole run, so that replay allocates per run, not
+    // per compute set or vertex: the storage's base pointers (refilled per
+    // compute set), the per-tile cycle list, and, on one thread, the
+    // operand slices (empty between vertices) and the lowered form's
+    // registers.
+    bases: TensorBases,
+    per_tile: Vec<(TileId, u64)>,
+    params: Vec<ParamData<'a>>,
     regs: Regs,
 }
 
@@ -624,14 +635,14 @@ impl ExecCtx<'_> {
     }
 
     /// Record a compute superstep into the stats and trace.
-    fn record_compute(&mut self, step: StepId, name: &str, per_tile: Vec<(TileId, u64)>) {
+    fn record_compute(&mut self, step: StepId, name: &str, per_tile: &[(TileId, u64)]) {
         if let Some(t) = self.trace.as_mut() {
-            t.compute(name, &per_tile);
+            t.compute(name, per_tile);
         }
         if let Some(p) = self.perf.as_mut() {
-            p.record_compute(step, &per_tile);
+            p.record_compute(step, per_tile);
         }
-        self.stats.record_compute(per_tile);
+        self.stats.record_compute(per_tile.iter().copied());
     }
 
     /// Replay one precomputed `Execute` step: the compiler-inserted
@@ -653,23 +664,23 @@ impl ExecCtx<'_> {
         }
 
         let (graph, kernels, lowered) = (self.graph, self.kernels, self.lowered);
-        let bases = &TensorBases::new(self.storage);
+        self.bases.refill(self.storage);
+        let bases = &self.bases;
         // Per-tile cycles plus the superstep's total work counters
         // (flops/bytes are tile-order independent sums, so either schedule
         // produces the same integers).
-        let (per_tile, flops, mem_bytes): (Vec<(TileId, u64)>, u64, u64) = match self.workers {
+        let mut per_tile = std::mem::take(&mut self.per_tile);
+        per_tile.clear();
+        let (flops, mem_bytes) = match self.workers {
             None => {
                 // Program order, not tile order: hazardous programs are
                 // accepted on one thread and are order-dependent.
-                let mut per_tile: Vec<(TileId, u64)> =
-                    es.tile_groups.iter().map(|(t, _)| (*t, 0)).collect();
+                per_tile.extend(es.tile_groups.iter().map(|(t, _)| (*t, 0)));
                 let (mut flops, mut mem) = (0u64, 0u64);
-                // Empty between vertices; only the allocation is kept.
-                let mut params = Vec::new();
                 for (i, v) in cs.vertices.iter().enumerate() {
                     let form = lowered.get(es.cs, i);
-                    let run =
-                        run_vertex(graph, bases, v, form, kernels, &mut params, &mut self.regs);
+                    let (params, regs) = (&mut self.params, &mut self.regs);
+                    let run = run_vertex(graph, bases, v, form, kernels, params, regs);
                     let slot = per_tile
                         .binary_search_by_key(&v.tile, |&(t, _)| t)
                         .expect("the plan's tile groups cover every vertex's tile");
@@ -677,7 +688,7 @@ impl ExecCtx<'_> {
                     flops += run.flops;
                     mem += run.mem_bytes;
                 }
-                (per_tile, flops, mem)
+                (flops, mem)
             }
             Some(threads) => {
                 // The plan's tile groups preserve each tile's vertex order
@@ -703,26 +714,22 @@ impl ExecCtx<'_> {
                     (tile, cycles, flops, mem)
                 });
                 let (mut flops, mut mem) = (0u64, 0u64);
-                let per_tile = runs
-                    .into_iter()
-                    .map(|(t, c, f, m)| {
-                        flops += f;
-                        mem += m;
-                        (t, c)
-                    })
-                    .collect();
-                (per_tile, flops, mem)
+                per_tile.extend(runs.into_iter().map(|(t, c, f, m)| {
+                    flops += f;
+                    mem += m;
+                    (t, c)
+                }));
+                (flops, mem)
             }
         };
-        let per_tile = if self.faults.is_some() {
-            self.apply_stall_faults(&es.name, per_tile)
-        } else {
-            per_tile
-        };
+        if self.faults.is_some() {
+            per_tile = self.apply_stall_faults(&es.name, per_tile);
+        }
         if let Some(p) = self.perf.as_mut() {
             p.record_flops(step, flops, mem_bytes);
         }
-        self.record_compute(step, &es.name, per_tile);
+        self.record_compute(step, &es.name, &per_tile);
+        self.per_tile = per_tile;
         if let Some(f) = self.faults.as_mut() {
             f.superstep += 1;
         }
@@ -746,15 +753,15 @@ impl ExecCtx<'_> {
     /// cycles per tile, then the data movement (self-copies cost the same
     /// but move nothing).
     fn copy_planned(&mut self, step: StepId, cp: &CopyStep) {
-        let per_tile = if self.faults.is_some() {
-            self.apply_stall_faults(&cp.name, cp.per_tile.clone())
-        } else {
-            cp.per_tile.clone()
-        };
         if let Some(p) = self.perf.as_mut() {
             p.record_flops(step, 0, crate::perf::copy_mem_bytes(self.graph, cp.src, cp.dst));
         }
-        self.record_compute(step, &cp.name, per_tile);
+        if self.faults.is_some() {
+            let per_tile = self.apply_stall_faults(&cp.name, cp.per_tile.clone());
+            self.record_compute(step, &cp.name, &per_tile);
+        } else {
+            self.record_compute(step, &cp.name, &cp.per_tile);
+        }
         if cp.src != cp.dst {
             let (a, b) = index_two(self.storage, cp.src, cp.dst);
             copy_all(a, b);
@@ -1019,9 +1026,10 @@ pub fn parallel_hazards(graph: &Graph) -> Result<(), String> {
 
 /// Raw per-tensor base pointers into the engine's storage.
 ///
-/// Built once per compute set on the engine thread from the unique
+/// Refilled once per compute set on the engine thread from the unique
 /// `&mut [Storage]`, then shared read-only across the host workers of the
 /// tile-parallel schedule (or used in place by the single-threaded one).
+#[derive(Default)]
 struct TensorBases {
     bases: Vec<RawBase>,
 }
@@ -1036,7 +1044,10 @@ enum RawBase {
 }
 
 // SAFETY: the pointers are only dereferenced through `params_from_bases`,
-// which materialises `&mut` slices solely for *mutable* operands. Graph
+// which materialises `&mut` slices solely for *mutable* operands, and only
+// for as long as one vertex runs: `run_vertex` empties its operand buffer
+// before it returns, so no slice is alive when anything else touches the
+// storage (an exchange, a callback, the next `refill`). Graph
 // compilation guarantees mutable operands are resident on the vertex's
 // tile, tensor tile chunks are disjoint, and operands within a vertex
 // never alias; `parallel_hazards` additionally rejects any cross-tile
@@ -1047,18 +1058,15 @@ unsafe impl Send for TensorBases {}
 unsafe impl Sync for TensorBases {}
 
 impl TensorBases {
-    fn new(storage: &mut [Storage]) -> TensorBases {
-        let bases = storage
-            .iter_mut()
-            .map(|s| match s {
-                Storage::F32(v) => RawBase::F32(v.as_mut_ptr()),
-                Storage::I32(v) => RawBase::I32(v.as_mut_ptr()),
-                Storage::Bool(v) => RawBase::Bool(v.as_mut_ptr()),
-                Storage::Dw(v) => RawBase::Dw(v.as_mut_ptr()),
-                Storage::F64(v) => RawBase::F64(v.as_mut_ptr()),
-            })
-            .collect();
-        TensorBases { bases }
+    fn refill(&mut self, storage: &mut [Storage]) {
+        self.bases.clear();
+        self.bases.extend(storage.iter_mut().map(|s| match s {
+            Storage::F32(v) => RawBase::F32(v.as_mut_ptr()),
+            Storage::I32(v) => RawBase::I32(v.as_mut_ptr()),
+            Storage::Bool(v) => RawBase::Bool(v.as_mut_ptr()),
+            Storage::Dw(v) => RawBase::Dw(v.as_mut_ptr()),
+            Storage::F64(v) => RawBase::F64(v.as_mut_ptr()),
+        }));
     }
 }
 
@@ -1116,22 +1124,30 @@ impl LoweredTable {
         self.forms[self.of_vertex[cs][vertex] as usize].as_ref()
     }
 
-    /// `(vertices, vertices with a lowered form)`.
-    fn coverage(&self) -> (u64, u64) {
-        let all = self.of_vertex.iter().flatten();
-        let lowered = all.clone().filter(|&&f| self.forms[f as usize].is_some()).count();
-        (all.count() as u64, lowered as u64)
+    /// `(vertices, vertices with a lowered form, vertices whose lowered
+    /// form runs at least one loop as one accumulate instruction)`.
+    fn coverage(&self) -> (u64, u64, u64) {
+        let (mut all, mut lowered, mut looped) = (0, 0, 0);
+        for &f in self.of_vertex.iter().flatten() {
+            let form = self.forms[f as usize].as_ref();
+            all += 1;
+            lowered += form.is_some() as u64;
+            looped += form.is_some_and(|l| l.loops() > 0) as u64;
+        }
+        (all, lowered, looped)
     }
 }
 
 /// Hand out one slice per operand: `&mut` for mutable parameters, shared
 /// for immutable ones (so concurrent readers of a broadcast operand never
-/// manufacture aliasing `&mut` references).
-fn params_from_bases<'a>(
-    bases: &'a TensorBases,
+/// manufacture aliasing `&mut` references). The slices claim the engine's
+/// lifetime `'a`; they are alive only while one vertex runs (see
+/// `TensorBases`).
+fn params_from_bases<'a, 'b>(
+    bases: &'b TensorBases,
     codelet: &'a Codelet,
     operands: &'a [TensorSlice],
-) -> impl Iterator<Item = ParamData<'a>> {
+) -> impl Iterator<Item = ParamData<'a>> + use<'a, 'b> {
     operands.iter().zip(&codelet.params).map(|(op, decl)| {
         // SAFETY: slices validated in-bounds at compile time; see the
         // disjointness argument on `TensorBases`.
@@ -1191,11 +1207,11 @@ fn params_from_bases<'a>(
 /// depends only on the graph, the storage it reads and its own operands.
 ///
 /// `params` (empty between vertices) and `regs` are buffers reused from
-/// vertex to vertex — on one thread for a compute set and a whole run, on
-/// several per tile group — so replay does not allocate per vertex.
+/// vertex to vertex — on one thread for a whole run, on several per tile
+/// group — so replay does not allocate per vertex.
 fn run_vertex<'a>(
     graph: &'a Graph,
-    bases: &'a TensorBases,
+    bases: &TensorBases,
     v: &'a Vertex,
     lowered: Option<&Lowered>,
     kernels: &KernelTable,
@@ -1855,7 +1871,7 @@ mod tests {
         let c = fill_codelet(&mut g);
         let mut cs = ComputeSet::new("fanin");
         for i in 0..n {
-            let y = g.add_tensor(TensorDef::on_tile(&format!("y{i}"), DType::F32, 4, 1)).unwrap();
+            let y = g.add_tensor(TensorDef::on_tile(format!("y{i}"), DType::F32, 4, 1)).unwrap();
             cs.add(Vertex {
                 tile: 1,
                 codelet: c,
@@ -1891,7 +1907,7 @@ mod tests {
         let mut cs = ComputeSet::new("fanout");
         for tile in 1..3 {
             let y =
-                g.add_tensor(TensorDef::on_tile(&format!("y{tile}"), DType::F32, 4, tile)).unwrap();
+                g.add_tensor(TensorDef::on_tile(format!("y{tile}"), DType::F32, 4, tile)).unwrap();
             cs.add(Vertex {
                 tile,
                 codelet: c,
@@ -1938,7 +1954,10 @@ mod tests {
 
     // ---- dispatch x schedule -----------------------------------------
 
-    fn fingerprint(e: &Engine) -> (u64, u64, u64, u64, Vec<(String, [u64; 3])>) {
+    /// Device cycles, exchange bytes, supersteps, syncs, per-label phases.
+    type Fingerprint = (u64, u64, u64, u64, Vec<(String, [u64; 3])>);
+
+    fn fingerprint(e: &Engine) -> Fingerprint {
         (
             e.stats().device_cycles(),
             e.stats().exchange_bytes(),
@@ -1983,13 +2002,15 @@ mod tests {
         assert_eq!(sel(true).counter("codelets_fused"), 1);
         assert_eq!(sel(false).counter("codelets_fused"), 0);
         assert_eq!(sel(false).counter("codelets_total"), 1);
-        // Lowering does not depend on fusion: both vertices, either way.
+        // Lowering does not depend on fusion: both vertices, either way; a
+        // map has no accumulate loop.
         for fusion in [false, true] {
             assert_eq!(sel(fusion).counter("vertices_total"), 2);
             assert_eq!(sel(fusion).counter("vertices_lowered"), 2);
+            assert_eq!(sel(fusion).counter("vertices_looped"), 0);
         }
         // No per-codelet rows: nothing was matched, so nothing fell back.
-        assert_eq!(sel(false).counters.len(), 4, "{:?}", sel(false).counters);
+        assert_eq!(sel(false).counters.len(), 5, "{:?}", sel(false).counters);
     }
 
     #[test]

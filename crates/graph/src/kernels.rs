@@ -605,7 +605,7 @@ impl SpmvKernel {
                 ParamData::DwRo(x) => {
                     let mut acc = TwoFloat::from_f(diag[r]) * x[r];
                     for k in lo..hi {
-                        acc = acc + TwoFloat::from_f(vals[k]) * x[cols[k] as usize];
+                        acc += TwoFloat::from_f(vals[k]) * x[cols[k] as usize];
                     }
                     Value::Dw(acc)
                 }
@@ -785,7 +785,7 @@ impl ReduceKernel {
                         Tree::D(d) => eval_d(d, params, i),
                         Tree::Q(_) => return None,
                     };
-                    acc = acc + term;
+                    acc += term;
                 }
                 Value::Dw(acc)
             }
@@ -973,8 +973,9 @@ pub fn forward_subst_template(divide: bool) -> (Vec<ParamDecl>, usize, Vec<Stmt>
     (params, 6, body)
 }
 
-/// Rebuild `backward_subst_codelet` (crates/core/src/solvers/ilu.rs).
-fn backward_subst_template(divide: bool) -> (Vec<ParamDecl>, usize, Vec<Stmt>) {
+/// Rebuild `backward_subst_codelet` (crates/core/src/solvers/ilu.rs): a
+/// level-set codelet, the row index in local 0.
+pub fn backward_subst_template(divide: bool) -> (Vec<ParamDecl>, usize, Vec<Stmt>) {
     use BinOp::*;
     let ro = |dtype| ParamDecl { dtype, mutable: false };
     let params = vec![
@@ -1540,9 +1541,12 @@ mod tests {
     // Triangular sweeps
     // ------------------------------------------------------------------
 
+    /// `(rptr, cols, vals, diag, levels)` of a triangular sweep.
+    type Sweep = (Vec<i32>, Vec<i32>, Vec<f32>, Vec<f32>, Vec<Vec<usize>>);
+
     /// Strictly-lower CSR structure for n=5 plus a not-taken entry (j >= i)
     /// to exercise the branch, and an empty row.
-    fn lower() -> (Vec<i32>, Vec<i32>, Vec<f32>, Vec<f32>, Vec<Vec<usize>>) {
+    fn lower() -> Sweep {
         let rptr = vec![0, 1, 2, 2, 5, 7];
         let cols = vec![0, 0, 0, 1, 3, 2, 4]; // row 0: j=0 (not taken: j==i)
         let vals: Vec<f32> = (0..7).map(|i| 0.4 + 0.11 * i as f32).collect();

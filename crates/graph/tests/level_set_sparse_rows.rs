@@ -2,11 +2,11 @@
 //! the codelet in local 0 and schedules the measured row costs, and nothing
 //! on that path may size a table by the *value* of a row id.
 //!
-//! Nor may a vertex allocate at all: the operand slices live in a buffer
-//! that serves the whole compute set, the registers and the level-set
-//! schedule's buffers in one that serves the whole run, so what one
-//! `Engine::run` requests depends on its compute sets, not on how many
-//! vertices they hold.
+//! Nor may a vertex or a compute set allocate at all: the operand slices,
+//! the per-tile cycle list, the tensor base table, the registers and the
+//! level-set schedule's buffers each live in a buffer that serves the whole
+//! run, so what one `Engine::run` requests depends neither on how many
+//! vertices a compute set holds nor on how often it executes.
 //!
 //! This is its own test binary because it installs a counting global
 //! allocator; the counters are per thread, so nothing else is counted on a
@@ -125,8 +125,9 @@ fn sparse_row_ids_cost_what_dense_ones_do_and_size_no_table() {
 /// Allocator requests of one warm `Engine::run` of a single compute set of
 /// `vertices` vertices, spread over four tiles, each scaling its own two
 /// elements of `x` by a scalar operand: `Simple` vertices in a `ParFor`, or
-/// `LevelSet` vertices a row at a time over two levels.
-fn requests_of_one_run(vertices: usize, level_set: bool) -> usize {
+/// `LevelSet` vertices a row at a time over two levels; the compute set
+/// executed `repeats` times.
+fn requests_of_one_run(vertices: usize, level_set: bool, repeats: u32) -> usize {
     let mut g = Graph::new(IpuModel::tiny(4));
     let x = g.add_tensor(TensorDef::linear("x", DType::F32, 2 * 64, 4)).unwrap();
     let a = g.add_tensor(TensorDef::linear("a", DType::F32, 4, 4)).unwrap();
@@ -178,7 +179,11 @@ fn requests_of_one_run(vertices: usize, level_set: bool) -> usize {
         });
     }
     let cs = g.add_compute_set(cs).unwrap();
-    let mut e = Engine::new(g.compile(Prog::Execute(cs)).unwrap());
+    let prog = match repeats {
+        1 => Prog::Execute(cs),
+        n => Prog::Repeat(n, Box::new(Prog::Execute(cs))),
+    };
+    let mut e = Engine::new(g.compile(prog).unwrap());
     e.write_tensor(x, &[1.0; 128]);
     e.write_tensor(a, &[2.0; 4]);
 
@@ -188,19 +193,30 @@ fn requests_of_one_run(vertices: usize, level_set: bool) -> usize {
     let requests = REQUESTS.with(Cell::get) - before;
 
     let mut want = vec![1.0; 128];
-    want[..2 * vertices].fill(4.0);
-    assert_eq!(e.read_tensor(x), want, "{vertices} vertices, two runs");
+    want[..2 * vertices].fill(2f64.powi(2 * repeats as i32));
+    assert_eq!(e.read_tensor(x), want, "{vertices} vertices, two runs of {repeats}");
     requests
 }
 
 #[test]
 fn a_compute_set_of_64_vertices_requests_no_more_allocations_than_one_of_1() {
-    let (one, many) = (requests_of_one_run(1, false), requests_of_one_run(64, false));
+    let (one, many) = (requests_of_one_run(1, false, 1), requests_of_one_run(64, false, 1));
     assert!(many <= one, "1 vertex: {one} requests per run; 64 vertices: {many}");
 }
 
 #[test]
 fn a_compute_set_of_64_level_set_vertices_requests_no_more_allocations_than_one_of_1() {
-    let (one, many) = (requests_of_one_run(1, true), requests_of_one_run(64, true));
+    let (one, many) = (requests_of_one_run(1, true, 1), requests_of_one_run(64, true, 1));
     assert!(many <= one, "1 vertex: {one} requests per run; 64 vertices: {many}");
+}
+
+/// The operand buffer, the per-tile cycle list and the tensor base table
+/// serve a whole run, not one compute set.
+#[test]
+fn a_compute_set_executed_8_times_requests_no_more_allocations_than_executed_once() {
+    for level_set in [false, true] {
+        let (once, eight) =
+            (requests_of_one_run(16, level_set, 1), requests_of_one_run(16, level_set, 8));
+        assert!(eight <= once, "level set: {level_set}; once: {once} requests; 8×: {eight}");
+    }
 }

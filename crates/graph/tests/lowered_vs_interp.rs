@@ -17,7 +17,7 @@ use graph::codelet::{
     BinOp, Charge, Codelet, Expr, Interp, Lowered, ParamData, ParamDecl, Regs, Stmt, UnOp, Value,
 };
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
-use graph::kernels::spmv_template;
+use graph::kernels::{backward_subst_template, forward_subst_template, spmv_template};
 use graph::program::Prog;
 use graph::tensor::TensorDef;
 use graph::{Engine, Graph};
@@ -312,8 +312,9 @@ impl Gen<'_> {
             Some(l) => vec![Stmt::SetLocal(l, g.expr(2))],
             None => vec![],
         };
-        let kinds = if depth == 0 { 3 } else { 7 };
+        let kinds = if depth == 0 { 3 } else { 9 };
         match self.below(kinds) {
+            7 | 8 => self.accumulate().unwrap_or_else(|| set_local(self)),
             0 | 1 => set_local(self),
             2 => {
                 let targets: Vec<usize> =
@@ -365,6 +366,78 @@ impl Gen<'_> {
                 ]
             }
         }
+    }
+
+    /// `acc = p[c]` and a counted loop over `k` of `acc = acc ⊕ (x ⊗ y)`,
+    /// half the time guarded as `j = cols[k]; if test { … }` — the shape
+    /// that runs as one instruction, operands mostly of the accumulator's
+    /// storage dtype, sometimes a near miss: another dtype (a cast), or
+    /// `(x ⊗ y) ⊕ acc`.
+    fn accumulate(&mut self) -> Option<Vec<Stmt>> {
+        use BinOp::*;
+        let floats: Vec<usize> =
+            (0..self.storage.len()).filter(|&p| self.storage[p].is_float()).collect();
+        let cols: Vec<usize> = (0..self.storage.len())
+            .filter(|&p| self.storage[p] == DType::I32 && !self.mutable[p])
+            .collect();
+        let mut free: Vec<usize> =
+            (0..self.num_locals).filter(|l| !self.reserved.contains(l)).collect();
+        if floats.is_empty() || self.n == 0 || free.len() < 3 {
+            return None;
+        }
+        let mut take = |g: &mut Self| free.swap_remove(g.below(free.len()));
+        let (acc, k, j) = (take(self), take(self), take(self));
+        let p = self.pick(&floats);
+        let init =
+            Stmt::SetLocal(acc, Expr::index(p, Expr::c(Value::I32(self.below(self.n) as i32))));
+        let same: Vec<usize> =
+            floats.iter().copied().filter(|&q| self.storage[q] == self.storage[p]).collect();
+        let guarded = !cols.is_empty() && self.below(2) == 0;
+        let operand = |g: &mut Self| {
+            let q = if g.below(6) == 0 { g.pick(&floats) } else { g.pick(&same) };
+            let at = if guarded && g.below(2) == 0 { j } else { k };
+            match g.below(4) {
+                0 => Expr::Local(acc),
+                1 if !cols.is_empty() => {
+                    Expr::index(q, Expr::index(g.pick(&cols), Expr::Local(at)))
+                }
+                _ => Expr::index(q, Expr::Local(at)),
+            }
+        };
+        let ops = [Add, Sub, Mul, Div, Min, Max];
+        let product = Expr::bin(self.pick(&ops), operand(self), operand(self));
+        let add = self.pick(&ops);
+        let update = if self.below(8) == 0 {
+            Expr::bin(add, product, Expr::Local(acc))
+        } else {
+            Expr::bin(add, Expr::Local(acc), product)
+        };
+        let mut body = vec![Stmt::SetLocal(acc, update)];
+        if guarded {
+            let mut i32s = vec![j, k];
+            i32s.extend(&self.index_locals);
+            let cmp = |g: &mut Self| {
+                let op = g.pick(&[Eq, Ne, Lt, Le, Gt, Ge]);
+                Expr::bin(op, Expr::Local(g.pick(&i32s)), Expr::Local(g.pick(&i32s)))
+            };
+            let cond = match self.below(3) {
+                0 => cmp(self),
+                _ => Expr::bin(self.pick(&[And, Or]), cmp(self), cmp(self)),
+            };
+            body = vec![
+                Stmt::SetLocal(j, Expr::index(self.pick(&cols), Expr::Local(k))),
+                Stmt::If { cond, then: body, otherwise: vec![] },
+            ];
+        }
+        let start = Expr::c(Value::I32(self.below(2) as i32));
+        let end = Expr::ParamLen(self.below(self.storage.len()));
+        let lp = if self.below(2) == 0 {
+            Stmt::ParFor { local: k, start, end, body }
+        } else {
+            let step = Expr::c(Value::I32(self.below(3) as i32));
+            Stmt::For { local: k, start, end, step, body }
+        };
+        Some(vec![init, lp])
     }
 
     fn buf(&mut self, dtype: DType, mutable: bool) -> Buf {
@@ -431,7 +504,7 @@ fn random_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
 #[test]
 fn random_codelets_run_identically_lowered_and_dynamic() {
     let cases = 1500;
-    let (mut lowered, mut completed, mut level_sets, mut wide) = (0, 0, 0, 0);
+    let (mut lowered, mut completed, mut level_sets, mut wide, mut looped) = (0, 0, 0, 0, 0);
     for seed in 0..cases {
         let mut rng = TestRng::seed_from_u64(0x10e7_0000 + seed);
         let (codelet, kind, bufs) = random_case(&mut rng);
@@ -441,12 +514,15 @@ fn random_codelets_run_identically_lowered_and_dynamic() {
             level_sets += matches!(kind, VertexKind::LevelSet { .. }) as u32;
             wide += bufs.iter().any(|b| matches!(b.dtype(), DType::DoubleWord | DType::F64Emulated))
                 as u32;
+            looped += (lower(&codelet, &kind, &bufs).unwrap().loops() > 0) as u32;
         }
     }
-    // Not vacuous: most random bodies type and run to the end, level sets
-    // and wide storage under F32-declared parameters among them.
+    // Not vacuous: most random bodies type and run to the end, level sets,
+    // wide storage under F32-declared parameters and accumulate loops run
+    // as one instruction among them.
     assert!(completed * 2 > cases, "{completed} of {cases} ran lowered ({lowered} lowered)");
     assert!(level_sets > 200 && wide > 500, "{level_sets} level sets, {wide} wide");
+    assert!(looped > 300, "{looped} took the accumulate loop instruction");
 }
 
 // ---- directed cases --------------------------------------------------------
@@ -1009,4 +1085,422 @@ fn a_local_without_a_static_exit_dtype_reads_back_none() {
     assert_eq!(lowered.local(&regs, 2), None, "out of range");
     let interp = interp_outcome(&c, &VertexKind::Simple, &bufs).unwrap();
     assert_eq!(interp.locals[1], Some((DType::F32, 1.0f32.to_bits() as u64)));
+}
+
+// ---- the accumulate loop instruction ---------------------------------------
+
+const FLOATS: [DType; 3] = [DType::F32, DType::DoubleWord, DType::F64Emulated];
+
+/// `xs` in float storage `dtype`.
+fn floats(dtype: DType, xs: &[f64]) -> Buf {
+    match dtype {
+        DType::F32 => Buf::F32(xs.iter().map(|&v| v as f32).collect()),
+        DType::DoubleWord => Buf::Dw(xs.iter().map(|&v| TwoFloat::from_f64(v)).collect()),
+        DType::F64Emulated => Buf::F64(xs.iter().map(|&v| SoftDouble(v)).collect()),
+        other => unreachable!("{other:?} is not a float dtype"),
+    }
+}
+
+/// `k + 1 / (3 + i)` for `i` in `0..4`: thirds, fifths and sixths are not
+/// f32 values.
+fn vector(dtype: DType, k: f64) -> Buf {
+    floats(dtype, &(0..4).map(|i| k + 1.0 / (3.0 + i as f64)).collect::<Vec<_>>())
+}
+
+/// Four rows of a sparse matrix in the solvers' layout: values, column
+/// indices, row pointers. With `col5`, row 2 names column 5, past every
+/// vector: only a guard that excludes it keeps its load in range.
+fn rows(dtype: DType, col5: bool) -> [Buf; 3] {
+    let last = if col5 { 5 } else { 3 };
+    [
+        floats(dtype, &[0.5, -0.25, 0.125, 0.75, -1.5, 2.0, 0.375, -0.625, 1.25, -0.0625]),
+        Buf::I32(vec![0, 1, 2, 0, 3, 1, 2, last, 0, 3]),
+        Buf::I32(vec![0, 3, 5, 8, 10]),
+    ]
+}
+
+/// [`must_lower`], with `loops` counted loops run as one accumulate
+/// instruction.
+fn must_loop(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str, loops: usize) {
+    must_lower(c, kind, bufs, who);
+    assert_eq!(lower(c, kind, bufs).unwrap().loops(), loops, "{who}: accumulate loops");
+}
+
+fn template((params, num_locals, body): (Vec<ParamDecl>, usize, Vec<Stmt>)) -> Codelet {
+    codelet(params, num_locals, body)
+}
+
+/// The Gauss-Seidel row `gs_codelet` builds (level-set; local 0 the row):
+/// `acc = b[i]; for k in rptr[i]..rptr[i+1] { acc = acc - vals[k] *
+/// x[cols[k]] }; x[i] = acc / diag[i]`. Params: x (mut) · b · diag · vals ·
+/// cols · rptr.
+fn gauss_seidel_row() -> Codelet {
+    use BinOp::*;
+    let (row, acc, k) = (|| Expr::Local(0), || Expr::Local(1), || Expr::Local(4));
+    codelet(
+        vec![
+            rw(DType::F32),
+            ro(DType::F32),
+            ro(DType::F32),
+            ro(DType::F32),
+            ro(DType::I32),
+            ro(DType::I32),
+        ],
+        5,
+        vec![
+            Stmt::SetLocal(1, Expr::index(1, row())),
+            Stmt::SetLocal(2, Expr::index(5, row())),
+            Stmt::SetLocal(3, Expr::index(5, Expr::bin(Add, row(), i(1)))),
+            Stmt::For {
+                local: 4,
+                start: Expr::Local(2),
+                end: Expr::Local(3),
+                step: i(1),
+                body: vec![Stmt::SetLocal(
+                    1,
+                    Expr::bin(
+                        Sub,
+                        acc(),
+                        Expr::bin(Mul, Expr::index(3, k()), Expr::index(0, Expr::index(4, k()))),
+                    ),
+                )],
+            },
+            Stmt::Store {
+                param: 0,
+                index: row(),
+                value: Expr::bin(Div, acc(), Expr::index(2, row())),
+            },
+        ],
+    )
+}
+
+/// The solvers' inner loops — SpMV and its residual (shape A, a gather),
+/// forward substitution (B, one comparison), backward substitution (B,
+/// `And`), the Gauss-Seidel row (A, `Sub`) — each run as one instruction
+/// under F32, double-word and emulated-f64 storage (backward substitution
+/// under F32 only), and leave what `Interp` leaves.
+#[test]
+fn the_solver_inner_loops_run_as_one_instruction_in_every_float_domain() {
+    let forward = VertexKind::LevelSet { levels: vec![vec![0], vec![1, 2], vec![3]] };
+    let backward = VertexKind::LevelSet { levels: vec![vec![3], vec![2, 1], vec![0]] };
+    for dtype in FLOATS {
+        let v = |k| vector(dtype, k);
+        for residual in [false, true] {
+            let [vals, cols, rptr] = rows(dtype, false);
+            let mut bufs = vec![v(0.0), v(1.0)];
+            if residual {
+                bufs.push(v(2.0));
+            }
+            bufs.extend([v(3.0), vals, cols, rptr]);
+            let who = format!("spmv (residual: {residual}) over {dtype:?}");
+            must_loop(&template(spmv_template(residual)), &VertexKind::Simple, &bufs, &who, 1);
+        }
+        for divide in [false, true] {
+            let [vals, cols, rptr] = rows(dtype, true);
+            let bufs = vec![v(0.0), v(1.0), vals.clone(), v(3.0), cols.clone(), rptr.clone()];
+            let who = format!("forward substitution (divide: {divide}) over {dtype:?}");
+            must_loop(&template(forward_subst_template(divide)), &forward, &bufs, &who, 1);
+            // Its accumulator starts as the F32 zero: over wider storage
+            // the loop head sees two dtypes, and the body is not typed.
+            let bufs = vec![v(1.0), vals, v(3.0), cols, rptr];
+            let backward_subst = template(backward_subst_template(divide));
+            if dtype != DType::F32 {
+                assert!(lower(&backward_subst, &backward, &bufs).is_none());
+                continue;
+            }
+            let who = format!("backward substitution (divide: {divide})");
+            must_loop(&backward_subst, &backward, &bufs, &who, 1);
+        }
+        let [vals, cols, rptr] = rows(dtype, false);
+        let bufs = vec![v(1.0), v(2.0), v(3.0), vals, cols, rptr];
+        let who = format!("Gauss-Seidel row over {dtype:?}");
+        must_loop(&gauss_seidel_row(), &forward, &bufs, &who, 1);
+    }
+}
+
+// Locals of the two directed loop shapes below.
+const K: usize = 0;
+const ACC: usize = 1;
+const J: usize = 2;
+const LO: usize = 3;
+const HI: usize = 4;
+
+/// `acc = out[0]; lo = 1; hi = 2; for k in start..end step step { body };
+/// out[0] = acc`. Params: out (mut) · a · b · cols.
+fn counted(start: i32, end: Expr, step: i32, body: Vec<Stmt>) -> Codelet {
+    codelet(
+        vec![rw(DType::F32), ro(DType::F32), ro(DType::F32), ro(DType::I32)],
+        5,
+        vec![
+            Stmt::SetLocal(ACC, Expr::index(0, i(0))),
+            Stmt::SetLocal(LO, i(1)),
+            Stmt::SetLocal(HI, i(2)),
+            Stmt::For { local: K, start: i(start), end, step: i(step), body },
+            Stmt::Store { param: 0, index: i(0), value: Expr::Local(ACC) },
+        ],
+    )
+}
+
+fn acc() -> Expr {
+    Expr::Local(ACC)
+}
+
+/// `a[k]`.
+fn a_k() -> Expr {
+    Expr::index(1, Expr::Local(K))
+}
+
+/// `b[k]`.
+fn b_k() -> Expr {
+    Expr::index(2, Expr::Local(K))
+}
+
+/// `b[cols[k]]`.
+fn b_gathered() -> Expr {
+    Expr::index(2, Expr::index(3, Expr::Local(K)))
+}
+
+fn set_acc(value: Expr) -> Stmt {
+    Stmt::SetLocal(ACC, value)
+}
+
+/// `j = cols[at]; if test { acc = acc + a[k] * b[j] } else { otherwise }`.
+fn guarded(at: usize, test: Expr, otherwise: Vec<Stmt>) -> Vec<Stmt> {
+    let b_j = Expr::index(2, Expr::Local(J));
+    vec![
+        Stmt::SetLocal(J, Expr::index(3, Expr::Local(at))),
+        Stmt::If {
+            cond: test,
+            then: vec![set_acc(Expr::bin(BinOp::Add, acc(), Expr::bin(BinOp::Mul, a_k(), b_j)))],
+            otherwise,
+        },
+    ]
+}
+
+/// `out`, `a`, `b` of one float storage dtype and `cols` in range of `b`.
+fn operands(dtype: DType, cols: Vec<i32>) -> Vec<Buf> {
+    let xs: Vec<f64> = (0..6).map(|k| 0.75 - k as f64 / 7.0).collect();
+    let ys: Vec<f64> = (0..6).map(|k| 1.0 / (2.0 + k as f64)).collect();
+    vec![floats(dtype, &[0.3]), floats(dtype, &xs), floats(dtype, &ys), Buf::I32(cols)]
+}
+
+fn cmp(op: BinOp, a: usize, b: usize) -> Expr {
+    Expr::bin(op, Expr::Local(a), Expr::Local(b))
+}
+
+/// The loop instruction's edges — the two guard joins, a guard never true,
+/// an empty loop, steps past one, the accumulator as an operand — and the
+/// near misses that stay on the flat program: each leaves what `Interp`
+/// leaves.
+#[test]
+fn accumulate_loops_and_their_near_misses_match_the_interpreter() {
+    use BinOp::*;
+    let len = || Expr::ParamLen(3);
+    let product = |x, y| Expr::bin(Mul, x, y);
+    let cases: Vec<(&str, Codelet, usize)> = vec![
+        (
+            "an And guard",
+            counted(
+                0,
+                len(),
+                1,
+                guarded(K, Expr::bin(And, cmp(Ge, J, LO), cmp(Le, J, HI)), vec![]),
+            ),
+            1,
+        ),
+        (
+            "an Or guard",
+            counted(0, len(), 1, guarded(K, Expr::bin(Or, cmp(Lt, J, LO), cmp(Gt, J, HI)), vec![])),
+            1,
+        ),
+        ("a guard false on every trip", counted(0, len(), 1, guarded(K, cmp(Ne, J, J), vec![])), 1),
+        (
+            "an empty loop",
+            counted(3, i(3), 1, vec![set_acc(Expr::bin(Add, acc(), product(a_k(), b_k())))]),
+            1,
+        ),
+        (
+            "a start past the end",
+            counted(5, i(1), 1, vec![set_acc(Expr::bin(Add, acc(), product(a_k(), b_k())))]),
+            1,
+        ),
+        (
+            "step 2",
+            counted(
+                0,
+                len(),
+                2,
+                vec![set_acc(Expr::bin(Sub, acc(), product(a_k(), b_gathered())))],
+            ),
+            1,
+        ),
+        (
+            "step 3, Max of a quotient",
+            counted(
+                1,
+                len(),
+                3,
+                vec![set_acc(Expr::bin(Max, acc(), Expr::bin(Div, a_k(), b_gathered())))],
+            ),
+            1,
+        ),
+        (
+            "a step of zero",
+            counted(0, len(), 0, vec![set_acc(Expr::bin(Add, acc(), product(a_k(), b_k())))]),
+            1,
+        ),
+        (
+            "acc also an operand",
+            counted(0, len(), 1, vec![set_acc(Expr::bin(Add, acc(), product(acc(), a_k())))]),
+            1,
+        ),
+        (
+            "acc both operands",
+            counted(0, len(), 1, vec![set_acc(Expr::bin(Sub, acc(), product(acc(), acc())))]),
+            1,
+        ),
+        // Near misses: one trip at a time.
+        (
+            "(x ⊗ y) ⊕ acc",
+            counted(0, len(), 1, vec![set_acc(Expr::bin(Add, product(a_k(), b_k()), acc()))]),
+            0,
+        ),
+        (
+            "a Cast operand",
+            counted(
+                0,
+                len(),
+                1,
+                vec![set_acc(Expr::bin(
+                    Add,
+                    acc(),
+                    product(Expr::Convert { to: DType::F32, arg: Box::new(a_k()) }, b_k()),
+                ))],
+            ),
+            0,
+        ),
+        (
+            "an else arm",
+            counted(0, len(), 1, guarded(K, cmp(Lt, J, HI), vec![Stmt::SetLocal(LO, i(0))])),
+            0,
+        ),
+        (
+            "a second body statement",
+            counted(
+                0,
+                len(),
+                1,
+                vec![
+                    set_acc(Expr::bin(Add, acc(), product(a_k(), b_k()))),
+                    Stmt::SetLocal(LO, Expr::Local(K)),
+                ],
+            ),
+            0,
+        ),
+        (
+            "a guard load not indexed by the loop local",
+            counted(0, len(), 1, guarded(LO, cmp(Lt, J, HI), vec![])),
+            0,
+        ),
+    ];
+    for (what, c, loops) in cases {
+        for dtype in FLOATS {
+            let bufs = operands(dtype, vec![3, 0, 2, 1, 5, 2]);
+            must_loop(&c, &VertexKind::Simple, &bufs, &format!("{what} over {dtype:?}"), loops);
+        }
+    }
+
+    // MPIR's residual shape: f32 values into a double-word accumulator.
+    let mixed = counted(
+        0,
+        Expr::ParamLen(3),
+        1,
+        vec![set_acc(Expr::bin(Add, acc(), product(a_k(), b_gathered())))],
+    );
+    let mut bufs = operands(DType::DoubleWord, vec![3, 0, 2, 1, 5, 2]);
+    bufs[1] = floats(DType::F32, &[0.5, -0.25, 0.125, 0.75, -1.5, 2.0]);
+    must_loop(&mixed, &VertexKind::Simple, &bufs, "f32 values, double-word accumulator", 0);
+
+    // Never true: every trip charged, nothing accumulated.
+    let never = counted(0, Expr::ParamLen(3), 1, guarded(K, cmp(Ne, J, J), vec![]));
+    let bufs = operands(DType::F32, vec![3, 0, 2, 1, 5, 2]);
+    let got = interp_outcome(&never, &VertexKind::Simple, &bufs).unwrap();
+    assert_eq!(got.storage[0], bufs[0].bits());
+    let cm = CostModel::default();
+    let trip = cm.op_cycles(Op::LoopStep, DType::I32)
+        + cm.op_cycles(Op::Load, DType::I32)
+        + cm.op_cycles(Op::Cmp, DType::I32)
+        + cm.op_cycles(Op::Branch, DType::Bool);
+    let fixed = cm.op_cycles(Op::Load, DType::F32) + cm.op_cycles(Op::Store, DType::F32);
+    assert_eq!(got.run.cycles, fixed + 6 * trip);
+}
+
+/// A dot product's per-tile stage: `acc = 0; ParFor i { acc = acc + x[i] *
+/// y[i] }; out[0] = acc`. The instruction charges between `ParBegin` and
+/// `ParEnd`, so the makespan covers the whole loop.
+#[test]
+fn a_parfor_reduction_runs_as_one_instruction_inside_its_makespan() {
+    use BinOp::*;
+    let n = 24;
+    let cm = CostModel::default();
+    for dtype in FLOATS {
+        let zero = match dtype {
+            DType::F32 => Value::F32(0.0),
+            DType::DoubleWord => Value::Dw(TwoFloat::from_f64(0.0)),
+            _ => Value::F64(0.0),
+        };
+        let x_i = |p| Expr::index(p, Expr::Local(0));
+        let c = codelet(
+            vec![rw(DType::F32), ro(DType::F32), ro(DType::F32)],
+            2,
+            vec![
+                Stmt::SetLocal(1, Expr::c(zero)),
+                Stmt::ParFor {
+                    local: 0,
+                    start: i(0),
+                    end: Expr::ParamLen(1),
+                    body: vec![Stmt::SetLocal(
+                        1,
+                        Expr::bin(Add, Expr::Local(1), Expr::bin(Mul, x_i(1), x_i(2))),
+                    )],
+                },
+                Stmt::Store { param: 0, index: i(0), value: Expr::Local(1) },
+            ],
+        );
+        let xs: Vec<f64> = (0..n).map(|k| 1.0 / (1.0 + k as f64)).collect();
+        let bufs = vec![floats(dtype, &[0.0]), floats(dtype, &xs), floats(dtype, &xs)];
+        let who = format!("dot over {dtype:?}");
+        must_loop(&c, &VertexKind::Simple, &bufs, &who, 1);
+
+        let trip = cm.op_cycles(Op::LoopStep, DType::I32)
+            + 2 * cm.op_cycles(Op::Load, dtype)
+            + cm.op_cycles(Op::Mul, dtype)
+            + cm.op_cycles(Op::Add, dtype);
+        let serial = n as u64 * trip;
+        let makespan = (cm.worker_spawn_cycles + serial.div_ceil(WORKERS)).min(serial);
+        let got = interp_outcome(&c, &VertexKind::Simple, &bufs).unwrap().run;
+        assert_eq!(got.cycles, makespan + cm.op_cycles(Op::Store, dtype), "{who}");
+        assert!(makespan < serial, "{who}: the workers share the loop");
+        let flops = cm.op_flops(Op::Mul, dtype) + cm.op_flops(Op::Add, dtype);
+        assert_eq!(got.flops, n as u64 * flops, "{who}");
+        assert_eq!(got.mem_bytes, (2 * n as u64 + 1) * dtype.size_bytes() as u64, "{who}");
+    }
+}
+
+/// A gather past the end of its operand panics on both routes, the loop
+/// instruction's like the flat program's.
+#[test]
+fn an_out_of_bounds_gather_panics_on_both_routes() {
+    let c = counted(
+        0,
+        Expr::ParamLen(3),
+        1,
+        vec![set_acc(Expr::bin(BinOp::Add, acc(), Expr::bin(BinOp::Mul, a_k(), b_gathered())))],
+    );
+    for dtype in FLOATS {
+        let bufs = operands(dtype, vec![3, 0, 6, 1, 5, 2]);
+        let who = format!("column 6 of 6 over {dtype:?}");
+        assert_eq!(check(&c, &VertexKind::Simple, &bufs, &who), Some(false), "{who}");
+        assert_eq!(lower(&c, &VertexKind::Simple, &bufs).unwrap().loops(), 1, "{who}");
+    }
 }

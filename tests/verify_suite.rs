@@ -119,6 +119,13 @@ fn engine_options_are_equivalent_across_suite() {
 /// on its codelet's lowered form. A DSL change that builds a codelet the
 /// lowering cannot type leaves those vertices on the dynamic interpreter —
 /// still correct, ≈1.4× slower — and fails here instead.
+///
+/// Of the four benchmark stacks, exactly so many vertices also run an inner
+/// loop as one multiply-accumulate instruction: on four tiles, four per
+/// compute set of SpMV (all but MPIR's double-word residual, which casts its
+/// f32 values), ILU(0) substitution, Gauss-Seidel row or dot / norm stage
+/// one. A DSL change that breaks the pattern runs those loops a trip at a
+/// time — correct, ≈1.4× slower — and fails here instead.
 #[test]
 fn every_solver_vertex_is_lowered() {
     use graphene::graphene_core::runner::{solve_or_panic, SolveOptions};
@@ -132,8 +139,8 @@ fn every_solver_vertex_is_lowered() {
         ..SolveOptions::default()
     };
     let suite = graphene::graphene_core::config::verification_suite();
-    let mut stacks: Vec<(&str, SolverConfig)> =
-        suite.into_iter().map(|case| (case.name, case.config)).collect();
+    let mut stacks: Vec<(&str, SolverConfig, Option<u64>)> =
+        suite.into_iter().map(|case| (case.name, case.config, None)).collect();
     stacks.extend([
         (
             "fig8",
@@ -147,18 +154,22 @@ fn every_solver_vertex_is_lowered() {
                 max_outer: 4,
                 rel_tol: 1e-9,
             },
+            Some(68),
         ),
-        ("heat", SolverConfig::Cg { max_iters: 100, rel_tol: 1e-6, precond: None }),
-        ("sgs", SolverConfig::GaussSeidel { sweeps: 1, symmetric: true, rel_tol: 0.0 }),
-        ("jacobi", SolverConfig::Jacobi { sweeps: 2, omega: 2.0 / 3.0 }),
+        ("heat", SolverConfig::Cg { max_iters: 100, rel_tol: 1e-6, precond: None }, Some(32)),
+        ("sgs", SolverConfig::GaussSeidel { sweeps: 1, symmetric: true, rel_tol: 0.0 }, Some(8)),
+        ("jacobi", SolverConfig::Jacobi { sweeps: 2, omega: 2.0 / 3.0 }, Some(4)),
     ]);
-    for (name, config) in stacks {
+    for (name, config, looped) in stacks {
         let res = solve_or_panic(a.clone(), &b, &config, &opts);
         let compile = res.report.compile.as_ref().expect("compile report present");
         let sel = compile.pass("native-kernel-selection").expect("selection stamped");
         let (total, lowered) = (sel.counter("vertices_total"), sel.counter("vertices_lowered"));
         assert!(total > 0, "[{name}] no vertices");
         assert_eq!(lowered, total, "[{name}] {} vertices run unlowered", total - lowered);
+        if let Some(looped) = looped {
+            assert_eq!(sel.counter("vertices_looped"), looped, "[{name}] of {total}");
+        }
     }
 }
 
