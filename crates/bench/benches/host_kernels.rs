@@ -97,6 +97,39 @@ fn axpy_codelet() -> Codelet {
     }
 }
 
+/// `x[i] = x[i] + y[i] * alpha[0] + z[i] * omega[0]`: BiCGStab's update of
+/// its iterate, a map over two scalars as `DslCtx::assign` builds it.
+fn two_scalar_codelet() -> Codelet {
+    let ro = |dtype| ParamDecl { dtype, mutable: false };
+    let at = |param| Expr::index(param, Expr::Local(0));
+    let scalar = |param| Expr::index(param, Expr::c(Value::I32(0)));
+    Codelet {
+        name: "two_scalar".into(),
+        params: vec![
+            ParamDecl { dtype: DType::F32, mutable: true },
+            ro(DType::F32),
+            ro(DType::F32),
+            ro(DType::F32),
+            ro(DType::F32),
+        ],
+        num_locals: 1,
+        body: vec![Stmt::ParFor {
+            local: 0,
+            start: Expr::c(Value::I32(0)),
+            end: Expr::ParamLen(0),
+            body: vec![Stmt::Store {
+                param: 0,
+                index: Expr::Local(0),
+                value: Expr::bin(
+                    BinOp::Add,
+                    Expr::bin(BinOp::Add, at(0), Expr::bin(BinOp::Mul, at(1), scalar(2))),
+                    Expr::bin(BinOp::Mul, at(3), scalar(4)),
+                ),
+            }],
+        }],
+    }
+}
+
 /// `out[0] = Σ x[i] * y[i]`: a dot product's per-tile stage, the shape
 /// `DslCtx::reduce` builds.
 fn dot_codelet() -> Codelet {
@@ -137,8 +170,9 @@ fn from_template(
 /// is what the benchmark's `fig8_mpir` maps to a tile, 64 what `cold_oneshot`
 /// does): `lowered` is the form the engine builds per vertex and runs by
 /// default, `dynamic` the tree-walking `Interp` it falls back to and is
-/// tested against. An axpy map, the SpMV codelet, a dot product's per-tile
-/// stage and the forward- and backward-substitution `LevelSet` vertices go
+/// tested against. An axpy map, BiCGStab's two-scalar map, the SpMV codelet,
+/// a dot product's per-tile stage and the forward- and
+/// backward-substitution `LevelSet` vertices go
 /// through both at codelet level; `engine` is the forward vertex through
 /// `Engine::run`, so the per-vertex path around the lowered form (operand
 /// slicing, scratch, stats) is measured too. A regression shows here in
@@ -161,6 +195,7 @@ fn bench_interpreter(c: &mut Criterion) {
         let mut y = vec![0.0f32; n];
         let mut sum = [0.0f32];
         let alpha = [0.5f32];
+        let omega = [-0.25f32];
         let levels = VertexKind::LevelSet { levels: LevelSets::analyze(&a, Sweep::Forward).levels };
         let backward_levels =
             VertexKind::LevelSet { levels: LevelSets::analyze(&a, Sweep::Backward).levels };
@@ -194,6 +229,18 @@ fn bench_interpreter(c: &mut Criterion) {
             axpy_codelet(),
             VertexKind::Simple,
             [ParamData::F32Ro(&x), ParamData::F32(&mut y), ParamData::F32Ro(&alpha)]
+        );
+        both_routes!(
+            "two_scalar",
+            two_scalar_codelet(),
+            VertexKind::Simple,
+            [
+                ParamData::F32(&mut y),
+                ParamData::F32Ro(&x),
+                ParamData::F32Ro(&alpha),
+                ParamData::F32Ro(&ones),
+                ParamData::F32Ro(&omega),
+            ]
         );
         both_routes!(
             "spmv",

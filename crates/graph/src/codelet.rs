@@ -175,103 +175,196 @@ pub fn apply_bin(op: BinOp, a: Value, b: Value) -> (Value, DType) {
     (val, dt)
 }
 
-// One helper per promoted domain: the single definition of every operator.
-// `apply_bin` reaches them through the promotion ladder, the lowered form
-// directly (its operands are promoted once, at lowering).
-// Comparisons / logic produce Bool but cost at the operand type.
+// Two helpers per promoted domain, together the single definition of every
+// operator: `arith_*` for `+ − × ÷ % min max`, which yields the domain's
+// type, and `cmp_*` for comparisons and logic, which yield a bool (and cost
+// at the operand type). `apply_bin` reaches them through the promotion
+// ladder and the `bin_*` wrappers, which build its `Value`; the lowered form
+// calls them directly (its operands are promoted once, at lowering).
 //
-// The three float helpers are `#[inline(never)]`: of two different NaNs,
+// The three float `arith_*` are `#[inline(never)]`: of two different NaNs,
 // which payload `+`, `*`, `min` or `max` returns is the compiler's choice
 // per call site (IEEE 754 leaves it open and LLVM commutes all four), so
 // one answer on every route takes one compiled copy of each operator.
 
+/// An arithmetic operator sent to `cmp_*`, or a comparison to `arith_*`.
+#[cold]
+fn misrouted(op: BinOp) -> ! {
+    unreachable!("{op:?} sent to the other kind of operator")
+}
+
 /// The I32 / Bool domain, evaluated in i64 and wrapped to i32. `Div` and
 /// `Rem` by zero panic (Rust's integer division), on every path.
 #[inline]
+fn arith_i64(op: BinOp, x: i64, y: i64) -> i64 {
+    use BinOp::*;
+    let v = match op {
+        Add => x + y,
+        Sub => x - y,
+        Mul => x * y,
+        Div => x / y,
+        Rem => x % y,
+        Min => x.min(y),
+        Max => x.max(y),
+        _ => misrouted(op),
+    };
+    v as i32 as i64
+}
+
+#[inline]
+fn cmp_i64(op: BinOp, x: i64, y: i64) -> bool {
+    use BinOp::*;
+    match op {
+        Eq => x == y,
+        Ne => x != y,
+        Lt => x < y,
+        Le => x <= y,
+        Gt => x > y,
+        Ge => x >= y,
+        And => x != 0 && y != 0,
+        Or => x != 0 || y != 0,
+        _ => misrouted(op),
+    }
+}
+
+#[inline]
 fn bin_i64(op: BinOp, x: i64, y: i64) -> Value {
-    use BinOp::*;
-    match op {
-        Add => Value::I32((x + y) as i32),
-        Sub => Value::I32((x - y) as i32),
-        Mul => Value::I32((x * y) as i32),
-        Div => Value::I32((x / y) as i32),
-        Rem => Value::I32((x % y) as i32),
-        Min => Value::I32(x.min(y) as i32),
-        Max => Value::I32(x.max(y) as i32),
-        Eq => Value::Bool(x == y),
-        Ne => Value::Bool(x != y),
-        Lt => Value::Bool(x < y),
-        Le => Value::Bool(x <= y),
-        Gt => Value::Bool(x > y),
-        Ge => Value::Bool(x >= y),
-        And => Value::Bool(x != 0 && y != 0),
-        Or => Value::Bool(x != 0 || y != 0),
+    if op.cost_op() == Op::Cmp {
+        Value::Bool(cmp_i64(op, x, y))
+    } else {
+        Value::I32(arith_i64(op, x, y) as i32)
     }
 }
 
 #[inline(never)]
+fn arith_f32(op: BinOp, x: f32, y: f32) -> f32 {
+    use BinOp::*;
+    match op {
+        Add => x + y,
+        Sub => x - y,
+        Mul => x * y,
+        Div => x / y,
+        Rem => x % y,
+        Min => x.min(y),
+        Max => x.max(y),
+        _ => misrouted(op),
+    }
+}
+
+#[inline]
+fn cmp_f32(op: BinOp, x: f32, y: f32) -> bool {
+    use BinOp::*;
+    match op {
+        Eq => x == y,
+        Ne => x != y,
+        Lt => x < y,
+        Le => x <= y,
+        Gt => x > y,
+        Ge => x >= y,
+        And => x != 0.0 && y != 0.0,
+        Or => x != 0.0 || y != 0.0,
+        _ => misrouted(op),
+    }
+}
+
+#[inline]
 fn bin_f32(op: BinOp, x: f32, y: f32) -> Value {
-    use BinOp::*;
-    match op {
-        Add => Value::F32(x + y),
-        Sub => Value::F32(x - y),
-        Mul => Value::F32(x * y),
-        Div => Value::F32(x / y),
-        Rem => Value::F32(x % y),
-        Min => Value::F32(x.min(y)),
-        Max => Value::F32(x.max(y)),
-        Eq => Value::Bool(x == y),
-        Ne => Value::Bool(x != y),
-        Lt => Value::Bool(x < y),
-        Le => Value::Bool(x <= y),
-        Gt => Value::Bool(x > y),
-        Ge => Value::Bool(x >= y),
-        And => Value::Bool(x != 0.0 && y != 0.0),
-        Or => Value::Bool(x != 0.0 || y != 0.0),
+    if op.cost_op() == Op::Cmp {
+        Value::Bool(cmp_f32(op, x, y))
+    } else {
+        Value::F32(arith_f32(op, x, y))
     }
 }
 
 #[inline(never)]
+fn arith_dw(op: BinOp, x: TwoF32, y: TwoF32) -> TwoF32 {
+    use BinOp::*;
+    match op {
+        Add => x + y,
+        Sub => x - y,
+        Mul => x * y,
+        Div => x / y,
+        Rem => TwoFloat::from_f64(x.to_f64() % y.to_f64()),
+        Min => {
+            if x < y {
+                x
+            } else {
+                y
+            }
+        }
+        Max => {
+            if x > y {
+                x
+            } else {
+                y
+            }
+        }
+        _ => misrouted(op),
+    }
+}
+
+#[inline]
+fn cmp_dw(op: BinOp, x: TwoF32, y: TwoF32) -> bool {
+    use BinOp::*;
+    match op {
+        Eq => x == y,
+        Ne => x != y,
+        Lt => x < y,
+        Le => x <= y || x == y,
+        Gt => x > y,
+        Ge => x >= y || x == y,
+        And => x.to_f64() != 0.0 && y.to_f64() != 0.0,
+        Or => x.to_f64() != 0.0 || y.to_f64() != 0.0,
+        _ => misrouted(op),
+    }
+}
+
+#[inline]
 fn bin_dw(op: BinOp, x: TwoF32, y: TwoF32) -> Value {
-    use BinOp::*;
-    match op {
-        Add => Value::Dw(x + y),
-        Sub => Value::Dw(x - y),
-        Mul => Value::Dw(x * y),
-        Div => Value::Dw(x / y),
-        Rem => Value::Dw(TwoFloat::from_f64(x.to_f64() % y.to_f64())),
-        Min => Value::Dw(if x < y { x } else { y }),
-        Max => Value::Dw(if x > y { x } else { y }),
-        Eq => Value::Bool(x == y),
-        Ne => Value::Bool(x != y),
-        Lt => Value::Bool(x < y),
-        Le => Value::Bool(x <= y || x == y),
-        Gt => Value::Bool(x > y),
-        Ge => Value::Bool(x >= y || x == y),
-        And => Value::Bool(x.to_f64() != 0.0 && y.to_f64() != 0.0),
-        Or => Value::Bool(x.to_f64() != 0.0 || y.to_f64() != 0.0),
+    if op.cost_op() == Op::Cmp {
+        Value::Bool(cmp_dw(op, x, y))
+    } else {
+        Value::Dw(arith_dw(op, x, y))
     }
 }
 
 #[inline(never)]
-fn bin_f64(op: BinOp, x: f64, y: f64) -> Value {
+fn arith_f64(op: BinOp, x: f64, y: f64) -> f64 {
     use BinOp::*;
     match op {
-        Add => Value::F64(x + y),
-        Sub => Value::F64(x - y),
-        Mul => Value::F64(x * y),
-        Div => Value::F64(x / y),
-        Rem => Value::F64(x % y),
-        Min => Value::F64(x.min(y)),
-        Max => Value::F64(x.max(y)),
-        Eq => Value::Bool(x == y),
-        Ne => Value::Bool(x != y),
-        Lt => Value::Bool(x < y),
-        Le => Value::Bool(x <= y),
-        Gt => Value::Bool(x > y),
-        Ge => Value::Bool(x >= y),
-        And => Value::Bool(x != 0.0 && y != 0.0),
-        Or => Value::Bool(x != 0.0 || y != 0.0),
+        Add => x + y,
+        Sub => x - y,
+        Mul => x * y,
+        Div => x / y,
+        Rem => x % y,
+        Min => x.min(y),
+        Max => x.max(y),
+        _ => misrouted(op),
+    }
+}
+
+#[inline]
+fn cmp_f64(op: BinOp, x: f64, y: f64) -> bool {
+    use BinOp::*;
+    match op {
+        Eq => x == y,
+        Ne => x != y,
+        Lt => x < y,
+        Le => x <= y,
+        Gt => x > y,
+        Ge => x >= y,
+        And => x != 0.0 && y != 0.0,
+        Or => x != 0.0 || y != 0.0,
+        _ => misrouted(op),
+    }
+}
+
+#[inline]
+fn bin_f64(op: BinOp, x: f64, y: f64) -> Value {
+    if op.cost_op() == Op::Cmp {
+        Value::Bool(cmp_f64(op, x, y))
+    } else {
+        Value::F64(arith_f64(op, x, y))
     }
 }
 
@@ -568,7 +661,7 @@ impl ParamData<'_> {
 
     pub(crate) fn set(&mut self, i: usize, v: Value) {
         match self {
-            ParamData::F32(s) => s[i] = v.as_f64() as f32,
+            ParamData::F32(s) => s[i] = through_f64(v.as_f64() as f32),
             ParamData::I32(s) => s[i] = v.as_i64() as i32,
             ParamData::Bool(s) => s[i] = v.as_bool(),
             ParamData::Dw(s) => s[i] = as_dw(v),
@@ -581,6 +674,20 @@ impl ParamData<'_> {
                 unreachable!("store to immutable param rejected by Codelet::validate")
             }
         }
+    }
+}
+
+/// An f32 widened to f64 and narrowed back: the same number, a NaN made
+/// quiet. Every F32 store goes through it, on every route. Spelled out,
+/// because the compiler folds `v as f64 as f32` to `v` where it sees both
+/// casts and keeps it where it does not, so a signalling NaN would be stored
+/// quiet on one route and as it is on another.
+#[inline]
+fn through_f64(v: f32) -> f32 {
+    if v.is_nan() {
+        f32::from_bits(v.to_bits() | 0x0040_0000)
+    } else {
+        v
     }
 }
 
@@ -1174,7 +1281,8 @@ impl Lowered {
         level_set: bool,
         cost: &CostModel,
     ) -> Option<Lowered> {
-        if storage.len() != codelet.params.len() {
+        // Every parameter id must fit an instruction's `Param`.
+        if storage.len() != codelet.params.len() || Param::try_from(storage.len()).is_err() {
             return None;
         }
         let lowerer = Lowerer { storage, cost };
@@ -1189,7 +1297,7 @@ impl Lowered {
         };
         let mut em = Emitter::new(codelet.num_locals, cost.op_cycles(Op::LoopStep, DType::I32))?;
         em.block(&body)?;
-        em.close();
+        em.close()?;
         Some(Lowered {
             code: em.code,
             charges: em.charges,
@@ -1265,60 +1373,51 @@ impl Lowered {
         while let Some(&ins) = self.code.get(pc) {
             pc += 1;
             match ins {
-                Ins::Charge(k) => *run = run.plus(self.charges[k]),
+                Ins::Charge(k) => *run = run.plus(self.charges[k as usize]),
                 Ins::ConstI(r, v) => reg.i[r] = v as i64,
                 Ins::ConstB(r, v) => reg.b[r] = v,
                 Ins::ConstF(r, v) => reg.f[r] = v,
                 Ins::ConstW(r, v) => reg.w[r] = v,
                 Ins::ConstD(r, v) => reg.d[r] = v,
-                Ins::Mov { dt, dst, src } => {
-                    let v = reg.get(dt, src);
-                    reg.put(dst, v);
+                Ins::MovI(dst, src) => reg.i[dst] = reg.i[src] as i32 as i64,
+                Ins::MovB(dst, src) => reg.b[dst] = reg.b[src],
+                Ins::MovF(dst, src) => reg.f[dst] = reg.f[src],
+                Ins::MovW(dst, src) => reg.w[dst] = reg.w[src],
+                Ins::MovD(dst, src) => reg.d[dst] = reg.d[src],
+                Ins::Len(r, param) => reg.i[r] = params[param as usize].len() as i32 as i64,
+                Ins::LoadI(Elem { val, param, index }) => {
+                    reg.i[val] = i64::load(&params[param as usize], reg.i[index] as usize)
                 }
-                Ins::Len(r, param) => reg.i[r] = params[param].len() as i32 as i64,
-                Ins::LoadI(Load { dst, param, index }) => {
-                    reg.i[dst] = i64::load(&params[param], reg.i[index] as usize)
+                Ins::LoadB(Elem { val, param, index }) => {
+                    reg.b[val] = bool::load(&params[param as usize], reg.i[index] as usize)
                 }
-                Ins::LoadB(Load { dst, param, index }) => {
-                    reg.b[dst] = bool::load(&params[param], reg.i[index] as usize)
+                Ins::LoadF(Elem { val, param, index }) => {
+                    reg.f[val] = f32::load(&params[param as usize], reg.i[index] as usize)
                 }
-                Ins::LoadF(Load { dst, param, index }) => {
-                    reg.f[dst] = f32::load(&params[param], reg.i[index] as usize)
+                Ins::LoadW(Elem { val, param, index }) => {
+                    reg.w[val] = TwoF32::load(&params[param as usize], reg.i[index] as usize)
                 }
-                Ins::LoadW(Load { dst, param, index }) => {
-                    reg.w[dst] = TwoF32::load(&params[param], reg.i[index] as usize)
-                }
-                Ins::LoadD(Load { dst, param, index }) => {
-                    reg.d[dst] = f64::load(&params[param], reg.i[index] as usize)
+                Ins::LoadD(Elem { val, param, index }) => {
+                    reg.d[val] = f64::load(&params[param as usize], reg.i[index] as usize)
                 }
                 Ins::ArithI(Bin { op, dst, a, b }) => {
-                    reg.i[dst] = i64::of(bin_i64(op, reg.i[a], reg.i[b]))
+                    reg.i[dst] = arith_i64(op, reg.i[a], reg.i[b])
                 }
                 Ins::ArithF(Bin { op, dst, a, b }) => {
-                    reg.f[dst] = f32::of(bin_f32(op, reg.f[a], reg.f[b]))
+                    reg.f[dst] = arith_f32(op, reg.f[a], reg.f[b])
                 }
-                Ins::ArithW(Bin { op, dst, a, b }) => {
-                    reg.w[dst] = TwoF32::of(bin_dw(op, reg.w[a], reg.w[b]))
-                }
+                Ins::ArithW(Bin { op, dst, a, b }) => reg.w[dst] = arith_dw(op, reg.w[a], reg.w[b]),
                 Ins::ArithD(Bin { op, dst, a, b }) => {
-                    reg.d[dst] = f64::of(bin_f64(op, reg.d[a], reg.d[b]))
+                    reg.d[dst] = arith_f64(op, reg.d[a], reg.d[b])
                 }
-                Ins::CmpI(Bin { op, dst, a, b }) => {
-                    reg.b[dst] = bool::of(bin_i64(op, reg.i[a], reg.i[b]))
-                }
+                Ins::CmpI(Bin { op, dst, a, b }) => reg.b[dst] = cmp_i64(op, reg.i[a], reg.i[b]),
                 // Two Bools compare as the integers 0 and 1, as in `apply_bin`.
                 Ins::CmpB(Bin { op, dst, a, b }) => {
-                    reg.b[dst] = bool::of(bin_i64(op, reg.b[a] as i64, reg.b[b] as i64))
+                    reg.b[dst] = cmp_i64(op, reg.b[a] as i64, reg.b[b] as i64)
                 }
-                Ins::CmpF(Bin { op, dst, a, b }) => {
-                    reg.b[dst] = bool::of(bin_f32(op, reg.f[a], reg.f[b]))
-                }
-                Ins::CmpW(Bin { op, dst, a, b }) => {
-                    reg.b[dst] = bool::of(bin_dw(op, reg.w[a], reg.w[b]))
-                }
-                Ins::CmpD(Bin { op, dst, a, b }) => {
-                    reg.b[dst] = bool::of(bin_f64(op, reg.d[a], reg.d[b]))
-                }
+                Ins::CmpF(Bin { op, dst, a, b }) => reg.b[dst] = cmp_f32(op, reg.f[a], reg.f[b]),
+                Ins::CmpW(Bin { op, dst, a, b }) => reg.b[dst] = cmp_dw(op, reg.w[a], reg.w[b]),
+                Ins::CmpD(Bin { op, dst, a, b }) => reg.b[dst] = cmp_f64(op, reg.d[a], reg.d[b]),
                 Ins::Cast { from, to, dst, src } => {
                     let v = reg.get(from, src).convert(to);
                     reg.put(dst, v);
@@ -1333,13 +1432,25 @@ impl Lowered {
                     let v = reg.get(dt, if reg.b[cond] { then } else { otherwise });
                     reg.put(dst, v);
                 }
-                Ins::Store { param, dt, index, src } => {
-                    params[param].set(reg.i[index] as usize, reg.get(dt, src))
+                Ins::StoreI(Elem { val, param, index }) => {
+                    i64::store(&mut params[param as usize], reg.i[index] as usize, reg.i[val])
                 }
-                Ins::Jmp(to) => pc = to,
+                Ins::StoreB(Elem { val, param, index }) => {
+                    bool::store(&mut params[param as usize], reg.i[index] as usize, reg.b[val])
+                }
+                Ins::StoreF(Elem { val, param, index }) => {
+                    f32::store(&mut params[param as usize], reg.i[index] as usize, reg.f[val])
+                }
+                Ins::StoreW(Elem { val, param, index }) => {
+                    TwoF32::store(&mut params[param as usize], reg.i[index] as usize, reg.w[val])
+                }
+                Ins::StoreD(Elem { val, param, index }) => {
+                    f64::store(&mut params[param as usize], reg.i[index] as usize, reg.d[val])
+                }
+                Ins::Jmp(to) => pc = to as usize,
                 Ins::JmpIfNot { cond, to } => {
                     if !reg.b[cond] {
-                        pc = to;
+                        pc = to as usize;
                     }
                 }
                 Ins::ForInit { ctr, local, exit } => {
@@ -1347,18 +1458,18 @@ impl Lowered {
                     if reg.i[ctr] < reg.i[ctr + 1] {
                         reg.i[local] = reg.i[ctr] as i32 as i64;
                     } else {
-                        pc = exit;
+                        pc = exit as usize;
                     }
                 }
                 Ins::ForNext { ctr, local, body } => {
                     reg.i[ctr] += reg.i[ctr + 2];
                     if reg.i[ctr] < reg.i[ctr + 1] {
                         reg.i[local] = reg.i[ctr] as i32 as i64;
-                        pc = body;
+                        pc = body as usize;
                     }
                 }
                 Ins::MacLoop(n) => {
-                    let m = &self.loops[n];
+                    let m = &self.loops[n as usize];
                     match m.dt {
                         DType::F32 => mac_loop::<f32>(m, reg, params, run),
                         DType::DoubleWord => mac_loop::<TwoF32>(m, reg, params, run),
@@ -1366,11 +1477,11 @@ impl Lowered {
                         DType::I32 | DType::Bool => unreachable!("accumulates in a float domain"),
                     }
                 }
-                Ins::ParBegin(site) => reg.par[site] = run.cycles,
+                Ins::ParBegin(site) => reg.par[site as usize] = run.cycles,
                 Ins::ParEnd(site) => {
                     // Independent trips spread over the workers: the serial
                     // cycles since `ParBegin` become the parallel makespan.
-                    let before = reg.par[site];
+                    let before = reg.par[site as usize];
                     run.cycles = before + parfor_makespan(run.cycles - before, workers, cost);
                 }
             }
@@ -1380,6 +1491,15 @@ impl Lowered {
 
 /// A register: a slot of the file its dtype implies.
 type Reg = u16;
+
+/// A parameter id inside an instruction: [`Lowered::lower`] declines a
+/// codelet with more parameters than this counts, so every id fits.
+type Param = u16;
+
+/// A jump target or a side-table index inside an instruction, if `n` fits.
+fn index(n: usize) -> Option<u32> {
+    u32::try_from(n).ok()
+}
 
 /// Which file holds a dtype's values: the order of [`Lowered::files`].
 fn file(dt: DType) -> usize {
@@ -1395,25 +1515,36 @@ fn file(dt: DType) -> usize {
 /// One instruction of a lowered codelet, one per typed node. Registers are
 /// read in the file their dtype names (`I` i64, `B` bool, `F` f32, `W`
 /// double-word, `D` emulated f64) before `dst` is written, so `dst` may be
-/// an operand; `param`s index the vertex's operands and jump targets the
-/// program.
+/// an operand; `param`s index the vertex's operands, jump targets the
+/// program and the other `u32`s their side tables. Every instruction but
+/// `Cast`, `Unary`, `Not`, `Truth` and `Select` — cold: rare in the solvers'
+/// codelets — reads and writes its own domain's registers and storage, with
+/// no [`Value`] in between.
 #[derive(Clone, Copy, Debug)]
 enum Ins {
     /// Add `charges[k]`: what the basic block this closes costs.
-    Charge(usize),
+    Charge(u32),
     /// `X[r] = v`.
     ConstI(Reg, i32),
     ConstB(Reg, bool),
     ConstF(Reg, f32),
     ConstW(Reg, TwoF32),
     ConstD(Reg, f64),
+    /// `X[dst] = X[src]` within one file; an I32 as `get` / `put` move it,
+    /// through `i32`.
+    MovI(Reg, Reg),
+    MovB(Reg, Reg),
+    MovF(Reg, Reg),
+    MovW(Reg, Reg),
+    MovD(Reg, Reg),
     /// `I[r] = len(params[param])`.
-    Len(Reg, ParamId),
-    LoadI(Load),
-    LoadB(Load),
-    LoadF(Load),
-    LoadW(Load),
-    LoadD(Load),
+    Len(Reg, Param),
+    /// `X[val] = params[param][I[index]]`, in the parameter's storage domain.
+    LoadI(Elem),
+    LoadB(Elem),
+    LoadF(Elem),
+    LoadW(Elem),
+    LoadD(Elem),
     /// Arithmetic in one domain (never Bool).
     ArithI(Bin),
     ArithF(Bin),
@@ -1425,11 +1556,6 @@ enum Ins {
     CmpF(Bin),
     CmpW(Bin),
     CmpD(Bin),
-    Mov {
-        dt: DType,
-        dst: Reg,
-        src: Reg,
-    },
     /// `Value::convert`.
     Cast {
         from: DType,
@@ -1464,17 +1590,17 @@ enum Ins {
         then: Reg,
         otherwise: Reg,
     },
-    /// `params[param][I[index]] = src`, through `ParamData::set`.
-    Store {
-        param: ParamId,
-        dt: DType,
-        index: Reg,
-        src: Reg,
-    },
-    Jmp(usize),
+    /// `params[param][I[index]] = X[val]`, through [`Domain::store`]: what
+    /// `ParamData::set` writes.
+    StoreI(Elem),
+    StoreB(Elem),
+    StoreF(Elem),
+    StoreW(Elem),
+    StoreD(Elem),
+    Jmp(u32),
     JmpIfNot {
         cond: Reg,
-        to: usize,
+        to: u32,
     },
     /// Enter a counted loop whose counter, bound and step are
     /// `I[ctr..ctr + 3]`: the step becomes at least 1; with a trip to run,
@@ -1482,33 +1608,35 @@ enum Ins {
     ForInit {
         ctr: Reg,
         local: Reg,
-        exit: usize,
+        exit: u32,
     },
     /// Step the counter; with another trip to run, `I[local]` is the
     /// counter and the body runs again from `body`.
     ForNext {
         ctr: Reg,
         local: Reg,
-        body: usize,
+        body: u32,
     },
     /// Run the rest of a counted loop `ForInit` has entered, body and
     /// `ForNext` both: `loops[n]`.
-    MacLoop(usize),
+    MacLoop(u32),
     /// Remember, in the site's slot, the cycles charged before a `ParFor`.
-    ParBegin(usize),
+    ParBegin(u32),
     /// Replace the site's serial cycles by the `ParFor` makespan.
-    ParEnd(usize),
+    ParEnd(u32),
 }
 
 // Dispatch copies an instruction per step; the loop's operands live in a
-// side table so that no variant outgrows a load.
-const _: () = assert!(std::mem::size_of::<Ins>() <= 24);
+// side table and ids are as narrow as a codelet needs, so that no variant
+// outgrows two words.
+const _: () = assert!(std::mem::size_of::<Ins>() <= 16);
 
-/// `X[dst] = params[param][I[index]]`, in the parameter's storage domain.
+/// An element `params[param][I[index]]` and the register `val` it is loaded
+/// into or stored from, in the parameter's storage domain.
 #[derive(Clone, Copy, Debug)]
-struct Load {
-    dst: Reg,
-    param: ParamId,
+struct Elem {
+    val: Reg,
+    param: Param,
     index: Reg,
 }
 
@@ -1531,12 +1659,11 @@ struct Bin {
 /// (B)  j = cols[k]; if test { (A) }        (k the loop local, no else)
 /// ```
 ///
-/// It does what the flat program does, in its order and through the same
-/// checked loads and the same out-of-line operators: every register is read
-/// where the flat program reads it, and the loop local, `j` and `acc` are
-/// written every trip that writes them. What it charges is the flat
-/// program's per-block sums: `trip` on every trip, `taken` on every trip
-/// that accumulates.
+/// It does what the flat program does, in its order, with the same bounds
+/// checks and the same out-of-line operators, and leaves the registers as
+/// the flat program leaves them. What it charges is the flat program's
+/// per-block sums: `trip` on every trip, `taken` on every trip that
+/// accumulates.
 #[derive(Clone, Copy, Debug)]
 struct MacLoop {
     dt: DType,
@@ -1562,31 +1689,32 @@ enum Operand {
     /// A local.
     Reg(Reg),
     /// `params[param][I[index]]`.
-    Load { param: ParamId, index: Reg },
+    Load { param: Param, index: Reg },
     /// `params[param][params[via][I[index]]]`.
-    Gather { param: ParamId, via: ParamId, index: Reg },
+    Gather { param: Param, via: Param, index: Reg },
 }
 
 #[derive(Clone, Copy, Debug)]
 struct Guard {
     j: Reg,
-    cols: ParamId,
-    test: Test,
+    cols: Param,
+    test: Test<Reg>,
 }
 
-/// An I32 comparison of two locals, or two of them joined by `And` / `Or`.
+/// An I32 comparison of two locals, or two of them joined by `And` / `Or`:
+/// over their registers as recognised, over [`Ix`] once bound.
 #[derive(Clone, Copy, Debug)]
-enum Test {
-    One(Cmp),
-    Two(BinOp, Cmp, Cmp),
+enum Test<R> {
+    One(Cmp<R>),
+    Two(BinOp, Cmp<R>, Cmp<R>),
 }
 
-/// `I[a] op I[b]`.
+/// `a op b`.
 #[derive(Clone, Copy, Debug)]
-struct Cmp {
+struct Cmp<R> {
     op: BinOp,
-    a: Reg,
-    b: Reg,
+    a: R,
+    b: R,
 }
 
 /// A local's register, if `e` reads one.
@@ -1611,8 +1739,8 @@ impl MacLoop {
                 if value.dtype != DType::I32 || local_reg(index)? != local {
                     return None;
                 }
-                let guard =
-                    Guard { j: Reg::try_from(*j).ok()?, cols: *cols, test: Test::of(cond)? };
+                let j = Reg::try_from(*j).ok()?;
+                let guard = Guard { j, cols: *cols as Param, test: Test::of(cond)? };
                 (Some(guard), load.plus(*test), acc)
             }
             _ => return None,
@@ -1646,32 +1774,23 @@ impl Operand {
     fn of(e: &TExpr) -> Option<Operand> {
         match &e.kind {
             TKind::Local(_) => Some(Operand::Reg(local_reg(e)?)),
-            TKind::Load { param, index } => Some(match &index.kind {
-                TKind::Local(_) => Operand::Load { param: *param, index: local_reg(index)? },
-                TKind::Load { param: via, index } => {
-                    Operand::Gather { param: *param, via: *via, index: local_reg(index)? }
-                }
-                _ => return None,
-            }),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn read<D: Accumulate>(self, reg: &Files, params: &[ParamData]) -> D {
-        match self {
-            Operand::Reg(r) => D::regs(reg)[r],
-            Operand::Load { param, index } => D::load(&params[param], reg.i[index] as usize),
-            Operand::Gather { param, via, index } => {
-                let at = i64::load(&params[via], reg.i[index] as usize);
-                D::load(&params[param], at as usize)
+            TKind::Load { param, index } => {
+                let param = *param as Param;
+                Some(match &index.kind {
+                    TKind::Local(_) => Operand::Load { param, index: local_reg(index)? },
+                    TKind::Load { param: via, index } => {
+                        Operand::Gather { param, via: *via as Param, index: local_reg(index)? }
+                    }
+                    _ => return None,
+                })
             }
+            _ => None,
         }
     }
 }
 
-impl Test {
-    fn of(e: &TExpr) -> Option<Test> {
+impl Test<Reg> {
+    fn of(e: &TExpr) -> Option<Test<Reg>> {
         match &e.kind {
             &TKind::Compare {
                 op: op @ (BinOp::And | BinOp::Or),
@@ -1683,18 +1802,32 @@ impl Test {
         }
     }
 
-    #[inline]
-    fn holds(self, i: &File<i64>) -> bool {
+    /// This test as every trip of `m` evaluates it, entering with `i`.
+    #[inline(always)]
+    fn bind(self, m: &MacLoop, i: &File<i64>) -> Test<Ix> {
+        let cmp = |c: Cmp<Reg>| Cmp { op: c.op, a: Ix::bind(c.a, m, i), b: Ix::bind(c.b, m, i) };
         match self {
-            Test::One(c) => c.holds(i),
-            // Two Bools join as the integers 0 and 1, as `CmpB` joins them.
-            Test::Two(op, a, b) => bool::of(bin_i64(op, a.holds(i) as i64, b.holds(i) as i64)),
+            Test::One(c) => Test::One(cmp(c)),
+            Test::Two(op, a, b) => Test::Two(op, cmp(a), cmp(b)),
         }
     }
 }
 
-impl Cmp {
-    fn of(e: &TExpr) -> Option<Cmp> {
+impl Test<Ix> {
+    /// Whether the trip with these `k` and `j` accumulates.
+    #[inline(always)]
+    fn eval(self, k: i64, j: i64) -> bool {
+        let cmp = |c: Cmp<Ix>| cmp_i64(c.op, c.a.at(k, j), c.b.at(k, j));
+        match self {
+            Test::One(c) => cmp(c),
+            // Two Bools join as the integers 0 and 1, as `CmpB` joins them.
+            Test::Two(op, a, b) => cmp_i64(op, cmp(a) as i64, cmp(b) as i64),
+        }
+    }
+}
+
+impl Cmp<Reg> {
+    fn of(e: &TExpr) -> Option<Cmp<Reg>> {
         use BinOp::*;
         match &e.kind {
             &TKind::Compare {
@@ -1706,39 +1839,122 @@ impl Cmp {
             _ => None,
         }
     }
+}
 
-    #[inline]
-    fn holds(self, i: &File<i64>) -> bool {
-        bool::of(bin_i64(self.op, i[self.a], i[self.b]))
+/// An index or guard operand of a [`MacLoop`], bound at the loop's entry:
+/// the loop local `k`, `j`, or a value no trip changes.
+#[derive(Clone, Copy, Debug)]
+enum Ix {
+    K,
+    J,
+    Fixed(i64),
+}
+
+impl Ix {
+    /// What I32 register `r` holds on each trip of `m`, entering with `i`.
+    /// `j` is tested first: it may be the loop local's own register, which
+    /// every trip then writes last with `j`.
+    #[inline(always)]
+    fn bind(r: Reg, m: &MacLoop, i: &File<i64>) -> Ix {
+        match m.guard {
+            Some(g) if g.j == r => Ix::J,
+            _ if r == m.local => Ix::K,
+            _ => Ix::Fixed(i[r]),
+        }
+    }
+
+    #[inline(always)]
+    fn at(self, k: i64, j: i64) -> i64 {
+        match self {
+            Ix::K => k,
+            Ix::J => j,
+            Ix::Fixed(v) => v,
+        }
+    }
+}
+
+/// An accumulate operand bound at the loop's entry: its storage matched and
+/// its registers read once.
+enum Bound<'p, D: Accumulate> {
+    /// The accumulator, as the trip finds it.
+    Acc,
+    /// Any other register: no trip writes it.
+    Fixed(D),
+    /// `slice[ix]`.
+    Load(&'p [D::Stored], Ix),
+    /// `slice[cols[ix]]`.
+    Gather(&'p [D::Stored], &'p [i32], Ix),
+}
+
+impl<'p, D: Accumulate> Bound<'p, D> {
+    #[inline(always)]
+    fn bind(op: Operand, m: &MacLoop, reg: &Files, params: &'p [ParamData]) -> Bound<'p, D> {
+        let ix = |r| Ix::bind(r, m, &reg.i);
+        let slice = |p: Param| D::slice(&params[p as usize]);
+        match op {
+            Operand::Reg(r) if r == m.acc => Bound::Acc,
+            Operand::Reg(r) => Bound::Fixed(D::regs(reg)[r]),
+            Operand::Load { param, index } => Bound::Load(slice(param), ix(index)),
+            Operand::Gather { param, via, index } => {
+                Bound::Gather(slice(param), i64::slice(&params[via as usize]), ix(index))
+            }
+        }
+    }
+
+    /// The operand on the trip with these `k`, `j` and accumulator; every
+    /// element bounds-checked.
+    #[inline(always)]
+    fn get(&self, acc: D, k: i64, j: i64) -> D {
+        match *self {
+            Bound::Acc => acc,
+            Bound::Fixed(v) => v,
+            Bound::Load(s, ix) => D::value(s[ix.at(k, j) as usize]),
+            Bound::Gather(s, cols, ix) => D::value(s[cols[ix.at(k, j) as usize] as usize]),
+        }
     }
 }
 
 /// Run the loop `m` from its first trip, which `ForInit` has found and
-/// written the local for, to its end. The counter advances in a variable:
-/// its registers are temporaries no instruction after the loop reads. One
-/// compiled copy per domain, out of line: the flat program's dispatch loop
-/// keeps its shape.
+/// written the local for, to its end. What the trips read is bound once, at
+/// entry; the counter, the loop local, `j` and the accumulator then live in
+/// variables, and the last three go back to their registers once, at exit,
+/// as the flat program leaves them. (A panic mid-loop leaves them stale:
+/// nothing reads them, since the next vertex resets every register.) The
+/// counter's registers are temporaries no instruction after the loop reads.
+/// One compiled copy per domain, out of line: the flat program's dispatch
+/// loop keeps its shape. The binding and per-trip helpers it calls are
+/// `#[inline(always)]`: left to the compiler they stayed calls, ≈10 % of
+/// `fig8_mpir`'s replay, and inlined the benchmark ran ≈5 % faster.
 #[inline(never)]
 fn mac_loop<D: Accumulate>(m: &MacLoop, reg: &mut Files, params: &[ParamData], run: &mut Charge) {
     let (end, step) = (reg.i[m.ctr + 1], reg.i[m.ctr + 2]);
     let mut ctr = reg.i[m.ctr];
+    let x = Bound::<D>::bind(m.x, m, reg, params);
+    let y = Bound::<D>::bind(m.y, m, reg, params);
+    let guard = m.guard.map(|g| (i64::slice(&params[g.cols as usize]), g.test.bind(m, &reg.i)));
+    let (mut k, mut acc) = (reg.i[m.local], D::regs(reg)[m.acc]);
+    let mut j = m.guard.map_or(0, |g| reg.i[g.j]);
     let (mut trips, mut taken) = (0, 0);
     while ctr < end {
-        reg.i[m.local] = ctr as i32 as i64;
+        k = ctr as i32 as i64;
         ctr += step;
         trips += 1;
-        if let Some(g) = m.guard {
-            reg.i[g.j] = i64::load(&params[g.cols], reg.i[m.local] as usize);
-            if !g.test.holds(&reg.i) {
+        if let Some((cols, test)) = guard {
+            j = cols[k as usize] as i64;
+            if !test.eval(k, j) {
                 continue;
             }
         }
-        let x: D = m.x.read(reg, params);
-        let y: D = m.y.read(reg, params);
-        let acc = D::arith(m.add, D::regs(reg)[m.acc], D::arith(m.mul, x, y));
-        D::regs_mut(reg)[m.acc] = acc;
+        let (x, y) = (x.get(acc, k, j), y.get(acc, k, j));
+        acc = D::arith(m.add, acc, D::arith(m.mul, x, y));
         taken += 1;
     }
+    // In the flat program's order: `j` may be the local's own register.
+    reg.i[m.local] = k;
+    if let Some(g) = m.guard {
+        reg.i[g.j] = j;
+    }
+    D::regs_mut(reg)[m.acc] = acc;
     *run = run.plus(m.trip.times(trips)).plus(m.taken.times(taken));
 }
 
@@ -1774,6 +1990,7 @@ impl Files {
         self.par.resize(sites, 0);
     }
 
+    /// `X[r]` as a `Value`: for the cold instructions and [`Lowered::local`].
     #[inline]
     fn get(&self, dt: DType, r: Reg) -> Value {
         match dt {
@@ -1826,7 +2043,8 @@ impl<T> std::ops::IndexMut<Reg> for File<T> {
 
 /// Flattens a typed body: registers allocated stack-wise, statements to
 /// instructions, control flow to jumps, and per-statement charges summed
-/// per basic block.
+/// per basic block. A program too long for its `u32` jump targets and
+/// table indices is declined.
 struct Emitter {
     code: Vec<Ins>,
     charges: Vec<Charge>,
@@ -1874,35 +2092,37 @@ impl Emitter {
     }
 
     /// Close the open block: what it costs becomes one instruction.
-    fn close(&mut self) {
+    fn close(&mut self) -> Option<()> {
         if self.pending != Charge::default() {
-            self.code.push(Ins::Charge(self.charges.len()));
+            self.code.push(Ins::Charge(index(self.charges.len())?));
             self.charges.push(self.pending);
             self.pending = Charge::default();
         }
+        Some(())
     }
 
     /// Close the open block with `ins` (a jump or a `ParFor` bracket);
     /// returns where it sits, for [`Emitter::patch`].
-    fn end_block(&mut self, ins: Ins) -> usize {
-        self.close();
+    fn end_block(&mut self, ins: Ins) -> Option<usize> {
+        self.close()?;
         self.code.push(ins);
-        self.code.len() - 1
+        Some(self.code.len() - 1)
     }
 
     /// A jump target here: the open block closes.
-    fn label(&mut self) -> usize {
-        self.close();
-        self.code.len()
+    fn label(&mut self) -> Option<u32> {
+        self.close()?;
+        index(self.code.len())
     }
 
     /// Aim the forward jump at `at` here.
-    fn patch(&mut self, at: usize) {
-        let here = self.label();
+    fn patch(&mut self, at: usize) -> Option<()> {
+        let here = self.label()?;
         match &mut self.code[at] {
             Ins::Jmp(to) | Ins::JmpIfNot { to, .. } | Ins::ForInit { exit: to, .. } => *to = here,
             other => unreachable!("patched a non-jump {other:?}"),
         }
+        Some(())
     }
 
     /// Emit `e`; returns the register holding its value. The outermost
@@ -1915,7 +2135,13 @@ impl Emitter {
             let src = Reg::try_from(l).ok()?;
             return Some(match dst {
                 Some(dst) if dst != src => {
-                    self.code.push(Ins::Mov { dt, dst, src });
+                    self.code.push(match dt {
+                        DType::I32 => Ins::MovI(dst, src),
+                        DType::Bool => Ins::MovB(dst, src),
+                        DType::F32 => Ins::MovF(dst, src),
+                        DType::DoubleWord => Ins::MovW(dst, src),
+                        DType::F64Emulated => Ins::MovD(dst, src),
+                    });
                     dst
                 }
                 _ => src,
@@ -1950,15 +2176,15 @@ impl Emitter {
                 Value::F64(v) => Ins::ConstD(dst, v),
             },
             TKind::Local(_) => unreachable!("a local read emits no instruction"),
-            TKind::ParamLen(param) => Ins::Len(dst, *param),
+            TKind::ParamLen(param) => Ins::Len(dst, *param as Param),
             &TKind::Load { param, .. } => {
-                let load = Load { dst, param, index: a };
+                let elem = Elem { val: dst, param: param as Param, index: a };
                 match dt {
-                    DType::I32 => Ins::LoadI(load),
-                    DType::Bool => Ins::LoadB(load),
-                    DType::F32 => Ins::LoadF(load),
-                    DType::DoubleWord => Ins::LoadW(load),
-                    DType::F64Emulated => Ins::LoadD(load),
+                    DType::I32 => Ins::LoadI(elem),
+                    DType::Bool => Ins::LoadB(elem),
+                    DType::F32 => Ins::LoadF(elem),
+                    DType::DoubleWord => Ins::LoadW(elem),
+                    DType::F64Emulated => Ins::LoadD(elem),
                 }
             }
             TKind::Unary { op, .. } => Ins::Unary { op: *op, dt, dst, src: a },
@@ -2016,34 +2242,41 @@ impl Emitter {
             }
             LStmt::Store { param, index, value, charge } => {
                 let index = self.expr(index, None)?;
-                let src = self.expr(value, None)?;
-                self.code.push(Ins::Store { param: *param, dt: value.dtype, index, src });
+                let val = self.expr(value, None)?;
+                let elem = Elem { val, param: *param as Param, index };
+                self.code.push(match value.dtype {
+                    DType::I32 => Ins::StoreI(elem),
+                    DType::Bool => Ins::StoreB(elem),
+                    DType::F32 => Ins::StoreF(elem),
+                    DType::DoubleWord => Ins::StoreW(elem),
+                    DType::F64Emulated => Ins::StoreD(elem),
+                });
                 self.charge(*charge);
             }
             LStmt::If { cond, charge, then, otherwise } => {
                 let cond = self.truth(cond)?;
                 self.charge(*charge);
-                let to_else = self.end_block(Ins::JmpIfNot { cond, to: 0 });
+                let to_else = self.end_block(Ins::JmpIfNot { cond, to: 0 })?;
                 self.top = mark;
                 self.block(then)?;
                 if otherwise.is_empty() {
-                    self.patch(to_else);
+                    self.patch(to_else)?;
                 } else {
-                    let to_end = self.end_block(Ins::Jmp(0));
-                    self.patch(to_else);
+                    let to_end = self.end_block(Ins::Jmp(0))?;
+                    self.patch(to_else)?;
                     self.block(otherwise)?;
-                    self.patch(to_end);
+                    self.patch(to_end)?;
                 }
             }
             LStmt::While { cond, charge, body } => {
-                let head = self.label();
+                let head = self.label()?;
                 let cond = self.truth(cond)?;
                 self.charge(*charge);
-                let exit = self.end_block(Ins::JmpIfNot { cond, to: 0 });
+                let exit = self.end_block(Ins::JmpIfNot { cond, to: 0 })?;
                 self.top = mark;
                 self.block(body)?;
-                self.end_block(Ins::Jmp(head));
-                self.patch(exit);
+                self.end_block(Ins::Jmp(head))?;
+                self.patch(exit)?;
             }
             LStmt::For { local, start, end, step, head, body } => {
                 self.counted(*local, [start, end], Some(step), *head, body)?
@@ -2085,138 +2318,187 @@ impl Emitter {
         // The snapshot sees every charge before it: `ParBegin` closes the
         // block the bounds were charged in.
         let site = if step.is_none() {
-            let site = self.sites;
+            let site = index(self.sites)?;
             self.sites += 1;
-            self.end_block(Ins::ParBegin(site));
+            self.end_block(Ins::ParBegin(site))?;
             Some(site)
         } else {
             None
         };
-        let init = self.end_block(Ins::ForInit { ctr, local, exit: 0 });
+        let init = self.end_block(Ins::ForInit { ctr, local, exit: 0 })?;
         match MacLoop::recognise(local, ctr, self.loop_step, body) {
             Some(m) => {
-                self.code.push(Ins::MacLoop(self.loops.len()));
+                self.code.push(Ins::MacLoop(index(self.loops.len())?));
                 self.loops.push(m);
             }
             None => {
-                let trip = self.label();
+                let trip = self.label()?;
                 self.charge(Charge::cy(self.loop_step));
                 self.block(body)?;
-                self.end_block(Ins::ForNext { ctr, local, body: trip });
+                self.end_block(Ins::ForNext { ctr, local, body: trip })?;
             }
         }
-        self.patch(init);
+        self.patch(init)?;
         if let Some(site) = site {
-            self.end_block(Ins::ParEnd(site));
+            self.end_block(Ins::ParEnd(site))?;
         }
         Some(())
     }
 }
 
+/// A lowered codelet met storage other than the `want` it was typed for,
+/// or stores to a read-only operand: a lowering bug. Said without indexing
+/// the slice.
 #[cold]
-fn mistyped(v: Value, want: DType) -> ! {
-    unreachable!("lowering typed this node {want:?}, evaluation produced {v:?}")
+fn mistyped(want: DType) -> ! {
+    unreachable!("an operand's storage is not the {want:?} lowering typed, or is read-only")
 }
 
-/// A register domain: the Rust type a dtype's values have in registers.
+/// A register domain: the Rust type a dtype's values have in registers, and
+/// how a parameter's storage holds them.
 trait Domain: Copy {
-    /// The payload of `v`, which lowering typed as this domain.
-    fn of(v: Value) -> Self;
-    /// `p[i]`, for a parameter whose storage is this domain's.
-    fn load(p: &ParamData, i: usize) -> Self;
+    /// One element of a parameter whose storage is this domain's.
+    type Stored: Copy;
+    /// The elements of `p`, whose storage is this domain's.
+    fn slice<'p>(p: &'p ParamData) -> &'p [Self::Stored];
+    /// An element as a register holds it.
+    fn value(s: Self::Stored) -> Self;
+    /// `p[i] = v`, exactly as `ParamData::set` writes `v`'s [`Value`].
+    fn store(p: &mut ParamData, i: usize, v: Self);
+
+    /// `p[i]`.
+    #[inline]
+    fn load(p: &ParamData, i: usize) -> Self {
+        Self::value(Self::slice(p)[i])
+    }
 }
 
 impl Domain for i64 {
+    type Stored = i32;
+
     #[inline]
-    fn of(v: Value) -> i64 {
-        match v {
-            Value::I32(x) => x as i64,
-            other => mistyped(other, DType::I32),
+    fn slice<'p>(p: &'p ParamData) -> &'p [i32] {
+        match p {
+            ParamData::I32(s) => s,
+            ParamData::I32Ro(s) => s,
+            _ => mistyped(DType::I32),
         }
     }
 
     #[inline]
-    fn load(p: &ParamData, i: usize) -> i64 {
+    fn value(s: i32) -> i64 {
+        s as i64
+    }
+
+    #[inline]
+    fn store(p: &mut ParamData, i: usize, v: i64) {
         match p {
-            ParamData::I32(s) => s[i] as i64,
-            ParamData::I32Ro(s) => s[i] as i64,
-            other => mistyped(other.get(i), DType::I32),
+            ParamData::I32(s) => s[i] = v as i32,
+            _ => mistyped(DType::I32),
         }
     }
 }
 
 impl Domain for bool {
+    type Stored = bool;
+
     #[inline]
-    fn of(v: Value) -> bool {
-        match v {
-            Value::Bool(x) => x,
-            other => mistyped(other, DType::Bool),
+    fn slice<'p>(p: &'p ParamData) -> &'p [bool] {
+        match p {
+            ParamData::Bool(s) => s,
+            ParamData::BoolRo(s) => s,
+            _ => mistyped(DType::Bool),
         }
     }
 
     #[inline]
-    fn load(p: &ParamData, i: usize) -> bool {
+    fn value(s: bool) -> bool {
+        s
+    }
+
+    #[inline]
+    fn store(p: &mut ParamData, i: usize, v: bool) {
         match p {
-            ParamData::Bool(s) => s[i],
-            ParamData::BoolRo(s) => s[i],
-            other => mistyped(other.get(i), DType::Bool),
+            ParamData::Bool(s) => s[i] = v,
+            _ => mistyped(DType::Bool),
         }
     }
 }
 
 impl Domain for f32 {
+    type Stored = f32;
+
     #[inline]
-    fn of(v: Value) -> f32 {
-        match v {
-            Value::F32(x) => x,
-            other => mistyped(other, DType::F32),
+    fn slice<'p>(p: &'p ParamData) -> &'p [f32] {
+        match p {
+            ParamData::F32(s) => s,
+            ParamData::F32Ro(s) => s,
+            _ => mistyped(DType::F32),
         }
     }
 
     #[inline]
-    fn load(p: &ParamData, i: usize) -> f32 {
+    fn value(s: f32) -> f32 {
+        s
+    }
+
+    #[inline]
+    fn store(p: &mut ParamData, i: usize, v: f32) {
         match p {
-            ParamData::F32(s) => s[i],
-            ParamData::F32Ro(s) => s[i],
-            other => mistyped(other.get(i), DType::F32),
+            ParamData::F32(s) => s[i] = through_f64(v),
+            _ => mistyped(DType::F32),
         }
     }
 }
 
 impl Domain for TwoF32 {
+    type Stored = TwoF32;
+
     #[inline]
-    fn of(v: Value) -> TwoF32 {
-        match v {
-            Value::Dw(x) => x,
-            other => mistyped(other, DType::DoubleWord),
+    fn slice<'p>(p: &'p ParamData) -> &'p [TwoF32] {
+        match p {
+            ParamData::Dw(s) => s,
+            ParamData::DwRo(s) => s,
+            _ => mistyped(DType::DoubleWord),
         }
     }
 
     #[inline]
-    fn load(p: &ParamData, i: usize) -> TwoF32 {
+    fn value(s: TwoF32) -> TwoF32 {
+        s
+    }
+
+    #[inline]
+    fn store(p: &mut ParamData, i: usize, v: TwoF32) {
         match p {
-            ParamData::Dw(s) => s[i],
-            ParamData::DwRo(s) => s[i],
-            other => mistyped(other.get(i), DType::DoubleWord),
+            ParamData::Dw(s) => s[i] = v,
+            _ => mistyped(DType::DoubleWord),
         }
     }
 }
 
 impl Domain for f64 {
+    type Stored = SoftDouble;
+
     #[inline]
-    fn of(v: Value) -> f64 {
-        match v {
-            Value::F64(x) => x,
-            other => mistyped(other, DType::F64Emulated),
+    fn slice<'p>(p: &'p ParamData) -> &'p [SoftDouble] {
+        match p {
+            ParamData::F64(s) => s,
+            ParamData::F64Ro(s) => s,
+            _ => mistyped(DType::F64Emulated),
         }
     }
 
     #[inline]
-    fn load(p: &ParamData, i: usize) -> f64 {
+    fn value(s: SoftDouble) -> f64 {
+        s.0
+    }
+
+    #[inline]
+    fn store(p: &mut ParamData, i: usize, v: f64) {
         match p {
-            ParamData::F64(s) => s[i].0,
-            ParamData::F64Ro(s) => s[i].0,
-            other => mistyped(other.get(i), DType::F64Emulated),
+            ParamData::F64(s) => s[i] = SoftDouble(v),
+            _ => mistyped(DType::F64Emulated),
         }
     }
 }
@@ -2242,7 +2524,7 @@ impl Accumulate for f32 {
 
     #[inline]
     fn arith(op: BinOp, x: f32, y: f32) -> f32 {
-        f32::of(bin_f32(op, x, y))
+        arith_f32(op, x, y)
     }
 }
 
@@ -2259,7 +2541,7 @@ impl Accumulate for TwoF32 {
 
     #[inline]
     fn arith(op: BinOp, x: TwoF32, y: TwoF32) -> TwoF32 {
-        TwoF32::of(bin_dw(op, x, y))
+        arith_dw(op, x, y)
     }
 }
 
@@ -2276,7 +2558,7 @@ impl Accumulate for f64 {
 
     #[inline]
     fn arith(op: BinOp, x: f64, y: f64) -> f64 {
-        f64::of(bin_f64(op, x, y))
+        arith_f64(op, x, y)
     }
 }
 
@@ -2413,7 +2695,7 @@ mod tests {
     /// represent.
     ///
     /// The signalling NaN (only a bit flip produces one) is what an F32
-    /// operand's route to `bin_f32` decides: widened to f64 and back it
+    /// operand's route to `arith_f32` decides: widened to f64 and back it
     /// would be quieted, handed over untouched `Min` / `Max` may return its
     /// bits. Every route hands it over untouched.
     fn adversarial_operands() -> Vec<Value> {
@@ -2546,8 +2828,8 @@ mod tests {
     /// the lowered form when it runs, not when it is built.
     ///
     /// Two *different* NaNs are held to their bits like any other pair:
-    /// all routes end in the one compiled copy of `bin_f32` / `bin_dw` /
-    /// `bin_f64` (run this under `--release` too, where inlining would
+    /// all routes end in the one compiled copy of `arith_f32` / `arith_dw` /
+    /// `arith_f64` (run this under `--release` too, where inlining would
     /// otherwise let each call site pick its own payload).
     ///
     /// An arithmetic operator over two operands of one float dtype also
@@ -2734,6 +3016,31 @@ mod tests {
         assert!((dw.as_f64() - (1.0 + 1e-9)).abs() < 1e-16);
         assert_eq!(Value::F32(2.9).convert(DType::I32), Value::I32(2));
         assert_eq!(Value::I32(0).convert(DType::Bool), Value::Bool(false));
+    }
+
+    /// An instruction names a parameter in a `u16`: a codelet with more
+    /// parameters than that counts does not lower — `None`, not a panic —
+    /// and runs on `Interp`; one parameter fewer lowers.
+    #[test]
+    fn a_codelet_with_65536_parameters_runs_on_interp() {
+        let wide = |n: usize| Codelet {
+            name: "wide".into(),
+            params: vec![ParamDecl { dtype: DType::F32, mutable: true }; n],
+            num_locals: 0,
+            body: vec![Stmt::Store {
+                param: n - 1,
+                index: Expr::c(Value::I32(0)),
+                value: Expr::c(Value::F32(2.5)),
+            }],
+        };
+        let n = 1 << 16;
+        assert!(Lowered::lower(&wide(n), &vec![DType::F32; n], false, &cm()).is_none());
+        assert!(Lowered::lower(&wide(n - 1), &vec![DType::F32; n - 1], false, &cm()).is_some());
+        let mut data = vec![[0.0f32]; n];
+        let mut params: Vec<ParamData> = data.iter_mut().map(|d| ParamData::F32(d)).collect();
+        assert!(run_codelet(&wide(n), &mut params) > 0);
+        drop(params);
+        assert_eq!(data[n - 1], [2.5]);
     }
 
     #[test]

@@ -1087,6 +1087,86 @@ fn a_local_without_a_static_exit_dtype_reads_back_none() {
     assert_eq!(interp.locals[1], Some((DType::F32, 1.0f32.to_bits() as u64)));
 }
 
+/// A store writes what `ParamData::set` writes for the value's `Value`: a
+/// signalling NaN, −0.0 and a subnormal, copied between operands of F32,
+/// double-word and emulated-f64 storage, and a signalling NaN stored as a
+/// constant, leave `Interp`'s bits. (CI runs this under `--release` too,
+/// where the compiler may fold the F32 store's round trip through f64.)
+#[test]
+fn a_store_writes_nans_signed_zeros_and_subnormals_as_interp_does() {
+    let (snan32, tiny32) = (f32::from_bits(0x7fa0_0000), f32::from_bits(1));
+    let (snan64, tiny64) = (f64::from_bits(0x7ff4_0000_0000_0000), f64::from_bits(1));
+    for dtype in FLOATS {
+        let (src, snan) = match dtype {
+            DType::F32 => (Buf::F32(vec![snan32, -0.0, tiny32]), Value::F32(snan32)),
+            DType::DoubleWord => (
+                Buf::Dw(vec![
+                    TwoFloat::from_parts(snan32, 0.0),
+                    TwoFloat::from_parts(-0.0, -0.0),
+                    TwoFloat::from_parts(1.0, tiny32),
+                ]),
+                Value::Dw(TwoFloat::from_parts(snan32, -0.0)),
+            ),
+            _ => (
+                Buf::F64(vec![SoftDouble(snan64), SoftDouble(-0.0), SoftDouble(tiny64)]),
+                Value::F64(snan64),
+            ),
+        };
+        let c = codelet(
+            vec![rw(DType::F32), ro(DType::F32)],
+            1,
+            vec![
+                Stmt::ParFor {
+                    local: 0,
+                    start: i(0),
+                    end: Expr::ParamLen(1),
+                    body: vec![Stmt::Store {
+                        param: 0,
+                        index: Expr::Local(0),
+                        value: Expr::index(1, Expr::Local(0)),
+                    }],
+                },
+                Stmt::Store { param: 0, index: i(3), value: Expr::c(snan) },
+            ],
+        );
+        let bufs = vec![floats(dtype, &[9.0; 4]), src];
+        must_lower(&c, &VertexKind::Simple, &bufs, &format!("stores over {dtype:?}"));
+    }
+}
+
+/// A local copied into another moves within its file, for each of the five:
+/// `l[2p + 1] = l[2p] = params[p][0]`.
+#[test]
+fn a_local_copied_into_another_moves_in_each_file() {
+    let c = codelet(
+        DTYPES.iter().map(|&dtype| ro(dtype)).collect(),
+        2 * DTYPES.len(),
+        (0..DTYPES.len())
+            .flat_map(|p| {
+                [
+                    Stmt::SetLocal(2 * p, Expr::index(p, i(0))),
+                    Stmt::SetLocal(2 * p + 1, Expr::Local(2 * p)),
+                ]
+            })
+            .collect(),
+    );
+    // Signalling NaNs and a −0.0: any arithmetic in a move shows in the bits.
+    let bufs = vec![
+        Buf::F32(vec![f32::from_bits(0x7fa0_0000)]),
+        Buf::I32(vec![-7]),
+        Buf::Bool(vec![true]),
+        Buf::Dw(vec![TwoFloat::from_parts(1.0 / 3.0, -0.0)]),
+        Buf::F64(vec![SoftDouble(f64::from_bits(0x7ff4_0000_0000_0000))]),
+    ];
+    must_lower(&c, &VertexKind::Simple, &bufs, "moves");
+    let (lowered, regs) = run_lowered(&c, &VertexKind::Simple, &mut bufs.clone());
+    for (p, &dtype) in DTYPES.iter().enumerate() {
+        let (from, to) = (lowered.local(&regs, 2 * p), lowered.local(&regs, 2 * p + 1));
+        assert_eq!(from.map(value_bits), to.map(value_bits), "{dtype:?}");
+        assert_eq!(to.map(|v| v.dtype()), Some(dtype));
+    }
+}
+
 // ---- the accumulate loop instruction ---------------------------------------
 
 const FLOATS: [DType; 3] = [DType::F32, DType::DoubleWord, DType::F64Emulated];
@@ -1288,6 +1368,13 @@ fn cmp(op: BinOp, a: usize, b: usize) -> Expr {
     Expr::bin(op, Expr::Local(a), Expr::Local(b))
 }
 
+/// `c` with `j = b[1]` (a float of `b`'s storage) set before its loop.
+fn float_local_before(mut c: Codelet) -> Codelet {
+    let at = c.body.iter().position(|s| matches!(s, Stmt::For { .. })).unwrap();
+    c.body.insert(at, Stmt::SetLocal(J, Expr::index(2, i(1))));
+    c
+}
+
 /// The loop instruction's edges — the two guard joins, a guard never true,
 /// an empty loop, steps past one, the accumulator as an operand — and the
 /// near misses that stay on the flat program: each leaves what `Interp`
@@ -1359,6 +1446,53 @@ fn accumulate_loops_and_their_near_misses_match_the_interpreter() {
             counted(0, len(), 1, vec![set_acc(Expr::bin(Sub, acc(), product(acc(), acc())))]),
             1,
         ),
+        (
+            "a float local that is not acc as an operand",
+            float_local_before(counted(
+                0,
+                len(),
+                1,
+                vec![set_acc(Expr::bin(Add, acc(), product(Expr::Local(J), a_k())))],
+            )),
+            1,
+        ),
+        (
+            "an operand indexed by a local set before the loop",
+            counted(
+                0,
+                len(),
+                1,
+                vec![set_acc(Expr::bin(
+                    Add,
+                    acc(),
+                    product(Expr::index(1, Expr::Local(HI)), b_k()),
+                ))],
+            ),
+            1,
+        ),
+        (
+            "j the loop local's own register",
+            counted(
+                0,
+                len(),
+                1,
+                vec![
+                    Stmt::SetLocal(K, Expr::index(3, Expr::Local(K))),
+                    Stmt::If {
+                        cond: cmp(Gt, K, LO),
+                        then: vec![set_acc(Expr::bin(Add, acc(), product(a_k(), b_k())))],
+                        otherwise: vec![],
+                    },
+                ],
+            ),
+            1,
+        ),
+        // j = 2 on the last trip: `j` is written and `acc` is not.
+        (
+            "a guard false on the last trip",
+            counted(0, len(), 1, guarded(K, cmp(Lt, J, HI), vec![])),
+            1,
+        ),
         // Near misses: one trip at a time.
         (
             "(x ⊗ y) ⊕ acc",
@@ -1409,6 +1543,16 @@ fn accumulate_loops_and_their_near_misses_match_the_interpreter() {
             must_loop(&c, &VertexKind::Simple, &bufs, &format!("{what} over {dtype:?}"), loops);
         }
     }
+
+    // A guard false on the last trip leaves that trip's `j` and the
+    // accumulator as the trip before left it.
+    let last = counted(0, len(), 1, guarded(K, cmp(Lt, J, HI), vec![]));
+    let (lowered, regs) =
+        run_lowered(&last, &VertexKind::Simple, &mut operands(DType::F32, vec![3, 0, 2, 1, 5, 2]));
+    let (before, regs_before) =
+        run_lowered(&last, &VertexKind::Simple, &mut operands(DType::F32, vec![3, 0, 2, 1, 5]));
+    assert_eq!(lowered.local(&regs, J), Some(Value::I32(2)));
+    assert_eq!(lowered.local(&regs, ACC), before.local(&regs_before, ACC));
 
     // MPIR's residual shape: f32 values into a double-word accumulator.
     let mixed = counted(

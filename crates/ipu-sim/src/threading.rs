@@ -101,7 +101,9 @@ impl LevelSchedule {
 /// `LevelSchedule::build(levels, num_workers, cost).cycles(cost, cm)`
 /// returns — without materialising the schedule: the same per-level LPT
 /// over two scratch vectors that every level reuses, keeping only each
-/// level's makespan.
+/// level's makespan. A level with no more items than workers puts one item
+/// on each (as the paper's level-set solvers do whenever a level fits the
+/// six workers), so its makespan is its largest item and it skips the LPT.
 ///
 /// `cost` is called exactly once per item, levels in order and items in
 /// listed order, so a caller may *execute* the item there and return the
@@ -138,9 +140,16 @@ pub fn level_set_cycles_in(
     loads.resize(num_workers, 0);
     let mut total = cm.worker_spawn_cycles;
     for level in levels {
-        items.clear();
-        items.extend(level.iter().map(|&i| (i, cost(i))));
-        total += lpt_level(items, loads, |_, _| {}) + cm.worker_sync_cycles;
+        let makespan = if level.len() <= num_workers {
+            // LPT gives each item a worker of its own (a zero-cost item may
+            // share one, adding nothing): the makespan is the largest item.
+            level.iter().map(|&i| cost(i)).max().unwrap_or(0)
+        } else {
+            items.clear();
+            items.extend(level.iter().map(|&i| (i, cost(i))));
+            lpt_level(items, loads, |_, _| {})
+        };
+        total += makespan + cm.worker_sync_cycles;
     }
     total
 }
@@ -185,13 +194,19 @@ mod tests {
 
         /// `level_set_cycles` is `build(..).cycles(..)` without the schedule:
         /// empty levels, single rows, cost ties (costs drawn from 0..4) and
-        /// sparse row ids included, for 1–8 workers. It also keeps its
-        /// calling contract: one `cost` call per item, in listed order.
+        /// sparse row ids included, for 1–8 workers. Half the levels are
+        /// short, mostly no more rows than workers (the case that skips the
+        /// LPT), with costs of 0 or 10, so zero-cost ties are common. It also
+        /// keeps its calling contract: one `cost` call per item, in listed
+        /// order.
         #[test]
         fn level_set_cycles_equals_the_built_schedule(
             workers in 1usize..9,
             level_costs in proptest::collection::vec(
-                proptest::collection::vec(0u64..4, 0..10),
+                prop_oneof![
+                    proptest::collection::vec(0u64..2, 0..5),
+                    proptest::collection::vec(0u64..4, 0..10),
+                ],
                 0..8,
             ),
         ) {
