@@ -68,18 +68,18 @@ impl Ilu0Factors {
         let mut vals = Vec::with_capacity(a.nnz());
         let mut cols = Vec::with_capacity(a.nnz());
         let mut rptr = vec![0usize];
-        for i in 0..n {
+        for (i, d) in diag.iter_mut().enumerate() {
             let (cs, vs) = a.row(i);
             for (c, v) in cs.iter().zip(vs) {
                 if *c as usize == i {
-                    diag[i] = *v;
+                    *d = *v;
                 } else {
                     cols.push(*c);
                     vals.push(*v);
                 }
             }
             rptr.push(vals.len());
-            assert!(diag[i] != 0.0, "row {i}: zero diagonal");
+            assert!(*d != 0.0, "row {i}: zero diagonal");
         }
         for i in 0..n {
             for kk in rptr[i]..rptr[i + 1] {

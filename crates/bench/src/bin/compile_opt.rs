@@ -13,7 +13,7 @@
 
 use std::rc::Rc;
 
-use graphene_bench::{header, Args};
+use graphene_bench::{header, Args, Fingerprint};
 use graphene_core::config::SolverConfig;
 use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
 use graphene_core::solvers::ExtendedPrecision;
@@ -21,17 +21,6 @@ use ipu_sim::model::IpuModel;
 use json::Json;
 use sparse::formats::CsrMatrix;
 use sparse::gen::{poisson_3d_7pt, rhs_for_ones};
-
-fn fingerprint(r: &SolveResult) -> (Vec<u64>, u64, u64, u64, u64, Vec<(String, [u64; 3])>) {
-    (
-        r.x.iter().map(|v| v.to_bits()).collect(),
-        r.stats.device_cycles(),
-        r.stats.exchange_bytes(),
-        r.stats.supersteps(),
-        r.stats.sync_count(),
-        r.stats.labels_by_phase_sorted(),
-    )
-}
 
 /// Best-of-`repeats` host seconds for one compile/execute mode.
 fn run(
@@ -112,7 +101,11 @@ fn main() {
 
     // Cycle-neutrality contract: optimisation may only remove host
     // dispatch overhead, never simulated device work.
-    assert_eq!(fingerprint(&r_opt), fingerprint(&r_no), "optimisation changed device semantics");
+    assert_eq!(
+        Fingerprint::of(&r_opt),
+        Fingerprint::of(&r_no),
+        "optimisation changed device semantics"
+    );
 
     let iters = r_opt.iterations.max(1) as f64;
     fn report(r: &SolveResult) -> &profile::CompileReport {

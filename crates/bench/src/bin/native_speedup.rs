@@ -2,15 +2,15 @@
 //! fused kernels: `ipu-sim:fused` against `ipu-sim`.
 //!
 //! Runs the fig8-class solve (IR-PBiCGStab+ILU(0) with double-word MPIR,
-//! the budget_check workload) with every vertex interpreted and with
-//! fused dispatch, and
+//! the budget_check workload) on the default lowered route and with fused
+//! dispatch, and
 //!
 //! 1. asserts every device observable is identical (solution bits, device
 //!    cycles, exchanged bytes, superstep/sync counts, per-label splits) —
 //!    the fused kernels' bit-and-cycle-identity contract;
 //! 2. asserts the fig8 hot-op codelets actually fused (SpMV, the residual
-//!    SpMV, both triangular sweeps, at least one map and one reduction) —
-//!    a silent fallback would quietly forfeit the speedup;
+//!    SpMV, the forward and backward triangular sweeps) and that every
+//!    vertex is lowered — a silent miss would quietly forfeit the speedup;
 //! 3. gates each route on its own per-iteration host dispatch time: neither
 //!    the default (lowered) route nor fused dispatch may be more than 25 %
 //!    slower than in the committed `results/native_speedup.json`. Skipped,
@@ -27,7 +27,7 @@
 use std::rc::Rc;
 
 use backend::{BackendSpec, IpuVariant};
-use graphene_bench::{header, Args};
+use graphene_bench::{header, Args, Fingerprint};
 use graphene_core::config::SolverConfig;
 use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
 use graphene_core::solvers::ExtendedPrecision;
@@ -35,17 +35,6 @@ use ipu_sim::model::IpuModel;
 use json::Json;
 use sparse::formats::CsrMatrix;
 use sparse::gen::suitesparse::by_name;
-
-fn fingerprint(r: &SolveResult) -> (Vec<u64>, u64, u64, u64, u64, Vec<(String, [u64; 3])>) {
-    (
-        r.x.iter().map(|v| v.to_bits()).collect(),
-        r.stats.device_cycles(),
-        r.stats.exchange_bytes(),
-        r.stats.supersteps(),
-        r.stats.sync_count(),
-        r.stats.labels_by_phase_sorted(),
-    )
-}
 
 /// Best-of-`repeats` host seconds for one `ipu-sim` variant (plus the last
 /// result — every repeat is bit-identical by construction).
@@ -76,11 +65,10 @@ fn run(
     (last.expect("at least one repeat"), best)
 }
 
-/// The fused-kernel names the fig8 hot path must hit. A fallback on any of
-/// these rebuilds the interpreter bottleneck the kernels exist to remove,
-/// so it fails the gate rather than just slowing down.
-const REQUIRED_KERNELS: &[&str] =
-    &["spmv", "spmv_residual", "forward_subst", "backward_subst_div", "map", "reduce"];
+/// The fused-kernel names the fig8 hot path must hit. A miss on any of
+/// these forfeits the speedup the library exists for, so it fails the gate
+/// rather than just slowing down.
+const REQUIRED_KERNELS: &[&str] = &["spmv", "spmv_residual", "forward_subst", "backward_subst_div"];
 
 /// The committed artifact each route's per-iteration time is held against.
 const BASELINE: &str = "results/native_speedup.json";
@@ -132,8 +120,8 @@ fn main() {
 
     // 1. Bit-and-cycle identity.
     assert_eq!(
-        fingerprint(&ri),
-        fingerprint(&rf),
+        Fingerprint::of(&ri),
+        Fingerprint::of(&rf),
         "fused dispatch disagrees with the interpreter — determinism violation"
     );
 
@@ -144,25 +132,23 @@ fn main() {
         .as_ref()
         .and_then(|c| c.pass("native-kernel-selection"))
         .expect("the engine stamps the kernel selection into its compile report");
-    let fallbacks: Vec<String> = sel
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("fallback."))
-        .map(|(k, _)| k["fallback.".len()..].to_string())
-        .collect();
     let missing: Vec<&str> = REQUIRED_KERNELS
         .iter()
         .copied()
         .filter(|k| sel.counter(&format!("fused.{k}")) == 0)
         .collect();
+    let (vertices, lowered) = (sel.counter("vertices_total"), sel.counter("vertices_lowered"));
     println!(
-        "kernels: {}/{} codelets fused; fallbacks: [{}]",
+        "kernels: {}/{} codelets fused; {lowered}/{vertices} vertices lowered",
         sel.counter("codelets_fused"),
         sel.counter("codelets_total"),
-        fallbacks.join(", ")
     );
     if !missing.is_empty() {
-        eprintln!("hot-op codelets fell back to the interpreter: {missing:?}");
+        eprintln!("hot-op codelets did not fuse: {missing:?}");
+        std::process::exit(1);
+    }
+    if lowered != vertices {
+        eprintln!("{} vertices run on the dynamic interpreter", vertices - lowered);
         std::process::exit(1);
     }
 
@@ -210,7 +196,8 @@ fn main() {
         ("min_speedup", Json::from(min_speedup)),
         ("codelets_total", Json::from(sel.counter("codelets_total"))),
         ("codelets_fused", Json::from(sel.counter("codelets_fused"))),
-        ("fallbacks", Json::arr(fallbacks.iter().map(|f| Json::from(f.as_str())))),
+        ("vertices_total", Json::from(vertices)),
+        ("vertices_lowered", Json::from(lowered)),
         ("device_cycles", Json::from(ri.stats.device_cycles() as f64)),
         ("bit_identical", Json::from(true)),
     ]);

@@ -16,24 +16,13 @@
 use std::rc::Rc;
 
 use backend::{BackendSpec, IpuVariant};
-use graphene_bench::{header, Args};
+use graphene_bench::{header, Args, Fingerprint};
 use graphene_core::config::SolverConfig;
 use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
 use ipu_sim::model::IpuModel;
 use json::Json;
 use sparse::formats::CsrMatrix;
 use sparse::gen::{poisson_3d_7pt, rhs_for_ones};
-
-fn fingerprint(r: &SolveResult) -> (Vec<u64>, u64, u64, u64, u64, Vec<(String, [u64; 3])>) {
-    (
-        r.x.iter().map(|v| v.to_bits()).collect(),
-        r.stats.device_cycles(),
-        r.stats.exchange_bytes(),
-        r.stats.supersteps(),
-        r.stats.sync_count(),
-        r.stats.labels_by_phase_sorted(),
-    )
-}
 
 /// Best-of-`repeats` host seconds for one `ipu-sim` variant (plus the last
 /// result for fingerprinting — every repeat is bit-identical by
@@ -84,7 +73,7 @@ fn main() {
     let (rp, par_s) = run(IpuVariant::Par, a.clone(), &b, &cfg, repeats);
 
     // Determinism contract: nothing observable may differ.
-    assert_eq!(fingerprint(&rs), fingerprint(&rp), "ipu-sim:par disagrees with ipu-sim");
+    assert_eq!(Fingerprint::of(&rs), Fingerprint::of(&rp), "ipu-sim:par disagrees with ipu-sim");
 
     let speedup = seq_s / par_s;
     println!("backend\thost_s\tdevice_cycles");

@@ -20,9 +20,9 @@
 
 use std::rc::Rc;
 
-use graphene_bench::{header, Args};
+use graphene_bench::{header, Args, Fingerprint};
 use graphene_core::config::SolverConfig;
-use graphene_core::runner::{solve, SolveOptions, SolveResult, TOLERANCE_SAFETY};
+use graphene_core::runner::{solve, SolveOptions, TOLERANCE_SAFETY};
 use graphene_core::{RecoveryPolicy, SolveStatus};
 use ipu_sim::fault::FaultPlan;
 use ipu_sim::model::IpuModel;
@@ -52,14 +52,6 @@ struct ClassTally {
     /// Σ resilience.total_device_cycles over all Ok cases.
     total_cycles: u64,
     ok_cases: u32,
-}
-
-fn fingerprint(r: &SolveResult) -> (Vec<u64>, u64, Vec<(String, [u64; 3])>) {
-    (
-        r.x.iter().map(|v| v.to_bits()).collect(),
-        r.stats.device_cycles(),
-        r.stats.labels_by_phase_sorted(),
-    )
 }
 
 fn main() {
@@ -138,8 +130,8 @@ fn main() {
         )
         .expect("policy-off solve");
         assert_eq!(
-            fingerprint(&healthy),
-            fingerprint(&off),
+            Fingerprint::of(&healthy),
+            Fingerprint::of(&off),
             "[{stack_name}] inert recovery policy perturbed the program"
         );
         assert!(off.report.resilience.is_none());

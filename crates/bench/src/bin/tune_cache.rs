@@ -24,7 +24,7 @@
 use std::rc::Rc;
 
 use backend::{BackendSpec, IpuVariant};
-use graphene_bench::{header, Args};
+use graphene_bench::{header, Args, Fingerprint};
 use graphene_core::config::SolverConfig;
 use graphene_core::env::EnvConfig;
 use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
@@ -32,17 +32,6 @@ use graphene_core::solvers::ExtendedPrecision;
 use ipu_sim::model::IpuModel;
 use json::Json;
 use profile::PassStat;
-
-fn fingerprint(r: &SolveResult) -> (Vec<u64>, u64, u64, u64, u64, Vec<(String, [u64; 3])>) {
-    (
-        r.x.iter().map(|v| v.to_bits()).collect(),
-        r.stats.device_cycles(),
-        r.stats.exchange_bytes(),
-        r.stats.supersteps(),
-        r.stats.sync_count(),
-        r.stats.labels_by_phase_sorted(),
-    )
-}
 
 fn tune_pass(r: &SolveResult) -> PassStat {
     r.report
@@ -136,7 +125,7 @@ fn main() {
         eprintln!("second solve did not hit the plan cache");
         std::process::exit(1);
     }
-    if fingerprint(&r1) != fingerprint(&r2) {
+    if Fingerprint::of(&r1) != Fingerprint::of(&r2) {
         eprintln!("cache hit is not bit-identical to the cold tune — determinism violation");
         std::process::exit(1);
     }
@@ -149,7 +138,7 @@ fn main() {
             eprintln!("{name}: tuned leg missed the cache");
             std::process::exit(1);
         }
-        if fingerprint(&r1) != fingerprint(&r) {
+        if Fingerprint::of(&r1) != Fingerprint::of(&r) {
             eprintln!("{name}: tuned solve differs from ipu-sim");
             std::process::exit(1);
         }

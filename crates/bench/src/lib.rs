@@ -54,6 +54,32 @@ impl Args {
     }
 }
 
+/// Every device observable of a solve: solution bits, device cycles,
+/// exchanged bytes, superstep and sync counts, per-label phase splits. Two
+/// runs with equal fingerprints are the same run on the device.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Fingerprint {
+    x_bits: Vec<u64>,
+    device_cycles: u64,
+    exchange_bytes: u64,
+    supersteps: u64,
+    syncs: u64,
+    labels: Vec<(String, [u64; 3])>,
+}
+
+impl Fingerprint {
+    pub fn of(r: &SolveResult) -> Fingerprint {
+        Fingerprint {
+            x_bits: r.x.iter().map(|v| v.to_bits()).collect(),
+            device_cycles: r.stats.device_cycles(),
+            exchange_bytes: r.stats.exchange_bytes(),
+            supersteps: r.stats.supersteps(),
+            syncs: r.stats.sync_count(),
+            labels: r.stats.labels_by_phase_sorted(),
+        }
+    }
+}
+
 /// Outcome of one simulated SpMV measurement.
 #[derive(Clone, Copy, Debug)]
 pub struct SpmvMeasurement {

@@ -56,7 +56,7 @@ pub fn summarize_dir(dir: &Path) -> Summary {
                 p.extension().and_then(|e| e.to_str()) == Some("json")
                     && p.file_name()
                         .and_then(|n| n.to_str())
-                        .map_or(false, |n| !n.starts_with("summary"))
+                        .is_some_and(|n| !n.starts_with("summary"))
             })
             .collect(),
         Err(e) => {

@@ -1247,23 +1247,18 @@ mod tests {
             assert_eq!(interp.stats.device_cycles(), other.stats.device_cycles(), "{name}");
             assert_eq!(interp.seconds, other.seconds, "{name}: device time is host-independent");
         }
-        // The compile report records the selection; the fig8-class hot ops
-        // (SpMV, the triangular sweeps, maps and reductions) must fuse.
+        // The compile report records the selection: SpMV, its residual and
+        // the triangular sweeps must fuse, and every vertex is lowered.
         let selection = |r: &SolveResult| {
             let compile = r.report.compile.as_ref().expect("compile report present");
             compile.pass("native-kernel-selection").expect("selection stamped").clone()
         };
         let sel = selection(&fused);
-        assert!(sel.counter("codelets_total") > 0);
-        assert!(
-            sel.counter("codelets_fused") >= sel.counter("codelets_total") / 2,
-            "expected most codelets to fuse: {:?}",
-            sel.counters
-        );
-        assert!(sel.counter("fused.spmv") > 0, "SpMV must fuse: {:?}", sel.counters);
-        assert!(sel.counter("fused.forward_subst") > 0, "{:?}", sel.counters);
-        assert!(sel.counter("fused.backward_subst_div") > 0, "{:?}", sel.counters);
-        assert!(sel.counter("fused.map") > 0, "{:?}", sel.counters);
+        for k in ["spmv", "spmv_residual", "forward_subst", "backward_subst_div"] {
+            assert!(sel.counter(&format!("fused.{k}")) > 0, "{k} must fuse: {:?}", sel.counters);
+        }
+        assert!(sel.counter("vertices_total") > 0);
+        assert_eq!(sel.counter("vertices_lowered"), sel.counter("vertices_total"));
         assert_eq!(selection(&interp).counter("codelets_fused"), 0);
     }
 

@@ -19,6 +19,7 @@
 //! [`DslCtx::build_engine`] hands the result to the graph compiler and
 //! engine.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use graph::codelet::{Codelet, Expr, ParamDecl, Stmt, Value};
@@ -166,8 +167,8 @@ impl DslCtx {
         param_of.insert(dst.id, 0);
         let mut param_leaves: Vec<TensorRef> = Vec::new();
         for l in &leaves {
-            if !param_of.contains_key(&l.id) {
-                param_of.insert(l.id, params.len());
+            if let Entry::Vacant(slot) = param_of.entry(l.id) {
+                slot.insert(params.len());
                 params.push(ParamDecl { dtype: l.dtype, mutable: false });
                 param_leaves.push(*l);
             }
@@ -255,8 +256,8 @@ impl DslCtx {
         let mut params = vec![ParamDecl { dtype, mutable: true }]; // partial
         let mut param_leaves: Vec<TensorRef> = Vec::new();
         for l in &leaves {
-            if !param_of.contains_key(&l.id) {
-                param_of.insert(l.id, params.len());
+            if let Entry::Vacant(slot) = param_of.entry(l.id) {
+                slot.insert(params.len());
                 params.push(ParamDecl { dtype: l.dtype, mutable: false });
                 param_leaves.push(*l);
             }

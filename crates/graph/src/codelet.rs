@@ -906,11 +906,11 @@ pub struct Charge {
 }
 
 impl Charge {
-    pub(crate) fn cy(cycles: u64) -> Charge {
+    fn cy(cycles: u64) -> Charge {
         Charge { cycles, flops: 0, mem_bytes: 0 }
     }
 
-    pub(crate) fn plus(self, o: Charge) -> Charge {
+    fn plus(self, o: Charge) -> Charge {
         Charge {
             cycles: self.cycles + o.cycles,
             flops: self.flops + o.flops,
@@ -935,8 +935,8 @@ pub(crate) fn parfor_makespan(serial: u64, workers: u64, cost: &CostModel) -> u6
 /// A typed expression: `dtype` is what evaluating the node yields, on every
 /// execution.
 #[derive(Debug)]
-pub(crate) struct TExpr {
-    pub(crate) dtype: DType,
+struct TExpr {
+    dtype: DType,
     kind: TKind,
 }
 
@@ -1059,9 +1059,9 @@ fn join(into: &mut Locals, other: &Locals) {
 /// Typing context of one lowering: the operands' *storage* dtypes — not
 /// `ParamDecl::dtype`: MPIR binds the F32-declared SpMV to double-word
 /// storage, and loads and stores are charged at storage dtype.
-pub(crate) struct Lowerer<'a> {
-    pub(crate) storage: &'a [DType],
-    pub(crate) cost: &'a CostModel,
+struct Lowerer<'a> {
+    storage: &'a [DType],
+    cost: &'a CostModel,
 }
 
 impl Lowerer<'_> {
@@ -1070,12 +1070,7 @@ impl Lowerer<'_> {
     /// whenever it ran: a local read where two dtypes meet, `Select` arms
     /// of different dtypes, a non-integer index, `Sqrt` of I32 / Bool
     /// (which has no cost row).
-    pub(crate) fn expr(
-        &self,
-        e: &Expr,
-        locals: &[Option<DType>],
-        ch: &mut Charge,
-    ) -> Option<TExpr> {
+    fn expr(&self, e: &Expr, locals: &[Option<DType>], ch: &mut Charge) -> Option<TExpr> {
         let cost = self.cost;
         Some(match e {
             Expr::Const(v) => TExpr::new(v.dtype(), TKind::Const(*v)),
@@ -1273,7 +1268,7 @@ pub struct Lowered {
 impl Lowered {
     /// Lower `codelet` for operands of the given storage dtypes, for a
     /// `LevelSet` vertex or a `Simple` one. `None` — never a panic — when
-    /// the body cannot be typed (see [`Lowerer::expr`]); such a vertex
+    /// the body cannot be typed (see `Lowerer::expr`); such a vertex
     /// keeps the dynamic [`Interp`].
     pub fn lower(
         codelet: &Codelet,

@@ -72,7 +72,8 @@ pub struct EngineOptions {
     /// `N` — and requires a [`parallel_hazards`]-free program.
     pub threads: usize,
     /// Run each vertex on the fused kernel matched at engine build where
-    /// there is one. `false`, the default, interprets every vertex.
+    /// there is one. `false`, the default, skips the library: every vertex
+    /// runs its lowered form.
     pub fusion: bool,
 }
 
@@ -283,7 +284,7 @@ impl Engine {
         let lowered = LoweredTable::build(&graph);
         let mut stat = PassStat::new("native-kernel-selection", report.plan_steps);
         stat.count("codelets_total", kernels.total() as u64);
-        stat.count("codelets_fused", kernels.fused_count() as u64);
+        stat.count("codelets_fused", kernels.fused().count() as u64);
         // Totals, not a row per codelet: a vertex that is not lowered runs
         // on the dynamic interpreter, correct but slower; one whose inner
         // loops are not recognised runs them a trip at a time.
@@ -291,15 +292,10 @@ impl Engine {
         stat.count("vertices_total", vertices);
         stat.count("vertices_lowered", vertices_lowered);
         stat.count("vertices_looped", vertices_looped);
-        // A fallback is a codelet no kernel matched; with fusion off none
-        // was tried, and the totals above say all there is to say.
-        if options.fusion {
-            for (codelet, kernel) in kernels.selection(&graph) {
-                match kernel {
-                    Some(k) => stat.count(&format!("fused.{k}"), 1),
-                    None => stat.count(&format!("fallback.{codelet}"), 1),
-                }
-            }
+        // One row per matched kernel; an unmatched codelet runs its lowered
+        // form, and the totals above already say which vertices have none.
+        for k in kernels.fused() {
+            stat.count(&format!("fused.{k}"), 1);
         }
         report.passes.push(stat);
         let storage = graph.tensors.iter().map(|t| Storage::zeros(t.dtype, t.len())).collect();
@@ -1999,18 +1995,18 @@ mod tests {
             let e = Engine::with_options(exec.clone(), EngineOptions { threads: 1, fusion });
             e.unwrap().compile_report().pass("native-kernel-selection").cloned().unwrap()
         };
-        assert_eq!(sel(true).counter("codelets_fused"), 1);
-        assert_eq!(sel(false).counter("codelets_fused"), 0);
-        assert_eq!(sel(false).counter("codelets_total"), 1);
-        // Lowering does not depend on fusion: both vertices, either way; a
-        // map has no accumulate loop.
+        // A map is not in the library: with fusion on or off it runs
+        // lowered. Lowering does not depend on fusion: both vertices, either
+        // way; a map has no accumulate loop. No per-codelet rows: only a
+        // matched kernel gets one.
         for fusion in [false, true] {
+            assert_eq!(sel(fusion).counter("codelets_total"), 1);
+            assert_eq!(sel(fusion).counter("codelets_fused"), 0);
             assert_eq!(sel(fusion).counter("vertices_total"), 2);
             assert_eq!(sel(fusion).counter("vertices_lowered"), 2);
             assert_eq!(sel(fusion).counter("vertices_looped"), 0);
+            assert_eq!(sel(fusion).counters.len(), 5, "{:?}", sel(fusion).counters);
         }
-        // No per-codelet rows: nothing was matched, so nothing fell back.
-        assert_eq!(sel(false).counters.len(), 5, "{:?}", sel(false).counters);
     }
 
     #[test]
