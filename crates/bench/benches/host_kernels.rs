@@ -62,6 +62,23 @@ fn bench_analyses(c: &mut Criterion) {
     g.bench_function("partition_by_nnz_64", |b| {
         b.iter(|| Partition::balanced_by_nnz(black_box(&a), 64))
     });
+
+    // The shape a cold one-shot solve builds: 40³ Poisson on 1000 tiles of
+    // 64 rows, where per-tile and per-row costs, not the matrix, dominate.
+    let a = poisson_3d_7pt(40, 40, 40);
+    let part = Partition::balanced_by_nnz(&a, 1000);
+    g.bench_function("halo_and_local_matrices_40cubed_1000", |b| {
+        b.iter(|| HaloDecomposition::build(black_box(&a), black_box(&part)).local_matrices(&a))
+    });
+    let locals = HaloDecomposition::build(&a, &part).local_matrices(&a);
+    g.bench_function("level_sets_of_locals_40cubed_1000", |b| {
+        b.iter(|| {
+            for local in black_box(&locals) {
+                black_box(LevelSets::analyze(&local.a, Sweep::Forward));
+                black_box(LevelSets::analyze(&local.a, Sweep::Backward));
+            }
+        })
+    });
     g.finish();
 }
 

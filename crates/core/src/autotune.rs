@@ -100,7 +100,8 @@ fn probe_cycles(
     optimise: bool,
 ) -> Result<u64, String> {
     let mut ctx = DslCtx::new(model.clone());
-    let sys = DistSystem::build(&mut ctx, a.clone(), part.clone());
+    let sys =
+        DistSystem::try_build(&mut ctx, a.clone(), part.clone()).map_err(|e| e.to_string())?;
     let x = sys.new_vector(&mut ctx, "tune_x", DType::F32);
     let y = sys.new_vector(&mut ctx, "tune_y", DType::F32);
     sys.spmv(&mut ctx, y, x);

@@ -410,6 +410,46 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_or_missing_diagonal_fails_execute_with_a_config_error_naming_the_row() {
+        let a = poisson_2d_5pt(4, 4, 1.0);
+        let k = |row: usize| {
+            a.row_ptr[row] + a.row(row).0.iter().position(|&c| c == row as u32).unwrap()
+        };
+        let mut missing = a.clone();
+        let at = k(6);
+        missing.col_idx.remove(at);
+        missing.values.remove(at);
+        missing.row_ptr[7..].iter_mut().for_each(|p| *p -= 1);
+        let mut zero = a.clone();
+        zero.values[k(11)] = 0.0;
+        let b = vec![1.0; a.nrows];
+        for name in ["ipu-sim", "ipu-sim:par", "ipu-sim:fused"] {
+            for (m, row) in [(&missing, 6), (&zero, 11)] {
+                let plan = SolvePlan {
+                    a: Rc::new(m.clone()),
+                    solver: cfg().to_value(),
+                    record_history: false,
+                };
+                let mut prepared = resolve(name, &sim_opts()).unwrap().prepare(&plan).unwrap();
+                match prepared.execute(&b, None) {
+                    Err(BackendError::Failed { reason, .. }) => {
+                        let want = SolveError::Config(String::new()).to_string();
+                        assert!(reason.starts_with(&want), "{name}: {reason}");
+                        assert!(reason.contains(&format!("row {row} ")), "{name}: {reason}");
+                    }
+                    other => panic!("{name}: expected a config error, got {:?}", other.err()),
+                }
+            }
+        }
+        // The 1×1 host answers do not reach the device and are unchanged: an
+        // empty row with b = 0 is the zero solution.
+        let empty = CsrMatrix { nrows: 1, ncols: 1, row_ptr: vec![0, 0], ..CsrMatrix::default() };
+        let plan = SolvePlan { a: Rc::new(empty), solver: cfg().to_value(), record_history: false };
+        let mut prepared = resolve("ipu-sim", &sim_opts()).unwrap().prepare(&plan).unwrap();
+        assert_eq!(prepared.execute(&[0.0], None).unwrap().x, vec![0.0]);
+    }
+
+    #[test]
     fn ipu_sim_backend_refuses_malformed_solver_json() {
         let be = IpuSimBackend::new(IpuVariant::Default, sim_opts());
         let plan = SolvePlan {

@@ -60,9 +60,48 @@ pub struct DistSystem {
     residual_codelet: graph::codelet::CodeletId,
 }
 
+/// Why a matrix cannot be laid out on the device: row `row` (global id) has
+/// no diagonal entry, or a zero one. The modified CSR keeps the diagonal as
+/// a dense array of pivots, so every row needs a nonzero one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ZeroDiagonal {
+    pub row: usize,
+}
+
+impl std::fmt::Display for ZeroDiagonal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "row {} has a zero or missing diagonal entry; the device's modified CSR needs a \
+             nonzero diagonal in every row",
+            self.row
+        )
+    }
+}
+
+impl std::error::Error for ZeroDiagonal {}
+
 impl DistSystem {
     /// Decompose `a` over `part` and allocate the matrix on the device.
+    /// Panics where [`DistSystem::try_build`] returns an error.
     pub fn build(ctx: &mut DslCtx, a: Rc<CsrMatrix>, part: Partition) -> DistSystem {
+        Self::try_build(ctx, a, part).expect("matrix with a full nonzero diagonal")
+    }
+
+    /// Decompose `a` over `part` and allocate the matrix on the device, or
+    /// name the first row (in tile order) whose diagonal is zero or
+    /// missing; `ctx` is untouched then.
+    ///
+    /// One pass per tile over its rows writes the modified CSR straight
+    /// into the four tensor arrays, with columns renumbered through the
+    /// decomposition's one global → local map; the forward and backward
+    /// level sets then take one pass each over the tile's off-diagonal
+    /// pattern.
+    pub fn try_build(
+        ctx: &mut DslCtx,
+        a: Rc<CsrMatrix>,
+        part: Partition,
+    ) -> Result<DistSystem, ZeroDiagonal> {
         assert!(
             part.num_parts() <= ctx.model().num_tiles(),
             "partition has more parts ({}) than the machine has tiles ({})",
@@ -70,7 +109,6 @@ impl DistSystem {
             ctx.model().num_tiles()
         );
         let halo = HaloDecomposition::build(&a, &part);
-        let locals = halo.local_matrices(&a);
         let num_tiles = part.num_parts();
 
         // Vector layout.
@@ -83,45 +121,63 @@ impl DistSystem {
         }
 
         // Matrix tensors: per tile, the modified-CSR arrays back to back.
-        let mut diag_chunks = Vec::new();
-        let mut vals_chunks = Vec::new();
-        let mut cols_chunks = Vec::new();
-        let mut rptr_chunks = Vec::new();
-        let mut diag_data = Vec::new();
-        let mut vals_data = Vec::new();
-        let mut cols_data = Vec::new();
-        let mut rptr_data = Vec::new();
-        let (mut d0, mut v0, mut c0, mut r0) = (0usize, 0usize, 0usize, 0usize);
+        // Every row holds one diagonal entry, so the rest is off-diagonal.
+        let n = a.nrows;
+        let off_diagonal = a.nnz().saturating_sub(n);
+        let mut diag_data = Vec::with_capacity(n);
+        let mut vals_data = Vec::with_capacity(off_diagonal);
+        let mut cols_data = Vec::with_capacity(off_diagonal);
+        let mut rptr_data = Vec::with_capacity(n + num_tiles);
+        let mut diag_chunks = Vec::with_capacity(num_tiles);
+        let mut vals_chunks = Vec::with_capacity(num_tiles);
+        let mut cols_chunks = Vec::with_capacity(num_tiles);
+        let mut rptr_chunks = Vec::with_capacity(num_tiles);
         let mut fwd_levels = Vec::with_capacity(num_tiles);
         let mut bwd_levels = Vec::with_capacity(num_tiles);
         let mut mat_offsets = Vec::with_capacity(num_tiles);
         let mut mat_nnz = Vec::with_capacity(num_tiles);
-        for (t, lm) in locals.iter().enumerate() {
+        // One tile's off-diagonal pattern, reused: the level sets read it.
+        let mut row_ptr: Vec<usize> = Vec::new();
+        let mut col_idx: Vec<u32> = Vec::new();
+        let mut columns = halo.local_columns();
+        for (t, layout) in halo.layouts.iter().enumerate() {
+            columns.enter(t);
+            let (d0, v0, r0) = (diag_data.len(), vals_data.len(), rptr_data.len());
             mat_offsets.push((d0, v0, r0));
-            let m = lm.a.to_modified_local();
-            let rows = lm.a.nrows;
-            diag_chunks.push(TensorChunk { tile: t, start: d0, owned: rows, total: rows });
-            d0 += rows;
-            diag_data.extend_from_slice(&m.diag);
-            let nnz = m.values.len();
-            mat_nnz.push(nnz);
-            vals_chunks.push(TensorChunk { tile: t, start: v0, owned: nnz, total: nnz });
-            v0 += nnz;
-            vals_data.extend_from_slice(&m.values);
-            cols_chunks.push(TensorChunk { tile: t, start: c0, owned: nnz, total: nnz });
-            c0 += nnz;
-            cols_data.extend(m.col_idx.iter().map(|&c| c as f64));
-            rptr_chunks.push(TensorChunk { tile: t, start: r0, owned: rows + 1, total: rows + 1 });
-            r0 += rows + 1;
-            rptr_data.extend(m.row_ptr.iter().map(|&p| p as f64));
+            row_ptr.clear();
+            row_ptr.push(0);
+            col_idx.clear();
+            for (i, &row) in layout.owned.iter().enumerate() {
+                let mut d = 0.0;
+                for &(c, v) in columns.row(&a, row) {
+                    if c as usize == i {
+                        d = v;
+                    } else {
+                        col_idx.push(c);
+                        vals_data.push(v);
+                    }
+                }
+                if d == 0.0 {
+                    return Err(ZeroDiagonal { row });
+                }
+                diag_data.push(d);
+                row_ptr.push(col_idx.len());
+            }
+            cols_data.extend(col_idx.iter().map(|&c| c as f64));
+            rptr_data.extend(row_ptr.iter().map(|&p| p as f64));
 
-            // Level sets of the off-diagonal local structure. Analysis runs
-            // on the local CSR (halo columns >= rows are never forward
-            // dependencies; backward ignores cols >= nrows).
-            let fwd = LevelSets::analyze(&lm.a, Sweep::Forward);
-            let bwd = LevelSets::analyze(&lm.a, Sweep::Backward);
-            fwd_levels.push(fwd.levels);
-            bwd_levels.push(bwd.levels);
+            let (rows, nnz) = (layout.owned.len(), col_idx.len());
+            mat_nnz.push(nnz);
+            diag_chunks.push(TensorChunk { tile: t, start: d0, owned: rows, total: rows });
+            vals_chunks.push(TensorChunk { tile: t, start: v0, owned: nnz, total: nnz });
+            cols_chunks.push(TensorChunk { tile: t, start: v0, owned: nnz, total: nnz });
+            rptr_chunks.push(TensorChunk { tile: t, start: r0, owned: rows + 1, total: rows + 1 });
+
+            // Level sets of the local lower/upper triangles: halo columns
+            // (>= rows) are never dependencies.
+            let levels = |sweep| LevelSets::of_pattern(rows, &row_ptr, &col_idx, sweep).levels;
+            fwd_levels.push(levels(Sweep::Forward));
+            bwd_levels.push(levels(Sweep::Backward));
         }
 
         let diag = ctx
@@ -150,7 +206,7 @@ impl DistSystem {
         let spmv_codelet = ctx.add_codelet(build_spmv_codelet(false));
         let residual_codelet = ctx.add_codelet(build_spmv_codelet(true));
 
-        DistSystem {
+        Ok(DistSystem {
             a,
             part,
             halo,
@@ -170,7 +226,7 @@ impl DistSystem {
             rptr_data,
             spmv_codelet,
             residual_codelet,
-        }
+        })
     }
 
     pub fn num_tiles(&self) -> usize {
@@ -331,19 +387,25 @@ impl DistSystem {
     /// (owned values in local order, halo slots filled with owners'
     /// values).
     pub fn to_device_order(&self, global: &[f64]) -> Vec<f64> {
-        self.halo.scatter(global).into_iter().flatten().collect()
+        let len = self.vec_chunks.last().map_or(0, |vc| vc.start + vc.total);
+        let mut device = Vec::with_capacity(len);
+        for layout in &self.halo.layouts {
+            device.extend(layout.owned.iter().chain(&layout.halo).map(|&row| global[row]));
+        }
+        device
     }
 
     /// Gather a device-layout vector (as read from the engine) back into
     /// global ordering.
     pub fn from_device_order(&self, device: &[f64]) -> Vec<f64> {
-        let mut locals = Vec::with_capacity(self.num_tiles());
-        let mut off = 0;
-        for vc in &self.vec_chunks {
-            locals.push(device[off..off + vc.total].to_vec());
-            off += vc.total;
+        let mut global = vec![0.0; self.num_rows()];
+        for (vc, layout) in self.vec_chunks.iter().zip(&self.halo.layouts) {
+            let owned = &device[vc.start..vc.start + vc.owned];
+            for (&row, &v) in layout.owned.iter().zip(owned) {
+                global[row] = v;
+            }
         }
-        self.halo.gather(&locals)
+        global
     }
 }
 
@@ -396,6 +458,8 @@ fn build_spmv_codelet(residual: bool) -> graph::codelet::Codelet {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use sparse::gen::{poisson_2d_5pt, poisson_3d_7pt, Grid3};
 
@@ -493,12 +557,22 @@ mod tests {
 
     #[test]
     fn device_order_roundtrip() {
-        let a = poisson_2d_5pt(5, 5, 1.0);
-        let part = Partition::contiguous(25, 3);
-        let mut ctx = DslCtx::new(IpuModel::tiny(3));
-        let sys = DistSystem::build(&mut ctx, Rc::new(a), part);
+        let a = Rc::new(poisson_2d_5pt(5, 5, 1.0));
         let xs: Vec<f64> = (0..25).map(|i| i as f64).collect();
-        assert_eq!(sys.from_device_order(&sys.to_device_order(&xs)), xs);
+        // Three parts, then more parts than rows: five tiles own nothing.
+        for parts in [3, 30] {
+            let part = Partition::contiguous(25, parts);
+            let mut ctx = DslCtx::new(IpuModel::tiny(parts));
+            let sys = DistSystem::build(&mut ctx, a.clone(), part);
+            let device = sys.to_device_order(&xs);
+            assert_eq!(device.len(), sys.vec_chunks.iter().map(|vc| vc.total).sum::<usize>());
+            for (vc, layout) in sys.vec_chunks.iter().zip(&sys.halo.layouts) {
+                let rows = layout.owned.iter().chain(&layout.halo);
+                let want: Vec<f64> = rows.map(|&r| xs[r]).collect();
+                assert_eq!(&device[vc.start..vc.start + vc.total], &want[..]);
+            }
+            assert_eq!(sys.from_device_order(&device), xs);
+        }
     }
 
     #[test]
@@ -515,35 +589,192 @@ mod tests {
             assert_eq!(covered_b, rows);
         }
     }
-}
 
-/// Extension: build a tile-local modified CSR where the diagonal refers to
-/// the *local* row index (local row r ↔ local column r).
-trait ToModifiedLocal {
-    fn to_modified_local(&self) -> sparse::formats::ModifiedCsr;
-}
+    #[test]
+    fn a_zero_or_missing_diagonal_is_an_error_naming_the_global_row() {
+        let a = poisson_2d_5pt(4, 4, 1.0);
+        let without = |row: usize, value: Option<f64>| {
+            let mut b = a.clone();
+            let k = b.row_ptr[row] + b.row(row).0.iter().position(|&c| c as usize == row).unwrap();
+            match value {
+                Some(v) => b.values[k] = v,
+                None => {
+                    b.col_idx.remove(k);
+                    b.values.remove(k);
+                    b.row_ptr[row + 1..].iter_mut().for_each(|p| *p -= 1);
+                }
+            }
+            Rc::new(b)
+        };
+        for (b, row) in [(without(9, None), 9), (without(2, Some(0.0)), 2), (without(15, None), 15)]
+        {
+            let mut ctx = DslCtx::new(IpuModel::tiny(3));
+            let err = DistSystem::try_build(&mut ctx, b, Partition::contiguous(16, 3)).err();
+            assert_eq!(err, Some(ZeroDiagonal { row }));
+            assert!(err.unwrap().to_string().contains(&format!("row {row} ")));
+            assert!(ctx.graph().tensors.is_empty() && ctx.graph().codelets.is_empty());
+        }
+    }
 
-impl ToModifiedLocal for CsrMatrix {
-    fn to_modified_local(&self) -> sparse::formats::ModifiedCsr {
-        let n = self.nrows;
+    /// `to_modified_local` as it was: a tile-local CSR split into a dense
+    /// diagonal and an off-diagonal CSR. With the loop of the old
+    /// `DistSystem::build` in [`oracle_data`], the oracle the one-pass build
+    /// must reproduce.
+    fn to_modified_local(m: &CsrMatrix) -> sparse::formats::ModifiedCsr {
+        let n = m.nrows;
         let mut diag = vec![0.0; n];
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
         row_ptr.push(0);
-        for i in 0..n {
-            let (cols, vals) = self.row(i);
+        for (i, d) in diag.iter_mut().enumerate() {
+            let (cols, vals) = m.row(i);
             for (c, v) in cols.iter().zip(vals) {
                 if *c as usize == i {
-                    diag[i] = *v;
+                    *d = *v;
                 } else {
                     col_idx.push(*c);
                     values.push(*v);
                 }
             }
-            assert!(diag[i] != 0.0, "local row {i} has a zero/missing diagonal");
+            assert!(*d != 0.0, "local row {i} has a zero/missing diagonal");
             row_ptr.push(col_idx.len());
         }
-        sparse::formats::ModifiedCsr { nrows: n, ncols: self.ncols, diag, row_ptr, col_idx, values }
+        sparse::formats::ModifiedCsr { nrows: n, ncols: m.ncols, diag, row_ptr, col_idx, values }
+    }
+
+    /// What the old `DistSystem::build` put in the four tensors and the
+    /// level sets: local matrices first, then a modified CSR and two level
+    /// analyses per tile.
+    fn oracle_data(a: &CsrMatrix, part: &Partition) -> (Vec<Vec<u64>>, Levels, Levels) {
+        let (mut diag, mut vals, mut cols, mut rptr) = (vec![], vec![], vec![], vec![]);
+        let (mut fwd, mut bwd) = (vec![], vec![]);
+        for lm in HaloDecomposition::build(a, part).local_matrices(a) {
+            let m = to_modified_local(&lm.a);
+            diag.extend(m.diag);
+            vals.extend(m.values);
+            cols.extend(m.col_idx.iter().map(|&c| c as f64));
+            rptr.extend(m.row_ptr.iter().map(|&p| p as f64));
+            fwd.push(LevelSets::analyze(&lm.a, Sweep::Forward).levels);
+            bwd.push(LevelSets::analyze(&lm.a, Sweep::Backward).levels);
+        }
+        (vec![bits(&diag), bits(&vals), bits(&cols), bits(&rptr)], fwd, bwd)
+    }
+
+    type Levels = Vec<Vec<Vec<usize>>>;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_matches_oracle(a: Rc<CsrMatrix>, part: Partition) {
+        let want = oracle_data(&a, &part);
+        let mut ctx = DslCtx::new(IpuModel::tiny(part.num_parts()));
+        let sys = DistSystem::build(&mut ctx, a, part);
+        let tensors =
+            [&sys.diag_data, &sys.vals_data, &sys.cols_data, &sys.rptr_data].map(|v| bits(v));
+        let got = (tensors.to_vec(), sys.fwd_levels.clone(), sys.bwd_levels.clone());
+        assert_eq!(got, want);
+        // The per-tile slices of the four tensors follow the local row counts.
+        let (mut v0, mut r0) = (0, 0);
+        for (t, vc) in sys.vec_chunks.iter().enumerate() {
+            let nnz = sys.mat_nnz[t];
+            assert_eq!(sys.mat_offsets[t], (r0 - t, v0, r0));
+            assert_eq!(sys.rptr_data[r0 + vc.owned], nnz as f64);
+            v0 += nnz;
+            r0 += vc.owned + 1;
+        }
+        assert_eq!((v0, r0), (sys.vals_data.len(), sys.rptr_data.len()));
+        // Every level vector is sized exactly.
+        for l in sys.fwd_levels.iter().chain(&sys.bwd_levels).flatten() {
+            assert_eq!(l.capacity(), l.len());
+        }
+    }
+
+    /// A random SPD matrix under one of the three partition families, with
+    /// some rows stripped to their diagonal and, optionally, one tile cut
+    /// off from every other (no separator, no halo).
+    fn arb_case() -> impl Strategy<Value = (CsrMatrix, Partition)> {
+        let dims = (1usize..6, 1usize..6, 1usize..4);
+        ((0usize..3, dims), 1usize..14, any::<u64>(), 0usize..4, any::<bool>()).prop_map(
+            |((family, (nx, ny, nz)), parts, seed, diag_only_every, isolate)| {
+                let n = nx * ny * nz;
+                let a = sparse::gen::random_spd(n, 5, seed);
+                let part = match family {
+                    0 => Partition::contiguous(n, parts),
+                    1 => Partition::balanced_by_nnz(&a, parts),
+                    _ => {
+                        let p = 1 + parts % 3;
+                        let grid = Grid3 { nx, ny, nz };
+                        Partition::grid_3d(grid, p.min(nx), p.min(ny), (parts % 2 + 1).min(nz))
+                    }
+                };
+                let cut = (seed % part.num_parts() as u64) as u32;
+                let stripped =
+                    |i: usize| diag_only_every > 0 && i.is_multiple_of(diag_only_every + 2);
+                let coupled = |i: usize, j: usize| (part.owner[i] == cut) == (part.owner[j] == cut);
+                let mut coo = sparse::formats::CooMatrix::new(n, n);
+                for i in 0..n {
+                    let (cols, vals) = a.row(i);
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        let j = c as usize;
+                        if i == j || (!stripped(i) && (!isolate || coupled(i, j))) {
+                            coo.push(i, j, v);
+                        }
+                    }
+                }
+                (coo.to_csr(), part)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn one_pass_build_matches_the_oracle(case in arb_case()) {
+            let (a, part) = case;
+            assert_matches_oracle(Rc::new(a), part);
+        }
+    }
+
+    /// `a` stored as no constructor here stores it: every row reversed and,
+    /// in every third row, each entry repeated at half its value (the
+    /// diagonal too), so rows are unsorted and hold duplicate columns.
+    fn non_canonical(a: &CsrMatrix) -> CsrMatrix {
+        let mut row_ptr = vec![0];
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for i in 0..a.nrows {
+            let (cols, vals) = a.row(i);
+            let copies = if i % 3 == 0 { 2 } else { 1 };
+            for copy in 0..copies {
+                for (&c, &v) in cols.iter().zip(vals).rev() {
+                    col_idx.push(c);
+                    values.push(if copy == 0 { v } else { 0.5 * v });
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix { row_ptr, col_idx, values, ..a.clone() }
+    }
+
+    #[test]
+    fn one_pass_build_matches_the_oracle_on_corner_cases() {
+        let spd = Rc::new(sparse::gen::random_spd(30, 5, 3));
+        let wide = Rc::new(non_canonical(&sparse::gen::random_spd(40, 25, 5)));
+        let cube = Rc::new(poisson_3d_7pt(6, 6, 6));
+        let cases = [
+            (spd.clone(), Partition::contiguous(30, 1)),
+            (spd.clone(), Partition::contiguous(30, 45)),
+            (spd.clone(), Partition::balanced_by_nnz(&spd, 40)),
+            (Rc::new(CsrMatrix::identity(12)), Partition::contiguous(12, 4)),
+            (cube.clone(), Partition::grid_3d(Grid3 { nx: 6, ny: 6, nz: 6 }, 3, 2, 2)),
+            (cube.clone(), Partition::balanced_by_nnz(&cube, 16)),
+            (Rc::new(non_canonical(&cube)), Partition::balanced_by_nnz(&cube, 9)),
+            (wide, Partition::contiguous(40, 6)),
+        ];
+        for (a, part) in cases {
+            assert_matches_oracle(a, part);
+        }
     }
 }

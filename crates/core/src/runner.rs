@@ -14,9 +14,10 @@
 //!    decision, the partition;
 //! 5. **[`Plan::run`]** — what depends on `b` and `x0`: validation, the
 //!    deadline, the 0×0 / 1×1 host answers, then the attempt loop;
-//! 6. **attempt** — one full device run: distribute, symbolically execute
-//!    the solver (probes attached through `Solver::instrument`), compile,
-//!    upload, run, read back, recompute the true residual in f64;
+//! 6. **attempt** — one full device run: distribute (a row with a zero or
+//!    missing diagonal is a [`SolveError::Config`] naming it), symbolically
+//!    execute the solver (probes attached through `Solver::instrument`),
+//!    compile, upload, run, read back, recompute the true residual in f64;
 //! 7. **judge** — accept, or name a detection; a detection rolls back to
 //!    the last finite checkpoint and retries, first with the same
 //!    configuration (up to `max_restarts` per rung), then down the
@@ -631,7 +632,8 @@ impl Plan {
     ) -> Result<Attempt, SolveError> {
         let policy = &self.policy;
         let mut ctx = DslCtx::new(self.model.clone());
-        let sys = DistSystem::build(&mut ctx, self.a.clone(), self.partition.clone());
+        let sys = DistSystem::try_build(&mut ctx, self.a.clone(), self.partition.clone())
+            .map_err(|e| SolveError::Config(e.to_string()))?;
         let bt = sys.new_vector(&mut ctx, "b", DType::F32);
         let xt = sys.new_vector(&mut ctx, "x", DType::F32);
 

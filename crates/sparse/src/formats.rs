@@ -126,13 +126,13 @@ impl CsrMatrix {
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols);
         assert_eq!(y.len(), self.nrows);
-        for i in 0..self.nrows {
+        for (i, yi) in y.iter_mut().enumerate() {
             let (cols, vals) = self.row(i);
             let mut acc = 0.0;
             for (c, v) in cols.iter().zip(vals) {
                 acc += v * x[*c as usize];
             }
-            y[i] = acc;
+            *yi = acc;
         }
     }
 
@@ -239,11 +239,11 @@ impl CsrMatrix {
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
         row_ptr.push(0);
-        for i in 0..n {
+        for (i, d) in diag.iter_mut().enumerate() {
             let (cols, vals) = self.row(i);
             for (c, v) in cols.iter().zip(vals) {
                 if *c as usize == i {
-                    diag[i] = *v;
+                    *d = *v;
                 } else {
                     col_idx.push(*c);
                     values.push(*v);
@@ -264,8 +264,7 @@ impl CsrMatrix {
             inv[old] = new as u32;
         }
         let mut coo = CooMatrix::new(self.nrows, self.ncols);
-        for new_row in 0..self.nrows {
-            let old_row = perm[new_row];
+        for (new_row, &old_row) in perm.iter().enumerate() {
             let (cols, vals) = self.row(old_row);
             for (c, v) in cols.iter().zip(vals) {
                 coo.push(new_row, inv[*c as usize] as usize, *v);

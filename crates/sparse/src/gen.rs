@@ -218,9 +218,9 @@ pub fn random_spd(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
             row_sums[j] += v.abs();
         }
     }
-    for i in 0..n {
+    for (i, sum) in row_sums.iter().enumerate() {
         // Strict diagonal dominance with margin.
-        coo.push(i, i, row_sums[i] + 1.0 + rng.gen_range(0.0..0.5));
+        coo.push(i, i, sum + 1.0 + rng.gen_range(0.0..0.5));
     }
     coo.to_csr()
 }
@@ -428,7 +428,7 @@ mod tests {
         let a = tridiagonal(5);
         let b = rhs_for_ones(&a);
         // A * 1 = b by construction.
-        assert_eq!(b, a.spmv_alloc(&vec![1.0; 5]));
+        assert_eq!(b, a.spmv_alloc(&[1.0; 5]));
         // First row: 2 - 1 = 1.
         assert_eq!(b[0], 1.0);
         // Interior: 2 - 1 - 1 = 0.

@@ -22,8 +22,6 @@
 //! The resulting per-tile memory layout of a distributed vector is
 //! `[interior cells | separator regions… | halo regions…]` (paper Fig 3b).
 
-use std::collections::HashMap;
-
 use crate::formats::CsrMatrix;
 use crate::partition::Partition;
 
@@ -105,87 +103,110 @@ pub struct HaloDecomposition {
 }
 
 impl HaloDecomposition {
-    /// Build the decomposition following the paper's four steps.
+    /// Build the decomposition following the paper's four steps, over dense
+    /// arrays and without hashing: the consumer sets are a CSR over cells
+    /// built in two counting passes, a tile's separator cells are grouped by
+    /// comparing consumer-set slices and laid out by a counting sort, and
+    /// every layout vector is sized exactly.
     pub fn build(a: &CsrMatrix, part: &Partition) -> Self {
         assert_eq!(a.nrows, part.num_rows());
         assert_eq!(a.nrows, a.ncols, "halo decomposition requires a square matrix");
         let num_tiles = part.num_parts();
 
-        // Step 1: for every cell, the set of foreign tiles that reference
-        // it. Row i referencing column j means owner(i) needs cell j.
-        let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); a.nrows];
-        for i in 0..a.nrows {
-            let ti = part.owner[i];
-            let (cols, _) = a.row(i);
-            for &c in cols {
-                let j = c as usize;
-                let tj = part.owner[j];
-                if ti != tj && !consumers[j].contains(&ti) {
-                    consumers[j].push(ti);
+        // Step 1: for every cell, the set of foreign tiles that reference it.
+        let (cons_ptr, cons) = consumer_sets(a, part);
+        let consumers_of = |j: usize| &cons[cons_ptr[j]..cons_ptr[j + 1]];
+
+        // Step 2, tile by tile in ascending order: interior cells in part
+        // order, then the separator cells grouped into regions by consumer
+        // set. A tile's separators fall into few sets, so each finds its
+        // group by comparing its set with one representative cell per group
+        // found so far. Ranking the groups by set and a counting sort then
+        // lay the regions out back to back in the owned tail, each in
+        // ascending global id (`parts` are sorted): the consistent order.
+        let mut layouts = Vec::with_capacity(num_tiles);
+        let mut regions = Vec::new();
+        let mut halo_len = vec![0usize; num_tiles];
+        // Per tile, reused: a representative cell per group, every
+        // separator with its group, the groups ranked by consumer set, and
+        // each group's size, then next free slot, then end in `owned`.
+        let (mut reps, mut members, mut ranked, mut next) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (t, rows) in part.parts.iter().enumerate() {
+            let mut owned = Vec::with_capacity(rows.len());
+            reps.clear();
+            members.clear();
+            for &r in rows {
+                let set = consumers_of(r);
+                if set.is_empty() {
+                    owned.push(r);
+                    continue;
                 }
+                let g = match reps.iter().rposition(|&x| consumers_of(x) == set) {
+                    Some(g) => g,
+                    None => {
+                        reps.push(r);
+                        reps.len() - 1
+                    }
+                };
+                members.push((r, g));
             }
-        }
-        for c in &mut consumers {
-            c.sort_unstable();
+            let num_interior = owned.len();
+            ranked.clear();
+            ranked.extend(0..reps.len());
+            ranked.sort_unstable_by(|&x, &y| consumers_of(reps[x]).cmp(consumers_of(reps[y])));
+            next.clear();
+            next.resize(reps.len(), 0);
+            for &(_, g) in &members {
+                next[g] += 1;
+            }
+            let mut start = num_interior;
+            for &g in &ranked {
+                let size = next[g];
+                next[g] = start;
+                start += size;
+            }
+            owned.resize(rows.len(), 0);
+            for &(r, g) in &members {
+                owned[next[g]] = r;
+                next[g] += 1;
+            }
+            let mut start = num_interior;
+            for &g in &ranked {
+                let cells = owned[start..next[g]].to_vec();
+                let consumers: Vec<usize> =
+                    consumers_of(reps[g]).iter().map(|&c| c as usize).collect();
+                for &c in &consumers {
+                    halo_len[c] += cells.len();
+                }
+                regions.push(Region {
+                    owner: t,
+                    consumers,
+                    cells,
+                    src_start: start,
+                    dst_starts: vec![],
+                });
+                start = next[g];
+            }
+            layouts.push(TileLayout { owned, num_interior, halo: Vec::new() });
         }
 
-        // Step 2: group separator cells by (owner, consumer set).
-        // Ascending global id within a group is the consistent order.
-        let mut groups: HashMap<(u32, Vec<u32>), Vec<usize>> = HashMap::new();
-        for j in 0..a.nrows {
-            if !consumers[j].is_empty() {
-                groups.entry((part.owner[j], consumers[j].clone())).or_default().push(j);
-            }
+        // Steps 3+4: every region's halo copy lands on each consumer, in
+        // region order, after the consumer's (now final) owned part.
+        for (layout, &len) in layouts.iter_mut().zip(&halo_len) {
+            layout.halo.reserve_exact(len);
         }
-        let mut keyed: Vec<((u32, Vec<u32>), Vec<usize>)> = groups.into_iter().collect();
-        // Deterministic region order: by owner, then consumer set.
-        keyed.sort_by(|x, y| x.0.cmp(&y.0));
-        for (_, cells) in &mut keyed {
-            cells.sort_unstable();
-        }
-
-        // Step 3+4: build per-tile layouts. Owned part: interior cells
-        // (ascending), then this tile's separator regions in region order.
-        let mut is_separator = vec![false; a.nrows];
-        for (_, cells) in &keyed {
-            for &c in cells {
-                is_separator[c] = true;
-            }
-        }
-        let mut layouts: Vec<TileLayout> = (0..num_tiles)
-            .map(|t| {
-                let interior: Vec<usize> =
-                    part.rows_of(t).iter().copied().filter(|&r| !is_separator[r]).collect();
-                TileLayout { num_interior: interior.len(), owned: interior, halo: Vec::new() }
-            })
-            .collect();
-
-        let mut regions: Vec<Region> = Vec::with_capacity(keyed.len());
-        for ((owner, cons), cells) in keyed {
-            let owner = owner as usize;
-            let src_start = layouts[owner].owned.len();
-            layouts[owner].owned.extend_from_slice(&cells);
-            let mut dst_starts = Vec::with_capacity(cons.len());
-            for &t in &cons {
-                let t = t as usize;
-                // Halo regions land after the owned part; record the offset
-                // within the halo list for now, fix up below.
-                dst_starts.push(layouts[t].halo.len());
-                layouts[t].halo.extend_from_slice(&cells);
-            }
-            regions.push(Region {
-                owner,
-                consumers: cons.iter().map(|&t| t as usize).collect(),
-                cells,
-                src_start,
-                dst_starts,
-            });
-        }
-        // Fix up halo offsets now that owned lengths are final.
         for r in &mut regions {
-            for (k, &t) in r.consumers.iter().enumerate() {
-                r.dst_starts[k] += layouts[t].owned.len();
-            }
+            r.dst_starts = r
+                .consumers
+                .iter()
+                .map(|&t| {
+                    let layout = &mut layouts[t];
+                    let start = layout.local_len();
+                    layout.halo.extend_from_slice(&r.cells);
+                    start
+                })
+                .collect();
         }
 
         // Owner slots for gather/scatter.
@@ -225,34 +246,19 @@ impl HaloDecomposition {
     /// Panics if a row references a column that is neither owned nor in the
     /// halo — impossible by construction of the decomposition.
     pub fn local_matrices(&self, a: &CsrMatrix) -> Vec<LocalMatrix> {
+        let mut columns = self.local_columns();
         self.layouts
             .iter()
-            .map(|layout| {
-                let mut col_map: HashMap<usize, u32> = HashMap::with_capacity(layout.local_len());
-                for (local, &row) in layout.owned.iter().enumerate() {
-                    col_map.insert(row, local as u32);
-                }
-                for (k, &row) in layout.halo.iter().enumerate() {
-                    col_map.insert(row, (layout.owned.len() + k) as u32);
-                }
+            .enumerate()
+            .map(|(t, layout)| {
+                columns.enter(t);
+                let nnz = layout.owned.iter().map(|&r| a.row_nnz(r)).sum();
                 let mut row_ptr = Vec::with_capacity(layout.owned.len() + 1);
-                let mut col_idx = Vec::new();
-                let mut values = Vec::new();
+                let mut col_idx = Vec::with_capacity(nnz);
+                let mut values = Vec::with_capacity(nnz);
                 row_ptr.push(0);
                 for &row in &layout.owned {
-                    let (cols, vals) = a.row(row);
-                    let mut entries: Vec<(u32, f64)> = cols
-                        .iter()
-                        .zip(vals)
-                        .map(|(c, v)| {
-                            let lc = *col_map
-                                .get(&(*c as usize))
-                                .expect("referenced column neither owned nor halo");
-                            (lc, *v)
-                        })
-                        .collect();
-                    entries.sort_unstable_by_key(|e| e.0);
-                    for (c, v) in entries {
+                    for &(c, v) in columns.row(a, row) {
                         col_idx.push(c);
                         values.push(v);
                     }
@@ -269,6 +275,13 @@ impl HaloDecomposition {
                 }
             })
             .collect()
+    }
+
+    /// A global → local column renumbering for this decomposition, one tile
+    /// at a time (see [`LocalColumns`]).
+    pub fn local_columns(&self) -> LocalColumns<'_> {
+        let n = self.owner_slot.len();
+        LocalColumns { halo: self, slot: vec![0; n], tile: 0, row: Vec::new() }
     }
 
     /// Scatter a global vector into per-tile local vectors (owned + halo
@@ -330,8 +343,241 @@ impl HaloDecomposition {
     }
 }
 
+/// Step 1 of [`HaloDecomposition::build`]: for every cell `j`, the sorted
+/// set of foreign tiles that reference it (row `i` referencing column `j`
+/// means `owner(i)` needs cell `j`), as a CSR `(ptr, tiles)` over cells built
+/// in two counting passes. Tiles are visited in ascending order and
+/// `seen[j]` holds the last tile that counted cell `j`, so every set comes
+/// out sorted and without duplicates.
+fn consumer_sets(a: &CsrMatrix, part: &Partition) -> (Vec<usize>, Vec<u32>) {
+    fn visit(a: &CsrMatrix, part: &Partition, seen: &mut [u32], mut f: impl FnMut(usize, u32)) {
+        seen.fill(u32::MAX);
+        for (t, rows) in part.parts.iter().enumerate() {
+            let t = t as u32;
+            for &i in rows {
+                for &c in &a.col_idx[a.row_ptr[i]..a.row_ptr[i + 1]] {
+                    let j = c as usize;
+                    if part.owner[j] != t && seen[j] != t {
+                        seen[j] = t;
+                        f(j, t);
+                    }
+                }
+            }
+        }
+    }
+    let n = a.nrows;
+    let mut seen = vec![0u32; n];
+    // Pass 1 counts each set's size into ptr[j + 1]; the prefix sum turns
+    // the counts into starts.
+    let mut ptr = vec![0usize; n + 1];
+    visit(a, part, &mut seen, |j, _| ptr[j + 1] += 1);
+    let mut sum = 0;
+    for p in &mut ptr {
+        sum += *p;
+        *p = sum;
+    }
+    // Pass 2 fills, advancing ptr[j] to the end of set j; shifting by one
+    // restores the starts.
+    let mut tiles = vec![0u32; ptr[n]];
+    visit(a, part, &mut seen, |j, t| {
+        tiles[ptr[j]] = t;
+        ptr[j] += 1;
+    });
+    ptr.copy_within(0..n, 1);
+    ptr[0] = 0;
+    (ptr, tiles)
+}
+
+/// Global → local column renumbering, one tile at a time. One map serves
+/// every tile: entering a tile writes the local index of each of its owned
+/// and halo cells, stamped with the tile, so nothing is cleared between
+/// tiles and "neither owned nor halo" is a stamp mismatch.
+pub struct LocalColumns<'h> {
+    halo: &'h HaloDecomposition,
+    /// `slot[j]`: (tile + 1) << 32 | cell `j`'s local index in that tile, for
+    /// the tile that stamped it last (0: never stamped). One load per entry.
+    slot: Vec<u64>,
+    /// The current tile + 1.
+    tile: u32,
+    /// The renumbered row [`LocalColumns::row`] returns, reused.
+    row: Vec<(u32, f64)>,
+}
+
+impl LocalColumns<'_> {
+    /// Make tile `t`'s layout the target of [`LocalColumns::row`].
+    pub fn enter(&mut self, t: usize) {
+        self.tile = t as u32 + 1;
+        let layout = &self.halo.layouts[t];
+        for (local, &cell) in layout.owned.iter().chain(&layout.halo).enumerate() {
+            self.slot[cell] = (self.tile as u64) << 32 | local as u64;
+        }
+    }
+
+    /// Row `row` of `a` with its columns renumbered into the current tile's
+    /// layout, sorted by local column. Panics if the row references a
+    /// column that is neither owned by nor in the halo of that tile.
+    #[inline]
+    pub fn row(&mut self, a: &CsrMatrix, row: usize) -> &[(u32, f64)] {
+        let (cols, vals) = a.row(row);
+        self.row.clear();
+        for (&c, &v) in cols.iter().zip(vals) {
+            let slot = self.slot[c as usize];
+            assert!(slot >> 32 == self.tile as u64, "referenced column neither owned nor halo");
+            self.row.push((slot as u32, v));
+        }
+        self.row.sort_unstable_by_key(|e| e.0);
+        &self.row
+    }
+}
+
+/// The decomposition as it was built before the counting passes, kept as
+/// the oracle the dense-array builders must reproduce exactly.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use std::collections::HashMap;
+
+    use super::*;
+
+    type Groups = HashMap<(u32, Vec<u32>), Vec<usize>>;
+
+    /// `HaloDecomposition::build`: per-cell consumer `Vec`s and a hash map
+    /// of (owner, consumer set) groups.
+    pub(crate) fn build(a: &CsrMatrix, part: &Partition) -> HaloDecomposition {
+        assert_eq!(a.nrows, part.num_rows());
+        assert_eq!(a.nrows, a.ncols, "halo decomposition requires a square matrix");
+        let num_tiles = part.num_parts();
+
+        let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); a.nrows];
+        for i in 0..a.nrows {
+            let ti = part.owner[i];
+            let (cols, _) = a.row(i);
+            for &c in cols {
+                let j = c as usize;
+                let tj = part.owner[j];
+                if ti != tj && !consumers[j].contains(&ti) {
+                    consumers[j].push(ti);
+                }
+            }
+        }
+        for c in &mut consumers {
+            c.sort_unstable();
+        }
+
+        let mut groups: Groups = HashMap::new();
+        for (j, cons) in consumers.iter().enumerate() {
+            if !cons.is_empty() {
+                groups.entry((part.owner[j], cons.clone())).or_default().push(j);
+            }
+        }
+        let mut keyed: Vec<_> = groups.into_iter().collect();
+        keyed.sort_by(|x, y| x.0.cmp(&y.0));
+        for (_, cells) in &mut keyed {
+            cells.sort_unstable();
+        }
+
+        let mut is_separator = vec![false; a.nrows];
+        for (_, cells) in &keyed {
+            for &c in cells {
+                is_separator[c] = true;
+            }
+        }
+        let mut layouts: Vec<TileLayout> = (0..num_tiles)
+            .map(|t| {
+                let interior: Vec<usize> =
+                    part.rows_of(t).iter().copied().filter(|&r| !is_separator[r]).collect();
+                TileLayout { num_interior: interior.len(), owned: interior, halo: Vec::new() }
+            })
+            .collect();
+
+        let mut regions: Vec<Region> = Vec::with_capacity(keyed.len());
+        for ((owner, cons), cells) in keyed {
+            let owner = owner as usize;
+            let src_start = layouts[owner].owned.len();
+            layouts[owner].owned.extend_from_slice(&cells);
+            let mut dst_starts = Vec::with_capacity(cons.len());
+            for &t in &cons {
+                let t = t as usize;
+                dst_starts.push(layouts[t].halo.len());
+                layouts[t].halo.extend_from_slice(&cells);
+            }
+            regions.push(Region {
+                owner,
+                consumers: cons.iter().map(|&t| t as usize).collect(),
+                cells,
+                src_start,
+                dst_starts,
+            });
+        }
+        for r in &mut regions {
+            for (k, &t) in r.consumers.iter().enumerate() {
+                r.dst_starts[k] += layouts[t].owned.len();
+            }
+        }
+
+        let mut owner_slot = vec![(0u32, 0u32); a.nrows];
+        for (t, layout) in layouts.iter().enumerate() {
+            for (local, &row) in layout.owned.iter().enumerate() {
+                owner_slot[row] = (t as u32, local as u32);
+            }
+        }
+
+        HaloDecomposition { layouts, regions, owner_slot }
+    }
+
+    /// `HaloDecomposition::local_matrices`: a hash-map column map per tile
+    /// and a `Vec` per row.
+    pub(crate) fn local_matrices(h: &HaloDecomposition, a: &CsrMatrix) -> Vec<LocalMatrix> {
+        h.layouts
+            .iter()
+            .map(|layout| {
+                let mut col_map: HashMap<usize, u32> = HashMap::with_capacity(layout.local_len());
+                for (local, &row) in layout.owned.iter().enumerate() {
+                    col_map.insert(row, local as u32);
+                }
+                for (k, &row) in layout.halo.iter().enumerate() {
+                    col_map.insert(row, (layout.owned.len() + k) as u32);
+                }
+                let mut row_ptr = Vec::with_capacity(layout.owned.len() + 1);
+                let mut col_idx = Vec::new();
+                let mut values = Vec::new();
+                row_ptr.push(0);
+                for &row in &layout.owned {
+                    let (cols, vals) = a.row(row);
+                    let mut entries: Vec<(u32, f64)> = cols
+                        .iter()
+                        .zip(vals)
+                        .map(|(c, v)| {
+                            let lc = *col_map
+                                .get(&(*c as usize))
+                                .expect("referenced column neither owned nor halo");
+                            (lc, *v)
+                        })
+                        .collect();
+                    entries.sort_unstable_by_key(|e| e.0);
+                    for (c, v) in entries {
+                        col_idx.push(c);
+                        values.push(v);
+                    }
+                    row_ptr.push(col_idx.len());
+                }
+                LocalMatrix {
+                    a: CsrMatrix {
+                        nrows: layout.owned.len(),
+                        ncols: layout.local_len(),
+                        row_ptr,
+                        col_idx,
+                        values,
+                    },
+                }
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::gen::{poisson_2d_5pt, poisson_3d_7pt, Grid3};
 
@@ -422,7 +668,7 @@ mod tests {
             .iter()
             .map(|l| {
                 let mut v: Vec<f64> = l.owned.iter().map(|&r| x[r]).collect();
-                v.extend(std::iter::repeat(f64::NAN).take(l.halo.len()));
+                v.extend(std::iter::repeat_n(f64::NAN, l.halo.len()));
                 v
             })
             .collect();
@@ -491,5 +737,136 @@ mod tests {
                 assert_eq!(h.cell_kind(owner, row), CellKind::Separator);
             }
         }
+    }
+
+    /// `a` with every entry (i, j) for which `keep(i, j)` is false removed.
+    fn filtered(a: &CsrMatrix, keep: impl Fn(usize, usize) -> bool) -> CsrMatrix {
+        let mut row_ptr = vec![0];
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for i in 0..a.nrows {
+            let (cols, vals) = a.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if keep(i, c as usize) {
+                    col_idx.push(c);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix { row_ptr, col_idx, values, ..a.clone() }
+    }
+
+    /// The decomposition, its local matrices and their level sets are
+    /// exactly what the oracle builds.
+    fn assert_matches_oracle(a: &CsrMatrix, part: &Partition) {
+        use crate::levelset::{LevelSets, Sweep};
+        let (got, want) = (HaloDecomposition::build(a, part), oracle::build(a, part));
+        assert_eq!(got.layouts, want.layouts);
+        assert_eq!(got.regions, want.regions);
+        assert_eq!(got.owner_slot, want.owner_slot);
+        let (got, want) = (got.local_matrices(a), oracle::local_matrices(&want, a));
+        assert_eq!(got, want);
+        for (g, w) in got.iter().zip(&want) {
+            let bits = |m: &LocalMatrix| m.a.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(w));
+            for sweep in [Sweep::Forward, Sweep::Backward] {
+                let levels = LevelSets::analyze(&g.a, sweep);
+                assert_eq!(levels, crate::levelset::tests::analyze_oracle(&w.a, sweep));
+            }
+        }
+    }
+
+    /// A random SPD matrix (and, for the grid family, its grid) under one
+    /// of the three partition families, with some rows stripped to their
+    /// diagonal and, optionally, one tile cut off from every other so that
+    /// it has neither separators nor halo.
+    fn arb_case() -> impl Strategy<Value = (CsrMatrix, Partition)> {
+        let dims = (1usize..6, 1usize..6, 1usize..4);
+        ((0usize..3, dims), 1usize..14, any::<u64>(), 0usize..4, any::<bool>()).prop_map(
+            |((family, (nx, ny, nz)), parts, seed, diag_only_every, isolate)| {
+                let n = nx * ny * nz;
+                let a = crate::gen::random_spd(n, 5, seed);
+                let part = match family {
+                    0 => Partition::contiguous(n, parts),
+                    1 => Partition::balanced_by_nnz(&a, parts),
+                    _ => {
+                        let grid = Grid3 { nx, ny, nz };
+                        let p = 1 + parts % 3;
+                        Partition::grid_3d(grid, p.min(nx), p.min(ny), (parts % 2 + 1).min(nz))
+                    }
+                };
+                let stripped =
+                    |i: usize| diag_only_every > 0 && i.is_multiple_of(diag_only_every + 2);
+                let a = filtered(&a, |i, j| i == j || !stripped(i));
+                let cut = (seed % part.num_parts() as u64) as u32;
+                let a = filtered(&a, |i, j| {
+                    !isolate || (part.owner[i] == cut) == (part.owner[j] == cut)
+                });
+                (a, part)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn dense_builders_match_the_oracle(case in arb_case()) {
+            let (a, part) = case;
+            assert_matches_oracle(&a, &part);
+        }
+    }
+
+    /// `a` stored as no constructor here stores it: every row reversed and,
+    /// in every third row, each entry repeated at half its value (the
+    /// diagonal too), so rows are unsorted and hold duplicate columns.
+    fn non_canonical(a: &CsrMatrix) -> CsrMatrix {
+        let mut row_ptr = vec![0];
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for i in 0..a.nrows {
+            let (cols, vals) = a.row(i);
+            let copies = if i % 3 == 0 { 2 } else { 1 };
+            for copy in 0..copies {
+                for (&c, &v) in cols.iter().zip(vals).rev() {
+                    col_idx.push(c);
+                    values.push(if copy == 0 { v } else { 0.5 * v });
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix { row_ptr, col_idx, values, ..a.clone() }
+    }
+
+    #[test]
+    fn dense_builders_match_the_oracle_on_corner_cases() {
+        let spd = crate::gen::random_spd(30, 5, 3);
+        // Rows of about 25 entries, 50 with the duplicates: past the length
+        // where the row sort stops being an insertion sort.
+        let wide = non_canonical(&crate::gen::random_spd(40, 25, 5));
+        let (a, _, _) = fig3();
+        let cube = poisson_3d_7pt(6, 6, 6);
+        let cut_off = filtered(&spd, |i, j| (i < 10) == (j < 10));
+        let cases = [
+            (spd.clone(), Partition::contiguous(30, 1)),
+            (spd.clone(), Partition::contiguous(30, 45)),
+            (spd.clone(), Partition::balanced_by_nnz(&spd, 40)),
+            (CsrMatrix::identity(12), Partition::contiguous(12, 4)),
+            (cut_off, Partition::contiguous(30, 3)),
+            (a, Partition::grid_2d(8, 8, 2, 2)),
+            (cube.clone(), Partition::grid_3d(Grid3 { nx: 6, ny: 6, nz: 6 }, 3, 2, 2)),
+            (cube.clone(), Partition::balanced_by_nnz(&cube, 16)),
+            (non_canonical(&cube), Partition::balanced_by_nnz(&cube, 9)),
+            (wide, Partition::contiguous(40, 6)),
+        ];
+        for (a, part) in &cases {
+            assert_matches_oracle(a, part);
+        }
+        // The cut-off case really has a tile with no halo and no separator.
+        let h = HaloDecomposition::build(&cases[4].0, &cases[4].1);
+        assert!(h.layouts[0].halo.is_empty());
+        assert_eq!(h.layouts[0].num_interior, h.layouts[0].owned.len());
+        // Parts beyond the rows are empty tiles.
+        let h = HaloDecomposition::build(&cases[1].0, &cases[1].1);
+        assert!(h.layouts.iter().any(|l| l.local_len() == 0));
     }
 }

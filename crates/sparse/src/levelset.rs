@@ -38,45 +38,51 @@ impl LevelSets {
     /// observation that tile-local (D)ILU "completely disregards halo
     /// values".
     pub fn analyze(a: &CsrMatrix, sweep: Sweep) -> Self {
-        let n = a.nrows;
-        let mut level_of = vec![0u32; n];
-        let mut max_level = 0u32;
-        match sweep {
-            Sweep::Forward => {
-                for i in 0..n {
-                    let (cols, _) = a.row(i);
-                    let mut lvl = 0u32;
-                    for &c in cols {
-                        let j = c as usize;
-                        if j < i {
-                            lvl = lvl.max(level_of[j] + 1);
-                        }
+        Self::of_pattern(a.nrows, &a.row_ptr, &a.col_idx, sweep)
+    }
+
+    /// [`LevelSets::analyze`] over a bare sparsity pattern: `n` rows, row
+    /// `i`'s columns `cols[row_ptr[i]..row_ptr[i + 1]]`. Diagonal entries
+    /// may be present or not (a row never depends on itself), so the
+    /// off-diagonal pattern of a modified CSR gives the same levels as the
+    /// full matrix. One pass over the pattern, then a counting sort of the
+    /// rows into exactly sized levels.
+    pub fn of_pattern(n: usize, row_ptr: &[usize], cols: &[u32], sweep: Sweep) -> Self {
+        // Row i's level is 1 + the highest level among the rows it depends
+        // on, so visiting rows in sweep order finds every dependency done.
+        fn assign(
+            n: usize,
+            row_ptr: &[usize],
+            cols: &[u32],
+            order: impl Iterator<Item = usize>,
+            depends: impl Fn(usize, usize) -> bool,
+        ) -> (Vec<u32>, u32) {
+            let mut level_of = vec![0u32; n];
+            let mut num_levels = 0;
+            for i in order {
+                let mut lvl = 0;
+                for &c in &cols[row_ptr[i]..row_ptr[i + 1]] {
+                    let j = c as usize;
+                    if depends(i, j) {
+                        lvl = lvl.max(level_of[j] + 1);
                     }
-                    level_of[i] = lvl;
-                    max_level = max_level.max(lvl);
                 }
+                level_of[i] = lvl;
+                num_levels = num_levels.max(lvl + 1);
             }
-            Sweep::Backward => {
-                for i in (0..n).rev() {
-                    let (cols, _) = a.row(i);
-                    let mut lvl = 0u32;
-                    for &c in cols {
-                        let j = c as usize;
-                        if j > i && j < n {
-                            lvl = lvl.max(level_of[j] + 1);
-                        }
-                    }
-                    level_of[i] = lvl;
-                    max_level = max_level.max(lvl);
-                }
-            }
+            (level_of, num_levels)
         }
-        let mut levels = vec![Vec::new(); max_level as usize + 1];
-        for i in 0..n {
-            levels[level_of[i] as usize].push(i);
+        let (level_of, num_levels) = match sweep {
+            Sweep::Forward => assign(n, row_ptr, cols, 0..n, |i, j| j < i),
+            Sweep::Backward => assign(n, row_ptr, cols, (0..n).rev(), |i, j| j > i && j < n),
+        };
+        let mut sizes = vec![0usize; num_levels as usize];
+        for &l in &level_of {
+            sizes[l as usize] += 1;
         }
-        if n == 0 {
-            levels.clear();
+        let mut levels: Vec<Vec<usize>> = sizes.iter().map(|&s| Vec::with_capacity(s)).collect();
+        for (i, &l) in level_of.iter().enumerate() {
+            levels[l as usize].push(i);
         }
         LevelSets { levels, level_of, sweep }
     }
@@ -115,7 +121,11 @@ impl LevelSets {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
     use crate::formats::CooMatrix;
     use crate::gen::{poisson_2d_5pt, poisson_3d_7pt, tridiagonal};
@@ -199,5 +209,86 @@ mod tests {
         let ls = LevelSets::analyze(&a, Sweep::Forward);
         assert_eq!(ls.num_levels(), 0);
         assert!(ls.validate(&a));
+    }
+
+    /// `LevelSets::analyze` as it was before `of_pattern`: per-level vectors
+    /// grown by push. Kept as the oracle the counting sort must reproduce.
+    pub(crate) fn analyze_oracle(a: &CsrMatrix, sweep: Sweep) -> LevelSets {
+        let n = a.nrows;
+        let mut level_of = vec![0u32; n];
+        let mut max_level = 0u32;
+        match sweep {
+            Sweep::Forward => {
+                for i in 0..n {
+                    let (cols, _) = a.row(i);
+                    let mut lvl = 0u32;
+                    for &c in cols {
+                        let j = c as usize;
+                        if j < i {
+                            lvl = lvl.max(level_of[j] + 1);
+                        }
+                    }
+                    level_of[i] = lvl;
+                    max_level = max_level.max(lvl);
+                }
+            }
+            Sweep::Backward => {
+                for i in (0..n).rev() {
+                    let (cols, _) = a.row(i);
+                    let mut lvl = 0u32;
+                    for &c in cols {
+                        let j = c as usize;
+                        if j > i && j < n {
+                            lvl = lvl.max(level_of[j] + 1);
+                        }
+                    }
+                    level_of[i] = lvl;
+                    max_level = max_level.max(lvl);
+                }
+            }
+        }
+        let mut levels = vec![Vec::new(); max_level as usize + 1];
+        for i in 0..n {
+            levels[level_of[i] as usize].push(i);
+        }
+        if n == 0 {
+            levels.clear();
+        }
+        LevelSets { levels, level_of, sweep }
+    }
+
+    /// A random pattern in the shape of a tile-local matrix: `n` rows,
+    /// `n + halo` columns, rows of 0–6 entries in no particular column
+    /// order, the diagonal present or not.
+    fn random_local(n: usize, halo: usize, seed: u64) -> CsrMatrix {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let ncols = n + halo;
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        for _ in 0..n {
+            let len = if ncols == 0 { 0 } else { rng.gen_range(0..7usize) };
+            for _ in 0..len {
+                col_idx.push(rng.gen_range(0..ncols) as u32);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let values = vec![1.0; col_idx.len()];
+        CsrMatrix { nrows: n, ncols, row_ptr, col_idx, values }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn analyze_matches_the_oracle(n in 0usize..48, halo in 0usize..8, seed in any::<u64>()) {
+            let a = random_local(n, halo, seed);
+            for sweep in [Sweep::Forward, Sweep::Backward] {
+                let got = LevelSets::analyze(&a, sweep);
+                prop_assert_eq!(&got, &analyze_oracle(&a, sweep));
+                for level in &got.levels {
+                    prop_assert_eq!(level.capacity(), level.len());
+                }
+            }
+        }
     }
 }

@@ -57,7 +57,7 @@ impl Partition {
         let mut owner = vec![0u32; a.nrows];
         let mut acc = 0.0;
         let mut part = 0u32;
-        for row in 0..a.nrows {
+        for (row, o) in owner.iter_mut().enumerate() {
             // Advance to the next part when this one has its share (the
             // `acc > 0` guard keeps all-zero matrices from starving part
             // 0), but never beyond the last part...
@@ -72,7 +72,7 @@ impl Partition {
             if wants || must {
                 part += 1;
             }
-            owner[row] = part;
+            *o = part;
             acc += a.row_nnz(row) as f64;
         }
         Self::from_owner(owner, num_parts)
@@ -85,12 +85,12 @@ impl Partition {
         assert!(px <= grid.nx && py <= grid.ny && pz <= grid.nz, "more parts than cells per axis");
         let num_parts = px * py * pz;
         let mut owner = vec![0u32; grid.num_cells()];
-        for i in 0..grid.num_cells() {
+        for (i, o) in owner.iter_mut().enumerate() {
             let (x, y, z) = grid.coords(i);
             let bx = x * px / grid.nx;
             let by = y * py / grid.ny;
             let bz = z * pz / grid.nz;
-            owner[i] = ((bz * py + by) * px + bx) as u32;
+            *o = ((bz * py + by) * px + bx) as u32;
         }
         Self::from_owner(owner, num_parts)
     }
@@ -187,12 +187,12 @@ fn try_factor3(n: usize, nx: usize, ny: usize, nz: usize) -> Option<(usize, usiz
     let mut best = None;
     let mut best_score = f64::INFINITY;
     for px in 1..=n {
-        if n % px != 0 || px > nx {
+        if !n.is_multiple_of(px) || px > nx {
             continue;
         }
         let rest = n / px;
         for py in 1..=rest {
-            if rest % py != 0 || py > ny {
+            if !rest.is_multiple_of(py) || py > ny {
                 continue;
             }
             let pz = rest / py;
