@@ -9,7 +9,7 @@ use graph::codelet::{
     BinOp, Codelet, Expr, Interp, Lowered, ParamData, ParamDecl, Regs, Stmt, Value,
 };
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
-use graph::kernels::{backward_subst_template, forward_subst_template, spmv_template};
+use graph::kernels::{backward_subst_template, forward_subst_template, spmv_template, KernelTable};
 use graph::program::Prog;
 use graph::tensor::TensorDef;
 use graph::{Engine, Graph};
@@ -176,6 +176,55 @@ fn dot_codelet() -> Codelet {
     }
 }
 
+/// `acc = b[i]; for k in rptr[i]..rptr[i+1] { acc = acc - vals[k] *
+/// x[cols[k]] }; x[i] = acc / diag[i]`: the Gauss-Seidel row the smoother
+/// builds, a `LevelSet` vertex with the row in local 0 and `x` read and
+/// written in place. Params: x (mut) · b · diag · vals · cols · rptr.
+fn gauss_seidel_codelet() -> Codelet {
+    let ro = |dtype| ParamDecl { dtype, mutable: false };
+    let (row, acc, k) = (|| Expr::Local(0), || Expr::Local(1), || Expr::Local(4));
+    Codelet {
+        name: "gauss_seidel".into(),
+        params: vec![
+            ParamDecl { dtype: DType::F32, mutable: true },
+            ro(DType::F32),
+            ro(DType::F32),
+            ro(DType::F32),
+            ro(DType::I32),
+            ro(DType::I32),
+        ],
+        num_locals: 5,
+        body: vec![
+            Stmt::SetLocal(1, Expr::index(1, row())),
+            Stmt::SetLocal(2, Expr::index(5, row())),
+            Stmt::SetLocal(3, Expr::index(5, Expr::bin(BinOp::Add, row(), Expr::c(Value::I32(1))))),
+            Stmt::For {
+                local: 4,
+                start: Expr::Local(2),
+                end: Expr::Local(3),
+                step: Expr::c(Value::I32(1)),
+                body: vec![Stmt::SetLocal(
+                    1,
+                    Expr::bin(
+                        BinOp::Sub,
+                        acc(),
+                        Expr::bin(
+                            BinOp::Mul,
+                            Expr::index(3, k()),
+                            Expr::index(0, Expr::index(4, k())),
+                        ),
+                    ),
+                )],
+            },
+            Stmt::Store {
+                param: 0,
+                index: row(),
+                value: Expr::bin(BinOp::Div, acc(), Expr::index(2, row())),
+            },
+        ],
+    }
+}
+
 fn from_template(
     name: &str,
     (params, num_locals, body): (Vec<ParamDecl>, usize, Vec<Stmt>),
@@ -183,17 +232,20 @@ fn from_template(
     Codelet { name: name.into(), params, num_locals, body }
 }
 
-/// The two interpreter routes, per element, on one tile's worth of rows (32
-/// is what the benchmark's `fig8_mpir` maps to a tile, 64 what `cold_oneshot`
+/// The interpreter routes, per element, on one tile's worth of rows (32 is
+/// what the benchmark's `fig8_mpir` maps to a tile, 64 what `cold_oneshot`
 /// does): `lowered` is the form the engine builds per vertex and runs by
 /// default, `dynamic` the tree-walking `Interp` it falls back to and is
-/// tested against. An axpy map, BiCGStab's two-scalar map, the SpMV codelet,
-/// a dot product's per-tile stage and the forward- and
-/// backward-substitution `LevelSet` vertices go
-/// through both at codelet level; `engine` is the forward vertex through
-/// `Engine::run`, so the per-vertex path around the lowered form (operand
-/// slicing, scratch, stats) is measured too. A regression shows here in
-/// seconds, without the 16 s host benchmark.
+/// tested against, and `fused` the hand-written kernel `EngineOptions::fusion`
+/// runs, for the codelets the library has one for. An axpy map, BiCGStab's
+/// two-scalar map, the SpMV codelet and its residual, a dot product's
+/// per-tile stage, the forward- and backward-substitution and the
+/// Gauss-Seidel `LevelSet` vertices go through them at codelet level;
+/// `engine` is the forward vertex through `Engine::run`, so the per-vertex
+/// path around the lowered form (operand slicing, scratch, stats) is
+/// measured too. `lowered` over `fused` per codelet is the gap between the
+/// default route and the kernel library. A regression shows here in seconds,
+/// without the 16 s host benchmark.
 fn bench_interpreter(c: &mut Criterion) {
     let cost = CostModel::default();
     let mut g = c.benchmark_group("interpreter");
@@ -210,6 +262,7 @@ fn bench_interpreter(c: &mut Criterion) {
         let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).sin()).collect();
         let ones = vec![1.0f32; n];
         let mut y = vec![0.0f32; n];
+        let mut r = vec![0.0f32; n];
         let mut sum = [0.0f32];
         let alpha = [0.5f32];
         let omega = [-0.25f32];
@@ -238,6 +291,15 @@ fn bench_interpreter(c: &mut Criterion) {
                             .run_vertex(kind, black_box(&codelet.body))
                     })
                 });
+                let mut graph = Graph::new(IpuModel::tiny(1));
+                graph.add_codelet(codelet.clone()).unwrap();
+                if let Some(kernel) = KernelTable::build(&graph).get(0) {
+                    g.bench_function(format!("{}/{n}/fused", $name), |b| {
+                        b.iter(|| {
+                            black_box(kernel).run(kind, &mut $params, &cost, 6).expect("it fuses")
+                        })
+                    });
+                }
             }};
         }
 
@@ -273,6 +335,20 @@ fn bench_interpreter(c: &mut Criterion) {
             ]
         );
         both_routes!(
+            "residual",
+            from_template("residual", spmv_template(true)),
+            VertexKind::Simple,
+            [
+                ParamData::F32(&mut r),
+                ParamData::F32Ro(&x),
+                ParamData::F32Ro(&ones),
+                ParamData::F32Ro(&diag),
+                ParamData::F32Ro(&vals),
+                ParamData::I32Ro(&cols),
+                ParamData::I32Ro(&rptr),
+            ]
+        );
+        both_routes!(
             "dot",
             dot_codelet(),
             VertexKind::Simple,
@@ -300,6 +376,19 @@ fn bench_interpreter(c: &mut Criterion) {
                 ParamData::F32(&mut y),
                 ParamData::F32Ro(&vals),
                 ParamData::F32Ro(&diag),
+                ParamData::I32Ro(&cols),
+                ParamData::I32Ro(&rptr),
+            ]
+        );
+        both_routes!(
+            "gauss_seidel_level_set",
+            gauss_seidel_codelet(),
+            levels,
+            [
+                ParamData::F32(&mut y),
+                ParamData::F32Ro(&ones),
+                ParamData::F32Ro(&diag),
+                ParamData::F32Ro(&vals),
                 ParamData::I32Ro(&cols),
                 ParamData::I32Ro(&rptr),
             ]

@@ -838,9 +838,7 @@ mod tests {
             rel_tol: 1e-11,
         };
         let steps: Vec<String> =
-            std::iter::successors(degrade(&cfg).map(|(c, d)| (c, d)), |(c, _)| degrade(c))
-                .map(|(_, d)| d)
-                .collect();
+            std::iter::successors(degrade(&cfg), |(c, _)| degrade(c)).map(|(_, d)| d).collect();
         assert_eq!(
             steps,
             vec![

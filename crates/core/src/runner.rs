@@ -596,6 +596,7 @@ impl Plan {
                 m.counter_add("native.codelets_fused", sel.counter("codelets_fused"));
                 m.counter_add("native.vertices_lowered", sel.counter("vertices_lowered"));
                 m.counter_add("native.vertices_looped", sel.counter("vertices_looped"));
+                m.counter_add("native.vertices_rowed", sel.counter("vertices_rowed"));
             }
             m.observe("solve.host_seconds", &[1e-3, 1e-2, 1e-1, 1.0, 10.0], att.host_seconds);
             p
@@ -1288,10 +1289,7 @@ mod tests {
         let a = Rc::new(poisson_2d_5pt(4, 4, 1.0));
         let cfg = SolverConfig::Cg { max_iters: 10, rel_tol: 1e-6, precond: None };
         // b wrong length.
-        assert!(matches!(
-            solve(a.clone(), &vec![1.0; 3], &cfg, &opts(2)),
-            Err(SolveError::Config(_))
-        ));
+        assert!(matches!(solve(a.clone(), &[1.0; 3], &cfg, &opts(2)), Err(SolveError::Config(_))));
         // x0 wrong length.
         let bad = SolveOptions { x0: Some(vec![0.0; 5]), ..opts(2) };
         let b = rhs_for_ones(&a);

@@ -59,14 +59,16 @@ impl TwoGrid {
         coarse_solver: Box<dyn Solver>,
     ) -> TwoGrid {
         assert!(
-            fine_grid.nx % 2 == 0 && fine_grid.ny % 2 == 0 && fine_grid.nz % 2 == 0,
+            fine_grid.nx.is_multiple_of(2)
+                && fine_grid.ny.is_multiple_of(2)
+                && fine_grid.nz.is_multiple_of(2),
             "two-grid coarsening needs even grid dimensions"
         );
         let (px, py, pz) = factors;
         assert!(
-            (fine_grid.nx / 2) % px == 0
-                && (fine_grid.ny / 2) % py == 0
-                && (fine_grid.nz / 2) % pz == 0,
+            (fine_grid.nx / 2).is_multiple_of(px)
+                && (fine_grid.ny / 2).is_multiple_of(py)
+                && (fine_grid.nz / 2).is_multiple_of(pz),
             "coarse grid must divide evenly into the partition boxes"
         );
         TwoGrid { fine_grid, factors, pre_sweeps, post_sweeps, coarse_solver, built: None }

@@ -287,11 +287,14 @@ impl Engine {
         stat.count("codelets_fused", kernels.fused().count() as u64);
         // Totals, not a row per codelet: a vertex that is not lowered runs
         // on the dynamic interpreter, correct but slower; one whose inner
-        // loops are not recognised runs them a trip at a time.
-        let (vertices, vertices_lowered, vertices_looped) = lowered.coverage();
+        // loops are not recognised runs them a trip at a time, and one
+        // whose rows are not recognised runs each row's statements one
+        // instruction at a time.
+        let Coverage { vertices, lowered: vertices_lowered, looped, rowed } = lowered.coverage();
         stat.count("vertices_total", vertices);
         stat.count("vertices_lowered", vertices_lowered);
-        stat.count("vertices_looped", vertices_looped);
+        stat.count("vertices_looped", looped);
+        stat.count("vertices_rowed", rowed);
         // One row per matched kernel; an unmatched codelet runs its lowered
         // form, and the totals above already say which vertices have none.
         for k in kernels.fused() {
@@ -1120,18 +1123,30 @@ impl LoweredTable {
         self.forms[self.of_vertex[cs][vertex] as usize].as_ref()
     }
 
-    /// `(vertices, vertices with a lowered form, vertices whose lowered
-    /// form runs at least one loop as one accumulate instruction)`.
-    fn coverage(&self) -> (u64, u64, u64) {
-        let (mut all, mut lowered, mut looped) = (0, 0, 0);
+    fn coverage(&self) -> Coverage {
+        let mut c = Coverage::default();
         for &f in self.of_vertex.iter().flatten() {
             let form = self.forms[f as usize].as_ref();
-            all += 1;
-            lowered += form.is_some() as u64;
-            looped += form.is_some_and(|l| l.loops() > 0) as u64;
+            c.vertices += 1;
+            c.lowered += form.is_some() as u64;
+            c.looped += form.is_some_and(|l| l.loops() > 0) as u64;
+            c.rowed += form.is_some_and(|l| l.rows() > 0) as u64;
         }
-        (all, lowered, looped)
+        c
     }
+}
+
+/// How many vertices the lowered forms cover, and how far.
+#[derive(Default)]
+struct Coverage {
+    vertices: u64,
+    /// With a lowered form.
+    lowered: u64,
+    /// Whose lowered form runs at least one loop as one accumulate
+    /// instruction, a row's loop included.
+    looped: u64,
+    /// Whose lowered form runs at least one row as one instruction.
+    rowed: u64,
 }
 
 /// Hand out one slice per operand: `&mut` for mutable parameters, shared
@@ -1997,15 +2012,16 @@ mod tests {
         };
         // A map is not in the library: with fusion on or off it runs
         // lowered. Lowering does not depend on fusion: both vertices, either
-        // way; a map has no accumulate loop. No per-codelet rows: only a
-        // matched kernel gets one.
+        // way; a map has no accumulate loop and no row. No per-codelet
+        // rows: only a matched kernel gets one.
         for fusion in [false, true] {
             assert_eq!(sel(fusion).counter("codelets_total"), 1);
             assert_eq!(sel(fusion).counter("codelets_fused"), 0);
             assert_eq!(sel(fusion).counter("vertices_total"), 2);
             assert_eq!(sel(fusion).counter("vertices_lowered"), 2);
             assert_eq!(sel(fusion).counter("vertices_looped"), 0);
-            assert_eq!(sel(fusion).counters.len(), 5, "{:?}", sel(fusion).counters);
+            assert_eq!(sel(fusion).counter("vertices_rowed"), 0);
+            assert_eq!(sel(fusion).counters.len(), 6, "{:?}", sel(fusion).counters);
         }
     }
 

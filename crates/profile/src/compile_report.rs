@@ -41,7 +41,6 @@ pub struct PassStat {
 
 impl PassStat {
     pub fn new(name: impl Into<String>, steps_before: usize) -> PassStat {
-        let steps_before = steps_before;
         PassStat {
             name: name.into(),
             steps_before,

@@ -55,14 +55,19 @@ impl StepKind {
             StepKind::Control => "control",
         }
     }
+}
 
-    pub fn from_str(s: &str) -> Option<StepKind> {
+impl std::str::FromStr for StepKind {
+    type Err = String;
+
+    /// The kind [`StepKind::as_str`] names.
+    fn from_str(s: &str) -> Result<StepKind, String> {
         match s {
-            "execute" => Some(StepKind::Execute),
-            "exchange" => Some(StepKind::Exchange),
-            "copy" => Some(StepKind::Copy),
-            "control" => Some(StepKind::Control),
-            _ => None,
+            "execute" => Ok(StepKind::Execute),
+            "exchange" => Ok(StepKind::Exchange),
+            "copy" => Ok(StepKind::Copy),
+            "control" => Ok(StepKind::Control),
+            other => Err(format!("unknown step kind {other:?}")),
         }
     }
 }
@@ -658,7 +663,7 @@ fn group(n: u64) -> String {
     let s = n.to_string();
     let mut out = String::new();
     for (i, c) in s.chars().enumerate() {
-        if i > 0 && (s.len() - i) % 3 == 0 {
+        if i > 0 && (s.len() - i).is_multiple_of(3) {
             out.push('_');
         }
         out.push(c);

@@ -537,7 +537,7 @@ mod tests {
         let variant = |i: u64| TunedPlan {
             strategy: Strategy::Contiguous,
             rows_per_tile: 16 + (i as usize % 8) * 16,
-            optimise: i % 2 == 0,
+            optimise: i.is_multiple_of(2),
             sell_c: 4,
             modelled_cycles: 1000 + i,
             default_cycles: 2000,

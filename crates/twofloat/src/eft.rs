@@ -118,7 +118,8 @@ mod tests {
     fn two_prod_is_exact_in_f64() {
         // The exact product of two f32 values fits in f64, so p + e == a*b.
         let a = 1.2345678f32;
-        let b = 8.7654321f32;
+        let b = 8.765432f32;
+        assert_eq!(b.to_bits(), 0x410c_3f36, "the f32 nearest 8.7654321");
         let (p, e) = two_prod(a, b);
         assert_eq!(p as f64 + e as f64, a as f64 * b as f64);
     }

@@ -125,7 +125,11 @@ fn engine_options_are_equivalent_across_suite() {
 /// compute set of SpMV (all but MPIR's double-word residual, which casts its
 /// f32 values), ILU(0) substitution, Gauss-Seidel row or dot / norm stage
 /// one. A DSL change that breaks the pattern runs those loops a trip at a
-/// time — correct, ≈1.4× slower — and fails here instead.
+/// time — correct, ≈1.4× slower — and fails here instead. And exactly so
+/// many run each row of SpMV, ILU(0) substitution or Gauss-Seidel as one row
+/// instruction (the dot / norm stages have no row, and MPIR's double-word
+/// residual no loop instruction); a DSL change that breaks the row shape
+/// runs each row's statements one instruction at a time and fails here.
 #[test]
 fn every_solver_vertex_is_lowered() {
     use graphene::graphene_core::runner::{solve_or_panic, SolveOptions};
@@ -139,7 +143,7 @@ fn every_solver_vertex_is_lowered() {
         ..SolveOptions::default()
     };
     let suite = graphene::graphene_core::config::verification_suite();
-    let mut stacks: Vec<(&str, SolverConfig, Option<u64>)> =
+    let mut stacks: Vec<(&str, SolverConfig, Option<(u64, u64)>)> =
         suite.into_iter().map(|case| (case.name, case.config, None)).collect();
     stacks.extend([
         (
@@ -154,21 +158,26 @@ fn every_solver_vertex_is_lowered() {
                 max_outer: 4,
                 rel_tol: 1e-9,
             },
-            Some(68),
+            Some((68, 28)),
         ),
-        ("heat", SolverConfig::Cg { max_iters: 100, rel_tol: 1e-6, precond: None }, Some(32)),
-        ("sgs", SolverConfig::GaussSeidel { sweeps: 1, symmetric: true, rel_tol: 0.0 }, Some(8)),
-        ("jacobi", SolverConfig::Jacobi { sweeps: 2, omega: 2.0 / 3.0 }, Some(4)),
+        ("heat", SolverConfig::Cg { max_iters: 100, rel_tol: 1e-6, precond: None }, Some((32, 8))),
+        (
+            "sgs",
+            SolverConfig::GaussSeidel { sweeps: 1, symmetric: true, rel_tol: 0.0 },
+            Some((8, 8)),
+        ),
+        ("jacobi", SolverConfig::Jacobi { sweeps: 2, omega: 2.0 / 3.0 }, Some((4, 4))),
     ]);
-    for (name, config, looped) in stacks {
+    for (name, config, pinned) in stacks {
         let res = solve_or_panic(a.clone(), &b, &config, &opts);
         let compile = res.report.compile.as_ref().expect("compile report present");
         let sel = compile.pass("native-kernel-selection").expect("selection stamped");
         let (total, lowered) = (sel.counter("vertices_total"), sel.counter("vertices_lowered"));
         assert!(total > 0, "[{name}] no vertices");
         assert_eq!(lowered, total, "[{name}] {} vertices run unlowered", total - lowered);
-        if let Some(looped) = looped {
+        if let Some((looped, rowed)) = pinned {
             assert_eq!(sel.counter("vertices_looped"), looped, "[{name}] of {total}");
+            assert_eq!(sel.counter("vertices_rowed"), rowed, "[{name}] of {total}");
         }
     }
 }
