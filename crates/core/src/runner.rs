@@ -597,6 +597,7 @@ impl Plan {
                 m.counter_add("native.vertices_lowered", sel.counter("vertices_lowered"));
                 m.counter_add("native.vertices_looped", sel.counter("vertices_looped"));
                 m.counter_add("native.vertices_rowed", sel.counter("vertices_rowed"));
+                m.counter_add("native.vertices_mapped", sel.counter("vertices_mapped"));
             }
             m.observe("solve.host_seconds", &[1e-3, 1e-2, 1e-1, 1.0, 10.0], att.host_seconds);
             p

@@ -1,6 +1,7 @@
 //! Flattening: a typed body becomes register instructions, with control
 //! flow as jumps, one charge per basic block, and the multiply-accumulate
-//! loops and the rows around them it recognises as one instruction each.
+//! loops, the rows around them and the element-wise maps it recognises as
+//! one instruction each.
 
 use super::ir::{BinOp, LocalId, UnOp, Value};
 use super::lower::{Charge, LStmt, TExpr, TKind};
@@ -144,6 +145,13 @@ pub(super) enum Ins {
     /// Run the rest of a `ParFor` `ForInit` has entered, each trip one row:
     /// `rows[n]`, its counter registers at `ctr` and its local `local`.
     Row {
+        ctr: Reg,
+        local: Reg,
+        n: u32,
+    },
+    /// Run the rest of a `ParFor` `ForInit` has entered, a column at a
+    /// time: `maps[n]`, its counter registers at `ctr` and its local `local`.
+    Map {
         ctr: Reg,
         local: Reg,
         n: u32,
@@ -465,7 +473,136 @@ impl Row {
     }
 }
 
-/// What [`Row::recognise`] has found a row to touch so far.
+/// How many trips a [`Map`] runs a column over at once, and how many
+/// columns one of its stores and broadcast scalars the whole map may use:
+/// they live on the stack.
+pub(super) const MAP_CHUNK: usize = 64;
+pub(super) const MAP_COLS: usize = 8;
+pub(super) const MAP_SCALARS: usize = 8;
+
+/// An element-wise map: a `ParFor` whose trip is straight-line `Store`s at
+/// `p[local]` of trees of constants, locals, loads and arithmetic in one
+/// float domain `dt` — what `DslCtx::assign` builds, `x + p·α`, `r − q·α`,
+/// the zero fill. No trip reads what another writes: a stored parameter is
+/// read only at `p[local]`, any other load is `q[local]` or `q[c]` for a
+/// constant `c`.
+///
+/// So one instruction runs the trips a column at a time rather than a trip
+/// at a time: per chunk of at most [`MAP_CHUNK`] trips, each store's
+/// expression node by node, each node one loop over the chunk, then the
+/// store — every element in the order the flat program visits it, with
+/// the same operator per element and the same bounds checks. Constants,
+/// locals and `q[c]` are bound once, at entry (no trip changes them). It
+/// leaves `I[local]` as the last trip leaves it and charges `trip` per trip.
+#[derive(Debug)]
+pub(super) struct Map {
+    pub(super) dt: DType,
+    /// What [`Src::Splat`] reads.
+    pub(super) scalars: Vec<Scalar>,
+    /// Run once per chunk, in order.
+    pub(super) code: Vec<Column>,
+    /// `LoopStep` plus the stores.
+    pub(super) trip: Charge,
+    /// Bit `p` set: the map reads or writes `params[p]`.
+    pub(super) reals: u8,
+}
+
+/// A value every trip of a [`Map`] reads alike.
+#[derive(Clone, Copy, Debug)]
+pub(super) enum Scalar {
+    Real(Value),
+    Local(Reg),
+    /// `params[param][c]`.
+    At(Param, i64),
+}
+
+/// A [`Map`] column's operand: another column, or a scalar broadcast.
+#[derive(Clone, Copy, Debug)]
+pub(super) enum Src {
+    Col(u8),
+    Splat(u8),
+}
+
+/// One loop over a chunk of a [`Map`]'s trips. A column is written once
+/// per chunk, after every column it reads.
+#[derive(Clone, Copy, Debug)]
+pub(super) enum Column {
+    /// `col[dst] = params[param][trips]`.
+    Load { dst: u8, param: Param },
+    /// `col[dst] = a op b`.
+    Arith { op: BinOp, dst: u8, a: Src, b: Src },
+    /// `params[param][trips] = val`, through `Domain::stored`.
+    Store { param: Param, val: Src },
+}
+
+impl Map {
+    /// The map a `ParFor` trip over `local` is, if it has the shape; `trip`
+    /// is what each trip costs besides its statements (`LoopStep`).
+    pub(super) fn recognise(local: Reg, body: &[LStmt], trip: Charge) -> Option<Map> {
+        let LStmt::Store { value, .. } = body.first()? else { return None };
+        let mut scan = Scan { dt: value.dtype, reals: 0, ints: 0 };
+        if !scan.dt.is_float() {
+            return None;
+        }
+        let (mut stores, mut stored, mut charge) = (vec![], 0u8, trip);
+        for s in body {
+            let LStmt::Store { param, index, value, charge: c } = s else { return None };
+            if value.dtype != scan.dt || local_reg(index)? != local {
+                return None;
+            }
+            let p = scan.real(Param::try_from(*param).ok()?)?;
+            stored |= 1 << p;
+            stores.push((p, scan.node(value)?));
+            charge = charge.plus(*c);
+        }
+        let Scan { dt, reals, .. } = scan;
+        let mut map = Map { dt, scalars: vec![], code: vec![], trip: charge, reals };
+        for (param, value) in &stores {
+            let val = map.src(value, local, stored, &mut 0)?;
+            map.code.push(Column::Store { param: *param, val });
+        }
+        Some(map)
+    }
+
+    /// Columns for `e`, the next free one `next`; its value's operand. A
+    /// load that could see another trip's store declines the map.
+    fn src(&mut self, e: &Node, local: Reg, stored: u8, next: &mut u8) -> Option<Src> {
+        fn column(next: &mut u8) -> Option<u8> {
+            let c = *next;
+            *next += 1;
+            (usize::from(*next) <= MAP_COLS).then_some(c)
+        }
+        Some(match e {
+            Node::Real(v) => self.splat(Scalar::Real(*v))?,
+            Node::Local(r) => self.splat(Scalar::Local(*r))?,
+            &Node::At { param, index, offset: 0 } if index == local => {
+                let dst = column(next)?;
+                self.code.push(Column::Load { dst, param });
+                Src::Col(dst)
+            }
+            Node::Load(param, index) if stored >> param & 1 == 0 => match **index {
+                Node::Int(c) => self.splat(Scalar::At(*param, c))?,
+                _ => return None,
+            },
+            Node::Arith(op, ab) => {
+                let a = self.src(&ab[0], local, stored, next)?;
+                let b = self.src(&ab[1], local, stored, next)?;
+                let dst = column(next)?;
+                self.code.push(Column::Arith { op: *op, dst, a, b });
+                Src::Col(dst)
+            }
+            _ => return None,
+        })
+    }
+
+    fn splat(&mut self, s: Scalar) -> Option<Src> {
+        let k = u8::try_from(self.scalars.len()).ok().filter(|&k| usize::from(k) < MAP_SCALARS)?;
+        self.scalars.push(s);
+        Some(Src::Splat(k))
+    }
+}
+
+/// What [`Row::recognise`] or [`Map::recognise`] has found to touch so far.
 struct Scan {
     dt: DType,
     reals: u8,
@@ -550,6 +687,7 @@ pub(super) struct Emitter {
     pub(super) charges: Vec<Charge>,
     pub(super) loops: Vec<MacLoop>,
     pub(super) rows: Vec<Row>,
+    pub(super) maps: Vec<Map>,
     /// The open block's charge so far.
     pending: Charge,
     /// Per file: the next free register, and the most ever in use.
@@ -570,6 +708,7 @@ impl Emitter {
             charges: Vec::new(),
             loops: Vec::new(),
             rows: Vec::new(),
+            maps: Vec::new(),
             pending: Charge::default(),
             top: [n; 5],
             size: [n; 5],
@@ -795,7 +934,8 @@ impl Emitter {
     /// `ParBegin` / `ParEnd`): the bounds go into hidden counter registers,
     /// so a body that writes `local` does not change the trip count. An
     /// accumulate body runs as one [`MacLoop`] in place of itself and its
-    /// `ForNext`; a `ParFor` whose trip is a row, as one [`Row`].
+    /// `ForNext`; a `ParFor` whose trip is a row, as one [`Row`]; one whose
+    /// trip is an element-wise map, as one [`Map`].
     fn counted(
         &mut self,
         local: LocalId,
@@ -837,6 +977,11 @@ impl Emitter {
         {
             self.code.push(Ins::Row { ctr, local, n: index(self.rows.len())? });
             self.rows.push(row);
+        } else if let Some(map) =
+            step.is_none().then(|| Map::recognise(local, body, step_charge)).flatten()
+        {
+            self.code.push(Ins::Map { ctr, local, n: index(self.maps.len())? });
+            self.maps.push(map);
         } else {
             let trip = self.label()?;
             self.charge(step_charge);

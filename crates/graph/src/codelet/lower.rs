@@ -1,6 +1,6 @@
 //! The typing pass, and the lowered form it builds.
 
-use super::emit::{Emitter, Ins, MacLoop, Param, Reg, Row};
+use super::emit::{Emitter, Ins, MacLoop, Map, Param, Reg, Row};
 use super::ir::{promote, BinOp, Codelet, Expr, LocalId, ParamId, Stmt, UnOp, Value};
 use super::machine::Regs;
 use ipu_sim::cost::{CostModel, DType, Op};
@@ -16,12 +16,13 @@ use ipu_sim::cost::{CostModel, DType, Op};
 // register file per domain, with control flow as jumps and one charge per
 // basic block — except that a counted loop whose body is one (guarded)
 // multiply-accumulate becomes one instruction that runs the loop to its end
-// ([`MacLoop`]), and a `ParFor` whose trip, or a `LevelSet` vertex whose
+// ([`MacLoop`]), a `ParFor` whose trip, or a `LevelSet` vertex whose
 // body, is a row around such a loop runs every row as one instruction
-// ([`Row`]). What is left to run time is data: values, trip counts, the
-// `ParFor` makespan and the level-set schedule. `Interp` stays as the
-// fallback for what cannot be typed, and as the oracle the lowered form is
-// tested against.
+// ([`Row`]), and a `ParFor` whose trip is an element-wise map runs a
+// column at a time, as one instruction ([`Map`]). What is left to run time
+// is data: values, trip counts, the `ParFor` makespan and the level-set
+// schedule. `Interp` stays as the fallback for what cannot be typed, and as
+// the oracle the lowered form is tested against.
 // ---------------------------------------------------------------------------
 
 /// What a fragment of codelet IR costs every time it executes — and, summed
@@ -377,6 +378,8 @@ pub struct Lowered {
     pub(super) loops: Vec<MacLoop>,
     /// What each `Row` instruction runs.
     pub(super) rows: Vec<Row>,
+    /// What each `Map` instruction runs.
+    pub(super) maps: Vec<Map>,
     /// A `LevelSet` vertex's whole body, when it is one row: then `code` is
     /// empty and the vertex runs the row once per row id.
     pub(super) row: Option<Row>,
@@ -429,6 +432,7 @@ impl Lowered {
             charges: em.charges,
             loops: em.loops,
             rows: em.rows,
+            maps: em.maps,
             row,
             files: em.size,
             sites: em.sites,
@@ -455,5 +459,11 @@ impl Lowered {
     /// is a row, or a `LevelSet` body that is one.
     pub fn rows(&self) -> usize {
         self.rows.len() + self.row.is_some() as usize
+    }
+
+    /// How many `ParFor`s run as one element-wise map instruction
+    /// ([`Map`]), a column at a time rather than a trip at a time.
+    pub fn maps(&self) -> usize {
+        self.maps.len()
     }
 }

@@ -1,9 +1,11 @@
 //! The register machine: runs a lowered program over one register file per
-//! domain, a multiply-accumulate loop as one instruction, and every row of a
-//! `ParFor` or a `LevelSet` vertex as one instruction.
+//! domain, a multiply-accumulate loop as one instruction, every row of a
+//! `ParFor` or a `LevelSet` vertex as one instruction, and an element-wise
+//! map as one instruction, a column at a time.
 
 use super::emit::{
-    Bin, Cmp, Elem, Ins, MacLoop, Node, Operand, Param, Reg, Row, Step, Test, ROW_PARAMS,
+    Bin, Cmp, Column, Elem, Ins, MacLoop, Map, Node, Operand, Param, Reg, Row, Scalar, Src, Step,
+    Test, MAP_CHUNK, MAP_COLS, MAP_SCALARS, ROW_PARAMS,
 };
 use super::interp::parfor_makespan;
 use super::ir::{
@@ -190,6 +192,15 @@ impl Lowered {
                         DType::I32 | DType::Bool => unreachable!("accumulates in a float domain"),
                     }
                 }
+                Ins::Map { ctr, local, n } => {
+                    let m = &self.maps[n as usize];
+                    match m.dt {
+                        DType::F32 => map::<f32>(m, [ctr, local], reg, params, run),
+                        DType::DoubleWord => map::<TwoF32>(m, [ctr, local], reg, params, run),
+                        DType::F64Emulated => map::<f64>(m, [ctr, local], reg, params, run),
+                        DType::I32 | DType::Bool => unreachable!("a map is of a float domain"),
+                    }
+                }
                 Ins::ParBegin(site) => reg.par[site as usize] = run.cycles,
                 Ins::ParEnd(site) => {
                     // Independent trips spread over the workers: the serial
@@ -278,8 +289,16 @@ impl<T: Copy> Slot<'_, T> {
 
     #[inline(always)]
     fn set(self, i: usize, v: T) {
+        self.cells()[i].set(v)
+    }
+}
+
+impl<'p, T> Slot<'p, T> {
+    /// The elements, to store to.
+    #[inline(always)]
+    fn cells(self) -> &'p [Cell<T>] {
         match self {
-            Slot::Rw(s) => s[i].set(v),
+            Slot::Rw(s) => s,
             Slot::Ro(_) => unreachable!("store to immutable param rejected by Codelet::validate"),
         }
     }
@@ -528,9 +547,10 @@ fn mac_loop<D: Accumulate>(
     *run = run.plus(m.trip.times(trips)).plus(m.taken.times(taken));
 }
 
-/// A row's operands, bound once per vertex: each parameter it names in its
-/// float domain or as I32, and every parameter's length. A parameter it
-/// both reads and writes is bound once, writable.
+/// A row's or a map's operands, bound once per vertex: each parameter it
+/// names in its float domain (bit `p` of `reals`) or as I32 (of `ints`),
+/// and every parameter's length. A parameter it both reads and writes is
+/// bound once, writable.
 struct Bind<'p, D: Accumulate> {
     reals: [Slot<'p, D::Stored>; ROW_PARAMS],
     ints: [&'p [i32]; ROW_PARAMS],
@@ -538,7 +558,7 @@ struct Bind<'p, D: Accumulate> {
 }
 
 impl<'p, D: Accumulate> Bind<'p, D> {
-    fn new(row: &Row, params: &'p mut [ParamData]) -> Bind<'p, D> {
+    fn new(reals: u8, ints: u8, params: &'p mut [ParamData]) -> Bind<'p, D> {
         let mut b = Bind {
             reals: [Slot::Ro(&[]); ROW_PARAMS],
             ints: [&[]; ROW_PARAMS],
@@ -546,9 +566,9 @@ impl<'p, D: Accumulate> Bind<'p, D> {
         };
         for (p, data) in params.iter_mut().take(ROW_PARAMS).enumerate() {
             b.lens[p] = data.len() as i32 as i64;
-            if row.reals >> p & 1 != 0 {
+            if reals >> p & 1 != 0 {
                 b.reals[p] = D::slot(data);
-            } else if row.ints >> p & 1 != 0 {
+            } else if ints >> p & 1 != 0 {
                 b.ints[p] = i64::slice(data);
             }
         }
@@ -767,7 +787,7 @@ fn par_rows<D: Accumulate>(
     run: &mut Charge,
 ) {
     let (start, end) = (reg.i[ctr], reg.i[ctr + 1]);
-    let b = Bind::<D>::new(r, params);
+    let b = Bind::<D>::new(r.reals, r.ints, params);
     let (i, d) = D::split(reg);
     let mut each = |lp: &OneRow<D>| {
         let (mut trips, mut taken) = (0, 0);
@@ -798,7 +818,7 @@ fn level_rows<D: Accumulate>(
     run: &mut Charge,
 ) -> u64 {
     let Regs { files, lpt } = regs;
-    let b = Bind::<D>::new(r, params);
+    let b = Bind::<D>::new(r.reals, r.ints, params);
     let (i, d) = D::split(files);
     let (mut rows, mut trips, mut taken) = (0, 0, 0);
     let mut each = |lp: &OneRow<D>| {
@@ -817,6 +837,131 @@ fn level_rows<D: Accumulate>(
     };
     *run = run.plus(r.charge(rows, trips, taken));
     cycles
+}
+
+/// Run the rest of a `ParFor` whose trip is map `m`, its counter and bound
+/// in `I[ctr..ctr + 2]` and its first trip found by `ForInit`: a chunk of
+/// trips at a time, each of `m`'s columns one loop over the chunk, in
+/// columns on the stack. Leaves `I[local]` as the last trip does.
+#[inline(never)]
+fn map<D: Accumulate>(
+    m: &Map,
+    [ctr, local]: [Reg; 2],
+    reg: &mut Files,
+    params: &mut [ParamData],
+    run: &mut Charge,
+) {
+    let (start, end) = (reg.i[ctr], reg.i[ctr + 1]);
+    let b = Bind::<D>::new(m.reals, 0, params);
+    let (i, d) = D::split(reg);
+    let mut splat = [D::default(); MAP_SCALARS];
+    for (x, s) in splat.iter_mut().zip(&m.scalars) {
+        *x = match *s {
+            Scalar::Real(v) => D::of(v),
+            Scalar::Local(r) => d[r as usize],
+            Scalar::At(p, c) => D::value(b.real(p).get(c as usize)),
+        };
+    }
+    let mut cols = [[D::default(); MAP_CHUNK]; MAP_COLS];
+    let mut t = start;
+    while t < end {
+        let n = (end - t).min(MAP_CHUNK as i64) as usize;
+        // A negative index is as out of range as it is in the flat program.
+        let at = t as usize;
+        for c in &m.code {
+            column(*c, at, n, &b, &splat, &mut cols);
+        }
+        t += n as i64;
+    }
+    i[local as usize] = (end - 1) as i32 as i64;
+    *run = run.plus(m.trip.times((end - start) as u64));
+}
+
+/// One column of a map over the `n` trips from element `at`; every element
+/// bounds-checked, a chunk's slice at a time.
+#[inline(always)]
+fn column<D: Accumulate>(
+    c: Column,
+    at: usize,
+    n: usize,
+    b: &Bind<'_, D>,
+    splat: &[D; MAP_SCALARS],
+    cols: &mut [[D; MAP_CHUNK]; MAP_COLS],
+) {
+    match c {
+        Column::Load { dst, param } => {
+            let out = &mut cols[dst as usize][..n];
+            match b.real(param) {
+                Slot::Ro(s) => {
+                    out.iter_mut().zip(&s[at..][..n]).for_each(|(o, v)| *o = D::value(*v))
+                }
+                Slot::Rw(s) => {
+                    out.iter_mut().zip(&s[at..][..n]).for_each(|(o, v)| *o = D::value(v.get()))
+                }
+            }
+        }
+        Column::Arith { op, dst, a, b } => {
+            // Every column an operation reads was written before its own.
+            let (done, rest) = cols.split_at_mut(dst as usize);
+            let out = &mut rest[0][..n];
+            let col = |c: u8| &done[c as usize][..n];
+            match (a, b) {
+                (Src::Col(x), Src::Col(y)) => D::column(op, col(x), col(y), out),
+                (Src::Col(x), Src::Splat(y)) => {
+                    D::column(op, col(x), Splat(splat[y as usize]), out)
+                }
+                (Src::Splat(x), Src::Col(y)) => {
+                    D::column(op, Splat(splat[x as usize]), col(y), out)
+                }
+                (Src::Splat(x), Src::Splat(y)) => {
+                    D::column(op, Splat(splat[x as usize]), Splat(splat[y as usize]), out)
+                }
+            }
+        }
+        Column::Store { param, val } => {
+            let s = &b.real(param).cells()[at..][..n];
+            match val {
+                Src::Col(x) => {
+                    s.iter().zip(&cols[x as usize]).for_each(|(e, v)| e.set(D::stored(*v)))
+                }
+                Src::Splat(x) => {
+                    let v = D::stored(splat[x as usize]);
+                    s.iter().for_each(|e| e.set(v));
+                }
+            }
+        }
+    }
+}
+
+/// A map column's operand, element `k` of a chunk: a column, or a scalar
+/// every element reads.
+trait Lane<D>: Copy {
+    fn at(self, k: usize) -> D;
+}
+
+impl<D: Copy> Lane<D> for &[D] {
+    #[inline(always)]
+    fn at(self, k: usize) -> D {
+        self[k]
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Splat<D>(D);
+
+impl<D: Copy> Lane<D> for Splat<D> {
+    #[inline(always)]
+    fn at(self, _: usize) -> D {
+        self.0
+    }
+}
+
+/// `out[k] = f(a[k], b[k])` over a chunk.
+#[inline(always)]
+fn each<D, A: Lane<D>, B: Lane<D>>(a: A, b: B, out: &mut [D], f: impl Fn(D, D) -> D) {
+    for (k, o) in out.iter_mut().enumerate() {
+        *o = f(a.at(k), b.at(k));
+    }
 }
 
 /// Scratch a lowered vertex runs in, reused from vertex to vertex: one
@@ -1087,10 +1232,11 @@ impl Domain for f64 {
     }
 }
 
-/// A float domain a [`MacLoop`] or a [`Row`] runs in: its register file
-/// beside the I32 one, its constants, its parameters' elements, and its
-/// arithmetic through the one compiled copy of each operator.
-trait Accumulate: Domain {
+/// A float domain a [`MacLoop`], a [`Row`] or a [`Map`] runs in: its
+/// register file beside the I32 one, its constants, its parameters'
+/// elements, and its arithmetic through the one compiled copy of each
+/// operator.
+trait Accumulate: Domain + Default {
     /// The I32 registers and this domain's.
     fn split(f: &mut Files) -> (&mut [i64], &mut [Self]);
     /// A constant of this domain.
@@ -1099,6 +1245,13 @@ trait Accumulate: Domain {
     /// cells if `p` is mutable.
     fn slot<'p>(p: &'p mut ParamData) -> Slot<'p, Self::Stored>;
     fn arith(op: BinOp, x: Self, y: Self) -> Self;
+
+    /// `out[k] = a[k] op b[k]` over a map's chunk, each element as
+    /// [`Accumulate::arith`] computes it.
+    #[inline(always)]
+    fn column(op: BinOp, a: impl Lane<Self>, b: impl Lane<Self>, out: &mut [Self]) {
+        each(a, b, out, |x, y| Self::arith(op, x, y));
+    }
 }
 
 impl Accumulate for f32 {
@@ -1127,6 +1280,28 @@ impl Accumulate for f32 {
     #[inline]
     fn arith(op: BinOp, x: f32, y: f32) -> f32 {
         arith_f32(op, x, y)
+    }
+
+    /// `+ − × ÷` one loop each, the compiler free to vectorise it. Which
+    /// of two NaN operands such a loop returns is its choice, though (see
+    /// `arith_f32`): a NaN result is computed again by `arith_f32`, as the
+    /// flat program computes it.
+    #[inline(always)]
+    fn column(op: BinOp, a: impl Lane<f32>, b: impl Lane<f32>, out: &mut [f32]) {
+        match op {
+            BinOp::Add => each(a, b, out, |x, y| x + y),
+            BinOp::Sub => each(a, b, out, |x, y| x - y),
+            BinOp::Mul => each(a, b, out, |x, y| x * y),
+            BinOp::Div => each(a, b, out, |x, y| x / y),
+            _ => return each(a, b, out, |x, y| arith_f32(op, x, y)),
+        }
+        if out.iter().fold(false, |nan, v| nan | v.is_nan()) {
+            for (k, o) in out.iter_mut().enumerate() {
+                if o.is_nan() {
+                    *o = arith_f32(op, a.at(k), b.at(k));
+                }
+            }
+        }
     }
 }
 

@@ -287,14 +287,17 @@ impl Engine {
         stat.count("codelets_fused", kernels.fused().count() as u64);
         // Totals, not a row per codelet: a vertex that is not lowered runs
         // on the dynamic interpreter, correct but slower; one whose inner
-        // loops are not recognised runs them a trip at a time, and one
-        // whose rows are not recognised runs each row's statements one
-        // instruction at a time.
-        let Coverage { vertices, lowered: vertices_lowered, looped, rowed } = lowered.coverage();
+        // loops are not recognised runs them a trip at a time, one whose
+        // rows are not recognised runs each row's statements one
+        // instruction at a time, and one whose maps are not recognised
+        // runs them a trip at a time.
+        let Coverage { vertices, lowered: vertices_lowered, looped, rowed, mapped } =
+            lowered.coverage();
         stat.count("vertices_total", vertices);
         stat.count("vertices_lowered", vertices_lowered);
         stat.count("vertices_looped", looped);
         stat.count("vertices_rowed", rowed);
+        stat.count("vertices_mapped", mapped);
         // One row per matched kernel; an unmatched codelet runs its lowered
         // form, and the totals above already say which vertices have none.
         for k in kernels.fused() {
@@ -1131,6 +1134,7 @@ impl LoweredTable {
             c.lowered += form.is_some() as u64;
             c.looped += form.is_some_and(|l| l.loops() > 0) as u64;
             c.rowed += form.is_some_and(|l| l.rows() > 0) as u64;
+            c.mapped += form.is_some_and(|l| l.maps() > 0) as u64;
         }
         c
     }
@@ -1147,6 +1151,9 @@ struct Coverage {
     looped: u64,
     /// Whose lowered form runs at least one row as one instruction.
     rowed: u64,
+    /// Whose lowered form runs at least one element-wise map as one
+    /// instruction.
+    mapped: u64,
 }
 
 /// Hand out one slice per operand: `&mut` for mutable parameters, shared
@@ -2012,8 +2019,8 @@ mod tests {
         };
         // A map is not in the library: with fusion on or off it runs
         // lowered. Lowering does not depend on fusion: both vertices, either
-        // way; a map has no accumulate loop and no row. No per-codelet
-        // rows: only a matched kernel gets one.
+        // way, each its map as one instruction, with no accumulate loop and
+        // no row. No per-codelet rows: only a matched kernel gets one.
         for fusion in [false, true] {
             assert_eq!(sel(fusion).counter("codelets_total"), 1);
             assert_eq!(sel(fusion).counter("codelets_fused"), 0);
@@ -2021,7 +2028,8 @@ mod tests {
             assert_eq!(sel(fusion).counter("vertices_lowered"), 2);
             assert_eq!(sel(fusion).counter("vertices_looped"), 0);
             assert_eq!(sel(fusion).counter("vertices_rowed"), 0);
-            assert_eq!(sel(fusion).counters.len(), 6, "{:?}", sel(fusion).counters);
+            assert_eq!(sel(fusion).counter("vertices_mapped"), 2);
+            assert_eq!(sel(fusion).counters.len(), 7, "{:?}", sel(fusion).counters);
         }
     }
 

@@ -312,9 +312,17 @@ impl Gen<'_> {
             Some(l) => vec![Stmt::SetLocal(l, g.expr(2))],
             None => vec![],
         };
-        let kinds = if depth == 0 { 3 } else { 12 };
+        let kinds = if depth == 0 { 3 } else { 16 };
         match self.below(kinds) {
             7 | 8 => self.accumulate().unwrap_or_else(|| set_local(self)),
+            12..=15 => {
+                // A `ParFor` whose trip is an element-wise map (or a near miss).
+                let Some(local) = self.free_local() else { return set_local(self) };
+                self.reserved.push(local);
+                let map = self.map(local);
+                self.reserved.pop();
+                map.unwrap_or_else(|| set_local(self))
+            }
             9..=11 => {
                 // A `ParFor` whose trip is a row (or a near miss).
                 let Some(local) = self.free_local() else { return set_local(self) };
@@ -540,6 +548,66 @@ impl Gen<'_> {
         Some(out)
     }
 
+    /// A constant of float dtype `dt`.
+    fn float(&mut self, dt: DType) -> Value {
+        let x = (self.below(17) as f64 - 8.0) * 0.75;
+        match dt {
+            DType::F32 => Value::F32(x as f32),
+            DType::DoubleWord => Value::Dw(TwoFloat::from_f64(x + 1e-9)),
+            _ => Value::F64(x + 1e-12),
+        }
+    }
+
+    /// A `ParFor` over `local` whose trip is one to three stores at
+    /// `p[local]`, each of a tree of constants, loads at `local`, loads at
+    /// a constant of a parameter the trip does not store, and arithmetic,
+    /// all in the stored parameters' float storage: an element-wise map.
+    /// One time in three a near miss: a store at `local + 1`, a read of a
+    /// stored parameter at a constant or at `local + 1`, a local carried
+    /// from trip to trip, a cast, a gather; at times a loop of no trips.
+    fn map(&mut self, local: usize) -> Option<Vec<Stmt>> {
+        let floats: Vec<usize> =
+            (0..self.storage.len()).filter(|&p| self.storage[p].is_float()).collect();
+        let targets: Vec<usize> = floats.iter().copied().filter(|&p| self.mutable[p]).collect();
+        if targets.is_empty() {
+            return None;
+        }
+        let target = self.pick(&targets);
+        let dt = self.storage[target];
+        let same: Vec<usize> = floats.iter().copied().filter(|&p| self.storage[p] == dt).collect();
+        let stores: Vec<usize> =
+            targets.iter().copied().filter(|&p| self.storage[p] == dt).collect();
+        let dsts: Vec<usize> = (0..1 + self.below(3)).map(|_| self.pick(&stores)).collect();
+        let scalars = same.iter().copied().filter(|p| !dsts.contains(p)).collect();
+        let cols = (0..self.storage.len())
+            .filter(|&p| self.storage[p] == DType::I32 && !self.mutable[p])
+            .collect();
+        let trip = Trip { dt, local, near: self.below(3) == 0, same, dsts, scalars, cols };
+        let mut body: Vec<Stmt> = trip
+            .dsts
+            .iter()
+            .map(|&param| {
+                let index = match trip.near && self.below(4) == 0 {
+                    true => next(local),
+                    false => Expr::Local(local),
+                };
+                Stmt::Store { param, index, value: trip.tree(self, 3) }
+            })
+            .collect();
+        if trip.near && self.below(4) == 0 {
+            if let Some(l) = self.free_local() {
+                body.insert(self.below(body.len() + 1), Stmt::SetLocal(l, next(l)));
+            }
+        }
+        let end = Expr::ParamLen(trip.dsts[0]);
+        let start = match self.below(8) {
+            0 => Expr::ParamLen(trip.dsts[0]),
+            1 => i(1),
+            _ => i(0),
+        };
+        Some(vec![Stmt::ParFor { local, start, end, body }])
+    }
+
     fn buf(&mut self, dtype: DType, mutable: bool) -> Buf {
         let n = self.n;
         let x = |g: &mut Self| (g.below(33) as f64 - 16.0) * 0.375;
@@ -557,11 +625,58 @@ impl Gen<'_> {
     }
 }
 
+/// What [`Gen::map`] builds a trip's values from: the float storage `dt`,
+/// the loop local, whether to build near misses, the parameters of `dt`,
+/// those the trip stores, the rest, and the index operands.
+struct Trip {
+    dt: DType,
+    local: usize,
+    near: bool,
+    same: Vec<usize>,
+    dsts: Vec<usize>,
+    scalars: Vec<usize>,
+    cols: Vec<usize>,
+}
+
+impl Trip {
+    fn tree(&self, g: &mut Gen, depth: usize) -> Expr {
+        use BinOp::*;
+        if depth == 0 || g.below(3) == 0 {
+            return self.leaf(g);
+        }
+        let op = g.pick(&[Add, Sub, Mul, Div, Min, Max]);
+        Expr::bin(op, self.tree(g, depth - 1), self.tree(g, depth - 1))
+    }
+
+    fn leaf(&self, g: &mut Gen) -> Expr {
+        let c = |g: &mut Gen| i(g.below(g.n.max(1)) as i32);
+        match g.below(if self.near { 9 } else { 5 }) {
+            0 => Expr::c(g.float(self.dt)),
+            1 if !self.scalars.is_empty() => Expr::index(g.pick(&self.scalars), c(g)),
+            5 => Expr::index(g.pick(&self.dsts), c(g)),
+            6 => Expr::index(g.pick(&self.same), next(self.local)),
+            7 => Expr::Convert { to: self.dt, arg: Box::new(g.load(1).unwrap_or(i(1))) },
+            8 if !self.cols.is_empty() => Expr::index(
+                g.pick(&self.same),
+                Expr::index(g.pick(&self.cols), Expr::Local(self.local)),
+            ),
+            8 => Expr::Local(g.free_local().unwrap_or(self.local)),
+            _ => Expr::index(g.pick(&self.same), Expr::Local(self.local)),
+        }
+    }
+}
+
+/// `l + 1`.
+fn next(l: usize) -> Expr {
+    Expr::bin(BinOp::Add, Expr::Local(l), i(1))
+}
+
 /// One random vertex: a codelet over every `Expr` / `Stmt` form, a storage
 /// dtype per operand drawn independently of the F32 / I32 it declares, and
 /// a vertex kind.
 fn random_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
-    let n = rng.below(6);
+    // Now and then more elements than a map's chunk holds.
+    let n = if rng.below(6) == 0 { 60 + rng.below(90) } else { rng.below(6) };
     let num_params = 1 + rng.below(4);
     let storage: Vec<DType> = (0..num_params).map(|_| DTYPES[rng.below(5)]).collect();
     let mutable: Vec<bool> = (0..num_params).map(|p| p == 0 || rng.below(3) == 0).collect();
@@ -609,7 +724,7 @@ fn random_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
 fn random_codelets_run_identically_lowered_and_dynamic() {
     let cases = 3000;
     let (mut lowered, mut completed, mut level_sets, mut wide) = (0, 0, 0, 0);
-    let (mut looped, mut rowed, mut level_set_rows) = (0, 0, 0);
+    let (mut looped, mut rowed, mut level_set_rows, mut mapped, mut chunked) = (0, 0, 0, 0, 0);
     for seed in 0..cases {
         let mut rng = TestRng::seed_from_u64(0x10e7_0000 + seed);
         let (codelet, kind, bufs) = random_case(&mut rng);
@@ -624,16 +739,19 @@ fn random_codelets_run_identically_lowered_and_dynamic() {
             rowed += (form.rows() > 0) as u32;
             level_set_rows +=
                 (form.rows() > 0 && matches!(kind, VertexKind::LevelSet { .. })) as u32;
+            mapped += (form.maps() > 0) as u32;
+            chunked += (form.maps() > 0 && bufs[0].bits().len() > 64) as u32;
         }
     }
     // Not vacuous: most random bodies type and run to the end, level sets,
-    // wide storage under F32-declared parameters, accumulate loops and rows
-    // (`ParFor` trips and whole level-set bodies) run as one instruction
-    // among them.
+    // wide storage under F32-declared parameters, accumulate loops, rows
+    // (`ParFor` trips and whole level-set bodies) and maps, some over more
+    // than one chunk, run as one instruction among them.
     assert!(completed * 2 > cases, "{completed} of {cases} ran lowered ({lowered} lowered)");
     assert!(level_sets > 400 && wide > 1000, "{level_sets} level sets, {wide} wide");
     assert!(looped > 600, "{looped} took the accumulate loop instruction");
     assert!(rowed > 200 && level_set_rows > 80, "{rowed} rows, {level_set_rows} level-set bodies");
+    assert!(mapped > 300 && chunked > 20, "{mapped} took the map instruction, {chunked} chunked");
 }
 
 // ---- directed cases --------------------------------------------------------
@@ -1940,4 +2058,305 @@ fn a_rows_locals_and_its_near_misses_match_the_interpreter() {
         c
     };
     must_row(&last, &kind, &bufs, "the loop last", 1);
+}
+
+// ---- the map instruction ---------------------------------------------------
+
+/// [`must_lower`], with `maps` `ParFor`s run as one map instruction each.
+fn must_map(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str, maps: usize) {
+    must_lower(c, kind, bufs, who);
+    assert_eq!(lower(c, kind, bufs).unwrap().maps(), maps, "{who}: maps");
+}
+
+/// `n` elements `k + 1 / (3 + i)` in float storage `dtype`.
+fn elements(dtype: DType, n: usize, k: f64) -> Buf {
+    floats(dtype, &(0..n).map(|i| k + 1.0 / (3.0 + i as f64)).collect::<Vec<_>>())
+}
+
+/// The solvers' maps as `DslCtx::assign` and `DslCtx::materialize` build
+/// them — CG's `x + p·α`, `r − q·α` and `z + p·β`, BiCGStab's `r − v·α`,
+/// `x + y·α + z·ω`, `s − t·ω` and `r + (p − v·ω)·β`, the zero fill, a
+/// materialised `x + p·α` and a scalar copied into another — each vertex one
+/// map instruction under F32, double-word and emulated-f64 storage, over 75
+/// elements a tile (two chunks), leaving what `Interp` leaves: storage bits,
+/// locals, cycles, flops and bytes.
+#[test]
+fn the_solvers_maps_run_as_one_instruction_in_every_float_domain() {
+    use dsl::{DslCtx, TExpr};
+    for dtype in FLOATS {
+        let mut ctx = DslCtx::new(IpuModel::tiny(2));
+        let [x, p, r, q, z, v, y, s, t] = ["x", "p", "r", "q", "z", "v", "y", "s", "t"]
+            .map(|name| ctx.vector(name, dtype, 150, 2));
+        let [alpha, beta, omega, rz, rz_old] =
+            ["alpha", "beta", "omega", "rz", "rz_old"].map(|name| ctx.scalar(name, dtype));
+        let zero = match dtype {
+            DType::F32 => TExpr::c_f32(0.0),
+            DType::DoubleWord => TExpr::c_dw(0.0),
+            _ => TExpr::c_f64(0.0),
+        };
+        ctx.assign(x, x + p * alpha);
+        ctx.assign(r, r - q * alpha);
+        ctx.assign(p, z + p * beta);
+        ctx.assign(s, r - v * alpha);
+        ctx.assign(x, x + y * alpha + z * omega);
+        ctx.assign(r, s - t * omega);
+        ctx.assign(p, r + (p - v * omega) * beta);
+        ctx.assign(x, zero);
+        ctx.materialize(x + p * alpha);
+        ctx.assign(rz_old, rz.ex());
+        let graph = ctx.graph();
+        let mut vertices = 0;
+        for vertex in graph.compute_sets.iter().flat_map(|cs| &cs.vertices) {
+            let c = &graph.codelets[vertex.codelet];
+            let bufs: Vec<Buf> = (vertex.operands.iter().enumerate())
+                .map(|(k, op)| elements(graph.tensors[op.tensor].dtype, op.len, k as f64))
+                .collect();
+            must_map(c, &vertex.kind, &bufs, &format!("{} over {dtype:?}", c.name), 1);
+            vertices += 1;
+        }
+        assert_eq!(vertices, 9 * 2 + 1, "nine vector maps on two tiles, one scalar copy");
+    }
+}
+
+/// `out[i] = x[i]; sum[i] = x[i] + y[i]; product[i] = x[i] * y[i]; diff[i]
+/// = x[i] - y[0]`. Params: out · sum · product · diff (mut) · x · y.
+fn nan_map() -> Codelet {
+    use BinOp::*;
+    let at = |p| Expr::index(p, Expr::Local(0));
+    let store = |param, value| Stmt::Store { param, index: Expr::Local(0), value };
+    codelet(
+        vec![
+            rw(DType::F32),
+            rw(DType::F32),
+            rw(DType::F32),
+            rw(DType::F32),
+            ro(DType::F32),
+            ro(DType::F32),
+        ],
+        1,
+        vec![Stmt::ParFor {
+            local: 0,
+            start: i(0),
+            end: Expr::ParamLen(4),
+            body: vec![
+                store(0, at(4)),
+                store(1, Expr::bin(Add, at(4), at(5))),
+                store(2, Expr::bin(Mul, at(4), at(5))),
+                store(3, Expr::bin(Sub, at(4), Expr::index(5, i(0)))),
+            ],
+        }],
+    )
+}
+
+/// A NaN payload survives a map's store as it survives the flat program's:
+/// a signalling NaN copied is stored quiet, its payload kept; two NaNs of
+/// different payloads and signs added or multiplied keep the one `arith_*`
+/// keeps, whatever the column loop's compiled code would pick; a NaN meets
+/// finite values and a signed zero. In every float storage, over 70
+/// elements (a chunk and a bit), every pair of the six values.
+#[test]
+fn a_nan_payload_survives_a_maps_store() {
+    let n = 70;
+    let f32s = [0x7f80_0001, 0xffc0_1234, 0x7fc0_0abc, 1.5f32.to_bits(), 0x8000_0000, 0x7fc0_0000];
+    let f64s = [
+        0x7ff0_0000_0000_0001,
+        0xfff8_0000_0000_1234,
+        0x7ff8_0000_0000_0abc,
+        1.5f64.to_bits(),
+        0x8000_0000_0000_0000,
+        0x7ff8_0000_0000_0000,
+    ];
+    let pick = |k: usize, second: bool| if second { (k / 6) % 6 } else { k % 6 };
+    let c = nan_map();
+    for dtype in FLOATS {
+        let vector = |second: bool| match dtype {
+            DType::F32 => Buf::F32((0..n).map(|k| f32::from_bits(f32s[pick(k, second)])).collect()),
+            DType::DoubleWord => Buf::Dw(
+                (0..n).map(|k| TwoFloat::from_f(f32::from_bits(f32s[pick(k, second)]))).collect(),
+            ),
+            _ => Buf::F64(
+                (0..n).map(|k| SoftDouble(f64::from_bits(f64s[pick(k, second)]))).collect(),
+            ),
+        };
+        let out = floats(dtype, &vec![0.0; n]);
+        let bufs = vec![out.clone(), out.clone(), out.clone(), out, vector(false), vector(true)];
+        let who = format!("NaN payloads over {dtype:?}");
+        must_map(&c, &VertexKind::Simple, &bufs, &who, 1);
+        if dtype == DType::F32 {
+            let lowered = lower(&c, &VertexKind::Simple, &bufs).unwrap();
+            let got = lowered_outcome(&c, &lowered, &VertexKind::Simple, &bufs).unwrap();
+            let quiet: Vec<u64> = (0..n)
+                .map(|k| f32s[k % 6])
+                .map(|b| if f32::from_bits(b).is_nan() { b | 0x0040_0000 } else { b } as u64)
+                .collect();
+            assert_eq!(got.storage[0], quiet, "{who}: a copy keeps each payload, quieted");
+        }
+    }
+}
+
+/// `ParFor i in start..len(bound) { out[i] = x[i] * a[c] }`. Params: out
+/// (mut) · x · a.
+fn scaled(bound: usize, c: i32) -> Codelet {
+    let value = Expr::bin(BinOp::Mul, Expr::index(1, Expr::Local(0)), Expr::index(2, i(c)));
+    codelet(
+        vec![rw(DType::F32), ro(DType::F32), ro(DType::F32)],
+        1,
+        vec![Stmt::ParFor {
+            local: 0,
+            start: i(0),
+            end: Expr::ParamLen(bound),
+            body: vec![Stmt::Store { param: 0, index: Expr::Local(0), value }],
+        }],
+    )
+}
+
+/// A load past its operand, in the first chunk and past it, a store past
+/// its output and a scalar load past its operand: each panics on both
+/// routes, the map instruction's chunk slices as the flat program's element
+/// accesses would. With no trips to run, the scalar load past its operand
+/// never happens, on either route.
+#[test]
+fn an_out_of_range_load_or_store_in_a_map_panics_on_both_routes() {
+    for dtype in FLOATS {
+        let v = |n| elements(dtype, n, 1.0);
+        for (what, c, bufs, completes) in [
+            ("a load past x, first chunk", scaled(0, 0), vec![v(70), v(3), v(1)], false),
+            ("a load past x, second chunk", scaled(0, 0), vec![v(70), v(69), v(1)], false),
+            ("a store past out", scaled(1, 0), vec![v(69), v(70), v(1)], false),
+            ("a scalar load past a", scaled(0, 1), vec![v(70), v(70), v(1)], false),
+            ("a scalar load past a, no trips", scaled(0, 5), vec![v(0), v(70), v(1)], true),
+        ] {
+            let who = format!("{what} over {dtype:?}");
+            assert_eq!(check(&c, &VertexKind::Simple, &bufs, &who), Some(completes), "{who}");
+            assert_eq!(lower(&c, &VertexKind::Simple, &bufs).unwrap().maps(), 1, "{who}");
+        }
+    }
+}
+
+/// The map's edges and its near misses, each leaving what `Interp` leaves.
+/// One instruction: a `ParFor` from 1, of no trips, of one, 64, 65 and 130
+/// trips (chunk boundaries), a second store reading what the first stored,
+/// a float local read in every trip, a store of a constant, a parameter
+/// read at a constant it does not store. The flat program: a store at `i +
+/// 1`, a read of the stored parameter at a constant or at `i + 1`, a local
+/// carried from trip to trip, a float local set in the trip, a cast, a
+/// gather, a branch, a `For`.
+#[test]
+fn a_maps_edges_and_near_misses_match_the_interpreter() {
+    use BinOp::*;
+    // Params: y (mut) · x · a · cols; local 1 is `a[1]`, set before the loop.
+    let (y, x, a) = (
+        || Expr::index(0, Expr::Local(0)),
+        || Expr::index(1, Expr::Local(0)),
+        || Expr::index(2, i(0)),
+    );
+    let store = |index, value| Stmt::Store { param: 0, index, value };
+    let map = |start: i32, end: Expr, body: Vec<Stmt>| {
+        codelet(
+            vec![rw(DType::F32), ro(DType::F32), ro(DType::F32), ro(DType::I32)],
+            3,
+            vec![
+                Stmt::SetLocal(1, Expr::index(2, i(1))),
+                Stmt::ParFor { local: 0, start: i(start), end, body },
+            ],
+        )
+    };
+    let len = || Expr::ParamLen(0);
+    let short = || Expr::bin(Sub, Expr::ParamLen(0), i(1));
+    let base = || store(Expr::Local(0), Expr::bin(Add, Expr::bin(Mul, x(), a()), Expr::Local(1)));
+    let ok: Vec<(&str, Codelet)> = vec![
+        ("the base map", map(0, len(), vec![base()])),
+        ("a ParFor from 1", map(1, len(), vec![base()])),
+        (
+            "a second store reading the first",
+            map(0, len(), vec![base(), store(Expr::Local(0), Expr::bin(Sub, y(), x()))]),
+        ),
+        ("a store of a constant", map(0, len(), vec![store(Expr::Local(0), f(0.0))])),
+        ("a store of a local", map(0, len(), vec![store(Expr::Local(0), Expr::Local(1))])),
+        (
+            "a scalar read twice",
+            map(
+                0,
+                len(),
+                vec![store(Expr::Local(0), Expr::bin(Div, a(), Expr::bin(Min, x(), a())))],
+            ),
+        ),
+    ];
+    let flat: Vec<(&str, Codelet)> = vec![
+        ("a store at i + 1", map(0, short(), vec![store(next(0), x())])),
+        (
+            "the stored parameter read at a constant",
+            map(0, len(), vec![store(Expr::Local(0), Expr::bin(Add, Expr::index(0, i(0)), x()))]),
+        ),
+        (
+            "the stored parameter read at i + 1",
+            map(
+                0,
+                short(),
+                vec![store(Expr::Local(0), Expr::bin(Add, Expr::index(0, next(0)), x()))],
+            ),
+        ),
+        (
+            "a local carried from trip to trip",
+            map(0, len(), vec![Stmt::SetLocal(2, next(2)), base()]),
+        ),
+        ("a float local set in the trip", map(0, len(), vec![Stmt::SetLocal(1, x()), base()])),
+        (
+            "a cast",
+            map(
+                0,
+                len(),
+                vec![store(Expr::Local(0), Expr::Convert { to: DType::F32, arg: Box::new(x()) })],
+            ),
+        ),
+        (
+            "a gather",
+            map(
+                0,
+                len(),
+                vec![store(Expr::Local(0), Expr::index(1, Expr::index(3, Expr::Local(0))))],
+            ),
+        ),
+        (
+            "a branch",
+            map(
+                0,
+                len(),
+                vec![Stmt::If {
+                    cond: Expr::bin(Lt, x(), a()),
+                    then: vec![base()],
+                    otherwise: vec![],
+                }],
+            ),
+        ),
+        (
+            "a loop",
+            map(
+                0,
+                len(),
+                vec![Stmt::For {
+                    local: 2,
+                    start: i(0),
+                    end: i(2),
+                    step: i(1),
+                    body: vec![base()],
+                }],
+            ),
+        ),
+    ];
+    for n in [0, 1, 3, 64, 65, 130] {
+        let cols = Buf::I32((0..n).map(|k| (k * 7 % n) as i32).collect());
+        let bufs = vec![
+            floats(DType::F32, &vec![-2.0; n]),
+            elements(DType::F32, n, 0.5),
+            elements(DType::F32, 2, -1.5),
+            cols,
+        ];
+        for (what, c) in &ok {
+            must_map(c, &VertexKind::Simple, &bufs, &format!("{what}, {n} elements"), 1);
+        }
+        for (what, c) in &flat {
+            must_map(c, &VertexKind::Simple, &bufs, &format!("{what}, {n} elements"), 0);
+        }
+    }
 }

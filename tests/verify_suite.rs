@@ -130,6 +130,9 @@ fn engine_options_are_equivalent_across_suite() {
 /// instruction (the dot / norm stages have no row, and MPIR's double-word
 /// residual no loop instruction); a DSL change that breaks the row shape
 /// runs each row's statements one instruction at a time and fails here.
+/// And exactly so many run an element-wise map (`x + p·α`, a copy, a zero
+/// fill) as one map instruction, a column at a time: not the scalar maps
+/// that read what they store (`iter + 1`), select, compare or cast.
 #[test]
 fn every_solver_vertex_is_lowered() {
     use graphene::graphene_core::runner::{solve_or_panic, SolveOptions};
@@ -143,7 +146,10 @@ fn every_solver_vertex_is_lowered() {
         ..SolveOptions::default()
     };
     let suite = graphene::graphene_core::config::verification_suite();
-    let mut stacks: Vec<(&str, SolverConfig, Option<(u64, u64)>)> =
+    // A benchmark stack's `vertices_looped`, `vertices_rowed` and
+    // `vertices_mapped`.
+    type Pinned = Option<(u64, u64, u64)>;
+    let mut stacks: Vec<(&str, SolverConfig, Pinned)> =
         suite.into_iter().map(|case| (case.name, case.config, None)).collect();
     stacks.extend([
         (
@@ -158,15 +164,19 @@ fn every_solver_vertex_is_lowered() {
                 max_outer: 4,
                 rel_tol: 1e-9,
             },
-            Some((68, 28)),
+            Some((68, 28, 31)),
         ),
-        ("heat", SolverConfig::Cg { max_iters: 100, rel_tol: 1e-6, precond: None }, Some((32, 8))),
+        (
+            "heat",
+            SolverConfig::Cg { max_iters: 100, rel_tol: 1e-6, precond: None },
+            Some((32, 8, 14)),
+        ),
         (
             "sgs",
             SolverConfig::GaussSeidel { sweeps: 1, symmetric: true, rel_tol: 0.0 },
-            Some((8, 8)),
+            Some((8, 8, 0)),
         ),
-        ("jacobi", SolverConfig::Jacobi { sweeps: 2, omega: 2.0 / 3.0 }, Some((4, 4))),
+        ("jacobi", SolverConfig::Jacobi { sweeps: 2, omega: 2.0 / 3.0 }, Some((4, 4, 4))),
     ]);
     for (name, config, pinned) in stacks {
         let res = solve_or_panic(a.clone(), &b, &config, &opts);
@@ -175,9 +185,10 @@ fn every_solver_vertex_is_lowered() {
         let (total, lowered) = (sel.counter("vertices_total"), sel.counter("vertices_lowered"));
         assert!(total > 0, "[{name}] no vertices");
         assert_eq!(lowered, total, "[{name}] {} vertices run unlowered", total - lowered);
-        if let Some((looped, rowed)) = pinned {
+        if let Some((looped, rowed, mapped)) = pinned {
             assert_eq!(sel.counter("vertices_looped"), looped, "[{name}] of {total}");
             assert_eq!(sel.counter("vertices_rowed"), rowed, "[{name}] of {total}");
+            assert_eq!(sel.counter("vertices_mapped"), mapped, "[{name}] of {total}");
         }
     }
 }
