@@ -487,7 +487,7 @@ fn run_job(shared: &Shared, job: &mut QueuedJob, ctx: &mut WorkerCtx) -> JobOutc
                 result.attempts = job.attempts;
                 result.queue_ms = queue_ms;
                 result.solve_ms = work_start.elapsed().as_millis() as u64;
-                return JobOutcome::Done(result);
+                return JobOutcome::Done(Box::new(result));
             }
             Err(err) => {
                 if err.terminal_deadline {
@@ -558,10 +558,7 @@ fn attempt(
         run_opts.faults = storm_faults;
         // The runner measures its deadline from solve() entry: pass the
         // *remaining* budget, so queue time already spent counts.
-        run_opts.deadline = match job.deadline_at {
-            Some(at) => Some(at.saturating_duration_since(Instant::now())),
-            None => None,
-        };
+        run_opts.deadline = job.deadline_at.map(|at| at.saturating_duration_since(Instant::now()));
         match runner::solve(rc, &spec.b, &spec.config, &run_opts) {
             Ok(res) => (res.x, res.residual, res.iterations, res.report),
             Err(e) => {
@@ -616,8 +613,10 @@ fn attempt(
     // swallowed.
     let true_res = true_residual(&spec.a, &x, &spec.b);
     let sdc_escape = match target_tolerance(&spec.config) {
-        Some(tol) if residual <= tol * TOLERANCE_SAFETY => !(true_res <= tol * TOLERANCE_SAFETY),
-        _ => !(true_res <= residual * RESIDUAL_AGREEMENT + RESIDUAL_SLACK),
+        Some(tol) if residual <= tol * TOLERANCE_SAFETY => {
+            !within(true_res, tol * TOLERANCE_SAFETY)
+        }
+        _ => !within(true_res, residual * RESIDUAL_AGREEMENT + RESIDUAL_SLACK),
     };
 
     Ok(JobResult {
@@ -651,6 +650,12 @@ fn worker_matrix(ctx: &mut WorkerCtx, spec: &JobSpec) -> (usize, Rc<CsrMatrix>) 
 /// summation-order noise without masking a genuinely wrong `x`.
 const RESIDUAL_AGREEMENT: f64 = 8.0;
 const RESIDUAL_SLACK: f64 = 1e-12;
+
+/// Whether a recomputed residual is within `bound`: never for a NaN, so a
+/// NaN residual is judged an escape.
+fn within(residual: f64, bound: f64) -> bool {
+    residual <= bound
+}
 
 /// ‖b − A x‖₂ / ‖b‖₂ in plain f64 on the host.
 fn true_residual(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {

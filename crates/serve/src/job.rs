@@ -95,8 +95,9 @@ pub struct JobResult {
 #[derive(Clone, Debug)]
 pub enum JobOutcome {
     /// Solved (possibly after retries). Check `sdc_escape` before
-    /// trusting the bits under fault injection.
-    Done(JobResult),
+    /// trusting the bits under fault injection. Boxed: a result carries a
+    /// whole report, the other outcomes a few words.
+    Done(Box<JobResult>),
     /// Failed `attempts` times and was quarantined so it cannot wedge a
     /// worker or starve its tenant.
     Quarantined { attempts: u32, last_error: String },
@@ -178,7 +179,7 @@ mod tests {
     #[test]
     fn digests_separate_classes_and_bits() {
         let done = |bits: &[f64]| {
-            JobOutcome::Done(JobResult {
+            JobOutcome::Done(Box::new(JobResult {
                 x: bits.to_vec(),
                 x_digest: x_digest(bits),
                 residual: 1e-9,
@@ -188,7 +189,7 @@ mod tests {
                 solve_ms: 1,
                 sdc_escape: false,
                 report: SolveReport::new("test"),
-            })
+            }))
         };
         assert_eq!(done(&[1.0, 2.0]).digest(), done(&[1.0, 2.0]).digest());
         assert_ne!(done(&[1.0, 2.0]).digest(), done(&[1.0, 2.5]).digest());

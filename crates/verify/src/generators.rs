@@ -71,10 +71,10 @@ pub fn spd_dominant(n: usize, extras_per_row: usize, seed: u64) -> CsrMatrix {
         }
     }
     let mut coo = CooMatrix::new(n, n);
-    for i in 0..n {
-        let row_mass: f64 = off[i].iter().map(|&(_, v)| v.abs()).sum();
+    for (i, row) in off.iter().enumerate() {
+        let row_mass: f64 = row.iter().map(|&(_, v)| v.abs()).sum();
         coo.push(i, i, row_mass + 1.0 + rng.unit_f64());
-        for &(j, v) in &off[i] {
+        for &(j, v) in row {
             coo.push(i, j, v);
         }
     }

@@ -49,7 +49,11 @@ pub struct DeterminismReport {
     pub exchange_bytes: u64,
 }
 
-fn fingerprint(r: &SolveResult) -> (Vec<u64>, u64, u64, u64, u64, Vec<(String, [u64; 3])>) {
+/// Solution bits, device cycles, exchange bytes, supersteps, syncs and the
+/// per-label phase splits.
+type Fingerprint = (Vec<u64>, u64, u64, u64, u64, Vec<(String, [u64; 3])>);
+
+fn fingerprint(r: &SolveResult) -> Fingerprint {
     (
         r.x.iter().map(|v| v.to_bits()).collect(),
         r.stats.device_cycles(),

@@ -83,15 +83,15 @@ impl DenseLu {
             x.swap(k, self.piv[k]);
             let xk = x[k];
             if xk != 0.0 {
-                for r in k + 1..n {
-                    x[r] -= self.lu[r * n + k] * xk;
+                for (r, xr) in x.iter_mut().enumerate().skip(k + 1) {
+                    *xr -= self.lu[r * n + k] * xk;
                 }
             }
         }
         for k in (0..n).rev() {
             let mut s = x[k];
-            for j in k + 1..n {
-                s -= self.lu[k * n + j] * x[j];
+            for (j, xj) in x.iter().enumerate().skip(k + 1) {
+                s -= self.lu[k * n + j] * xj;
             }
             x[k] = s / self.lu[k * n + k];
         }

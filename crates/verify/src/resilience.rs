@@ -150,7 +150,11 @@ pub fn assert_fault_trichotomy(
     rep
 }
 
-fn fingerprint(r: &SolveResult) -> (Vec<u64>, u64, u64, Vec<(String, [u64; 3])>) {
+/// Solution bits, device cycles, exchange bytes and the per-label phase
+/// splits.
+type Fingerprint = (Vec<u64>, u64, u64, Vec<(String, [u64; 3])>);
+
+fn fingerprint(r: &SolveResult) -> Fingerprint {
     (
         r.x.iter().map(|v| v.to_bits()).collect(),
         r.stats.device_cycles(),

@@ -447,6 +447,8 @@ macro_rules! proptest {
                         );
                     }
                     $(let $arg = $crate::Strategy::sample(&($strat), &mut rng);)+
+                    // The closure is the scope a failing `prop_assert!` returns from.
+                    #[allow(clippy::redundant_closure_call)]
                     let __case: ::std::result::Result<(), $crate::TestCaseError> = (|| {
                         {
                             $(let $arg = $arg;)+

@@ -15,7 +15,7 @@ use graphene::sparse::partition::Partition;
 /// schedule combination of the engine.
 const ENGINES: [EngineOptions; 4] = EngineOptions::ALL;
 
-fn build<'a>(a: &Rc<CsrMatrix>, tiles: usize) -> (DslCtx, DistSystem, TensorRef, TensorRef) {
+fn build(a: &Rc<CsrMatrix>, tiles: usize) -> (DslCtx, DistSystem, TensorRef, TensorRef) {
     let part = Partition::balanced_by_nnz(a, tiles);
     let mut ctx = DslCtx::new(IpuModel::tiny(tiles));
     let sys = DistSystem::build(&mut ctx, a.clone(), part);
@@ -62,8 +62,8 @@ fn spmv_matches_host_across_decompositions() {
 /// Host Gauss-Seidel restricted to tile-local updates (the block-hybrid
 /// sweep the device performs): within the sweep, off-tile values stay at
 /// their pre-sweep snapshot.
-fn host_block_gs(a: &CsrMatrix, part: &Partition, b: &[f64], x: &mut Vec<f64>) {
-    let snapshot = x.clone();
+fn host_block_gs(a: &CsrMatrix, part: &Partition, b: &[f64], x: &mut [f64]) {
+    let snapshot = x.to_vec();
     // The device sweeps each tile's rows in its local (reordered) order;
     // level-set order is equivalent to any topological order of the local
     // dependency DAG, which the local row order is NOT in general — but

@@ -124,10 +124,10 @@ proptest! {
         for &(r, _, v) in &coo.entries {
             want[r as usize] += v;
         }
-        for i in 0..csr.nrows {
+        for (i, want) in want.iter().enumerate().take(csr.nrows) {
             let (_, vals) = csr.row(i);
             let got: f64 = vals.iter().sum();
-            prop_assert!((got - want[i]).abs() < 1e-9);
+            prop_assert!((got - want).abs() < 1e-9);
         }
         // Columns sorted, in range.
         for i in 0..csr.nrows {
@@ -243,7 +243,7 @@ proptest! {
             .iter()
             .map(|l| {
                 let mut v: Vec<f64> = l.owned.iter().map(|&r| x[r]).collect();
-                v.extend(std::iter::repeat(0.0).take(l.halo.len()));
+                v.extend(std::iter::repeat_n(0.0, l.halo.len()));
                 v
             })
             .collect();
