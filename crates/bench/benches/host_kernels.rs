@@ -232,24 +232,25 @@ fn from_template(
     Codelet { name: name.into(), params, num_locals, body }
 }
 
-/// The interpreter routes, per element, on one tile's worth of rows (32 is
-/// what the benchmark's `fig8_mpir` maps to a tile, 64 what `cold_oneshot`
-/// does): `lowered` is the form the engine builds per vertex and runs by
-/// default, `dynamic` the tree-walking `Interp` it falls back to and is
+/// The interpreter routes, per element, on one tile's worth of rows (32 is what
+/// the benchmark's `fig8_mpir` maps to a tile, 64 what `cold_oneshot` does; the
+/// two maps also at 39 and 256, a part-filled chunk of the map instruction and
+/// four whole ones): `lowered` is the form the engine builds per vertex and
+/// runs by default, `dynamic` the tree-walking `Interp` it falls back to and is
 /// tested against, and `fused` the hand-written kernel `EngineOptions::fusion`
 /// runs, for the codelets the library has one for. An axpy map, BiCGStab's
-/// two-scalar map, the SpMV codelet and its residual, a dot product's
-/// per-tile stage, the forward- and backward-substitution and the
-/// Gauss-Seidel `LevelSet` vertices go through them at codelet level;
-/// `engine` is the forward vertex through `Engine::run`, so the per-vertex
-/// path around the lowered form (operand slicing, scratch, stats) is
-/// measured too. `lowered` over `fused` per codelet is the gap between the
-/// default route and the kernel library. A regression shows here in seconds,
-/// without the 16 s host benchmark.
+/// two-scalar map, the SpMV codelet and its residual, a dot product's per-tile
+/// stage, the forward- and backward-substitution and the Gauss-Seidel
+/// `LevelSet` vertices go through them at codelet level; `engine` is the
+/// forward vertex through `Engine::run`, so the per-vertex path around the
+/// lowered form (operand slicing, scratch, stats) is measured too. `lowered`
+/// over `fused` per codelet is the gap between the default route and the kernel
+/// library. A regression shows here in seconds, without the 16 s host
+/// benchmark.
 fn bench_interpreter(c: &mut Criterion) {
     let cost = CostModel::default();
     let mut g = c.benchmark_group("interpreter");
-    for n in [32usize, 64] {
+    for n in [32usize, 39, 64, 256] {
         g.throughput(Throughput::Elements(n as u64));
         // One tile's block of a 5-point stencil, in the device's layout:
         // dense f32 diagonal + off-diagonal CSR with i32 indices.
@@ -321,6 +322,10 @@ fn bench_interpreter(c: &mut Criterion) {
                 ParamData::F32Ro(&omega),
             ]
         );
+        // The rest at one tile's rows only.
+        if n != 32 && n != 64 {
+            continue;
+        }
         both_routes!(
             "spmv",
             from_template("spmv", spmv_template(false)),
