@@ -51,10 +51,11 @@ use sparse::formats::CsrMatrix;
 /// reports are identical across variants; only host wall-clock differs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IpuVariant {
-    /// Every vertex interpreted, one host thread — the reference the
-    /// other two are tested against.
+    /// Every vertex on its codelet's lowered form, one host thread — the
+    /// reference the other two are tested against.
     Default,
-    /// Every vertex interpreted, tile-parallel host workers.
+    /// Every vertex on its codelet's lowered form, tile-parallel host
+    /// workers.
     Par,
     /// Fused kernels where matched, one host thread.
     Fused,
@@ -84,6 +85,7 @@ const REMOVED_VARIABLES: &[(&str, &str)] = &[
     ("GRAPHENE_PAR", "ipu-sim:par"),
     ("GRAPHENE_NATIVE", "ipu-sim:fused"),
     ("GRAPHENE_LEGACY_INTERP", "ipu-sim (the tree-walking interpreter is gone)"),
+    ("GRAPHENE_NO_OPT", "ipu-sim (the graph compiler has one pipeline)"),
 ];
 
 impl BackendSpec {
@@ -129,8 +131,8 @@ impl BackendSpec {
 
     /// Read `GRAPHENE_BACKEND`: `Ok(None)` when unset or empty (CI matrix
     /// templating produces empty strings for absent legs). A removed
-    /// variable (`GRAPHENE_PAR`, `GRAPHENE_NATIVE`, `GRAPHENE_LEGACY_INTERP`)
-    /// set to a non-empty value is an error naming its replacement.
+    /// variable (`REMOVED_VARIABLES`) set to a non-empty value is an error
+    /// naming its replacement.
     pub fn from_env() -> Result<Option<BackendSpec>, String> {
         BackendSpec::from_vars(|k| std::env::var(k).ok())
     }
@@ -412,6 +414,7 @@ mod tests {
             ("GRAPHENE_NATIVE", "1", "ipu-sim:fused"),
             ("GRAPHENE_NATIVE", "0", "ipu-sim:fused"),
             ("GRAPHENE_LEGACY_INTERP", "garbage", "GRAPHENE_BACKEND=ipu-sim "),
+            ("GRAPHENE_NO_OPT", "1", "GRAPHENE_BACKEND=ipu-sim (the graph compiler has one"),
         ] {
             // Whatever GRAPHENE_BACKEND says, and whatever the value.
             for backend in [None, Some("cpu"), Some("ipu-sim:par")] {

@@ -1,5 +1,5 @@
 //! Host-schedule speedup check — `ipu-sim` (one host thread) vs
-//! `ipu-sim:par` (tile-parallel), same interpreted dispatch.
+//! `ipu-sim:par` (tile-parallel), same lowered-form dispatch.
 //!
 //! Runs the *same* solve under both, asserts that every observable
 //! (solution bits, device cycles, exchanged bytes, superstep and sync

@@ -40,8 +40,6 @@ pub struct TuneDecision {
     pub partition: Partition,
     /// Tile count the partition targets (its part count).
     pub tiles: usize,
-    /// `CompileOptions::optimise` the winner was scored with.
-    pub optimise: bool,
     /// The full plan — freshly searched or loaded from the cache.
     pub plan: TunedPlan,
     /// `true` when the plan came from the on-disk cache.
@@ -64,7 +62,6 @@ impl TuneDecision {
         s.count("rows_per_tile", self.plan.rows_per_tile as u64);
         s.count("tiles", self.tiles as u64);
         s.count(&format!("strategy.{}", self.plan.strategy.name()), 1);
-        s.count("optimise", self.plan.optimise as u64);
         s.count("sell_c", self.plan.sell_c as u64);
         s.count("search_micros", self.search_micros);
         s
@@ -93,20 +90,14 @@ fn build_partition(
 
 /// Compile and run the probe (one distributed SpMV) for a candidate and
 /// return its modelled device cycles.
-fn probe_cycles(
-    a: &Rc<CsrMatrix>,
-    model: &IpuModel,
-    part: &Partition,
-    optimise: bool,
-) -> Result<u64, String> {
+fn probe_cycles(a: &Rc<CsrMatrix>, model: &IpuModel, part: &Partition) -> Result<u64, String> {
     let mut ctx = DslCtx::new(model.clone());
     let sys =
         DistSystem::try_build(&mut ctx, a.clone(), part.clone()).map_err(|e| e.to_string())?;
     let x = sys.new_vector(&mut ctx, "tune_x", DType::F32);
     let y = sys.new_vector(&mut ctx, "tune_y", DType::F32);
     sys.spmv(&mut ctx, y, x);
-    let mut engine =
-        ctx.build_engine_with(CompileOptions { optimise }).map_err(|e| e.to_string())?;
+    let mut engine = ctx.build_engine().map_err(|e| e.to_string())?;
     sys.upload(&mut engine);
     engine.run();
     Ok(engine.stats().device_cycles())
@@ -124,32 +115,16 @@ pub fn tune(
     config: &SolverConfig,
     opts: &SolveOptions,
 ) -> Result<TuneDecision, SolveError> {
-    // A pinned pass toggle (`opts.optimise`, which `resolved()` also fills
-    // from an explicit GRAPHENE_NO_OPT=0/1) keeps the search inside the
-    // caller's compile mode, so e.g. the plan-equivalence harness's
-    // optimise-on/off legs still enumerate identical partition candidates
-    // (passes are cycle-neutral, so the winner cannot depend on the toggle
-    // either way). An open one is searched, optimised first.
-    let optimise_choices: Vec<bool> = match opts.optimise {
-        Some(pinned) => vec![pinned],
-        None => vec![true, false],
-    };
     // The geometric family needs a grid that actually describes the rows.
     let grid = opts.grid.filter(|g| g.num_cells() == a.nrows);
 
-    let (candidates, default_idx) = candidate_space(
-        opts.rows_per_tile,
-        opts.tiles.is_some(),
-        grid.is_some(),
-        &optimise_choices,
-    );
+    let (candidates, default_idx) =
+        candidate_space(opts.rows_per_tile, opts.tiles.is_some(), grid.is_some());
 
     // Cache key: structure fingerprint x everything else that shapes the
     // probe or the space.
     let fp = StructureFingerprint::of(a);
     let m = &opts.model;
-    let choice_str =
-        optimise_choices.iter().map(|b| if *b { "1" } else { "0" }).collect::<String>();
     let key_parts = [
         config.to_value().to_string(),
         format!(
@@ -158,7 +133,6 @@ pub fn tune(
         ),
         format!("rpt:{}", opts.rows_per_tile),
         format!("tiles:{:?}", opts.tiles),
-        format!("opt:{choice_str}"),
         format!("grid:{}", grid.map(|g| format!("{}x{}x{}", g.nx, g.ny, g.nz)).unwrap_or_default()),
         // Backend family: only ipu-sim plans are tuned today, but the key
         // must never collide with a future backend's plans for the same
@@ -173,7 +147,7 @@ pub fn tune(
     let score = |cand: &Candidate| -> Result<Score, String> {
         let tiles = opts.pick_tiles(a.nrows, cand.rows_per_tile);
         let part = build_partition(a, grid, cand.strategy, tiles)?;
-        let device_cycles = probe_cycles(a, &opts.model, &part, cand.optimise)?;
+        let device_cycles = probe_cycles(a, &opts.model, &part)?;
         let imbalance_milli = (part.nnz_imbalance(a) * 1000.0).round() as u64;
         Ok(Score { device_cycles, imbalance_milli })
     };
@@ -191,7 +165,6 @@ pub fn tune(
     Ok(TuneDecision {
         partition,
         tiles,
-        optimise: plan.optimise,
         plan,
         cache_hit: outcome.cache_hit,
         candidates_scored: outcome.candidates_scored,
@@ -208,15 +181,12 @@ mod tests {
         let a = Rc::new(sparse::gen::poisson_2d_5pt(12, 12, 1.0));
         let model = IpuModel::tiny(8);
         let p4 = Partition::balanced_by_nnz(&a, 4);
-        let c1 = probe_cycles(&a, &model, &p4, true).unwrap();
-        let c2 = probe_cycles(&a, &model, &p4, true).unwrap();
+        let c1 = probe_cycles(&a, &model, &p4).unwrap();
+        let c2 = probe_cycles(&a, &model, &p4).unwrap();
         assert_eq!(c1, c2, "probe must be bit-deterministic");
-        // Pass toggles are cycle-neutral — the probe must agree.
-        let c3 = probe_cycles(&a, &model, &p4, false).unwrap();
-        assert_eq!(c1, c3, "optimise toggle changed modelled cycles");
         // More tiles → a different (here: cheaper) modelled program.
         let p8 = Partition::balanced_by_nnz(&a, 8);
-        let c8 = probe_cycles(&a, &model, &p8, true).unwrap();
+        let c8 = probe_cycles(&a, &model, &p8).unwrap();
         assert_ne!(c1, c8, "partition must move the objective");
     }
 }

@@ -5,7 +5,7 @@
 //! (`GRAPHENE_BACKEND`, whose reader also refuses the removed variables,
 //! goes through `BackendSpec::from_env`). The runner asks once per entry
 //! ([`SolveOptions::resolved`](crate::runner::SolveOptions::resolved) for
-//! the five variables that back an option, [`Plan::new`](crate::runner::Plan::new)
+//! the four variables that back an option, [`Plan::new`](crate::runner::Plan::new)
 //! for the trace pair); below that line nothing consults the environment.
 //! The bench binaries and the verification sweeps read their own
 //! variables through it too, so [`EnvConfig::VARIABLES`] is the whole
@@ -44,9 +44,8 @@ pub struct EnvConfig;
 impl EnvConfig {
     /// Every `GRAPHENE_*` variable the repository reads: `[name, accepted
     /// values, what unset or empty means, what it stands in for]`.
-    pub const VARIABLES: [[&'static str; 4]; 11] = [
+    pub const VARIABLES: [[&'static str; 4]; 10] = [
         ["GRAPHENE_BACKEND", BACKENDS, "`ipu-sim`", "`SolveOptions::backend`"],
-        ["GRAPHENE_NO_OPT", FLAG, "optimise", "`SolveOptions::optimise` (inverted)"],
         ["GRAPHENE_FAULTS", FAULTS, "no faults", "`SolveOptions::faults`"],
         ["GRAPHENE_TUNE", FLAG, "off", "`SolveOptions::tune`"],
         ["GRAPHENE_TUNE_CACHE", "a directory", "`.graphene-cache`", "`SolveOptions::tune_cache`"],
@@ -65,11 +64,6 @@ impl EnvConfig {
 
     pub fn backend() -> Result<Option<BackendSpec>, SolveError> {
         BackendSpec::from_env().map_err(SolveError::Config)
-    }
-
-    /// `GRAPHENE_NO_OPT`, as the `optimise` it selects.
-    pub fn optimise() -> Result<Option<bool>, SolveError> {
-        Ok(Self::flag("GRAPHENE_NO_OPT")?.map(|no_opt| !no_opt))
     }
 
     pub fn faults() -> Result<Option<FaultPlan>, SolveError> {
@@ -113,9 +107,9 @@ mod tests {
     #[test]
     fn flag_grammar() {
         // One grammar for every on/off variable: what `GRAPHENE_TUNE`
-        // accepts, `GRAPHENE_NO_OPT` accepts, and a typo in either is an
-        // error naming the variable and the value.
-        for var in ["GRAPHENE_TUNE", "GRAPHENE_NO_OPT"] {
+        // accepts, `GRAPHENE_BUDGET_BLESS` accepts, and a typo in either is
+        // an error naming the variable and the value.
+        for var in ["GRAPHENE_TUNE", "GRAPHENE_BUDGET_BLESS"] {
             for (v, want) in [
                 ("", None),
                 ("  ", None),

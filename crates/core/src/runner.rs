@@ -70,12 +70,6 @@ pub struct SolveOptions {
     pub partition: Option<Partition>,
     /// Initial guess (zeros if `None`).
     pub x0: Option<Vec<f64>>,
-    /// Run the graph compiler's optimisation passes (`None`: whatever
-    /// `GRAPHENE_NO_OPT` selects, optimised when unset; under tuning, an
-    /// open toggle is the tuner's to choose). Optimisation
-    /// affects host dispatch overhead only — results and `CycleStats` are
-    /// bit-identical either way.
-    pub optimise: Option<bool>,
     /// Deterministic hardware fault injection (`None`: whatever
     /// `GRAPHENE_FAULTS` selects, no faults when unset). See
     /// `ipu_sim::fault::FaultPlan` for the spec grammar.
@@ -85,7 +79,7 @@ pub struct SolveOptions {
     pub recovery: Option<RecoveryPolicy>,
     /// Cost-model auto-tuning (`None`: whatever `GRAPHENE_TUNE` selects,
     /// off when unset). When on and no explicit `partition` is given, the
-    /// tuner searches partition strategy x rows-per-tile x pass toggles by
+    /// tuner searches partition strategy x rows-per-tile by
     /// modelled probe cycles and applies the winner; decisions are cached
     /// on disk keyed by matrix structure (see [`crate::autotune`]).
     pub tune: Option<bool>,
@@ -123,7 +117,6 @@ impl Default for SolveOptions {
             record_history: true,
             partition: None,
             x0: None,
-            optimise: None,
             faults: None,
             recovery: None,
             tune: None,
@@ -143,20 +136,16 @@ impl SolveOptions {
         self.tiles.unwrap_or(by_rows).min(self.model.num_tiles()).min(rows)
     }
 
-    /// These options with each of the five fields that can stand for "ask
-    /// the environment" (`backend`, `optimise`, `faults`, `tune`,
-    /// `tune_cache`) filled from [`EnvConfig`] where the caller left it
-    /// `None`. A pinned field's variable is not read, so it cannot fail
-    /// the solve; a malformed value of one that is read does. In the
-    /// result a remaining `None` means the default (`ipu-sim`, optimise,
-    /// no faults, no tuning).
+    /// These options with each of the four fields that can stand for "ask
+    /// the environment" (`backend`, `faults`, `tune`, `tune_cache`) filled
+    /// from [`EnvConfig`] where the caller left it `None`. A pinned field's
+    /// variable is not read, so it cannot fail the solve; a malformed value
+    /// of one that is read does. In the result a remaining `None` means the
+    /// default (`ipu-sim`, no faults, no tuning).
     pub fn resolved(&self) -> Result<SolveOptions, SolveError> {
         let mut o = self.clone();
         if o.backend.is_none() {
             o.backend = EnvConfig::backend()?;
-        }
-        if o.optimise.is_none() {
-            o.optimise = EnvConfig::optimise()?;
         }
         if o.faults.is_none() {
             o.faults = EnvConfig::faults()?;
@@ -313,7 +302,6 @@ pub struct Plan {
     config: SolverConfig,
     model: IpuModel,
     engine: EngineOptions,
-    compile: CompileOptions,
     record_history: bool,
     deadline: Option<Duration>,
     faults: Option<FaultPlan>,
@@ -435,15 +423,11 @@ impl Plan {
                 (tiles, partition)
             }
         };
-        // The tuned pass toggle applies only when the caller left it open
-        // (a pinned toggle already constrained the search to its own value).
-        let optimise = opts.optimise.or(decision.as_ref().map(|d| d.optimise)).unwrap_or(true);
         Ok(Plan {
             a,
             config: config.clone(),
             model: opts.model.clone(),
             engine,
-            compile: CompileOptions { optimise },
             record_history: opts.record_history,
             deadline: opts.deadline,
             faults: opts.faults.clone(),
@@ -670,9 +654,8 @@ impl Plan {
         // of the rounded f32 output.
         let x_ext = solver.as_any().downcast_mut::<Mpir>().and_then(|m| m.x_ext);
 
-        let mut engine = ctx
-            .build_engine_on(self.compile, self.engine)
-            .map_err(|e| SolveError::Compile(e.to_string()))?;
+        let mut engine =
+            ctx.build_engine_on(self.engine).map_err(|e| SolveError::Compile(e.to_string()))?;
         // Per-step performance attribution rides along with every run: pure
         // host-side bookkeeping, zero device cycles.
         engine.enable_perf();

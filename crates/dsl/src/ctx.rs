@@ -517,38 +517,28 @@ impl DslCtx {
     // ---------------------------------------------------------------
 
     /// Compile the graph + program and construct the engine (registering
-    /// all callbacks) — steps 3 and 4 of the paper's pipeline. Compile
-    /// options come from the environment ([`CompileOptions::from_env`]; a
-    /// malformed `GRAPHENE_NO_OPT` is a [`CompileError::Program`]), which
-    /// is what lets engine-level tests ride the no-opt CI leg. The solve
-    /// runner does not come through here: it resolves the environment once
-    /// at its entry and pins the options with
-    /// [`DslCtx::build_engine_on`].
+    /// all callbacks) — steps 3 and 4 of the paper's pipeline. The graph
+    /// compiler lowers the program to an [`graph::ExecPlan`] and plans its
+    /// communication; nothing here reads the environment.
     pub fn build_engine(self) -> Result<Engine, CompileError> {
-        self.build_engine_with(CompileOptions::from_env().map_err(CompileError::Program)?)
+        self.build_engine_on(EngineOptions::default())
     }
 
-    /// Like [`DslCtx::build_engine`] with explicit compile options — the
-    /// graph compiler lowers the program to an [`graph::ExecPlan`] and
-    /// (optionally) runs the optimisation pass pipeline over it.
-    pub fn build_engine_with(self, options: CompileOptions) -> Result<Engine, CompileError> {
-        self.build_engine_on(options, EngineOptions::default())
+    /// [`DslCtx::build_engine`]; [`CompileOptions`] has no fields.
+    pub fn build_engine_with(self, _options: CompileOptions) -> Result<Engine, CompileError> {
+        self.build_engine()
     }
 
-    /// Like [`DslCtx::build_engine_with`], also pinning how the engine
+    /// Like [`DslCtx::build_engine`], also pinning how the engine
     /// dispatches and schedules vertices. A tile-parallel schedule on a
     /// program with a cross-tile read/write hazard is a
     /// [`CompileError::Program`] carrying the hazard diagnostic.
-    pub fn build_engine_on(
-        mut self,
-        options: CompileOptions,
-        engine: EngineOptions,
-    ) -> Result<Engine, CompileError> {
+    pub fn build_engine_on(mut self, engine: EngineOptions) -> Result<Engine, CompileError> {
         assert_eq!(self.frames.len(), 1, "unbalanced control-flow stack");
         let steps = self.frames.pop().unwrap();
         let program =
             if steps.len() == 1 { steps.into_iter().next().unwrap() } else { Prog::Seq(steps) };
-        let exec = self.graph.compile_with(program, options)?;
+        let exec = self.graph.compile(program)?;
         let mut engine = Engine::with_options(exec, engine).map_err(CompileError::Program)?;
         for (id, cb) in self.callbacks {
             engine.register_callback(id, cb);

@@ -14,7 +14,7 @@
 //! * `Execute` — one BSP superstep: a sync barrier, the precomputed
 //!   broadcast exchange for operands read from remote tiles, then the
 //!   per-tile maximum of codelet cycles.
-//! * `Exchange` — per phase: a sync plus the fabric cost of the resolved
+//! * `Exchange` — a sync plus the fabric cost of the resolved
 //!   blockwise copies (broadcast-aware, all-to-all, IPU-Link latency when
 //!   chips are crossed).
 //! * `Copy` — an on-tile memcpy parallelised over the worker threads.
@@ -85,8 +85,8 @@ impl Default for EngineOptions {
 
 impl EngineOptions {
     /// Every dispatch x schedule combination — what the equivalence tests
-    /// sweep. The first entry, every vertex interpreted in program order,
-    /// is the reference the other three are compared against.
+    /// sweep. The first entry, every vertex on its lowered form in program
+    /// order, is the reference the other three are compared against.
     pub const ALL: [EngineOptions; 4] = [
         EngineOptions { threads: 1, fusion: false },
         EngineOptions { threads: 1, fusion: true },
@@ -262,8 +262,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine with the default options: every vertex
-    /// interpreted, one host thread.
+    /// Build an engine with the default options: every vertex on its
+    /// lowered form, one host thread.
     pub fn new(exec: Executable) -> Self {
         Self::with_options(exec, EngineOptions::default())
             .expect("the single-threaded schedule accepts every program")
@@ -530,9 +530,7 @@ impl ExecCtx<'_> {
                 children.iter().for_each(|&c| self.exec_step(plan, c));
             }
             PlanStep::Execute(es) => self.execute_planned(id, es),
-            PlanStep::Exchange(phases) => {
-                phases.iter().for_each(|ph| self.exchange_planned(id, ph));
-            }
+            PlanStep::Exchange(ph) => self.exchange_planned(id, ph),
             PlanStep::Copy(cp) => self.copy_planned(id, cp),
             PlanStep::Repeat(n, body) => {
                 for _ in 0..*n {

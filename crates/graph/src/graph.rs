@@ -10,7 +10,7 @@
 
 use crate::codelet::{Codelet, CodeletId};
 use crate::compute::{ComputeSet, ComputeSetId, VertexKind};
-use crate::passes::{self, CompileOptions};
+use crate::passes;
 use crate::plan::ExecPlan;
 use crate::program::{ExchangeStep, Prog};
 use crate::tensor::{TensorDef, TensorId};
@@ -297,29 +297,18 @@ impl Graph {
         Ok(())
     }
 
-    /// Validate the program, lower it to an [`ExecPlan`] through the pass
-    /// pipeline selected by `GRAPHENE_NO_OPT` (optimising by default),
-    /// and freeze an executable.
-    pub fn compile(self, program: Prog) -> Result<Executable, CompileError> {
-        let options = CompileOptions::from_env().map_err(CompileError::Program)?;
-        self.compile_with(program, options)
-    }
-
-    /// Like [`Graph::compile`] with explicit compile options.
+    /// Validate the program, lower it to an [`ExecPlan`] and freeze an
+    /// executable.
     ///
     /// This is the graph *compiler*: validation, lowering of the `Prog`
-    /// tree into the flat [`ExecPlan`] arena, and the optimisation pass
-    /// pipeline (`crate::passes`) that precomputes every broadcast,
-    /// exchange program, sync decision and tile grouping the engine will
-    /// replay. The per-pass statistics are stamped on the executable as a
+    /// tree into the flat [`ExecPlan`] arena, and the planning passes
+    /// (`crate::passes`) that precompute every broadcast, exchange
+    /// program, sync decision and tile grouping the engine will replay.
+    /// The per-pass statistics are stamped on the executable as a
     /// [`CompileReport`].
-    pub fn compile_with(
-        self,
-        program: Prog,
-        options: CompileOptions,
-    ) -> Result<Executable, CompileError> {
+    pub fn compile(self, program: Prog) -> Result<Executable, CompileError> {
         self.validate_prog(&program)?;
-        let (plan, report) = passes::compile_plan(&self, &program, options);
+        let (plan, report) = passes::compile_plan(&self, &program);
         Ok(Executable { graph: self, plan, report })
     }
 }
@@ -330,7 +319,7 @@ impl Graph {
 #[derive(Clone, Debug)]
 pub struct Executable {
     pub graph: Graph,
-    /// The lowered, pass-optimised plan the engine executes.
+    /// The lowered, planned program the engine executes.
     pub plan: ExecPlan,
     /// Per-pass compile statistics.
     pub report: CompileReport,

@@ -86,13 +86,11 @@ fn walk(
                 metas[id].max_fanout = max_fanout(&es.bcast);
             }
         }
-        PlanStep::Exchange(phases) => {
+        PlanStep::Exchange(ph) => {
             metas[id].kind = StepKind::Exchange;
-            metas[id].name = phases.iter().map(|p| p.name.as_str()).collect::<Vec<_>>().join("+");
-            for p in phases {
-                metas[id].regions += p.program.num_regions() as u64;
-                metas[id].max_fanout = metas[id].max_fanout.max(max_fanout(&p.program));
-            }
+            metas[id].name = ph.name.clone();
+            metas[id].regions = ph.program.num_regions() as u64;
+            metas[id].max_fanout = max_fanout(&ph.program);
         }
         PlanStep::Copy(cp) => {
             metas[id].kind = StepKind::Copy;

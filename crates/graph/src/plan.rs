@@ -81,18 +81,14 @@ pub struct CopyStep {
 /// One node of the lowered plan.
 #[derive(Clone, Debug)]
 pub enum PlanStep {
-    /// Do nothing (eliminated by the cleanup pass where reachable).
+    /// Do nothing.
     Nop,
     /// Execute child steps in order.
     Seq(Vec<StepId>),
     /// One BSP superstep with its precomputed broadcast and sync.
     Execute(ExecuteStep),
-    /// One *dispatch* of one or more exchange phases executed
-    /// back-to-back. Lowering emits one phase per `Prog::Exchange`; the
-    /// coalescing pass merges adjacent dispatches. Each phase still
-    /// records its own sync + exchange, so coalescing is invisible to the
-    /// cycle profile — it only removes host dispatch overhead.
-    Exchange(Vec<ExchangePhase>),
+    /// One `Prog::Exchange`: its sync, then its costed fabric program.
+    Exchange(ExchangePhase),
     /// Whole-tensor on-tile copy with precomputed per-tile cycles.
     Copy(CopyStep),
     /// Fixed-trip-count loop over a child step.
@@ -129,8 +125,8 @@ impl ExecPlan {
         &self.steps[id]
     }
 
-    /// Ids of all steps reachable from the root (passes rewrite edges and
-    /// may orphan arena entries; orphans are dead weight, not semantics).
+    /// Ids of all steps reachable from the root (an arena entry nothing
+    /// points at is dead weight, not semantics).
     pub fn reachable(&self) -> Vec<StepId> {
         let mut seen = vec![false; self.steps.len()];
         let mut stack = vec![self.root];
@@ -158,11 +154,10 @@ impl ExecPlan {
     }
 
     /// Number of reachable *dispatchable* steps — what the engine hands to
-    /// its step dispatcher per traversal: `Execute`, `Exchange` (one per
-    /// dispatch, however many phases), `Copy`, `Callback`, and the
-    /// predicate reads of `If`/`While`. Control-flow scaffolding (`Seq`,
-    /// `Repeat`, `Label`) and `Nop` count zero. This is the
-    /// `CompileReport` step metric the passes shrink.
+    /// its step dispatcher per traversal: `Execute`, `Exchange`, `Copy`,
+    /// `Callback`, and the predicate reads of `If`/`While`. Control-flow
+    /// scaffolding (`Seq`, `Repeat`, `Label`) and `Nop` count zero. This is
+    /// the `CompileReport`'s `plan_steps`.
     pub fn num_dispatch_steps(&self) -> usize {
         self.reachable()
             .into_iter()
@@ -221,7 +216,7 @@ mod tests {
     fn dispatch_steps_count_control_flow_decisions() {
         let mut p = ExecPlan::default();
         let e = p.push(PlanStep::Execute(ExecuteStep::default()));
-        let x = p.push(PlanStep::Exchange(vec![ExchangePhase::default()]));
+        let x = p.push(PlanStep::Exchange(ExchangePhase::default()));
         let n = p.push(PlanStep::Nop);
         let iff = p.push(PlanStep::If { pred: 0, then: e, otherwise: n, sync_cycles: 1 });
         let rep = p.push(PlanStep::Repeat(4, x));

@@ -1,15 +1,14 @@
-//! Property test: random `Prog` trees execute identically whatever the
-//! pass pipeline did to the plan and however the engine runs it.
+//! Property test: random `Prog` trees execute identically however the
+//! engine runs their compiled plan.
 //!
-//! The graph compiler's contract is observational equivalence: the
-//! optimised and the unoptimised plan must leave bit-identical tensor
-//! storage and cycle-identical `CycleStats` behind. The engine's is the
-//! same across its options: fused or interpreted dispatch, one thread or
-//! tile-parallel. This test generates depth-bounded random program trees
-//! over a small fixed graph (compute sets with and without
-//! compiler-inserted broadcasts, a cross-tile exchange, whole-tensor
-//! copies, loops, branches, labels and host callbacks) and checks every
-//! combination against the interpreted single-threaded run.
+//! The engine's contract is observational equivalence across its options:
+//! fused or lowered dispatch, one thread or tile-parallel must leave
+//! bit-identical tensor storage and cycle-identical `CycleStats` behind.
+//! This test generates depth-bounded random program trees over a small
+//! fixed graph (compute sets with and without compiler-inserted
+//! broadcasts, a cross-tile exchange, whole-tensor copies, loops,
+//! branches, labels and host callbacks) and checks every combination
+//! against the lowered single-threaded run.
 
 use graph::codelet::{BinOp, Codelet, Expr, ParamDecl, Stmt, Value};
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
@@ -17,7 +16,7 @@ use graph::engine::EngineOptions;
 use graph::graph::Graph;
 use graph::program::{ElemCopy, ExchangeStep, Prog};
 use graph::tensor::{TensorDef, TensorId};
-use graph::{CompileOptions, Engine};
+use graph::Engine;
 use ipu_sim::cost::DType;
 use ipu_sim::model::IpuModel;
 use profile::TraceRecorder;
@@ -176,7 +175,7 @@ fn gen_prog(rng: &mut TestRng, f: &Fixture, depth: usize) -> Prog {
 }
 
 /// Everything one run leaves behind that must not depend on the engine
-/// options or on optimisation.
+/// options.
 #[derive(Debug, PartialEq)]
 struct Observed {
     tensors: Vec<Vec<u64>>,
@@ -188,8 +187,8 @@ struct Observed {
     tile_busy: Vec<u64>,
 }
 
-/// What additionally must not depend on the engine options (step ids
-/// differ between the optimised and the unoptimised plan).
+/// What additionally must not depend on the engine options: the per-step
+/// attribution and the trace.
 #[derive(Debug, PartialEq)]
 struct PerPlan {
     /// Σ per-step cycles of the perf attribution.
@@ -200,12 +199,8 @@ struct PerPlan {
 
 /// Build an engine for `prog`, seed its storage deterministically, run
 /// with the perf recorder and a trace attached, and collect the lot.
-fn run(f: &Fixture, prog: &Prog, optimise: bool, options: EngineOptions) -> (Observed, PerPlan) {
-    let exec = f
-        .graph
-        .clone()
-        .compile_with(prog.clone(), CompileOptions { optimise })
-        .expect("random program must validate");
+fn run(f: &Fixture, prog: &Prog, options: EngineOptions) -> (Observed, PerPlan) {
+    let exec = f.graph.clone().compile(prog.clone()).expect("random program must validate");
     let mut e = Engine::with_options(exec, options).expect("fixture graph is hazard-free");
     e.enable_perf();
     e.set_trace(TraceRecorder::default());
@@ -250,54 +245,28 @@ fn run(f: &Fixture, prog: &Prog, optimise: bool, options: EngineOptions) -> (Obs
     (observed, per_plan)
 }
 
-/// {fused, interpreted} x {one thread, tile-parallel} x {optimised,
-/// unoptimised plan}: storage bits and the cycle profile are the same in
-/// all eight; per plan, the perf attribution (which partitions
-/// `device_cycles` with no remainder) and the trace events are the same
-/// under all four engine options.
+/// {fused, lowered} x {one thread, tile-parallel}: storage bits, the
+/// cycle profile, the perf attribution (which partitions `device_cycles`
+/// with no remainder) and the trace events are the same under all four
+/// engine options.
 #[test]
 fn random_trees_execute_identically_under_every_dispatch_schedule_and_plan() {
     let f = fixture();
     for seed in 0..48u64 {
         let mut rng = TestRng::seed_from_u64(0x5eed_0000 + seed);
         let prog = gen_prog(&mut rng, &f, 4);
-        let reference = EngineOptions::ALL[0];
-        let (want, _) = run(&f, &prog, true, reference);
-        for optimise in [true, false] {
-            let (got, want_plan) = run(&f, &prog, optimise, reference);
-            assert_eq!(want, got, "optimise {optimise} diverged (seed {seed}): {prog:?}");
-            assert_eq!(
-                want_plan.perf_total, got.device_cycles,
-                "per-step cycles must partition device_cycles (seed {seed}, optimise {optimise}): {prog:?}"
-            );
-            for options in &EngineOptions::ALL[1..] {
-                let (got, got_plan) = run(&f, &prog, optimise, *options);
-                let who = format!("{options:?}, optimise {optimise}");
-                assert_eq!(want, got, "{who} diverged (seed {seed}): {prog:?}");
-                assert_eq!(
-                    want_plan, got_plan,
-                    "{who}: perf/trace diverged (seed {seed}): {prog:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn random_trees_shrink_or_keep_dispatch_steps() {
-    let f = fixture();
-    for seed in 0..48u64 {
-        let mut rng = TestRng::seed_from_u64(0xabc0_0000 + seed);
-        let prog = gen_prog(&mut rng, &f, 4);
-        let opt =
-            f.graph.clone().compile_with(prog.clone(), CompileOptions { optimise: true }).unwrap();
-        let noopt = f.graph.clone().compile_with(prog, CompileOptions { optimise: false }).unwrap();
-        assert!(
-            opt.report.plan_steps <= noopt.report.plan_steps,
-            "optimisation grew the plan (seed {seed}): {} > {}",
-            opt.report.plan_steps,
-            noopt.report.plan_steps
+        let (want, want_plan) = run(&f, &prog, EngineOptions::ALL[0]);
+        assert_eq!(
+            want_plan.perf_total, want.device_cycles,
+            "per-step cycles must partition device_cycles (seed {seed}): {prog:?}"
         );
-        assert!(opt.report.optimised && !noopt.report.optimised);
+        for options in &EngineOptions::ALL[1..] {
+            let (got, got_plan) = run(&f, &prog, *options);
+            assert_eq!(want, got, "{options:?} diverged (seed {seed}): {prog:?}");
+            assert_eq!(
+                want_plan, got_plan,
+                "{options:?}: perf/trace diverged (seed {seed}): {prog:?}"
+            );
+        }
     }
 }

@@ -1,20 +1,21 @@
 //! Compile-time reporting: what the graph compiler's pass pipeline did.
 //!
-//! Poplar's compiler reports its lowering and optimisation work through
+//! Poplar's compiler reports its lowering and planning work through
 //! PopVision's compilation summary; this is the simulator's equivalent. A
 //! [`CompileReport`] is produced by `Graph::compile` (crate `graphene-graph`)
 //! each time a program is lowered to its `ExecPlan`, records one
-//! [`PassStat`] per optimisation pass, and is stamped into
+//! [`PassStat`] per pass, and is stamped into
 //! [`SolveReport`](crate::SolveReport) under `"compile"` so results files
-//! capture *how* the executed plan was built.
+//! capture *how* the executed plan was built. Reports written when the
+//! compiler still had optimising passes carry an `"optimised"` key too;
+//! it is ignored on read.
 //!
 //! Schema:
 //!
 //! ```json
 //! {
-//!   "optimised": true,
 //!   "source_steps": 123,
-//!   "plan_steps": 98,
+//!   "plan_steps": 123,
 //!   "passes": [
 //!     { "name": "broadcast-planning", "steps_before": 123,
 //!       "steps_after": 123, "counters": { "broadcast_copies": 40 } },
@@ -28,7 +29,7 @@ use json::Json;
 /// What one compiler pass did to the plan.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PassStat {
-    /// Pass name, e.g. `"exchange-coalescing"`.
+    /// Pass name, e.g. `"exchange-planning"`.
     pub name: String,
     /// Executable plan steps before the pass ran.
     pub steps_before: usize,
@@ -64,12 +65,9 @@ impl PassStat {
 }
 
 /// Summary of one `Graph::compile` invocation: the lowering and every
-/// optimisation pass that ran over the resulting plan.
+/// pass that ran over the resulting plan.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CompileReport {
-    /// Whether the optimising passes ran (`false` under `GRAPHENE_NO_OPT=1`
-    /// or `CompileOptions { optimise: false, .. }`).
-    pub optimised: bool,
     /// `Prog::num_steps()` of the source program tree.
     pub source_steps: usize,
     /// Executable steps in the final plan (control-flow arena nodes
@@ -85,19 +83,12 @@ impl CompileReport {
         self.passes.iter().find(|p| p.name == name)
     }
 
-    /// Total steps removed across all passes.
-    pub fn steps_removed(&self) -> usize {
-        self.passes.iter().map(|p| p.steps_before.saturating_sub(p.steps_after)).sum()
-    }
-
     /// A short human-readable summary, one line per pass.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "compile: {} source steps -> {} plan steps ({})\n",
-            self.source_steps,
-            self.plan_steps,
-            if self.optimised { "optimised" } else { "unoptimised" },
+            "compile: {} source steps -> {} plan steps\n",
+            self.source_steps, self.plan_steps,
         ));
         for p in &self.passes {
             out.push_str(&format!(
@@ -118,7 +109,6 @@ impl CompileReport {
 
     pub fn to_value(&self) -> Json {
         Json::obj([
-            ("optimised", Json::Bool(self.optimised)),
             ("source_steps", Json::from(self.source_steps)),
             ("plan_steps", Json::from(self.plan_steps)),
             (
@@ -180,7 +170,6 @@ impl CompileReport {
             .transpose()?
             .unwrap_or_default();
         Ok(CompileReport {
-            optimised: v.get("optimised").and_then(Json::as_bool).unwrap_or(false),
             source_steps: u64_of(v, "source_steps")? as usize,
             plan_steps: u64_of(v, "plan_steps")? as usize,
             passes,
@@ -196,18 +185,16 @@ mod tests {
         let mut p1 = PassStat::new("broadcast-planning", 10);
         p1.count("broadcast_copies", 7);
         p1.count("broadcast_copies", 3);
-        let mut p2 = PassStat::new("cleanup", 10);
-        p2.steps_after = 8;
-        p2.count("nops_removed", 2);
-        CompileReport { optimised: true, source_steps: 12, plan_steps: 8, passes: vec![p1, p2] }
+        let mut p2 = PassStat::new("exchange-planning", 10);
+        p2.count("copy_steps", 2);
+        CompileReport { source_steps: 12, plan_steps: 10, passes: vec![p1, p2] }
     }
 
     #[test]
     fn counters_accumulate() {
         let r = sample();
         assert_eq!(r.pass("broadcast-planning").unwrap().counter("broadcast_copies"), 10);
-        assert_eq!(r.pass("cleanup").unwrap().counter("missing"), 0);
-        assert_eq!(r.steps_removed(), 2);
+        assert_eq!(r.pass("exchange-planning").unwrap().counter("missing"), 0);
     }
 
     #[test]
@@ -221,8 +208,7 @@ mod tests {
     fn render_mentions_every_pass() {
         let text = sample().render();
         assert!(text.contains("broadcast-planning"));
-        assert!(text.contains("cleanup"));
-        assert!(text.contains("nops_removed=2"));
-        assert!(text.contains("optimised"));
+        assert!(text.contains("exchange-planning"));
+        assert!(text.contains("copy_steps=2"));
     }
 }

@@ -38,7 +38,7 @@ use json::Json;
 pub enum StepKind {
     /// A compute set execution (optionally with a broadcast exchange).
     Execute,
-    /// A data exchange (one or more coalesced phases).
+    /// A data exchange.
     Exchange,
     /// An on-tile tensor copy.
     Copy,

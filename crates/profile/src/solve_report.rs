@@ -571,15 +571,10 @@ mod tests {
         r.seconds = 0.001953125;
         r.history = vec![(1, 0.5), (2, 0.125)];
         r.extra.push(("ipus".to_string(), Json::from(2u64)));
-        let mut pass = crate::PassStat::new("cleanup", 9);
-        pass.steps_after = 7;
-        pass.count("nops_removed", 2);
-        r.compile = Some(crate::CompileReport {
-            optimised: true,
-            source_steps: 11,
-            plan_steps: 7,
-            passes: vec![pass],
-        });
+        let mut pass = crate::PassStat::new("exchange-planning", 9);
+        pass.count("copy_steps", 2);
+        r.compile =
+            Some(crate::CompileReport { source_steps: 9, plan_steps: 9, passes: vec![pass] });
         let text = r.to_json();
         let back = SolveReport::from_json(&text).unwrap();
         assert_eq!(back, r);

@@ -1,13 +1,12 @@
 //! # graphene-tune — cost-model auto-tuning with a persistent plan cache
 //!
 //! Every solve used to run on fixed heuristics: nnz-balanced contiguous
-//! partitioning at `rows_per_tile = 64`, default pass toggles, default
-//! storage parameters. This crate turns those into a *searched* decision:
+//! partitioning at `rows_per_tile = 64`, default storage parameters. This
+//! crate turns those into a *searched* decision:
 //!
 //! 1. **Candidates** — the cross product of partition strategy
-//!    ([`Strategy`]: contiguous / nnz-balanced / geometric 3D boxes),
-//!    a rows-per-tile ladder (which sets the part count) and the graph
-//!    compiler's pass toggle (`CompileOptions::optimise`), enumerated
+//!    ([`Strategy`]: contiguous / nnz-balanced / geometric 3D boxes) and
+//!    a rows-per-tile ladder (which sets the part count), enumerated
 //!    deterministically by [`candidate_space`].
 //! 2. **Scoring** — the caller supplies a probe closure that compiles a
 //!    small representative program (one distributed SpMV) for a candidate
@@ -93,10 +92,6 @@ pub struct Candidate {
     pub strategy: Strategy,
     /// Target rows per tile; sets the part count for unpinned tile counts.
     pub rows_per_tile: usize,
-    /// `CompileOptions::optimise` for the compiled plan. The pass
-    /// pipeline is cycle-neutral by contract, so this scores identically
-    /// on device cycles and ties resolve to the first enumerated value.
-    pub optimise: bool,
 }
 
 /// What the probe measured for one candidate.
@@ -118,19 +113,14 @@ pub const SELL_C_LADDER: &[usize] = &[2, 4, 8, 16, 32];
 
 /// Enumerate the candidate space deterministically and return it together
 /// with the index of the **default-heuristic candidate** (nnz-balanced at
-/// `default_rows_per_tile` with `optimise_choices[0]`) — always a member,
-/// so the argmin can never be worse than the untuned configuration.
-///
-/// `optimise_choices` is `[effective]` when the caller pinned the pass
-/// toggle (options or environment) and `[true, false]` otherwise, with
-/// the effective default first. `grid` enables the geometric family.
+/// `default_rows_per_tile`) — always a member, so the argmin can never be
+/// worse than the untuned configuration. `has_grid` enables the geometric
+/// family.
 pub fn candidate_space(
     default_rows_per_tile: usize,
     rows_per_tile_pinned: bool,
     has_grid: bool,
-    optimise_choices: &[bool],
 ) -> (Vec<Candidate>, usize) {
-    assert!(!optimise_choices.is_empty());
     let mut ladder: Vec<usize> = if rows_per_tile_pinned {
         vec![default_rows_per_tile]
     } else {
@@ -150,15 +140,10 @@ pub fn candidate_space(
     let mut default_idx = 0;
     for &rows_per_tile in &ladder {
         for &strategy in &strategies {
-            for &optimise in optimise_choices {
-                if strategy == Strategy::BalancedByNnz
-                    && rows_per_tile == default_rows_per_tile
-                    && optimise == optimise_choices[0]
-                {
-                    default_idx = out.len();
-                }
-                out.push(Candidate { strategy, rows_per_tile, optimise });
+            if strategy == Strategy::BalancedByNnz && rows_per_tile == default_rows_per_tile {
+                default_idx = out.len();
             }
+            out.push(Candidate { strategy, rows_per_tile });
         }
     }
     (out, default_idx)
@@ -225,7 +210,6 @@ pub fn solver_key(parts: &[&str]) -> u64 {
 pub struct TunedPlan {
     pub strategy: Strategy,
     pub rows_per_tile: usize,
-    pub optimise: bool,
     /// Advisory SELL-C-σ slice width (see crate docs).
     pub sell_c: usize,
     /// Modelled probe device cycles of the winner.
@@ -246,7 +230,6 @@ impl TunedPlan {
             ("solver_key", Json::from(format!("{:016x}", key.solver_key).as_str())),
             ("strategy", Json::from(self.strategy.name())),
             ("rows_per_tile", Json::from(self.rows_per_tile)),
-            ("optimise", Json::Bool(self.optimise)),
             ("sell_c", Json::from(self.sell_c)),
             ("modelled_cycles", Json::from(self.modelled_cycles)),
             ("default_cycles", Json::from(self.default_cycles)),
@@ -281,7 +264,6 @@ impl TunedPlan {
                 format!("unknown strategy '{}'", s("strategy").unwrap_or_default())
             })?,
             rows_per_tile: u("rows_per_tile")?.max(1) as usize,
-            optimise: v.get("optimise").and_then(Json::as_bool).ok_or("missing bool 'optimise'")?,
             sell_c: u("sell_c")?.max(1) as usize,
             modelled_cycles: u("modelled_cycles")?,
             default_cycles: u("default_cycles")?,
@@ -422,7 +404,6 @@ where
     let plan = TunedPlan {
         strategy: winner.strategy,
         rows_per_tile: winner.rows_per_tile,
-        optimise: winner.optimise,
         sell_c,
         modelled_cycles: s.device_cycles,
         default_cycles: default_cycles.expect("default candidate was scored"),
@@ -453,8 +434,7 @@ mod tests {
 
     fn fake_score(c: &Candidate) -> Result<Score, String> {
         // Deterministic synthetic objective: favour 64 rows/tile, then
-        // contiguous; optimise is score-neutral (mirroring the real
-        // cycle-neutrality contract).
+        // contiguous.
         let cycles = 1000
             + (c.rows_per_tile as i64 - 64).unsigned_abs()
             + if c.strategy == Strategy::Contiguous { 0 } else { 5 };
@@ -463,17 +443,16 @@ mod tests {
 
     #[test]
     fn space_contains_default_and_is_deterministic() {
-        let (cands, didx) = candidate_space(64, false, false, &[true, false]);
-        assert_eq!(
-            cands[didx],
-            Candidate { strategy: Strategy::BalancedByNnz, rows_per_tile: 64, optimise: true }
-        );
-        let (again, didx2) = candidate_space(64, false, false, &[true, false]);
+        let (cands, didx) = candidate_space(64, false, false);
+        assert_eq!(cands[didx], Candidate { strategy: Strategy::BalancedByNnz, rows_per_tile: 64 });
+        let (again, didx2) = candidate_space(64, false, false);
         assert_eq!(cands, again);
         assert_eq!(didx, didx2);
+        // The ladder (16..256) times the two algebraic families.
+        assert_eq!(cands.len(), 10);
         // Pinned tiles collapse the ladder; grid adds the third family.
-        let (pinned, _) = candidate_space(32, true, true, &[false]);
-        assert!(pinned.iter().all(|c| c.rows_per_tile == 32 && !c.optimise));
+        let (pinned, _) = candidate_space(32, true, true);
+        assert!(pinned.iter().all(|c| c.rows_per_tile == 32));
         assert!(pinned.iter().any(|c| c.strategy == Strategy::Grid3dAuto));
     }
 
@@ -481,15 +460,13 @@ mod tests {
     fn cold_tune_persists_and_second_call_hits() {
         let cache = tmp_cache("roundtrip");
         let key = TuneKey::new(0xabc, 0xdef);
-        let (cands, didx) = candidate_space(32, false, false, &[true, false]);
+        let (cands, didx) = candidate_space(32, false, false);
         let cold = tune_with_cache(&cache, &key, &cands, didx, 8, fake_score).unwrap();
         assert!(!cold.cache_hit);
         assert_eq!(cold.candidates_scored, cands.len());
-        // Winner under the synthetic objective: contiguous @ 64, first
-        // optimise value.
+        // Winner under the synthetic objective: contiguous @ 64.
         assert_eq!(cold.plan.strategy, Strategy::Contiguous);
         assert_eq!(cold.plan.rows_per_tile, 64);
-        assert!(cold.plan.optimise, "ties must resolve to the first enumerated value");
         assert!(cold.plan.modelled_cycles <= cold.plan.default_cycles);
 
         let hit = tune_with_cache(&cache, &key, &cands, didx, 8, |_| {
@@ -506,7 +483,7 @@ mod tests {
     fn mismatched_keys_and_corruption_read_as_misses() {
         let cache = tmp_cache("invalidate");
         let key = TuneKey::new(1, 2);
-        let (cands, didx) = candidate_space(32, false, false, &[true]);
+        let (cands, didx) = candidate_space(32, false, false);
         let cold = tune_with_cache(&cache, &key, &cands, didx, 4, fake_score).unwrap();
         assert!(!cold.cache_hit);
 
@@ -537,7 +514,6 @@ mod tests {
         let variant = |i: u64| TunedPlan {
             strategy: Strategy::Contiguous,
             rows_per_tile: 16 + (i as usize % 8) * 16,
-            optimise: i.is_multiple_of(2),
             sell_c: 4,
             modelled_cycles: 1000 + i,
             default_cycles: 2000,
@@ -581,7 +557,7 @@ mod tests {
     fn unscorable_candidates_are_skipped_not_fatal() {
         let cache = tmp_cache("skip");
         let key = TuneKey::new(3, 4);
-        let (cands, didx) = candidate_space(32, false, true, &[true]);
+        let (cands, didx) = candidate_space(32, false, true);
         let out = tune_with_cache(&cache, &key, &cands, didx, 4, |c| {
             if c.strategy == Strategy::Grid3dAuto {
                 Err("unfactorable".into())
@@ -636,7 +612,7 @@ mod tests {
         // And through the cache itself: a plan stored under the ipu-sim
         // key reads back only under that key.
         let cache = tmp_cache("backend-keys");
-        let (cands, didx) = candidate_space(32, false, false, &[true]);
+        let (cands, didx) = candidate_space(32, false, false);
         let cold = tune_with_cache(&cache, &keys[0], &cands, didx, 4, fake_score).unwrap();
         assert!(!cold.cache_hit);
         assert!(cache.load(&keys[0]).is_some());

@@ -244,9 +244,7 @@ fn traced_run(
     solver.setup(&mut ctx, &sys);
     solver.solve(&mut ctx, &sys, bt, xt);
 
-    let mut engine = ctx
-        .build_engine_on(CompileOptions::from_env().expect("GRAPHENE_NO_OPT"), engine)
-        .expect("solver program compiles");
+    let mut engine = ctx.build_engine_on(engine).expect("solver program compiles");
     engine.set_trace(TraceRecorder::default());
     sys.upload(&mut engine);
     engine.write_tensor(bt.id, &sys.to_device_order(b));

@@ -23,16 +23,13 @@
 //!   the normalisation invariant;
 //! * [`invariants`] — simulator-level checks: double-run bit determinism,
 //!   label-stack balance, exchange-byte conservation, and equivalence of
-//!   the engine's {fused, interpreted} x {one thread, tile-parallel}
+//!   the engine's {fused, lowered} x {one thread, tile-parallel}
 //!   options;
 //! * [`resilience`] — fault-injection properties: the outcome trichotomy
 //!   under seeded faults (converged | recovered | structured error, with
 //!   the accepted residual independently recomputed so no silently-wrong
 //!   answer escapes), bit-determinism of faulted replays across runs and
-//!   engine options, and zero overhead when the machinery is off;
-//! * [`plan_equiv`] — graph-compiler checks: the optimised and the
-//!   unoptimised plan must produce bit-identical solutions and
-//!   cycle-identical profiles.
+//!   engine options, and zero overhead when the machinery is off.
 //!
 //! The heavyweight sweeps scale with the `GRAPHENE_VERIFY_CASES`
 //! environment variable (see [`cases_from_env`]) so CI can turn the dial
@@ -44,7 +41,6 @@ pub mod differential;
 pub mod generators;
 pub mod invariants;
 pub mod oracle;
-pub mod plan_equiv;
 pub mod resilience;
 pub mod ulp_audit;
 

@@ -41,7 +41,7 @@ fn spmv_matches_host_across_decompositions() {
                 let (mut ctx, sys, _b, x) = build(&a, tiles);
                 let y = sys.new_vector(&mut ctx, "y", DType::F32);
                 sys.spmv(&mut ctx, y, x);
-                let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
+                let mut e = ctx.build_engine_on(o).unwrap();
                 sys.upload(&mut e);
                 e.write_tensor(x.id, &sys.to_device_order(&xs));
                 e.run();
@@ -117,7 +117,7 @@ fn gauss_seidel_sweep_matches_host_reference() {
         let mut gs = GaussSeidel::new(1, false);
         gs.setup(&mut ctx, &sys);
         gs.solve(&mut ctx, &sys, b, x);
-        let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
+        let mut e = ctx.build_engine_on(o).unwrap();
         sys.upload(&mut e);
         e.write_tensor(b.id, &sys.to_device_order(&bs));
         e.write_tensor(x.id, &sys.to_device_order(&x0));
@@ -145,7 +145,7 @@ fn gs_sweeps_reduce_residual_monotonically() {
             let mut gs = GaussSeidel::new(sweeps, false);
             gs.setup(&mut ctx, &sys);
             gs.solve(&mut ctx, &sys, b, x);
-            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
+            let mut e = ctx.build_engine_on(o).unwrap();
             sys.upload(&mut e);
             e.write_tensor(b.id, &sys.to_device_order(&bs));
             e.run();
@@ -173,7 +173,7 @@ fn jacobi_matches_host_reference() {
         j.setup(&mut ctx, &sys);
         zero(&mut ctx, x);
         j.solve(&mut ctx, &sys, b, x);
-        let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
+        let mut e = ctx.build_engine_on(o).unwrap();
         sys.upload(&mut e);
         e.write_tensor(b.id, &sys.to_device_order(&bs));
         e.run();
@@ -207,7 +207,7 @@ fn ilu_preconditioner_is_linear_operator() {
             ilu.setup(&mut ctx, &sys);
             zero(&mut ctx, x);
             ilu.solve(&mut ctx, &sys, b, x);
-            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
+            let mut e = ctx.build_engine_on(o).unwrap();
             sys.upload(&mut e);
             e.write_tensor(b.id, &sys.to_device_order(rhs));
             e.run();
@@ -238,7 +238,7 @@ fn dilu_matches_host_reference_single_tile() {
         dilu.setup(&mut ctx, &sys);
         zero(&mut ctx, x);
         dilu.solve(&mut ctx, &sys, b, x);
-        let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
+        let mut e = ctx.build_engine_on(o).unwrap();
         sys.upload(&mut e);
         e.write_tensor(b.id, &sys.to_device_order(&rhs));
         e.run();
@@ -299,7 +299,7 @@ fn symmetric_gs_at_least_as_good_per_sweep() {
             let mut gs = GaussSeidel::new(2, symmetric);
             gs.setup(&mut ctx, &sys);
             gs.solve(&mut ctx, &sys, b, x);
-            let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
+            let mut e = ctx.build_engine_on(o).unwrap();
             sys.upload(&mut e);
             e.write_tensor(b.id, &sys.to_device_order(&bs));
             e.run();
@@ -326,7 +326,7 @@ fn halo_exchange_refreshes_all_copies() {
         let sys = DistSystem::build(&mut ctx, a.clone(), part);
         let x = sys.new_vector(&mut ctx, "x", DType::F32);
         sys.halo_exchange(&mut ctx, x);
-        let mut e = ctx.build_engine_on(CompileOptions::from_env().unwrap(), o).unwrap();
+        let mut e = ctx.build_engine_on(o).unwrap();
         sys.upload(&mut e);
         // Owned values = global index; halo slots poisoned.
         let xs: Vec<f64> = (0..a.nrows).map(|i| i as f64).collect();

@@ -22,7 +22,6 @@ use verify::invariants::{
     assert_deterministic, assert_executor_equivalence, assert_executor_equivalence_with,
     audit_exchange_conservation,
 };
-use verify::plan_equiv::assert_plan_equivalence;
 use verify::resilience::{
     assert_fault_trichotomy, assert_faulted_determinism, assert_zero_overhead_when_off,
 };
@@ -190,26 +189,6 @@ fn every_solver_vertex_is_lowered() {
             assert_eq!(sel.counter("vertices_rowed"), rowed, "[{name}] of {total}");
             assert_eq!(sel.counter("vertices_mapped"), mapped, "[{name}] of {total}");
         }
-    }
-}
-
-/// Every configuration in the verification suite must be bit-identical
-/// (solution tensors) and cycle-identical (device cycles, per-phase and
-/// per-label splits, per-tile busy time, histories) across the optimised
-/// and the unoptimised plan (`GRAPHENE_NO_OPT=1`) — the graph compiler's
-/// passes only remove host dispatch overhead, never simulated device work.
-#[test]
-fn plans_are_equivalent_across_suite() {
-    let a = Rc::new(poisson_2d_5pt(8, 8, 1.0));
-    let b = rhs_for_ones(&a);
-    for case in graphene::graphene_core::config::verification_suite() {
-        let eq = assert_plan_equivalence(a.clone(), &b, &case.config);
-        assert!(eq.device_cycles > 0, "[{}] no device cycles recorded", case.name);
-        assert!(
-            eq.optimised_steps <= eq.unoptimised_steps,
-            "[{}] optimisation grew the plan",
-            case.name
-        );
     }
 }
 
