@@ -13,7 +13,7 @@
 //!   depending on what the device can honestly account, and the full
 //!   [`SolveReport`] (schema v3 carries the `backend` section);
 //! * [`BackendSpec`] — the `GRAPHENE_BACKEND` registry grammar
-//!   (`ipu-sim[:par|fused] | cpu[:par] | gpu-model`): one parser
+//!   (`ipu-sim[:fused] | cpu[:par] | gpu-model`): one parser
 //!   ([`BackendSpec::parse`]) and one place that reads the environment
 //!   ([`BackendSpec::from_env`]).
 //!
@@ -47,17 +47,15 @@ use sparse::formats::CsrMatrix;
 // Backend names — the registry grammar
 // ----------------------------------------------------------------------
 
-/// How the host runs the simulated IPU device. Results, `CycleStats` and
-/// reports are identical across variants; only host wall-clock differs.
+/// How the host runs the simulated IPU device's vertices. Results,
+/// `CycleStats` and reports are identical across variants; only host
+/// wall-clock differs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IpuVariant {
-    /// Every vertex on its codelet's lowered form, one host thread — the
-    /// reference the other two are tested against.
+    /// Every vertex on its codelet's lowered form — the reference `Fused`
+    /// is tested against.
     Default,
-    /// Every vertex on its codelet's lowered form, tile-parallel host
-    /// workers.
-    Par,
-    /// Fused kernels where matched, one host thread.
+    /// Fused kernels where matched, else the lowered form.
     Fused,
 }
 
@@ -76,13 +74,12 @@ pub enum BackendSpec {
 }
 
 /// Every name [`BackendSpec::parse`] accepts, in display order.
-pub const KNOWN_BACKENDS: &[&str] =
-    &["ipu-sim", "ipu-sim:par", "ipu-sim:fused", "cpu", "cpu:par", "gpu-model"];
+pub const KNOWN_BACKENDS: &[&str] = &["ipu-sim", "ipu-sim:fused", "cpu", "cpu:par", "gpu-model"];
 
 /// Variables `GRAPHENE_BACKEND` replaced, each with the name that now
 /// selects what it used to. Setting one is an error, not a silent ignore.
 const REMOVED_VARIABLES: &[(&str, &str)] = &[
-    ("GRAPHENE_PAR", "ipu-sim:par"),
+    ("GRAPHENE_PAR", "ipu-sim (the tile-parallel schedule is gone)"),
     ("GRAPHENE_NATIVE", "ipu-sim:fused"),
     ("GRAPHENE_LEGACY_INTERP", "ipu-sim (the tree-walking interpreter is gone)"),
     ("GRAPHENE_NO_OPT", "ipu-sim (the graph compiler has one pipeline)"),
@@ -95,7 +92,6 @@ impl BackendSpec {
     pub fn parse(s: &str) -> Result<BackendSpec, String> {
         match s.trim().to_ascii_lowercase().as_str() {
             "ipu-sim" => Ok(BackendSpec::IpuSim(IpuVariant::Default)),
-            "ipu-sim:par" => Ok(BackendSpec::IpuSim(IpuVariant::Par)),
             "ipu-sim:fused" => Ok(BackendSpec::IpuSim(IpuVariant::Fused)),
             "cpu" => Ok(BackendSpec::Cpu { parallel: false }),
             "cpu:par" => Ok(BackendSpec::Cpu { parallel: true }),
@@ -111,7 +107,6 @@ impl BackendSpec {
     pub fn name(&self) -> &'static str {
         match self {
             BackendSpec::IpuSim(IpuVariant::Default) => "ipu-sim",
-            BackendSpec::IpuSim(IpuVariant::Par) => "ipu-sim:par",
             BackendSpec::IpuSim(IpuVariant::Fused) => "ipu-sim:fused",
             BackendSpec::Cpu { parallel: false } => "cpu",
             BackendSpec::Cpu { parallel: true } => "cpu:par",
@@ -328,7 +323,7 @@ pub struct BackendRun {
 
 /// A device that can replay a [`SolvePlan`].
 pub trait Backend {
-    /// Registry name (`"ipu-sim:par"`, `"cpu"`, `"gpu-model"`, ...).
+    /// Registry name (`"ipu-sim:fused"`, `"cpu"`, `"gpu-model"`, ...).
     fn name(&self) -> String;
     /// Backend family (`"ipu-sim"` | `"cpu"` | `"gpu-model"`) — the
     /// plan-cache key component.
@@ -369,7 +364,7 @@ mod tests {
     #[test]
     fn unknown_names_error_with_the_known_list() {
         // The spellings of the deleted engine paths are unknown too.
-        let removed = ["ipu-sim:seq", "ipu-sim:native", "ipu-sim:legacy"];
+        let removed = ["ipu-sim:seq", "ipu-sim:native", "ipu-sim:legacy", "ipu-sim:par"];
         for bad in ["tpu", "ipu-sim:vector", "cpu:simd", "gpu", "ipu"].into_iter().chain(removed) {
             let e = BackendSpec::parse(bad).unwrap_err();
             assert!(e.contains("unknown backend"), "{e}");
@@ -379,7 +374,7 @@ mod tests {
 
     #[test]
     fn families_partition_the_registry() {
-        assert_eq!(BackendSpec::parse("ipu-sim:par").unwrap().family(), "ipu-sim");
+        assert_eq!(BackendSpec::parse("ipu-sim").unwrap().family(), "ipu-sim");
         assert_eq!(BackendSpec::parse("ipu-sim:fused").unwrap().family(), "ipu-sim");
         assert_eq!(BackendSpec::parse("cpu:par").unwrap().family(), "cpu");
         assert_eq!(BackendSpec::parse("gpu-model").unwrap().family(), "gpu-model");
@@ -398,8 +393,8 @@ mod tests {
         assert_eq!(from_vars(&[]), Ok(None));
         assert_eq!(from_vars(&[("GRAPHENE_BACKEND", "  ")]), Ok(None));
         assert_eq!(
-            from_vars(&[("GRAPHENE_BACKEND", " ipu-sim:par ")]),
-            Ok(Some(BackendSpec::IpuSim(IpuVariant::Par)))
+            from_vars(&[("GRAPHENE_BACKEND", " ipu-sim:fused ")]),
+            Ok(Some(BackendSpec::IpuSim(IpuVariant::Fused)))
         );
         assert!(from_vars(&[("GRAPHENE_BACKEND", "ipu-sim:seq")])
             .unwrap_err()
@@ -409,15 +404,15 @@ mod tests {
     #[test]
     fn a_removed_variable_is_an_error_naming_its_replacement() {
         for (var, value, replacement) in [
-            ("GRAPHENE_PAR", "1", "ipu-sim:par"),
-            ("GRAPHENE_PAR", "0", "ipu-sim:par"),
+            ("GRAPHENE_PAR", "1", "GRAPHENE_BACKEND=ipu-sim (the tile-parallel schedule is gone)"),
+            ("GRAPHENE_PAR", "0", "GRAPHENE_BACKEND=ipu-sim (the tile-parallel schedule is gone)"),
             ("GRAPHENE_NATIVE", "1", "ipu-sim:fused"),
             ("GRAPHENE_NATIVE", "0", "ipu-sim:fused"),
             ("GRAPHENE_LEGACY_INTERP", "garbage", "GRAPHENE_BACKEND=ipu-sim "),
             ("GRAPHENE_NO_OPT", "1", "GRAPHENE_BACKEND=ipu-sim (the graph compiler has one"),
         ] {
             // Whatever GRAPHENE_BACKEND says, and whatever the value.
-            for backend in [None, Some("cpu"), Some("ipu-sim:par")] {
+            for backend in [None, Some("cpu"), Some("ipu-sim:fused")] {
                 let mut vars = vec![(var, value)];
                 vars.extend(backend.map(|b| ("GRAPHENE_BACKEND", b)));
                 let e = from_vars(&vars).unwrap_err();

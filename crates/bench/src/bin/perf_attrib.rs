@@ -2,11 +2,11 @@
 //! headline solver stack (the fig8 configuration: IR-PBiCGStab+ILU(0)
 //! with double-word MPIR).
 //!
-//! Runs the same solve on `ipu-sim`, `ipu-sim:par` and `ipu-sim:fused`,
-//! hard-asserts the attribution contract —
+//! Runs the same solve on `ipu-sim` and `ipu-sim:fused`, hard-asserts the
+//! attribution contract —
 //!
 //! * per-step cycles partition `device_cycles` with zero remainder,
-//! * the attribution section and the device cycles of the other two are
+//! * the attribution section and the device cycles of `ipu-sim:fused` are
 //!   bit-identical to `ipu-sim`'s,
 //!
 //! — then prints the top steps by cycles with their imbalance and
@@ -66,19 +66,17 @@ fn main() {
         seq.stats.device_cycles(),
         "per-step cycles must partition device_cycles exactly"
     );
-    for other in [run(IpuVariant::Par), run(IpuVariant::Fused)] {
-        let name = &other.report.executor;
-        assert_eq!(
-            perf.attribution_json(),
-            other.report.perf.as_ref().expect("every run records attribution").attribution_json(),
-            "{name}: attribution must be bit-identical to ipu-sim"
-        );
-        assert_eq!(
-            seq.stats.device_cycles(),
-            other.stats.device_cycles(),
-            "{name}: device cycles must be identical to ipu-sim"
-        );
-    }
+    let fused = run(IpuVariant::Fused);
+    assert_eq!(
+        perf.attribution_json(),
+        fused.report.perf.as_ref().expect("every run records attribution").attribution_json(),
+        "ipu-sim:fused: attribution must be bit-identical to ipu-sim"
+    );
+    assert_eq!(
+        seq.stats.device_cycles(),
+        fused.stats.device_cycles(),
+        "ipu-sim:fused: device cycles must be identical to ipu-sim"
+    );
 
     println!(
         "rows\t{}\tnnz\t{}\titers\t{}\tdevice_cycles\t{}\tattributed\t{}",

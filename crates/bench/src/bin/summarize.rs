@@ -8,7 +8,7 @@
 //!   either a full `SolveReport` (summarised as a solve row: iterations,
 //!   residual, device cycles, schema version; any schema back to v1) or an
 //!   ad-hoc labelled object (its scalar fields are carried through);
-//! * bespoke top-level objects (`par_speedup.json`, `resilience.json`,
+//! * bespoke top-level objects (`native_speedup.json`, `resilience.json`,
 //!   `perf_attrib.json`...) — their top-level scalars are carried through.
 //!
 //! A missing results directory, unreadable files, truncated JSON and

@@ -12,8 +12,7 @@
 //!    the solve it produces is bit-identical to the cold-tuned one —
 //!    loading a plan must be indistinguishable from searching for it;
 //! 3. the tuned configuration keeps the engine-equivalence contract:
-//!    `ipu-sim:par` and `ipu-sim:fused` agree with `ipu-sim` on every
-//!    device observable.
+//!    `ipu-sim:fused` agrees with `ipu-sim` on every device observable.
 //!
 //! `--expect-hit` additionally requires the *first* solve to already hit
 //! the cache (the CI second invocation); `--cache <dir>` overrides the
@@ -131,19 +130,16 @@ fn main() {
     }
 
     // -- Gate 3: engine equivalence of the tuned (cache-hit) config. ----
-    for variant in [IpuVariant::Par, IpuVariant::Fused] {
-        let r = solve_or_panic(a.clone(), &b, &cfg, &tuned_opts(variant));
-        let name = &r.report.executor;
-        if tune_pass(&r).counter("cache_hit") != 1 {
-            eprintln!("{name}: tuned leg missed the cache");
-            std::process::exit(1);
-        }
-        if Fingerprint::of(&r1) != Fingerprint::of(&r) {
-            eprintln!("{name}: tuned solve differs from ipu-sim");
-            std::process::exit(1);
-        }
+    let fused = solve_or_panic(a.clone(), &b, &cfg, &tuned_opts(IpuVariant::Fused));
+    if tune_pass(&fused).counter("cache_hit") != 1 {
+        eprintln!("ipu-sim:fused: tuned leg missed the cache");
+        std::process::exit(1);
     }
-    println!("backends: ipu-sim:par and ipu-sim:fused bit-identical to ipu-sim under tuning");
+    if Fingerprint::of(&r1) != Fingerprint::of(&fused) {
+        eprintln!("ipu-sim:fused: tuned solve differs from ipu-sim");
+        std::process::exit(1);
+    }
+    println!("backends: ipu-sim:fused bit-identical to ipu-sim under tuning");
 
     // -- Informational: the untuned solve on the same stack. ------------
     let untuned = solve_or_panic(

@@ -5,7 +5,7 @@
 //! module adds the piece that must live above the DSL and solver layers:
 //!
 //! * [`IpuSimBackend`] — the cycle-modelled IPU simulator behind the
-//!   trait. One type, three variants ([`IpuVariant`]). `prepare` resolves
+//!   trait. One type, two variants ([`IpuVariant`]). `prepare` resolves
 //!   the options and builds a [`runner::Plan`](crate::runner::Plan);
 //!   `execute` is `Plan::run`, so a trait-level run is bit-, cycle- and
 //!   report-identical to `runner::solve` with that backend pinned.
@@ -72,7 +72,6 @@ impl Backend for IpuSimBackend {
             fault_injection: true,
             auto_tuning: true,
             perf_attribution: true,
-            parallel_host: self.variant == IpuVariant::Par,
             ..Capabilities::default()
         }
     }
@@ -423,7 +422,7 @@ mod tests {
         let mut zero = a.clone();
         zero.values[k(11)] = 0.0;
         let b = vec![1.0; a.nrows];
-        for name in ["ipu-sim", "ipu-sim:par", "ipu-sim:fused"] {
+        for name in ["ipu-sim", "ipu-sim:fused"] {
             for (m, row) in [(&missing, 6), (&zero, 11)] {
                 let plan = SolvePlan {
                     a: Rc::new(m.clone()),

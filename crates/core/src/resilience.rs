@@ -77,8 +77,7 @@ pub enum SolveError {
     /// zero iteration budgets, malformed fault specs).
     Config(String),
     /// The solver program failed to compile onto the machine (e.g. a
-    /// tile's tensors exceed its SRAM, or `ipu-sim:par` was asked for a
-    /// program with a cross-tile read/write hazard).
+    /// tile's tensors exceed its SRAM).
     Compile(String),
     /// A monitored scalar went NaN/Inf and the recovery budget is spent.
     NonFinite { attempt: u32 },

@@ -93,7 +93,7 @@ pub struct SolveOptions {
     pub grid: Option<sparse::gen::Grid3>,
     /// Backend to run the solve on (`None`: whatever `GRAPHENE_BACKEND`
     /// selects, `ipu-sim` when unset) — the one selector of how a solve
-    /// executes. `ipu-sim[:par|:fused]` run on the simulated IPU and
+    /// executes. `ipu-sim[:fused]` run on the simulated IPU and
     /// differ in host wall-clock only; `cpu`, `cpu:par` and `gpu-model`
     /// dispatch to the baseline backends via [`crate::backends`] — same
     /// report schema, their own timing domain.
@@ -254,39 +254,18 @@ pub fn solve(
     Plan::new(a, config, &opts, engine)?.run(b, opts.x0.as_deref(), start)
 }
 
-/// [`solve`] on the simulated IPU with the engine options given outright,
-/// whatever `opts.backend` and `GRAPHENE_BACKEND` name. The equivalence
-/// sweeps use it to reach fused dispatch under the tile-parallel schedule,
-/// the one combination no registry name selects.
-pub fn solve_with_engine(
-    a: Rc<CsrMatrix>,
-    b: &[f64],
-    config: &SolverConfig,
-    opts: &SolveOptions,
-    engine: EngineOptions,
-) -> Result<SolveResult, SolveError> {
-    let start = Instant::now();
-    let opts = opts.resolved()?;
-    Plan::new(a, config, &opts, engine)?.run(b, opts.x0.as_deref(), start)
-}
-
 /// The engine options an `ipu-sim` registry name stands for.
-pub(crate) fn engine_options(variant: backend::IpuVariant) -> EngineOptions {
-    match variant {
-        backend::IpuVariant::Default => EngineOptions::default(),
-        backend::IpuVariant::Par => EngineOptions { threads: 0, fusion: false },
-        backend::IpuVariant::Fused => EngineOptions { threads: 1, fusion: true },
-    }
+pub fn engine_options(variant: backend::IpuVariant) -> EngineOptions {
+    EngineOptions { fusion: variant == backend::IpuVariant::Fused }
 }
 
 /// The name a solve under `engine` reports as `backend.name` and
-/// `executor`: the registry name that selects it, where there is one.
+/// `executor`: the registry name that selects it.
 fn ipu_sim_name(engine: EngineOptions) -> &'static str {
-    match (engine.fusion, engine.threads == 1) {
-        (false, true) => "ipu-sim",
-        (false, false) => "ipu-sim:par",
-        (true, true) => "ipu-sim:fused",
-        (true, false) => "ipu-sim:fused+par",
+    if engine.fusion {
+        "ipu-sim:fused"
+    } else {
+        "ipu-sim"
     }
 }
 
@@ -1225,15 +1204,11 @@ mod tests {
         };
         let interp = run(IpuVariant::Default);
         let fused = run(IpuVariant::Fused);
-        let par = run(IpuVariant::Par);
         let bits = |r: &SolveResult| r.x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-        for other in [&fused, &par] {
-            let name = &other.report.executor;
-            assert_eq!(bits(&interp), bits(other), "{name}: solutions differ from interp");
-            assert_eq!(interp.iterations, other.iterations, "{name}");
-            assert_eq!(interp.stats.device_cycles(), other.stats.device_cycles(), "{name}");
-            assert_eq!(interp.seconds, other.seconds, "{name}: device time is host-independent");
-        }
+        assert_eq!(bits(&interp), bits(&fused), "solutions differ from interp");
+        assert_eq!(interp.iterations, fused.iterations);
+        assert_eq!(interp.stats.device_cycles(), fused.stats.device_cycles());
+        assert_eq!(interp.seconds, fused.seconds, "device time is host-independent");
         // The compile report records the selection: SpMV, its residual and
         // the triangular sweeps must fuse, and every vertex is lowered.
         let selection = |r: &SolveResult| {

@@ -530,16 +530,14 @@ impl DslCtx {
     }
 
     /// Like [`DslCtx::build_engine`], also pinning how the engine
-    /// dispatches and schedules vertices. A tile-parallel schedule on a
-    /// program with a cross-tile read/write hazard is a
-    /// [`CompileError::Program`] carrying the hazard diagnostic.
+    /// dispatches vertices.
     pub fn build_engine_on(mut self, engine: EngineOptions) -> Result<Engine, CompileError> {
         assert_eq!(self.frames.len(), 1, "unbalanced control-flow stack");
         let steps = self.frames.pop().unwrap();
         let program =
             if steps.len() == 1 { steps.into_iter().next().unwrap() } else { Prog::Seq(steps) };
         let exec = self.graph.compile(program)?;
-        let mut engine = Engine::with_options(exec, engine).map_err(CompileError::Program)?;
+        let mut engine = Engine::with_options(exec, engine);
         for (id, cb) in self.callbacks {
             engine.register_callback(id, cb);
         }

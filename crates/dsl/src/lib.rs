@@ -88,9 +88,9 @@ mod tests {
     use graph::codelet::Value;
     use ipu_sim::clock::Phase;
 
-    /// Each test below that runs a program runs it under every dispatch x
-    /// schedule combination of the engine.
-    const ENGINES: [EngineOptions; 4] = EngineOptions::ALL;
+    /// Each test below that runs a program runs it under both dispatch
+    /// routes of the engine.
+    const ENGINES: [EngineOptions; 2] = EngineOptions::ALL;
 
     #[test]
     fn materialize_elementwise_over_tiles() {

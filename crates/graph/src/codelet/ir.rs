@@ -590,9 +590,8 @@ impl Codelet {
 /// One typed storage slice handed to a codelet parameter.
 ///
 /// Immutable parameters are carried as shared (`*Ro`) slices so the engine
-/// never materialises an aliasing `&mut` for data a vertex only reads —
-/// the property the tile-parallel schedule relies on when several workers
-/// read the same broadcast operand concurrently. [`Codelet::validate`]
+/// never materialises a `&mut` for data a vertex only reads.
+/// [`Codelet::validate`]
 /// statically rejects stores to immutable parameters, so `set` on a
 /// read-only variant is unreachable.
 pub enum ParamData<'a> {

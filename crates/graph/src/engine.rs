@@ -2,8 +2,8 @@
 //!
 //! The engine walks the flat plan the graph compiler produced at
 //! `Graph::compile` time: every `Execute` step already carries its
-//! broadcast [`ipu_sim::ExchangeProgram`], sync cost and tile-grouped
-//! vertex spans; every `Exchange`/`Copy` its resolved block copies and
+//! broadcast [`ipu_sim::ExchangeProgram`], sync cost and participating
+//! tiles; every `Exchange`/`Copy` its resolved block copies and
 //! cycles. Nothing is derived on the hot path — the simulator counterpart
 //! of loading a Poplar executable onto the device (where the statically
 //! compiled exchange is the whole point) and reading the profiler
@@ -20,28 +20,21 @@
 //! * `Copy` — an on-tile memcpy parallelised over the worker threads.
 //! * `If`/`While` — control-flow decisions synchronise all tiles.
 //!
-//! # One path, two independent properties
+//! # One path, one option
 //!
 //! The simulated *device* semantics are fixed; [`EngineOptions`] only
-//! chooses how the *host* gets through a compute set:
+//! chooses how the *host* runs each vertex. Dispatch is decided per vertex
+//! at engine build, in three tiers: the fused kernel matched to its
+//! codelet ([`crate::kernels`], only with `fusion` on), else the codelet's
+//! lowered form — typed and costed for the vertex's operand storage dtypes
+//! and flattened into a register program ([`Lowered`]) — else, for a body
+//! that cannot be typed, the dynamic [`Interp`]. `fusion: false`, the
+//! default, runs no fused kernel — the reference they are tested against.
 //!
-//! * **Dispatch**, per vertex, three tiers decided at engine build: the
-//!   fused kernel matched to its codelet ([`crate::kernels`], only with
-//!   `fusion` on), else the codelet's lowered form — typed and costed for
-//!   the vertex's operand storage dtypes and flattened into a register
-//!   program ([`Lowered`]) — else, for a body that cannot be typed, the
-//!   dynamic [`Interp`]. `fusion: false`, the default, runs no fused
-//!   kernel — the reference they are tested against.
-//! * **Schedule**, per compute set: the vertices in program order on the
-//!   caller's thread (`threads: 1`), or the plan's tile groups on scoped
-//!   worker threads. Tile-mapped writes are disjoint by construction
-//!   (mutable operands must be resident on the vertex's tile and tensor
-//!   chunks never overlap across tiles), so tile-parallel execution is
-//!   safe whenever no vertex *reads* a region another tile *writes* within
-//!   the same compute set — checked by [`parallel_hazards`] at engine
-//!   build. Either schedule merges per-tile cycle counts in tile-id order.
-//!
-//! All four combinations leave bit-identical storage, `CycleStats`, perf
+//! Every compute set runs its vertices in program order on the caller's
+//! thread; tile and worker concurrency is a device property, modelled in
+//! cycles (per-tile counts merged in tile-id order), not a host schedule.
+//! Both dispatch routes leave bit-identical storage, `CycleStats`, perf
 //! attribution and traces behind; only host wall-clock differs.
 
 use std::collections::HashMap;
@@ -64,35 +57,20 @@ use crate::program::ElemCopy;
 use crate::tensor::TensorId;
 
 /// Host-execution options for an [`Engine`] (see the module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Host threads per compute set: `1` walks the vertices in program
-    /// order on the caller's thread; anything else runs the plan's tile
-    /// groups on scoped workers — `0` one per available core, `N` at most
-    /// `N` — and requires a [`parallel_hazards`]-free program.
-    pub threads: usize,
     /// Run each vertex on the fused kernel matched at engine build where
     /// there is one. `false`, the default, skips the library: every vertex
     /// runs its lowered form.
     pub fusion: bool,
 }
 
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions { threads: 1, fusion: false }
-    }
-}
-
 impl EngineOptions {
-    /// Every dispatch x schedule combination — what the equivalence tests
-    /// sweep. The first entry, every vertex on its lowered form in program
-    /// order, is the reference the other three are compared against.
-    pub const ALL: [EngineOptions; 4] = [
-        EngineOptions { threads: 1, fusion: false },
-        EngineOptions { threads: 1, fusion: true },
-        EngineOptions { threads: 0, fusion: false },
-        EngineOptions { threads: 0, fusion: true },
-    ];
+    /// Both dispatch routes — what the equivalence tests sweep. The first
+    /// entry, every vertex on its lowered form, is the reference the fused
+    /// one is compared against.
+    pub const ALL: [EngineOptions; 2] =
+        [EngineOptions { fusion: false }, EngineOptions { fusion: true }];
 }
 
 /// Runtime state of a [`FaultPlan`] inside one engine.
@@ -244,7 +222,6 @@ pub struct Engine {
     callbacks: HashMap<usize, HostCallback>,
     /// Optional timeline recorder, driven in lock-step with `stats`.
     trace: Option<TraceRecorder>,
-    options: EngineOptions,
     /// Optional fault-injection state. `None` (the default) keeps the hot
     /// path untouched: execution, stats and traces are bit-identical to an
     /// engine built before this field existed.
@@ -263,20 +240,14 @@ pub struct Engine {
 
 impl Engine {
     /// Build an engine with the default options: every vertex on its
-    /// lowered form, one host thread.
+    /// lowered form.
     pub fn new(exec: Executable) -> Self {
         Self::with_options(exec, EngineOptions::default())
-            .expect("the single-threaded schedule accepts every program")
     }
 
-    /// Build an engine with explicit host-execution options. A
-    /// tile-parallel schedule (`threads != 1`) validates the program with
-    /// [`parallel_hazards`] and returns its diagnostic on failure.
-    pub fn with_options(exec: Executable, options: EngineOptions) -> Result<Self, String> {
+    /// Build an engine with explicit host-execution options.
+    pub fn with_options(exec: Executable, options: EngineOptions) -> Self {
         let Executable { graph, plan, mut report } = exec;
-        if options.threads != 1 {
-            parallel_hazards(&graph)?;
-        }
         // Codelet matching is pure structure (bytecode + operand
         // declarations), so the table depends only on the graph.
         let kernels =
@@ -306,7 +277,7 @@ impl Engine {
         report.passes.push(stat);
         let storage = graph.tensors.iter().map(|t| Storage::zeros(t.dtype, t.len())).collect();
         let stats = CycleStats::new(graph.model.num_tiles());
-        Ok(Engine {
+        Engine {
             graph,
             plan,
             report,
@@ -314,12 +285,11 @@ impl Engine {
             stats,
             callbacks: HashMap::new(),
             trace: None,
-            options,
             faults: None,
             perf: None,
             kernels,
             lowered,
-        })
+        }
     }
 
     /// Attach a fresh per-step performance recorder sized to this engine's
@@ -457,13 +427,6 @@ impl Engine {
                  registered (Engine::register_callback) before Engine::run"
             );
         }
-        // `None`: program order on this thread; `Some(n)`: tile groups on
-        // up to `n` scoped workers.
-        let workers = match self.options.threads {
-            1 => None,
-            0 => Some(rayon::current_num_threads()),
-            n => Some(n),
-        };
         if let Some(f) = self.faults.as_mut() {
             // Superstep coordinates are per-run; fired flags persist.
             f.superstep = 0;
@@ -474,7 +437,6 @@ impl Engine {
             stats: &mut self.stats,
             callbacks: &mut self.callbacks,
             trace: &mut self.trace,
-            workers,
             faults: &mut self.faults,
             perf: &mut self.perf,
             kernels: &self.kernels,
@@ -504,16 +466,14 @@ struct ExecCtx<'a> {
     stats: &'a mut CycleStats,
     callbacks: &'a mut HashMap<usize, HostCallback>,
     trace: &'a mut Option<TraceRecorder>,
-    workers: Option<usize>,
     faults: &'a mut Option<FaultState>,
     perf: &'a mut Option<PerfRecorder>,
     kernels: &'a KernelTable,
     lowered: &'a LoweredTable,
     // Buffers kept for the whole run, so that replay allocates per run, not
     // per compute set or vertex: the storage's base pointers (refilled per
-    // compute set), the per-tile cycle list, and, on one thread, the
-    // operand slices (empty between vertices) and the lowered form's
-    // registers.
+    // compute set), the per-tile cycle list, the operand slices (empty
+    // between vertices) and the lowered form's registers.
     bases: TensorBases,
     per_tile: Vec<(TileId, u64)>,
     params: Vec<ParamData<'a>>,
@@ -646,10 +606,10 @@ impl ExecCtx<'_> {
     }
 
     /// Replay one precomputed `Execute` step: the compiler-inserted
-    /// broadcast (if any), the BSP barrier, then the vertices under the
-    /// engine's schedule. Either schedule emits the per-tile cycle list
-    /// sorted by tile id, so the recorded stats and trace events do not
-    /// depend on it, nor on the host's thread or hash-iteration order.
+    /// broadcast (if any), the BSP barrier, then the vertices in program
+    /// order. The per-tile cycle list is sorted by tile id, so the recorded
+    /// stats and trace events do not depend on the host's hash-iteration
+    /// order.
     fn execute_planned(&mut self, step: StepId, es: &ExecuteStep) {
         let cs = &self.graph.compute_sets[es.cs];
         if !es.bcast.is_empty() {
@@ -657,71 +617,33 @@ impl ExecCtx<'_> {
         }
         self.record_sync(step, es.sync_cycles);
         if self.faults.is_some() {
-            // Fault hooks run on the engine thread before the vertices fan
-            // out, so the perturbed state (and hence every downstream bit)
-            // is identical under either schedule.
+            // Fault hooks run before the vertices, so the perturbed state
+            // (and hence every downstream bit) is identical under either
+            // dispatch route.
             self.apply_sram_faults(es);
         }
 
         let (graph, kernels, lowered) = (self.graph, self.kernels, self.lowered);
         self.bases.refill(self.storage);
         let bases = &self.bases;
-        // Per-tile cycles plus the superstep's total work counters
-        // (flops/bytes are tile-order independent sums, so either schedule
-        // produces the same integers).
+        // Per-tile cycles plus the superstep's total work counters. Program
+        // order, not tile order: a vertex reading what another wrote in the
+        // same compute set sees the write when it comes later.
         let mut per_tile = std::mem::take(&mut self.per_tile);
         per_tile.clear();
-        let (flops, mem_bytes) = match self.workers {
-            None => {
-                // Program order, not tile order: hazardous programs are
-                // accepted on one thread and are order-dependent.
-                per_tile.extend(es.tile_groups.iter().map(|(t, _)| (*t, 0)));
-                let (mut flops, mut mem) = (0u64, 0u64);
-                for (i, v) in cs.vertices.iter().enumerate() {
-                    let form = lowered.get(es.cs, i);
-                    let (params, regs) = (&mut self.params, &mut self.regs);
-                    let run = run_vertex(graph, bases, v, form, kernels, params, regs);
-                    let slot = per_tile
-                        .binary_search_by_key(&v.tile, |&(t, _)| t)
-                        .expect("the plan's tile groups cover every vertex's tile");
-                    per_tile[slot].1 += run.cycles;
-                    flops += run.flops;
-                    mem += run.mem_bytes;
-                }
-                (flops, mem)
-            }
-            Some(threads) => {
-                // The plan's tile groups preserve each tile's vertex order
-                // (a tile's vertices may have read-after-write dependencies
-                // among themselves; cross-tile dependencies were rejected
-                // by `parallel_hazards`). `par_chunks_map` hands each
-                // worker an owned, contiguous span of tile groups and
-                // reassembles results positionally, so the merge order is
-                // tile-ascending by construction.
-                let work: Vec<(TileId, &[usize])> =
-                    es.tile_groups.iter().map(|(t, ids)| (*t, ids.as_slice())).collect();
-                let runs = rayon::par_chunks_map(work, threads, move |(tile, ids)| {
-                    let (mut cycles, mut flops, mut mem) = (0u64, 0u64, 0u64);
-                    let (mut params, mut regs) = (Vec::new(), Regs::default());
-                    for &i in ids {
-                        let (v, form) = (&cs.vertices[i], lowered.get(es.cs, i));
-                        let run =
-                            run_vertex(graph, bases, v, form, kernels, &mut params, &mut regs);
-                        cycles += run.cycles;
-                        flops += run.flops;
-                        mem += run.mem_bytes;
-                    }
-                    (tile, cycles, flops, mem)
-                });
-                let (mut flops, mut mem) = (0u64, 0u64);
-                per_tile.extend(runs.into_iter().map(|(t, c, f, m)| {
-                    flops += f;
-                    mem += m;
-                    (t, c)
-                }));
-                (flops, mem)
-            }
-        };
+        per_tile.extend(es.tiles.iter().map(|&t| (t, 0)));
+        let (mut flops, mut mem_bytes) = (0u64, 0u64);
+        for (i, v) in cs.vertices.iter().enumerate() {
+            let form = lowered.get(es.cs, i);
+            let (params, regs) = (&mut self.params, &mut self.regs);
+            let run = run_vertex(graph, bases, v, form, kernels, params, regs);
+            let slot = per_tile
+                .binary_search_by_key(&v.tile, |&(t, _)| t)
+                .expect("the plan's tiles cover every vertex's tile");
+            per_tile[slot].1 += run.cycles;
+            flops += run.flops;
+            mem_bytes += run.mem_bytes;
+        }
         if self.faults.is_some() {
             per_tile = self.apply_stall_faults(&es.name, per_tile);
         }
@@ -956,79 +878,22 @@ impl ExecCtx<'_> {
     }
 }
 
-/// Check that every compute set in `graph` is safe to execute under the
-/// tile-parallel schedule.
-///
-/// Graph compilation already guarantees that *writes* are disjoint across
-/// tiles (mutable operands must be resident on the vertex's tile, and a
-/// tensor's tile chunks never overlap), so the only remaining hazard is a
-/// vertex on one tile **reading** a region that a vertex on *another* tile
-/// **writes** within the same compute set: sequential execution would give
-/// an order-dependent answer and parallel execution a data race. Reads and
-/// writes on the *same* tile are fine — the tile-parallel schedule
-/// preserves each tile's vertex order.
-///
-/// Returns a diagnostic naming the compute set, tensor, tiles and element
-/// ranges of the first aliasing pair found.
-pub fn parallel_hazards(graph: &Graph) -> Result<(), String> {
-    for cs in &graph.compute_sets {
-        // Written regions per tensor: (start, end, writer tile), sorted.
-        let mut writes: HashMap<TensorId, Vec<(usize, usize, TileId)>> = HashMap::new();
-        for v in &cs.vertices {
-            let codelet = &graph.codelets[v.codelet];
-            for (op, decl) in v.operands.iter().zip(&codelet.params) {
-                if decl.mutable {
-                    writes.entry(op.tensor).or_default().push((
-                        op.start,
-                        op.start + op.len,
-                        v.tile,
-                    ));
-                }
-            }
-        }
-        for w in writes.values_mut() {
-            w.sort_unstable();
-        }
-        for v in &cs.vertices {
-            let codelet = &graph.codelets[v.codelet];
-            for (op, decl) in v.operands.iter().zip(&codelet.params) {
-                if decl.mutable {
-                    continue;
-                }
-                let Some(ws) = writes.get(&op.tensor) else { continue };
-                let (rs, re) = (op.start, op.start + op.len);
-                for &(s, e, t) in ws {
-                    if s >= re {
-                        break;
-                    }
-                    if e > rs && t != v.tile {
-                        return Err(format!(
-                            "compute set '{}' is not parallel-safe: a vertex on tile {} \
-                             reads '{}'[{}..{}] while a vertex on tile {} writes \
-                             '{}'[{}..{}] in the same compute set",
-                            cs.name,
-                            v.tile,
-                            graph.tensors[op.tensor].name,
-                            rs,
-                            re,
-                            t,
-                            graph.tensors[op.tensor].name,
-                            s,
-                            e,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Raw per-tensor base pointers into the engine's storage.
 ///
-/// Refilled once per compute set on the engine thread from the unique
-/// `&mut [Storage]`, then shared read-only across the host workers of the
-/// tile-parallel schedule (or used in place by the single-threaded one).
+/// Refilled once per compute set from the unique `&mut [Storage]`, then
+/// read by [`params_from_bases`] for each vertex in turn. A vertex needs
+/// `&mut` slices into some tensors and shared slices into others at once,
+/// which borrowing `storage` per operand cannot express.
+///
+/// Sound because the pointers are only dereferenced through
+/// `params_from_bases`, which materialises `&mut` slices solely for
+/// *mutable* operands, and only for as long as one vertex runs:
+/// `run_vertex` empties its operand buffer before it returns, so no slice
+/// is alive when anything else touches the storage (the next vertex, an
+/// exchange, a callback, the next `refill`). Within that one vertex,
+/// `Graph::add_compute_set` (`validate_compute_set`) has checked that every
+/// operand is in bounds and that no two operands overlap, so no `&mut`
+/// slice aliases another slice.
 #[derive(Default)]
 struct TensorBases {
     bases: Vec<RawBase>,
@@ -1042,20 +907,6 @@ enum RawBase {
     Dw(*mut TwoF32),
     F64(*mut SoftDouble),
 }
-
-// SAFETY: the pointers are only dereferenced through `params_from_bases`,
-// which materialises `&mut` slices solely for *mutable* operands, and only
-// for as long as one vertex runs: `run_vertex` empties its operand buffer
-// before it returns, so no slice is alive when anything else touches the
-// storage (an exchange, a callback, the next `refill`). Graph
-// compilation guarantees mutable operands are resident on the vertex's
-// tile, tensor tile chunks are disjoint, and operands within a vertex
-// never alias; `parallel_hazards` additionally rejects any cross-tile
-// read/write overlap within a compute set. The tile-parallel schedule assigns
-// each tile's vertices to exactly one worker, so no two threads ever hold
-// overlapping ranges with at least one `&mut`.
-unsafe impl Send for TensorBases {}
-unsafe impl Sync for TensorBases {}
 
 impl TensorBases {
     fn refill(&mut self, storage: &mut [Storage]) {
@@ -1155,18 +1006,16 @@ struct Coverage {
 }
 
 /// Hand out one slice per operand: `&mut` for mutable parameters, shared
-/// for immutable ones (so concurrent readers of a broadcast operand never
-/// manufacture aliasing `&mut` references). The slices claim the engine's
-/// lifetime `'a`; they are alive only while one vertex runs (see
-/// `TensorBases`).
+/// for immutable ones. The slices claim the engine's lifetime `'a`; they
+/// are alive only while one vertex runs (see `TensorBases`).
 fn params_from_bases<'a, 'b>(
     bases: &'b TensorBases,
     codelet: &'a Codelet,
     operands: &'a [TensorSlice],
 ) -> impl Iterator<Item = ParamData<'a>> + use<'a, 'b> {
     operands.iter().zip(&codelet.params).map(|(op, decl)| {
-        // SAFETY: slices validated in-bounds at compile time; see the
-        // disjointness argument on `TensorBases`.
+        // SAFETY: slices validated in-bounds and pairwise disjoint when the
+        // compute set was added; see `TensorBases`.
         unsafe {
             match bases.bases[op.tensor] {
                 RawBase::F32(p) => {
@@ -1219,12 +1068,12 @@ fn params_from_bases<'a, 'b>(
 /// accepts it (`run` returns `None` for e.g. a storage dtype the
 /// monomorphised code was not built for); else the codelet's lowered form;
 /// else — a body lowering could not type — the dynamic interpreter. Free of
-/// engine state so either schedule shares it verbatim — a vertex's result
-/// depends only on the graph, the storage it reads and its own operands.
+/// engine state: a vertex's result depends only on the graph, the storage
+/// it reads and its own operands.
 ///
 /// `params` (empty between vertices) and `regs` are buffers reused from
-/// vertex to vertex — on one thread for a whole run, on several per tile
-/// group — so replay does not allocate per vertex.
+/// vertex to vertex for a whole run, so replay does not allocate per
+/// vertex.
 fn run_vertex<'a>(
     graph: &'a Graph,
     bases: &TensorBases,
@@ -1968,7 +1817,7 @@ mod tests {
         );
     }
 
-    // ---- dispatch x schedule -----------------------------------------
+    // ---- dispatch ----------------------------------------------------
 
     /// Device cycles, exchange bytes, supersteps, syncs, per-label phases.
     type Fingerprint = (u64, u64, u64, u64, Vec<(String, [u64; 3])>);
@@ -1988,22 +1837,20 @@ mod tests {
         let (exec, x) = double_in_place();
         let input = [1.5, -2.0, 3.25, 4.0, 5.5, -6.0, 7.75, 8.0];
         let run = |options: EngineOptions| {
-            let mut e = Engine::with_options(exec.clone(), options).unwrap();
+            let mut e = Engine::with_options(exec.clone(), options);
             e.write_tensor(x, &input);
             e.run();
             e
         };
-        let reference = run(EngineOptions { threads: 1, fusion: false });
+        let reference = run(EngineOptions::ALL[0]);
         let bits = |e: &Engine| e.read_tensor(x).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for threads in [1usize, 0, 2, 3, 16] {
-            for fusion in [false, true] {
-                let e = run(EngineOptions { threads, fusion });
-                let who = format!("threads={threads} fusion={fusion}");
-                assert_eq!(bits(&reference), bits(&e), "{who}: tensor bits differ");
-                assert_eq!(fingerprint(&reference), fingerprint(&e), "{who}: stats differ");
-                for t in 0..2 {
-                    assert_eq!(reference.stats().tile_busy(t), e.stats().tile_busy(t), "{who}");
-                }
+        for options in EngineOptions::ALL {
+            let e = run(options);
+            let who = format!("{options:?}");
+            assert_eq!(bits(&reference), bits(&e), "{who}: tensor bits differ");
+            assert_eq!(fingerprint(&reference), fingerprint(&e), "{who}: stats differ");
+            for t in 0..2 {
+                assert_eq!(reference.stats().tile_busy(t), e.stats().tile_busy(t), "{who}");
             }
         }
     }
@@ -2012,8 +1859,8 @@ mod tests {
     fn fusion_off_fuses_nothing_and_says_so() {
         let (exec, _) = double_in_place();
         let sel = |fusion| {
-            let e = Engine::with_options(exec.clone(), EngineOptions { threads: 1, fusion });
-            e.unwrap().compile_report().pass("native-kernel-selection").cloned().unwrap()
+            let e = Engine::with_options(exec.clone(), EngineOptions { fusion });
+            e.compile_report().pass("native-kernel-selection").cloned().unwrap()
         };
         // A map is not in the library: with fusion on or off it runs
         // lowered. Lowering does not depend on fusion: both vertices, either
@@ -2032,46 +1879,57 @@ mod tests {
     }
 
     #[test]
-    fn tile_parallel_schedule_rejects_cross_tile_read_write_hazard() {
-        // Tile 0 writes x[0..4] while tile 1 reads it in the same
-        // compute set: single-threaded execution is order-dependent,
-        // tile-parallel execution a race — the engine must refuse the
-        // latter with a clear error.
-        let mut g = Graph::new(IpuModel::tiny(2));
-        let x = g.add_tensor(TensorDef::linear("x", DType::F32, 8, 2)).unwrap();
-        let y = g.add_tensor(TensorDef::on_tile("y", DType::F32, 4, 1)).unwrap();
-        let dbl = double_codelet(&mut g);
-        let fill = fill_codelet(&mut g);
-        let mut cs = ComputeSet::new("hazard");
-        cs.add(Vertex {
-            tile: 0,
-            codelet: dbl,
-            operands: vec![TensorSlice { tensor: x, start: 0, len: 4 }],
-            kind: VertexKind::Simple,
-        });
-        cs.add(Vertex {
-            tile: 1,
-            codelet: fill,
-            operands: vec![TensorSlice { tensor: x, start: 0, len: 1 }, TensorSlice::whole(y, 4)],
-            kind: VertexKind::Simple,
-        });
-        let cs = g.add_compute_set(cs).unwrap();
-        let exec = g.compile(Prog::Execute(cs)).unwrap();
-        assert!(parallel_hazards(&exec.graph).is_err());
-        let err = Engine::with_options(exec.clone(), EngineOptions { threads: 0, fusion: true })
-            .err()
-            .expect("hazardous program must be rejected");
-        assert!(err.contains("not parallel-safe"), "{err}");
-        assert!(err.contains("reads") && err.contains("writes"), "{err}");
-
-        // One thread in program order still accepts it.
-        assert!(Engine::with_options(exec, EngineOptions::default()).is_ok());
+    fn cross_tile_read_write_runs_in_program_order() {
+        // Tile 0 doubles x[0..4] while tile 1 reads x[0] in the same
+        // compute set. The engine accepts the program and runs the vertices
+        // in program order, so the reader sees the write exactly when it
+        // comes later.
+        let build = |writer_first: bool| {
+            let mut g = Graph::new(IpuModel::tiny(2));
+            let x = g.add_tensor(TensorDef::linear("x", DType::F32, 8, 2)).unwrap();
+            let y = g.add_tensor(TensorDef::on_tile("y", DType::F32, 4, 1)).unwrap();
+            let dbl = double_codelet(&mut g);
+            let fill = fill_codelet(&mut g);
+            let write = Vertex {
+                tile: 0,
+                codelet: dbl,
+                operands: vec![TensorSlice { tensor: x, start: 0, len: 4 }],
+                kind: VertexKind::Simple,
+            };
+            let read = Vertex {
+                tile: 1,
+                codelet: fill,
+                operands: vec![
+                    TensorSlice { tensor: x, start: 0, len: 1 },
+                    TensorSlice::whole(y, 4),
+                ],
+                kind: VertexKind::Simple,
+            };
+            let mut cs = ComputeSet::new("read-write");
+            let (first, second) = if writer_first { (write, read) } else { (read, write) };
+            cs.add(first);
+            cs.add(second);
+            let cs = g.add_compute_set(cs).unwrap();
+            (g.compile(Prog::Execute(cs)).unwrap(), x, y)
+        };
+        for writer_first in [true, false] {
+            for options in EngineOptions::ALL {
+                let (exec, x, y) = build(writer_first);
+                let mut e = Engine::with_options(exec, options);
+                e.write_tensor(x, &[3.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0]);
+                e.run();
+                let want = if writer_first { 6.0 } else { 3.0 };
+                let who = format!("writer_first={writer_first} {options:?}");
+                assert_eq!(e.read_tensor(y), vec![want; 4], "{who}");
+                assert_eq!(e.read_tensor(x), vec![6.0, 2.0, 2.0, 2.0, 5.0, 5.0, 5.0, 5.0], "{who}");
+            }
+        }
     }
 
     #[test]
-    fn same_tile_read_after_write_is_parallel_safe() {
-        // A read overlapping a write from a vertex on the *same* tile is
-        // ordered by the per-tile worker, exactly as in program order.
+    fn same_tile_read_after_write_sees_the_write() {
+        // A read overlapping a write from an earlier vertex on the *same*
+        // tile sees the written value.
         let mut g = Graph::new(IpuModel::tiny(2));
         let x = g.add_tensor(TensorDef::on_tile("x", DType::F32, 4, 0)).unwrap();
         let y = g.add_tensor(TensorDef::on_tile("y", DType::F32, 4, 0)).unwrap();
@@ -2091,9 +1949,7 @@ mod tests {
             kind: VertexKind::Simple,
         });
         let cs = g.add_compute_set(cs).unwrap();
-        let exec = g.compile(Prog::Execute(cs)).unwrap();
-        assert!(parallel_hazards(&exec.graph).is_ok());
-        let mut e = Engine::with_options(exec, EngineOptions { threads: 4, fusion: true }).unwrap();
+        let mut e = Engine::new(g.compile(Prog::Execute(cs)).unwrap());
         e.write_tensor(x, &[2.0, 0.0, 0.0, 0.0]);
         e.run();
         assert_eq!(e.read_tensor(y), vec![4.0; 4], "same-tile RAW order must be preserved");
@@ -2151,9 +2007,8 @@ mod tests {
 
     use ipu_sim::fault::FaultPlan;
 
-    fn run_faulted(exec: &Executable, x: TensorId, spec: &str, par: bool) -> (Vec<f64>, u64) {
-        let options = EngineOptions { threads: if par { 2 } else { 1 }, fusion: true };
-        let mut e = Engine::with_options(exec.clone(), options).unwrap();
+    fn run_faulted(exec: &Executable, x: TensorId, spec: &str, fusion: bool) -> (Vec<f64>, u64) {
+        let mut e = Engine::with_options(exec.clone(), EngineOptions { fusion });
         e.set_faults(FaultPlan::parse(spec).unwrap());
         e.write_tensor(x, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         e.run();
@@ -2167,9 +2022,9 @@ mod tests {
         // word 1 is x[5]) before superstep 0.
         let spec = "flip@s0.t1:w1.b30";
         let (seq, seq_cycles) = run_faulted(&exec, x, spec, false);
-        let (par, par_cycles) = run_faulted(&exec, x, spec, true);
-        assert_eq!(seq, par, "fault replay must be schedule-independent");
-        assert_eq!(seq_cycles, par_cycles);
+        let (fused, fused_cycles) = run_faulted(&exec, x, spec, true);
+        assert_eq!(seq, fused, "fault replay must be dispatch-independent");
+        assert_eq!(seq_cycles, fused_cycles);
         // Only x[5] differs from the clean answer.
         let clean = vec![2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0];
         for (i, (a, b)) in seq.iter().zip(&clean).enumerate() {

@@ -36,7 +36,7 @@ pub use codelet::{
     BinOp, Charge, Codelet, CodeletId, Expr, LocalId, ParamDecl, ParamId, Stmt, UnOp, Value,
 };
 pub use compute::{ComputeSet, ComputeSetId, Vertex, VertexKind};
-pub use engine::{parallel_hazards, Engine, EngineOptions, FaultState};
+pub use engine::{Engine, EngineOptions, FaultState};
 pub use graph::{CompileError, Executable, Graph};
 pub use kernels::{FusedKernel, KernelTable};
 pub use passes::parse_flag;

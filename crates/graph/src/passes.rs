@@ -23,7 +23,7 @@
 //! Every pass emits a [`PassStat`] (steps before/after + counters) into
 //! the [`CompileReport`] stamped on the `Executable`.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use ipu_sim::exchange::{BlockCopy, ExchangeProgram, RegionKey};
 use ipu_sim::model::{IpuModel, TileId};
@@ -73,8 +73,8 @@ pub(crate) fn spans_chips(model: &IpuModel, tiles: impl IntoIterator<Item = Tile
 // ----------------------------------------------------------------------
 
 /// Plan one `Prog::Execute`: the compiler-inserted broadcast for operands
-/// resident on other tiles, the BSP sync cost, and the tile-grouped
-/// vertex spans for the tile-parallel schedule.
+/// resident on other tiles, the BSP sync cost, and the participating
+/// tiles.
 pub fn plan_execute(graph: &Graph, cs_id: ComputeSetId) -> ExecuteStep {
     let cs = &graph.compute_sets[cs_id];
     let model = &graph.model;
@@ -122,13 +122,6 @@ pub fn plan_execute(graph: &Graph, cs_id: ComputeSetId) -> ExecuteStep {
         cost.sync_on_chip_cycles
     };
 
-    // Vertex indices grouped by tile (tile-ascending, program order
-    // within a tile) — the tile-parallel schedule's work list.
-    let mut groups: BTreeMap<TileId, Vec<usize>> = BTreeMap::new();
-    for (i, v) in cs.vertices.iter().enumerate() {
-        groups.entry(v.tile).or_default().push(i);
-    }
-
     let bcast = ExchangeProgram::new(bcast);
     let bcast_cycles = bcast.cycles(model, cost);
     ExecuteStep {
@@ -138,7 +131,7 @@ pub fn plan_execute(graph: &Graph, cs_id: ComputeSetId) -> ExecuteStep {
         bcast,
         bcast_cycles,
         sync_cycles,
-        tile_groups: groups.into_iter().collect(),
+        tiles,
     }
 }
 

@@ -45,11 +45,9 @@ pub struct ExecuteStep {
     /// BSP barrier cost for this superstep (inter-IPU when the vertex
     /// tiles or broadcast sources span chips).
     pub sync_cycles: u64,
-    /// Vertex indices grouped by tile, tile-ascending, each group in
-    /// program order — the tile-parallel schedule's work list. On one
-    /// host thread the engine iterates `vertices` in program order
-    /// directly (hazardous programs, accepted there, are order-dependent).
-    pub tile_groups: Vec<(TileId, Vec<usize>)>,
+    /// The tiles with at least one vertex, ascending: the per-tile cycle
+    /// list the engine fills.
+    pub tiles: Vec<TileId>,
 }
 
 /// One resolved exchange phase: the sync decision, the costed fabric

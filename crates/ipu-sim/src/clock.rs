@@ -123,9 +123,8 @@ impl CycleStats {
     /// (the BSP makespan).
     ///
     /// The accumulation is order-independent (per-tile sums and a max), so
-    /// per-worker cycle buffers produced by tile-parallel host threads can
-    /// be merged in any deterministic order — the engine uses tile-id
-    /// order — and yield stats identical to single-threaded execution.
+    /// the stats do not depend on the order the engine lists the tiles in
+    /// (it uses tile-id order).
     pub fn record_compute(&mut self, per_tile: impl IntoIterator<Item = (TileId, u64)>) {
         let mut max = 0;
         for (tile, cycles) in per_tile {
@@ -298,10 +297,9 @@ mod tests {
 
     #[test]
     fn record_compute_is_order_independent() {
-        // The tile-parallel schedule merges per-worker buffers in tile-id
-        // order; one host thread feeds vertices in program order. The
-        // contract both rely on: any permutation of the same per-tile
-        // pairs records identical stats.
+        // The engine lists tiles in tile-id order, but the stats must not
+        // depend on it: any permutation of the same per-tile pairs records
+        // identical stats.
         let mut fwd = CycleStats::new(4);
         fwd.record_compute([(0, 10), (1, 30), (2, 20), (3, 5)]);
         let mut rev = CycleStats::new(4);

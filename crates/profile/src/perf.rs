@@ -23,8 +23,8 @@
 //!   and/or zero exchange.
 //!
 //! Everything is host-side observation: attaching a recorder never
-//! changes device cycle totals, and the report is bit-identical on one
-//! host thread and tile-parallel (all aggregation is
+//! changes device cycle totals, and the report is bit-identical under
+//! fused and lowered dispatch (all aggregation is
 //! order-independent integer arithmetic; derived floats are computed from
 //! identical integers by identical expressions).
 //!

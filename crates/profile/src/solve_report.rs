@@ -30,7 +30,7 @@
 //!   ],
 //!   "tiles": { "used": 4, "min": 10, "median": 12, "max": 20,
 //!               "mean": 13.5, "balance": 0.675 },
-//!   "backend": { "name": "ipu-sim:par", "family": "ipu-sim",
+//!   "backend": { "name": "ipu-sim:fused", "family": "ipu-sim",
 //!                "timing": "cycle-model", "seconds": 0.0123 }
 //! }
 //! ```
@@ -62,7 +62,7 @@ pub const SCHEMA_VERSION: u32 = 3;
 /// (schema v3). Reports written by earlier schemas parse with `None`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BackendInfo {
-    /// Registry name: `"ipu-sim:par"`, `"cpu:par"`, `"gpu-model"`, ...
+    /// Registry name: `"ipu-sim:fused"`, `"cpu:par"`, `"gpu-model"`, ...
     pub name: String,
     /// Backend family: `"ipu-sim"` | `"cpu"` | `"gpu-model"`.
     pub family: String,
@@ -164,7 +164,7 @@ pub struct SolveReport {
     /// `seconds` are identical across them by construction.
     pub host_seconds: f64,
     /// What ran the solve — the same string as `backend.name`, e.g.
-    /// `"ipu-sim:par"` (reports written before schema v3 carry
+    /// `"ipu-sim:fused"` (reports written before schema v3 carry
     /// `"sequential"`/`"parallel"`; empty when unrecorded).
     pub executor: String,
     /// (iteration, true relative residual) samples.

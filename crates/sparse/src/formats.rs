@@ -38,7 +38,13 @@ impl CooMatrix {
     /// Convert to CSR, summing duplicate coordinates and dropping explicit
     /// zeros produced by the summation.
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut entries = self.entries.clone();
+        self.clone().into_csr()
+    }
+
+    /// [`CooMatrix::to_csr`], sorting the triplets in place instead of a
+    /// copy of them.
+    pub fn into_csr(self) -> CsrMatrix {
+        let mut entries = self.entries;
         entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
 
         let mut row_ptr = Vec::with_capacity(self.nrows + 1);
@@ -270,7 +276,7 @@ impl CsrMatrix {
                 coo.push(new_row, inv[*c as usize] as usize, *v);
             }
         }
-        coo.to_csr()
+        coo.into_csr()
     }
 
     /// Frobenius norm.
@@ -343,7 +349,7 @@ impl ModifiedCsr {
                 coo.push(i, *c as usize, *v);
             }
         }
-        coo.to_csr()
+        coo.into_csr()
     }
 }
 

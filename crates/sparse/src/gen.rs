@@ -77,7 +77,7 @@ pub fn poisson_3d_7pt(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
             }
         }
     }
-    coo.to_csr()
+    coo.into_csr()
 }
 
 /// 5-point discretisation of an anisotropic Laplacian
@@ -107,7 +107,7 @@ pub fn poisson_2d_5pt(nx: usize, ny: usize, eps: f64) -> CsrMatrix {
             }
         }
     }
-    coo.to_csr()
+    coo.into_csr()
 }
 
 /// Heterogeneous-coefficient 7-point Poisson: each cell gets a conductivity
@@ -173,7 +173,7 @@ pub fn heterogeneous_poisson_3d(
             }
         }
     }
-    coo.to_csr()
+    coo.into_csr()
 }
 
 /// SPD tridiagonal matrix (1D Poisson): diag 2, off-diagonals −1.
@@ -188,7 +188,7 @@ pub fn tridiagonal(n: usize) -> CsrMatrix {
             coo.push(i, i + 1, -1.0);
         }
     }
-    coo.to_csr()
+    coo.into_csr()
 }
 
 /// Random symmetric diagonally-dominant (hence SPD) matrix with roughly
@@ -222,7 +222,7 @@ pub fn random_spd(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
         // Strict diagonal dominance with margin.
         coo.push(i, i, sum + 1.0 + rng.gen_range(0.0..0.5));
     }
-    coo.to_csr()
+    coo.into_csr()
 }
 
 /// Kronecker product `A ⊗ B`. If both factors are SPD the product is SPD;
@@ -246,7 +246,7 @@ pub fn kron(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
             }
         }
     }
-    coo.to_csr()
+    coo.into_csr()
 }
 
 /// A small dense SPD matrix for block expansion: `I + c·(ones)` with unit
@@ -259,7 +259,7 @@ pub fn dense_spd_block(b: usize, c: f64) -> CsrMatrix {
             coo.push(i, j, v);
         }
     }
-    coo.to_csr()
+    coo.into_csr()
 }
 
 /// Deterministic right-hand side: `b = A·x*` for the all-ones solution, so

@@ -80,7 +80,7 @@ pub fn g3_circuit_like(scale: f64) -> CsrMatrix {
         coo.push(a, a, 0.5);
         coo.push(b, b, 0.5);
     }
-    coo.to_csr()
+    coo.into_csr()
 }
 
 /// Analogue of **af_shell7** (sheet-metal shell, ~35 nnz/row, ill-conditioned).

@@ -179,7 +179,7 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix, MmError> {
     if seen != nnz {
         return Err(parse_err(format!("expected {nnz} entries, found {seen}")));
     }
-    Ok(coo.to_csr())
+    Ok(coo.into_csr())
 }
 
 /// Read a MatrixMarket file from disk.

@@ -12,21 +12,20 @@
 //!   `CycleStats::exchange_bytes()`, the label stack must balance
 //!   (`label_underflows == 0`), and the per-label cycle attribution must
 //!   partition `device_cycles` exactly.
-//! * [`assert_executor_equivalence`] — the same solve under every
-//!   combination of the engine's two options ([`EngineOptions::ALL`]: fused or
-//!   interpreted dispatch, one host thread or tile-parallel) must produce
-//!   bit-identical solution tensors *and* identical cycle profiles, perf
-//!   attribution and trace events. Any drift means a fused kernel
-//!   disagrees with the interpreter, or the parallel merge order or the
-//!   storage-view partitioning leaked into observable state.
+//! * [`assert_executor_equivalence`] — the same solve on both `ipu-sim`
+//!   backends (lowered or fused dispatch) must produce bit-identical
+//!   solution tensors *and* identical cycle profiles, perf attribution and
+//!   trace events. Any drift means a fused kernel disagrees with the
+//!   lowered form.
 
 use std::rc::Rc;
 
+use backend::{BackendSpec, IpuVariant};
 use dsl::prelude::*;
 use graph::Engine;
 use graphene_core::config::SolverConfig;
 use graphene_core::dist::DistSystem;
-use graphene_core::runner::{solve_or_panic, solve_with_engine, SolveOptions, SolveResult};
+use graphene_core::runner::{engine_options, solve, solve_or_panic, SolveOptions, SolveResult};
 use graphene_core::solvers::solver_from_config;
 use ipu_sim::clock::Phase;
 use profile::TraceRecorder;
@@ -128,17 +127,16 @@ pub(crate) fn assert_same(mode: &str, base: &SolveResult, other: &SolveResult) {
     assert_eq!(base.report.seconds, other.report.seconds, "device seconds differ ({mode})");
 }
 
-/// Run the same solve under every entry of [`EngineOptions::ALL`] and require
+/// Run the same solve on `ipu-sim` and `ipu-sim:fused` and require
 /// bit-identical solutions and identical cycle profiles, perf attribution
-/// and trace events across all four.
+/// and trace events.
 ///
 /// This is the contract that lets the engine have one path: a fused
-/// kernel re-derives the interpreter's values and cycle charges exactly,
-/// and the tile-parallel schedule partitions vertices across host workers
-/// but merges per-tile cycles in tile-id order. *Nothing* observable may
-/// differ — solution bits, device cycles, per-phase splits, per-label
-/// partitions, per-tile busy time, superstep and sync counts, exchanged
-/// bytes, the recorded history, the per-step attribution or the timeline.
+/// kernel re-derives the lowered form's values and cycle charges exactly.
+/// *Nothing* observable may differ — solution bits, device cycles,
+/// per-phase splits, per-label partitions, per-tile busy time, superstep
+/// and sync counts, exchanged bytes, the recorded history, the per-step
+/// attribution or the timeline.
 pub fn assert_executor_equivalence(
     a: Rc<CsrMatrix>,
     b: &[f64],
@@ -149,7 +147,7 @@ pub fn assert_executor_equivalence(
 
 /// [`assert_executor_equivalence`] over caller-supplied base options —
 /// the same sweep, but e.g. with auto-tuning enabled or a bigger machine.
-/// Only the engine options change per leg; everything else in `base` is
+/// Only the backend changes per leg; everything else in `base` is
 /// honoured (the trace comparison builds its own engines and takes only
 /// the machine and tile count from it).
 pub fn assert_executor_equivalence_with(
@@ -162,23 +160,20 @@ pub fn assert_executor_equivalence_with(
     let perf_json = |r: &SolveResult| {
         r.report.perf.as_ref().expect("runner arms the perf recorder").attribution_json()
     };
-    let trace_events = |engine: EngineOptions| {
-        let e = traced_run(&a, b, config, base.model.clone(), base.tiles.unwrap_or(4), engine);
+    let trace_events = |variant| {
+        let (model, tiles) = (base.model.clone(), base.tiles.unwrap_or(4));
+        let e = traced_run(&a, b, config, model, tiles, engine_options(variant));
         format!("{:?}", e.trace().expect("trace was attached").events())
     };
-    let run = |engine| {
-        solve_with_engine(a.clone(), b, config, &opts, engine)
-            .unwrap_or_else(|e| panic!("solve failed: {e}"))
+    let run = |variant| {
+        let opts = SolveOptions { backend: Some(BackendSpec::IpuSim(variant)), ..opts.clone() };
+        solve(a.clone(), b, config, &opts).unwrap_or_else(|e| panic!("solve failed: {e}"))
     };
-    let reference = EngineOptions::ALL[0];
-    let want = run(reference);
-    let want_trace = trace_events(reference);
-    for engine in &EngineOptions::ALL[1..] {
-        let got = run(*engine);
-        assert_same(&format!("{engine:?} vs {reference:?}"), &want, &got);
-        assert_eq!(perf_json(&want), perf_json(&got), "perf attribution differs ({engine:?})");
-        assert_eq!(want_trace, trace_events(*engine), "trace events differ ({engine:?})");
-    }
+    let (reference, other) = (IpuVariant::Default, IpuVariant::Fused);
+    let (want, got) = (run(reference), run(other));
+    assert_same(&format!("{other:?} vs {reference:?}"), &want, &got);
+    assert_eq!(perf_json(&want), perf_json(&got), "perf attribution differs ({other:?})");
+    assert_eq!(trace_events(reference), trace_events(other), "trace events differ ({other:?})");
     ExecutorEquivalence { device_cycles: want.stats.device_cycles(), iterations: want.iterations }
 }
 

@@ -23,8 +23,7 @@
 //!   the normalisation invariant;
 //! * [`invariants`] — simulator-level checks: double-run bit determinism,
 //!   label-stack balance, exchange-byte conservation, and equivalence of
-//!   the engine's {fused, lowered} x {one thread, tile-parallel}
-//!   options;
+//!   the engine's fused and lowered dispatch;
 //! * [`resilience`] — fault-injection properties: the outcome trichotomy
 //!   under seeded faults (converged | recovered | structured error, with
 //!   the accepted residual independently recomputed so no silently-wrong

@@ -14,7 +14,7 @@
 //! * [`assert_faulted_determinism`] — a faulted solve replays
 //!   bit-identically: same solution bits, same cycle counts, same
 //!   resilience record (or the same structured error) across repeated
-//!   runs and across every engine option (`EngineOptions::ALL`).
+//!   runs and across both `ipu-sim` backends.
 //! * [`assert_zero_overhead_when_off`] — with no fault plan and the inert
 //!   default [`RecoveryPolicy`], the runner emits *exactly* the pre-fault
 //!   program: solution bits, device cycles and label partitions match a
@@ -23,9 +23,10 @@
 
 use std::rc::Rc;
 
-use dsl::prelude::{EngineOptions, IpuModel};
+use backend::{BackendSpec, IpuVariant};
+use dsl::prelude::IpuModel;
 use graphene_core::config::SolverConfig;
-use graphene_core::runner::{solve, solve_with_engine, SolveOptions, SolveResult};
+use graphene_core::runner::{solve, SolveOptions, SolveResult};
 use graphene_core::{RecoveryPolicy, SolveError, SolveStatus};
 use ipu_sim::fault::FaultPlan;
 use sparse::formats::CsrMatrix;
@@ -163,24 +164,23 @@ fn fingerprint(r: &SolveResult) -> Fingerprint {
     )
 }
 
-/// Run the same faulted solve twice under every entry of
-/// [`EngineOptions::ALL`] and require one outcome throughout — bit-identical
-/// solutions, cycle-identical stats and an equal resilience record, or
-/// exactly the same structured error. The fault layer keys on superstep
-/// coordinates, not on host dispatch or scheduling.
+/// Run the same faulted solve twice on each `ipu-sim` backend and require
+/// one outcome throughout — bit-identical solutions, cycle-identical stats
+/// and an equal resilience record, or exactly the same structured error.
+/// The fault layer keys on superstep coordinates, not on host dispatch.
 pub fn assert_faulted_determinism(a: Rc<CsrMatrix>, b: &[f64], config: &SolverConfig, spec: &str) {
     let plan = FaultPlan::parse(spec).expect("fault spec parses");
     let opts = SolveOptions { faults: Some(plan), ..sim_opts(2) };
     // What must replay: the fingerprint, status and resilience record, or
     // the structured error.
-    let run = |engine| {
-        solve_with_engine(a.clone(), b, config, &opts, engine)
-            .map(|r| (fingerprint(&r), r.status, r.report.resilience))
+    let run = |variant| {
+        let opts = SolveOptions { backend: Some(BackendSpec::IpuSim(variant)), ..opts.clone() };
+        solve(a.clone(), b, config, &opts).map(|r| (fingerprint(&r), r.status, r.report.resilience))
     };
-    let want = run(EngineOptions::ALL[0]);
-    for engine in EngineOptions::ALL {
+    let want = run(IpuVariant::Default);
+    for variant in [IpuVariant::Default, IpuVariant::Fused] {
         for replay in 0..2 {
-            assert_eq!(want, run(engine), "faulted solve drifted ({engine:?}, replay {replay})");
+            assert_eq!(want, run(variant), "faulted solve drifted ({variant:?}, replay {replay})");
         }
     }
 }

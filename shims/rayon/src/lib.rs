@@ -87,71 +87,6 @@ pub mod prelude {
     pub use super::IntoParIterMut;
 }
 
-/// Default worker count: one per available core.
-pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-}
-
-/// A scoped-spawn helper mirroring `rayon::scope`'s shape: the closure
-/// receives a handle on which work can be spawned, and `scope` does not
-/// return until every spawned task has finished. Implemented directly on
-/// `std::thread::scope`, so spawned closures may borrow from the caller.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> R,
-{
-    std::thread::scope(f)
-}
-
-/// Chunked, order-preserving parallel map over *owned* work items.
-///
-/// The input is split into at most `max_threads` contiguous chunks, one
-/// scoped thread runs `f` over each chunk, and the per-chunk outputs are
-/// concatenated back in chunk order — so the result vector is exactly
-/// `items.into_iter().map(f).collect()` regardless of thread count or
-/// scheduling. This is the primitive the simulated-IPU parallel executor
-/// builds its deterministic merge on: hand each worker an owned, disjoint
-/// slice of work and rely on positional (not completion-order) reassembly.
-///
-/// Degrades to a plain serial map when `max_threads <= 1` or there are
-/// fewer than two items.
-pub fn par_chunks_map<T, U, F>(items: Vec<T>, max_threads: usize, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let n = items.len();
-    let threads = max_threads.min(n).max(1);
-    if threads <= 1 || n < 2 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let f = &f;
-    // Move items into per-chunk vectors so each worker owns its inputs.
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut it = items.into_iter();
-    loop {
-        let part: Vec<T> = it.by_ref().take(chunk).collect();
-        if part.is_empty() {
-            break;
-        }
-        chunks.push(part);
-    }
-    let mut out: Vec<Vec<U>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|part| s.spawn(move || part.into_iter().map(f).collect::<Vec<U>>()))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("par_chunks_map worker panicked")).collect()
-    });
-    let mut flat = Vec::with_capacity(n);
-    for part in out.drain(..) {
-        flat.extend(part);
-    }
-    flat
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -176,35 +111,5 @@ mod tests {
         let mut v = vec![1i64; 257];
         v.par_iter_mut().for_each(|x| *x += 1);
         assert!(v.iter().all(|&x| x == 2));
-    }
-
-    #[test]
-    fn par_chunks_map_preserves_input_order() {
-        for threads in [0usize, 1, 2, 3, 7, 64] {
-            let items: Vec<usize> = (0..101).collect();
-            let out = super::par_chunks_map(items, threads, |i| i * 2 + 1);
-            assert_eq!(out, (0..101).map(|i| i * 2 + 1).collect::<Vec<_>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_map_handles_empty_and_single() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(super::par_chunks_map(empty, 8, |x| x).is_empty());
-        assert_eq!(super::par_chunks_map(vec![41u32], 8, |x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn scope_joins_all_spawned_work() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        super::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 8);
     }
 }

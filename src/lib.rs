@@ -15,7 +15,7 @@
 //!   mappings, compute sets, program steps, codelets (a typed stack VM),
 //!   the graph compiler and the engine, which interprets each vertex or,
 //!   with fusion on, runs it on the fused kernel matched to its codelet,
-//!   on one host thread or tile-parallel.
+//!   in program order on one host thread.
 //! * [`dsl`] — CodeDSL (tile-local codelet description) and TensorDSL
 //!   (global tensor expressions with lazy, fusing materialisation and a
 //!   control-flow stack).
@@ -31,8 +31,8 @@
 //!   (roofline model) comparators used by the evaluation benches.
 //! * [`backend`] — the device/backend abstraction unifying the simulator
 //!   and the baselines behind one `Backend` trait and the
-//!   `GRAPHENE_BACKEND` registry grammar — `ipu-sim`, `ipu-sim:par`,
-//!   `ipu-sim:fused`, `cpu`, `cpu:par`, `gpu-model`; the one selector of
+//!   `GRAPHENE_BACKEND` registry grammar — `ipu-sim`, `ipu-sim:fused`,
+//!   `cpu`, `cpu:par`, `gpu-model`; the one selector of
 //!   how a solve executes (see [`graphene_core::backends`] for the
 //!   registry itself).
 //! * [`serve`] — the fault-tolerant multi-tenant solve service: bounded

@@ -71,20 +71,14 @@ fn every_ipu_sim_backend_matches_the_interpreted_reference() {
         res
     };
     let reference = run(IpuVariant::Default);
-    for variant in [IpuVariant::Par, IpuVariant::Fused] {
-        let res = run(variant);
-        assert_eq!(res.x, reference.x, "{variant:?}: bits must match");
-        assert_eq!(
-            res.stats.device_cycles(),
-            reference.stats.device_cycles(),
-            "{variant:?}: cycles must match"
-        );
-    }
+    let fused = run(IpuVariant::Fused);
+    assert_eq!(fused.x, reference.x, "bits must match");
+    assert_eq!(fused.stats.device_cycles(), reference.stats.device_cycles(), "cycles must match");
 }
 
 #[test]
 fn removed_backend_spellings_are_config_errors() {
-    for name in ["ipu-sim:seq", "ipu-sim:native", "ipu-sim:legacy"] {
+    for name in ["ipu-sim:seq", "ipu-sim:native", "ipu-sim:legacy", "ipu-sim:par"] {
         match resolve_backend(name, &sim_opts()) {
             Err(SolveError::Config(msg)) => assert!(msg.contains("unknown backend"), "{msg}"),
             Ok(_) => panic!("`{name}` must not resolve"),

@@ -11,9 +11,9 @@ use graphene::sparse::formats::CsrMatrix;
 use graphene::sparse::gen;
 use graphene::sparse::partition::Partition;
 
-/// Each test below that runs a program runs it under every dispatch x
-/// schedule combination of the engine.
-const ENGINES: [EngineOptions; 4] = EngineOptions::ALL;
+/// Each test below that runs a program runs it under both dispatch routes
+/// of the engine.
+const ENGINES: [EngineOptions; 2] = EngineOptions::ALL;
 
 fn build(a: &Rc<CsrMatrix>, tiles: usize) -> (DslCtx, DistSystem, TensorRef, TensorRef) {
     let part = Partition::balanced_by_nnz(a, tiles);

@@ -100,8 +100,7 @@ fn double_runs_are_bit_identical() {
 /// Every configuration in the verification suite must be bit-identical
 /// (solution tensors) and cycle-identical (device cycles, per-phase and
 /// per-label splits, per-tile busy time), with identical perf attribution
-/// and trace events, under fused and interpreted dispatch, on one host
-/// thread and tile-parallel.
+/// and trace events, under fused and lowered dispatch.
 #[test]
 fn engine_options_are_equivalent_across_suite() {
     let a = Rc::new(poisson_2d_5pt(8, 8, 1.0));
