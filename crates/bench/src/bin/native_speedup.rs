@@ -9,8 +9,9 @@
 //!    cycles, exchanged bytes, superstep/sync counts, per-label splits) —
 //!    the fused kernels' bit-and-cycle-identity contract;
 //! 2. asserts the fig8 hot-op codelets actually fused (SpMV, the residual
-//!    SpMV, the forward and backward triangular sweeps) and that every
-//!    vertex is lowered — a silent miss would quietly forfeit the speedup;
+//!    SpMV, the forward triangular sweep), that the backward sweep runs as
+//!    a kernel instruction on both routes, and that every vertex is
+//!    lowered — a silent miss would quietly forfeit the speedup;
 //! 3. gates each route on its own per-iteration host dispatch time: neither
 //!    the default (lowered) route nor fused dispatch may be more than 25 %
 //!    slower than in the committed `results/native_speedup.json`. Skipped,
@@ -67,8 +68,9 @@ fn run(
 
 /// The fused-kernel names the fig8 hot path must hit. A miss on any of
 /// these forfeits the speedup the library exists for, so it fails the gate
-/// rather than just slowing down.
-const REQUIRED_KERNELS: &[&str] = &["spmv", "spmv_residual", "forward_subst", "backward_subst_div"];
+/// rather than just slowing down. The backward sweep is not among them: it
+/// is a kernel instruction of the lowered form, required on both routes.
+const REQUIRED_KERNELS: &[&str] = &["spmv", "spmv_residual", "forward_subst"];
 
 /// The committed artifact each route's per-iteration time is held against.
 const BASELINE: &str = "results/native_speedup.json";
@@ -126,12 +128,17 @@ fn main() {
     );
 
     // 2. Kernel coverage.
-    let sel = rf
-        .report
-        .compile
-        .as_ref()
-        .and_then(|c| c.pass("native-kernel-selection"))
-        .expect("the engine stamps the kernel selection into its compile report");
+    let selection = |r: &SolveResult| {
+        r.report
+            .compile
+            .as_ref()
+            .and_then(|c| c.pass("native-kernel-selection"))
+            .cloned()
+            .expect("the engine stamps the kernel selection into its compile report")
+    };
+    let sel = selection(&rf);
+    let kernel_vertices =
+        [selection(&ri).counter("vertices_kernel"), sel.counter("vertices_kernel")];
     let missing: Vec<&str> = REQUIRED_KERNELS
         .iter()
         .copied()
@@ -139,12 +146,17 @@ fn main() {
         .collect();
     let (vertices, lowered) = (sel.counter("vertices_total"), sel.counter("vertices_lowered"));
     println!(
-        "kernels: {}/{} codelets fused; {lowered}/{vertices} vertices lowered",
+        "kernels: {}/{} codelets fused; {lowered}/{vertices} vertices lowered; \
+         {kernel_vertices:?} vertices a kernel instruction (ipu-sim, ipu-sim:fused)",
         sel.counter("codelets_fused"),
         sel.counter("codelets_total"),
     );
     if !missing.is_empty() {
         eprintln!("hot-op codelets did not fuse: {missing:?}");
+        std::process::exit(1);
+    }
+    if kernel_vertices.contains(&0) {
+        eprintln!("the backward sweep is not a kernel instruction on every route");
         std::process::exit(1);
     }
     if lowered != vertices {
@@ -198,6 +210,7 @@ fn main() {
         ("codelets_fused", Json::from(sel.counter("codelets_fused"))),
         ("vertices_total", Json::from(vertices)),
         ("vertices_lowered", Json::from(lowered)),
+        ("vertices_kernel", Json::from(kernel_vertices[0])),
         ("device_cycles", Json::from(ri.stats.device_cycles() as f64)),
         ("bit_identical", Json::from(true)),
     ]);

@@ -561,6 +561,7 @@ impl Plan {
                 m.counter_add("native.vertices_looped", sel.counter("vertices_looped"));
                 m.counter_add("native.vertices_rowed", sel.counter("vertices_rowed"));
                 m.counter_add("native.vertices_mapped", sel.counter("vertices_mapped"));
+                m.counter_add("native.vertices_kernel", sel.counter("vertices_kernel"));
             }
             m.observe("solve.host_seconds", &[1e-3, 1e-2, 1e-1, 1.0, 10.0], att.host_seconds);
             p
@@ -1210,14 +1211,23 @@ mod tests {
         assert_eq!(interp.stats.device_cycles(), fused.stats.device_cycles());
         assert_eq!(interp.seconds, fused.seconds, "device time is host-independent");
         // The compile report records the selection: SpMV, its residual and
-        // the triangular sweeps must fuse, and every vertex is lowered.
+        // the forward sweep must fuse, the backward sweep run as a kernel
+        // instruction on both routes, and every vertex is lowered.
         let selection = |r: &SolveResult| {
             let compile = r.report.compile.as_ref().expect("compile report present");
             compile.pass("native-kernel-selection").expect("selection stamped").clone()
         };
         let sel = selection(&fused);
-        for k in ["spmv", "spmv_residual", "forward_subst", "backward_subst_div"] {
+        for k in ["spmv", "spmv_residual", "forward_subst"] {
             assert!(sel.counter(&format!("fused.{k}")) > 0, "{k} must fuse: {:?}", sel.counters);
+        }
+        for r in [&interp, &fused] {
+            let sel = selection(r);
+            assert!(
+                sel.counter("vertices_kernel") > 0,
+                "no kernel instruction: {:?}",
+                sel.counters
+            );
         }
         assert!(sel.counter("vertices_total") > 0);
         assert_eq!(sel.counter("vertices_lowered"), sel.counter("vertices_total"));

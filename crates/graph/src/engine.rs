@@ -25,11 +25,13 @@
 //! The simulated *device* semantics are fixed; [`EngineOptions`] only
 //! chooses how the *host* runs each vertex. Dispatch is decided per vertex
 //! at engine build, in three tiers: the fused kernel matched to its
-//! codelet ([`crate::kernels`], only with `fusion` on), else the codelet's
-//! lowered form — typed and costed for the vertex's operand storage dtypes
-//! and flattened into a register program ([`Lowered`]) — else, for a body
-//! that cannot be typed, the dynamic [`Interp`]. `fusion: false`, the
-//! default, runs no fused kernel — the reference they are tested against.
+//! codelet ([`crate::kernels`]: SpMV and the forward sweep, only with
+//! `fusion` on), else the codelet's lowered form — typed and costed for
+//! the vertex's operand storage dtypes and flattened into a register
+//! program, or, for the backward sweep, one kernel instruction
+//! ([`Lowered`]) — else, for a body that cannot be typed, the dynamic
+//! [`Interp`]. `fusion: false`, the default, runs no fused kernel — the
+//! reference they are tested against.
 //!
 //! Every compute set runs its vertices in program order on the caller's
 //! thread; tile and worker concurrency is a device property, modelled in
@@ -262,13 +264,14 @@ impl Engine {
         // rows are not recognised runs each row's statements one
         // instruction at a time, and one whose maps are not recognised
         // runs them a trip at a time.
-        let Coverage { vertices, lowered: vertices_lowered, looped, rowed, mapped } =
+        let Coverage { vertices, lowered: vertices_lowered, looped, rowed, mapped, kernel } =
             lowered.coverage();
         stat.count("vertices_total", vertices);
         stat.count("vertices_lowered", vertices_lowered);
         stat.count("vertices_looped", looped);
         stat.count("vertices_rowed", rowed);
         stat.count("vertices_mapped", mapped);
+        stat.count("vertices_kernel", kernel);
         // One row per matched kernel; an unmatched codelet runs its lowered
         // form, and the totals above already say which vertices have none.
         for k in kernels.fused() {
@@ -297,11 +300,6 @@ impl Engine {
     /// charge to its `StepId`. No effect on device cycles.
     pub fn enable_perf(&mut self) {
         self.perf = Some(PerfRecorder::new(self.plan.steps.len(), self.graph.model.num_tiles()));
-    }
-
-    /// Detach and return the perf recorder, if any.
-    pub fn take_perf(&mut self) -> Option<PerfRecorder> {
-        self.perf.take()
     }
 
     /// The attached perf recorder, if any.
@@ -376,11 +374,6 @@ impl Engine {
     /// timeline event per program step alongside the cycle accounting.
     pub fn set_trace(&mut self, trace: TraceRecorder) {
         self.trace = Some(trace);
-    }
-
-    /// Detach and return the trace recorder, if any.
-    pub fn take_trace(&mut self) -> Option<TraceRecorder> {
-        self.trace.take()
     }
 
     /// The attached trace recorder, if any.
@@ -984,6 +977,7 @@ impl LoweredTable {
             c.looped += form.is_some_and(|l| l.loops() > 0) as u64;
             c.rowed += form.is_some_and(|l| l.rows() > 0) as u64;
             c.mapped += form.is_some_and(|l| l.maps() > 0) as u64;
+            c.kernel += form.is_some_and(|l| l.kernel().is_some()) as u64;
         }
         c
     }
@@ -1003,6 +997,8 @@ struct Coverage {
     /// Whose lowered form runs at least one element-wise map as one
     /// instruction.
     mapped: u64,
+    /// Whose lowered form runs the whole vertex as one kernel instruction.
+    kernel: u64,
 }
 
 /// Hand out one slice per operand: `&mut` for mutable parameters, shared
@@ -1087,7 +1083,8 @@ fn run_vertex<'a>(
     let cost = &graph.cost;
     let workers = graph.model.workers_per_tile as u64;
     params.extend(params_from_bases(bases, codelet, &v.operands));
-    let fused = kernels.get(v.codelet).and_then(|k| k.run(&v.kind, params, cost, workers));
+    let fused =
+        kernels.get(v.codelet).and_then(|k| k.run(&v.kind, params, regs.lpt(), cost, workers));
     let run = match (fused, lowered) {
         (Some(run), _) => run,
         (None, Some(l)) => l.run_vertex(&v.kind, params, regs, cost, workers),
@@ -1865,7 +1862,8 @@ mod tests {
         // A map is not in the library: with fusion on or off it runs
         // lowered. Lowering does not depend on fusion: both vertices, either
         // way, each its map as one instruction, with no accumulate loop and
-        // no row. No per-codelet rows: only a matched kernel gets one.
+        // no row and no kernel instruction. No per-codelet rows: only a
+        // matched fused kernel gets one.
         for fusion in [false, true] {
             assert_eq!(sel(fusion).counter("codelets_total"), 1);
             assert_eq!(sel(fusion).counter("codelets_fused"), 0);
@@ -1874,7 +1872,8 @@ mod tests {
             assert_eq!(sel(fusion).counter("vertices_looped"), 0);
             assert_eq!(sel(fusion).counter("vertices_rowed"), 0);
             assert_eq!(sel(fusion).counter("vertices_mapped"), 2);
-            assert_eq!(sel(fusion).counters.len(), 7, "{:?}", sel(fusion).counters);
+            assert_eq!(sel(fusion).counter("vertices_kernel"), 0);
+            assert_eq!(sel(fusion).counters.len(), 8, "{:?}", sel(fusion).counters);
         }
     }
 

@@ -12,12 +12,13 @@
 //! allocator; the counters are per thread, so nothing else is counted on a
 //! measured one.
 
-use graph::codelet::{BinOp, Codelet, Expr, ParamDecl, Stmt, Value};
+use graph::codelet::{backward_subst_template, BinOp, Codelet, Expr, ParamDecl, Stmt, Value};
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
 use graph::graph::Graph;
+use graph::kernels::forward_subst_template;
 use graph::program::Prog;
 use graph::tensor::TensorDef;
-use graph::Engine;
+use graph::{Engine, EngineOptions};
 use ipu_sim::clock::Phase;
 use ipu_sim::cost::{CostModel, DType, Op};
 use ipu_sim::model::IpuModel;
@@ -218,5 +219,87 @@ fn a_compute_set_executed_8_times_requests_no_more_allocations_than_executed_onc
         let (once, eight) =
             (requests_of_one_run(16, level_set, 1), requests_of_one_run(16, level_set, 8));
         assert!(eight <= once, "level set: {level_set}; once: {once} requests; 8×: {eight}");
+    }
+}
+
+/// Rows of one sweep vertex: one pivot row and seven that read it, so the
+/// second level is wider than a tile's six workers.
+const SWEEP_ROWS: usize = 8;
+
+/// Allocator requests of one warm `Engine::run`, under `options`, of a
+/// compute set of `vertices` triangular-sweep vertices on one tile, each
+/// over its own `SWEEP_ROWS` rows: the forward sweep (rows 1.. read row 0)
+/// or the backward one (rows ..7 read row 7), each in two levels, the
+/// second of seven rows. Also the first vertex's solution.
+fn sweep_requests(vertices: usize, forward: bool, options: EngineOptions) -> (usize, Vec<f64>) {
+    let n = SWEEP_ROWS;
+    let pivot = if forward { 0 } else { n - 1 };
+    let others: Vec<usize> = (0..n).filter(|&i| i != pivot).collect();
+    let mut g = Graph::new(IpuModel::tiny(1));
+    let mut tensor = |name: &str, dtype, per_vertex: usize, values: Vec<f64>| {
+        let len = per_vertex * vertices;
+        let t = g.add_tensor(TensorDef::on_tile(name, dtype, len, 0)).unwrap();
+        (t, per_vertex, values.repeat(vertices))
+    };
+    let w = tensor("w", DType::F32, n, (0..n).map(|i| 1.0 + i as f64).collect());
+    let b = tensor("b", DType::F32, n, vec![1.0; n]);
+    let vals = tensor("vals", DType::F32, n - 1, vec![0.5; n - 1]);
+    let diag = tensor("diag", DType::F32, n, vec![2.0; n]);
+    let cols = tensor("cols", DType::I32, n - 1, vec![pivot as f64; n - 1]);
+    let rptr = {
+        // The pivot's row is empty, every other row holds one entry.
+        let mut ends = vec![0.0];
+        for i in 0..n {
+            ends.push(ends[i] + (i != pivot) as u8 as f64);
+        }
+        tensor("rptr", DType::I32, n + 1, ends)
+    };
+    let (template, operands) = if forward {
+        (forward_subst_template(true), vec![&w, &b, &vals, &diag, &cols, &rptr])
+    } else {
+        (backward_subst_template(true), vec![&w, &vals, &diag, &cols, &rptr])
+    };
+    let (params, num_locals, body) = template;
+    let c = g.add_codelet(Codelet { name: "sweep".into(), params, num_locals, body }).unwrap();
+    let mut cs = ComputeSet::new("sweep");
+    for v in 0..vertices {
+        cs.add(Vertex {
+            tile: 0,
+            codelet: c,
+            operands: operands
+                .iter()
+                .map(|&&(t, per, _)| TensorSlice { tensor: t, start: v * per, len: per })
+                .collect(),
+            kind: VertexKind::LevelSet { levels: vec![vec![pivot], others.clone()] },
+        });
+    }
+    let cs = g.add_compute_set(cs).unwrap();
+    let mut e = Engine::with_options(g.compile(Prog::Execute(cs)).unwrap(), options);
+    for (t, _, values) in [&w, &b, &vals, &diag, &cols, &rptr] {
+        e.write_tensor(*t, values);
+    }
+
+    e.run(); // warm-up, as above
+    let before = REQUESTS.with(Cell::get);
+    e.run();
+    let requests = REQUESTS.with(Cell::get) - before;
+    (requests, e.read_tensor(w.0)[..n].to_vec())
+}
+
+/// The triangular sweeps — the backward one a kernel instruction on every
+/// route, the forward one a fused kernel with `fusion` on and a row program
+/// without — schedule their levels in the run's buffers too, a level wider
+/// than the workers included.
+#[test]
+fn a_compute_set_of_64_sweep_vertices_requests_no_more_allocations_than_one_of_1() {
+    for forward in [false, true] {
+        let (_, reference) = sweep_requests(1, forward, EngineOptions::ALL[0]);
+        for options in EngineOptions::ALL {
+            let ((one, x1), (many, x64)) =
+                (sweep_requests(1, forward, options), sweep_requests(64, forward, options));
+            let who = format!("forward: {forward}, {options:?}");
+            assert_eq!((&x1, &x64), (&reference, &reference), "{who}: solutions");
+            assert!(many <= one, "{who}: 1 vertex: {one} requests per run; 64 vertices: {many}");
+        }
     }
 }
