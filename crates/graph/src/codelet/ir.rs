@@ -221,7 +221,7 @@ fn bin_i64(op: BinOp, x: i64, y: i64) -> Value {
 }
 
 #[inline(never)]
-pub(super) fn arith_f32(op: BinOp, x: f32, y: f32) -> f32 {
+pub(crate) fn arith_f32(op: BinOp, x: f32, y: f32) -> f32 {
     use BinOp::*;
     match op {
         Add => x + y,
@@ -666,7 +666,7 @@ impl ParamData<'_> {
 /// casts and keeps it where it does not, so a signalling NaN would be stored
 /// quiet on one route and as it is on another.
 #[inline]
-pub(super) fn through_f64(v: f32) -> f32 {
+pub(crate) fn through_f64(v: f32) -> f32 {
     if v.is_nan() {
         f32::from_bits(v.to_bits() | 0x0040_0000)
     } else {
