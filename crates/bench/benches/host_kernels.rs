@@ -6,17 +6,16 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graph::codelet::{
-    backward_subst_template, BinOp, Codelet, Expr, Interp, Lowered, ParamData, ParamDecl, Regs,
-    Stmt, Value,
+    backward_subst_template, forward_subst_template, BinOp, Codelet, Expr, Interp, Lowered,
+    ParamData, ParamDecl, Regs, Stmt, Value,
 };
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
-use graph::kernels::{forward_subst_template, spmv_template, KernelTable};
+use graph::kernels::{spmv_template, KernelTable};
 use graph::program::Prog;
 use graph::tensor::TensorDef;
 use graph::{Engine, Graph};
 use ipu_sim::cost::{CostModel, DType};
 use ipu_sim::model::IpuModel;
-use ipu_sim::threading::LptScratch;
 use sparse::formats::CsrMatrix;
 use sparse::gen::{poisson_3d_7pt, Grid3};
 use sparse::halo::HaloDecomposition;
@@ -240,8 +239,9 @@ fn from_template(
 /// four whole ones): `lowered` is the form the engine builds per vertex and
 /// runs by default, `dynamic` the tree-walking `Interp` it falls back to and is
 /// tested against, and `fused` the hand-written kernel `EngineOptions::fusion`
-/// runs, for the codelets the library has one for (the backward sweep has
-/// none: its `lowered` form is a kernel instruction). An axpy map, BiCGStab's
+/// runs, for the codelets the library has one for (SpMV and its residual; the
+/// two sweeps have none: their `lowered` form is a kernel instruction). An
+/// axpy map, BiCGStab's
 /// two-scalar map, the SpMV codelet and its residual, a dot product's per-tile
 /// stage, the forward- and backward-substitution and the Gauss-Seidel
 /// `LevelSet` vertices go through them at codelet level; `engine` is the
@@ -298,12 +298,9 @@ fn bench_interpreter(c: &mut Criterion) {
                 let mut graph = Graph::new(IpuModel::tiny(1));
                 graph.add_codelet(codelet.clone()).unwrap();
                 if let Some(kernel) = KernelTable::build(&graph).get(0) {
-                    let mut lpt = LptScratch::default();
                     g.bench_function(format!("{}/{n}/fused", $name), |b| {
                         b.iter(|| {
-                            black_box(kernel)
-                                .run(kind, &mut $params, &mut lpt, &cost, 6)
-                                .expect("it fuses")
+                            black_box(kernel).run(kind, &mut $params, &cost, 6).expect("it fuses")
                         })
                     });
                 }

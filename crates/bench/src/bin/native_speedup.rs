@@ -9,9 +9,9 @@
 //!    cycles, exchanged bytes, superstep/sync counts, per-label splits) —
 //!    the fused kernels' bit-and-cycle-identity contract;
 //! 2. asserts the fig8 hot-op codelets actually fused (SpMV, the residual
-//!    SpMV, the forward triangular sweep), that the backward sweep runs as
-//!    a kernel instruction on both routes, and that every vertex is
-//!    lowered — a silent miss would quietly forfeit the speedup;
+//!    SpMV), that both triangular sweeps run as kernel instructions on both
+//!    routes, and that every vertex is lowered — a silent miss would
+//!    quietly forfeit the speedup;
 //! 3. gates each route on its own per-iteration host dispatch time: neither
 //!    the default (lowered) route nor fused dispatch may be more than 25 %
 //!    slower than in the committed `results/native_speedup.json`. Skipped,
@@ -68,9 +68,14 @@ fn run(
 
 /// The fused-kernel names the fig8 hot path must hit. A miss on any of
 /// these forfeits the speedup the library exists for, so it fails the gate
-/// rather than just slowing down. The backward sweep is not among them: it
-/// is a kernel instruction of the lowered form, required on both routes.
-const REQUIRED_KERNELS: &[&str] = &["spmv", "spmv_residual", "forward_subst"];
+/// rather than just slowing down. The triangular sweeps are not among them:
+/// they are kernel instructions of the lowered form, required on both
+/// routes.
+const REQUIRED_KERNELS: &[&str] = &["spmv", "spmv_residual"];
+
+/// The kernel instructions (`codelet::Kernel`) fig8's ILU(0) sweeps must
+/// run as, on both routes.
+const REQUIRED_INSTRUCTIONS: &[&str] = &["forward_subst", "backward_subst_div"];
 
 /// The committed artifact each route's per-iteration time is held against.
 const BASELINE: &str = "results/native_speedup.json";
@@ -137,8 +142,13 @@ fn main() {
             .expect("the engine stamps the kernel selection into its compile report")
     };
     let sel = selection(&rf);
-    let kernel_vertices =
-        [selection(&ri).counter("vertices_kernel"), sel.counter("vertices_kernel")];
+    let selections = [selection(&ri), sel.clone()];
+    let kernel_vertices = selections.each_ref().map(|s| s.counter("vertices_kernel"));
+    let not_instructions: Vec<&str> = REQUIRED_INSTRUCTIONS
+        .iter()
+        .copied()
+        .filter(|k| selections.iter().any(|s| s.counter(&format!("kernel.{k}")) == 0))
+        .collect();
     let missing: Vec<&str> = REQUIRED_KERNELS
         .iter()
         .copied()
@@ -155,8 +165,8 @@ fn main() {
         eprintln!("hot-op codelets did not fuse: {missing:?}");
         std::process::exit(1);
     }
-    if kernel_vertices.contains(&0) {
-        eprintln!("the backward sweep is not a kernel instruction on every route");
+    if !not_instructions.is_empty() {
+        eprintln!("sweeps not a kernel instruction on every route: {not_instructions:?}");
         std::process::exit(1);
     }
     if lowered != vertices {

@@ -1210,24 +1210,24 @@ mod tests {
         assert_eq!(interp.iterations, fused.iterations);
         assert_eq!(interp.stats.device_cycles(), fused.stats.device_cycles());
         assert_eq!(interp.seconds, fused.seconds, "device time is host-independent");
-        // The compile report records the selection: SpMV, its residual and
-        // the forward sweep must fuse, the backward sweep run as a kernel
-        // instruction on both routes, and every vertex is lowered.
+        // The compile report records the selection: SpMV and its residual
+        // must fuse and nothing else, both ILU(0) sweeps run as kernel
+        // instructions on both routes, and every vertex is lowered.
         let selection = |r: &SolveResult| {
             let compile = r.report.compile.as_ref().expect("compile report present");
             compile.pass("native-kernel-selection").expect("selection stamped").clone()
         };
         let sel = selection(&fused);
-        for k in ["spmv", "spmv_residual", "forward_subst"] {
+        for k in ["spmv", "spmv_residual"] {
             assert!(sel.counter(&format!("fused.{k}")) > 0, "{k} must fuse: {:?}", sel.counters);
         }
+        assert_eq!(sel.counter("codelets_fused"), 2, "{:?}", sel.counters);
         for r in [&interp, &fused] {
             let sel = selection(r);
-            assert!(
-                sel.counter("vertices_kernel") > 0,
-                "no kernel instruction: {:?}",
-                sel.counters
-            );
+            for k in ["forward_subst", "backward_subst_div"] {
+                let n = sel.counter(&format!("kernel.{k}"));
+                assert!(n > 0, "{k} is no kernel instruction: {:?}", sel.counters);
+            }
         }
         assert!(sel.counter("vertices_total") > 0);
         assert_eq!(sel.counter("vertices_lowered"), sel.counter("vertices_total"));

@@ -36,12 +36,12 @@ mod tests;
 
 pub(crate) use interp::parfor_makespan;
 pub use interp::Interp;
+pub(crate) use ir::promote;
 pub use ir::{
     apply_bin, apply_un, BinOp, Codelet, CodeletId, Expr, LocalId, ParamData, ParamDecl, ParamId,
     Stmt, UnOp, Value,
 };
-pub(crate) use ir::{arith_f32, promote, through_f64};
 pub(crate) use kernels::is_template;
-pub use kernels::{backward_subst_template, Kernel, Template};
+pub use kernels::{backward_subst_template, forward_subst_template, Kernel, Template};
 pub use lower::{Charge, Lowered};
 pub use machine::Regs;

@@ -32,6 +32,9 @@ pub(crate) fn is_template(c: &Codelet, t: &Template) -> bool {
 /// `LevelSet` vertex at a time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
+    /// `dilu_forward` (`divide`) / `ilu_forward`: per row `i`,
+    /// `w_i = (b_i − Σ_{j<i} l_ij w_j) / d_i` or `w_i = b_i − Σ_{j<i} l_ij w_j`.
+    Forward { divide: bool },
     /// `ilu_backward` (`divide`) / `dilu_backward`: per row `i`,
     /// `z_i = (z_i − Σ_{i<j<n} u_ij z_j) / u_ii` or
     /// `z_i = z_i − (Σ_{i<j<n} u_ij z_j) / u_ii`.
@@ -42,13 +45,29 @@ impl Kernel {
     /// The kernel `codelet` is for operands of `storage`, if it is one.
     pub(super) fn recognise(codelet: &Codelet, storage: &[DType]) -> Option<Kernel> {
         use DType::{F32, I32};
-        if storage != [F32, F32, F32, I32, I32] {
-            return None;
+        let forward = match storage {
+            [F32, F32, F32, F32, I32, I32] => true,
+            [F32, F32, F32, I32, I32] => false,
+            _ => return None,
+        };
+        [false, true].into_iter().find_map(|divide| {
+            let (template, kernel) = if forward {
+                (forward_subst_template(divide), Kernel::Forward { divide })
+            } else {
+                (backward_subst_template(divide), Kernel::Backward { divide })
+            };
+            is_template(codelet, &template).then_some(kernel)
+        })
+    }
+
+    /// Stable family name, stamped into the compile report.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Forward { divide: false } => "forward_subst",
+            Kernel::Forward { divide: true } => "forward_subst_div",
+            Kernel::Backward { divide: false } => "backward_subst",
+            Kernel::Backward { divide: true } => "backward_subst_div",
         }
-        [false, true]
-            .into_iter()
-            .find(|&divide| is_template(codelet, &backward_subst_template(divide)))
-            .map(|divide| Kernel::Backward { divide })
     }
 
     /// Run one `LevelSet` vertex over `levels`, scheduling it in `lpt`.
@@ -61,8 +80,106 @@ impl Kernel {
         workers: u64,
     ) -> Charge {
         match self {
+            Kernel::Forward { divide } => forward(divide, levels, params, lpt, cost, workers),
             Kernel::Backward { divide } => backward(divide, levels, params, lpt, cost, workers),
         }
+    }
+}
+
+/// The forward sweep over `w · b · lvals · ldiag · cols · rptr`.
+fn forward(
+    divide: bool,
+    levels: &[Vec<usize>],
+    params: &mut [ParamData],
+    lpt: &mut LptScratch,
+    cost: &CostModel,
+    workers: u64,
+) -> Charge {
+    use ParamData::{F32Ro, I32Ro, F32};
+    // `recognise` pinned the storage and the template the mutability.
+    let [F32(w), F32Ro(b), F32Ro(lvals), F32Ro(ldiag), I32Ro(cols), I32Ro(rptr)] = params else {
+        unreachable!("the forward template is bound to its declared storage")
+    };
+    let w: &mut [f32] = w;
+    let (b, lvals, ldiag, cols, rptr) = (&**b, &**lvals, &**ldiag, &**cols, &**rptr);
+
+    // Per row: the prologue (the load of `b_i`, two row-pointer loads and
+    // the `i + 1`); per trip: the loop step, the column load and the guard
+    // (one compare, the branch); per accumulated trip: two loads, the
+    // multiply and the subtract; the epilogue: the store of `w_i`, after
+    // the load of `d_i` and the divide when there is one.
+    let l_f = cost.op_cycles(Op::Load, DType::F32);
+    let l_i = cost.op_cycles(Op::Load, DType::I32);
+    let row_fixed = l_f + l_i + cost.op_cycles(Op::Add, DType::I32) + l_i;
+    let trip = cost.op_cycles(Op::LoopStep, DType::I32)
+        + l_i
+        + cost.op_cycles(Op::Cmp, DType::I32)
+        + cost.op_cycles(Op::Branch, DType::Bool);
+    let taken_cy =
+        2 * l_f + cost.op_cycles(Op::Mul, DType::F32) + cost.op_cycles(Op::Sub, DType::F32);
+    let store = cost.op_cycles(Op::Store, DType::F32);
+    let (epilogue, epilogue_flops, epilogue_mem) = if divide {
+        (l_f + cost.op_cycles(Op::Div, DType::F32) + store, 1, 8)
+    } else {
+        (store, 0, 4)
+    };
+
+    let (mut flops, mut mem) = (0u64, 0u64);
+    // Each row is solved inside the schedule's cost callback (called once
+    // per row, in level order) and returns the row's cycles.
+    let cycles = level_set_cycles_in(lpt, levels, workers as usize, cost, |i| {
+        let mut acc = b[i];
+        let (lo, hi) = (rptr[i] as i64, rptr[i + 1] as i64);
+        let row = i as i64;
+        let mut taken = 0u64;
+        for k in lo..hi {
+            let j = cols[k as usize] as i64;
+            if j < row {
+                acc -= lvals[k as usize] * w[j as usize];
+                taken += 1;
+            }
+        }
+        let mut v = if divide { acc / ldiag[i] } else { acc };
+        if v.is_nan() {
+            v = forward_row_nan(divide, i, lo..hi, w, b, lvals, ldiag, cols);
+        }
+        w[i] = through_f64(v);
+        let trips = (hi - lo).max(0) as u64;
+        flops += 2 * taken + epilogue_flops;
+        mem += 12 + trips * 4 + taken * 8 + epilogue_mem;
+        row_fixed + trips * trip + taken * taken_cy + epilogue
+    });
+    Charge { cycles, flops, mem_bytes: mem }
+}
+
+/// Row `i` of the forward sweep again, every operation through
+/// `arith_f32`: which NaN a native operation returns depends on how the
+/// compiler ordered its operands, and this is the interpreter's answer.
+#[cold]
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn forward_row_nan(
+    divide: bool,
+    i: usize,
+    trips: std::ops::Range<i64>,
+    w: &[f32],
+    b: &[f32],
+    lvals: &[f32],
+    ldiag: &[f32],
+    cols: &[i32],
+) -> f32 {
+    use BinOp::*;
+    let mut acc = b[i];
+    for k in trips {
+        let j = cols[k as usize] as i64;
+        if j < i as i64 {
+            acc = arith_f32(Sub, acc, arith_f32(Mul, lvals[k as usize], w[j as usize]));
+        }
+    }
+    if divide {
+        arith_f32(Div, acc, ldiag[i])
+    } else {
+        acc
     }
 }
 
@@ -163,6 +280,62 @@ fn backward_row_nan(
     } else {
         arith_f32(Sub, z[i], arith_f32(Div, acc, ldiag[i]))
     }
+}
+
+/// Rebuild `forward_subst_codelet` (crates/core/src/solvers/ilu.rs): a
+/// level-set codelet, the row index in local 0. Public for the interpreter
+/// microbench and the tests that hold the kernel to `Interp`.
+pub fn forward_subst_template(divide: bool) -> Template {
+    use BinOp::*;
+    let ro = |dtype| ParamDecl { dtype, mutable: false };
+    let params = vec![
+        ParamDecl { dtype: DType::F32, mutable: true }, // w
+        ro(DType::F32),                                 // b
+        ro(DType::F32),                                 // lvals
+        ro(DType::F32),                                 // ldiag
+        ro(DType::I32),                                 // cols
+        ro(DType::I32),                                 // rptr
+    ];
+    let store_value = if divide {
+        Expr::bin(Div, Expr::Local(1), Expr::index(3, Expr::Local(0)))
+    } else {
+        Expr::Local(1)
+    };
+    let body = vec![
+        Stmt::SetLocal(1, Expr::index(1, Expr::Local(0))),
+        Stmt::SetLocal(2, Expr::index(5, Expr::Local(0))),
+        Stmt::SetLocal(
+            3,
+            Expr::index(5, Expr::bin(Add, Expr::Local(0), Expr::Const(Value::I32(1)))),
+        ),
+        Stmt::For {
+            local: 4,
+            start: Expr::Local(2),
+            end: Expr::Local(3),
+            step: Expr::Const(Value::I32(1)),
+            body: vec![
+                Stmt::SetLocal(5, Expr::index(4, Expr::Local(4))),
+                Stmt::If {
+                    cond: Expr::bin(Lt, Expr::Local(5), Expr::Local(0)),
+                    then: vec![Stmt::SetLocal(
+                        1,
+                        Expr::bin(
+                            Sub,
+                            Expr::Local(1),
+                            Expr::bin(
+                                Mul,
+                                Expr::index(2, Expr::Local(4)),
+                                Expr::index(0, Expr::Local(5)),
+                            ),
+                        ),
+                    )],
+                    otherwise: vec![],
+                },
+            ],
+        },
+        Stmt::Store { param: 0, index: Expr::Local(0), value: store_value },
+    ];
+    (params, 6, body)
 }
 
 /// Rebuild `backward_subst_codelet` (crates/core/src/solvers/ilu.rs): a

@@ -977,14 +977,6 @@ pub struct Regs {
     lpt: LptScratch,
 }
 
-impl Regs {
-    /// The level-set schedule's buffers, for a fused kernel run beside the
-    /// lowered forms.
-    pub(crate) fn lpt(&mut self) -> &mut LptScratch {
-        &mut self.lpt
-    }
-}
-
 #[derive(Debug, Default)]
 pub(super) struct Files {
     i: File<i64>,

@@ -25,13 +25,13 @@
 //! The simulated *device* semantics are fixed; [`EngineOptions`] only
 //! chooses how the *host* runs each vertex. Dispatch is decided per vertex
 //! at engine build, in three tiers: the fused kernel matched to its
-//! codelet ([`crate::kernels`]: SpMV and the forward sweep, only with
-//! `fusion` on), else the codelet's lowered form — typed and costed for
-//! the vertex's operand storage dtypes and flattened into a register
-//! program, or, for the backward sweep, one kernel instruction
-//! ([`Lowered`]) — else, for a body that cannot be typed, the dynamic
-//! [`Interp`]. `fusion: false`, the default, runs no fused kernel — the
-//! reference they are tested against.
+//! codelet ([`crate::kernels`]: SpMV and its residual, only with `fusion`
+//! on), else the codelet's lowered form — typed and costed for the
+//! vertex's operand storage dtypes and flattened into a register program,
+//! or, for the forward and backward triangular sweeps, one kernel
+//! instruction ([`Lowered`]) — else, for a body that cannot be typed, the
+//! dynamic [`Interp`]. `fusion: false`, the default, runs no fused kernel —
+//! the reference they are tested against.
 //!
 //! Every compute set runs its vertices in program order on the caller's
 //! thread; tile and worker concurrency is a device property, modelled in
@@ -39,7 +39,7 @@
 //! Both dispatch routes leave bit-identical storage, `CycleStats`, perf
 //! attribution and traces behind; only host wall-clock differs.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ipu_sim::clock::CycleStats;
 use ipu_sim::cost::DType;
@@ -264,14 +264,23 @@ impl Engine {
         // rows are not recognised runs each row's statements one
         // instruction at a time, and one whose maps are not recognised
         // runs them a trip at a time.
-        let Coverage { vertices, lowered: vertices_lowered, looped, rowed, mapped, kernel } =
-            lowered.coverage();
+        let Coverage {
+            vertices,
+            lowered: vertices_lowered,
+            looped,
+            rowed,
+            mapped,
+            kernels: families,
+        } = lowered.coverage();
         stat.count("vertices_total", vertices);
         stat.count("vertices_lowered", vertices_lowered);
         stat.count("vertices_looped", looped);
         stat.count("vertices_rowed", rowed);
         stat.count("vertices_mapped", mapped);
-        stat.count("vertices_kernel", kernel);
+        stat.count("vertices_kernel", families.values().sum());
+        for (name, n) in families {
+            stat.count(&format!("kernel.{name}"), n);
+        }
         // One row per matched kernel; an unmatched codelet runs its lowered
         // form, and the totals above already say which vertices have none.
         for k in kernels.fused() {
@@ -977,7 +986,9 @@ impl LoweredTable {
             c.looped += form.is_some_and(|l| l.loops() > 0) as u64;
             c.rowed += form.is_some_and(|l| l.rows() > 0) as u64;
             c.mapped += form.is_some_and(|l| l.maps() > 0) as u64;
-            c.kernel += form.is_some_and(|l| l.kernel().is_some()) as u64;
+            if let Some(k) = form.and_then(Lowered::kernel) {
+                *c.kernels.entry(k.name()).or_default() += 1;
+            }
         }
         c
     }
@@ -997,8 +1008,9 @@ struct Coverage {
     /// Whose lowered form runs at least one element-wise map as one
     /// instruction.
     mapped: u64,
-    /// Whose lowered form runs the whole vertex as one kernel instruction.
-    kernel: u64,
+    /// Whose lowered form runs the whole vertex as one kernel instruction,
+    /// per kernel family, by name.
+    kernels: BTreeMap<&'static str, u64>,
 }
 
 /// Hand out one slice per operand: `&mut` for mutable parameters, shared
@@ -1083,8 +1095,7 @@ fn run_vertex<'a>(
     let cost = &graph.cost;
     let workers = graph.model.workers_per_tile as u64;
     params.extend(params_from_bases(bases, codelet, &v.operands));
-    let fused =
-        kernels.get(v.codelet).and_then(|k| k.run(&v.kind, params, regs.lpt(), cost, workers));
+    let fused = kernels.get(v.codelet).and_then(|k| k.run(&v.kind, params, cost, workers));
     let run = match (fused, lowered) {
         (Some(run), _) => run,
         (None, Some(l)) => l.run_vertex(&v.kind, params, regs, cost, workers),
@@ -1863,7 +1874,8 @@ mod tests {
         // lowered. Lowering does not depend on fusion: both vertices, either
         // way, each its map as one instruction, with no accumulate loop and
         // no row and no kernel instruction. No per-codelet rows: only a
-        // matched fused kernel gets one.
+        // matched fused kernel gets one, and only a kernel family that
+        // runs gets a `kernel.*` counter.
         for fusion in [false, true] {
             assert_eq!(sel(fusion).counter("codelets_total"), 1);
             assert_eq!(sel(fusion).counter("codelets_fused"), 0);

@@ -6,34 +6,32 @@
 //! left is specialising a whole codelet to native loops — how every
 //! production sparse stack gets its speed (PopSparse's pre-specialised
 //! block kernels, kease-sparse-knl's template-monomorphised micro-kernels).
-//! This module does that, behind `fusion`, for the modified-CSR SpMV /
-//! residual and the two forward triangular level-set sweeps, each
-//! monomorphised on the storage it is bound to. The backward sweeps are no
-//! longer here: they are a kernel instruction of the lowered form
-//! (`codelet::Kernel`), on every route. [`KernelTable::build`] compares
-//! each codelet with the templates the solvers' builders emit, exactly; any
-//! other codelet runs its lowered form, with or without `fusion`.
+//! This module does that, behind `fusion`, for the modified-CSR SpMV and
+//! its residual alone, monomorphised on the storage they are bound to. The
+//! triangular sweeps are not here: both are kernel instructions of the
+//! lowered form (`codelet::Kernel`), on every route. [`KernelTable::build`]
+//! compares each codelet with the SpMV templates, exactly; any other
+//! codelet runs its lowered form, with or without `fusion`.
 //!
 //! The contract, enforced by `verify::assert_executor_equivalence` and the
 //! unit tests below, is strict: a fused kernel must produce **bit-identical
 //! values** and **identical `CycleStats`/flop/byte accounting** to the
-//! interpreter. Values are exact because every kernel reproduces the
+//! interpreter. Values are exact because the kernel reproduces the
 //! interpreter's arithmetic domains (`apply_bin`'s f32 / TwoF32 / f64
-//! branches) operation for operation; accounting is exact because each
-//! kernel charges the same [`CostModel`] calls the interpreter would,
-//! hoisted out of the data loop as closed-form per-row / per-entry charges.
-//! ipu-sim's cost model stays the accounting *oracle*; native code is only
-//! the *data path*. A runtime operand layout a kernel was not built for
-//! makes it decline, per vertex, and the vertex takes its lowered form.
+//! branches) operation for operation; accounting is exact because it
+//! charges the same [`CostModel`] calls the interpreter would, hoisted out
+//! of the data loop as closed-form per-row / per-entry charges. ipu-sim's
+//! cost model stays the accounting *oracle*; native code is only the *data
+//! path*. A runtime operand layout the kernel was not built for makes it
+//! decline, per vertex, and the vertex takes its lowered form.
 
 use crate::codelet::{
-    apply_bin, arith_f32, is_template, parfor_makespan, promote, through_f64, BinOp, Charge,
-    Codelet, Expr, ParamData, ParamDecl, Stmt, Template, Value,
+    apply_bin, is_template, parfor_makespan, promote, BinOp, Charge, Codelet, Expr, ParamData,
+    ParamDecl, Stmt, Template, Value,
 };
 use crate::compute::VertexKind;
 use crate::graph::Graph;
 use ipu_sim::cost::{CostModel, DType, Op};
-use ipu_sim::threading::{level_set_cycles_in, LptScratch};
 use twofloat::TwoFloat;
 
 /// Runtime storage dtype of a parameter slice.
@@ -64,67 +62,43 @@ fn as_i32s<'s>(p: &'s ParamData) -> Option<&'s [i32]> {
 }
 
 // ---------------------------------------------------------------------------
-// The kernels.
+// The kernel.
 // ---------------------------------------------------------------------------
 
-/// Modified-CSR SpMV / residual over the `build_spmv_codelet` template.
+/// One entry of the kernel library, selected for a codelet at plan time:
+/// modified-CSR SpMV / residual over the `build_spmv_codelet` template.
 /// `x`/`y`/`b` storage may be any of f32 / double-word / emulated f64 (MPIR
 /// binds the same codelet at several precisions); the matrix operands must
 /// be f32 values + i32 topology.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpmvKernel {
+pub struct FusedKernel {
     residual: bool,
-}
-
-/// The forward triangular level-set sweep, `ilu_forward` / `dilu_forward`:
-/// `w_i = (b_i - Σ_{j<i} l_ij w_j) [/ d_i]`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SubstKernel {
-    divide: bool,
-}
-
-/// One entry of the kernel library, selected for a codelet at plan time.
-#[derive(Clone, Debug)]
-pub enum FusedKernel {
-    Spmv(SpmvKernel),
-    Subst(SubstKernel),
 }
 
 impl FusedKernel {
     /// Stable kernel name, stamped into the compile report.
     pub fn name(&self) -> &'static str {
-        match self {
-            FusedKernel::Spmv(SpmvKernel { residual: false }) => "spmv",
-            FusedKernel::Spmv(SpmvKernel { residual: true }) => "spmv_residual",
-            FusedKernel::Subst(SubstKernel { divide: false }) => "forward_subst",
-            FusedKernel::Subst(SubstKernel { divide: true }) => "forward_subst_div",
+        if self.residual {
+            "spmv_residual"
+        } else {
+            "spmv"
         }
     }
 
-    /// Execute the kernel for one vertex, a level set scheduled in `lpt`.
-    /// Returns `None` — *before touching any data* — when the runtime
-    /// operand layout does not satisfy the kernel's assumptions; the engine
-    /// then runs the vertex's lowered form.
+    /// Execute the kernel for one vertex. Returns `None` — *before
+    /// touching any data* — when the vertex kind or the runtime operand
+    /// layout does not satisfy the kernel's assumptions; the engine then
+    /// runs the vertex's lowered form.
     pub fn run(
         &self,
         kind: &VertexKind,
         params: &mut [ParamData],
-        lpt: &mut LptScratch,
         cost: &CostModel,
         workers: u64,
     ) -> Option<Charge> {
-        match (self, kind) {
-            (FusedKernel::Spmv(k), VertexKind::Simple) => k.run(params, cost, workers),
-            (FusedKernel::Subst(k), VertexKind::LevelSet { levels }) => {
-                k.run(levels, params, lpt, cost, workers)
-            }
-            _ => None,
+        if !matches!(kind, VertexKind::Simple) {
+            return None;
         }
-    }
-}
-
-impl SpmvKernel {
-    fn run(&self, params: &mut [ParamData], cost: &CostModel, workers: u64) -> Option<Charge> {
         let o = if self.residual { 3 } else { 2 };
         if params.len() != o + 4 {
             return None;
@@ -183,9 +157,10 @@ impl SpmvKernel {
 
         let (mut serial, mut flops, mut mem) = (0u64, 0u64, 0u64);
         for r in 0..n {
-            let lo = rptr[r] as usize;
-            let hi = rptr[r + 1] as usize;
-            let nnz = (hi - lo) as u64;
+            // Row pointers in i64, as the interpreter reads them: one that
+            // steps back runs no trips, a negative one panics at its first.
+            let (lo, hi) = (rptr[r] as i64, rptr[r + 1] as i64);
+            let nnz = (hi - lo).max(0) as u64;
             serial += row_fixed + nnz * entry + l_b + sub_c + store_c;
             flops += mul_f + nnz * (mul_f + add_f) + sub_f;
             mem += 4 + sz_x + 8 + nnz * (8 + sz_x) + sz_b + sz_y;
@@ -195,6 +170,7 @@ impl SpmvKernel {
                 ParamData::F32Ro(x) => {
                     let mut acc = diag[r] * x[r];
                     for k in lo..hi {
+                        let k = k as usize;
                         acc += vals[k] * x[cols[k] as usize];
                     }
                     Value::F32(acc)
@@ -202,6 +178,7 @@ impl SpmvKernel {
                 ParamData::DwRo(x) => {
                     let mut acc = TwoFloat::from_f(diag[r]) * x[r];
                     for k in lo..hi {
+                        let k = k as usize;
                         acc += TwoFloat::from_f(vals[k]) * x[cols[k] as usize];
                     }
                     Value::Dw(acc)
@@ -209,6 +186,7 @@ impl SpmvKernel {
                 ParamData::F64Ro(x) => {
                     let mut acc = diag[r] as f64 * x[r].0;
                     for k in lo..hi {
+                        let k = k as usize;
                         acc += vals[k] as f64 * x[cols[k] as usize].0;
                     }
                     Value::F64(acc)
@@ -222,110 +200,6 @@ impl SpmvKernel {
     }
 }
 
-impl SubstKernel {
-    fn run(
-        &self,
-        levels: &[Vec<usize>],
-        params: &mut [ParamData],
-        lpt: &mut LptScratch,
-        cost: &CostModel,
-        workers: u64,
-    ) -> Option<Charge> {
-        if params.len() != 6 {
-            return None;
-        }
-        let (w, rest) = params.split_first_mut()?;
-        // Storage must be exactly the declared all-f32/i32 layout.
-        let w_slice = match w {
-            ParamData::F32(s) => s,
-            _ => return None,
-        };
-        let b = as_f32s(&rest[0])?;
-        let lvals = as_f32s(&rest[1])?;
-        let ldiag = as_f32s(&rest[2])?;
-        let cols = as_i32s(&rest[3])?;
-        let rptr = as_i32s(&rest[4])?;
-        let n = w_slice.len();
-        if rptr.len() < n + 1 {
-            return None;
-        }
-
-        let l_f = cost.op_cycles(Op::Load, DType::F32);
-        let l_i = cost.op_cycles(Op::Load, DType::I32);
-        let st = cost.op_cycles(Op::Store, DType::F32);
-        // Per-row fixed / per-entry / per-taken-entry charges, and the
-        // epilogue (hoisted from the template walk).
-        let base = l_f + l_i + cost.op_cycles(Op::Add, DType::I32) + l_i;
-        let per_entry = cost.op_cycles(Op::LoopStep, DType::I32)
-            + l_i
-            + cost.op_cycles(Op::Cmp, DType::I32)
-            + cost.op_cycles(Op::Branch, DType::Bool);
-        let per_taken =
-            2 * l_f + cost.op_cycles(Op::Mul, DType::F32) + cost.op_cycles(Op::Sub, DType::F32);
-        let divide = self.divide;
-        let epi = if divide { l_f + cost.op_cycles(Op::Div, DType::F32) + st } else { st };
-        let (epi_flops, epi_mem) = if divide { (1, 8u64) } else { (0, 4) };
-
-        let (mut flops, mut mem) = (0u64, 0u64);
-        // Each row is solved inside the makespan's cost callback (called
-        // once per row, in level order) and returns the row's charge.
-        let cycles = level_set_cycles_in(lpt, levels, workers as usize, cost, |i| {
-            let lo = rptr[i] as usize;
-            let hi = rptr[i + 1] as usize;
-            let entries = (hi - lo) as u64;
-            let mut taken = 0u64;
-            let mut acc = b[i];
-            for k in lo..hi {
-                let j = cols[k];
-                if (j as i64) < (i as i64) {
-                    acc -= lvals[k] * w_slice[j as usize];
-                    taken += 1;
-                }
-            }
-            let mut v = if divide { acc / ldiag[i] } else { acc };
-            if v.is_nan() {
-                v = forward_row_nan(divide, i, lo..hi, w_slice, b, lvals, ldiag, cols);
-            }
-            w_slice[i] = through_f64(v);
-            flops += 2 * taken + epi_flops;
-            mem += 4 + 8 + entries * 4 + taken * 8 + epi_mem;
-            base + entries * per_entry + taken * per_taken + epi
-        });
-        Some(Charge { cycles, flops, mem_bytes: mem })
-    }
-}
-
-/// Row `i` of the forward sweep again, every operation through
-/// `arith_f32`: which NaN a native operation returns depends on how the
-/// compiler ordered its operands, and this is the interpreter's answer.
-#[cold]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn forward_row_nan(
-    divide: bool,
-    i: usize,
-    trips: std::ops::Range<usize>,
-    w: &[f32],
-    b: &[f32],
-    lvals: &[f32],
-    ldiag: &[f32],
-    cols: &[i32],
-) -> f32 {
-    use BinOp::*;
-    let mut acc = b[i];
-    for k in trips {
-        let j = cols[k];
-        if (j as i64) < (i as i64) {
-            acc = arith_f32(Sub, acc, arith_f32(Mul, lvals[k], w[j as usize]));
-        }
-    }
-    if divide {
-        arith_f32(Div, acc, ldiag[i])
-    } else {
-        acc
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Matchers.
 // ---------------------------------------------------------------------------
@@ -336,7 +210,7 @@ fn forward_row_nan(
 /// a wrong kernel.
 ///
 /// Returns `(params, num_locals, body)`. Public (like
-/// [`forward_subst_template`]) for the interpreter microbench in
+/// `codelet::forward_subst_template`) for the interpreter microbench in
 /// `crates/bench/benches/host_kernels.rs`, which times the interpreter on
 /// the codelets the solvers really run.
 pub fn spmv_template(residual: bool) -> Template {
@@ -392,79 +266,11 @@ pub fn spmv_template(residual: bool) -> Template {
     (params, 5, body)
 }
 
-/// Rebuild `forward_subst_codelet` (crates/core/src/solvers/ilu.rs): a
-/// level-set codelet, the row index in local 0.
-pub fn forward_subst_template(divide: bool) -> Template {
-    use BinOp::*;
-    let ro = |dtype| ParamDecl { dtype, mutable: false };
-    let params = vec![
-        ParamDecl { dtype: DType::F32, mutable: true }, // w
-        ro(DType::F32),                                 // b
-        ro(DType::F32),                                 // lvals
-        ro(DType::F32),                                 // ldiag
-        ro(DType::I32),                                 // cols
-        ro(DType::I32),                                 // rptr
-    ];
-    let store_value = if divide {
-        Expr::bin(Div, Expr::Local(1), Expr::index(3, Expr::Local(0)))
-    } else {
-        Expr::Local(1)
-    };
-    let body = vec![
-        Stmt::SetLocal(1, Expr::index(1, Expr::Local(0))),
-        Stmt::SetLocal(2, Expr::index(5, Expr::Local(0))),
-        Stmt::SetLocal(
-            3,
-            Expr::index(5, Expr::bin(Add, Expr::Local(0), Expr::Const(Value::I32(1)))),
-        ),
-        Stmt::For {
-            local: 4,
-            start: Expr::Local(2),
-            end: Expr::Local(3),
-            step: Expr::Const(Value::I32(1)),
-            body: vec![
-                Stmt::SetLocal(5, Expr::index(4, Expr::Local(4))),
-                Stmt::If {
-                    cond: Expr::bin(Lt, Expr::Local(5), Expr::Local(0)),
-                    then: vec![Stmt::SetLocal(
-                        1,
-                        Expr::bin(
-                            Sub,
-                            Expr::Local(1),
-                            Expr::bin(
-                                Mul,
-                                Expr::index(2, Expr::Local(4)),
-                                Expr::index(0, Expr::Local(5)),
-                            ),
-                        ),
-                    )],
-                    otherwise: vec![],
-                },
-            ],
-        },
-        Stmt::Store { param: 0, index: Expr::Local(0), value: store_value },
-    ];
-    (params, 6, body)
-}
-
-fn match_spmv(c: &Codelet) -> Option<FusedKernel> {
-    for residual in [false, true] {
-        if is_template(c, &spmv_template(residual)) {
-            return Some(FusedKernel::Spmv(SpmvKernel { residual }));
-        }
-    }
-    None
-}
-
-fn match_subst(c: &Codelet) -> Option<FusedKernel> {
+fn match_codelet(c: &Codelet) -> Option<FusedKernel> {
     [false, true]
         .into_iter()
-        .find(|&divide| is_template(c, &forward_subst_template(divide)))
-        .map(|divide| FusedKernel::Subst(SubstKernel { divide }))
-}
-
-fn match_codelet(c: &Codelet) -> Option<FusedKernel> {
-    match_spmv(c).or_else(|| match_subst(c))
+        .find(|&residual| is_template(c, &spmv_template(residual)))
+        .map(|residual| FusedKernel { residual })
 }
 
 /// The plan-time kernel selection: one optional fused kernel per codelet.
@@ -509,7 +315,7 @@ impl KernelTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codelet::{Interp, Lowered, Regs};
+    use crate::codelet::{backward_subst_template, forward_subst_template, Interp, Lowered, Regs};
     use twofloat::{SoftDouble, TwoF32};
 
     const WORKERS: u64 = 6;
@@ -564,7 +370,7 @@ mod tests {
         cost: &CostModel,
     ) -> (Charge, Option<&'static str>) {
         if let Some(k) = match_codelet(c) {
-            if let Some(run) = k.run(kind, params, &mut LptScratch::default(), cost, WORKERS) {
+            if let Some(run) = k.run(kind, params, cost, WORKERS) {
                 return (run, Some(k.name()));
             }
         }
@@ -691,63 +497,45 @@ mod tests {
             Buf::I32(vec![0, 1]),
         ];
         let mut p = params(&c, &mut bufs);
-        assert!(k
-            .run(&VertexKind::Simple, &mut p, &mut LptScratch::default(), &cost, WORKERS)
-            .is_none());
+        assert!(k.run(&VertexKind::Simple, &mut p, &cost, WORKERS).is_none());
     }
 
-    // ------------------------------------------------------------------
-    // Triangular sweeps
-    // ------------------------------------------------------------------
-
+    /// Row pointers the interpreter reads as `i32`s, not lengths: one that
+    /// steps back (row 2 of `[0, 1, 2, 1, 5, 7]`) runs no trips and charges
+    /// none, and the rows after it read from where the next pointer says.
+    /// A negative pointer panics at its row's first trip on both routes.
     #[test]
-    fn forward_subst_matches_interpreter() {
-        // Strictly-lower structure for n=5, plus a not-taken entry (row 0,
-        // j == i) to exercise the branch, and an empty row.
-        let levels = VertexKind::LevelSet { levels: vec![vec![0, 1, 2], vec![3], vec![4]] };
-        let bufs = [
-            Buf::F32(vec![0.0; 5]),
-            Buf::F32((0..5).map(|i| 1.0 + 0.5 * i as f32).collect()),
-            Buf::F32((0..7).map(|i| 0.4 + 0.11 * i as f32).collect()),
-            Buf::F32((0..5).map(|i| 2.0 + 0.25 * i as f32).collect()),
-            Buf::I32(vec![0, 0, 0, 1, 3, 2, 4]),
-            Buf::I32(vec![0, 1, 2, 2, 5, 7]),
-        ];
-        // NaNs: a signalling one in `b` of a row that takes no entry
-        // (stored quiet), two with payloads meeting in one product, and a
-        // zero on the diagonal.
-        let mut nans = bufs.clone();
-        if let [_, Buf::F32(b), Buf::F32(lvals), Buf::F32(ldiag), ..] = &mut nans {
-            b[0] = f32::from_bits(0x7f80_0001);
-            b[3] = f32::from_bits(0xffc0_1234);
-            lvals[2] = f32::from_bits(0x7fc0_0042);
-            ldiag[2] = 0.0;
-        }
-        for divide in [false, true] {
-            let c = from_template("fwd", forward_subst_template(divide));
-            let want = if divide { "forward_subst_div" } else { "forward_subst" };
-            assert_eq!(check(&c, &levels, &bufs), Some(want));
-            assert_eq!(check(&c, &levels, &nans), Some(want), "NaNs (divide: {divide})");
-        }
-    }
+    fn spmv_row_pointers_that_step_back_or_go_negative_match_interpreter() {
+        let c = from_template("spmv", spmv_template(false));
+        let layout = |rptr: Vec<i32>| {
+            vec![
+                Buf::F32(vec![0.0; 5]),
+                Buf::F32((0..5).map(|i| 0.5 + 0.25 * i as f32).collect()),
+                Buf::F32((0..5).map(|i| 2.0 - 0.125 * i as f32).collect()),
+                Buf::F32((0..7).map(|i| 0.3 + 0.17 * i as f32).collect()),
+                Buf::I32(vec![1, 0, 4, 2, 3, 0, 1]),
+                Buf::I32(rptr),
+            ]
+        };
+        let back = layout(vec![0, 1, 2, 1, 5, 7]);
+        assert_eq!(check(&c, &VertexKind::Simple, &back), Some("spmv"));
 
-    #[test]
-    fn subst_requires_level_set_vertex() {
+        let negative = layout(vec![0, 1, -1, 2, 5, 7]);
         let cost = CostModel::default();
-        let c = from_template("fwd", forward_subst_template(true));
-        let k = match_codelet(&c).unwrap();
-        let mut bufs = [
-            Buf::F32(vec![0.0]),
-            Buf::F32(vec![1.0]),
-            Buf::F32(vec![]),
-            Buf::F32(vec![1.0]),
-            Buf::I32(vec![]),
-            Buf::I32(vec![0, 0]),
-        ];
-        let mut p = params(&c, &mut bufs);
-        assert!(k
-            .run(&VertexKind::Simple, &mut p, &mut LptScratch::default(), &cost, WORKERS)
-            .is_none());
+        let panics = |run: &dyn Fn(&mut [Buf])| {
+            let mut bufs = negative.clone();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut bufs))).is_err()
+        };
+        let interp = panics(&|bufs| {
+            let mut p = params(&c, bufs);
+            Interp::new(&cost, &mut p, c.num_locals, WORKERS)
+                .run_vertex(&VertexKind::Simple, &c.body);
+        });
+        let kernel = match_codelet(&c).unwrap();
+        let fused = panics(&|bufs| {
+            let _ = kernel.run(&VertexKind::Simple, &mut params(&c, bufs), &cost, WORKERS);
+        });
+        assert!(interp && fused, "a negative row pointer: interp panics {interp}, fused {fused}");
     }
 
     // ------------------------------------------------------------------
@@ -967,21 +755,27 @@ mod tests {
 
     #[test]
     fn matcher_rejects_near_misses() {
-        // One declaration, one local or one statement off a template: no
-        // kernel, whatever the rest says.
+        // One declaration or one local off a template: no kernel, whatever
+        // the rest says.
         let mut spmv = spmv_template(false);
         spmv.0[1].dtype = DType::DoubleWord;
-        let mut forward = forward_subst_template(true);
-        forward.1 += 1;
-        for (name, t) in [("spmv", spmv), ("fwd", forward)] {
+        let mut residual = spmv_template(true);
+        residual.1 += 1;
+        for (name, t) in [("spmv", spmv), ("spmv_residual", residual)] {
             assert!(match_codelet(&from_template(name, t)).is_none(), "{name}");
         }
-        // The map, reduction and sum shapes are not in the library.
+        // The map, reduction and sum shapes are not in the library, nor are
+        // the triangular sweeps: they are kernel instructions of the
+        // lowered form.
         let f32s = DType::F32;
         for c in [
             axpy_codelet(f32s, f32s, f32s),
             dot_codelet(Value::F32(0.0), f32s, f32s, f32s),
             sum_codelet(Value::F32(0.0), f32s),
+            from_template("fwd", forward_subst_template(false)),
+            from_template("fwd", forward_subst_template(true)),
+            from_template("bwd", backward_subst_template(false)),
+            from_template("bwd", backward_subst_template(true)),
         ] {
             assert!(match_codelet(&c).is_none(), "{}", c.name);
         }

@@ -12,10 +12,11 @@
 //! allocator; the counters are per thread, so nothing else is counted on a
 //! measured one.
 
-use graph::codelet::{backward_subst_template, BinOp, Codelet, Expr, ParamDecl, Stmt, Value};
+use graph::codelet::{
+    backward_subst_template, forward_subst_template, BinOp, Codelet, Expr, ParamDecl, Stmt, Value,
+};
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
 use graph::graph::Graph;
-use graph::kernels::forward_subst_template;
 use graph::program::Prog;
 use graph::tensor::TensorDef;
 use graph::{Engine, EngineOptions};
@@ -275,6 +276,8 @@ fn sweep_requests(vertices: usize, forward: bool, options: EngineOptions) -> (us
     }
     let cs = g.add_compute_set(cs).unwrap();
     let mut e = Engine::with_options(g.compile(Prog::Execute(cs)).unwrap(), options);
+    let selection = e.compile_report().pass("native-kernel-selection").unwrap();
+    assert_eq!(selection.counter("vertices_kernel"), vertices as u64, "a kernel instruction each");
     for (t, _, values) in [&w, &b, &vals, &diag, &cols, &rptr] {
         e.write_tensor(*t, values);
     }
@@ -286,10 +289,9 @@ fn sweep_requests(vertices: usize, forward: bool, options: EngineOptions) -> (us
     (requests, e.read_tensor(w.0)[..n].to_vec())
 }
 
-/// The triangular sweeps — the backward one a kernel instruction on every
-/// route, the forward one a fused kernel with `fusion` on and a row program
-/// without — schedule their levels in the run's buffers too, a level wider
-/// than the workers included.
+/// The triangular sweeps — both a kernel instruction on every route —
+/// schedule their levels in the run's buffers too, a level wider than the
+/// workers included.
 #[test]
 fn a_compute_set_of_64_sweep_vertices_requests_no_more_allocations_than_one_of_1() {
     for forward in [false, true] {

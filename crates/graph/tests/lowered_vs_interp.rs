@@ -14,11 +14,11 @@
 //! read of it can follow — so there is nothing to compare.
 
 use graph::codelet::{
-    backward_subst_template, BinOp, Charge, Codelet, Expr, Interp, Kernel, Lowered, ParamData,
-    ParamDecl, Regs, Stmt, UnOp, Value,
+    backward_subst_template, forward_subst_template, BinOp, Charge, Codelet, Expr, Interp, Kernel,
+    Lowered, ParamData, ParamDecl, Regs, Stmt, UnOp, Value,
 };
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
-use graph::kernels::{forward_subst_template, spmv_template, KernelTable};
+use graph::kernels::{spmv_template, KernelTable};
 use graph::program::Prog;
 use graph::tensor::TensorDef;
 use graph::{Engine, Graph};
@@ -674,11 +674,13 @@ fn next(l: usize) -> Expr {
 
 /// One random vertex: a codelet over every `Expr` / `Stmt` form, a storage
 /// dtype per operand drawn independently of the F32 / I32 it declares, and
-/// a vertex kind; one time in twelve the backward-substitution template
-/// itself ([`backward_case`]).
+/// a vertex kind; one time in twelve each the backward- and the
+/// forward-substitution template itself ([`sweep_case`]).
 fn random_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
-    if rng.below(12) == 0 {
-        return backward_case(rng);
+    match rng.below(12) {
+        0 => return sweep_case(rng, false),
+        1 => return sweep_case(rng, true),
+        _ => {}
     }
     // Now and then more elements than a map's chunk holds.
     let n = if rng.below(6) == 0 { 60 + rng.below(90) } else { rng.below(6) };
@@ -725,15 +727,16 @@ fn random_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
     (codelet, kind, bufs)
 }
 
-/// The backward-substitution template exactly, for either `divide`, over
-/// the F32 / I32 storage it declares: `n` rows, now and then more than a
-/// tile holds; columns below, on and above the diagonal and up to `n + 1`
-/// (the guard skips `j >= n`); empty rows; at times row pointers shorter
-/// than `n + 1` (the kernel panics on the row where `Interp` does) or one
-/// that steps back (a row of no trips); zeros and NaNs among the values; up to
-/// five levels of up to ten rows, wider than the six workers at times, an
-/// id past the last row now and then.
-fn backward_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
+/// The backward- or the forward-substitution template exactly, for either
+/// `divide`, over the F32 / I32 storage it declares: `n` rows, now and then
+/// more than a tile holds; columns below, on and above the diagonal and up
+/// to `n + 1` (the backward guard skips `j >= n`, the forward one `j >= i`);
+/// empty rows; at times row pointers shorter than `n + 1` (the kernel
+/// panics on the row where `Interp` does) or one that steps back (a row of
+/// no trips); zeros and NaNs among the values; up to five levels of up to
+/// ten rows, wider than the six workers at times, an id past the last row
+/// now and then.
+fn sweep_case(rng: &mut TestRng, forward: bool) -> (Codelet, VertexKind, Vec<Buf>) {
     let n = if rng.below(6) == 0 { 20 + rng.below(60) } else { rng.below(8) };
     let mut rptr = vec![0i32];
     for _ in 0..n {
@@ -753,9 +756,10 @@ fn backward_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
         2 => 0.0,
         _ => (rng.below(33) as f32 - 16.0) * 0.375,
     };
-    let z = (0..n).map(|_| value()).collect();
-    let lvals = (0..nnz).map(|_| value()).collect();
-    let ldiag = (0..n).map(|_| value()).collect();
+    let x = Buf::F32((0..n).map(|_| value()).collect());
+    let b = forward.then(|| Buf::F32((0..n).map(|_| value()).collect()));
+    let lvals = Buf::F32((0..nnz).map(|_| value()).collect());
+    let ldiag = Buf::F32((0..n).map(|_| value()).collect());
     let levels = (0..rng.below(6))
         .map(|_| {
             (0..rng.below(11))
@@ -766,17 +770,18 @@ fn backward_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
                 .collect()
         })
         .collect();
-    let (params, num_locals, body) = backward_subst_template(rng.below(2) == 0);
-    let bufs = vec![Buf::F32(z), Buf::F32(lvals), Buf::F32(ldiag), Buf::I32(cols), Buf::I32(rptr)];
-    (codelet(params, num_locals, body), VertexKind::LevelSet { levels }, bufs)
+    let template = if forward { forward_subst_template } else { backward_subst_template };
+    let (params, num_locals, body) = template(rng.below(2) == 0);
+    let bufs = [x].into_iter().chain(b).chain([lvals, ldiag, Buf::I32(cols), Buf::I32(rptr)]);
+    (codelet(params, num_locals, body), VertexKind::LevelSet { levels }, bufs.collect())
 }
 
 #[test]
 fn random_codelets_run_identically_lowered_and_dynamic() {
-    let cases = 3000;
+    let cases = 3300;
     let (mut lowered, mut completed, mut level_sets, mut wide) = (0, 0, 0, 0);
     let (mut looped, mut rowed, mut level_set_rows, mut mapped, mut chunked) = (0, 0, 0, 0, 0);
-    let (mut kernels, mut kernels_ran) = (0, 0);
+    let (mut kernels, mut kernels_ran, mut forward) = (0, 0, 0);
     for seed in 0..cases {
         let mut rng = TestRng::seed_from_u64(0x10e7_0000 + seed);
         let (codelet, kind, bufs) = random_case(&mut rng);
@@ -795,19 +800,21 @@ fn random_codelets_run_identically_lowered_and_dynamic() {
             chunked += (form.maps() > 0 && bufs[0].bits().len() > 64) as u32;
             kernels += form.kernel().is_some() as u32;
             kernels_ran += (form.kernel().is_some() && ran) as u32;
+            forward += matches!(form.kernel(), Some(Kernel::Forward { .. })) as u32;
         }
     }
     // Not vacuous: most random bodies type and run to the end, level sets,
     // wide storage under F32-declared parameters, accumulate loops, rows
     // (`ParFor` trips and whole level-set bodies) and maps, some over more
-    // than one chunk, run as one instruction among them, and backward
-    // sweeps as one kernel instruction, most of them to the end.
+    // than one chunk, run as one instruction among them, and both sweeps as
+    // one kernel instruction, most of them to the end.
     assert!(completed * 2 > cases, "{completed} of {cases} ran lowered ({lowered} lowered)");
     assert!(level_sets > 400 && wide > 1000, "{level_sets} level sets, {wide} wide");
     assert!(looped > 600, "{looped} took the accumulate loop instruction");
     assert!(rowed > 200 && level_set_rows > 80, "{rowed} rows, {level_set_rows} level-set bodies");
     assert!(mapped > 300 && chunked > 20, "{mapped} took the map instruction, {chunked} chunked");
-    assert!(kernels > 150 && kernels_ran > 75, "{kernels} kernels, {kernels_ran} ran to the end");
+    assert!(kernels > 300 && kernels_ran > 150, "{kernels} kernels, {kernels_ran} ran to the end");
+    assert!(forward > 150 && kernels - forward > 150, "{forward} of {kernels} kernels forward");
 }
 
 // ---- directed cases --------------------------------------------------------
@@ -1552,8 +1559,8 @@ fn gauss_seidel_row() -> Codelet {
 /// forward substitution (B, one comparison), backward substitution (B,
 /// `And`), the Gauss-Seidel row (A, `Sub`) — each run as one instruction
 /// under F32, double-word and emulated-f64 storage, and leave what `Interp`
-/// leaves. Backward substitution lowers under F32 only, and there its
-/// vertex is one kernel instruction, the loop included.
+/// leaves. Under F32 a substitution's vertex is one kernel instruction, the
+/// loop included; backward substitution lowers under F32 only.
 #[test]
 fn the_solver_inner_loops_run_as_one_instruction_in_every_float_domain() {
     let forward = VertexKind::LevelSet { levels: vec![vec![0], vec![1, 2], vec![3]] };
@@ -1574,7 +1581,12 @@ fn the_solver_inner_loops_run_as_one_instruction_in_every_float_domain() {
             let [vals, cols, rptr] = rows(dtype, true);
             let bufs = vec![v(0.0), v(1.0), vals.clone(), v(3.0), cols.clone(), rptr.clone()];
             let who = format!("forward substitution (divide: {divide}) over {dtype:?}");
-            must_loop(&template(forward_subst_template(divide)), &forward, &bufs, &who, 1);
+            let forward_subst = template(forward_subst_template(divide));
+            if dtype == DType::F32 {
+                must_kernel(&forward_subst, &forward, &bufs, &who, Kernel::Forward { divide });
+            } else {
+                must_loop(&forward_subst, &forward, &bufs, &who, 1);
+            }
             // Its accumulator starts as the F32 zero: over wider storage
             // the loop head sees two dtypes, and the body is not typed.
             let bufs = vec![v(1.0), vals, v(3.0), cols, rptr];
@@ -1957,8 +1969,9 @@ fn must_row(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str, rows: usize
 /// runs as one row instruction under F32, double-word and emulated-f64
 /// storage, its loop still counted as one accumulate loop, and leaves what
 /// `Interp` leaves: storage bits, locals, cycles, flops and bytes. The
-/// backward sweeps (under F32, as they lower only there) run as one kernel
-/// instruction instead, and leave the same storage bits and charge.
+/// substitution sweeps under F32 (the backward ones lower only there) run
+/// as one kernel instruction instead, and leave the same storage bits and
+/// charge.
 #[test]
 fn every_solver_row_runs_as_one_instruction_in_every_float_domain() {
     let forward = VertexKind::LevelSet { levels: vec![vec![0], vec![1, 2], vec![3]] };
@@ -1981,8 +1994,11 @@ fn every_solver_row_runs_as_one_instruction_in_every_float_domain() {
             let [vals, cols, rptr] = rows(dtype, true);
             let bufs = vec![v(0.0), v(1.0), vals.clone(), v(3.0), cols.clone(), rptr.clone()];
             let who = format!("forward row (divide: {divide}) over {dtype:?}");
-            must_row(&template(forward_subst_template(divide)), &forward, &bufs, &who, 1);
-            if dtype == DType::F32 {
+            let c = template(forward_subst_template(divide));
+            if dtype != DType::F32 {
+                must_row(&c, &forward, &bufs, &who, 1);
+            } else {
+                must_kernel(&c, &forward, &bufs, &who, Kernel::Forward { divide });
                 let bufs = vec![v(1.0), vals, v(3.0), cols, rptr];
                 let who = format!("backward sweep (divide: {divide})");
                 let c = template(backward_subst_template(divide));
@@ -2478,7 +2494,7 @@ fn the_backward_kernel_matches_the_interpreter_on_an_adversarial_layout() {
     }
 }
 
-/// Row pointers shorter than `n + 1`: the kernel runs the rows whose
+/// Row pointers shorter than `n + 1`: either kernel runs the rows whose
 /// pointers exist and leaves what `Interp` leaves, and panics where it
 /// does, on a row whose pointer is missing.
 #[test]
@@ -2488,10 +2504,18 @@ fn a_short_row_pointer_runs_the_kernel_as_interp_does() {
         let mut bufs = backward_layout(false);
         bufs[4] = Buf::I32(vec![0, 2, 4, 5, 6]);
         let covered = VertexKind::LevelSet { levels: vec![vec![3, 2], vec![1], vec![0]] };
-        let who = format!("four row pointers of six (divide: {divide})");
+        let who = format!("backward, four row pointers of six (divide: {divide})");
         must_kernel(&c, &covered, &bufs, &who, Kernel::Backward { divide });
         let past = VertexKind::LevelSet { levels: vec![vec![4, 3], vec![2, 1], vec![0]] };
         assert_eq!(check(&c, &past, &bufs, &who), Some(false), "{who}: row 4 panics");
+
+        let c = template(forward_subst_template(divide));
+        let mut bufs = forward_layout();
+        bufs[5] = Buf::I32(vec![0, 1, 2, 2, 5]);
+        let covered = VertexKind::LevelSet { levels: vec![vec![0, 1, 2], vec![3]] };
+        let who = format!("forward, five row pointers of six (divide: {divide})");
+        must_kernel(&c, &covered, &bufs, &who, Kernel::Forward { divide });
+        assert_eq!(check(&c, &forward_levels(), &bufs, &who), Some(false), "{who}: row 4 panics");
     }
 }
 
@@ -2520,4 +2544,117 @@ fn the_backward_kernels_near_misses_run_their_lowered_program() {
     let lowered = lower(&simple, &VertexKind::Simple, &bufs).expect("lowers as a simple vertex");
     assert_eq!(lowered.kernel(), None);
     assert_eq!(check(&simple, &VertexKind::Simple, &bufs, "simple vertex"), Some(true));
+}
+
+/// The forward sweep's adversarial layout, `n = 5`: a strictly lower
+/// structure plus entries the guard skips — `j == i` in rows 0, 3 and 4 —
+/// an empty row (2), and a level of three rows.
+fn forward_layout() -> Vec<Buf> {
+    vec![
+        Buf::F32(vec![0.0; 5]),
+        Buf::F32((0..5).map(|i| 1.0 + 0.5 * i as f32).collect()),
+        Buf::F32((0..7).map(|i| 0.4 + 0.11 * i as f32).collect()),
+        Buf::F32((0..5).map(|i| 2.0 + 0.25 * i as f32).collect()),
+        Buf::I32(vec![0, 0, 0, 1, 3, 2, 4]),
+        Buf::I32(vec![0, 1, 2, 2, 5, 7]),
+    ]
+}
+
+fn forward_levels() -> VertexKind {
+    VertexKind::LevelSet { levels: vec![vec![0, 1, 2], vec![3], vec![4]] }
+}
+
+/// The forward sweeps run as one kernel instruction on the adversarial
+/// layout, and leave `Interp`'s storage bits and charge; so do rows whose
+/// values are NaNs — a signalling one in `b` of a row that takes no entry
+/// (the store quiets it), two with payloads meeting in one product — and a
+/// zero on the diagonal. The fused library has no forward kernel: on every
+/// route the instruction runs it.
+#[test]
+fn the_forward_kernel_matches_the_interpreter_on_an_adversarial_layout() {
+    let mut nans = forward_layout();
+    if let [_, Buf::F32(b), Buf::F32(lvals), Buf::F32(ldiag), ..] = &mut nans[..] {
+        b[0] = f32::from_bits(0x7f80_0001);
+        b[3] = f32::from_bits(0xffc0_1234);
+        lvals[2] = f32::from_bits(0x7fc0_0042);
+        ldiag[2] = 0.0;
+    }
+    for divide in [false, true] {
+        let c = template(forward_subst_template(divide));
+        for (what, bufs) in [("layout", forward_layout()), ("NaNs and a zero pivot", nans.clone())]
+        {
+            let who = format!("{what} (divide: {divide})");
+            must_kernel(&c, &forward_levels(), &bufs, &who, Kernel::Forward { divide });
+        }
+        let mut graph = Graph::new(IpuModel::tiny(1));
+        graph.add_codelet(c).unwrap();
+        assert_eq!(KernelTable::build(&graph).fused().count(), 0, "divide: {divide}");
+    }
+}
+
+/// A row pointer that steps back (row 2 of `[0, 1, 2, 1, 5, 7]`) runs no
+/// trips and charges none, as `Interp` reads it, and row 3 then runs from
+/// pointer 1; a negative one panics at its row's first trip on both routes.
+/// Both sweeps read their pointers so.
+#[test]
+fn a_row_pointer_that_steps_back_or_goes_negative_runs_the_kernel_as_interp_does() {
+    for divide in [false, true] {
+        let c = template(forward_subst_template(divide));
+        let mut bufs = forward_layout();
+        bufs[5] = Buf::I32(vec![0, 1, 2, 1, 5, 7]);
+        let who = format!("forward, a pointer stepping back (divide: {divide})");
+        must_kernel(&c, &forward_levels(), &bufs, &who, Kernel::Forward { divide });
+        bufs[5] = Buf::I32(vec![0, 1, -1, 2, 5, 7]);
+        let who = format!("forward, a negative pointer (divide: {divide})");
+        assert_eq!(check(&c, &forward_levels(), &bufs, &who), Some(false), "{who}: row 2 panics");
+
+        let c = template(backward_subst_template(divide));
+        let levels = VertexKind::LevelSet { levels: vec![vec![4, 3], vec![2, 1], vec![0]] };
+        let mut bufs = backward_layout(true);
+        bufs[4] = Buf::I32(vec![0, 2, 4, 1, 7, 7]);
+        let who = format!("backward, a pointer stepping back (divide: {divide})");
+        must_kernel(&c, &levels, &bufs, &who, Kernel::Backward { divide });
+        bufs[4] = Buf::I32(vec![0, 2, -4, 5, 7, 7]);
+        let who = format!("backward, a negative pointer (divide: {divide})");
+        assert_eq!(check(&c, &levels, &bufs, &who), Some(false), "{who}: row 2 panics");
+    }
+}
+
+/// One statement or one local off the forward template, or a declaration
+/// off it: no kernel instruction, and the lowered program leaves what
+/// `Interp` leaves. (Over double-word or f64 storage the template is a row
+/// instruction: `every_solver_row_runs_as_one_instruction_in_every_float_domain`.)
+#[test]
+fn the_forward_kernels_near_misses_run_their_lowered_program() {
+    let bufs = forward_layout();
+    let (params, locals, body) = forward_subst_template(true);
+    let mut no_store = body.clone();
+    no_store.pop();
+    let mut b_i32 = params.clone();
+    b_i32[1].dtype = DType::I32;
+    for (what, c) in [
+        ("no store", codelet(params.clone(), locals, no_store)),
+        ("a spare local", codelet(params.clone(), locals + 1, body.clone())),
+        ("b declared I32", codelet(b_i32, locals, body.clone())),
+    ] {
+        let lowered =
+            lower(&c, &forward_levels(), &bufs).unwrap_or_else(|| panic!("{what} lowers"));
+        assert_eq!(lowered.kernel(), None, "{what}");
+        assert_eq!(check(&c, &forward_levels(), &bufs, what), Some(true), "{what}");
+    }
+}
+
+/// The forward template on a `Simple` vertex: no kernel instruction (the
+/// kernel runs level sets only), and the lowered program leaves what
+/// `Interp` leaves, row 0 alone.
+#[test]
+fn the_forward_kernel_requires_a_level_set_vertex() {
+    let bufs = forward_layout();
+    for divide in [false, true] {
+        let c = template(forward_subst_template(divide));
+        let lowered = lower(&c, &VertexKind::Simple, &bufs).expect("lowers as a simple vertex");
+        assert_eq!(lowered.kernel(), None, "divide: {divide}");
+        let who = format!("simple vertex (divide: {divide})");
+        assert_eq!(check(&c, &VertexKind::Simple, &bufs, &who), Some(true), "{who}");
+    }
 }

@@ -131,9 +131,9 @@ fn engine_options_are_equivalent_across_suite() {
 /// And exactly so many run an element-wise map (`x + p·α`, a copy, a zero
 /// fill) as one map instruction, a column at a time: not the scalar maps
 /// that read what they store (`iter + 1`), select, compare or cast. And
-/// exactly so many run as one kernel instruction: fig8's ILU(0) backward
-/// sweeps, four per compute set, whose loops the looped count still holds
-/// and which the rowed count no longer does.
+/// exactly so many run as one kernel instruction, per family: fig8's ILU(0)
+/// forward and backward sweeps, four of each per compute set, whose loops
+/// the looped count still holds and which the rowed count does not.
 #[test]
 fn every_solver_vertex_is_lowered() {
     use graphene::graphene_core::runner::{solve_or_panic, SolveOptions};
@@ -148,8 +148,9 @@ fn every_solver_vertex_is_lowered() {
     };
     let suite = graphene::graphene_core::config::verification_suite();
     // A benchmark stack's `vertices_looped`, `vertices_rowed`,
-    // `vertices_mapped` and `vertices_kernel`.
-    type Pinned = Option<(u64, u64, u64, u64)>;
+    // `vertices_mapped` and `vertices_kernel`, the last per kernel family.
+    type Pinned = Option<(u64, u64, u64, &'static [(&'static str, u64)])>;
+    const ILU0_SWEEPS: &[(&str, u64)] = &[("backward_subst_div", 8), ("forward_subst", 8)];
     let mut stacks: Vec<(&str, SolverConfig, Pinned)> =
         suite.into_iter().map(|case| (case.name, case.config, None)).collect();
     stacks.extend([
@@ -165,19 +166,19 @@ fn every_solver_vertex_is_lowered() {
                 max_outer: 4,
                 rel_tol: 1e-9,
             },
-            Some((68, 20, 31, 8)),
+            Some((68, 12, 31, ILU0_SWEEPS)),
         ),
         (
             "heat",
             SolverConfig::Cg { max_iters: 100, rel_tol: 1e-6, precond: None },
-            Some((32, 8, 14, 0)),
+            Some((32, 8, 14, &[])),
         ),
         (
             "sgs",
             SolverConfig::GaussSeidel { sweeps: 1, symmetric: true, rel_tol: 0.0 },
-            Some((8, 8, 0, 0)),
+            Some((8, 8, 0, &[])),
         ),
-        ("jacobi", SolverConfig::Jacobi { sweeps: 2, omega: 2.0 / 3.0 }, Some((4, 4, 4, 0))),
+        ("jacobi", SolverConfig::Jacobi { sweeps: 2, omega: 2.0 / 3.0 }, Some((4, 4, 4, &[]))),
     ]);
     for (name, config, pinned) in stacks {
         let res = solve_or_panic(a.clone(), &b, &config, &opts);
@@ -186,11 +187,18 @@ fn every_solver_vertex_is_lowered() {
         let (total, lowered) = (sel.counter("vertices_total"), sel.counter("vertices_lowered"));
         assert!(total > 0, "[{name}] no vertices");
         assert_eq!(lowered, total, "[{name}] {} vertices run unlowered", total - lowered);
-        if let Some((looped, rowed, mapped, kernel)) = pinned {
+        if let Some((looped, rowed, mapped, kernels)) = pinned {
             assert_eq!(sel.counter("vertices_looped"), looped, "[{name}] of {total}");
             assert_eq!(sel.counter("vertices_rowed"), rowed, "[{name}] of {total}");
             assert_eq!(sel.counter("vertices_mapped"), mapped, "[{name}] of {total}");
+            let kernel: u64 = kernels.iter().map(|(_, n)| n).sum();
             assert_eq!(sel.counter("vertices_kernel"), kernel, "[{name}] of {total}");
+            let families: Vec<(&str, u64)> = sel
+                .counters
+                .iter()
+                .filter_map(|(k, n)| Some((k.strip_prefix("kernel.")?, *n)))
+                .collect();
+            assert_eq!(families, kernels, "[{name}] kernel families");
         }
     }
 }
