@@ -13,7 +13,7 @@
 //!   depending on what the device can honestly account, and the full
 //!   [`SolveReport`] (schema v3 carries the `backend` section);
 //! * [`BackendSpec`] — the `GRAPHENE_BACKEND` registry grammar
-//!   (`ipu-sim[:fused] | cpu[:par] | gpu-model`): one parser
+//!   (`ipu-sim | cpu[:par] | gpu-model`): one parser
 //!   ([`BackendSpec::parse`]) and one place that reads the environment
 //!   ([`BackendSpec::from_env`]).
 //!
@@ -47,24 +47,12 @@ use sparse::formats::CsrMatrix;
 // Backend names — the registry grammar
 // ----------------------------------------------------------------------
 
-/// How the host runs the simulated IPU device's vertices. Results,
-/// `CycleStats` and reports are identical across variants; only host
-/// wall-clock differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IpuVariant {
-    /// Every vertex on its codelet's lowered form — the reference `Fused`
-    /// is tested against.
-    Default,
-    /// Fused kernels where matched, else the lowered form.
-    Fused,
-}
-
 /// A parsed backend selection — the value of `GRAPHENE_BACKEND` or
 /// `SolveOptions::backend`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendSpec {
     /// The cycle-modelled IPU simulator (the framework under study).
-    IpuSim(IpuVariant),
+    IpuSim,
     /// Native f64 CPU baseline (the HYPRE analogue); `parallel` selects
     /// rayon row-block parallelism for the SpMVs.
     Cpu { parallel: bool },
@@ -74,13 +62,18 @@ pub enum BackendSpec {
 }
 
 /// Every name [`BackendSpec::parse`] accepts, in display order.
-pub const KNOWN_BACKENDS: &[&str] = &["ipu-sim", "ipu-sim:fused", "cpu", "cpu:par", "gpu-model"];
+pub const KNOWN_BACKENDS: &[&str] = &["ipu-sim", "cpu", "cpu:par", "gpu-model"];
+
+/// Backend names that were removed, each with the name that now selects
+/// what it used to. Selecting one is an error, not an unknown name.
+const REMOVED_BACKENDS: &[(&str, &str)] =
+    &[("ipu-sim:fused", "ipu-sim (SpMV and the ILU(0) sweeps run as kernel instructions there)")];
 
 /// Variables `GRAPHENE_BACKEND` replaced, each with the name that now
 /// selects what it used to. Setting one is an error, not a silent ignore.
 const REMOVED_VARIABLES: &[(&str, &str)] = &[
     ("GRAPHENE_PAR", "ipu-sim (the tile-parallel schedule is gone)"),
-    ("GRAPHENE_NATIVE", "ipu-sim:fused"),
+    ("GRAPHENE_NATIVE", "ipu-sim (SpMV and the ILU(0) sweeps run as kernel instructions there)"),
     ("GRAPHENE_LEGACY_INTERP", "ipu-sim (the tree-walking interpreter is gone)"),
     ("GRAPHENE_NO_OPT", "ipu-sim (the graph compiler has one pipeline)"),
 ];
@@ -88,11 +81,17 @@ const REMOVED_VARIABLES: &[(&str, &str)] = &[
 impl BackendSpec {
     /// Parse a backend name from the registry grammar. Unknown names are
     /// errors listing the known spellings — a typo'd backend silently
-    /// running the default would invalidate a whole evaluation.
+    /// running the default would invalidate a whole evaluation — and a
+    /// removed one (`REMOVED_BACKENDS`) is an error naming its replacement.
     pub fn parse(s: &str) -> Result<BackendSpec, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "ipu-sim" => Ok(BackendSpec::IpuSim(IpuVariant::Default)),
-            "ipu-sim:fused" => Ok(BackendSpec::IpuSim(IpuVariant::Fused)),
+        let name = s.trim().to_ascii_lowercase();
+        if let Some((_, replacement)) = REMOVED_BACKENDS.iter().find(|(old, _)| *old == name) {
+            return Err(format!(
+                "GRAPHENE_BACKEND: backend `{name}` was removed; select GRAPHENE_BACKEND={replacement}"
+            ));
+        }
+        match name.as_str() {
+            "ipu-sim" => Ok(BackendSpec::IpuSim),
             "cpu" => Ok(BackendSpec::Cpu { parallel: false }),
             "cpu:par" => Ok(BackendSpec::Cpu { parallel: true }),
             "gpu-model" => Ok(BackendSpec::GpuModel),
@@ -106,19 +105,18 @@ impl BackendSpec {
     /// Canonical registry name (the string [`parse`](Self::parse) maps back).
     pub fn name(&self) -> &'static str {
         match self {
-            BackendSpec::IpuSim(IpuVariant::Default) => "ipu-sim",
-            BackendSpec::IpuSim(IpuVariant::Fused) => "ipu-sim:fused",
+            BackendSpec::IpuSim => "ipu-sim",
             BackendSpec::Cpu { parallel: false } => "cpu",
             BackendSpec::Cpu { parallel: true } => "cpu:par",
             BackendSpec::GpuModel => "gpu-model",
         }
     }
 
-    /// Backend family: all ipu-sim variants share one family (and one
-    /// plan-cache key component), the baselines are their own.
+    /// Backend family (and plan-cache key component): the simulator, or
+    /// one of the baselines.
     pub fn family(&self) -> &'static str {
         match self {
-            BackendSpec::IpuSim(_) => "ipu-sim",
+            BackendSpec::IpuSim => "ipu-sim",
             BackendSpec::Cpu { .. } => "cpu",
             BackendSpec::GpuModel => "gpu-model",
         }
@@ -323,7 +321,7 @@ pub struct BackendRun {
 
 /// A device that can replay a [`SolvePlan`].
 pub trait Backend {
-    /// Registry name (`"ipu-sim:fused"`, `"cpu"`, `"gpu-model"`, ...).
+    /// Registry name (`"ipu-sim"`, `"cpu:par"`, `"gpu-model"`, ...).
     fn name(&self) -> String;
     /// Backend family (`"ipu-sim"` | `"cpu"` | `"gpu-model"`) — the
     /// plan-cache key component.
@@ -355,10 +353,7 @@ mod tests {
         }
         // Case/whitespace-insensitive.
         assert_eq!(BackendSpec::parse(" CPU:PAR ").unwrap(), BackendSpec::Cpu { parallel: true });
-        assert_eq!(
-            BackendSpec::parse("IPU-Sim:Fused").unwrap(),
-            BackendSpec::IpuSim(IpuVariant::Fused)
-        );
+        assert_eq!(BackendSpec::parse(" IPU-Sim").unwrap(), BackendSpec::IpuSim);
     }
 
     #[test]
@@ -368,14 +363,13 @@ mod tests {
         for bad in ["tpu", "ipu-sim:vector", "cpu:simd", "gpu", "ipu"].into_iter().chain(removed) {
             let e = BackendSpec::parse(bad).unwrap_err();
             assert!(e.contains("unknown backend"), "{e}");
-            assert!(e.contains("ipu-sim:fused") && e.contains("gpu-model"), "{e}");
+            assert!(e.contains("ipu-sim, cpu") && e.contains("gpu-model"), "{e}");
         }
     }
 
     #[test]
     fn families_partition_the_registry() {
         assert_eq!(BackendSpec::parse("ipu-sim").unwrap().family(), "ipu-sim");
-        assert_eq!(BackendSpec::parse("ipu-sim:fused").unwrap().family(), "ipu-sim");
         assert_eq!(BackendSpec::parse("cpu:par").unwrap().family(), "cpu");
         assert_eq!(BackendSpec::parse("gpu-model").unwrap().family(), "gpu-model");
     }
@@ -393,8 +387,8 @@ mod tests {
         assert_eq!(from_vars(&[]), Ok(None));
         assert_eq!(from_vars(&[("GRAPHENE_BACKEND", "  ")]), Ok(None));
         assert_eq!(
-            from_vars(&[("GRAPHENE_BACKEND", " ipu-sim:fused ")]),
-            Ok(Some(BackendSpec::IpuSim(IpuVariant::Fused)))
+            from_vars(&[("GRAPHENE_BACKEND", " cpu:par ")]),
+            Ok(Some(BackendSpec::Cpu { parallel: true }))
         );
         assert!(from_vars(&[("GRAPHENE_BACKEND", "ipu-sim:seq")])
             .unwrap_err()
@@ -406,13 +400,13 @@ mod tests {
         for (var, value, replacement) in [
             ("GRAPHENE_PAR", "1", "GRAPHENE_BACKEND=ipu-sim (the tile-parallel schedule is gone)"),
             ("GRAPHENE_PAR", "0", "GRAPHENE_BACKEND=ipu-sim (the tile-parallel schedule is gone)"),
-            ("GRAPHENE_NATIVE", "1", "ipu-sim:fused"),
-            ("GRAPHENE_NATIVE", "0", "ipu-sim:fused"),
+            ("GRAPHENE_NATIVE", "1", "GRAPHENE_BACKEND=ipu-sim (SpMV and the ILU(0) sweeps"),
+            ("GRAPHENE_NATIVE", "0", "GRAPHENE_BACKEND=ipu-sim (SpMV and the ILU(0) sweeps"),
             ("GRAPHENE_LEGACY_INTERP", "garbage", "GRAPHENE_BACKEND=ipu-sim "),
             ("GRAPHENE_NO_OPT", "1", "GRAPHENE_BACKEND=ipu-sim (the graph compiler has one"),
         ] {
             // Whatever GRAPHENE_BACKEND says, and whatever the value.
-            for backend in [None, Some("cpu"), Some("ipu-sim:fused")] {
+            for backend in [None, Some("cpu"), Some("ipu-sim")] {
                 let mut vars = vec![(var, value)];
                 vars.extend(backend.map(|b| ("GRAPHENE_BACKEND", b)));
                 let e = from_vars(&vars).unwrap_err();
@@ -422,6 +416,24 @@ mod tests {
             // Empty still counts as unset.
             assert_eq!(from_vars(&[(var, "")]), Ok(None));
         }
+    }
+
+    /// The removed name is an error naming its replacement, through the
+    /// parser and through the variable, however it is spelled; it is not an
+    /// unknown backend, and nothing panics.
+    #[test]
+    fn a_removed_backend_name_is_an_error_naming_its_replacement() {
+        for name in ["ipu-sim:fused", " IPU-SIM:Fused "] {
+            for e in [
+                BackendSpec::parse(name).unwrap_err(),
+                from_vars(&[("GRAPHENE_BACKEND", name)]).unwrap_err(),
+            ] {
+                assert!(e.contains("`ipu-sim:fused` was removed"), "{e}");
+                assert!(e.contains("select GRAPHENE_BACKEND=ipu-sim "), "{e}");
+                assert!(!e.contains("unknown backend"), "{e}");
+            }
+        }
+        assert!(!KNOWN_BACKENDS.contains(&"ipu-sim:fused"));
     }
 
     #[test]

@@ -6,11 +6,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graph::codelet::{
-    backward_subst_template, forward_subst_template, BinOp, Codelet, Expr, Interp, Lowered,
-    ParamData, ParamDecl, Regs, Stmt, Value,
+    backward_subst_template, forward_subst_template, spmv_template, BinOp, Codelet, Expr, Interp,
+    Lowered, ParamData, ParamDecl, Regs, Stmt, Value,
 };
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
-use graph::kernels::{spmv_template, KernelTable};
 use graph::program::Prog;
 use graph::tensor::TensorDef;
 use graph::{Engine, Graph};
@@ -237,19 +236,15 @@ fn from_template(
 /// the benchmark's `fig8_mpir` maps to a tile, 64 what `cold_oneshot` does; the
 /// two maps also at 39 and 256, a part-filled chunk of the map instruction and
 /// four whole ones): `lowered` is the form the engine builds per vertex and
-/// runs by default, `dynamic` the tree-walking `Interp` it falls back to and is
-/// tested against, and `fused` the hand-written kernel `EngineOptions::fusion`
-/// runs, for the codelets the library has one for (SpMV and its residual; the
-/// two sweeps have none: their `lowered` form is a kernel instruction). An
-/// axpy map, BiCGStab's
-/// two-scalar map, the SpMV codelet and its residual, a dot product's per-tile
-/// stage, the forward- and backward-substitution and the Gauss-Seidel
-/// `LevelSet` vertices go through them at codelet level; `engine` is the
-/// forward vertex through `Engine::run`, so the per-vertex path around the
-/// lowered form (operand slicing, scratch, stats) is measured too. `lowered`
-/// over `fused` per codelet is the gap between the default route and the kernel
-/// library. A regression shows here in seconds, without the 16 s host
-/// benchmark.
+/// runs (for SpMV, its residual and the two sweeps a kernel instruction), and
+/// `dynamic` the tree-walking `Interp` it falls back to and is tested
+/// against. An axpy map, BiCGStab's two-scalar map, the SpMV codelet and its
+/// residual, a dot product's per-tile stage, the forward- and
+/// backward-substitution and the Gauss-Seidel `LevelSet` vertices go through
+/// them at codelet level; `engine` is the forward vertex through
+/// `Engine::run`, so the per-vertex path around the lowered form (operand
+/// slicing, scratch, stats) is measured too. A regression shows here in
+/// seconds, without the 16 s host benchmark.
 fn bench_interpreter(c: &mut Criterion) {
     let cost = CostModel::default();
     let mut g = c.benchmark_group("interpreter");
@@ -295,15 +290,6 @@ fn bench_interpreter(c: &mut Criterion) {
                             .run_vertex(kind, black_box(&codelet.body))
                     })
                 });
-                let mut graph = Graph::new(IpuModel::tiny(1));
-                graph.add_codelet(codelet.clone()).unwrap();
-                if let Some(kernel) = KernelTable::build(&graph).get(0) {
-                    g.bench_function(format!("{}/{n}/fused", $name), |b| {
-                        b.iter(|| {
-                            black_box(kernel).run(kind, &mut $params, &cost, 6).expect("it fuses")
-                        })
-                    });
-                }
             }};
         }
 

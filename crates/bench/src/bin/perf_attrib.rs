@@ -2,19 +2,17 @@
 //! headline solver stack (the fig8 configuration: IR-PBiCGStab+ILU(0)
 //! with double-word MPIR).
 //!
-//! Runs the same solve on `ipu-sim` and `ipu-sim:fused`, hard-asserts the
-//! attribution contract —
+//! Runs the same solve twice, hard-asserts the attribution contract —
 //!
 //! * per-step cycles partition `device_cycles` with zero remainder,
-//! * the attribution section and the device cycles of `ipu-sim:fused` are
-//!   bit-identical to `ipu-sim`'s,
+//! * the second run's attribution section and device cycles are
+//!   bit-identical to the first's,
 //!
 //! — then prints the top steps by cycles with their imbalance and
 //! roofline numbers, and writes `results/perf_attrib.json`.
 
 use std::rc::Rc;
 
-use backend::{BackendSpec, IpuVariant};
 use graphene_bench::{header, Args};
 use graphene_core::config::SolverConfig;
 use graphene_core::runner::{solve_or_panic, SolveOptions};
@@ -47,17 +45,13 @@ fn main() {
     };
     let model = IpuModel::m2000();
 
-    let run = |variant: IpuVariant| {
-        let opts = SolveOptions {
-            model: model.clone(),
-            rows_per_tile: 32,
-            backend: Some(BackendSpec::IpuSim(variant)),
-            ..SolveOptions::default()
-        };
+    let run = || {
+        let opts =
+            SolveOptions { model: model.clone(), rows_per_tile: 32, ..SolveOptions::default() };
         solve_or_panic(a.clone(), &b, &cfg, &opts)
     };
 
-    let seq = run(IpuVariant::Default);
+    let seq = run();
 
     // -- The attribution contract, hard-asserted on every run. ---------
     let perf = seq.report.perf.as_ref().expect("every run records attribution");
@@ -66,16 +60,16 @@ fn main() {
         seq.stats.device_cycles(),
         "per-step cycles must partition device_cycles exactly"
     );
-    let fused = run(IpuVariant::Fused);
+    let again = run();
     assert_eq!(
         perf.attribution_json(),
-        fused.report.perf.as_ref().expect("every run records attribution").attribution_json(),
-        "ipu-sim:fused: attribution must be bit-identical to ipu-sim"
+        again.report.perf.as_ref().expect("every run records attribution").attribution_json(),
+        "a second run's attribution must be bit-identical to the first's"
     );
     assert_eq!(
         seq.stats.device_cycles(),
-        fused.stats.device_cycles(),
-        "ipu-sim:fused: device cycles must be identical to ipu-sim"
+        again.stats.device_cycles(),
+        "a second run's device cycles must be identical to the first's"
     );
 
     println!(

@@ -144,7 +144,7 @@ fn main() {
     let out = args.get_str("--out", "results/serve.json");
 
     let spec = match EnvConfig::backend() {
-        Ok(s) => s.unwrap_or(BackendSpec::IpuSim(backend::IpuVariant::Default)),
+        Ok(s) => s.unwrap_or(BackendSpec::IpuSim),
         Err(e) => fail(&e.to_string()),
     };
     let fault_capable = spec.family() == "ipu-sim";

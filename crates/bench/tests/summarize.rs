@@ -40,7 +40,7 @@ fn partial_sweep_skips_casualties_and_keeps_the_rest() {
     let cfg = SolverConfig::BiCgStab { max_iters: 50, rel_tol: 1e-5, precond: None };
     // Pinned, so the backend column below does not depend on the ambient
     // `GRAPHENE_BACKEND`.
-    let pinned = backend::BackendSpec::IpuSim(backend::IpuVariant::Fused);
+    let pinned = backend::BackendSpec::IpuSim;
     let opts = SolveOptions {
         model: ipu_sim::IpuModel::tiny(4),
         tiles: Some(4),

@@ -5,7 +5,7 @@
 //! module adds the piece that must live above the DSL and solver layers:
 //!
 //! * [`IpuSimBackend`] — the cycle-modelled IPU simulator behind the
-//!   trait. One type, two variants ([`IpuVariant`]). `prepare` resolves
+//!   trait. `prepare` resolves
 //!   the options and builds a [`runner::Plan`](crate::runner::Plan);
 //!   `execute` is `Plan::run`, so a trait-level run is bit-, cycle- and
 //!   report-identical to `runner::solve` with that backend pinned.
@@ -26,8 +26,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use backend::{
-    Backend, BackendError, BackendRun, BackendSpec, Capabilities, IpuVariant, PreparedPlan,
-    SolvePlan, Timing,
+    Backend, BackendError, BackendRun, BackendSpec, Capabilities, PreparedPlan, SolvePlan, Timing,
 };
 use ipu_sim::clock::CycleStats;
 use sparse::formats::CsrMatrix;
@@ -35,8 +34,7 @@ use sparse::formats::CsrMatrix;
 use crate::config::SolverConfig;
 use crate::resilience::{target_tolerance, SolveError, SolveStatus};
 use crate::runner::{
-    check_system, deadline_error, engine_options, preflight, Plan, SolveOptions, SolveResult,
-    TOLERANCE_SAFETY,
+    check_system, deadline_error, preflight, Plan, SolveOptions, SolveResult, TOLERANCE_SAFETY,
 };
 
 // ----------------------------------------------------------------------
@@ -45,21 +43,20 @@ use crate::runner::{
 
 /// The simulated IPU behind the [`Backend`] trait.
 pub struct IpuSimBackend {
-    variant: IpuVariant,
     /// Machine/partition options every execution of this backend uses
-    /// (its `backend` field is overridden by the variant).
+    /// (its `backend` field is overridden).
     base: SolveOptions,
 }
 
 impl IpuSimBackend {
-    pub fn new(variant: IpuVariant, base: SolveOptions) -> IpuSimBackend {
-        IpuSimBackend { variant, base }
+    pub fn new(base: SolveOptions) -> IpuSimBackend {
+        IpuSimBackend { base }
     }
 }
 
 impl Backend for IpuSimBackend {
     fn name(&self) -> String {
-        BackendSpec::IpuSim(self.variant).name().to_string()
+        BackendSpec::IpuSim.name().to_string()
     }
 
     fn family(&self) -> &'static str {
@@ -90,13 +87,13 @@ impl Backend for IpuSimBackend {
             BackendError::Unsupported { backend: name.clone(), what: format!("solver config: {e}") }
         })?;
         let opts = SolveOptions {
-            backend: Some(BackendSpec::IpuSim(self.variant)),
+            backend: Some(BackendSpec::IpuSim),
             record_history: plan.record_history,
             ..self.base.clone()
         };
         let plan = opts
             .resolved()
-            .and_then(|o| Plan::new(Rc::clone(&plan.a), &config, &o, engine_options(self.variant)))
+            .and_then(|o| Plan::new(Rc::clone(&plan.a), &config, &o))
             .map_err(|e| BackendError::Failed { backend: name.clone(), reason: e.to_string() })?;
         Ok(Box::new(IpuSimPrepared { name, plan }))
     }
@@ -133,7 +130,7 @@ impl PreparedPlan for IpuSimPrepared {
 /// baselines, which have no tiles to configure).
 pub fn backend_for(spec: BackendSpec, base: &SolveOptions) -> Box<dyn Backend> {
     match spec {
-        BackendSpec::IpuSim(v) => Box::new(IpuSimBackend::new(v, base.clone())),
+        BackendSpec::IpuSim => Box::new(IpuSimBackend::new(base.clone())),
         BackendSpec::Cpu { parallel } => Box::new(backend::cpu::CpuBackend::new(parallel)),
         BackendSpec::GpuModel => Box::new(backend::gpu::GpuModelBackend::h100()),
     }
@@ -339,14 +336,14 @@ mod tests {
             ),
         ];
         for (case, a, base, runs) in cases {
-            let be = IpuSimBackend::new(IpuVariant::Fused, base.clone());
+            let be = IpuSimBackend::new(base.clone());
             assert!(be.capabilities().cycle_accounting);
             let plan =
                 SolvePlan { a: Rc::clone(&a), solver: cfg().to_value(), record_history: false };
             let mut prepared = be.prepare(&plan).unwrap_or_else(|e| panic!("{case}: {e}"));
             for (b, x0) in runs {
                 let pinned = SolveOptions {
-                    backend: Some(BackendSpec::IpuSim(IpuVariant::Fused)),
+                    backend: Some(BackendSpec::IpuSim),
                     x0: x0.map(<[f64]>::to_vec),
                     ..base.clone()
                 };
@@ -385,7 +382,7 @@ mod tests {
                     let info = run.report.backend.as_ref().expect("schema v3 stamps the backend");
                     assert_eq!(
                         (info.name.as_str(), info.timing.as_str()),
-                        ("ipu-sim:fused", "cycle-model")
+                        ("ipu-sim", "cycle-model")
                     );
                     assert_eq!(run.report.executor, be.name());
                     assert!(run.iterations > 0, "{case}: iterations are counted without history");
@@ -399,7 +396,7 @@ mod tests {
         // What does not depend on b is refused by `prepare`, not by the
         // first `execute`: a non-square matrix, a configuration that
         // parses but is invalid (an unparseable one: the next test).
-        let be = IpuSimBackend::new(IpuVariant::Default, sim_opts());
+        let be = IpuSimBackend::new(sim_opts());
         let wide = Rc::new(CsrMatrix { ncols: a.ncols + 1, ..(*a).clone() });
         let zero_budget = SolverConfig::Cg { max_iters: 0, rel_tol: 1e-6, precond: None };
         for (a, solver) in [(wide, cfg()), (a.clone(), zero_budget)] {
@@ -422,22 +419,21 @@ mod tests {
         let mut zero = a.clone();
         zero.values[k(11)] = 0.0;
         let b = vec![1.0; a.nrows];
-        for name in ["ipu-sim", "ipu-sim:fused"] {
-            for (m, row) in [(&missing, 6), (&zero, 11)] {
-                let plan = SolvePlan {
-                    a: Rc::new(m.clone()),
-                    solver: cfg().to_value(),
-                    record_history: false,
-                };
-                let mut prepared = resolve(name, &sim_opts()).unwrap().prepare(&plan).unwrap();
-                match prepared.execute(&b, None) {
-                    Err(BackendError::Failed { reason, .. }) => {
-                        let want = SolveError::Config(String::new()).to_string();
-                        assert!(reason.starts_with(&want), "{name}: {reason}");
-                        assert!(reason.contains(&format!("row {row} ")), "{name}: {reason}");
-                    }
-                    other => panic!("{name}: expected a config error, got {:?}", other.err()),
+        let name = "ipu-sim";
+        for (m, row) in [(&missing, 6), (&zero, 11)] {
+            let plan = SolvePlan {
+                a: Rc::new(m.clone()),
+                solver: cfg().to_value(),
+                record_history: false,
+            };
+            let mut prepared = resolve(name, &sim_opts()).unwrap().prepare(&plan).unwrap();
+            match prepared.execute(&b, None) {
+                Err(BackendError::Failed { reason, .. }) => {
+                    let want = SolveError::Config(String::new()).to_string();
+                    assert!(reason.starts_with(&want), "{name}: {reason}");
+                    assert!(reason.contains(&format!("row {row} ")), "{name}: {reason}");
                 }
+                other => panic!("{name}: expected a config error, got {:?}", other.err()),
             }
         }
         // The 1×1 host answers do not reach the device and are unchanged: an
@@ -450,7 +446,7 @@ mod tests {
 
     #[test]
     fn ipu_sim_backend_refuses_malformed_solver_json() {
-        let be = IpuSimBackend::new(IpuVariant::Default, sim_opts());
+        let be = IpuSimBackend::new(sim_opts());
         let plan = SolvePlan {
             a: Rc::new(poisson_2d_5pt(4, 4, 1.0)),
             solver: json::Json::obj([("type", json::Json::Str("warp-drive".into()))]),

@@ -24,7 +24,7 @@ use ipu_sim::fault::FaultPlan;
 use crate::resilience::SolveError;
 
 const FLAG: &str = "`1/true/on/yes`, `0/false/off/no`";
-const BACKENDS: &str = "`ipu-sim`, `ipu-sim:fused`, `cpu`, `cpu:par`, `gpu-model`";
+const BACKENDS: &str = "`ipu-sim`, `cpu`, `cpu:par`, `gpu-model`";
 const FAULTS: &str = "a fault plan: `flip@s10.t3:w0.b4`, `seed=7;n=3;classes=flip+xflip`, ...";
 
 /// Where `GRAPHENE_TRACE` sends the Chrome traces (the base path: each

@@ -244,29 +244,13 @@ pub fn solve(
     // caller's to account for (the serve layer passes *remaining* time).
     let start = Instant::now();
     let opts = opts.resolved()?;
-    let engine = match opts.backend {
-        None => EngineOptions::default(),
-        Some(backend::BackendSpec::IpuSim(variant)) => engine_options(variant),
+    match opts.backend {
+        None | Some(backend::BackendSpec::IpuSim) => {}
         Some(external) => {
             return crate::backends::external_solve(external, a, b, config, &opts, start)
         }
-    };
-    Plan::new(a, config, &opts, engine)?.run(b, opts.x0.as_deref(), start)
-}
-
-/// The engine options an `ipu-sim` registry name stands for.
-pub fn engine_options(variant: backend::IpuVariant) -> EngineOptions {
-    EngineOptions { fusion: variant == backend::IpuVariant::Fused }
-}
-
-/// The name a solve under `engine` reports as `backend.name` and
-/// `executor`: the registry name that selects it.
-fn ipu_sim_name(engine: EngineOptions) -> &'static str {
-    if engine.fusion {
-        "ipu-sim:fused"
-    } else {
-        "ipu-sim"
     }
+    Plan::new(a, config, &opts)?.run(b, opts.x0.as_deref(), start)
 }
 
 /// Everything about a solve on the simulated IPU that is a function of the
@@ -280,7 +264,6 @@ pub struct Plan {
     a: Rc<CsrMatrix>,
     config: SolverConfig,
     model: IpuModel,
-    engine: EngineOptions,
     record_history: bool,
     deadline: Option<Duration>,
     faults: Option<FaultPlan>,
@@ -376,7 +359,6 @@ impl Plan {
         a: Rc<CsrMatrix>,
         config: &SolverConfig,
         opts: &SolveOptions,
-        engine: EngineOptions,
     ) -> Result<Plan, SolveError> {
         check_system(&a, config, opts.partition.as_ref())?;
         let policy = opts.recovery.clone().unwrap_or_else(|| {
@@ -406,7 +388,6 @@ impl Plan {
             a,
             config: config.clone(),
             model: opts.model.clone(),
-            engine,
             record_history: opts.record_history,
             deadline: opts.deadline,
             faults: opts.faults.clone(),
@@ -522,7 +503,7 @@ impl Plan {
         report.final_residual = att.residual;
         report.seconds = att.seconds;
         report.host_seconds = att.host_seconds;
-        report.executor = ipu_sim_name(self.engine).to_string();
+        report.executor = backend::BackendSpec::IpuSim.name().to_string();
         report.history = att.history.clone();
         // Schema-v3 backend section: which device family ran this solve
         // and in which timing domain its seconds live.
@@ -556,7 +537,6 @@ impl Plan {
             }
             if let Some(sel) = att.compile.pass("native-kernel-selection") {
                 m.counter_add("native.codelets_total", sel.counter("codelets_total"));
-                m.counter_add("native.codelets_fused", sel.counter("codelets_fused"));
                 m.counter_add("native.vertices_lowered", sel.counter("vertices_lowered"));
                 m.counter_add("native.vertices_looped", sel.counter("vertices_looped"));
                 m.counter_add("native.vertices_rowed", sel.counter("vertices_rowed"));
@@ -634,8 +614,7 @@ impl Plan {
         // of the rounded f32 output.
         let x_ext = solver.as_any().downcast_mut::<Mpir>().and_then(|m| m.x_ext);
 
-        let mut engine =
-            ctx.build_engine_on(self.engine).map_err(|e| SolveError::Compile(e.to_string()))?;
+        let mut engine = ctx.build_engine().map_err(|e| SolveError::Compile(e.to_string()))?;
         // Per-step performance attribution rides along with every run: pure
         // host-side bookkeeping, zero device cycles.
         engine.enable_perf();
@@ -653,8 +632,7 @@ impl Plan {
             engine.write_tensor(xt.id, &sys.to_device_order(x0));
         }
         // Host wall-clock around the device run — device `seconds` come
-        // from the cycle model and do not depend on the engine options;
-        // `host_seconds` is what they change.
+        // from the cycle model and do not depend on the host.
         let host_start = Instant::now();
         engine.run();
         let host_seconds = host_start.elapsed().as_secs_f64();
@@ -1182,7 +1160,7 @@ mod tests {
 
     #[test]
     fn every_ipu_sim_backend_is_bit_identical_and_reported() {
-        use backend::{BackendSpec, IpuVariant};
+        use backend::BackendSpec;
         let a = Rc::new(poisson_2d_5pt(10, 10, 1.0));
         let b = rhs_for_ones(&a);
         let cfg = SolverConfig::BiCgStab {
@@ -1190,48 +1168,32 @@ mod tests {
             rel_tol: 1e-6,
             precond: Some(Box::new(SolverConfig::Ilu0 {})),
         };
-        let run = |variant| {
-            let spec = BackendSpec::IpuSim(variant);
-            let res = solve_or_panic(
-                a.clone(),
-                &b,
-                &cfg,
-                &SolveOptions { backend: Some(spec), ..opts(4) },
-            );
-            assert_eq!(res.report.executor, spec.name());
-            assert_eq!(res.report.backend.as_ref().expect("backend stamped").name, spec.name());
+        // The backend pinned, and left to the default: the same device.
+        let run = |backend| {
+            let res = solve_or_panic(a.clone(), &b, &cfg, &SolveOptions { backend, ..opts(4) });
+            assert_eq!(res.report.executor, "ipu-sim");
+            assert_eq!(res.report.backend.as_ref().expect("backend stamped").name, "ipu-sim");
             assert!(res.report.host_seconds > 0.0);
             res
         };
-        let interp = run(IpuVariant::Default);
-        let fused = run(IpuVariant::Fused);
+        let pinned = run(Some(BackendSpec::IpuSim));
+        let default = run(None);
         let bits = |r: &SolveResult| r.x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&interp), bits(&fused), "solutions differ from interp");
-        assert_eq!(interp.iterations, fused.iterations);
-        assert_eq!(interp.stats.device_cycles(), fused.stats.device_cycles());
-        assert_eq!(interp.seconds, fused.seconds, "device time is host-independent");
-        // The compile report records the selection: SpMV and its residual
-        // must fuse and nothing else, both ILU(0) sweeps run as kernel
-        // instructions on both routes, and every vertex is lowered.
-        let selection = |r: &SolveResult| {
-            let compile = r.report.compile.as_ref().expect("compile report present");
-            compile.pass("native-kernel-selection").expect("selection stamped").clone()
-        };
-        let sel = selection(&fused);
-        for k in ["spmv", "spmv_residual"] {
-            assert!(sel.counter(&format!("fused.{k}")) > 0, "{k} must fuse: {:?}", sel.counters);
-        }
-        assert_eq!(sel.counter("codelets_fused"), 2, "{:?}", sel.counters);
-        for r in [&interp, &fused] {
-            let sel = selection(r);
-            for k in ["forward_subst", "backward_subst_div"] {
-                let n = sel.counter(&format!("kernel.{k}"));
-                assert!(n > 0, "{k} is no kernel instruction: {:?}", sel.counters);
-            }
+        assert_eq!(bits(&pinned), bits(&default), "solutions differ");
+        assert_eq!(pinned.iterations, default.iterations);
+        assert_eq!(pinned.stats.device_cycles(), default.stats.device_cycles());
+        assert_eq!(pinned.seconds, default.seconds, "device time is host-independent");
+        // The compile report records the selection: SpMV, its residual and
+        // both ILU(0) sweeps run as kernel instructions, and every vertex is
+        // lowered.
+        let compile = pinned.report.compile.as_ref().expect("compile report present");
+        let sel = compile.pass("native-kernel-selection").expect("selection stamped");
+        for k in ["spmv", "spmv_residual", "forward_subst", "backward_subst_div"] {
+            let n = sel.counter(&format!("kernel.{k}"));
+            assert!(n > 0, "{k} is no kernel instruction: {:?}", sel.counters);
         }
         assert!(sel.counter("vertices_total") > 0);
         assert_eq!(sel.counter("vertices_lowered"), sel.counter("vertices_total"));
-        assert_eq!(selection(&interp).counter("codelets_fused"), 0);
     }
 
     #[test]

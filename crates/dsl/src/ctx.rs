@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 use graph::codelet::{Codelet, Expr, ParamDecl, Stmt, Value};
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
-use graph::engine::{Engine, EngineOptions, HostCallback, HostView};
+use graph::engine::{Engine, HostCallback, HostView};
 use graph::graph::{CompileError, Graph};
 use graph::passes::CompileOptions;
 use graph::program::{ElemCopy, ExchangeStep, Prog};
@@ -520,28 +520,22 @@ impl DslCtx {
     /// all callbacks) — steps 3 and 4 of the paper's pipeline. The graph
     /// compiler lowers the program to an [`graph::ExecPlan`] and plans its
     /// communication; nothing here reads the environment.
-    pub fn build_engine(self) -> Result<Engine, CompileError> {
-        self.build_engine_on(EngineOptions::default())
-    }
-
-    /// [`DslCtx::build_engine`]; [`CompileOptions`] has no fields.
-    pub fn build_engine_with(self, _options: CompileOptions) -> Result<Engine, CompileError> {
-        self.build_engine()
-    }
-
-    /// Like [`DslCtx::build_engine`], also pinning how the engine
-    /// dispatches vertices.
-    pub fn build_engine_on(mut self, engine: EngineOptions) -> Result<Engine, CompileError> {
+    pub fn build_engine(mut self) -> Result<Engine, CompileError> {
         assert_eq!(self.frames.len(), 1, "unbalanced control-flow stack");
         let steps = self.frames.pop().unwrap();
         let program =
             if steps.len() == 1 { steps.into_iter().next().unwrap() } else { Prog::Seq(steps) };
         let exec = self.graph.compile(program)?;
-        let mut engine = Engine::with_options(exec, engine);
+        let mut engine = Engine::new(exec);
         for (id, cb) in self.callbacks {
             engine.register_callback(id, cb);
         }
         Ok(engine)
+    }
+
+    /// [`DslCtx::build_engine`]; [`CompileOptions`] has no fields.
+    pub fn build_engine_with(self, _options: CompileOptions) -> Result<Engine, CompileError> {
+        self.build_engine()
     }
 }
 

@@ -8,13 +8,16 @@
 //! again through the one out-of-line copy of each operator, so its payload
 //! is the interpreter's too. Charges are exact because the loop adds, per
 //! row, the closed-form sums of what the interpreter charges for each
-//! statement of the template, and schedules the rows as it does. It reads
-//! what the interpreter reads before each row's store, in its order, so an
-//! index out of range (row pointers shorter than the rows, say) panics on
-//! the row where the interpreter panics.
+//! statement of the template, and schedules the rows as it does: the SpMV's
+//! under the `ParFor` makespan, the sweeps' level by level. It reads what
+//! the interpreter reads before each row's store, in its order, so an index
+//! out of range (row pointers shorter than the rows, say) panics on the row
+//! where the interpreter panics.
 
+use super::interp::parfor_makespan;
 use super::ir::{arith_f32, through_f64, BinOp, Codelet, Expr, ParamData, ParamDecl, Stmt, Value};
 use super::lower::Charge;
+use crate::compute::VertexKind;
 use ipu_sim::cost::{CostModel, DType, Op};
 use ipu_sim::threading::{level_set_cycles_in, LptScratch};
 
@@ -22,47 +25,67 @@ use ipu_sim::threading::{level_set_cycles_in, LptScratch};
 /// locals, body.
 pub type Template = (Vec<ParamDecl>, usize, Vec<Stmt>);
 
-/// Whether `c` is template `t`, exactly. Any drift in the real builder
-/// makes the match fail: a safe fallback, never a wrong kernel.
-pub(crate) fn is_template(c: &Codelet, t: &Template) -> bool {
-    c.params == t.0 && c.num_locals == t.1 && c.body == t.2
-}
-
-/// A kernel instruction: one family of solver codelets, run a whole
-/// `LevelSet` vertex at a time.
+/// A kernel instruction: one family of solver codelets, run a whole vertex
+/// at a time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
-    /// `dilu_forward` (`divide`) / `ilu_forward`: per row `i`,
-    /// `w_i = (b_i − Σ_{j<i} l_ij w_j) / d_i` or `w_i = b_i − Σ_{j<i} l_ij w_j`.
+    /// `spmv` / `spmv_residual` (`residual`), a `Simple` vertex: per row
+    /// `i` of `y`, `y_i = d_i x_i + Σ_k v_k x_{c_k}` or
+    /// `y_i = b_i − (d_i x_i + Σ_k v_k x_{c_k})`.
+    Spmv { residual: bool },
+    /// `dilu_forward` (`divide`) / `ilu_forward`, a `LevelSet` vertex: per
+    /// row `i`, `w_i = (b_i − Σ_{j<i} l_ij w_j) / d_i` or
+    /// `w_i = b_i − Σ_{j<i} l_ij w_j`.
     Forward { divide: bool },
-    /// `ilu_backward` (`divide`) / `dilu_backward`: per row `i`,
-    /// `z_i = (z_i − Σ_{i<j<n} u_ij z_j) / u_ii` or
+    /// `ilu_backward` (`divide`) / `dilu_backward`, a `LevelSet` vertex:
+    /// per row `i`, `z_i = (z_i − Σ_{i<j<n} u_ij z_j) / u_ii` or
     /// `z_i = z_i − (Σ_{i<j<n} u_ij z_j) / u_ii`.
     Backward { divide: bool },
 }
 
 impl Kernel {
-    /// The kernel `codelet` is for operands of `storage`, if it is one.
-    pub(super) fn recognise(codelet: &Codelet, storage: &[DType]) -> Option<Kernel> {
+    /// The kernel `codelet` is for operands of `storage` on a `LevelSet`
+    /// vertex (`level_set`) or a `Simple` one, if it is one. Any drift in
+    /// the real builder makes the match fail: a safe fallback to the
+    /// lowered program, never a wrong kernel.
+    pub(super) fn recognise(
+        codelet: &Codelet,
+        storage: &[DType],
+        level_set: bool,
+    ) -> Option<Kernel> {
         use DType::{F32, I32};
-        let forward = match storage {
-            [F32, F32, F32, F32, I32, I32] => true,
-            [F32, F32, F32, I32, I32] => false,
+        use Kernel::*;
+        let candidates: &[Kernel] = match (level_set, storage) {
+            (false, [F32, F32, F32, F32, I32, I32]) => &[Spmv { residual: false }],
+            (false, [F32, F32, F32, F32, F32, I32, I32]) => &[Spmv { residual: true }],
+            (true, [F32, F32, F32, F32, I32, I32]) => {
+                &[Forward { divide: false }, Forward { divide: true }]
+            }
+            (true, [F32, F32, F32, I32, I32]) => {
+                &[Backward { divide: false }, Backward { divide: true }]
+            }
             _ => return None,
         };
-        [false, true].into_iter().find_map(|divide| {
-            let (template, kernel) = if forward {
-                (forward_subst_template(divide), Kernel::Forward { divide })
-            } else {
-                (backward_subst_template(divide), Kernel::Backward { divide })
-            };
-            is_template(codelet, &template).then_some(kernel)
+        candidates.iter().copied().find(|k| {
+            let (params, num_locals, body) = k.template();
+            codelet.params == params && codelet.num_locals == num_locals && codelet.body == body
         })
+    }
+
+    /// The codelet this kernel runs, as its builder emits it.
+    fn template(self) -> Template {
+        match self {
+            Kernel::Spmv { residual } => spmv_template(residual),
+            Kernel::Forward { divide } => forward_subst_template(divide),
+            Kernel::Backward { divide } => backward_subst_template(divide),
+        }
     }
 
     /// Stable family name, stamped into the compile report.
     pub fn name(self) -> &'static str {
         match self {
+            Kernel::Spmv { residual: false } => "spmv",
+            Kernel::Spmv { residual: true } => "spmv_residual",
             Kernel::Forward { divide: false } => "forward_subst",
             Kernel::Forward { divide: true } => "forward_subst_div",
             Kernel::Backward { divide: false } => "backward_subst",
@@ -70,19 +93,118 @@ impl Kernel {
         }
     }
 
-    /// Run one `LevelSet` vertex over `levels`, scheduling it in `lpt`.
+    /// Run one vertex of the kind the kernel was recognised for, scheduling
+    /// a level set's rows in `lpt`.
     pub(super) fn run(
         self,
-        levels: &[Vec<usize>],
+        kind: &VertexKind,
         params: &mut [ParamData],
         lpt: &mut LptScratch,
         cost: &CostModel,
         workers: u64,
     ) -> Charge {
-        match self {
-            Kernel::Forward { divide } => forward(divide, levels, params, lpt, cost, workers),
-            Kernel::Backward { divide } => backward(divide, levels, params, lpt, cost, workers),
+        match (self, kind) {
+            (Kernel::Spmv { residual }, VertexKind::Simple) => {
+                spmv(residual, params, cost, workers)
+            }
+            (Kernel::Forward { divide }, VertexKind::LevelSet { levels }) => {
+                forward(divide, levels, params, lpt, cost, workers)
+            }
+            (Kernel::Backward { divide }, VertexKind::LevelSet { levels }) => {
+                backward(divide, levels, params, lpt, cost, workers)
+            }
+            _ => unreachable!("{self:?} was recognised for the other vertex kind"),
         }
+    }
+}
+
+/// The SpMV over `y · x · diag · vals · cols · rptr`, or its residual over
+/// `y · x · b · diag · vals · cols · rptr`.
+fn spmv(residual: bool, params: &mut [ParamData], cost: &CostModel, workers: u64) -> Charge {
+    use ParamData::{F32Ro, I32Ro, F32};
+    // `recognise` pinned the storage and the template the mutability.
+    let (y, x, b, diag, vals, cols, rptr) = match params {
+        [F32(y), F32Ro(x), F32Ro(diag), F32Ro(vals), I32Ro(cols), I32Ro(rptr)] if !residual => {
+            (y, x, None, diag, vals, cols, rptr)
+        }
+        [F32(y), F32Ro(x), F32Ro(b), F32Ro(diag), F32Ro(vals), I32Ro(cols), I32Ro(rptr)] => {
+            (y, x, Some(&**b), diag, vals, cols, rptr)
+        }
+        _ => unreachable!("the SpMV template is bound to its declared storage"),
+    };
+    let y: &mut [f32] = y;
+    let (x, diag, vals, cols, rptr) = (&**x, &**diag, &**vals, &**cols, &**rptr);
+    // `ParamLen`, the `ParFor`'s end: no rows when it wraps negative.
+    let n = (y.len() as i32).max(0) as usize;
+
+    // Per row: the loop step, the loads of `d_i` and `x_i` and their
+    // product, two row-pointer loads and the `i + 1`, the load of `b_i`
+    // and the subtract when there is one, the store of `y_i`; per trip:
+    // the loop step, three loads, the multiply and the add.
+    let l_f = cost.op_cycles(Op::Load, DType::F32);
+    let l_i = cost.op_cycles(Op::Load, DType::I32);
+    let step = cost.op_cycles(Op::LoopStep, DType::I32);
+    let mul = cost.op_cycles(Op::Mul, DType::F32);
+    let (sub, sub_flops, b_mem) =
+        if residual { (l_f + cost.op_cycles(Op::Sub, DType::F32), 1, 4) } else { (0, 0, 0) };
+    let row_cy = step
+        + 2 * l_f
+        + mul
+        + 2 * l_i
+        + cost.op_cycles(Op::Add, DType::I32)
+        + sub
+        + cost.op_cycles(Op::Store, DType::F32);
+    let trip_cy = step + 2 * l_f + l_i + mul + cost.op_cycles(Op::Add, DType::F32);
+
+    let mut trips = 0u64;
+    for i in 0..n {
+        let mut acc = diag[i] * x[i];
+        let (lo, hi) = (rptr[i] as i64, rptr[i + 1] as i64);
+        for k in lo..hi {
+            let k = k as usize;
+            acc += vals[k] * x[cols[k] as usize];
+        }
+        let mut v = match b {
+            Some(b) => b[i] - acc,
+            None => acc,
+        };
+        if v.is_nan() {
+            v = spmv_row_nan(i, lo..hi, x, b, diag, vals, cols);
+        }
+        y[i] = through_f64(v);
+        trips += (hi - lo).max(0) as u64;
+    }
+    let rows = n as u64;
+    Charge {
+        cycles: parfor_makespan(rows * row_cy + trips * trip_cy, workers, cost),
+        flops: rows * (1 + sub_flops) + trips * 2,
+        mem_bytes: rows * (20 + b_mem) + trips * 12,
+    }
+}
+
+/// Row `i` of the SpMV again, every operation through `arith_f32`: which
+/// NaN a native operation returns depends on how the compiler ordered its
+/// operands, and this is the interpreter's answer.
+#[cold]
+#[inline(never)]
+fn spmv_row_nan(
+    i: usize,
+    trips: std::ops::Range<i64>,
+    x: &[f32],
+    b: Option<&[f32]>,
+    diag: &[f32],
+    vals: &[f32],
+    cols: &[i32],
+) -> f32 {
+    use BinOp::*;
+    let mut acc = arith_f32(Mul, diag[i], x[i]);
+    for k in trips {
+        let k = k as usize;
+        acc = arith_f32(Add, acc, arith_f32(Mul, vals[k], x[cols[k] as usize]));
+    }
+    match b {
+        Some(b) => arith_f32(Sub, b[i], acc),
+        None => acc,
     }
 }
 
@@ -280,6 +402,62 @@ fn backward_row_nan(
     } else {
         arith_f32(Sub, z[i], arith_f32(Div, acc, ldiag[i]))
     }
+}
+
+/// Rebuild `build_spmv_codelet` (crates/core/src/dist.rs): a `ParFor` over
+/// the rows of `y`. Public for the interpreter microbench and the tests that
+/// hold the kernel to `Interp`.
+pub fn spmv_template(residual: bool) -> Template {
+    use BinOp::*;
+    let ro = |dtype| ParamDecl { dtype, mutable: false };
+    let mut params = vec![ParamDecl { dtype: DType::F32, mutable: true }, ro(DType::F32)];
+    if residual {
+        params.push(ro(DType::F32)); // b
+    }
+    let d = params.len(); // diag
+    params.extend([ro(DType::F32), ro(DType::F32), ro(DType::I32), ro(DType::I32)]);
+    let (vals, cols, rptr) = (d + 1, d + 2, d + 3);
+    let store_value = if residual {
+        Expr::bin(Sub, Expr::index(2, Expr::Local(0)), Expr::Local(1))
+    } else {
+        Expr::Local(1)
+    };
+    let body = vec![Stmt::ParFor {
+        local: 0,
+        start: Expr::Const(Value::I32(0)),
+        end: Expr::ParamLen(0),
+        body: vec![
+            Stmt::SetLocal(
+                1,
+                Expr::bin(Mul, Expr::index(d, Expr::Local(0)), Expr::index(1, Expr::Local(0))),
+            ),
+            Stmt::SetLocal(2, Expr::index(rptr, Expr::Local(0))),
+            Stmt::SetLocal(
+                3,
+                Expr::index(rptr, Expr::bin(Add, Expr::Local(0), Expr::Const(Value::I32(1)))),
+            ),
+            Stmt::For {
+                local: 4,
+                start: Expr::Local(2),
+                end: Expr::Local(3),
+                step: Expr::Const(Value::I32(1)),
+                body: vec![Stmt::SetLocal(
+                    1,
+                    Expr::bin(
+                        Add,
+                        Expr::Local(1),
+                        Expr::bin(
+                            Mul,
+                            Expr::index(vals, Expr::Local(4)),
+                            Expr::index(1, Expr::index(cols, Expr::Local(4))),
+                        ),
+                    ),
+                )],
+            },
+            Stmt::Store { param: 0, index: Expr::Local(0), value: store_value },
+        ],
+    }];
+    (params, 5, body)
 }
 
 /// Rebuild `forward_subst_codelet` (crates/core/src/solvers/ilu.rs): a

@@ -20,9 +20,10 @@ use ipu_sim::cost::{CostModel, DType, Op};
 // ([`MacLoop`]), a `ParFor` whose trip, or a `LevelSet` vertex whose
 // body, is a row around such a loop runs every row as one instruction
 // ([`Row`]), a `ParFor` whose trip is an element-wise map runs a column at
-// a time, as one instruction ([`Map`]), and a `LevelSet` codelet that is one
-// of the solvers' templates runs as one native loop ([`Kernel`]), with no
-// program at all. What is left to run time
+// a time, as one instruction ([`Map`]), and a codelet that is one of the
+// solvers' templates — the SpMV, its residual, the two triangular sweeps —
+// runs as one native loop ([`Kernel`]), with no program at all. What is left
+// to run time
 // is data: values, trip counts, the `ParFor` makespan and the level-set
 // schedule. `Interp` stays as the fallback for what cannot be typed, and as
 // the oracle the lowered form is tested against.
@@ -418,7 +419,7 @@ impl Lowered {
         if storage.len() != codelet.params.len() || Param::try_from(storage.len()).is_err() {
             return None;
         }
-        if let Some(kernel) = level_set.then(|| Kernel::recognise(codelet, storage)).flatten() {
+        if let Some(kernel) = Kernel::recognise(codelet, storage, level_set) {
             return Some(Lowered {
                 code: Vec::new(),
                 charges: Vec::new(),

@@ -1,8 +1,8 @@
 //! The register machine: runs a lowered program over one register file per
 //! domain, a multiply-accumulate loop as one instruction, every row of a
 //! `ParFor` or a `LevelSet` vertex as one instruction, an element-wise map
-//! as one instruction, a column at a time, and a kernel's `LevelSet` vertex
-//! as one native loop.
+//! as one instruction, a column at a time, and a kernel's vertex as one
+//! native loop.
 
 use super::emit::{
     Bin, Cmp, Column, Elem, Ins, MacLoop, Map, Node, Operand, Param, Reg, Row, Scalar, Src, Step,
@@ -38,8 +38,8 @@ impl Lowered {
             matches!(kind, VertexKind::LevelSet { .. }),
             "lowered for the other vertex kind"
         );
-        if let (Some(k), VertexKind::LevelSet { levels }) = (self.kernel, kind) {
-            return k.run(levels, params, &mut regs.lpt, cost, workers);
+        if let Some(k) = self.kernel {
+            return k.run(kind, params, &mut regs.lpt, cost, workers);
         }
         regs.files.reset(&self.files, self.sites);
         let mut run = Charge::default();

@@ -20,24 +20,20 @@
 //! * `Copy` — an on-tile memcpy parallelised over the worker threads.
 //! * `If`/`While` — control-flow decisions synchronise all tiles.
 //!
-//! # One path, one option
+//! # One path
 //!
-//! The simulated *device* semantics are fixed; [`EngineOptions`] only
-//! chooses how the *host* runs each vertex. Dispatch is decided per vertex
-//! at engine build, in three tiers: the fused kernel matched to its
-//! codelet ([`crate::kernels`]: SpMV and its residual, only with `fusion`
-//! on), else the codelet's lowered form — typed and costed for the
-//! vertex's operand storage dtypes and flattened into a register program,
-//! or, for the forward and backward triangular sweeps, one kernel
-//! instruction ([`Lowered`]) — else, for a body that cannot be typed, the
-//! dynamic [`Interp`]. `fusion: false`, the default, runs no fused kernel —
-//! the reference they are tested against.
+//! The simulated *device* semantics are fixed, and so is how the *host*
+//! runs each vertex. Dispatch is decided per vertex at engine build, in two
+//! tiers: the codelet's lowered form ([`Lowered`]) — for the solvers' SpMV,
+//! its residual and the two triangular sweeps one kernel instruction, else
+//! the body typed and costed for the vertex's operand storage dtypes and
+//! flattened into a register program — or, for a body that cannot be
+//! typed, the dynamic [`Interp`], the oracle the lowered form is tested
+//! against.
 //!
 //! Every compute set runs its vertices in program order on the caller's
 //! thread; tile and worker concurrency is a device property, modelled in
 //! cycles (per-tile counts merged in tile-id order), not a host schedule.
-//! Both dispatch routes leave bit-identical storage, `CycleStats`, perf
-//! attribution and traces behind; only host wall-clock differs.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -53,27 +49,9 @@ use twofloat::{SoftDouble, TwoF32, TwoFloat};
 use crate::codelet::{Charge, Codelet, Interp, Lowered, ParamData, Regs};
 use crate::compute::{TensorSlice, Vertex, VertexKind};
 use crate::graph::{Executable, Graph};
-use crate::kernels::KernelTable;
 use crate::plan::{CopyStep, ExchangePhase, ExecPlan, ExecuteStep, PlanStep, StepId};
 use crate::program::ElemCopy;
 use crate::tensor::TensorId;
-
-/// Host-execution options for an [`Engine`] (see the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineOptions {
-    /// Run each vertex on the fused kernel matched at engine build where
-    /// there is one. `false`, the default, skips the library: every vertex
-    /// runs its lowered form.
-    pub fusion: bool,
-}
-
-impl EngineOptions {
-    /// Both dispatch routes — what the equivalence tests sweep. The first
-    /// entry, every vertex on its lowered form, is the reference the fused
-    /// one is compared against.
-    pub const ALL: [EngineOptions; 2] =
-        [EngineOptions { fusion: false }, EngineOptions { fusion: true }];
-}
 
 /// Runtime state of a [`FaultPlan`] inside one engine.
 ///
@@ -99,7 +77,7 @@ pub struct FaultState {
 impl FaultState {
     /// Resolve `plan` against a concrete tile count. Resolution is a pure
     /// function of (plan, `num_tiles`), so the same plan replays
-    /// bit-identically under every engine option and across runs.
+    /// bit-identically across engines and runs.
     pub fn new(plan: FaultPlan, num_tiles: usize) -> FaultState {
         let resolved = plan.resolve(num_tiles);
         let fired = vec![false; resolved.len()];
@@ -232,32 +210,19 @@ pub struct Engine {
     /// with `stats`. Purely observational: it never reads or advances the
     /// clock, so device cycle totals are identical with or without it.
     perf: Option<PerfRecorder>,
-    /// Per-codelet fused-kernel selection (empty of kernels when
-    /// `options.fusion` is off), stamped into the compile report as the
-    /// `"native-kernel-selection"` pass.
-    kernels: KernelTable,
-    /// Every vertex's codelet lowered for its operand storage dtypes.
+    /// Every vertex's codelet lowered for its operand storage dtypes,
+    /// stamped into the compile report as the `"native-kernel-selection"`
+    /// pass.
     lowered: LoweredTable,
 }
 
 impl Engine {
-    /// Build an engine with the default options: every vertex on its
-    /// lowered form.
+    /// Build an engine: every vertex on its codelet's lowered form.
     pub fn new(exec: Executable) -> Self {
-        Self::with_options(exec, EngineOptions::default())
-    }
-
-    /// Build an engine with explicit host-execution options.
-    pub fn with_options(exec: Executable, options: EngineOptions) -> Self {
         let Executable { graph, plan, mut report } = exec;
-        // Codelet matching is pure structure (bytecode + operand
-        // declarations), so the table depends only on the graph.
-        let kernels =
-            if options.fusion { KernelTable::build(&graph) } else { KernelTable::disabled(&graph) };
         let lowered = LoweredTable::build(&graph);
         let mut stat = PassStat::new("native-kernel-selection", report.plan_steps);
-        stat.count("codelets_total", kernels.total() as u64);
-        stat.count("codelets_fused", kernels.fused().count() as u64);
+        stat.count("codelets_total", graph.codelets.len() as u64);
         // Totals, not a row per codelet: a vertex that is not lowered runs
         // on the dynamic interpreter, correct but slower; one whose inner
         // loops are not recognised runs them a trip at a time, one whose
@@ -281,11 +246,6 @@ impl Engine {
         for (name, n) in families {
             stat.count(&format!("kernel.{name}"), n);
         }
-        // One row per matched kernel; an unmatched codelet runs its lowered
-        // form, and the totals above already say which vertices have none.
-        for k in kernels.fused() {
-            stat.count(&format!("fused.{k}"), 1);
-        }
         report.passes.push(stat);
         let storage = graph.tensors.iter().map(|t| Storage::zeros(t.dtype, t.len())).collect();
         let stats = CycleStats::new(graph.model.num_tiles());
@@ -299,7 +259,6 @@ impl Engine {
             trace: None,
             faults: None,
             perf: None,
-            kernels,
             lowered,
         }
     }
@@ -441,7 +400,6 @@ impl Engine {
             trace: &mut self.trace,
             faults: &mut self.faults,
             perf: &mut self.perf,
-            kernels: &self.kernels,
             lowered: &self.lowered,
             bases: TensorBases::default(),
             per_tile: Vec::new(),
@@ -470,7 +428,6 @@ struct ExecCtx<'a> {
     trace: &'a mut Option<TraceRecorder>,
     faults: &'a mut Option<FaultState>,
     perf: &'a mut Option<PerfRecorder>,
-    kernels: &'a KernelTable,
     lowered: &'a LoweredTable,
     // Buffers kept for the whole run, so that replay allocates per run, not
     // per compute set or vertex: the storage's base pointers (refilled per
@@ -620,12 +577,12 @@ impl ExecCtx<'_> {
         self.record_sync(step, es.sync_cycles);
         if self.faults.is_some() {
             // Fault hooks run before the vertices, so the perturbed state
-            // (and hence every downstream bit) is identical under either
-            // dispatch route.
+            // (and hence every downstream bit) does not depend on how the
+            // vertices are run.
             self.apply_sram_faults(es);
         }
 
-        let (graph, kernels, lowered) = (self.graph, self.kernels, self.lowered);
+        let (graph, lowered) = (self.graph, self.lowered);
         self.bases.refill(self.storage);
         let bases = &self.bases;
         // Per-tile cycles plus the superstep's total work counters. Program
@@ -638,7 +595,7 @@ impl ExecCtx<'_> {
         for (i, v) in cs.vertices.iter().enumerate() {
             let form = lowered.get(es.cs, i);
             let (params, regs) = (&mut self.params, &mut self.regs);
-            let run = run_vertex(graph, bases, v, form, kernels, params, regs);
+            let run = run_vertex(graph, bases, v, form, params, regs);
             let slot = per_tile
                 .binary_search_by_key(&v.tile, |&(t, _)| t)
                 .expect("the plan's tiles cover every vertex's tile");
@@ -1071,13 +1028,10 @@ fn params_from_bases<'a, 'b>(
 /// Cycles are time (worker-parallel constructs shrink them); flops/bytes
 /// are work (parallelism leaves them unchanged).
 ///
-/// Three tiers, each decided at engine build: the fused kernel matched to
-/// the vertex's codelet, when there is one and the runtime operand layout
-/// accepts it (`run` returns `None` for e.g. a storage dtype the
-/// monomorphised code was not built for); else the codelet's lowered form;
-/// else — a body lowering could not type — the dynamic interpreter. Free of
-/// engine state: a vertex's result depends only on the graph, the storage
-/// it reads and its own operands.
+/// Two tiers, decided at engine build: the codelet's lowered form (a kernel
+/// instruction or a register program); else — a body lowering could not
+/// type — the dynamic interpreter. Free of engine state: a vertex's result
+/// depends only on the graph, the storage it reads and its own operands.
 ///
 /// `params` (empty between vertices) and `regs` are buffers reused from
 /// vertex to vertex for a whole run, so replay does not allocate per
@@ -1087,7 +1041,6 @@ fn run_vertex<'a>(
     bases: &TensorBases,
     v: &'a Vertex,
     lowered: Option<&Lowered>,
-    kernels: &KernelTable,
     params: &mut Vec<ParamData<'a>>,
     regs: &mut Regs,
 ) -> Charge {
@@ -1095,11 +1048,9 @@ fn run_vertex<'a>(
     let cost = &graph.cost;
     let workers = graph.model.workers_per_tile as u64;
     params.extend(params_from_bases(bases, codelet, &v.operands));
-    let fused = kernels.get(v.codelet).and_then(|k| k.run(&v.kind, params, cost, workers));
-    let run = match (fused, lowered) {
-        (Some(run), _) => run,
-        (None, Some(l)) => l.run_vertex(&v.kind, params, regs, cost, workers),
-        (None, None) => {
+    let run = match lowered {
+        Some(l) => l.run_vertex(&v.kind, params, regs, cost, workers),
+        None => {
             let mut interp = Interp::new(cost, params, codelet.num_locals, workers);
             let cycles = interp.run_vertex(&v.kind, &codelet.body);
             Charge { cycles, flops: interp.flops, mem_bytes: interp.mem_bytes }
@@ -1840,53 +1791,47 @@ mod tests {
         )
     }
 
+    /// Two engines built from one executable leave the same bits, the
+    /// same stats and the same per-tile busy time, and the bits are what
+    /// the codelet computes: every input doubled.
     #[test]
     fn every_dispatch_and_schedule_matches_the_interpreted_single_thread_bitwise() {
         let (exec, x) = double_in_place();
         let input = [1.5, -2.0, 3.25, 4.0, 5.5, -6.0, 7.75, 8.0];
-        let run = |options: EngineOptions| {
-            let mut e = Engine::with_options(exec.clone(), options);
+        let run = || {
+            let mut e = Engine::new(exec.clone());
             e.write_tensor(x, &input);
             e.run();
             e
         };
-        let reference = run(EngineOptions::ALL[0]);
+        let (reference, e) = (run(), run());
         let bits = |e: &Engine| e.read_tensor(x).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for options in EngineOptions::ALL {
-            let e = run(options);
-            let who = format!("{options:?}");
-            assert_eq!(bits(&reference), bits(&e), "{who}: tensor bits differ");
-            assert_eq!(fingerprint(&reference), fingerprint(&e), "{who}: stats differ");
-            for t in 0..2 {
-                assert_eq!(reference.stats().tile_busy(t), e.stats().tile_busy(t), "{who}");
-            }
+        let doubled: Vec<u64> = input.iter().map(|v| (2.0 * v).to_bits()).collect();
+        assert_eq!(bits(&reference), doubled, "tensor bits");
+        assert_eq!(bits(&reference), bits(&e), "tensor bits differ");
+        assert_eq!(fingerprint(&reference), fingerprint(&e), "stats differ");
+        for t in 0..2 {
+            assert_eq!(reference.stats().tile_busy(t), e.stats().tile_busy(t));
         }
     }
 
     #[test]
-    fn fusion_off_fuses_nothing_and_says_so() {
+    fn the_selection_pass_counts_every_vertex_by_what_runs_it() {
         let (exec, _) = double_in_place();
-        let sel = |fusion| {
-            let e = Engine::with_options(exec.clone(), EngineOptions { fusion });
-            e.compile_report().pass("native-kernel-selection").cloned().unwrap()
-        };
-        // A map is not in the library: with fusion on or off it runs
-        // lowered. Lowering does not depend on fusion: both vertices, either
-        // way, each its map as one instruction, with no accumulate loop and
-        // no row and no kernel instruction. No per-codelet rows: only a
-        // matched fused kernel gets one, and only a kernel family that
-        // runs gets a `kernel.*` counter.
-        for fusion in [false, true] {
-            assert_eq!(sel(fusion).counter("codelets_total"), 1);
-            assert_eq!(sel(fusion).counter("codelets_fused"), 0);
-            assert_eq!(sel(fusion).counter("vertices_total"), 2);
-            assert_eq!(sel(fusion).counter("vertices_lowered"), 2);
-            assert_eq!(sel(fusion).counter("vertices_looped"), 0);
-            assert_eq!(sel(fusion).counter("vertices_rowed"), 0);
-            assert_eq!(sel(fusion).counter("vertices_mapped"), 2);
-            assert_eq!(sel(fusion).counter("vertices_kernel"), 0);
-            assert_eq!(sel(fusion).counters.len(), 8, "{:?}", sel(fusion).counters);
-        }
+        let e = Engine::new(exec);
+        let sel = e.compile_report().pass("native-kernel-selection").unwrap();
+        // Both vertices lowered, each its map as one instruction, with no
+        // accumulate loop and no row and no kernel instruction. No
+        // per-codelet rows: only a kernel family that runs gets a
+        // `kernel.*` counter.
+        assert_eq!(sel.counter("codelets_total"), 1);
+        assert_eq!(sel.counter("vertices_total"), 2);
+        assert_eq!(sel.counter("vertices_lowered"), 2);
+        assert_eq!(sel.counter("vertices_looped"), 0);
+        assert_eq!(sel.counter("vertices_rowed"), 0);
+        assert_eq!(sel.counter("vertices_mapped"), 2);
+        assert_eq!(sel.counter("vertices_kernel"), 0);
+        assert_eq!(sel.counters.len(), 7, "{:?}", sel.counters);
     }
 
     #[test]
@@ -1924,16 +1869,14 @@ mod tests {
             (g.compile(Prog::Execute(cs)).unwrap(), x, y)
         };
         for writer_first in [true, false] {
-            for options in EngineOptions::ALL {
-                let (exec, x, y) = build(writer_first);
-                let mut e = Engine::with_options(exec, options);
-                e.write_tensor(x, &[3.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0]);
-                e.run();
-                let want = if writer_first { 6.0 } else { 3.0 };
-                let who = format!("writer_first={writer_first} {options:?}");
-                assert_eq!(e.read_tensor(y), vec![want; 4], "{who}");
-                assert_eq!(e.read_tensor(x), vec![6.0, 2.0, 2.0, 2.0, 5.0, 5.0, 5.0, 5.0], "{who}");
-            }
+            let (exec, x, y) = build(writer_first);
+            let mut e = Engine::new(exec);
+            e.write_tensor(x, &[3.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0]);
+            e.run();
+            let want = if writer_first { 6.0 } else { 3.0 };
+            let who = format!("writer_first={writer_first}");
+            assert_eq!(e.read_tensor(y), vec![want; 4], "{who}");
+            assert_eq!(e.read_tensor(x), vec![6.0, 2.0, 2.0, 2.0, 5.0, 5.0, 5.0, 5.0], "{who}");
         }
     }
 
@@ -2018,8 +1961,8 @@ mod tests {
 
     use ipu_sim::fault::FaultPlan;
 
-    fn run_faulted(exec: &Executable, x: TensorId, spec: &str, fusion: bool) -> (Vec<f64>, u64) {
-        let mut e = Engine::with_options(exec.clone(), EngineOptions { fusion });
+    fn run_faulted(exec: &Executable, x: TensorId, spec: &str) -> (Vec<f64>, u64) {
+        let mut e = Engine::new(exec.clone());
         e.set_faults(FaultPlan::parse(spec).unwrap());
         e.write_tensor(x, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         e.run();
@@ -2032,10 +1975,10 @@ mod tests {
         // Flip bit 30 of float word 1 on tile 1 (tile 1 owns x[4..8], so
         // word 1 is x[5]) before superstep 0.
         let spec = "flip@s0.t1:w1.b30";
-        let (seq, seq_cycles) = run_faulted(&exec, x, spec, false);
-        let (fused, fused_cycles) = run_faulted(&exec, x, spec, true);
-        assert_eq!(seq, fused, "fault replay must be dispatch-independent");
-        assert_eq!(seq_cycles, fused_cycles);
+        let (seq, seq_cycles) = run_faulted(&exec, x, spec);
+        let (again, again_cycles) = run_faulted(&exec, x, spec);
+        assert_eq!(seq, again, "fault replay must be engine-independent");
+        assert_eq!(seq_cycles, again_cycles);
         // Only x[5] differs from the clean answer.
         let clean = vec![2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0];
         for (i, (a, b)) in seq.iter().zip(&clean).enumerate() {
@@ -2155,13 +2098,10 @@ mod tests {
     fn faulted_run_is_bit_deterministic() {
         let (exec, x) = double_in_place();
         let spec = "seed=7;n=4;smax=2;wmax=8";
-        let (r1, c1) = run_faulted(&exec, x, spec, false);
-        let (r2, c2) = run_faulted(&exec, x, spec, false);
-        let (r3, c3) = run_faulted(&exec, x, spec, true);
+        let (r1, c1) = run_faulted(&exec, x, spec);
+        let (r2, c2) = run_faulted(&exec, x, spec);
         assert_eq!(r1, r2);
         assert_eq!(c1, c2);
-        assert_eq!(r1, r3);
-        assert_eq!(c1, c3);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
 use graph::graph::Graph;
 use graph::program::Prog;
 use graph::tensor::TensorDef;
-use graph::{Engine, EngineOptions};
+use graph::Engine;
 use ipu_sim::clock::Phase;
 use ipu_sim::cost::{CostModel, DType, Op};
 use ipu_sim::model::IpuModel;
@@ -227,12 +227,11 @@ fn a_compute_set_executed_8_times_requests_no_more_allocations_than_executed_onc
 /// second level is wider than a tile's six workers.
 const SWEEP_ROWS: usize = 8;
 
-/// Allocator requests of one warm `Engine::run`, under `options`, of a
-/// compute set of `vertices` triangular-sweep vertices on one tile, each
+/// Allocator requests of one warm `Engine::run` of a compute set of `vertices` triangular-sweep vertices on one tile, each
 /// over its own `SWEEP_ROWS` rows: the forward sweep (rows 1.. read row 0)
 /// or the backward one (rows ..7 read row 7), each in two levels, the
 /// second of seven rows. Also the first vertex's solution.
-fn sweep_requests(vertices: usize, forward: bool, options: EngineOptions) -> (usize, Vec<f64>) {
+fn sweep_requests(vertices: usize, forward: bool) -> (usize, Vec<f64>) {
     let n = SWEEP_ROWS;
     let pivot = if forward { 0 } else { n - 1 };
     let others: Vec<usize> = (0..n).filter(|&i| i != pivot).collect();
@@ -275,7 +274,7 @@ fn sweep_requests(vertices: usize, forward: bool, options: EngineOptions) -> (us
         });
     }
     let cs = g.add_compute_set(cs).unwrap();
-    let mut e = Engine::with_options(g.compile(Prog::Execute(cs)).unwrap(), options);
+    let mut e = Engine::new(g.compile(Prog::Execute(cs)).unwrap());
     let selection = e.compile_report().pass("native-kernel-selection").unwrap();
     assert_eq!(selection.counter("vertices_kernel"), vertices as u64, "a kernel instruction each");
     for (t, _, values) in [&w, &b, &vals, &diag, &cols, &rptr] {
@@ -289,19 +288,15 @@ fn sweep_requests(vertices: usize, forward: bool, options: EngineOptions) -> (us
     (requests, e.read_tensor(w.0)[..n].to_vec())
 }
 
-/// The triangular sweeps — both a kernel instruction on every route —
-/// schedule their levels in the run's buffers too, a level wider than the
-/// workers included.
+/// The triangular sweeps — both kernel instructions — schedule their
+/// levels in the run's buffers too, a level wider than the workers
+/// included.
 #[test]
 fn a_compute_set_of_64_sweep_vertices_requests_no_more_allocations_than_one_of_1() {
     for forward in [false, true] {
-        let (_, reference) = sweep_requests(1, forward, EngineOptions::ALL[0]);
-        for options in EngineOptions::ALL {
-            let ((one, x1), (many, x64)) =
-                (sweep_requests(1, forward, options), sweep_requests(64, forward, options));
-            let who = format!("forward: {forward}, {options:?}");
-            assert_eq!((&x1, &x64), (&reference, &reference), "{who}: solutions");
-            assert!(many <= one, "{who}: 1 vertex: {one} requests per run; 64 vertices: {many}");
-        }
+        let ((one, x1), (many, x64)) = (sweep_requests(1, forward), sweep_requests(64, forward));
+        let who = format!("forward: {forward}");
+        assert_eq!(x1, x64, "{who}: solutions");
+        assert!(many <= one, "{who}: 1 vertex: {one} requests per run; 64 vertices: {many}");
     }
 }

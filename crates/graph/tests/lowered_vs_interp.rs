@@ -14,11 +14,10 @@
 //! read of it can follow — so there is nothing to compare.
 
 use graph::codelet::{
-    backward_subst_template, forward_subst_template, BinOp, Charge, Codelet, Expr, Interp, Kernel,
-    Lowered, ParamData, ParamDecl, Regs, Stmt, UnOp, Value,
+    backward_subst_template, forward_subst_template, spmv_template, BinOp, Charge, Codelet, Expr,
+    Interp, Kernel, Lowered, ParamData, ParamDecl, Regs, Stmt, UnOp, Value,
 };
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
-use graph::kernels::{spmv_template, KernelTable};
 use graph::program::Prog;
 use graph::tensor::TensorDef;
 use graph::{Engine, Graph};
@@ -675,11 +674,13 @@ fn next(l: usize) -> Expr {
 /// One random vertex: a codelet over every `Expr` / `Stmt` form, a storage
 /// dtype per operand drawn independently of the F32 / I32 it declares, and
 /// a vertex kind; one time in twelve each the backward- and the
-/// forward-substitution template itself ([`sweep_case`]).
+/// forward-substitution template itself ([`sweep_case`]) and the SpMV or its
+/// residual ([`spmv_case`]).
 fn random_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
     match rng.below(12) {
         0 => return sweep_case(rng, false),
         1 => return sweep_case(rng, true),
+        2 => return spmv_case(rng),
         _ => {}
     }
     // Now and then more elements than a map's chunk holds.
@@ -727,35 +728,58 @@ fn random_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
     (codelet, kind, bufs)
 }
 
-/// The backward- or the forward-substitution template exactly, for either
-/// `divide`, over the F32 / I32 storage it declares: `n` rows, now and then
-/// more than a tile holds; columns below, on and above the diagonal and up
-/// to `n + 1` (the backward guard skips `j >= n`, the forward one `j >= i`);
-/// empty rows; at times row pointers shorter than `n + 1` (the kernel
-/// panics on the row where `Interp` does) or one that steps back (a row of
-/// no trips); zeros and NaNs among the values; up to five levels of up to
-/// ten rows, wider than the six workers at times, an id past the last row
-/// now and then.
-fn sweep_case(rng: &mut TestRng, forward: bool) -> (Codelet, VertexKind, Vec<Buf>) {
-    let n = if rng.below(6) == 0 { 20 + rng.below(60) } else { rng.below(8) };
+/// `n` rows of a random CSR structure for the kernel templates: row
+/// pointers and columns up to `cols`. At times the pointers are shorter
+/// than `n + 1` (the kernel panics on the row where `Interp` does) or one
+/// steps back (a row of no trips).
+fn random_csr(rng: &mut TestRng, n: usize, cols: usize) -> (Vec<i32>, Vec<i32>) {
     let mut rptr = vec![0i32];
     for _ in 0..n {
         let next = rptr.last().unwrap() + rng.below(5) as i32;
         rptr.push(next);
     }
     let nnz = rptr[n] as usize;
-    let cols = (0..nnz).map(|_| rng.below(n + 2) as i32).collect();
+    let cols = (0..nnz).map(|_| rng.below(cols) as i32).collect();
     match rng.below(10) {
         0 => rptr.truncate(rng.below(n + 1)),
         1 if n > 1 => rptr[1 + rng.below(n - 1)] -= 3,
         _ => {}
     }
-    let mut value = || match rng.below(24) {
+    (rptr, cols)
+}
+
+/// A kernel operand's value: now and then a signalling or a quiet NaN of
+/// some payload, or a zero.
+fn kernel_value(rng: &mut TestRng) -> f32 {
+    match rng.below(24) {
         0 => f32::from_bits(0x7f80_0001 + rng.below(4) as u32),
         1 => f32::from_bits(0xffc0_0000 | rng.below(1 << 10) as u32),
         2 => 0.0,
         _ => (rng.below(33) as f32 - 16.0) * 0.375,
-    };
+    }
+}
+
+/// `n` rows, now and then more than a tile holds.
+fn kernel_rows(rng: &mut TestRng) -> usize {
+    if rng.below(6) == 0 {
+        20 + rng.below(60)
+    } else {
+        rng.below(8)
+    }
+}
+
+/// The backward- or the forward-substitution template exactly, for either
+/// `divide`, over the F32 / I32 storage it declares: [`kernel_rows`] rows
+/// of a [`random_csr`] structure with columns below, on and above the
+/// diagonal and up to `n + 1` (the backward guard skips `j >= n`, the
+/// forward one `j >= i`), empty rows among them; [`kernel_value`]s; up to
+/// five levels of up to ten rows, wider than the six workers at times, an id
+/// past the last row now and then.
+fn sweep_case(rng: &mut TestRng, forward: bool) -> (Codelet, VertexKind, Vec<Buf>) {
+    let n = kernel_rows(rng);
+    let (rptr, cols) = random_csr(rng, n, n + 2);
+    let nnz = cols.len();
+    let mut value = || kernel_value(rng);
     let x = Buf::F32((0..n).map(|_| value()).collect());
     let b = forward.then(|| Buf::F32((0..n).map(|_| value()).collect()));
     let lvals = Buf::F32((0..nnz).map(|_| value()).collect());
@@ -776,12 +800,34 @@ fn sweep_case(rng: &mut TestRng, forward: bool) -> (Codelet, VertexKind, Vec<Buf
     (codelet(params, num_locals, body), VertexKind::LevelSet { levels }, bufs.collect())
 }
 
+/// The SpMV or its residual template exactly, over the F32 / I32 storage it
+/// declares: [`kernel_rows`] rows of `y`, a [`random_csr`] structure whose
+/// columns reach one past `x` now and then (a gather that panics on both
+/// routes), [`kernel_value`]s; `diag` now and then a row short.
+fn spmv_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
+    let n = kernel_rows(rng);
+    let reach = if rng.below(8) == 0 { n + 1 } else { n.max(1) };
+    let (rptr, cols) = random_csr(rng, n, reach);
+    let nnz = cols.len();
+    let residual = rng.below(2) == 0;
+    let diag_rows = if rng.below(16) == 0 { n.saturating_sub(1) } else { n };
+    let mut value = || kernel_value(rng);
+    let y = Buf::F32((0..n).map(|_| value()).collect());
+    let x = Buf::F32((0..n).map(|_| value()).collect());
+    let b = residual.then(|| Buf::F32((0..n).map(|_| value()).collect()));
+    let diag = Buf::F32((0..diag_rows).map(|_| value()).collect());
+    let vals = Buf::F32((0..nnz).map(|_| value()).collect());
+    let (params, num_locals, body) = spmv_template(residual);
+    let bufs = [y, x].into_iter().chain(b).chain([diag, vals, Buf::I32(cols), Buf::I32(rptr)]);
+    (codelet(params, num_locals, body), VertexKind::Simple, bufs.collect())
+}
+
 #[test]
 fn random_codelets_run_identically_lowered_and_dynamic() {
-    let cases = 3300;
+    let cases = 3700;
     let (mut lowered, mut completed, mut level_sets, mut wide) = (0, 0, 0, 0);
     let (mut looped, mut rowed, mut level_set_rows, mut mapped, mut chunked) = (0, 0, 0, 0, 0);
-    let (mut kernels, mut kernels_ran, mut forward) = (0, 0, 0);
+    let (mut kernels, mut kernels_ran, mut forward, mut spmv) = (0, 0, 0, 0);
     for seed in 0..cases {
         let mut rng = TestRng::seed_from_u64(0x10e7_0000 + seed);
         let (codelet, kind, bufs) = random_case(&mut rng);
@@ -801,20 +847,25 @@ fn random_codelets_run_identically_lowered_and_dynamic() {
             kernels += form.kernel().is_some() as u32;
             kernels_ran += (form.kernel().is_some() && ran) as u32;
             forward += matches!(form.kernel(), Some(Kernel::Forward { .. })) as u32;
+            spmv += matches!(form.kernel(), Some(Kernel::Spmv { .. })) as u32;
         }
     }
     // Not vacuous: most random bodies type and run to the end, level sets,
     // wide storage under F32-declared parameters, accumulate loops, rows
     // (`ParFor` trips and whole level-set bodies) and maps, some over more
-    // than one chunk, run as one instruction among them, and both sweeps as
-    // one kernel instruction, most of them to the end.
+    // than one chunk, run as one instruction among them, and both sweeps
+    // and the SpMV as one kernel instruction, most of them to the end.
     assert!(completed * 2 > cases, "{completed} of {cases} ran lowered ({lowered} lowered)");
     assert!(level_sets > 400 && wide > 1000, "{level_sets} level sets, {wide} wide");
     assert!(looped > 600, "{looped} took the accumulate loop instruction");
     assert!(rowed > 200 && level_set_rows > 80, "{rowed} rows, {level_set_rows} level-set bodies");
     assert!(mapped > 300 && chunked > 20, "{mapped} took the map instruction, {chunked} chunked");
-    assert!(kernels > 300 && kernels_ran > 150, "{kernels} kernels, {kernels_ran} ran to the end");
-    assert!(forward > 150 && kernels - forward > 150, "{forward} of {kernels} kernels forward");
+    assert!(kernels > 450 && kernels_ran > 250, "{kernels} kernels, {kernels_ran} ran to the end");
+    let backward = kernels - forward - spmv;
+    assert!(
+        forward > 150 && backward > 150 && spmv > 150,
+        "{forward} forward, {backward} backward, {spmv} SpMV kernels"
+    );
 }
 
 // ---- directed cases --------------------------------------------------------
@@ -1559,8 +1610,9 @@ fn gauss_seidel_row() -> Codelet {
 /// forward substitution (B, one comparison), backward substitution (B,
 /// `And`), the Gauss-Seidel row (A, `Sub`) — each run as one instruction
 /// under F32, double-word and emulated-f64 storage, and leave what `Interp`
-/// leaves. Under F32 a substitution's vertex is one kernel instruction, the
-/// loop included; backward substitution lowers under F32 only.
+/// leaves. Under F32 an SpMV's or a substitution's vertex is one kernel
+/// instruction, the loop included; backward substitution lowers under F32
+/// only.
 #[test]
 fn the_solver_inner_loops_run_as_one_instruction_in_every_float_domain() {
     let forward = VertexKind::LevelSet { levels: vec![vec![0], vec![1, 2], vec![3]] };
@@ -1575,7 +1627,7 @@ fn the_solver_inner_loops_run_as_one_instruction_in_every_float_domain() {
             }
             bufs.extend([v(3.0), vals, cols, rptr]);
             let who = format!("spmv (residual: {residual}) over {dtype:?}");
-            must_loop(&template(spmv_template(residual)), &VertexKind::Simple, &bufs, &who, 1);
+            must_spmv(&template(spmv_template(residual)), &bufs, &who, residual);
         }
         for divide in [false, true] {
             let [vals, cols, rptr] = rows(dtype, true);
@@ -1968,10 +2020,10 @@ fn must_row(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str, rows: usize
 /// substitution sweeps and the Gauss-Seidel row (a whole `LevelSet` body) —
 /// runs as one row instruction under F32, double-word and emulated-f64
 /// storage, its loop still counted as one accumulate loop, and leaves what
-/// `Interp` leaves: storage bits, locals, cycles, flops and bytes. The
-/// substitution sweeps under F32 (the backward ones lower only there) run
-/// as one kernel instruction instead, and leave the same storage bits and
-/// charge.
+/// `Interp` leaves: storage bits, locals, cycles, flops and bytes. The SpMV
+/// and the substitution sweeps under F32 (the backward ones lower only
+/// there) run as one kernel instruction instead, and leave the same storage
+/// bits and charge.
 #[test]
 fn every_solver_row_runs_as_one_instruction_in_every_float_domain() {
     let forward = VertexKind::LevelSet { levels: vec![vec![0], vec![1, 2], vec![3]] };
@@ -1987,8 +2039,7 @@ fn every_solver_row_runs_as_one_instruction_in_every_float_domain() {
             bufs.extend([v(3.0), vals, cols, rptr]);
             let c = template(spmv_template(residual));
             let who = format!("spmv row (residual: {residual}) over {dtype:?}");
-            must_row(&c, &VertexKind::Simple, &bufs, &who, 1);
-            assert_eq!(lower(&c, &VertexKind::Simple, &bufs).unwrap().loops(), 1, "{who}");
+            must_spmv(&c, &bufs, &who, residual);
         }
         for divide in [false, true] {
             let [vals, cols, rptr] = rows(dtype, true);
@@ -2014,6 +2065,18 @@ fn every_solver_row_runs_as_one_instruction_in_every_float_domain() {
     }
 }
 
+/// The SpMV as it runs over `bufs`: one kernel instruction over F32
+/// storage, else one row instruction; its loop counted as one accumulate
+/// loop either way; and it leaves what `Interp` leaves.
+fn must_spmv(c: &Codelet, bufs: &[Buf], who: &str, residual: bool) {
+    if bufs[0].dtype() == DType::F32 {
+        must_kernel(c, &VertexKind::Simple, bufs, who, Kernel::Spmv { residual });
+    } else {
+        must_row(c, &VertexKind::Simple, bufs, who, 1);
+        assert_eq!(lower(c, &VertexKind::Simple, bufs).unwrap().loops(), 1, "{who}");
+    }
+}
+
 /// The edges of a row: an empty row (`lo == hi`), every row empty, a
 /// `ParFor` of no trips (the makespan's floor of one cycle), empty levels,
 /// row ids that are a sparse, unordered subset, and a level set of one row.
@@ -2027,13 +2090,13 @@ fn degenerate_rows_match_the_interpreter() {
         // Rows 1 and 3 hold nothing.
         let (cols, rptr) = (Buf::I32(vec![1, 0, 3, 0, 2]), Buf::I32(vec![0, 3, 3, 5, 5]));
         let bufs = vec![v(0.0), v(1.0), v(3.0), vals.clone(), cols.clone(), rptr.clone()];
-        must_row(&spmv, &VertexKind::Simple, &bufs, &format!("empty rows over {dtype:?}"), 1);
+        must_spmv(&spmv, &bufs, &format!("empty rows over {dtype:?}"), false);
         let empty = vec![v(0.0), v(1.0), v(3.0), vals.clone(), cols.clone(), Buf::I32(vec![0; 5])];
-        must_row(&spmv, &VertexKind::Simple, &empty, &format!("all empty over {dtype:?}"), 1);
+        must_spmv(&spmv, &empty, &format!("all empty over {dtype:?}"), false);
 
         let none = floats(dtype, &[]);
         let bufs = vec![none.clone(), none.clone(), none, vals.clone(), cols.clone(), rptr.clone()];
-        must_row(&spmv, &VertexKind::Simple, &bufs, &format!("no trips over {dtype:?}"), 1);
+        must_spmv(&spmv, &bufs, &format!("no trips over {dtype:?}"), false);
         assert_eq!(interp_outcome(&spmv, &VertexKind::Simple, &bufs).unwrap().run.cycles, 1);
 
         let bufs = vec![v(1.0), v(2.0), v(3.0), vals, cols, rptr];
@@ -2074,7 +2137,9 @@ fn an_out_of_bounds_row_or_gather_index_panics_on_both_routes() {
         let bufs = vec![v(0.0), v(1.0), v(3.0), vals, cols, long];
         let who = format!("row pointer 11 of 10 over {dtype:?}");
         assert_eq!(check(&spmv, &VertexKind::Simple, &bufs, &who), Some(false), "{who}");
-        assert_eq!(lower(&spmv, &VertexKind::Simple, &bufs).unwrap().rows(), 1, "{who}");
+        let l = lower(&spmv, &VertexKind::Simple, &bufs).unwrap();
+        let kernel = (dtype == DType::F32).then_some(Kernel::Spmv { residual: false });
+        assert_eq!((l.kernel(), l.rows()), (kernel, kernel.is_none() as usize), "{who}");
     }
 }
 
@@ -2465,8 +2530,7 @@ fn backward_layout(reach_n: bool) -> Vec<Buf> {
 /// The backward sweeps run as one kernel instruction on the adversarial
 /// layout, and leave `Interp`'s storage bits and charge; so do rows whose
 /// values are NaNs (a signalling one among them, whose payload the store
-/// quiets) and a zero on the diagonal. The fused library has no backward
-/// kernel: on every route the instruction runs it.
+/// quiets) and a zero on the diagonal.
 #[test]
 fn the_backward_kernel_matches_the_interpreter_on_an_adversarial_layout() {
     let levels = VertexKind::LevelSet { levels: vec![vec![4, 3], vec![2, 1], vec![0]] };
@@ -2488,9 +2552,6 @@ fn the_backward_kernel_matches_the_interpreter_on_an_adversarial_layout() {
             let who = format!("{what} (divide: {divide})");
             must_kernel(&c, &levels, &bufs, &who, Kernel::Backward { divide });
         }
-        let mut graph = Graph::new(IpuModel::tiny(1));
-        graph.add_codelet(c).unwrap();
-        assert_eq!(KernelTable::build(&graph).fused().count(), 0, "divide: {divide}");
     }
 }
 
@@ -2568,8 +2629,7 @@ fn forward_levels() -> VertexKind {
 /// layout, and leave `Interp`'s storage bits and charge; so do rows whose
 /// values are NaNs — a signalling one in `b` of a row that takes no entry
 /// (the store quiets it), two with payloads meeting in one product — and a
-/// zero on the diagonal. The fused library has no forward kernel: on every
-/// route the instruction runs it.
+/// zero on the diagonal.
 #[test]
 fn the_forward_kernel_matches_the_interpreter_on_an_adversarial_layout() {
     let mut nans = forward_layout();
@@ -2586,9 +2646,6 @@ fn the_forward_kernel_matches_the_interpreter_on_an_adversarial_layout() {
             let who = format!("{what} (divide: {divide})");
             must_kernel(&c, &forward_levels(), &bufs, &who, Kernel::Forward { divide });
         }
-        let mut graph = Graph::new(IpuModel::tiny(1));
-        graph.add_codelet(c).unwrap();
-        assert_eq!(KernelTable::build(&graph).fused().count(), 0, "divide: {divide}");
     }
 }
 
@@ -2656,5 +2713,87 @@ fn the_forward_kernel_requires_a_level_set_vertex() {
         assert_eq!(lowered.kernel(), None, "divide: {divide}");
         let who = format!("simple vertex (divide: {divide})");
         assert_eq!(check(&c, &VertexKind::Simple, &bufs, &who), Some(true), "{who}");
+    }
+}
+
+/// A NaN of its own payload for every `k`: signs, signalling and quiet ones
+/// alternate, and the low bits (`k + 1`) stay apart when an operation
+/// quiets it.
+fn nan(k: u32) -> f32 {
+    let sign = (k % 2) << 31;
+    let quiet = if k.is_multiple_of(3) { 0 } else { 0x0040_0000 };
+    f32::from_bits(sign | 0x7f80_0000 | quiet | (k + 1))
+}
+
+/// Rows whose every operation meets two NaNs of different payloads: a
+/// native operation returns one of the two, and which depends on how the
+/// compiler ordered its operands, so each order leaves its own bits. The
+/// SpMV (`d_i · x_i`, `v_k · x_{c_k}`, the sum, `b_i − …`) and the forward
+/// sweep (`l_ij · w_j`, `b_i − …`, `… / d_i`) each leave `Interp`'s: the
+/// kernel computes a NaN row again in the interpreter's order.
+#[test]
+fn a_nan_row_keeps_the_interpreters_payload_whatever_the_operand_order() {
+    let nans = |from: u32, n: u32| Buf::F32((from..from + n).map(nan).collect());
+    for residual in [false, true] {
+        let c = template(spmv_template(residual));
+        let mut bufs = vec![Buf::F32(vec![0.0; 4]), nans(0, 4)];
+        if residual {
+            bufs.push(nans(40, 4));
+        }
+        // Row 0 gathers x_0 (its own), row 2 none, row 3 three entries.
+        let (cols, rptr) = (Buf::I32(vec![0, 1, 3, 2, 0, 1]), Buf::I32(vec![0, 2, 3, 3, 6]));
+        bufs.extend([nans(10, 4), nans(20, 6), cols, rptr]);
+        let who = format!("spmv NaN rows (residual: {residual})");
+        must_kernel(&c, &VertexKind::Simple, &bufs, &who, Kernel::Spmv { residual });
+    }
+    for divide in [false, true] {
+        let c = template(forward_subst_template(divide));
+        let mut bufs = forward_layout();
+        let [_, b, lvals, ldiag, ..] = &mut bufs[..] else { unreachable!() };
+        (*b, *lvals, *ldiag) = (nans(0, 5), nans(10, 7), nans(20, 5));
+        let who = format!("forward NaN rows (divide: {divide})");
+        must_kernel(&c, &forward_levels(), &bufs, &who, Kernel::Forward { divide });
+    }
+}
+
+/// One statement or one local off the SpMV template, a declaration off it,
+/// or the template on a `LevelSet` vertex: no kernel instruction, and the
+/// lowered program leaves what `Interp` leaves. Short row pointers and a
+/// short diagonal run the kernel to the row where `Interp` panics.
+#[test]
+fn the_spmv_kernels_near_misses_run_their_lowered_program() {
+    let [vals, cols, rptr] = rows(DType::F32, false);
+    let v = |k| vector(DType::F32, k);
+    let bufs = vec![v(0.0), v(1.0), v(2.0), v(3.0), vals, cols, rptr];
+    let (params, locals, body) = spmv_template(true);
+    let mut no_store = body.clone();
+    let [Stmt::ParFor { body: trip, .. }] = &mut no_store[..] else { unreachable!("one ParFor") };
+    trip.pop();
+    let mut vals_i32 = params.clone();
+    vals_i32[4].dtype = DType::I32;
+    for (what, c) in [
+        ("no store", codelet(params.clone(), locals, no_store)),
+        ("a spare local", codelet(params.clone(), locals + 1, body.clone())),
+        ("vals declared I32", codelet(vals_i32, locals, body.clone())),
+    ] {
+        let lowered = lower(&c, &VertexKind::Simple, &bufs).unwrap_or_else(|| panic!("{what}"));
+        assert_eq!(lowered.kernel(), None, "{what}");
+        assert_eq!(check(&c, &VertexKind::Simple, &bufs, what), Some(true), "{what}");
+    }
+    let c = codelet(params, locals, body);
+    let levels = VertexKind::LevelSet { levels: vec![vec![0, 2], vec![1]] };
+    let lowered = lower(&c, &levels, &bufs).expect("lowers for a level set");
+    assert_eq!(lowered.kernel(), None);
+    assert_eq!(check(&c, &levels, &bufs, "a level set"), Some(true));
+
+    for (what, at, short) in [
+        ("three row pointers of five", 6, Buf::I32(vec![0, 3, 5])),
+        ("a diagonal of three", 3, Buf::F32(vec![2.0, 2.5, 3.0])),
+    ] {
+        let mut bufs = bufs.clone();
+        bufs[at] = short;
+        let kernel = lower(&c, &VertexKind::Simple, &bufs).unwrap().kernel();
+        assert_eq!(kernel, Some(Kernel::Spmv { residual: true }), "{what}");
+        assert_eq!(check(&c, &VertexKind::Simple, &bufs, what), Some(false), "{what}: panics");
     }
 }

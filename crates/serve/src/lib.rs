@@ -198,7 +198,7 @@ impl Default for ServeOptions {
             backoff: Backoff::default(),
             seed: 0,
             storm: None,
-            backend: backend::BackendSpec::IpuSim(backend::IpuVariant::Default),
+            backend: backend::BackendSpec::IpuSim,
             base: SolveOptions::default(),
             default_deadline: None,
         }

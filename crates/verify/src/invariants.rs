@@ -12,22 +12,15 @@
 //!   `CycleStats::exchange_bytes()`, the label stack must balance
 //!   (`label_underflows == 0`), and the per-label cycle attribution must
 //!   partition `device_cycles` exactly.
-//! * [`assert_executor_equivalence`] — the same solve on both `ipu-sim`
-//!   backends (lowered or fused dispatch) must produce bit-identical
-//!   solution tensors *and* identical cycle profiles, perf attribution and
-//!   trace events. Any drift means a fused kernel disagrees with the
-//!   lowered form.
 
 use std::rc::Rc;
 
-use backend::{BackendSpec, IpuVariant};
 use dsl::prelude::*;
 use graph::Engine;
 use graphene_core::config::SolverConfig;
 use graphene_core::dist::DistSystem;
-use graphene_core::runner::{engine_options, solve, solve_or_panic, SolveOptions, SolveResult};
+use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
 use graphene_core::solvers::solver_from_config;
-use ipu_sim::clock::Phase;
 use profile::TraceRecorder;
 use sparse::formats::CsrMatrix;
 
@@ -83,100 +76,6 @@ pub fn assert_deterministic(
     DeterminismReport { device_cycles: dc1, iterations: r1.iterations, exchange_bytes: xb1 }
 }
 
-/// What the engine-option equivalence check compared.
-#[derive(Clone, Debug)]
-pub struct ExecutorEquivalence {
-    pub device_cycles: u64,
-    pub iterations: usize,
-}
-
-/// Require `other` to be observationally identical to `base`: solution
-/// bits, device cycles, per-phase splits, per-label partitions, per-tile
-/// busy time, superstep and sync counts, exchanged bytes, the recorded
-/// history and device seconds.
-pub(crate) fn assert_same(mode: &str, base: &SolveResult, other: &SolveResult) {
-    let (xb, dcb, xbb, ssb, scb, lbb) = fingerprint(base);
-    let (xo, dco, xbo, sso, sco, lbo) = fingerprint(other);
-    assert_eq!(xb, xo, "solution bits differ ({mode})");
-    assert_eq!(dcb, dco, "device cycles differ ({mode})");
-    assert_eq!(xbb, xbo, "exchanged bytes differ ({mode})");
-    assert_eq!(ssb, sso, "superstep counts differ ({mode})");
-    assert_eq!(scb, sco, "sync counts differ ({mode})");
-    assert_eq!(lbb, lbo, "per-label cycle partitions differ ({mode})");
-    for phase in [Phase::Compute, Phase::Exchange, Phase::Sync] {
-        assert_eq!(
-            base.stats.phase_cycles(phase),
-            other.stats.phase_cycles(phase),
-            "{phase:?} cycles differ ({mode})"
-        );
-        assert_eq!(
-            base.stats.unlabelled_phase_cycles(phase),
-            other.stats.unlabelled_phase_cycles(phase),
-            "unlabelled {phase:?} cycles differ ({mode})"
-        );
-    }
-    assert_eq!(
-        base.stats.tile_busy_all(),
-        other.stats.tile_busy_all(),
-        "per-tile busy cycles differ ({mode})"
-    );
-    assert_eq!(base.iterations, other.iterations, "iteration counts differ ({mode})");
-    let hb: Vec<(usize, u64)> = base.history.iter().map(|&(i, r)| (i, r.to_bits())).collect();
-    let ho: Vec<(usize, u64)> = other.history.iter().map(|&(i, r)| (i, r.to_bits())).collect();
-    assert_eq!(hb, ho, "residual histories differ ({mode})");
-    assert_eq!(base.report.seconds, other.report.seconds, "device seconds differ ({mode})");
-}
-
-/// Run the same solve on `ipu-sim` and `ipu-sim:fused` and require
-/// bit-identical solutions and identical cycle profiles, perf attribution
-/// and trace events.
-///
-/// This is the contract that lets the engine have one path: a fused
-/// kernel re-derives the lowered form's values and cycle charges exactly.
-/// *Nothing* observable may differ — solution bits, device cycles,
-/// per-phase splits, per-label partitions, per-tile busy time, superstep
-/// and sync counts, exchanged bytes, the recorded history, the per-step
-/// attribution or the timeline.
-pub fn assert_executor_equivalence(
-    a: Rc<CsrMatrix>,
-    b: &[f64],
-    config: &SolverConfig,
-) -> ExecutorEquivalence {
-    assert_executor_equivalence_with(a, b, config, &sim_opts())
-}
-
-/// [`assert_executor_equivalence`] over caller-supplied base options —
-/// the same sweep, but e.g. with auto-tuning enabled or a bigger machine.
-/// Only the backend changes per leg; everything else in `base` is
-/// honoured (the trace comparison builds its own engines and takes only
-/// the machine and tile count from it).
-pub fn assert_executor_equivalence_with(
-    a: Rc<CsrMatrix>,
-    b: &[f64],
-    config: &SolverConfig,
-    base: &SolveOptions,
-) -> ExecutorEquivalence {
-    let opts = SolveOptions { record_history: true, ..base.clone() };
-    let perf_json = |r: &SolveResult| {
-        r.report.perf.as_ref().expect("runner arms the perf recorder").attribution_json()
-    };
-    let trace_events = |variant| {
-        let (model, tiles) = (base.model.clone(), base.tiles.unwrap_or(4));
-        let e = traced_run(&a, b, config, model, tiles, engine_options(variant));
-        format!("{:?}", e.trace().expect("trace was attached").events())
-    };
-    let run = |variant| {
-        let opts = SolveOptions { backend: Some(BackendSpec::IpuSim(variant)), ..opts.clone() };
-        solve(a.clone(), b, config, &opts).unwrap_or_else(|e| panic!("solve failed: {e}"))
-    };
-    let (reference, other) = (IpuVariant::Default, IpuVariant::Fused);
-    let (want, got) = (run(reference), run(other));
-    assert_same(&format!("{other:?} vs {reference:?}"), &want, &got);
-    assert_eq!(perf_json(&want), perf_json(&got), "perf attribution differs ({other:?})");
-    assert_eq!(trace_events(reference), trace_events(other), "trace events differ ({other:?})");
-    ExecutorEquivalence { device_cycles: want.stats.device_cycles(), iterations: want.iterations }
-}
-
 /// What the exchange-conservation audit measured.
 #[derive(Clone, Debug)]
 pub struct ExchangeAudit {
@@ -195,7 +94,7 @@ pub fn audit_exchange_conservation(
     b: &[f64],
     config: &SolverConfig,
 ) -> ExchangeAudit {
-    let engine = traced_run(&a, b, config, IpuModel::tiny(4), 4, EngineOptions::default());
+    let engine = traced_run(&a, b, config);
     let stats = engine.stats();
     assert_eq!(stats.label_underflows(), 0, "label stack underflowed during execution");
     let labelled: u64 = stats.labels_sorted().iter().map(|(_, c)| c).sum();
@@ -220,18 +119,11 @@ pub fn audit_exchange_conservation(
     }
 }
 
-/// Build the solver program for `config` on `tiles` tiles of `model` and
-/// run it once under `engine` with a trace attached.
-fn traced_run(
-    a: &Rc<CsrMatrix>,
-    b: &[f64],
-    config: &SolverConfig,
-    model: IpuModel,
-    tiles: usize,
-    engine: EngineOptions,
-) -> Engine {
-    let part = sparse::partition::Partition::balanced_by_nnz(a, tiles);
-    let mut ctx = DslCtx::new(model);
+/// Build the solver program for `config` on four tiles of a tiny machine
+/// and run it once with a trace attached.
+fn traced_run(a: &Rc<CsrMatrix>, b: &[f64], config: &SolverConfig) -> Engine {
+    let part = sparse::partition::Partition::balanced_by_nnz(a, 4);
+    let mut ctx = DslCtx::new(IpuModel::tiny(4));
     let sys = DistSystem::build(&mut ctx, a.clone(), part);
     let bt = sys.new_vector(&mut ctx, "b", DType::F32);
     let xt = sys.new_vector(&mut ctx, "x", DType::F32);
@@ -239,7 +131,7 @@ fn traced_run(
     solver.setup(&mut ctx, &sys);
     solver.solve(&mut ctx, &sys, bt, xt);
 
-    let mut engine = ctx.build_engine_on(engine).expect("solver program compiles");
+    let mut engine = ctx.build_engine().expect("solver program compiles");
     engine.set_trace(TraceRecorder::default());
     sys.upload(&mut engine);
     engine.write_tensor(bt.id, &sys.to_device_order(b));
@@ -260,16 +152,6 @@ mod tests {
         let rep = assert_deterministic(a, &b, &cfg);
         assert!(rep.device_cycles > 0);
         assert!(rep.exchange_bytes > 0);
-    }
-
-    #[test]
-    fn small_bicgstab_run_matches_across_engine_options() {
-        let a = Rc::new(poisson_2d_5pt(6, 6, 1.0));
-        let b = rhs_for_ones(&a);
-        let cfg = SolverConfig::BiCgStab { max_iters: 12, rel_tol: 0.0, precond: None };
-        let eq = assert_executor_equivalence(a, &b, &cfg);
-        assert!(eq.device_cycles > 0);
-        assert!(eq.iterations > 0);
     }
 
     #[test]

@@ -22,13 +22,12 @@
 //!   adversarial operands and asserts the Joldes et al. error bounds and
 //!   the normalisation invariant;
 //! * [`invariants`] — simulator-level checks: double-run bit determinism,
-//!   label-stack balance, exchange-byte conservation, and equivalence of
-//!   the engine's fused and lowered dispatch;
+//!   label-stack balance and exchange-byte conservation;
 //! * [`resilience`] — fault-injection properties: the outcome trichotomy
 //!   under seeded faults (converged | recovered | structured error, with
 //!   the accepted residual independently recomputed so no silently-wrong
-//!   answer escapes), bit-determinism of faulted replays across runs and
-//!   engine options, and zero overhead when the machinery is off.
+//!   answer escapes), bit-determinism of faulted replays across runs, and
+//!   zero overhead when the machinery is off.
 //!
 //! The heavyweight sweeps scale with the `GRAPHENE_VERIFY_CASES`
 //! environment variable (see [`cases_from_env`]) so CI can turn the dial

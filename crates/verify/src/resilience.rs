@@ -23,7 +23,6 @@
 
 use std::rc::Rc;
 
-use backend::{BackendSpec, IpuVariant};
 use dsl::prelude::IpuModel;
 use graphene_core::config::SolverConfig;
 use graphene_core::runner::{solve, SolveOptions, SolveResult};
@@ -164,24 +163,21 @@ fn fingerprint(r: &SolveResult) -> Fingerprint {
     )
 }
 
-/// Run the same faulted solve twice on each `ipu-sim` backend and require
-/// one outcome throughout — bit-identical solutions, cycle-identical stats
-/// and an equal resilience record, or exactly the same structured error.
-/// The fault layer keys on superstep coordinates, not on host dispatch.
+/// Run the same faulted solve three times and require one outcome
+/// throughout — bit-identical solutions, cycle-identical stats and an equal
+/// resilience record, or exactly the same structured error. The fault layer
+/// keys on superstep coordinates, not on host state.
 pub fn assert_faulted_determinism(a: Rc<CsrMatrix>, b: &[f64], config: &SolverConfig, spec: &str) {
     let plan = FaultPlan::parse(spec).expect("fault spec parses");
     let opts = SolveOptions { faults: Some(plan), ..sim_opts(2) };
     // What must replay: the fingerprint, status and resilience record, or
     // the structured error.
-    let run = |variant| {
-        let opts = SolveOptions { backend: Some(BackendSpec::IpuSim(variant)), ..opts.clone() };
+    let run = || {
         solve(a.clone(), b, config, &opts).map(|r| (fingerprint(&r), r.status, r.report.resilience))
     };
-    let want = run(IpuVariant::Default);
-    for variant in [IpuVariant::Default, IpuVariant::Fused] {
-        for replay in 0..2 {
-            assert_eq!(want, run(variant), "faulted solve drifted ({variant:?}, replay {replay})");
-        }
+    let want = run();
+    for replay in 0..2 {
+        assert_eq!(want, run(), "faulted solve drifted (replay {replay})");
     }
 }
 

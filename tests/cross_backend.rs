@@ -16,7 +16,7 @@
 
 use std::rc::Rc;
 
-use graphene::backend::{BackendSpec, IpuVariant};
+use graphene::backend::BackendSpec;
 use graphene::graphene_core::config::SolverConfig;
 use graphene::graphene_core::resilience::SolveError;
 use graphene::graphene_core::resolve_backend;
@@ -58,22 +58,20 @@ fn every_ipu_sim_backend_matches_the_interpreted_reference() {
     let a = Rc::new(poisson_2d_5pt(10, 10, 1.0));
     let b = rhs_for_ones(&a);
     let cfg = krylov();
-    let run = |variant| {
-        let spec = BackendSpec::IpuSim(variant);
-        let res =
-            solve(Rc::clone(&a), &b, &cfg, &SolveOptions { backend: Some(spec), ..sim_opts() })
-                .unwrap();
-        assert_eq!(res.report.executor, spec.name());
+    // Pinned by name and left to the default: one device, one report.
+    let run = |backend| {
+        let res = solve(Rc::clone(&a), &b, &cfg, &SolveOptions { backend, ..sim_opts() }).unwrap();
+        assert_eq!(res.report.executor, "ipu-sim");
         let info = res.report.backend.as_ref().expect("v3 report names its backend");
         assert_eq!(info.family, "ipu-sim");
         assert_eq!(info.timing, "cycle-model");
-        assert_eq!(info.name, spec.name());
+        assert_eq!(info.name, "ipu-sim");
         res
     };
-    let reference = run(IpuVariant::Default);
-    let fused = run(IpuVariant::Fused);
-    assert_eq!(fused.x, reference.x, "bits must match");
-    assert_eq!(fused.stats.device_cycles(), reference.stats.device_cycles(), "cycles must match");
+    let reference = run(None);
+    let pinned = run(Some(BackendSpec::parse("ipu-sim").unwrap()));
+    assert_eq!(pinned.x, reference.x, "bits must match");
+    assert_eq!(pinned.stats.device_cycles(), reference.stats.device_cycles(), "cycles must match");
 }
 
 #[test]
@@ -85,6 +83,18 @@ fn removed_backend_spellings_are_config_errors() {
             Err(other) => panic!("expected Config, got {other}"),
         }
     }
+    // The fused route's name was removed with it: a config error naming
+    // `ipu-sim`, not an unknown backend.
+    match resolve_backend("ipu-sim:fused", &sim_opts()) {
+        Err(SolveError::Config(msg)) => {
+            assert!(
+                msg.contains("was removed") && msg.contains("GRAPHENE_BACKEND=ipu-sim "),
+                "{msg}"
+            );
+        }
+        Ok(_) => panic!("`ipu-sim:fused` must not resolve"),
+        Err(other) => panic!("expected Config, got {other}"),
+    }
 }
 
 // ---- the registry: typed refusals, never panics (satellite 3) ---------
@@ -94,7 +104,7 @@ fn unknown_backend_is_a_config_error() {
     match resolve_backend("quantum-annealer", &sim_opts()) {
         Err(SolveError::Config(msg)) => {
             assert!(msg.contains("unknown backend"), "{msg}");
-            assert!(msg.contains("gpu-model") && msg.contains("ipu-sim:fused"), "{msg}");
+            assert!(msg.contains("gpu-model") && msg.contains("ipu-sim, cpu"), "{msg}");
         }
         Ok(_) => panic!("unknown backend must not resolve"),
         Err(other) => panic!("expected Config, got {other}"),

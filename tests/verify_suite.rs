@@ -18,10 +18,7 @@ use graphene::sparse::gen::{poisson_2d_5pt, rhs_for_ones};
 use graphene::sparse::io::{read_matrix_market, write_matrix_market_with, MmSymmetry};
 use verify::differential::{all_case_names, check_cases, run_two_grid};
 use verify::generators;
-use verify::invariants::{
-    assert_deterministic, assert_executor_equivalence, assert_executor_equivalence_with,
-    audit_exchange_conservation,
-};
+use verify::invariants::{assert_deterministic, audit_exchange_conservation};
 use verify::resilience::{
     assert_fault_trichotomy, assert_faulted_determinism, assert_zero_overhead_when_off,
 };
@@ -97,20 +94,6 @@ fn double_runs_are_bit_identical() {
     }
 }
 
-/// Every configuration in the verification suite must be bit-identical
-/// (solution tensors) and cycle-identical (device cycles, per-phase and
-/// per-label splits, per-tile busy time), with identical perf attribution
-/// and trace events, under fused and lowered dispatch.
-#[test]
-fn engine_options_are_equivalent_across_suite() {
-    let a = Rc::new(poisson_2d_5pt(8, 8, 1.0));
-    let b = rhs_for_ones(&a);
-    for case in graphene::graphene_core::config::verification_suite() {
-        let eq = assert_executor_equivalence(a.clone(), &b, &case.config);
-        assert!(eq.device_cycles > 0, "[{}] no device cycles recorded", case.name);
-    }
-}
-
 /// Every vertex of every configuration in the verification suite, and of
 /// the four stacks the host benchmark replays (fig8's MPIR{BiCGStab{ILU0}}
 /// in double-word, heat's CG, symmetric Gauss-Seidel, damped Jacobi), runs
@@ -124,16 +107,16 @@ fn engine_options_are_equivalent_across_suite() {
 /// f32 values), ILU(0) substitution, Gauss-Seidel row or dot / norm stage
 /// one. A DSL change that breaks the pattern runs those loops a trip at a
 /// time — correct, ≈1.4× slower — and fails here instead. And exactly so
-/// many run each row of SpMV, ILU(0) substitution or Gauss-Seidel as one row
-/// instruction (the dot / norm stages have no row, and MPIR's double-word
-/// residual no loop instruction); a DSL change that breaks the row shape
-/// runs each row's statements one instruction at a time and fails here.
-/// And exactly so many run an element-wise map (`x + p·α`, a copy, a zero
-/// fill) as one map instruction, a column at a time: not the scalar maps
-/// that read what they store (`iter + 1`), select, compare or cast. And
-/// exactly so many run as one kernel instruction, per family: fig8's ILU(0)
-/// forward and backward sweeps, four of each per compute set, whose loops
-/// the looped count still holds and which the rowed count does not.
+/// many run each Gauss-Seidel row as one row instruction (the dot / norm
+/// stages have no row, and MPIR's double-word residual no loop
+/// instruction); a DSL change that breaks the row shape runs each row's
+/// statements one instruction at a time and fails here. And exactly so many
+/// run an element-wise map (`x + p·α`, a copy, a zero fill) as one map
+/// instruction, a column at a time: not the scalar maps that read what they
+/// store (`iter + 1`), select, compare or cast. And exactly so many run as
+/// one kernel instruction, per family: every f32 SpMV and SpMV residual, and
+/// fig8's ILU(0) forward and backward sweeps, four per compute set, whose
+/// loops the looped count still holds and which the rowed count does not.
 #[test]
 fn every_solver_vertex_is_lowered() {
     use graphene::graphene_core::runner::{solve_or_panic, SolveOptions};
@@ -150,7 +133,8 @@ fn every_solver_vertex_is_lowered() {
     // A benchmark stack's `vertices_looped`, `vertices_rowed`,
     // `vertices_mapped` and `vertices_kernel`, the last per kernel family.
     type Pinned = Option<(u64, u64, u64, &'static [(&'static str, u64)])>;
-    const ILU0_SWEEPS: &[(&str, u64)] = &[("backward_subst_div", 8), ("forward_subst", 8)];
+    const FIG8_KERNELS: &[(&str, u64)] =
+        &[("backward_subst_div", 8), ("forward_subst", 8), ("spmv", 8), ("spmv_residual", 4)];
     let mut stacks: Vec<(&str, SolverConfig, Pinned)> =
         suite.into_iter().map(|case| (case.name, case.config, None)).collect();
     stacks.extend([
@@ -166,19 +150,23 @@ fn every_solver_vertex_is_lowered() {
                 max_outer: 4,
                 rel_tol: 1e-9,
             },
-            Some((68, 12, 31, ILU0_SWEEPS)),
+            Some((68, 0, 31, FIG8_KERNELS)),
         ),
         (
             "heat",
             SolverConfig::Cg { max_iters: 100, rel_tol: 1e-6, precond: None },
-            Some((32, 8, 14, &[])),
+            Some((32, 0, 14, &[("spmv", 4), ("spmv_residual", 4)])),
         ),
         (
             "sgs",
             SolverConfig::GaussSeidel { sweeps: 1, symmetric: true, rel_tol: 0.0 },
             Some((8, 8, 0, &[])),
         ),
-        ("jacobi", SolverConfig::Jacobi { sweeps: 2, omega: 2.0 / 3.0 }, Some((4, 4, 4, &[]))),
+        (
+            "jacobi",
+            SolverConfig::Jacobi { sweeps: 2, omega: 2.0 / 3.0 },
+            Some((4, 0, 4, &[("spmv_residual", 4)])),
+        ),
     ]);
     for (name, config, pinned) in stacks {
         let res = solve_or_panic(a.clone(), &b, &config, &opts);
@@ -203,10 +191,9 @@ fn every_solver_vertex_is_lowered() {
     }
 }
 
-/// Auto-tuning must preserve both halves of the determinism contract: a
-/// plan-cache hit reproduces the cold-tune solve bit for bit, and the
-/// tuned configuration stays bit-and-cycle-identical under every engine
-/// option.
+/// Auto-tuning must preserve the determinism contract: a plan-cache hit,
+/// run on an engine of its own, reproduces the cold-tune solve bit for bit
+/// and cycle for cycle, per label and per phase.
 #[test]
 fn tuned_solves_hit_the_cache_and_stay_engine_equivalent() {
     use graphene::graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
@@ -249,11 +236,8 @@ fn tuned_solves_hit_the_cache_and_stay_engine_equivalent() {
     let wb: Vec<u64> = warm.x.iter().map(|v| v.to_bits()).collect();
     assert_eq!(cb, wb, "cache hit diverged from the cold tune");
     assert_eq!(cold.stats.device_cycles(), warm.stats.device_cycles());
-
-    // The tuned (cache-hit) configuration keeps the engine-option
-    // equivalence contract.
-    let eq = assert_executor_equivalence_with(a, &b, &cfg, &base);
-    assert!(eq.device_cycles > 0);
+    assert_eq!(cold.stats.exchange_bytes(), warm.stats.exchange_bytes());
+    assert_eq!(cold.stats.labels_by_phase_sorted(), warm.stats.labels_by_phase_sorted());
     let _ = std::fs::remove_dir_all(&cache);
 }
 
