@@ -6,8 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graph::codelet::{
-    backward_subst_template, forward_subst_template, spmv_template, BinOp, Codelet, Expr, Interp,
-    Lowered, ParamData, ParamDecl, Regs, Stmt, Value,
+    BinOp, Codelet, Expr, Interp, Kernel, Lowered, ParamData, ParamDecl, Regs, Stmt, Value,
 };
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
 use graph::program::Prog;
@@ -176,67 +175,12 @@ fn dot_codelet() -> Codelet {
     }
 }
 
-/// `acc = b[i]; for k in rptr[i]..rptr[i+1] { acc = acc - vals[k] *
-/// x[cols[k]] }; x[i] = acc / diag[i]`: the Gauss-Seidel row the smoother
-/// builds, a `LevelSet` vertex with the row in local 0 and `x` read and
-/// written in place. Params: x (mut) · b · diag · vals · cols · rptr.
-fn gauss_seidel_codelet() -> Codelet {
-    let ro = |dtype| ParamDecl { dtype, mutable: false };
-    let (row, acc, k) = (|| Expr::Local(0), || Expr::Local(1), || Expr::Local(4));
-    Codelet {
-        name: "gauss_seidel".into(),
-        params: vec![
-            ParamDecl { dtype: DType::F32, mutable: true },
-            ro(DType::F32),
-            ro(DType::F32),
-            ro(DType::F32),
-            ro(DType::I32),
-            ro(DType::I32),
-        ],
-        num_locals: 5,
-        body: vec![
-            Stmt::SetLocal(1, Expr::index(1, row())),
-            Stmt::SetLocal(2, Expr::index(5, row())),
-            Stmt::SetLocal(3, Expr::index(5, Expr::bin(BinOp::Add, row(), Expr::c(Value::I32(1))))),
-            Stmt::For {
-                local: 4,
-                start: Expr::Local(2),
-                end: Expr::Local(3),
-                step: Expr::c(Value::I32(1)),
-                body: vec![Stmt::SetLocal(
-                    1,
-                    Expr::bin(
-                        BinOp::Sub,
-                        acc(),
-                        Expr::bin(
-                            BinOp::Mul,
-                            Expr::index(3, k()),
-                            Expr::index(0, Expr::index(4, k())),
-                        ),
-                    ),
-                )],
-            },
-            Stmt::Store {
-                param: 0,
-                index: row(),
-                value: Expr::bin(BinOp::Div, acc(), Expr::index(2, row())),
-            },
-        ],
-    }
-}
-
-fn from_template(
-    name: &str,
-    (params, num_locals, body): (Vec<ParamDecl>, usize, Vec<Stmt>),
-) -> Codelet {
-    Codelet { name: name.into(), params, num_locals, body }
-}
-
 /// The interpreter routes, per element, on one tile's worth of rows (32 is what
 /// the benchmark's `fig8_mpir` maps to a tile, 64 what `cold_oneshot` does; the
 /// two maps also at 39 and 256, a part-filled chunk of the map instruction and
 /// four whole ones): `lowered` is the form the engine builds per vertex and
-/// runs (for SpMV, its residual and the two sweeps a kernel instruction), and
+/// runs (for SpMV, its residual, the two sweeps and the Gauss-Seidel update a
+/// kernel instruction), and
 /// `dynamic` the tree-walking `Interp` it falls back to and is tested
 /// against. An axpy map, BiCGStab's two-scalar map, the SpMV codelet and its
 /// residual, a dot product's per-tile stage, the forward- and
@@ -317,7 +261,7 @@ fn bench_interpreter(c: &mut Criterion) {
         }
         both_routes!(
             "spmv",
-            from_template("spmv", spmv_template(false)),
+            Kernel::Spmv { residual: false }.codelet("spmv"),
             VertexKind::Simple,
             [
                 ParamData::F32(&mut y),
@@ -330,7 +274,7 @@ fn bench_interpreter(c: &mut Criterion) {
         );
         both_routes!(
             "residual",
-            from_template("residual", spmv_template(true)),
+            Kernel::Spmv { residual: true }.codelet("residual"),
             VertexKind::Simple,
             [
                 ParamData::F32(&mut r),
@@ -348,7 +292,7 @@ fn bench_interpreter(c: &mut Criterion) {
             VertexKind::Simple,
             [ParamData::F32(&mut sum), ParamData::F32Ro(&x), ParamData::F32Ro(&ones)]
         );
-        let forward_subst = from_template("forward_subst", forward_subst_template(true));
+        let forward_subst = Kernel::Forward { divide: true }.codelet("forward_subst");
         both_routes!(
             "forward_subst_level_set",
             forward_subst,
@@ -364,7 +308,7 @@ fn bench_interpreter(c: &mut Criterion) {
         );
         both_routes!(
             "backward_subst_level_set",
-            from_template("backward_subst", backward_subst_template(true)),
+            Kernel::Backward { divide: true }.codelet("backward_subst"),
             backward_levels,
             [
                 ParamData::F32(&mut y),
@@ -376,7 +320,7 @@ fn bench_interpreter(c: &mut Criterion) {
         );
         both_routes!(
             "gauss_seidel_level_set",
-            gauss_seidel_codelet(),
+            Kernel::GaussSeidel.codelet("gauss_seidel"),
             levels,
             [
                 ParamData::F32(&mut y),

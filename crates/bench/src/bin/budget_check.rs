@@ -13,11 +13,13 @@
 //!
 //! * `GRAPHENE_BUDGET_BLESS=1` — rewrite `results/baselines.json` with
 //!   the measured numbers instead of checking (use after an intentional
-//!   cost change, and commit the diff);
-//! * `GRAPHENE_BUDGET_OVERRIDE=1` — report regressions but exit 0 (the
-//!   explicit escape hatch for landing an intentional change that will
-//!   be re-blessed in the same PR);
+//!   cost change, and commit the diff): the one way to land one;
 //! * `--tol 0.05` — widen the relative tolerance.
+//!
+//! The gate has no switch that turns a failure into a warning: the removed
+//! override variable, set, stops it with a message naming
+//! `GRAPHENE_BUDGET_BLESS` before it measures anything (exit 2, as for a
+//! missing baseline).
 //!
 //! Host dispatch seconds vary with the runner's hardware, so they are
 //! recorded in the baseline for context but never gate.
@@ -35,6 +37,9 @@ use sparse::gen::poisson_3d_7pt;
 use sparse::gen::suitesparse::by_name;
 
 const BASELINE_PATH: &str = "results/baselines.json";
+
+/// The variable that used to let a failing gate pass.
+const REMOVED_OVERRIDE: &str = "GRAPHENE_BUDGET_OVERRIDE";
 
 struct Measurement {
     name: &'static str,
@@ -114,6 +119,14 @@ fn env_on(key: &str) -> bool {
 }
 
 fn main() {
+    if EnvConfig::text(REMOVED_OVERRIDE).is_some() {
+        eprintln!(
+            "{REMOVED_OVERRIDE} was removed: the budget gate no longer passes a failing check. \
+             Unset it; for an intentional cycle change, rerun with GRAPHENE_BUDGET_BLESS=1 and \
+             commit the new {BASELINE_PATH}."
+        );
+        std::process::exit(2);
+    }
     let args = Args::parse();
     let tol = args.get("--tol", 0.01);
     header(&format!("budget_check: device-cycle regression gate (tolerance {:.1}%)", tol * 100.0));
@@ -177,17 +190,10 @@ fn main() {
     }
 
     if failures > 0 {
-        if env_on("GRAPHENE_BUDGET_OVERRIDE") {
-            println!(
-                "{failures} budget check(s) failed — overridden by GRAPHENE_BUDGET_OVERRIDE=1; \
-                 re-bless the baseline in this change"
-            );
-            return;
-        }
         println!(
             "{failures} budget check(s) failed beyond {:.1}% tolerance.\n\
              If the cycle change is intentional, rerun with GRAPHENE_BUDGET_BLESS=1 and commit \
-             the new {BASELINE_PATH}; to land without re-blessing, set GRAPHENE_BUDGET_OVERRIDE=1.",
+             the new {BASELINE_PATH}.",
             tol * 100.0
         );
         std::process::exit(1);

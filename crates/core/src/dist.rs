@@ -18,6 +18,7 @@
 use std::rc::Rc;
 
 use dsl::prelude::*;
+use graph::codelet::Kernel;
 use graph::engine::Engine;
 use graph::program::ElemCopy;
 use sparse::formats::CsrMatrix;
@@ -203,8 +204,10 @@ impl DistSystem {
             }
         }
 
-        let spmv_codelet = ctx.add_codelet(build_spmv_codelet(false));
-        let residual_codelet = ctx.add_codelet(build_spmv_codelet(true));
+        // The SpMV and its residual over the modified-CSR layout (the dense
+        // diagonal of §II-C first), `graph::codelet::spmv_template`.
+        let spmv_codelet = ctx.add_codelet(Kernel::Spmv { residual: false }.codelet("spmv"));
+        let residual_codelet = ctx.add_codelet(Kernel::Spmv { residual: true }.codelet("residual"));
 
         Ok(DistSystem {
             a,
@@ -413,47 +416,6 @@ impl DistSystem {
 /// used by solvers that bind custom codelets to the matrix data.
 pub fn matrix_operands(sys: &DistSystem, t: usize) -> Vec<TensorSlice> {
     sys.matrix_operands_for(t)
-}
-
-/// Build the SpMV (or residual) codelet over the modified-CSR layout.
-///
-/// Parameters, in order:
-/// `y` (mut, rows) · `x` (local_len) · [`b` (rows) if residual] ·
-/// `diag` (rows) · `vals` (nnz) · `cols` (nnz) · `rptr` (rows+1)
-///
-/// ```text
-/// for each row r (worker-parallel):
-///     acc = diag[r] * x[r]                    // dense diagonal (§II-C)
-///     for k in rptr[r] .. rptr[r+1]:
-///         acc += vals[k] * x[cols[k]]
-///     y[r] = acc              (or  y[r] = b[r] - acc  for the residual)
-/// ```
-///
-/// For the residual the accumulation happens in the dtype of `x` (dynamic
-/// promotion): with a double-word `x` this is exactly MPIR step 1.
-fn build_spmv_codelet(residual: bool) -> graph::codelet::Codelet {
-    let name = if residual { "residual" } else { "spmv" };
-    let mut cb = CodeDsl::new(name);
-    let y = cb.param(DType::F32, true);
-    let x = cb.param(DType::F32, false);
-    let b = residual.then(|| cb.param(DType::F32, false));
-    let diag = cb.param(DType::F32, false);
-    let vals = cb.param(DType::F32, false);
-    let cols = cb.param(DType::I32, false);
-    let rptr = cb.param(DType::I32, false);
-    cb.par_for(Val::i32(0), y.len(), |cb, r| {
-        let acc = cb.var(diag.at(r.clone()) * x.at(r.clone()));
-        let lo = cb.let_(rptr.at(r.clone()));
-        let hi = cb.let_(rptr.at(r.clone() + 1));
-        cb.for_(lo, hi, Val::i32(1), |cb, k| {
-            cb.assign(acc, acc.get() + vals.at(k.clone()) * x.at(cols.at(k)));
-        });
-        match b {
-            Some(b) => cb.store(y, r.clone(), b.at(r) - acc.get()),
-            None => cb.store(y, r, acc.get()),
-        }
-    });
-    cb.build()
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ pub struct EnvConfig;
 impl EnvConfig {
     /// Every `GRAPHENE_*` variable the repository reads: `[name, accepted
     /// values, what unset or empty means, what it stands in for]`.
-    pub const VARIABLES: [[&'static str; 4]; 10] = [
+    pub const VARIABLES: [[&'static str; 4]; 9] = [
         ["GRAPHENE_BACKEND", BACKENDS, "`ipu-sim`", "`SolveOptions::backend`"],
         ["GRAPHENE_FAULTS", FAULTS, "no faults", "`SolveOptions::faults`"],
         ["GRAPHENE_TUNE", FLAG, "off", "`SolveOptions::tune`"],
@@ -54,7 +54,6 @@ impl EnvConfig {
         ["GRAPHENE_REPORT", "a directory", "no reports", "bench binaries' `<dir>/<bin>.json`"],
         ["GRAPHENE_VERIFY_CASES", "a positive integer", "shallow", "verification sweep depth"],
         ["GRAPHENE_BUDGET_BLESS", FLAG, "off", "`budget_check` rewrites the baseline"],
-        ["GRAPHENE_BUDGET_OVERRIDE", FLAG, "off", "`budget_check` warns, never fails"],
     ];
 
     /// The value of `var`, `None` when unset, empty or blank.

@@ -539,7 +539,6 @@ impl Plan {
                 m.counter_add("native.codelets_total", sel.counter("codelets_total"));
                 m.counter_add("native.vertices_lowered", sel.counter("vertices_lowered"));
                 m.counter_add("native.vertices_looped", sel.counter("vertices_looped"));
-                m.counter_add("native.vertices_rowed", sel.counter("vertices_rowed"));
                 m.counter_add("native.vertices_mapped", sel.counter("vertices_mapped"));
                 m.counter_add("native.vertices_kernel", sel.counter("vertices_kernel"));
             }

@@ -14,7 +14,7 @@
 //! sweep by the blockwise §IV exchange and held fixed within it.
 
 use dsl::prelude::*;
-use graph::codelet::CodeletId;
+use graph::codelet::{CodeletId, Kernel};
 
 use crate::dist::DistSystem;
 use crate::solvers::Solver;
@@ -105,9 +105,11 @@ impl Solver for GaussSeidel {
     }
 
     fn setup(&mut self, ctx: &mut DslCtx, _sys: &DistSystem) {
-        self.fwd = Some(ctx.add_codelet(gs_codelet("gs_forward")));
+        // One row update for both directions: the level order each vertex
+        // carries is the sweep's direction.
+        self.fwd = Some(ctx.add_codelet(Kernel::GaussSeidel.codelet("gs_forward")));
         if self.symmetric {
-            self.bwd = Some(ctx.add_codelet(gs_codelet("gs_backward")));
+            self.bwd = Some(ctx.add_codelet(Kernel::GaussSeidel.codelet("gs_backward")));
         }
     }
 
@@ -157,29 +159,4 @@ impl Solver for GaussSeidel {
             );
         });
     }
-}
-
-/// Per-row Gauss-Seidel update codelet (level-set scheduled; local 0 is the
-/// row index). The direction of the sweep is entirely in the *level order*
-/// the vertex carries — the row update itself is identical.
-///
-/// Params: `x` (mut, local_len) · `b` (rows) · `diag` · `vals` · `cols` ·
-/// `rptr`.
-fn gs_codelet(name: &str) -> graph::codelet::Codelet {
-    let (mut cb, row) = CodeDsl::new_level_set(name);
-    let x = cb.param(DType::F32, true);
-    let b = cb.param(DType::F32, false);
-    let diag = cb.param(DType::F32, false);
-    let vals = cb.param(DType::F32, false);
-    let cols = cb.param(DType::I32, false);
-    let rptr = cb.param(DType::I32, false);
-    let r = row.get();
-    let acc = cb.var(b.at(r.clone()));
-    let lo = cb.let_(rptr.at(r.clone()));
-    let hi = cb.let_(rptr.at(r.clone() + 1));
-    cb.for_(lo, hi, Val::i32(1), |cb, k| {
-        cb.assign(acc, acc.get() - vals.at(k.clone()) * x.at(cols.at(k)));
-    });
-    cb.store(x, r.clone(), acc.get() / diag.at(r));
-    cb.build()
 }

@@ -15,7 +15,7 @@
 //! completely disregards halo values").
 
 use dsl::prelude::*;
-use graph::codelet::CodeletId;
+use graph::codelet::{CodeletId, Kernel};
 
 use crate::dist::{matrix_operands, DistSystem};
 use crate::solvers::Solver;
@@ -60,8 +60,8 @@ impl Solver for Ilu0 {
         self.lu_vals = Some(lu_vals);
         self.lu_diag = Some(lu_diag);
         self.factorize = Some(ctx.add_codelet(ilu0_factorize_codelet()));
-        self.fwd = Some(ctx.add_codelet(forward_subst_codelet(false)));
-        self.bwd = Some(ctx.add_codelet(backward_subst_codelet(true)));
+        self.fwd = Some(ctx.add_codelet(Kernel::Forward { divide: false }.codelet("ilu_forward")));
+        self.bwd = Some(ctx.add_codelet(Kernel::Backward { divide: true }.codelet("ilu_backward")));
 
         // The factorisation itself: one level-set vertex per tile, driven
         // by the forward dependency levels.
@@ -132,8 +132,9 @@ impl Solver for Dilu {
         ctx.copy(sys.diag, d);
         self.d = Some(d);
         self.factorize = Some(ctx.add_codelet(dilu_factorize_codelet()));
-        self.fwd = Some(ctx.add_codelet(forward_subst_codelet(true)));
-        self.bwd = Some(ctx.add_codelet(backward_subst_codelet(false)));
+        self.fwd = Some(ctx.add_codelet(Kernel::Forward { divide: true }.codelet("dilu_forward")));
+        self.bwd =
+            Some(ctx.add_codelet(Kernel::Backward { divide: false }.codelet("dilu_backward")));
 
         let mut vertices = Vec::with_capacity(sys.num_tiles());
         for (t, vc) in sys.vec_chunks.iter().enumerate() {
@@ -288,71 +289,5 @@ fn dilu_factorize_codelet() -> graph::codelet::Codelet {
             });
         });
     });
-    cb.build()
-}
-
-/// Forward substitution, per-row.
-///
-/// ILU(0) (`divide = false`): `w_i = b_i − Σ_{j<i} l_ij w_j` (L unit).
-/// DILU   (`divide = true`) : `w_i = (b_i − Σ_{j<i} a_ij w_j) / d_i`.
-/// Params: `w` (mut, rows) · `b` (rows) · `lu_vals` · `lu_diag` · `cols` ·
-/// `rptr`.
-fn forward_subst_codelet(divide: bool) -> graph::codelet::Codelet {
-    let name = if divide { "dilu_forward" } else { "ilu_forward" };
-    let (mut cb, row) = CodeDsl::new_level_set(name);
-    let w = cb.param(DType::F32, true);
-    let b = cb.param(DType::F32, false);
-    let lvals = cb.param(DType::F32, false);
-    let ldiag = cb.param(DType::F32, false);
-    let cols = cb.param(DType::I32, false);
-    let rptr = cb.param(DType::I32, false);
-    let i = row.get();
-    let acc = cb.var(b.at(i.clone()));
-    let lo = cb.let_(rptr.at(i.clone()));
-    let hi = cb.let_(rptr.at(i.clone() + 1));
-    cb.for_(lo, hi, Val::i32(1), |cb, kk| {
-        let j = cb.let_(cols.at(kk.clone()));
-        cb.if_(j.clone().lt(i.clone()), |cb| {
-            cb.assign(acc, acc.get() - lvals.at(kk) * w.at(j));
-        });
-    });
-    if divide {
-        cb.store(w, i.clone(), acc.get() / ldiag.at(i));
-    } else {
-        let _ = &ldiag; // unit lower-triangular: diagonal unused
-        cb.store(w, i, acc.get());
-    }
-    cb.build()
-}
-
-/// Backward substitution, per-row, in place on `z` (which holds `w`).
-///
-/// ILU(0) (`divide = true`) : `z_i = (w_i − Σ_{j>i, local} u_ij z_j)/u_ii`.
-/// DILU   (`divide = false`): `z_i = w_i − d_i⁻¹ Σ_{j>i, local} a_ij z_j`.
-/// Params: `z` (mut, rows) · `lu_vals` · `lu_diag` · `cols` · `rptr`.
-fn backward_subst_codelet(divide: bool) -> graph::codelet::Codelet {
-    let name = if divide { "ilu_backward" } else { "dilu_backward" };
-    let (mut cb, row) = CodeDsl::new_level_set(name);
-    let z = cb.param(DType::F32, true);
-    let lvals = cb.param(DType::F32, false);
-    let ldiag = cb.param(DType::F32, false);
-    let cols = cb.param(DType::I32, false);
-    let rptr = cb.param(DType::I32, false);
-    let i = row.get();
-    let nrows = cb.let_(z.len());
-    let acc = cb.var(Val::f32(0.0));
-    let lo = cb.let_(rptr.at(i.clone()));
-    let hi = cb.let_(rptr.at(i.clone() + 1));
-    cb.for_(lo, hi, Val::i32(1), |cb, kk| {
-        let j = cb.let_(cols.at(kk.clone()));
-        cb.if_(j.clone().gt(i.clone()).and(j.clone().lt(nrows.clone())), |cb| {
-            cb.assign(acc, acc.get() + lvals.at(kk) * z.at(j));
-        });
-    });
-    if divide {
-        cb.store(z, i.clone(), (z.at(i.clone()) - acc.get()) / ldiag.at(i));
-    } else {
-        cb.store(z, i.clone(), z.at(i.clone()) - acc.get() / ldiag.at(i));
-    }
     cb.build()
 }

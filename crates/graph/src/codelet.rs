@@ -40,7 +40,8 @@ pub use ir::{
     Stmt, UnOp, Value,
 };
 pub use kernels::{
-    backward_subst_template, forward_subst_template, spmv_template, Kernel, Template,
+    backward_subst_template, forward_subst_template, gauss_seidel_template, spmv_template, F32Ops,
+    Kernel, Native, Template,
 };
 pub use lower::{Charge, Lowered};
 pub use machine::Regs;

@@ -1,7 +1,6 @@
 //! Flattening: a typed body becomes register instructions, with control
 //! flow as jumps, one charge per basic block, and the multiply-accumulate
-//! loops, the rows around them and the element-wise maps it recognises as
-//! one instruction each.
+//! loops and the element-wise maps it recognises as one instruction each.
 
 use super::ir::{BinOp, LocalId, UnOp, Value};
 use super::lower::{Charge, LStmt, TExpr, TKind};
@@ -142,13 +141,6 @@ pub(super) enum Ins {
         ctr: Reg,
         n: u32,
     },
-    /// Run the rest of a `ParFor` `ForInit` has entered, each trip one row:
-    /// `rows[n]`, its counter registers at `ctr` and its local `local`.
-    Row {
-        ctr: Reg,
-        local: Reg,
-        n: u32,
-    },
     /// Run the rest of a `ParFor` `ForInit` has entered, a column at a
     /// time: `maps[n]`, its counter registers at `ctr` and its local `local`.
     Map {
@@ -186,9 +178,9 @@ pub(super) struct Bin {
 }
 
 /// A counted loop whose body is one multiply-accumulate, run to its end by
-/// one instruction — the inner loop of SpMV, of forward and backward
-/// substitution, of a Gauss-Seidel row, of a dot product. In a float domain
-/// `dt`, with `x` and `y` already in it:
+/// one instruction — the inner loop of a dot product, or of a solver row
+/// bound to wider storage than its kernel takes. In a float domain `dt`,
+/// with `x` and `y` already in it:
 ///
 /// ```text
 /// (A)  acc = acc ⊕ (x ⊗ y)
@@ -352,140 +344,20 @@ impl Cmp<Reg> {
     }
 }
 
-/// How many parameters a [`Row`] may name: its operands are bound into
-/// arrays of this length.
-pub(super) const ROW_PARAMS: usize = 8;
-
-/// A row: a straight-line prologue of `SetLocal`s, one counted loop that
-/// [`MacLoop::recognise`] accepts, and a straight-line epilogue of `Store`s
-/// and `SetLocal`s — a `ParFor` trip of SpMV and its residual, the whole
-/// body of a substitution or Gauss-Seidel `LevelSet` vertex. Its
-/// expressions are trees of constants, locals, `ParamLen`, loads and
-/// arithmetic, each in the I32 domain or in the loop's float domain `dt`.
-///
-/// One instruction runs every row of a vertex, its operands bound once at
-/// entry. A row does what the flat program does, in its order, with the
-/// same bounds checks, the same out-of-line operators and the same stores,
-/// and leaves the locals' registers as the flat program leaves them. It
-/// charges the flat program's per-block sums: `fixed` per row, then what
-/// its loop charges per trip.
-#[derive(Debug)]
-pub(super) struct Row {
-    pub(super) dt: DType,
-    pub(super) prologue: Vec<Step>,
-    /// The loop's start, end and step.
-    pub(super) bounds: [Node; 3],
-    pub(super) mac: MacLoop,
-    pub(super) epilogue: Vec<Step>,
-    /// The prologue, the loop's bounds and the epilogue, plus `LoopStep`
-    /// for a `ParFor` trip.
-    pub(super) fixed: Charge,
-    /// Bit `p` set: the row reads or writes `params[p]` in `dt` / as I32.
-    pub(super) reals: u8,
-    pub(super) ints: u8,
-}
-
-/// A statement of a row's prologue or epilogue.
-#[derive(Debug)]
-pub(super) enum Step {
-    /// An I32 local.
-    Int(Reg, Node),
-    /// A local of the row's float domain.
-    Real(Reg, Node),
-    /// `params[param][index] = value`, `value` in the row's float domain.
-    Store(Param, Node, Node),
-}
-
-/// A row's expression. Its domain is its context's: I32 for a bound, an
-/// index or an `Int` step; the row's float domain for the rest. The first
-/// five are leaves, which a row evaluates in line.
-#[derive(Debug)]
-pub(super) enum Node {
-    Int(i64),
-    Real(Value),
-    Local(Reg),
-    Len(Param),
-    /// `params[param][I[index] + offset]`: a load indexed by a local, or by
-    /// a local plus a constant (`rptr[i + 1]`), the sum wrapped as `Add`
-    /// wraps it.
-    At {
-        param: Param,
-        index: Reg,
-        offset: i32,
-    },
-    Load(Param, Box<Node>),
-    Arith(BinOp, Box<[Node; 2]>),
-}
-
-impl Row {
-    /// The row a `ParFor` trip or a `LevelSet` body is, if it has the
-    /// shape; `trip` is what each row costs besides its statements (a
-    /// `ParFor` trip's `LoopStep`).
-    pub(super) fn recognise(body: &[LStmt], loop_step: u64, trip: Charge) -> Option<Row> {
-        let at = body.iter().position(|s| matches!(s, LStmt::For { .. }))?;
-        let LStmt::For { local, start, end, step, head, body: inner } = &body[at] else {
-            unreachable!("found above")
-        };
-        let mac = MacLoop::recognise(Reg::try_from(*local).ok()?, loop_step, inner)?;
-        let mut scan = Scan { dt: mac.dt, reals: 0, ints: 0 };
-        scan.operand(mac.x)?;
-        scan.operand(mac.y)?;
-        if let Some(g) = mac.guard {
-            scan.int(g.cols)?;
-        }
-        let bounds = [scan.node(start)?, scan.node(end)?, scan.node(step)?];
-        let mut fixed = trip.plus(*head);
-        let mut steps = |stmts: &[LStmt], stores: bool| -> Option<Vec<Step>> {
-            stmts
-                .iter()
-                .map(|s| {
-                    let (step, charge) = match s {
-                        LStmt::SetLocal { local, value, charge } => {
-                            let (r, node) = (Reg::try_from(*local).ok()?, scan.node(value)?);
-                            let int = value.dtype == DType::I32;
-                            (if int { Step::Int(r, node) } else { Step::Real(r, node) }, charge)
-                        }
-                        LStmt::Store { param, index, value, charge }
-                            if stores && value.dtype == scan.dt =>
-                        {
-                            let p = scan.real(*param as Param)?;
-                            (Step::Store(p, scan.node(index)?, scan.node(value)?), charge)
-                        }
-                        _ => return None,
-                    };
-                    fixed = fixed.plus(*charge);
-                    Some(step)
-                })
-                .collect()
-        };
-        let prologue = steps(&body[..at], false)?;
-        let epilogue = steps(&body[at + 1..], true)?;
-        let Scan { dt, reals, ints } = scan;
-        Some(Row { dt, prologue, bounds, mac, epilogue, fixed, reals, ints })
-    }
-
-    /// What `rows` runs of this row charge, their loops' trips and
-    /// accumulates summed.
-    #[inline]
-    pub(super) fn charge(&self, rows: u64, trips: u64, taken: u64) -> Charge {
-        let m = &self.mac;
-        self.fixed.times(rows).plus(m.trip.times(trips)).plus(m.taken.times(taken))
-    }
-}
-
-/// How many trips a [`Map`] runs a column over at once, and how many
-/// columns one of its stores and broadcast scalars the whole map may use:
-/// they live on the stack.
+/// How many trips a [`Map`] runs a column over at once, how many columns
+/// one of its stores and broadcast scalars the whole map may use, and how
+/// many parameters it may name: they live on the stack.
 pub(super) const MAP_CHUNK: usize = 64;
 pub(super) const MAP_COLS: usize = 8;
 pub(super) const MAP_SCALARS: usize = 8;
+pub(super) const MAP_PARAMS: usize = 8;
 
 /// An element-wise map: a `ParFor` whose trip is straight-line `Store`s at
-/// `p[local]` of trees of constants, locals, loads and arithmetic in one
-/// float domain `dt` — what `DslCtx::assign` builds, `x + p·α`, `r − q·α`,
-/// the zero fill. No trip reads what another writes: a stored parameter is
-/// read only at `p[local]`, any other load is `q[local]` or `q[c]` for a
-/// constant `c`.
+/// `p[local]` of trees ([`Node`]) of constants, locals, loads and
+/// arithmetic in one float domain `dt` — what `DslCtx::assign` builds,
+/// `x + p·α`, `r − q·α`, the zero fill. No trip reads what another writes:
+/// a stored parameter is read only at `p[local]`, any other load is
+/// `q[local]` or `q[c]` for a constant `c`.
 ///
 /// So one instruction runs the trips a column at a time rather than a trip
 /// at a time: per chunk of at most [`MAP_CHUNK`] trips, each store's
@@ -540,7 +412,7 @@ impl Map {
     /// is what each trip costs besides its statements (`LoopStep`).
     pub(super) fn recognise(local: Reg, body: &[LStmt], trip: Charge) -> Option<Map> {
         let LStmt::Store { value, .. } = body.first()? else { return None };
-        let mut scan = Scan { dt: value.dtype, reals: 0, ints: 0 };
+        let mut scan = Scan { dt: value.dtype, reals: 0 };
         if !scan.dt.is_float() {
             return None;
         }
@@ -555,7 +427,7 @@ impl Map {
             stores.push((p, scan.node(value)?));
             charge = charge.plus(*c);
         }
-        let Scan { dt, reals, .. } = scan;
+        let Scan { dt, reals } = scan;
         let mut map = Map { dt, scalars: vec![], code: vec![], trip: charge, reals };
         for (param, value) in &stores {
             let val = map.src(value, local, stored, &mut 0)?;
@@ -575,7 +447,7 @@ impl Map {
         Some(match e {
             Node::Real(v) => self.splat(Scalar::Real(*v))?,
             Node::Local(r) => self.splat(Scalar::Local(*r))?,
-            &Node::At { param, index, offset: 0 } if index == local => {
+            &Node::At { param, index } if index == local => {
                 let dst = column(next)?;
                 self.code.push(Column::Load { dst, param });
                 Src::Col(dst)
@@ -602,45 +474,36 @@ impl Map {
     }
 }
 
-/// What [`Row::recognise`] or [`Map::recognise`] has found to touch so far.
+/// A map's expression, as [`Scan::node`] reads it off the typed tree: in
+/// the I32 domain as an index, else in the map's float domain.
+#[derive(Debug)]
+pub(super) enum Node {
+    Int(i64),
+    Real(Value),
+    Local(Reg),
+    /// `params[param][I[index]]`: a load indexed by a local.
+    At {
+        param: Param,
+        index: Reg,
+    },
+    Load(Param, Box<Node>),
+    Arith(BinOp, Box<[Node; 2]>),
+}
+
+/// What [`Map::recognise`] has found to touch so far.
 struct Scan {
     dt: DType,
     reals: u8,
-    ints: u8,
 }
 
 impl Scan {
-    /// `p` read or written in the row's float domain.
+    /// `p` read or written in the map's float domain.
     fn real(&mut self, p: Param) -> Option<Param> {
-        self.reals |= Self::bit(p)?;
+        self.reals |= (usize::from(p) < MAP_PARAMS).then(|| 1 << p)?;
         Some(p)
     }
 
-    /// `p` read as I32.
-    fn int(&mut self, p: Param) -> Option<Param> {
-        self.ints |= Self::bit(p)?;
-        Some(p)
-    }
-
-    fn bit(p: Param) -> Option<u8> {
-        (usize::from(p) < ROW_PARAMS).then(|| 1 << p)
-    }
-
-    fn operand(&mut self, op: Operand) -> Option<()> {
-        match op {
-            Operand::Reg(_) => {}
-            Operand::Load { param, .. } => {
-                self.real(param)?;
-            }
-            Operand::Gather { param, via, .. } => {
-                self.real(param)?;
-                self.int(via)?;
-            }
-        }
-        Some(())
-    }
-
-    /// `e` as a row expression: I32, or of the row's float domain.
+    /// `e` as a map expression: I32, or of the map's float domain.
     fn node(&mut self, e: &TExpr) -> Option<Node> {
         let int = e.dtype == DType::I32;
         if !int && e.dtype != self.dt {
@@ -650,23 +513,13 @@ impl Scan {
             TKind::Const(Value::I32(v)) => Node::Int(*v as i64),
             TKind::Const(v) => Node::Real(*v),
             TKind::Local(_) => Node::Local(local_reg(e)?),
-            TKind::ParamLen(p) => {
-                let p = Param::try_from(*p).ok()?;
-                Self::bit(p)?;
-                Node::Len(p)
-            }
             TKind::Load { param, index } => {
-                let p = Param::try_from(*param).ok()?;
-                let p = if int { self.int(p)? } else { self.real(p)? };
-                let at = |index, offset| Node::At { param: p, index, offset };
+                let mut p = Param::try_from(*param).ok()?;
+                if !int {
+                    p = self.real(p)?;
+                }
                 match &index.kind {
-                    TKind::Local(_) => at(local_reg(index)?, 0),
-                    TKind::Arith { op: BinOp::Add, lhs, rhs } => {
-                        match (local_reg(lhs), &rhs.kind) {
-                            (Some(r), TKind::Const(Value::I32(c))) => at(r, *c),
-                            _ => Node::Load(p, Box::new(self.node(index)?)),
-                        }
-                    }
+                    TKind::Local(_) => Node::At { param: p, index: local_reg(index)? },
                     _ => Node::Load(p, Box::new(self.node(index)?)),
                 }
             }
@@ -686,7 +539,6 @@ pub(super) struct Emitter {
     pub(super) code: Vec<Ins>,
     pub(super) charges: Vec<Charge>,
     pub(super) loops: Vec<MacLoop>,
-    pub(super) rows: Vec<Row>,
     pub(super) maps: Vec<Map>,
     /// The open block's charge so far.
     pending: Charge,
@@ -707,7 +559,6 @@ impl Emitter {
             code: Vec::new(),
             charges: Vec::new(),
             loops: Vec::new(),
-            rows: Vec::new(),
             maps: Vec::new(),
             pending: Charge::default(),
             top: [n; 5],
@@ -934,8 +785,8 @@ impl Emitter {
     /// `ParBegin` / `ParEnd`): the bounds go into hidden counter registers,
     /// so a body that writes `local` does not change the trip count. An
     /// accumulate body runs as one [`MacLoop`] in place of itself and its
-    /// `ForNext`; a `ParFor` whose trip is a row, as one [`Row`]; one whose
-    /// trip is an element-wise map, as one [`Map`].
+    /// `ForNext`; a `ParFor` whose trip is an element-wise map, as one
+    /// [`Map`].
     fn counted(
         &mut self,
         local: LocalId,
@@ -972,11 +823,6 @@ impl Emitter {
         if let Some(m) = MacLoop::recognise(local, self.loop_step, body) {
             self.code.push(Ins::MacLoop { ctr, n: index(self.loops.len())? });
             self.loops.push(m);
-        } else if let Some(row) =
-            step.is_none().then(|| Row::recognise(body, self.loop_step, step_charge)).flatten()
-        {
-            self.code.push(Ins::Row { ctr, local, n: index(self.rows.len())? });
-            self.rows.push(row);
         } else if let Some(map) =
             step.is_none().then(|| Map::recognise(local, body, step_charge)).flatten()
         {

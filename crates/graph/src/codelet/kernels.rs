@@ -2,16 +2,24 @@
 //! solvers' templates, bound to exactly the storage the template declares,
 //! and run as one native loop.
 //!
+//! The solvers build these codelets from the templates below — the SpMV and
+//! its residual, the two ILU(0) / DILU sweeps, the Gauss-Seidel row update —
+//! so a codelet that is not exactly one of them is some other codelet, and
+//! runs its lowered program.
+//!
 //! A kernel's vertex has no register program beside it: the loop is the
 //! only route. Values are exact because the loop performs the interpreter's
 //! F32 operations in its order, and a row whose result is a NaN is computed
 //! again through the one out-of-line copy of each operator, so its payload
-//! is the interpreter's too. Charges are exact because the loop adds, per
-//! row, the closed-form sums of what the interpreter charges for each
-//! statement of the template, and schedules the rows as it does: the SpMV's
-//! under the `ParFor` makespan, the sweeps' level by level. It reads what
-//! the interpreter reads before each row's store, in its order, so an index
-//! out of range (row pointers shorter than the rows, say) panics on the row
+//! is the interpreter's too. The loop takes its `+ − × ÷` as a type
+//! parameter ([`F32Ops`]): [`Native`] on the engine's route, and in tests an
+//! operator that keeps the other NaN, which only that recompute can undo.
+//! Charges are exact because the loop adds, per row, the closed-form sums of
+//! what the interpreter charges for each statement of the template, and
+//! schedules the rows as it does: the SpMV's under the `ParFor` makespan,
+//! the sweeps' and the Gauss-Seidel rows' level by level. It reads what the
+//! interpreter reads before each row's store, in its order, so an index out
+//! of range (row pointers shorter than the rows, say) panics on the row
 //! where the interpreter panics.
 
 use super::interp::parfor_makespan;
@@ -41,13 +49,56 @@ pub enum Kernel {
     /// per row `i`, `z_i = (z_i − Σ_{i<j<n} u_ij z_j) / u_ii` or
     /// `z_i = z_i − (Σ_{i<j<n} u_ij z_j) / u_ii`.
     Backward { divide: bool },
+    /// `gs_forward` / `gs_backward`, a `LevelSet` vertex: per row `i`,
+    /// `x_i = (b_i − Σ_k v_k x_{c_k}) / d_i` over the row's off-diagonal
+    /// entries. The level order carries the sweep's direction.
+    GaussSeidel,
+}
+
+/// The f32 `+ − × ÷` a kernel loop performs. Which NaN an operation returns
+/// when two meet is the compiler's choice, so the loops take the operators
+/// as a parameter: a test runs them with operators that choose otherwise,
+/// and sees that a NaN row's recompute, not the operand order, decides what
+/// is stored.
+pub trait F32Ops {
+    fn add(x: f32, y: f32) -> f32;
+    fn sub(x: f32, y: f32) -> f32;
+    fn mul(x: f32, y: f32) -> f32;
+    fn div(x: f32, y: f32) -> f32;
+}
+
+/// Rust's operators: what the engine runs.
+pub struct Native;
+
+impl F32Ops for Native {
+    #[inline(always)]
+    fn add(x: f32, y: f32) -> f32 {
+        x + y
+    }
+
+    #[inline(always)]
+    fn sub(x: f32, y: f32) -> f32 {
+        x - y
+    }
+
+    #[inline(always)]
+    fn mul(x: f32, y: f32) -> f32 {
+        x * y
+    }
+
+    #[inline(always)]
+    fn div(x: f32, y: f32) -> f32 {
+        x / y
+    }
 }
 
 impl Kernel {
     /// The kernel `codelet` is for operands of `storage` on a `LevelSet`
-    /// vertex (`level_set`) or a `Simple` one, if it is one. Any drift in
-    /// the real builder makes the match fail: a safe fallback to the
-    /// lowered program, never a wrong kernel.
+    /// vertex (`level_set`) or a `Simple` one, if it is one: exactly a
+    /// template, on exactly the storage it declares. The solvers build their
+    /// codelets from the templates, so there is no second definition to
+    /// drift; anything else — a near miss, MPIR's SpMV over double-word
+    /// storage — runs its lowered program, never a wrong kernel.
     pub(super) fn recognise(
         codelet: &Codelet,
         storage: &[DType],
@@ -59,7 +110,7 @@ impl Kernel {
             (false, [F32, F32, F32, F32, I32, I32]) => &[Spmv { residual: false }],
             (false, [F32, F32, F32, F32, F32, I32, I32]) => &[Spmv { residual: true }],
             (true, [F32, F32, F32, F32, I32, I32]) => {
-                &[Forward { divide: false }, Forward { divide: true }]
+                &[Forward { divide: false }, Forward { divide: true }, GaussSeidel]
             }
             (true, [F32, F32, F32, I32, I32]) => {
                 &[Backward { divide: false }, Backward { divide: true }]
@@ -78,7 +129,14 @@ impl Kernel {
             Kernel::Spmv { residual } => spmv_template(residual),
             Kernel::Forward { divide } => forward_subst_template(divide),
             Kernel::Backward { divide } => backward_subst_template(divide),
+            Kernel::GaussSeidel => gauss_seidel_template(),
         }
+    }
+
+    /// The codelet `name` for this kernel's template.
+    pub fn codelet(self, name: &str) -> Codelet {
+        let (params, num_locals, body) = self.template();
+        Codelet { name: name.into(), params, num_locals, body }
     }
 
     /// Stable family name, stamped into the compile report.
@@ -90,12 +148,13 @@ impl Kernel {
             Kernel::Forward { divide: true } => "forward_subst_div",
             Kernel::Backward { divide: false } => "backward_subst",
             Kernel::Backward { divide: true } => "backward_subst_div",
+            Kernel::GaussSeidel => "gauss_seidel",
         }
     }
 
-    /// Run one vertex of the kind the kernel was recognised for, scheduling
-    /// a level set's rows in `lpt`.
-    pub(super) fn run(
+    /// Run one vertex of the kind the kernel was recognised for, its f32
+    /// operators `O`, scheduling a level set's rows in `lpt`.
+    pub(super) fn run<O: F32Ops>(
         self,
         kind: &VertexKind,
         params: &mut [ParamData],
@@ -105,13 +164,16 @@ impl Kernel {
     ) -> Charge {
         match (self, kind) {
             (Kernel::Spmv { residual }, VertexKind::Simple) => {
-                spmv(residual, params, cost, workers)
+                spmv::<O>(residual, params, cost, workers)
             }
             (Kernel::Forward { divide }, VertexKind::LevelSet { levels }) => {
-                forward(divide, levels, params, lpt, cost, workers)
+                forward::<O>(divide, levels, params, lpt, cost, workers)
             }
             (Kernel::Backward { divide }, VertexKind::LevelSet { levels }) => {
-                backward(divide, levels, params, lpt, cost, workers)
+                backward::<O>(divide, levels, params, lpt, cost, workers)
+            }
+            (Kernel::GaussSeidel, VertexKind::LevelSet { levels }) => {
+                gauss_seidel::<O>(levels, params, lpt, cost, workers)
             }
             _ => unreachable!("{self:?} was recognised for the other vertex kind"),
         }
@@ -120,7 +182,12 @@ impl Kernel {
 
 /// The SpMV over `y · x · diag · vals · cols · rptr`, or its residual over
 /// `y · x · b · diag · vals · cols · rptr`.
-fn spmv(residual: bool, params: &mut [ParamData], cost: &CostModel, workers: u64) -> Charge {
+fn spmv<O: F32Ops>(
+    residual: bool,
+    params: &mut [ParamData],
+    cost: &CostModel,
+    workers: u64,
+) -> Charge {
     use ParamData::{F32Ro, I32Ro, F32};
     // `recognise` pinned the storage and the template the mutability.
     let (y, x, b, diag, vals, cols, rptr) = match params {
@@ -158,14 +225,14 @@ fn spmv(residual: bool, params: &mut [ParamData], cost: &CostModel, workers: u64
 
     let mut trips = 0u64;
     for i in 0..n {
-        let mut acc = diag[i] * x[i];
+        let mut acc = O::mul(diag[i], x[i]);
         let (lo, hi) = (rptr[i] as i64, rptr[i + 1] as i64);
         for k in lo..hi {
             let k = k as usize;
-            acc += vals[k] * x[cols[k] as usize];
+            acc = O::add(acc, O::mul(vals[k], x[cols[k] as usize]));
         }
         let mut v = match b {
-            Some(b) => b[i] - acc,
+            Some(b) => O::sub(b[i], acc),
             None => acc,
         };
         if v.is_nan() {
@@ -209,7 +276,7 @@ fn spmv_row_nan(
 }
 
 /// The forward sweep over `w · b · lvals · ldiag · cols · rptr`.
-fn forward(
+fn forward<O: F32Ops>(
     divide: bool,
     levels: &[Vec<usize>],
     params: &mut [ParamData],
@@ -257,11 +324,11 @@ fn forward(
         for k in lo..hi {
             let j = cols[k as usize] as i64;
             if j < row {
-                acc -= lvals[k as usize] * w[j as usize];
+                acc = O::sub(acc, O::mul(lvals[k as usize], w[j as usize]));
                 taken += 1;
             }
         }
-        let mut v = if divide { acc / ldiag[i] } else { acc };
+        let mut v = if divide { O::div(acc, ldiag[i]) } else { acc };
         if v.is_nan() {
             v = forward_row_nan(divide, i, lo..hi, w, b, lvals, ldiag, cols);
         }
@@ -306,7 +373,7 @@ fn forward_row_nan(
 }
 
 /// The backward sweep over `z · lvals · ldiag · cols · rptr`.
-fn backward(
+fn backward<O: F32Ops>(
     divide: bool,
     levels: &[Vec<usize>],
     params: &mut [ParamData],
@@ -356,11 +423,15 @@ fn backward(
         for k in lo..hi {
             let j = cols[k as usize] as i64;
             if j > row && j < n {
-                acc += lvals[k as usize] * z[j as usize];
+                acc = O::add(acc, O::mul(lvals[k as usize], z[j as usize]));
                 taken += 1;
             }
         }
-        let mut v = if divide { (z[i] - acc) / ldiag[i] } else { z[i] - acc / ldiag[i] };
+        let mut v = if divide {
+            O::div(O::sub(z[i], acc), ldiag[i])
+        } else {
+            O::sub(z[i], O::div(acc, ldiag[i]))
+        };
         if v.is_nan() {
             v = backward_row_nan(divide, i, n, lo..hi, z, lvals, ldiag, cols);
         }
@@ -404,9 +475,90 @@ fn backward_row_nan(
     }
 }
 
-/// Rebuild `build_spmv_codelet` (crates/core/src/dist.rs): a `ParFor` over
-/// the rows of `y`. Public for the interpreter microbench and the tests that
-/// hold the kernel to `Interp`.
+/// The Gauss-Seidel row update over `x · b · diag · vals · cols · rptr`.
+fn gauss_seidel<O: F32Ops>(
+    levels: &[Vec<usize>],
+    params: &mut [ParamData],
+    lpt: &mut LptScratch,
+    cost: &CostModel,
+    workers: u64,
+) -> Charge {
+    use ParamData::{F32Ro, I32Ro, F32};
+    // `recognise` pinned the storage and the template the mutability.
+    let [F32(x), F32Ro(b), F32Ro(diag), F32Ro(vals), I32Ro(cols), I32Ro(rptr)] = params else {
+        unreachable!("the Gauss-Seidel template is bound to its declared storage")
+    };
+    let x: &mut [f32] = x;
+    let (b, diag, vals, cols, rptr) = (&**b, &**diag, &**vals, &**cols, &**rptr);
+
+    // Per row: the load of `b_i`, two row-pointer loads and the `i + 1`,
+    // then the load of `d_i`, the divide and the store of `x_i`; per trip:
+    // the loop step, three loads, the multiply and the subtract.
+    let l_f = cost.op_cycles(Op::Load, DType::F32);
+    let l_i = cost.op_cycles(Op::Load, DType::I32);
+    let row_cy = 2 * l_f
+        + 2 * l_i
+        + cost.op_cycles(Op::Add, DType::I32)
+        + cost.op_cycles(Op::Div, DType::F32)
+        + cost.op_cycles(Op::Store, DType::F32);
+    let trip_cy = cost.op_cycles(Op::LoopStep, DType::I32)
+        + 2 * l_f
+        + l_i
+        + cost.op_cycles(Op::Mul, DType::F32)
+        + cost.op_cycles(Op::Sub, DType::F32);
+
+    let (mut flops, mut mem) = (0u64, 0u64);
+    // Each row is solved inside the schedule's cost callback (called once
+    // per row, in level order) and returns the row's cycles.
+    let cycles = level_set_cycles_in(lpt, levels, workers as usize, cost, |i| {
+        let mut acc = b[i];
+        let (lo, hi) = (rptr[i] as i64, rptr[i + 1] as i64);
+        for k in lo..hi {
+            let k = k as usize;
+            acc = O::sub(acc, O::mul(vals[k], x[cols[k] as usize]));
+        }
+        let mut v = O::div(acc, diag[i]);
+        if v.is_nan() {
+            v = gs_row_nan(i, lo..hi, x, b, diag, vals, cols);
+        }
+        x[i] = through_f64(v);
+        let trips = (hi - lo).max(0) as u64;
+        flops += 1 + 2 * trips;
+        mem += 20 + 12 * trips;
+        row_cy + trips * trip_cy
+    });
+    Charge { cycles, flops, mem_bytes: mem }
+}
+
+/// Row `i` of the Gauss-Seidel update again, every operation through
+/// `arith_f32`: which NaN a native operation returns depends on how the
+/// compiler ordered its operands, and this is the interpreter's answer.
+#[cold]
+#[inline(never)]
+fn gs_row_nan(
+    i: usize,
+    trips: std::ops::Range<i64>,
+    x: &[f32],
+    b: &[f32],
+    diag: &[f32],
+    vals: &[f32],
+    cols: &[i32],
+) -> f32 {
+    use BinOp::*;
+    let mut acc = b[i];
+    for k in trips {
+        let k = k as usize;
+        acc = arith_f32(Sub, acc, arith_f32(Mul, vals[k], x[cols[k] as usize]));
+    }
+    arith_f32(Div, acc, diag[i])
+}
+
+/// The SpMV codelet (`spmv`) and its residual (`residual`) the distributed
+/// system builds: a `ParFor` over the rows of `y`, per row
+/// `acc = d_i x_i; for k in rptr[i]..rptr[i+1] { acc = acc + v_k x_{c_k} }`,
+/// then `y_i = acc` or `y_i = b_i − acc`. Params: `y` (mut) · `x` · `b` (the
+/// residual's) · `diag` · `vals` · `cols` · `rptr`. Over a double-word `x`
+/// the accumulation promotes: that is MPIR's residual.
 pub fn spmv_template(residual: bool) -> Template {
     use BinOp::*;
     let ro = |dtype| ParamDecl { dtype, mutable: false };
@@ -460,9 +612,11 @@ pub fn spmv_template(residual: bool) -> Template {
     (params, 5, body)
 }
 
-/// Rebuild `forward_subst_codelet` (crates/core/src/solvers/ilu.rs): a
-/// level-set codelet, the row index in local 0. Public for the interpreter
-/// microbench and the tests that hold the kernel to `Interp`.
+/// The forward substitution ILU(0) (`ilu_forward`) and DILU
+/// (`dilu_forward`, `divide`) run: a level-set codelet, the row index in
+/// local 0, per row `w_i = b_i − Σ_{j<i} l_ij w_j`, over `d_i` with
+/// `divide`. Params: `w` (mut) · `b` · `lu_vals` · `lu_diag` · `cols` ·
+/// `rptr`; ILU(0)'s unit lower factor leaves `lu_diag` unread.
 pub fn forward_subst_template(divide: bool) -> Template {
     use BinOp::*;
     let ro = |dtype| ParamDecl { dtype, mutable: false };
@@ -516,9 +670,11 @@ pub fn forward_subst_template(divide: bool) -> Template {
     (params, 6, body)
 }
 
-/// Rebuild `backward_subst_codelet` (crates/core/src/solvers/ilu.rs): a
-/// level-set codelet, the row index in local 0. Public for the interpreter
-/// microbench and the tests that hold the kernel to `Interp`.
+/// The backward substitution ILU(0) (`ilu_backward`, `divide`) and DILU
+/// (`dilu_backward`) run, in place on `z`: a level-set codelet, the row
+/// index in local 0, per row `z_i = (z_i − Σ_{i<j<n} u_ij z_j) / u_ii`, or
+/// `z_i = z_i − (Σ_{i<j<n} u_ij z_j) / u_ii` without `divide`. Params: `z`
+/// (mut) · `lu_vals` · `lu_diag` · `cols` · `rptr`.
 pub fn backward_subst_template(divide: bool) -> Template {
     use BinOp::*;
     let ro = |dtype| ParamDecl { dtype, mutable: false };
@@ -582,4 +738,54 @@ pub fn backward_subst_template(divide: bool) -> Template {
         Stmt::Store { param: 0, index: Expr::Local(0), value: store_value },
     ];
     (params, 7, body)
+}
+
+/// The Gauss-Seidel row update `gs_forward` and `gs_backward` both run: a
+/// level-set codelet, the row index in local 0, per row
+/// `acc = b_i; for k in rptr[i]..rptr[i+1] { acc = acc − v_k x_{c_k} }`,
+/// then `x_i = acc / d_i`. Params: `x` (mut, owned and halo) · `b` · `diag`
+/// · `vals` · `cols` · `rptr`.
+pub fn gauss_seidel_template() -> Template {
+    use BinOp::*;
+    let ro = |dtype| ParamDecl { dtype, mutable: false };
+    let params = vec![
+        ParamDecl { dtype: DType::F32, mutable: true }, // x
+        ro(DType::F32),                                 // b
+        ro(DType::F32),                                 // diag
+        ro(DType::F32),                                 // vals
+        ro(DType::I32),                                 // cols
+        ro(DType::I32),                                 // rptr
+    ];
+    let body = vec![
+        Stmt::SetLocal(1, Expr::index(1, Expr::Local(0))),
+        Stmt::SetLocal(2, Expr::index(5, Expr::Local(0))),
+        Stmt::SetLocal(
+            3,
+            Expr::index(5, Expr::bin(Add, Expr::Local(0), Expr::Const(Value::I32(1)))),
+        ),
+        Stmt::For {
+            local: 4,
+            start: Expr::Local(2),
+            end: Expr::Local(3),
+            step: Expr::Const(Value::I32(1)),
+            body: vec![Stmt::SetLocal(
+                1,
+                Expr::bin(
+                    Sub,
+                    Expr::Local(1),
+                    Expr::bin(
+                        Mul,
+                        Expr::index(3, Expr::Local(4)),
+                        Expr::index(0, Expr::index(4, Expr::Local(4))),
+                    ),
+                ),
+            )],
+        },
+        Stmt::Store {
+            param: 0,
+            index: Expr::Local(0),
+            value: Expr::bin(Div, Expr::Local(1), Expr::index(2, Expr::Local(0))),
+        },
+    ];
+    (params, 5, body)
 }

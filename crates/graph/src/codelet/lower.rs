@@ -1,6 +1,6 @@
 //! The typing pass, and the lowered form it builds.
 
-use super::emit::{Emitter, Ins, MacLoop, Map, Param, Reg, Row};
+use super::emit::{Emitter, Ins, MacLoop, Map, Param, Reg};
 use super::ir::{promote, BinOp, Codelet, Expr, LocalId, ParamId, Stmt, UnOp, Value};
 use super::kernels::Kernel;
 use super::machine::Regs;
@@ -17,15 +17,12 @@ use ipu_sim::cost::{CostModel, DType, Op};
 // register file per domain, with control flow as jumps and one charge per
 // basic block — except that a counted loop whose body is one (guarded)
 // multiply-accumulate becomes one instruction that runs the loop to its end
-// ([`MacLoop`]), a `ParFor` whose trip, or a `LevelSet` vertex whose
-// body, is a row around such a loop runs every row as one instruction
-// ([`Row`]), a `ParFor` whose trip is an element-wise map runs a column at
-// a time, as one instruction ([`Map`]), and a codelet that is one of the
-// solvers' templates — the SpMV, its residual, the two triangular sweeps —
-// runs as one native loop ([`Kernel`]), with no program at all. What is left
-// to run time
-// is data: values, trip counts, the `ParFor` makespan and the level-set
-// schedule. `Interp` stays as the fallback for what cannot be typed, and as
+// ([`MacLoop`]), a `ParFor` whose trip is an element-wise map runs a column
+// at a time, as one instruction ([`Map`]), and a codelet that is one of the
+// solvers' templates — the SpMV, its residual, the two triangular sweeps,
+// the Gauss-Seidel row update — runs as one native loop ([`Kernel`]), with
+// no program at all. What is left to run time is data: values, trip counts,
+// the `ParFor` makespan and the level-set schedule. `Interp` stays as the fallback for what cannot be typed, and as
 // the oracle the lowered form is tested against.
 // ---------------------------------------------------------------------------
 
@@ -380,13 +377,8 @@ pub struct Lowered {
     pub(super) charges: Vec<Charge>,
     /// What each `MacLoop` instruction runs.
     pub(super) loops: Vec<MacLoop>,
-    /// What each `Row` instruction runs.
-    pub(super) rows: Vec<Row>,
     /// What each `Map` instruction runs.
     pub(super) maps: Vec<Map>,
-    /// A `LevelSet` vertex's whole body, when it is one row: then `code` is
-    /// empty and the vertex runs the row once per row id.
-    pub(super) row: Option<Row>,
     /// The whole vertex as one native loop, when the codelet is a kernel's
     /// template bound to the storage it declares: then there is no program.
     pub(super) kernel: Option<Kernel>,
@@ -424,9 +416,7 @@ impl Lowered {
                 code: Vec::new(),
                 charges: Vec::new(),
                 loops: Vec::new(),
-                rows: Vec::new(),
                 maps: Vec::new(),
-                row: None,
                 kernel: Some(kernel),
                 files: [0; 5],
                 sites: 0,
@@ -444,20 +434,14 @@ impl Lowered {
         } else {
             lowerer.block(&codelet.body, &mut locals)?
         };
-        let loop_step = cost.op_cycles(Op::LoopStep, DType::I32);
-        let mut em = Emitter::new(codelet.num_locals, loop_step)?;
-        let row = level_set.then(|| Row::recognise(&body, loop_step, Charge::default())).flatten();
-        if row.is_none() {
-            em.block(&body)?;
-            em.close()?;
-        }
+        let mut em = Emitter::new(codelet.num_locals, cost.op_cycles(Op::LoopStep, DType::I32))?;
+        em.block(&body)?;
+        em.close()?;
         Some(Lowered {
             code: em.code,
             charges: em.charges,
             loops: em.loops,
-            rows: em.rows,
             maps: em.maps,
-            row,
             kernel: None,
             files: em.size,
             sites: em.sites,
@@ -475,16 +459,9 @@ impl Lowered {
     }
 
     /// How many counted loops run as one accumulate instruction
-    /// ([`MacLoop`]) rather than a trip at a time, a row's loop and a
-    /// kernel's included.
+    /// ([`MacLoop`]) rather than a trip at a time, a kernel's included.
     pub fn loops(&self) -> usize {
-        self.loops.len() + self.rows() + self.kernel.is_some() as usize
-    }
-
-    /// How many rows run as one instruction ([`Row`]): `ParFor`s whose trip
-    /// is a row, or a `LevelSet` body that is one.
-    pub fn rows(&self) -> usize {
-        self.rows.len() + self.row.is_some() as usize
+        self.loops.len() + self.kernel.is_some() as usize
     }
 
     /// The kernel instruction that runs the vertex, if there is one.

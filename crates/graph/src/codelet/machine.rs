@@ -1,18 +1,18 @@
 //! The register machine: runs a lowered program over one register file per
-//! domain, a multiply-accumulate loop as one instruction, every row of a
-//! `ParFor` or a `LevelSet` vertex as one instruction, an element-wise map
-//! as one instruction, a column at a time, and a kernel's vertex as one
+//! domain, a multiply-accumulate loop as one instruction, an element-wise
+//! map as one instruction, a column at a time, and a kernel's vertex as one
 //! native loop.
 
 use super::emit::{
-    Bin, Cmp, Column, Elem, Ins, MacLoop, Map, Node, Operand, Param, Reg, Row, Scalar, Src, Step,
-    Test, MAP_CHUNK, MAP_COLS, MAP_SCALARS, ROW_PARAMS,
+    Bin, Cmp, Column, Elem, Ins, MacLoop, Map, Operand, Param, Reg, Scalar, Src, Test, MAP_CHUNK,
+    MAP_COLS, MAP_PARAMS, MAP_SCALARS,
 };
 use super::interp::parfor_makespan;
 use super::ir::{
     apply_un, arith_dw, arith_f32, arith_f64, arith_i64, cmp_dw, cmp_f32, cmp_f64, cmp_i64,
     through_f64, BinOp, ParamData, Value,
 };
+use super::kernels::{F32Ops, Native};
 use super::lower::{Charge, Lowered};
 use crate::compute::VertexKind;
 use ipu_sim::cost::{CostModel, DType};
@@ -33,31 +33,35 @@ impl Lowered {
         cost: &CostModel,
         workers: u64,
     ) -> Charge {
+        self.run_vertex_with::<Native>(kind, params, regs, cost, workers)
+    }
+
+    /// [`Lowered::run_vertex`], a kernel's loop performing its f32
+    /// operations through `O` (see [`F32Ops`]).
+    pub fn run_vertex_with<O: F32Ops>(
+        &self,
+        kind: &VertexKind,
+        params: &mut [ParamData],
+        regs: &mut Regs,
+        cost: &CostModel,
+        workers: u64,
+    ) -> Charge {
         assert_eq!(
             self.level_set,
             matches!(kind, VertexKind::LevelSet { .. }),
             "lowered for the other vertex kind"
         );
         if let Some(k) = self.kernel {
-            return k.run(kind, params, &mut regs.lpt, cost, workers);
+            return k.run::<O>(kind, params, &mut regs.lpt, cost, workers);
         }
         regs.files.reset(&self.files, self.sites);
         let mut run = Charge::default();
-        let cycles = match (kind, &self.row) {
-            (VertexKind::Simple, _) => {
+        let cycles = match kind {
+            VertexKind::Simple => {
                 self.exec(&mut regs.files, params, &mut run, cost, workers);
                 run.cycles
             }
-            (VertexKind::LevelSet { levels }, Some(row)) => {
-                let rows = match row.dt {
-                    DType::F32 => level_rows::<f32>,
-                    DType::DoubleWord => level_rows::<TwoF32>,
-                    DType::F64Emulated => level_rows::<f64>,
-                    DType::I32 | DType::Bool => unreachable!("a row accumulates in a float domain"),
-                };
-                rows(row, levels, regs, params, cost, workers, &mut run)
-            }
-            (VertexKind::LevelSet { levels }, None) => {
+            VertexKind::LevelSet { levels } => {
                 let Regs { files, lpt } = regs;
                 level_set_cycles_in(lpt, levels, workers as usize, cost, |row| {
                     files.i[0] = row as i32 as i64;
@@ -187,15 +191,6 @@ impl Lowered {
                         DType::I32 | DType::Bool => unreachable!("accumulates in a float domain"),
                     }
                 }
-                Ins::Row { ctr, local, n } => {
-                    let r = &self.rows[n as usize];
-                    match r.dt {
-                        DType::F32 => par_rows::<f32>(r, [ctr, local], reg, params, run),
-                        DType::DoubleWord => par_rows::<TwoF32>(r, [ctr, local], reg, params, run),
-                        DType::F64Emulated => par_rows::<f64>(r, [ctr, local], reg, params, run),
-                        DType::I32 | DType::Bool => unreachable!("accumulates in a float domain"),
-                    }
-                }
                 Ins::Map { ctr, local, n } => {
                     let m = &self.maps[n as usize];
                     match m.dt {
@@ -275,7 +270,7 @@ impl Ix {
 }
 
 /// A parameter's elements in a float domain: read-only, or writable through
-/// cells, so that one binding serves a row's loads and its stores.
+/// cells, so that one binding serves a map's loads and its stores.
 #[derive(Clone, Copy)]
 enum Slot<'p, T> {
     Ro(&'p [T]),
@@ -290,11 +285,6 @@ impl<T: Copy> Slot<'_, T> {
             Slot::Rw(s) => s[i].get(),
         }
     }
-
-    #[inline(always)]
-    fn set(self, i: usize, v: T) {
-        self.cells()[i].set(v)
-    }
 }
 
 impl<'p, T> Slot<'p, T> {
@@ -305,25 +295,6 @@ impl<'p, T> Slot<'p, T> {
             Slot::Rw(s) => s,
             Slot::Ro(_) => unreachable!("store to immutable param rejected by Codelet::validate"),
         }
-    }
-}
-
-/// Where a loop finds its operands' elements: the vertex's parameters as
-/// the flat program sees them, or a row's binding.
-trait Operands<'p, D: Accumulate> {
-    fn real(&self, p: Param) -> Slot<'p, D::Stored>;
-    fn int(&self, p: Param) -> &'p [i32];
-}
-
-impl<'p, D: Accumulate> Operands<'p, D> for &'p [ParamData<'_>] {
-    #[inline(always)]
-    fn real(&self, p: Param) -> Slot<'p, D::Stored> {
-        Slot::Ro(D::slice(&self[p as usize]))
-    }
-
-    #[inline(always)]
-    fn int(&self, p: Param) -> &'p [i32] {
-        i64::slice(&self[p as usize])
     }
 }
 
@@ -341,21 +312,17 @@ enum Bound<'p, D: Accumulate> {
 }
 
 impl<'p, D: Accumulate> Bound<'p, D> {
-    /// `op` as the trips of `m` read it, entering with registers `i` and `d`.
+    /// `op` as the trips of `m` read it over `params`, entering with
+    /// registers `i` and `d`.
     #[inline(always)]
-    fn bind(
-        op: Operand,
-        m: &MacLoop,
-        i: &[i64],
-        d: &[D],
-        ops: &impl Operands<'p, D>,
-    ) -> Bound<'p, D> {
+    fn bind(op: Operand, m: &MacLoop, i: &[i64], d: &[D], params: &'p [ParamData]) -> Bound<'p, D> {
+        let real = |p: Param| Slot::Ro(D::slice(&params[p as usize]));
         match op {
             Operand::Reg(r) if r == m.acc => Bound::Acc,
             Operand::Reg(r) => Bound::Fixed(d[r as usize]),
-            Operand::Load { param, index } => Bound::Load(ops.real(param), Ix::bind(index, m, i)),
+            Operand::Load { param, index } => Bound::Load(real(param), Ix::bind(index, m, i)),
             Operand::Gather { param, via, index } => {
-                Bound::Gather(ops.real(param), ops.int(via), Ix::bind(index, m, i))
+                Bound::Gather(real(param), i64::slice(&params[via as usize]), Ix::bind(index, m, i))
             }
         }
     }
@@ -373,9 +340,9 @@ impl<'p, D: Accumulate> Bound<'p, D> {
     }
 }
 
-/// The trips of `m` from counter `ctr` while it is below `end`, by `step`
-/// (at least 1), in registers `i` and `d`: how many ran, and how many of
-/// them accumulated. What the trips read is bound once, at entry; the
+/// The trips of `m` over `params` from counter `ctr` while it is below
+/// `end`, by `step` (at least 1), in registers `i` and `d`: how many ran,
+/// and how many of them accumulated. What the trips read is bound once, at entry; the
 /// counter, the loop local, `j` and the accumulator then live in variables,
 /// and the last three go back to their registers once, at exit, as the flat
 /// program leaves them. (A panic mid-loop leaves them stale: nothing reads
@@ -384,16 +351,16 @@ impl<'p, D: Accumulate> Bound<'p, D> {
 /// stayed calls, ≈10 % of `fig8_mpir`'s replay, and inlined the benchmark
 /// ran ≈5 % faster.
 #[inline(always)]
-fn accumulate<'p, D: Accumulate>(
+fn accumulate<D: Accumulate>(
     m: &MacLoop,
     bounds: [i64; 3],
     i: &mut [i64],
     d: &mut [D],
-    ops: &impl Operands<'p, D>,
+    params: &[ParamData],
 ) -> (u64, u64) {
-    let x = Bound::bind(m.x, m, i, d, ops);
-    let y = Bound::bind(m.y, m, i, d, ops);
-    let cols = m.guard.map_or(&[][..], |g| ops.int(g.cols));
+    let x = Bound::bind(m.x, m, i, d, params);
+    let y = Bound::bind(m.y, m, i, d, params);
+    let cols = m.guard.map_or(&[][..], |g| i64::slice(&params[g.cols as usize]));
     // The shapes the solvers' loops take, each its own compiled loop.
     match (&x, &y) {
         (&Bound::Load(xs, Ix::K), &Bound::Gather(ys, via, Ix::K)) => {
@@ -413,22 +380,21 @@ struct Bound2<'p, X, Y> {
     cols: &'p [i32],
 }
 
-/// A loop with its operands bound, or a way to bind them: runs the loop
-/// `m` from `[ctr, end, step]` in registers `i` and `d`, and returns how
-/// many trips ran and how many of them accumulated.
-trait Trips<D: Accumulate> {
-    fn trips(&self, m: &MacLoop, bounds: [i64; 3], i: &mut [i64], d: &mut [D]) -> (u64, u64);
-}
-
-impl<D: Accumulate, X: Get<D>, Y: Get<D>> Trips<D> for Bound2<'_, X, Y> {
+impl<X, Y> Bound2<'_, X, Y> {
+    /// Run the loop `m` from `[ctr, end, step]` in registers `i` and `d`:
+    /// how many trips ran and how many of them accumulated.
     #[inline(always)]
-    fn trips(
+    fn trips<D: Accumulate>(
         &self,
         m: &MacLoop,
         [ctr, end, step]: [i64; 3],
         i: &mut [i64],
         d: &mut [D],
-    ) -> (u64, u64) {
+    ) -> (u64, u64)
+    where
+        X: Get<D>,
+        Y: Get<D>,
+    {
         let entry = Entry {
             ctr,
             end,
@@ -547,300 +513,33 @@ fn mac_loop<D: Accumulate>(
 ) {
     let bounds = [reg.i[ctr], reg.i[ctr + 1], reg.i[ctr + 2]];
     let (i, d) = D::split(reg);
-    let (trips, taken) = accumulate(m, bounds, i, d, &params);
+    let (trips, taken) = accumulate(m, bounds, i, d, params);
     *run = run.plus(m.trip.times(trips)).plus(m.taken.times(taken));
 }
 
-/// A row's or a map's operands, bound once per vertex: each parameter it
-/// names in its float domain (bit `p` of `reals`) or as I32 (of `ints`),
-/// and every parameter's length. A parameter it both reads and writes is
-/// bound once, writable.
+/// A map's operands, bound once per vertex: each parameter it names in its
+/// float domain (bit `p` of `reals`), writable if the parameter is.
 struct Bind<'p, D: Accumulate> {
-    reals: [Slot<'p, D::Stored>; ROW_PARAMS],
-    ints: [&'p [i32]; ROW_PARAMS],
-    lens: [i64; ROW_PARAMS],
+    reals: [Slot<'p, D::Stored>; MAP_PARAMS],
 }
 
 impl<'p, D: Accumulate> Bind<'p, D> {
-    fn new(reals: u8, ints: u8, params: &'p mut [ParamData]) -> Bind<'p, D> {
-        let mut b = Bind {
-            reals: [Slot::Ro(&[]); ROW_PARAMS],
-            ints: [&[]; ROW_PARAMS],
-            lens: [0; ROW_PARAMS],
-        };
-        for (p, data) in params.iter_mut().take(ROW_PARAMS).enumerate() {
-            b.lens[p] = data.len() as i32 as i64;
+    fn new(reals: u8, params: &'p mut [ParamData]) -> Bind<'p, D> {
+        let mut b = Bind { reals: [Slot::Ro(&[]); MAP_PARAMS] };
+        for (p, data) in params.iter_mut().take(MAP_PARAMS).enumerate() {
             if reals >> p & 1 != 0 {
                 b.reals[p] = D::slot(data);
-            } else if ints >> p & 1 != 0 {
-                b.ints[p] = i64::slice(data);
             }
         }
         b
     }
-}
 
-// A row names parameters below `ROW_PARAMS` only (`Row::recognise` sees to
-// it), so the remainder is the id itself, and the arrays need no check.
-impl<'p, D: Accumulate> Operands<'p, D> for Bind<'p, D> {
+    // A map names parameters below `MAP_PARAMS` only (`Scan::real` sees to
+    // it), so the remainder is the id itself, and the array needs no check.
     #[inline(always)]
     fn real(&self, p: Param) -> Slot<'p, D::Stored> {
-        self.reals[p as usize % ROW_PARAMS]
+        self.reals[p as usize % MAP_PARAMS]
     }
-
-    #[inline(always)]
-    fn int(&self, p: Param) -> &'p [i32] {
-        self.ints[p as usize % ROW_PARAMS]
-    }
-}
-
-impl<D: Accumulate> Bind<'_, D> {
-    #[inline(always)]
-    fn len(&self, p: Param) -> i64 {
-        self.lens[p as usize % ROW_PARAMS]
-    }
-}
-
-/// A row's loop bound on every row, through the row's binding: any
-/// operand shape.
-struct PerRow<'b, 'p, D: Accumulate>(&'b Bind<'p, D>);
-
-impl<D: Accumulate> Trips<D> for PerRow<'_, '_, D> {
-    #[inline(always)]
-    fn trips(&self, m: &MacLoop, bounds: [i64; 3], i: &mut [i64], d: &mut [D]) -> (u64, u64) {
-        accumulate(m, bounds, i, d, self.0)
-    }
-}
-
-/// A row's loop operands when no row changes how they read: `x[k]` and
-/// `y[cols[k]]` (SpMV, Gauss-Seidel) or `x[k]` and `y[j]` (substitution),
-/// `k` the loop local and `j` the guard's load. Bound once per vertex.
-enum Shape<'p, D: Accumulate> {
-    Gather(Bound2<'p, AtK<'p, D::Stored>, GatherK<'p, D::Stored>>),
-    Subst(Bound2<'p, AtK<'p, D::Stored>, AtJ<'p, D::Stored>>),
-    Other,
-}
-
-impl<'p, D: Accumulate> Shape<'p, D> {
-    /// The shape of `m`'s operands over `b`, read as [`Ix::bind`] reads
-    /// their index registers.
-    fn of(m: &MacLoop, b: &Bind<'p, D>) -> Shape<'p, D> {
-        let j = m.guard.map(|g| g.j);
-        let k = |r: Reg| r == m.local && j != Some(r);
-        let cols = m.guard.map_or(&[][..], |g| b.int(g.cols));
-        let at_k = |p: Param| AtK(b.real(p));
-        match (m.x, m.y) {
-            (
-                Operand::Load { param: x, index: kx },
-                Operand::Gather { param: y, via, index: ky },
-            ) if k(kx) && k(ky) => {
-                let y = GatherK(b.real(y), b.int(via));
-                Shape::Gather(Bound2 { x: at_k(x), y, cols })
-            }
-            (Operand::Load { param: x, index: kx }, Operand::Load { param: y, index: jy })
-                if k(kx) && j == Some(jy) =>
-            {
-                Shape::Subst(Bound2 { x: at_k(x), y: AtJ(b.real(y)), cols })
-            }
-            _ => Shape::Other,
-        }
-    }
-}
-
-/// Run row `r` once over `b`, its loop through `lp`, in registers `i` and
-/// `d`, as the flat program runs the statements it replaces; returns its
-/// loop's trips and how many of them accumulated, which with `r.fixed` make
-/// its charge ([`Row::charge`]). One compiled copy per domain and loop shape.
-#[inline(never)]
-fn row<D: Accumulate>(
-    r: &Row,
-    b: &Bind<'_, D>,
-    lp: &impl Trips<D>,
-    i: &mut [i64],
-    d: &mut [D],
-) -> (u64, u64) {
-    let bounds = prologue(r, b, i, d);
-    let counts = lp.trips(&r.mac, bounds, i, d);
-    steps(&r.epilogue, b, i, d);
-    counts
-}
-
-/// A row's prologue, then its loop's bounds, the step at least 1. Out of
-/// line, one copy per domain: every loop shape's row shares it.
-#[inline(never)]
-fn prologue<D: Accumulate>(r: &Row, b: &Bind<'_, D>, i: &mut [i64], d: &mut [D]) -> [i64; 3] {
-    steps(&r.prologue, b, i, d);
-    let [start, end, by] = &r.bounds;
-    [int(start, b, i), int(end, b, i), int(by, b, i).max(1)]
-}
-
-/// Straight-line statements of a row, in order.
-#[inline(always)]
-fn steps<D: Accumulate>(ss: &[Step], b: &Bind<'_, D>, i: &mut [i64], d: &mut [D]) {
-    for s in ss {
-        step(s, b, i, d);
-    }
-}
-
-#[inline(always)]
-fn step<D: Accumulate>(s: &Step, b: &Bind<'_, D>, i: &mut [i64], d: &mut [D]) {
-    match s {
-        Step::Int(l, e) => {
-            let v = int(e, b, i);
-            i[*l as usize] = v;
-        }
-        Step::Real(l, e) => {
-            let v = real(e, b, i, d);
-            d[*l as usize] = v;
-        }
-        Step::Store(p, index, value) => {
-            let at = int(index, b, i) as usize;
-            let v = real(value, b, i, d);
-            b.real(*p).set(at, D::stored(v));
-        }
-    }
-}
-
-/// A row expression of the I32 domain: a leaf, or an operator over two
-/// leaves, in line; anything deeper through [`int_tree`].
-#[inline(always)]
-fn int<D: Accumulate>(e: &Node, b: &Bind<'_, D>, i: &[i64]) -> i64 {
-    match *e {
-        Node::Arith(op, ref ab) => arith_i64(op, int_leaf(&ab[0], b, i), int_leaf(&ab[1], b, i)),
-        _ => int_leaf(e, b, i),
-    }
-}
-
-#[inline(always)]
-fn int_leaf<D: Accumulate>(e: &Node, b: &Bind<'_, D>, i: &[i64]) -> i64 {
-    match *e {
-        Node::Int(v) => v,
-        Node::Local(r) => i[r as usize],
-        Node::Len(p) => b.len(p),
-        Node::At { param, index, offset } => b.int(param)[at(i[index as usize], offset)] as i64,
-        _ => int_tree(e, b, i),
-    }
-}
-
-#[inline(never)]
-fn int_tree<D: Accumulate>(e: &Node, b: &Bind<'_, D>, i: &[i64]) -> i64 {
-    match *e {
-        Node::Load(p, ref index) => b.int(p)[int(index, b, i) as usize] as i64,
-        Node::Arith(op, ref ab) => arith_i64(op, int_leaf(&ab[0], b, i), int_leaf(&ab[1], b, i)),
-        _ => unreachable!("a float leaf in an I32 row expression"),
-    }
-}
-
-/// A row expression of the row's float domain: a leaf, or an operator over
-/// two leaves, in line; anything deeper through [`real_tree`].
-#[inline(always)]
-fn real<D: Accumulate>(e: &Node, b: &Bind<'_, D>, i: &[i64], d: &[D]) -> D {
-    match *e {
-        Node::Arith(op, ref ab) => {
-            D::arith(op, real_leaf(&ab[0], b, i, d), real_leaf(&ab[1], b, i, d))
-        }
-        _ => real_leaf(e, b, i, d),
-    }
-}
-
-#[inline(always)]
-fn real_leaf<D: Accumulate>(e: &Node, b: &Bind<'_, D>, i: &[i64], d: &[D]) -> D {
-    match *e {
-        Node::Real(v) => D::of(v),
-        Node::Local(r) => d[r as usize],
-        Node::At { param, index, offset } => {
-            D::value(b.real(param).get(at(i[index as usize], offset)))
-        }
-        _ => real_tree(e, b, i, d),
-    }
-}
-
-#[inline(never)]
-fn real_tree<D: Accumulate>(e: &Node, b: &Bind<'_, D>, i: &[i64], d: &[D]) -> D {
-    match *e {
-        Node::Load(p, ref index) => D::value(b.real(p).get(int(index, b, i) as usize)),
-        Node::Arith(op, ref ab) => {
-            D::arith(op, real_leaf(&ab[0], b, i, d), real_leaf(&ab[1], b, i, d))
-        }
-        _ => unreachable!("an I32 leaf in a float row expression"),
-    }
-}
-
-/// The element index `I[index] + offset`, wrapped as an I32 `Add` wraps it.
-#[inline(always)]
-fn at(index: i64, offset: i32) -> usize {
-    match offset {
-        0 => index as usize,
-        _ => arith_i64(BinOp::Add, index, offset as i64) as usize,
-    }
-}
-
-/// One row, given its registers: what `par_rows` and `level_rows` run
-/// per row id, the loop shape already chosen.
-type OneRow<'a, D> = dyn Fn(&mut [i64], &mut [D]) -> (u64, u64) + 'a;
-
-/// Run the rest of a `ParFor` whose trip is row `r`, its counter and bound
-/// in `I[ctr..ctr + 2]` and its first trip found by `ForInit`: each trip
-/// writes the counter into `I[local]` and runs the row.
-#[inline(never)]
-fn par_rows<D: Accumulate>(
-    r: &Row,
-    [ctr, local]: [Reg; 2],
-    reg: &mut Files,
-    params: &mut [ParamData],
-    run: &mut Charge,
-) {
-    let (start, end) = (reg.i[ctr], reg.i[ctr + 1]);
-    let b = Bind::<D>::new(r.reals, r.ints, params);
-    let (i, d) = D::split(reg);
-    let mut each = |lp: &OneRow<D>| {
-        let (mut trips, mut taken) = (0, 0);
-        for t in start..end {
-            i[local as usize] = t as i32 as i64;
-            let (a, c) = lp(i, d);
-            (trips, taken) = (trips + a, taken + c);
-        }
-        (trips, taken)
-    };
-    let (trips, taken) = match Shape::of(&r.mac, &b) {
-        Shape::Gather(lp) => each(&|i, d| row(r, &b, &lp, i, d)),
-        Shape::Subst(lp) => each(&|i, d| row(r, &b, &lp, i, d)),
-        Shape::Other => each(&|i, d| row(r, &b, &PerRow(&b), i, d)),
-    };
-    *run = run.plus(r.charge((end - start) as u64, trips, taken));
-}
-
-/// Run a `LevelSet` vertex whose body is row `r`: each row id into `I[0]`,
-/// the row, and its cycles into the level's schedule. Returns the makespan.
-fn level_rows<D: Accumulate>(
-    r: &Row,
-    levels: &[Vec<usize>],
-    regs: &mut Regs,
-    params: &mut [ParamData],
-    cost: &CostModel,
-    workers: u64,
-    run: &mut Charge,
-) -> u64 {
-    let Regs { files, lpt } = regs;
-    let b = Bind::<D>::new(r.reals, r.ints, params);
-    let (i, d) = D::split(files);
-    let (mut rows, mut trips, mut taken) = (0, 0, 0);
-    let mut each = |lp: &OneRow<D>| {
-        level_set_cycles_in(lpt, levels, workers as usize, cost, |id| {
-            i[0] = id as i32 as i64;
-            let (a, c) = lp(i, d);
-            (rows, trips, taken) = (rows + 1, trips + a, taken + c);
-            let m = &r.mac;
-            r.fixed.cycles + m.trip.cycles * a + m.taken.cycles * c
-        })
-    };
-    let cycles = match Shape::of(&r.mac, &b) {
-        Shape::Gather(lp) => each(&|i, d| row(r, &b, &lp, i, d)),
-        Shape::Subst(lp) => each(&|i, d| row(r, &b, &lp, i, d)),
-        Shape::Other => each(&|i, d| row(r, &b, &PerRow(&b), i, d)),
-    };
-    *run = run.plus(r.charge(rows, trips, taken));
-    cycles
 }
 
 /// Run the rest of a `ParFor` whose trip is map `m`, its counter and bound
@@ -856,7 +555,7 @@ fn map<D: Accumulate>(
     run: &mut Charge,
 ) {
     let (start, end) = (reg.i[ctr], reg.i[ctr + 1]);
-    let b = Bind::<D>::new(m.reals, 0, params);
+    let b = Bind::<D>::new(m.reals, params);
     let (i, d) = D::split(reg);
     let mut splat = [D::default(); MAP_SCALARS];
     for (x, s) in splat.iter_mut().zip(&m.scalars) {
@@ -1236,7 +935,7 @@ impl Domain for f64 {
     }
 }
 
-/// A float domain a [`MacLoop`], a [`Row`] or a [`Map`] runs in: its
+/// A float domain a [`MacLoop`] or a [`Map`] runs in: its
 /// register file beside the I32 one, its constants, its parameters'
 /// elements, and its arithmetic through the one compiled copy of each
 /// operator.

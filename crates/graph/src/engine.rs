@@ -225,22 +225,13 @@ impl Engine {
         stat.count("codelets_total", graph.codelets.len() as u64);
         // Totals, not a row per codelet: a vertex that is not lowered runs
         // on the dynamic interpreter, correct but slower; one whose inner
-        // loops are not recognised runs them a trip at a time, one whose
-        // rows are not recognised runs each row's statements one
-        // instruction at a time, and one whose maps are not recognised
-        // runs them a trip at a time.
-        let Coverage {
-            vertices,
-            lowered: vertices_lowered,
-            looped,
-            rowed,
-            mapped,
-            kernels: families,
-        } = lowered.coverage();
+        // loops are not recognised runs them a trip at a time, and one whose
+        // maps are not recognised runs them a trip at a time.
+        let Coverage { vertices, lowered: vertices_lowered, looped, mapped, kernels: families } =
+            lowered.coverage();
         stat.count("vertices_total", vertices);
         stat.count("vertices_lowered", vertices_lowered);
         stat.count("vertices_looped", looped);
-        stat.count("vertices_rowed", rowed);
         stat.count("vertices_mapped", mapped);
         stat.count("vertices_kernel", families.values().sum());
         for (name, n) in families {
@@ -941,7 +932,6 @@ impl LoweredTable {
             c.vertices += 1;
             c.lowered += form.is_some() as u64;
             c.looped += form.is_some_and(|l| l.loops() > 0) as u64;
-            c.rowed += form.is_some_and(|l| l.rows() > 0) as u64;
             c.mapped += form.is_some_and(|l| l.maps() > 0) as u64;
             if let Some(k) = form.and_then(Lowered::kernel) {
                 *c.kernels.entry(k.name()).or_default() += 1;
@@ -958,10 +948,8 @@ struct Coverage {
     /// With a lowered form.
     lowered: u64,
     /// Whose lowered form runs at least one loop as one accumulate
-    /// instruction, a row's loop included.
+    /// instruction, a kernel's loop included.
     looped: u64,
-    /// Whose lowered form runs at least one row as one instruction.
-    rowed: u64,
     /// Whose lowered form runs at least one element-wise map as one
     /// instruction.
     mapped: u64,
@@ -1821,17 +1809,15 @@ mod tests {
         let e = Engine::new(exec);
         let sel = e.compile_report().pass("native-kernel-selection").unwrap();
         // Both vertices lowered, each its map as one instruction, with no
-        // accumulate loop and no row and no kernel instruction. No
-        // per-codelet rows: only a kernel family that runs gets a
-        // `kernel.*` counter.
+        // accumulate loop and no kernel instruction. No per-codelet rows:
+        // only a kernel family that runs gets a `kernel.*` counter.
         assert_eq!(sel.counter("codelets_total"), 1);
         assert_eq!(sel.counter("vertices_total"), 2);
         assert_eq!(sel.counter("vertices_lowered"), 2);
         assert_eq!(sel.counter("vertices_looped"), 0);
-        assert_eq!(sel.counter("vertices_rowed"), 0);
         assert_eq!(sel.counter("vertices_mapped"), 2);
         assert_eq!(sel.counter("vertices_kernel"), 0);
-        assert_eq!(sel.counters.len(), 7, "{:?}", sel.counters);
+        assert_eq!(sel.counters.len(), 6, "{:?}", sel.counters);
     }
 
     #[test]

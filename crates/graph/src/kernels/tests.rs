@@ -130,7 +130,7 @@ fn dw_zeros(n: usize) -> Buf {
 }
 
 // ------------------------------------------------------------------
-// SpMV: the kernel instruction over F32 storage, a row instruction over
+// SpMV: the kernel instruction over F32 storage, a register program over
 // wider vectors.
 // ------------------------------------------------------------------
 

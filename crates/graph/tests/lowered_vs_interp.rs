@@ -14,8 +14,9 @@
 //! read of it can follow — so there is nothing to compare.
 
 use graph::codelet::{
-    backward_subst_template, forward_subst_template, spmv_template, BinOp, Charge, Codelet, Expr,
-    Interp, Kernel, Lowered, ParamData, ParamDecl, Regs, Stmt, UnOp, Value,
+    backward_subst_template, forward_subst_template, gauss_seidel_template, spmv_template, BinOp,
+    Charge, Codelet, Expr, F32Ops, Interp, Kernel, Lowered, Native, ParamData, ParamDecl, Regs,
+    Stmt, UnOp, Value,
 };
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
 use graph::program::Prog;
@@ -137,16 +138,22 @@ fn lower(c: &Codelet, kind: &VertexKind, bufs: &[Buf]) -> Option<Lowered> {
     Lowered::lower(c, &storage, level_set, &CostModel::default())
 }
 
-fn lowered_outcome(c: &Codelet, l: &Lowered, kind: &VertexKind, bufs: &[Buf]) -> Option<Outcome> {
+/// The lowered route's outcome, a kernel's f32 operations through `O`.
+fn lowered_outcome<O: F32Ops>(
+    c: &Codelet,
+    l: &Lowered,
+    kind: &VertexKind,
+    bufs: &[Buf],
+) -> Option<Outcome> {
     let cost = CostModel::default();
     outcome(bufs, |bufs| {
         // Scratch comes in dirty, from a run of the same vertex on other
         // storage: the lowered form must reset it itself.
         let mut regs = Regs::default();
         let mut other = bufs.to_vec();
-        let _ = l.run_vertex(kind, &mut params(c, &mut other), &mut regs, &cost, WORKERS);
+        let _ = l.run_vertex_with::<O>(kind, &mut params(c, &mut other), &mut regs, &cost, WORKERS);
         let mut p = params(c, bufs);
-        let run = l.run_vertex(kind, &mut p, &mut regs, &cost, WORKERS);
+        let run = l.run_vertex_with::<O>(kind, &mut p, &mut regs, &cost, WORKERS);
         (run, (0..c.num_locals).map(|local| l.local(&regs, local)).collect())
     })
 }
@@ -155,10 +162,15 @@ fn lowered_outcome(c: &Codelet, l: &Lowered, kind: &VertexKind, bufs: &[Buf]) ->
 /// else whether the run completed (on both routes) rather than panicked (on
 /// both).
 fn check(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str) -> Option<bool> {
+    check_with::<Native>(c, kind, bufs, who)
+}
+
+/// [`check`], a kernel's f32 operations through `O`.
+fn check_with<O: F32Ops>(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str) -> Option<bool> {
     c.validate().unwrap_or_else(|e| panic!("{who}: generated codelet is invalid: {e}"));
     let lowered = lower(c, kind, bufs)?;
     let mut want = interp_outcome(c, kind, bufs);
-    let got = lowered_outcome(c, &lowered, kind, bufs);
+    let got = lowered_outcome::<O>(c, &lowered, kind, bufs);
     if let (Some(want), Some(got)) = (&mut want, &got) {
         // A local with no static dtype at the end is dead by construction.
         for (w, g) in want.locals.iter_mut().zip(&got.locals) {
@@ -674,13 +686,15 @@ fn next(l: usize) -> Expr {
 /// One random vertex: a codelet over every `Expr` / `Stmt` form, a storage
 /// dtype per operand drawn independently of the F32 / I32 it declares, and
 /// a vertex kind; one time in twelve each the backward- and the
-/// forward-substitution template itself ([`sweep_case`]) and the SpMV or its
-/// residual ([`spmv_case`]).
+/// forward-substitution template itself ([`sweep_case`]), the SpMV or its
+/// residual ([`spmv_case`]) and the Gauss-Seidel row update or a near miss
+/// of it ([`gs_case`]).
 fn random_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
     match rng.below(12) {
         0 => return sweep_case(rng, false),
         1 => return sweep_case(rng, true),
         2 => return spmv_case(rng),
+        3 => return gs_case(rng),
         _ => {}
     }
     // Now and then more elements than a map's chunk holds.
@@ -768,6 +782,22 @@ fn kernel_rows(rng: &mut TestRng) -> usize {
     }
 }
 
+/// Up to five levels of up to ten of `n` rows, wider than the six workers
+/// at times, an id past the last row now and then.
+fn random_levels(rng: &mut TestRng, n: usize) -> VertexKind {
+    let levels = (0..rng.below(6))
+        .map(|_| {
+            (0..rng.below(11))
+                .map(|_| {
+                    let past = rng.below(16) == 0;
+                    rng.below((n + past as usize).max(1))
+                })
+                .collect()
+        })
+        .collect();
+    VertexKind::LevelSet { levels }
+}
+
 /// The backward- or the forward-substitution template exactly, for either
 /// `divide`, over the F32 / I32 storage it declares: [`kernel_rows`] rows
 /// of a [`random_csr`] structure with columns below, on and above the
@@ -784,20 +814,61 @@ fn sweep_case(rng: &mut TestRng, forward: bool) -> (Codelet, VertexKind, Vec<Buf
     let b = forward.then(|| Buf::F32((0..n).map(|_| value()).collect()));
     let lvals = Buf::F32((0..nnz).map(|_| value()).collect());
     let ldiag = Buf::F32((0..n).map(|_| value()).collect());
-    let levels = (0..rng.below(6))
-        .map(|_| {
-            (0..rng.below(11))
-                .map(|_| {
-                    let past = rng.below(16) == 0;
-                    rng.below((n + past as usize).max(1))
-                })
-                .collect()
-        })
-        .collect();
     let template = if forward { forward_subst_template } else { backward_subst_template };
     let (params, num_locals, body) = template(rng.below(2) == 0);
     let bufs = [x].into_iter().chain(b).chain([lvals, ldiag, Buf::I32(cols), Buf::I32(rptr)]);
-    (codelet(params, num_locals, body), VertexKind::LevelSet { levels }, bufs.collect())
+    (codelet(params, num_locals, body), random_levels(rng, n), bufs.collect())
+}
+
+/// The Gauss-Seidel template over the F32 / I32 storage it declares:
+/// [`kernel_rows`] rows of `b` and `diag`, `x` longer by up to three halo
+/// entries, a [`random_csr`] structure whose columns reach the halo and,
+/// now and then, one past it (a gather that panics on both routes),
+/// [`kernel_value`]s, [`random_levels`]. One time in three a near miss
+/// that runs its lowered program: a guard around the update, a cast of
+/// `x[c_k]`, double-word `x` and `b`, or a spare local.
+fn gs_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
+    use BinOp::*;
+    let n = kernel_rows(rng);
+    let len = n + rng.below(4);
+    let reach = if rng.below(8) == 0 { len + 1 } else { len.max(1) };
+    let (rptr, cols) = random_csr(rng, n, reach);
+    let nnz = cols.len();
+    let mut value = || kernel_value(rng);
+    let x: Vec<f32> = (0..len).map(|_| value()).collect();
+    let b: Vec<f32> = (0..n).map(|_| value()).collect();
+    let diag = Buf::F32((0..n).map(|_| value()).collect());
+    let vals = Buf::F32((0..nnz).map(|_| value()).collect());
+    let near = rng.below(12);
+    let mut c = template(gauss_seidel_template());
+    c.num_locals += matches!(near, 0 | 3) as usize;
+    let Stmt::For { body, .. } = &mut c.body[3] else { unreachable!("the row's loop") };
+    match near {
+        // `j = cols[k]; if j != i { … }`.
+        0 => {
+            let update = body.remove(0);
+            body.push(Stmt::SetLocal(5, Expr::index(4, Expr::Local(4))));
+            body.push(Stmt::If {
+                cond: Expr::bin(Ne, Expr::Local(5), Expr::Local(0)),
+                then: vec![update],
+                otherwise: vec![],
+            });
+        }
+        // `acc − v_k · F32(x[c_k])`.
+        1 => {
+            let gather = Expr::index(0, Expr::index(4, Expr::Local(4)));
+            let cast = Expr::Convert { to: DType::F32, arg: Box::new(gather) };
+            let product = Expr::bin(Mul, Expr::index(3, Expr::Local(4)), cast);
+            body[0] = Stmt::SetLocal(1, Expr::bin(Sub, Expr::Local(1), product));
+        }
+        _ => {}
+    }
+    let vector = |v: Vec<f32>| match near {
+        2 => Buf::Dw(v.into_iter().map(|v| TwoFloat::from_f64(v as f64 + 1e-9)).collect()),
+        _ => Buf::F32(v),
+    };
+    let bufs = vec![vector(x), vector(b), diag, vals, Buf::I32(cols), Buf::I32(rptr)];
+    (c, random_levels(rng, n), bufs)
 }
 
 /// The SpMV or its residual template exactly, over the F32 / I32 storage it
@@ -824,10 +895,10 @@ fn spmv_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
 
 #[test]
 fn random_codelets_run_identically_lowered_and_dynamic() {
-    let cases = 3700;
+    let cases = 4200;
     let (mut lowered, mut completed, mut level_sets, mut wide) = (0, 0, 0, 0);
-    let (mut looped, mut rowed, mut level_set_rows, mut mapped, mut chunked) = (0, 0, 0, 0, 0);
-    let (mut kernels, mut kernels_ran, mut forward, mut spmv) = (0, 0, 0, 0);
+    let (mut looped, mut level_set_loops, mut mapped, mut chunked) = (0, 0, 0, 0);
+    let (mut kernels, mut kernels_ran, mut forward, mut spmv, mut gs) = (0, 0, 0, 0, 0);
     for seed in 0..cases {
         let mut rng = TestRng::seed_from_u64(0x10e7_0000 + seed);
         let (codelet, kind, bufs) = random_case(&mut rng);
@@ -839,32 +910,34 @@ fn random_codelets_run_identically_lowered_and_dynamic() {
                 as u32;
             let form = lower(&codelet, &kind, &bufs).unwrap();
             looped += (form.loops() > 0) as u32;
-            rowed += (form.rows() > 0) as u32;
-            level_set_rows +=
-                (form.rows() > 0 && matches!(kind, VertexKind::LevelSet { .. })) as u32;
+            level_set_loops += (form.loops() > 0
+                && form.kernel().is_none()
+                && matches!(kind, VertexKind::LevelSet { .. }))
+                as u32;
             mapped += (form.maps() > 0) as u32;
             chunked += (form.maps() > 0 && bufs[0].bits().len() > 64) as u32;
             kernels += form.kernel().is_some() as u32;
             kernels_ran += (form.kernel().is_some() && ran) as u32;
             forward += matches!(form.kernel(), Some(Kernel::Forward { .. })) as u32;
             spmv += matches!(form.kernel(), Some(Kernel::Spmv { .. })) as u32;
+            gs += (form.kernel() == Some(Kernel::GaussSeidel)) as u32;
         }
     }
     // Not vacuous: most random bodies type and run to the end, level sets,
-    // wide storage under F32-declared parameters, accumulate loops, rows
-    // (`ParFor` trips and whole level-set bodies) and maps, some over more
-    // than one chunk, run as one instruction among them, and both sweeps
-    // and the SpMV as one kernel instruction, most of them to the end.
+    // wide storage under F32-declared parameters, accumulate loops (level-set
+    // rows' among them) and maps, some over more than one chunk, run as one
+    // instruction among them, and both sweeps, the SpMV and the Gauss-Seidel
+    // row update as one kernel instruction, most of them to the end.
     assert!(completed * 2 > cases, "{completed} of {cases} ran lowered ({lowered} lowered)");
     assert!(level_sets > 400 && wide > 1000, "{level_sets} level sets, {wide} wide");
     assert!(looped > 600, "{looped} took the accumulate loop instruction");
-    assert!(rowed > 200 && level_set_rows > 80, "{rowed} rows, {level_set_rows} level-set bodies");
+    assert!(level_set_loops > 150, "{level_set_loops} level-set programs with a loop instruction");
     assert!(mapped > 300 && chunked > 20, "{mapped} took the map instruction, {chunked} chunked");
-    assert!(kernels > 450 && kernels_ran > 250, "{kernels} kernels, {kernels_ran} ran to the end");
-    let backward = kernels - forward - spmv;
+    assert!(kernels > 600 && kernels_ran > 350, "{kernels} kernels, {kernels_ran} ran to the end");
+    let backward = kernels - forward - spmv - gs;
     assert!(
-        forward > 150 && backward > 150 && spmv > 150,
-        "{forward} forward, {backward} backward, {spmv} SpMV kernels"
+        forward > 150 && backward > 150 && spmv > 150 && gs > 150,
+        "{forward} forward, {backward} backward, {spmv} SpMV, {gs} Gauss-Seidel kernels"
     );
 }
 
@@ -975,7 +1048,7 @@ fn level_set_rows_carry_locals_over() {
     let kind = VertexKind::LevelSet { levels: vec![vec![2, 0], vec![], vec![3]] };
     let bufs = vec![Buf::I32(vec![0; 4])];
     must_lower(&c, &kind, &bufs, "row carry-over");
-    let storage = lowered_outcome(&c, &lower(&c, &kind, &bufs).unwrap(), &kind, &bufs);
+    let storage = lowered_outcome::<Native>(&c, &lower(&c, &kind, &bufs).unwrap(), &kind, &bufs);
     assert_eq!(storage.unwrap().storage[0], vec![2, 0, 1, 3]);
 
     // Carried over as an F32 into a row that reads it as the I32 it began
@@ -1553,66 +1626,39 @@ fn template((params, num_locals, body): (Vec<ParamDecl>, usize, Vec<Stmt>)) -> C
     codelet(params, num_locals, body)
 }
 
-/// [`must_lower`], the vertex run as kernel instruction `kernel`: no row
-/// instruction, its loop counted as one accumulate loop.
+/// [`must_lower`], the vertex run as kernel instruction `kernel`, its loop
+/// counted as one accumulate loop.
 fn must_kernel(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str, kernel: Kernel) {
     must_lower(c, kind, bufs, who);
     let l = lower(c, kind, bufs).unwrap();
-    let got = (l.kernel(), l.rows(), l.loops());
-    assert_eq!(got, (Some(kernel), 0, 1), "{who}: kernel, rows, loops");
+    assert_eq!((l.kernel(), l.loops()), (Some(kernel), 1), "{who}: kernel, loops");
 }
 
-/// The Gauss-Seidel row `gs_codelet` builds (level-set; local 0 the row):
-/// `acc = b[i]; for k in rptr[i]..rptr[i+1] { acc = acc - vals[k] *
-/// x[cols[k]] }; x[i] = acc / diag[i]`. Params: x (mut) · b · diag · vals ·
-/// cols · rptr.
-fn gauss_seidel_row() -> Codelet {
-    use BinOp::*;
-    let (row, acc, k) = (|| Expr::Local(0), || Expr::Local(1), || Expr::Local(4));
-    codelet(
-        vec![
-            rw(DType::F32),
-            ro(DType::F32),
-            ro(DType::F32),
-            ro(DType::F32),
-            ro(DType::I32),
-            ro(DType::I32),
-        ],
-        5,
-        vec![
-            Stmt::SetLocal(1, Expr::index(1, row())),
-            Stmt::SetLocal(2, Expr::index(5, row())),
-            Stmt::SetLocal(3, Expr::index(5, Expr::bin(Add, row(), i(1)))),
-            Stmt::For {
-                local: 4,
-                start: Expr::Local(2),
-                end: Expr::Local(3),
-                step: i(1),
-                body: vec![Stmt::SetLocal(
-                    1,
-                    Expr::bin(
-                        Sub,
-                        acc(),
-                        Expr::bin(Mul, Expr::index(3, k()), Expr::index(0, Expr::index(4, k()))),
-                    ),
-                )],
-            },
-            Stmt::Store {
-                param: 0,
-                index: row(),
-                value: Expr::bin(Div, acc(), Expr::index(2, row())),
-            },
-        ],
-    )
+/// The Gauss-Seidel row update (level-set; local 0 the row): `acc = b[i];
+/// for k in rptr[i]..rptr[i+1] { acc = acc - vals[k] * x[cols[k]] }; x[i]
+/// = acc / diag[i]`. Params: x (mut) · b · diag · vals · cols · rptr.
+fn gauss_seidel() -> Codelet {
+    template(gauss_seidel_template())
+}
+
+/// The Gauss-Seidel row update as it runs over `bufs` on `kind`: one kernel
+/// instruction over F32 storage, else a program whose loop is one
+/// accumulate instruction; and it leaves what `Interp` leaves.
+fn must_gs(bufs: &[Buf], kind: &VertexKind, who: &str) {
+    if bufs[0].dtype() == DType::F32 {
+        must_kernel(&gauss_seidel(), kind, bufs, who, Kernel::GaussSeidel);
+    } else {
+        must_loop(&gauss_seidel(), kind, bufs, who, 1);
+    }
 }
 
 /// The solvers' inner loops — SpMV and its residual (shape A, a gather),
 /// forward substitution (B, one comparison), backward substitution (B,
-/// `And`), the Gauss-Seidel row (A, `Sub`) — each run as one instruction
-/// under F32, double-word and emulated-f64 storage, and leave what `Interp`
-/// leaves. Under F32 an SpMV's or a substitution's vertex is one kernel
-/// instruction, the loop included; backward substitution lowers under F32
-/// only.
+/// `And`), the Gauss-Seidel row (A, `Sub`, in both level orders) — each run
+/// as one instruction under F32, double-word and emulated-f64 storage, and
+/// leave what `Interp` leaves: storage bits, locals, cycles, flops and
+/// bytes. Under F32 each vertex is one kernel instruction, the loop
+/// included; backward substitution lowers under F32 only.
 #[test]
 fn the_solver_inner_loops_run_as_one_instruction_in_every_float_domain() {
     let forward = VertexKind::LevelSet { levels: vec![vec![0], vec![1, 2], vec![3]] };
@@ -1652,8 +1698,9 @@ fn the_solver_inner_loops_run_as_one_instruction_in_every_float_domain() {
         }
         let [vals, cols, rptr] = rows(dtype, false);
         let bufs = vec![v(1.0), v(2.0), v(3.0), vals, cols, rptr];
-        let who = format!("Gauss-Seidel row over {dtype:?}");
-        must_loop(&gauss_seidel_row(), &forward, &bufs, &who, 1);
+        for kind in [&forward, &backward] {
+            must_gs(&bufs, kind, &format!("Gauss-Seidel row over {dtype:?}, {kind:?}"));
+        }
     }
 }
 
@@ -2008,72 +2055,16 @@ fn an_out_of_bounds_gather_panics_on_both_routes() {
     }
 }
 
-// ---- the row instruction ---------------------------------------------------
-
-/// [`must_lower`], with `rows` rows run as one instruction each.
-fn must_row(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str, rows: usize) {
-    must_lower(c, kind, bufs, who);
-    assert_eq!(lower(c, kind, bufs).unwrap().rows(), rows, "{who}: rows");
-}
-
-/// Every solver row — SpMV and its residual (a `ParFor` trip), the forward
-/// substitution sweeps and the Gauss-Seidel row (a whole `LevelSet` body) —
-/// runs as one row instruction under F32, double-word and emulated-f64
-/// storage, its loop still counted as one accumulate loop, and leaves what
-/// `Interp` leaves: storage bits, locals, cycles, flops and bytes. The SpMV
-/// and the substitution sweeps under F32 (the backward ones lower only
-/// there) run as one kernel instruction instead, and leave the same storage
-/// bits and charge.
-#[test]
-fn every_solver_row_runs_as_one_instruction_in_every_float_domain() {
-    let forward = VertexKind::LevelSet { levels: vec![vec![0], vec![1, 2], vec![3]] };
-    let backward = VertexKind::LevelSet { levels: vec![vec![3], vec![2, 1], vec![0]] };
-    for dtype in FLOATS {
-        let v = |k| vector(dtype, k);
-        for residual in [false, true] {
-            let [vals, cols, rptr] = rows(dtype, false);
-            let mut bufs = vec![v(0.0), v(1.0)];
-            if residual {
-                bufs.push(v(2.0));
-            }
-            bufs.extend([v(3.0), vals, cols, rptr]);
-            let c = template(spmv_template(residual));
-            let who = format!("spmv row (residual: {residual}) over {dtype:?}");
-            must_spmv(&c, &bufs, &who, residual);
-        }
-        for divide in [false, true] {
-            let [vals, cols, rptr] = rows(dtype, true);
-            let bufs = vec![v(0.0), v(1.0), vals.clone(), v(3.0), cols.clone(), rptr.clone()];
-            let who = format!("forward row (divide: {divide}) over {dtype:?}");
-            let c = template(forward_subst_template(divide));
-            if dtype != DType::F32 {
-                must_row(&c, &forward, &bufs, &who, 1);
-            } else {
-                must_kernel(&c, &forward, &bufs, &who, Kernel::Forward { divide });
-                let bufs = vec![v(1.0), vals, v(3.0), cols, rptr];
-                let who = format!("backward sweep (divide: {divide})");
-                let c = template(backward_subst_template(divide));
-                must_kernel(&c, &backward, &bufs, &who, Kernel::Backward { divide });
-            }
-        }
-        let [vals, cols, rptr] = rows(dtype, false);
-        let bufs = vec![v(1.0), v(2.0), v(3.0), vals, cols, rptr];
-        for kind in [&forward, &backward] {
-            let who = format!("Gauss-Seidel row over {dtype:?}, {kind:?}");
-            must_row(&gauss_seidel_row(), kind, &bufs, &who, 1);
-        }
-    }
-}
+// ---- rows -------------------------------------------------------------------
 
 /// The SpMV as it runs over `bufs`: one kernel instruction over F32
-/// storage, else one row instruction; its loop counted as one accumulate
-/// loop either way; and it leaves what `Interp` leaves.
+/// storage, else a program whose loop is one accumulate instruction; and it
+/// leaves what `Interp` leaves.
 fn must_spmv(c: &Codelet, bufs: &[Buf], who: &str, residual: bool) {
     if bufs[0].dtype() == DType::F32 {
         must_kernel(c, &VertexKind::Simple, bufs, who, Kernel::Spmv { residual });
     } else {
-        must_row(c, &VertexKind::Simple, bufs, who, 1);
-        assert_eq!(lower(c, &VertexKind::Simple, bufs).unwrap().loops(), 1, "{who}");
+        must_loop(c, &VertexKind::Simple, bufs, who, 1);
     }
 }
 
@@ -2083,7 +2074,6 @@ fn must_spmv(c: &Codelet, bufs: &[Buf], who: &str, residual: bool) {
 #[test]
 fn degenerate_rows_match_the_interpreter() {
     let spmv = template(spmv_template(false));
-    let gs = gauss_seidel_row();
     for dtype in FLOATS {
         let v = |k| vector(dtype, k);
         let vals = floats(dtype, &[0.5, -0.25, 0.125, 0.75, -1.5]);
@@ -2107,7 +2097,7 @@ fn degenerate_rows_match_the_interpreter() {
             ("one row", vec![vec![2]]),
         ] {
             let kind = VertexKind::LevelSet { levels };
-            must_row(&gs, &kind, &bufs, &format!("{what} over {dtype:?}"), 1);
+            must_gs(&bufs, &kind, &format!("{what} over {dtype:?}"));
         }
     }
 }
@@ -2117,7 +2107,7 @@ fn degenerate_rows_match_the_interpreter() {
 /// the flat program's bounds checks would.
 #[test]
 fn an_out_of_bounds_row_or_gather_index_panics_on_both_routes() {
-    let gs = gauss_seidel_row();
+    let gs = gauss_seidel();
     let spmv = template(spmv_template(false));
     for dtype in FLOATS {
         let v = |k| vector(dtype, k);
@@ -2139,15 +2129,16 @@ fn an_out_of_bounds_row_or_gather_index_panics_on_both_routes() {
         assert_eq!(check(&spmv, &VertexKind::Simple, &bufs, &who), Some(false), "{who}");
         let l = lower(&spmv, &VertexKind::Simple, &bufs).unwrap();
         let kernel = (dtype == DType::F32).then_some(Kernel::Spmv { residual: false });
-        assert_eq!((l.kernel(), l.rows()), (kernel, kernel.is_none() as usize), "{who}");
+        assert_eq!((l.kernel(), l.loops()), (kernel, 1), "{who}");
     }
 }
 
-/// What a row leaves in its locals — the loop local and `j` after the last
-/// trip, a counter carried from row to row, a local the epilogue sets from
-/// `k` — reads back as `Interp` leaves it; and the near misses (a branch in
-/// the prologue, two loops, a store of a value that needs a cast) stay on
-/// the flat program and match as well.
+/// What a level-set row around a loop leaves in its locals — the loop local
+/// and `j` after the last trip, a counter carried from row to row, a local
+/// set after the loop from `k` — reads back as `Interp` leaves it; and so
+/// do rows with a branch before the loop, two loops, a store of a value
+/// that needs a cast, or the loop last. None is the forward kernel's
+/// template: each runs as a program, its loops as accumulate instructions.
 #[test]
 fn a_rows_locals_and_its_near_misses_match_the_interpreter() {
     use BinOp::*;
@@ -2165,11 +2156,11 @@ fn a_rows_locals_and_its_near_misses_match_the_interpreter() {
     // Locals 6 and 7 are free: a counter carried over, and `k` copied.
     let count = Stmt::SetLocal(6, Expr::bin(Add, Expr::Local(6), i(1)));
     let carried = with(0, vec![count.clone()]);
-    must_row(&carried, &kind, &bufs, "a counter carried from row to row", 1);
+    must_loop(&carried, &kind, &bufs, "a counter carried from row to row", 1);
     let (lowered, regs) = run_lowered(&carried, &kind, &mut bufs.clone());
     assert_eq!(lowered.local(&regs, 6), Some(Value::I32(4)), "four rows counted");
     let epilogue = with(5, vec![Stmt::SetLocal(7, Expr::Local(4)), count.clone()]);
-    must_row(&epilogue, &kind, &bufs, "an epilogue reading the loop local", 1);
+    must_loop(&epilogue, &kind, &bufs, "an epilogue reading the loop local", 1);
     let store_j = with(
         5,
         vec![Stmt::Store {
@@ -2178,7 +2169,7 @@ fn a_rows_locals_and_its_near_misses_match_the_interpreter() {
             value: Expr::bin(Add, Expr::index(0, Expr::Local(5)), Expr::Local(1)),
         }],
     );
-    must_row(&store_j, &kind, &bufs, "a store indexed by j, not the row", 1);
+    must_loop(&store_j, &kind, &bufs, "a store indexed by j, not the row", 1);
 
     let branch = with(
         0,
@@ -2188,10 +2179,10 @@ fn a_rows_locals_and_its_near_misses_match_the_interpreter() {
             otherwise: vec![],
         }],
     );
-    must_row(&branch, &kind, &bufs, "a branch in the prologue", 0);
+    must_loop(&branch, &kind, &bufs, "a branch in the prologue", 1);
     let Stmt::For { .. } = &base.body[3] else { unreachable!("the loop is statement 3") };
     let twice = with(4, vec![base.body[3].clone()]);
-    must_row(&twice, &kind, &bufs, "two loops", 0);
+    must_loop(&twice, &kind, &bufs, "two loops", 2);
     let cast = with(
         5,
         vec![Stmt::Store {
@@ -2200,13 +2191,13 @@ fn a_rows_locals_and_its_near_misses_match_the_interpreter() {
             value: Expr::Convert { to: DType::I32, arg: Box::new(Expr::Local(1)) },
         }],
     );
-    must_row(&cast, &kind, &bufs, "a store of a value it casts", 0);
+    must_loop(&cast, &kind, &bufs, "a store of a value it casts", 1);
     let last = {
         let mut c = base.clone();
         c.body.pop();
         c
     };
-    must_row(&last, &kind, &bufs, "the loop last", 1);
+    must_loop(&last, &kind, &bufs, "the loop last", 1);
 }
 
 // ---- the map instruction ---------------------------------------------------
@@ -2333,7 +2324,7 @@ fn a_nan_payload_survives_a_maps_store() {
         must_map(&c, &VertexKind::Simple, &bufs, &who, 1);
         if dtype == DType::F32 {
             let lowered = lower(&c, &VertexKind::Simple, &bufs).unwrap();
-            let got = lowered_outcome(&c, &lowered, &VertexKind::Simple, &bufs).unwrap();
+            let got = lowered_outcome::<Native>(&c, &lowered, &VertexKind::Simple, &bufs).unwrap();
             let quiet: Vec<u64> = (0..n)
                 .map(|k| f32s[k % 6])
                 .map(|b| if f32::from_bits(b).is_nan() { b | 0x0040_0000 } else { b } as u64)
@@ -2725,17 +2716,16 @@ fn nan(k: u32) -> f32 {
     f32::from_bits(sign | 0x7f80_0000 | quiet | (k + 1))
 }
 
-/// Rows whose every operation meets two NaNs of different payloads: a
-/// native operation returns one of the two, and which depends on how the
-/// compiler ordered its operands, so each order leaves its own bits. The
-/// SpMV (`d_i · x_i`, `v_k · x_{c_k}`, the sum, `b_i − …`) and the forward
-/// sweep (`l_ij · w_j`, `b_i − …`, `… / d_i`) each leave `Interp`'s: the
-/// kernel computes a NaN row again in the interpreter's order.
-#[test]
-fn a_nan_row_keeps_the_interpreters_payload_whatever_the_operand_order() {
+/// One vertex per kernel family whose rows meet two NaNs of different
+/// payloads in every operation: the SpMV and its residual (`d_i · x_i`,
+/// `v_k · x_{c_k}`, the sum, `b_i − …`), both forward sweeps (`l_ij · w_j`,
+/// `b_i − …`, `… / d_i`), both backward sweeps (`u_ij · z_j`, the sum,
+/// `z_i − …`, the divide) and the Gauss-Seidel update (`v_k · x_{c_k}`,
+/// `acc − …`, `… / d_i`).
+fn nan_rows() -> Vec<(String, Codelet, VertexKind, Vec<Buf>, Kernel)> {
     let nans = |from: u32, n: u32| Buf::F32((from..from + n).map(nan).collect());
+    let mut cases = vec![];
     for residual in [false, true] {
-        let c = template(spmv_template(residual));
         let mut bufs = vec![Buf::F32(vec![0.0; 4]), nans(0, 4)];
         if residual {
             bufs.push(nans(40, 4));
@@ -2743,17 +2733,263 @@ fn a_nan_row_keeps_the_interpreters_payload_whatever_the_operand_order() {
         // Row 0 gathers x_0 (its own), row 2 none, row 3 three entries.
         let (cols, rptr) = (Buf::I32(vec![0, 1, 3, 2, 0, 1]), Buf::I32(vec![0, 2, 3, 3, 6]));
         bufs.extend([nans(10, 4), nans(20, 6), cols, rptr]);
-        let who = format!("spmv NaN rows (residual: {residual})");
-        must_kernel(&c, &VertexKind::Simple, &bufs, &who, Kernel::Spmv { residual });
+        let (who, c) = (format!("spmv NaN rows (residual: {residual})"), spmv_template(residual));
+        cases.push((who, template(c), VertexKind::Simple, bufs, Kernel::Spmv { residual }));
     }
     for divide in [false, true] {
-        let c = template(forward_subst_template(divide));
         let mut bufs = forward_layout();
         let [_, b, lvals, ldiag, ..] = &mut bufs[..] else { unreachable!() };
         (*b, *lvals, *ldiag) = (nans(0, 5), nans(10, 7), nans(20, 5));
         let who = format!("forward NaN rows (divide: {divide})");
-        must_kernel(&c, &forward_levels(), &bufs, &who, Kernel::Forward { divide });
+        let c = template(forward_subst_template(divide));
+        cases.push((who, c, forward_levels(), bufs, Kernel::Forward { divide }));
+
+        let mut bufs = backward_layout(true);
+        let [z, lvals, ldiag, ..] = &mut bufs[..] else { unreachable!() };
+        (*z, *lvals, *ldiag) = (nans(0, 5), nans(10, 7), nans(20, 5));
+        let who = format!("backward NaN rows (divide: {divide})");
+        let c = template(backward_subst_template(divide));
+        cases.push((who, c, backward_levels(), bufs, Kernel::Backward { divide }));
     }
+    let mut bufs = gs_layout();
+    let [x, b, diag, vals, ..] = &mut bufs[..] else { unreachable!() };
+    (*x, *b, *diag, *vals) = (nans(0, 7), nans(10, 5), nans(20, 5), nans(30, 8));
+    let who = "Gauss-Seidel NaN rows".to_string();
+    cases.push((who, gauss_seidel(), gs_levels(true), bufs, Kernel::GaussSeidel));
+    cases
+}
+
+/// On the rows of [`nan_rows`] a native operation returns one of the two
+/// NaNs, and which depends on how the compiler ordered its operands, so
+/// each order leaves its own bits. Every kernel leaves `Interp`'s: it
+/// computes a NaN row again in the interpreter's order.
+#[test]
+fn a_nan_row_keeps_the_interpreters_payload_whatever_the_operand_order() {
+    for (who, c, kind, bufs, kernel) in nan_rows() {
+        must_kernel(&c, &kind, &bufs, &who, kernel);
+    }
+}
+
+/// f32 operators that return, where two NaNs meet, the second one
+/// (quieted): the order a compiler may pick as well as the other.
+struct Swapped;
+
+impl Swapped {
+    fn pick(x: f32, y: f32, native: f32) -> f32 {
+        if x.is_nan() && y.is_nan() {
+            f32::from_bits(y.to_bits() | 0x0040_0000)
+        } else {
+            native
+        }
+    }
+}
+
+impl F32Ops for Swapped {
+    fn add(x: f32, y: f32) -> f32 {
+        Swapped::pick(x, y, x + y)
+    }
+
+    fn sub(x: f32, y: f32) -> f32 {
+        Swapped::pick(x, y, x - y)
+    }
+
+    fn mul(x: f32, y: f32) -> f32 {
+        Swapped::pick(x, y, x * y)
+    }
+
+    fn div(x: f32, y: f32) -> f32 {
+        Swapped::pick(x, y, x / y)
+    }
+}
+
+/// The rows of [`nan_rows`] with every kernel's operators [`Swapped`]: the
+/// other payload wherever two NaNs meet, which only the NaN row's
+/// recompute through the interpreter's operators turns back into
+/// `Interp`'s bits. Without that recompute each family fails here, in debug
+/// and in release builds alike.
+#[test]
+fn a_nan_row_keeps_the_interpreters_payload_under_swapped_operators() {
+    for (who, c, kind, bufs, kernel) in nan_rows() {
+        assert_eq!(lower(&c, &kind, &bufs).unwrap().kernel(), Some(kernel), "{who}");
+        assert_eq!(check_with::<Swapped>(&c, &kind, &bufs, &who), Some(true), "{who}");
+    }
+}
+
+/// The Gauss-Seidel adversarial layout, five rows of `b` and `diag` over
+/// an `x` of seven (two halo entries): rows that read a halo entry, one
+/// that reads its own column, one that reads a row updated before it in the
+/// same sweep, and an empty row (2). Params: x · b · diag · vals · cols ·
+/// rptr.
+fn gs_layout() -> Vec<Buf> {
+    vec![
+        Buf::F32((0..7).map(|i| (0.7 * i as f32).sin()).collect()),
+        Buf::F32((0..5).map(|i| 1.0 + 0.5 * i as f32).collect()),
+        Buf::F32((0..5).map(|i| 4.0 + 0.25 * i as f32).collect()),
+        Buf::F32((0..8).map(|i| -0.3 + 0.07 * i as f32).collect()),
+        Buf::I32(vec![1, 5, 0, 3, 6, 2, 4, 0]),
+        Buf::I32(vec![0, 2, 3, 3, 6, 8]),
+    ]
+}
+
+/// The forward (`forward`) or the backward sweep's levels over
+/// [`gs_layout`]'s rows.
+fn gs_levels(forward: bool) -> VertexKind {
+    let levels = if forward {
+        vec![vec![0, 2], vec![1, 3], vec![4]]
+    } else {
+        vec![vec![4], vec![3, 1], vec![2, 0]]
+    };
+    VertexKind::LevelSet { levels }
+}
+
+fn backward_levels() -> VertexKind {
+    VertexKind::LevelSet { levels: vec![vec![4, 3], vec![2, 1], vec![0]] }
+}
+
+/// Both routes panic and leave the same storage bits behind: every row
+/// before the one that panics stored alike, so it is the same row.
+fn panics_alike(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str) {
+    let l = lower(c, kind, bufs).unwrap_or_else(|| panic!("{who}: lowers"));
+    let cost = CostModel::default();
+    let run = |lowered: bool| {
+        let mut bufs = bufs.to_vec();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut p = params(c, &mut bufs);
+            if lowered {
+                l.run_vertex(kind, &mut p, &mut Regs::default(), &cost, WORKERS);
+            } else {
+                Interp::new(&cost, &mut p, c.num_locals, WORKERS).run_vertex(kind, &c.body);
+            }
+        }))
+        .is_err();
+        (panicked, bufs.iter().map(Buf::bits).collect::<Vec<_>>())
+    };
+    let want = run(false);
+    assert!(want.0, "{who}: Interp must panic");
+    assert_eq!(want, run(true), "{who}: the lowered route panics on another row");
+}
+
+/// The Gauss-Seidel update runs as one kernel instruction in either level
+/// order and leaves `Interp`'s storage bits and charge: on the adversarial
+/// layout; with NaNs (a signalling one in `b`, whose payload the store
+/// quiets) and a zero pivot on the empty row; with every row empty; with no
+/// levels, empty levels, and a row id repeated.
+#[test]
+fn the_gauss_seidel_kernel_matches_the_interpreter_on_an_adversarial_layout() {
+    let mut nans = gs_layout();
+    if let [Buf::F32(x), Buf::F32(b), Buf::F32(diag), Buf::F32(vals), ..] = &mut nans[..] {
+        b[0] = f32::from_bits(0x7f80_0001);
+        x[5] = f32::from_bits(0xffc0_1234);
+        vals[3] = f32::from_bits(0x7fc0_0042);
+        diag[2] = 0.0;
+    }
+    let mut empty = gs_layout();
+    empty[5] = Buf::I32(vec![0; 6]);
+    for forward in [true, false] {
+        for (what, bufs) in [
+            ("layout", gs_layout()),
+            ("NaNs and a zero pivot", nans.clone()),
+            ("empty", empty.clone()),
+        ] {
+            let who = format!("{what} (forward: {forward})");
+            must_kernel(&gauss_seidel(), &gs_levels(forward), &bufs, &who, Kernel::GaussSeidel);
+        }
+    }
+    for (what, levels) in [
+        ("no levels", vec![]),
+        ("empty levels", vec![vec![], vec![3, 1], vec![]]),
+        ("a row id repeated", vec![vec![1], vec![4, 1]]),
+    ] {
+        let kind = VertexKind::LevelSet { levels };
+        must_kernel(&gauss_seidel(), &kind, &gs_layout(), what, Kernel::GaussSeidel);
+    }
+}
+
+/// Row pointers shorter than the rows run the rows whose pointers exist; a
+/// pointer that steps back runs no trips for its row and charges none; a
+/// negative pointer, a column past `x`, a row id past `b` and a missing
+/// pointer panic — each on the same row on both routes.
+#[test]
+fn the_gauss_seidel_kernel_panics_where_the_interpreter_does() {
+    let gs = gauss_seidel();
+    let with = |at: usize, buf: Buf| {
+        let mut bufs = gs_layout();
+        bufs[at] = buf;
+        bufs
+    };
+    let short = with(5, Buf::I32(vec![0, 2, 3, 3]));
+    let covered = VertexKind::LevelSet { levels: vec![vec![0, 2], vec![1]] };
+    must_kernel(&gs, &covered, &short, "three row pointers of six", Kernel::GaussSeidel);
+    let back = with(5, Buf::I32(vec![0, 2, 3, 1, 6, 8]));
+    must_kernel(&gs, &gs_levels(true), &back, "a pointer stepping back", Kernel::GaussSeidel);
+    for (what, bufs, kind) in [
+        ("a missing pointer", short.clone(), gs_levels(true)),
+        ("a negative pointer", with(5, Buf::I32(vec![0, 2, -1, 3, 6, 8])), gs_levels(true)),
+        ("column 7 of 7", with(4, Buf::I32(vec![1, 5, 0, 3, 7, 2, 4, 0])), gs_levels(false)),
+        ("row id 5 of 5", gs_layout(), VertexKind::LevelSet { levels: vec![vec![0, 1], vec![5]] }),
+    ] {
+        assert_eq!(lower(&gs, &kind, &bufs).unwrap().kernel(), Some(Kernel::GaussSeidel), "{what}");
+        panics_alike(&gs, &kind, &bufs, what);
+    }
+}
+
+/// A guard around the update, a cast in it, a spare local, double-word
+/// storage, or the template on a `Simple` vertex: no kernel
+/// instruction, and the lowered program leaves what `Interp` leaves.
+#[test]
+fn the_gauss_seidel_kernels_near_misses_run_their_lowered_program() {
+    use BinOp::*;
+    let (params, locals, body) = gauss_seidel_template();
+    let with_update = |locals: usize, trip: Vec<Stmt>| {
+        let mut body = body.clone();
+        let Stmt::For { body: loop_body, .. } = &mut body[3] else { unreachable!("the loop") };
+        *loop_body = trip;
+        codelet(params.clone(), locals, body)
+    };
+    let update = |x: Expr| {
+        let product = Expr::bin(Mul, Expr::index(3, Expr::Local(4)), x);
+        Stmt::SetLocal(1, Expr::bin(Sub, Expr::Local(1), product))
+    };
+    let gather = || Expr::index(0, Expr::index(4, Expr::Local(4)));
+    let guard = with_update(
+        locals + 1,
+        vec![
+            Stmt::SetLocal(5, Expr::index(4, Expr::Local(4))),
+            Stmt::If {
+                cond: Expr::bin(Ne, Expr::Local(5), Expr::Local(0)),
+                then: vec![update(gather())],
+                otherwise: vec![],
+            },
+        ],
+    );
+    let cast = with_update(
+        locals,
+        vec![update(Expr::Convert { to: DType::F32, arg: Box::new(gather()) })],
+    );
+    let mut wide = gs_layout();
+    for v in &mut wide[..4] {
+        let Buf::F32(xs) = v else { unreachable!("x, b, diag and vals are F32") };
+        *v = Buf::Dw(xs.iter().map(|&x| TwoFloat::from_f64(x as f64 / 3.0)).collect());
+    }
+    for forward in [true, false] {
+        let kind = gs_levels(forward);
+        // The cast keeps the loop off the accumulate instruction too.
+        for (what, c, bufs, loops) in [
+            ("a guard", guard.clone(), gs_layout(), 1),
+            ("a cast", cast.clone(), gs_layout(), 0),
+            ("a spare local", codelet(params.clone(), locals + 1, body.clone()), gs_layout(), 1),
+            ("double-word storage", gauss_seidel(), wide.clone(), 1),
+        ] {
+            let who = format!("{what} (forward: {forward})");
+            let lowered = lower(&c, &kind, &bufs).unwrap_or_else(|| panic!("{who} lowers"));
+            assert_eq!((lowered.kernel(), lowered.loops()), (None, loops), "{who}");
+            assert_eq!(check(&c, &kind, &bufs, &who), Some(true), "{who}");
+        }
+    }
+    let simple = gauss_seidel();
+    let lowered = lower(&simple, &VertexKind::Simple, &gs_layout()).expect("lowers");
+    assert_eq!(lowered.kernel(), None);
+    assert_eq!(check(&simple, &VertexKind::Simple, &gs_layout(), "simple vertex"), Some(true));
 }
 
 /// One statement or one local off the SpMV template, a declaration off it,
