@@ -146,52 +146,46 @@ fn two_scalar_codelet() -> Codelet {
     }
 }
 
-/// `out[0] = Σ x[i] * y[i]`: a dot product's per-tile stage, the shape
-/// `DslCtx::reduce` builds.
-fn dot_codelet() -> Codelet {
-    let ro = |dtype| ParamDecl { dtype, mutable: false };
-    let at = |param| Expr::index(param, Expr::Local(0));
-    Codelet {
-        name: "dot".into(),
-        params: vec![
-            ParamDecl { dtype: DType::F32, mutable: true },
-            ro(DType::F32),
-            ro(DType::F32),
-        ],
-        num_locals: 2,
-        body: vec![
-            Stmt::SetLocal(1, Expr::c(Value::F32(0.0))),
-            Stmt::ParFor {
-                local: 0,
-                start: Expr::c(Value::I32(0)),
-                end: Expr::ParamLen(1),
-                body: vec![Stmt::SetLocal(
-                    1,
-                    Expr::bin(BinOp::Add, Expr::Local(1), Expr::bin(BinOp::Mul, at(1), at(2))),
-                )],
-            },
-            Stmt::Store { param: 0, index: Expr::c(Value::I32(0)), value: Expr::Local(1) },
-        ],
-    }
-}
-
 /// The interpreter routes, per element, on one tile's worth of rows (32 is what
 /// the benchmark's `fig8_mpir` maps to a tile, 64 what `cold_oneshot` does; the
 /// two maps also at 39 and 256, a part-filled chunk of the map instruction and
 /// four whole ones): `lowered` is the form the engine builds per vertex and
-/// runs (for SpMV, its residual, the two sweeps and the Gauss-Seidel update a
-/// kernel instruction), and
-/// `dynamic` the tree-walking `Interp` it falls back to and is tested
-/// against. An axpy map, BiCGStab's two-scalar map, the SpMV codelet and its
-/// residual, a dot product's per-tile stage, the forward- and
-/// backward-substitution and the Gauss-Seidel `LevelSet` vertices go through
-/// them at codelet level; `engine` is the forward vertex through
+/// runs (for SpMV, its residual, the dot, the two sweeps, the Gauss-Seidel
+/// update and the sum a kernel instruction), and `dynamic` the tree-walking
+/// `Interp` it falls back to and is tested against. An axpy map, BiCGStab's
+/// two-scalar map, the SpMV codelet and its residual, a dot product's
+/// per-tile stage, the forward- and backward-substitution and the
+/// Gauss-Seidel `LevelSet` vertices go through them at codelet level, and
+/// a reduction's sum over 23 and 64 partials; `engine` is the forward vertex through
 /// `Engine::run`, so the per-vertex path around the lowered form (operand
 /// slicing, scratch, stats) is measured too. A regression shows here in
 /// seconds, without the 16 s host benchmark.
 fn bench_interpreter(c: &mut Criterion) {
     let cost = CostModel::default();
     let mut g = c.benchmark_group("interpreter");
+    // Both routes over one vertex of `$n` elements: `$params` is
+    // re-evaluated per iteration, as the engine re-slices operands per
+    // vertex.
+    macro_rules! both_routes {
+        ($name:expr, $n:expr, $codelet:expr, $kind:expr, $params:expr) => {{
+            let (codelet, kind): (&Codelet, &VertexKind) = (&$codelet, &$kind);
+            let storage: Vec<DType> = codelet.params.iter().map(|p| p.dtype).collect();
+            let level_set = matches!(kind, VertexKind::LevelSet { .. });
+            let lowered = Lowered::lower(codelet, &storage, level_set, &cost)
+                .expect("the solver codelets lower");
+            let mut regs = Regs::default();
+            g.bench_function(format!("{}/{}/lowered", $name, $n), |b| {
+                b.iter(|| black_box(&lowered).run_vertex(kind, &mut $params, &mut regs, &cost, 6))
+            });
+            g.bench_function(format!("{}/{}/dynamic", $name, $n), |b| {
+                b.iter(|| {
+                    Interp::new(&cost, &mut $params, codelet.num_locals, 6)
+                        .run_vertex(kind, black_box(&codelet.body))
+                })
+            });
+        }};
+    }
+
     for n in [32usize, 39, 64, 256] {
         g.throughput(Throughput::Elements(n as u64));
         // One tile's block of a 5-point stencil, in the device's layout:
@@ -213,38 +207,16 @@ fn bench_interpreter(c: &mut Criterion) {
         let backward_levels =
             VertexKind::LevelSet { levels: LevelSets::analyze(&a, Sweep::Backward).levels };
 
-        // Both routes over one vertex: `$params` is re-evaluated per
-        // iteration, as the engine re-slices operands per vertex.
-        macro_rules! both_routes {
-            ($name:expr, $codelet:expr, $kind:expr, $params:expr) => {{
-                let (codelet, kind): (&Codelet, &VertexKind) = (&$codelet, &$kind);
-                let storage: Vec<DType> = codelet.params.iter().map(|p| p.dtype).collect();
-                let level_set = matches!(kind, VertexKind::LevelSet { .. });
-                let lowered = Lowered::lower(codelet, &storage, level_set, &cost)
-                    .expect("the solver codelets lower");
-                let mut regs = Regs::default();
-                g.bench_function(format!("{}/{n}/lowered", $name), |b| {
-                    b.iter(|| {
-                        black_box(&lowered).run_vertex(kind, &mut $params, &mut regs, &cost, 6)
-                    })
-                });
-                g.bench_function(format!("{}/{n}/dynamic", $name), |b| {
-                    b.iter(|| {
-                        Interp::new(&cost, &mut $params, codelet.num_locals, 6)
-                            .run_vertex(kind, black_box(&codelet.body))
-                    })
-                });
-            }};
-        }
-
         both_routes!(
             "axpy",
+            n,
             axpy_codelet(),
             VertexKind::Simple,
             [ParamData::F32Ro(&x), ParamData::F32(&mut y), ParamData::F32Ro(&alpha)]
         );
         both_routes!(
             "two_scalar",
+            n,
             two_scalar_codelet(),
             VertexKind::Simple,
             [
@@ -261,6 +233,7 @@ fn bench_interpreter(c: &mut Criterion) {
         }
         both_routes!(
             "spmv",
+            n,
             Kernel::Spmv { residual: false }.codelet("spmv"),
             VertexKind::Simple,
             [
@@ -274,6 +247,7 @@ fn bench_interpreter(c: &mut Criterion) {
         );
         both_routes!(
             "residual",
+            n,
             Kernel::Spmv { residual: true }.codelet("residual"),
             VertexKind::Simple,
             [
@@ -288,13 +262,15 @@ fn bench_interpreter(c: &mut Criterion) {
         );
         both_routes!(
             "dot",
-            dot_codelet(),
+            n,
+            Kernel::Dot { square: false }.codelet("dot"),
             VertexKind::Simple,
             [ParamData::F32(&mut sum), ParamData::F32Ro(&x), ParamData::F32Ro(&ones)]
         );
         let forward_subst = Kernel::Forward { divide: true }.codelet("forward_subst");
         both_routes!(
             "forward_subst_level_set",
+            n,
             forward_subst,
             levels,
             [
@@ -308,6 +284,7 @@ fn bench_interpreter(c: &mut Criterion) {
         );
         both_routes!(
             "backward_subst_level_set",
+            n,
             Kernel::Backward { divide: true }.codelet("backward_subst"),
             backward_levels,
             [
@@ -320,6 +297,7 @@ fn bench_interpreter(c: &mut Criterion) {
         );
         both_routes!(
             "gauss_seidel_level_set",
+            n,
             Kernel::GaussSeidel.codelet("gauss_seidel"),
             levels,
             [
@@ -362,6 +340,19 @@ fn bench_interpreter(c: &mut Criterion) {
         g.bench_function(format!("forward_subst_level_set/{n}/engine"), |b| {
             b.iter(|| engine.run())
         });
+    }
+    // A reduction's tree and final stages: a sum of 23 partials and of 64.
+    for n in [23usize, 64] {
+        g.throughput(Throughput::Elements(n as u64));
+        let partials: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31).cos()).collect();
+        let mut sum = [0.0f32];
+        both_routes!(
+            "sum",
+            n,
+            Kernel::Sum.codelet("sum"),
+            VertexKind::Simple,
+            [ParamData::F32(&mut sum), ParamData::F32Ro(&partials)]
+        );
     }
     g.finish();
 }

@@ -1,7 +1,7 @@
 //! **budget_check** — the cycle-budget regression gate.
 //!
-//! Re-runs a fixed fig5-style SpMV and a fixed fig8-style solve and
-//! compares their device-cycle totals (plus per-iteration host dispatch,
+//! Re-runs a fixed fig5-style SpMV, a fixed fig8-style solve, a CG solve
+//! and a symmetric Gauss-Seidel sweep and compares their device-cycle totals (plus per-iteration host dispatch,
 //! informational) against the committed `results/baselines.json`. Device
 //! cycles are bit-deterministic, so any drift is a real cost-model or
 //! compiler change: the gate fails when a measurement regresses beyond
@@ -29,7 +29,7 @@ use std::rc::Rc;
 use graphene_bench::{header, ipu_friendly_grid, measure_spmv, Args};
 use graphene_core::config::SolverConfig;
 use graphene_core::env::EnvConfig;
-use graphene_core::runner::{solve_or_panic, SolveOptions};
+use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
 use graphene_core::solvers::ExtendedPrecision;
 use ipu_sim::model::IpuModel;
 use json::Json;
@@ -73,6 +73,23 @@ fn measure() -> Vec<Measurement> {
         SolveOptions { model: IpuModel::m2000(), rows_per_tile: 32, ..SolveOptions::default() };
     let solve = solve_or_panic(a, &b, &cfg, &opts);
 
+    // The heat workload's shape: unpreconditioned CG and one symmetric
+    // Gauss-Seidel sweep on a small 3-D Poisson, 64 rows per Mk2 tile.
+    let a = Rc::new(poisson_3d_7pt(12, 12, 12));
+    let b = sparse::gen::random_vector(a.nrows, 8);
+    let opts =
+        SolveOptions { model: IpuModel::mk2(), rows_per_tile: 64, ..SolveOptions::default() };
+    let cg = SolverConfig::Cg { max_iters: 50, rel_tol: 0.0, precond: None };
+    let cg = solve_or_panic(a.clone(), &b, &cg, &opts);
+    let sgs = SolverConfig::GaussSeidel { sweeps: 1, symmetric: true, rel_tol: 0.0 };
+    let sgs = solve_or_panic(a, &b, &sgs, &opts);
+    let solved = |name, s: &SolveResult| Measurement {
+        name,
+        device_cycles: s.stats.device_cycles(),
+        iterations: s.iterations.max(1) as u64,
+        host_seconds_per_iter: s.report.host_seconds / s.iterations.max(1) as f64,
+    };
+
     vec![
         Measurement {
             name: "fig5_spmv",
@@ -86,6 +103,8 @@ fn measure() -> Vec<Measurement> {
             iterations: solve.iterations.max(1) as u64,
             host_seconds_per_iter: solve.report.host_seconds / solve.iterations.max(1) as f64,
         },
+        solved("heat_cg", &cg),
+        solved("sgs_solve", &sgs),
     ]
 }
 

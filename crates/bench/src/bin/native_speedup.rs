@@ -4,9 +4,10 @@
 //!
 //! 1. when a vertex runs on the dynamic interpreter rather than its lowered
 //!    form;
-//! 2. when SpMV, its residual or either ILU(0) sweep does not run as a
-//!    kernel instruction (`codelet::Kernel`): a silent miss would quietly
-//!    forfeit the speed they exist for; and
+//! 2. when SpMV, its residual, either ILU(0) sweep, the dot product's
+//!    per-tile stage (`x · y` or `x · x`) or the sum of its partials does
+//!    not run as a kernel instruction (`codelet::Kernel`): a silent miss
+//!    would quietly forfeit the speed they exist for; and
 //! 3. when the per-iteration host dispatch time is more than 25 % over the
 //!    committed `results/native_speedup.json`. Skipped, with a note, when
 //!    that file is absent or records a different problem size.
@@ -49,8 +50,10 @@ fn run(a: Rc<CsrMatrix>, b: &[f64], cfg: &SolverConfig, repeats: usize) -> (Solv
 }
 
 /// The kernel instructions fig8's hot path must run as: SpMV and its
-/// residual, and the two ILU(0) sweeps.
-const REQUIRED_KERNELS: &[&str] = &["spmv", "spmv_residual", "forward_subst", "backward_subst_div"];
+/// residual, the two ILU(0) sweeps, and BiCGStab's reductions in both
+/// stages.
+const REQUIRED_KERNELS: &[&str] =
+    &["spmv", "spmv_residual", "forward_subst", "backward_subst_div", "dot", "dot_square", "sum"];
 
 /// The committed artifact the per-iteration time is held against.
 const BASELINE: &str = "results/native_speedup.json";

@@ -259,7 +259,7 @@ pub fn solve(
 /// decision and the partition. Built once — per [`solve`] call, or per
 /// `Backend::prepare` and then shared by every `execute` — and run once
 /// per right-hand side. The compiled engine is rebuilt by every attempt;
-/// holding it here is ROADMAP item 2.
+/// holding it here is ROADMAP item 3.
 pub struct Plan {
     a: Rc<CsrMatrix>,
     config: SolverConfig,

@@ -22,7 +22,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use graph::codelet::{Codelet, Expr, ParamDecl, Stmt, Value};
+use graph::codelet::{BinOp, Codelet, Expr, Kernel, ParamDecl, Stmt, Value};
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
 use graph::engine::{Engine, HostCallback, HostView};
 use graph::graph::{CompileError, Graph};
@@ -262,30 +262,41 @@ impl DslCtx {
                 param_leaves.push(*l);
             }
         }
-        let body_expr = lower(&expr, &param_of, &leaves);
-        let zero = zero_const(dtype);
-        let lead = param_leaves
-            .iter()
-            .position(|l| l.id == vec_leaf.id)
-            .expect("vector leaf is a parameter")
-            + 1;
-        let stage1 = Codelet {
-            name: self.fresh_name("reduce1"),
-            params,
-            num_locals: 2, // 0 = loop index, 1 = accumulator
-            body: vec![
-                Stmt::SetLocal(1, Expr::Const(zero)),
-                Stmt::ParFor {
-                    local: 0,
-                    start: Expr::Const(Value::I32(0)),
-                    end: Expr::ParamLen(lead),
-                    body: vec![Stmt::SetLocal(
-                        1,
-                        Expr::bin(graph::codelet::BinOp::Add, Expr::Local(1), body_expr),
-                    )],
-                },
-                Stmt::Store { param: 0, index: Expr::Const(Value::I32(0)), value: Expr::Local(1) },
-            ],
+        // The solvers' dot products and norms are the dot kernel's template;
+        // any other expression gets a body of its own.
+        let stage1 = match dot_square(&expr) {
+            Some(square) => Kernel::Dot { square }.codelet(&self.fresh_name("reduce1")),
+            None => {
+                let body_expr = lower(&expr, &param_of, &leaves);
+                let zero = zero_const(dtype);
+                let lead = param_leaves
+                    .iter()
+                    .position(|l| l.id == vec_leaf.id)
+                    .expect("vector leaf is a parameter")
+                    + 1;
+                Codelet {
+                    name: self.fresh_name("reduce1"),
+                    params,
+                    num_locals: 2, // 0 = loop index, 1 = accumulator
+                    body: vec![
+                        Stmt::SetLocal(1, Expr::Const(zero)),
+                        Stmt::ParFor {
+                            local: 0,
+                            start: Expr::Const(Value::I32(0)),
+                            end: Expr::ParamLen(lead),
+                            body: vec![Stmt::SetLocal(
+                                1,
+                                Expr::bin(BinOp::Add, Expr::Local(1), body_expr),
+                            )],
+                        },
+                        Stmt::Store {
+                            param: 0,
+                            index: Expr::Const(Value::I32(0)),
+                            value: Expr::Local(1),
+                        },
+                    ],
+                }
+            }
         };
         let stage1 = self.graph.add_codelet(stage1).expect("reduce stage 1");
         let mut cs1 = ComputeSet::new(self.fresh_name("reduce_partials"));
@@ -376,34 +387,39 @@ impl DslCtx {
         self.emit(Prog::Execute(cs2));
     }
 
-    /// A codelet summing its second parameter into element 0 of its first.
+    /// A codelet summing its second parameter into element 0 of its first:
+    /// the sum kernel's template over F32 partials.
     fn sum_codelet(&mut self, in_dtype: DType, out_dtype: DType) -> graph::codelet::CodeletId {
-        let zero = zero_const(in_dtype);
-        let c = Codelet {
-            name: self.fresh_name("sum"),
-            params: vec![
-                ParamDecl { dtype: out_dtype, mutable: true },
-                ParamDecl { dtype: in_dtype, mutable: false },
-            ],
-            num_locals: 2,
-            body: vec![
-                Stmt::SetLocal(1, Expr::Const(zero)),
-                Stmt::For {
-                    local: 0,
-                    start: Expr::Const(Value::I32(0)),
-                    end: Expr::ParamLen(1),
-                    step: Expr::Const(Value::I32(1)),
-                    body: vec![Stmt::SetLocal(
-                        1,
-                        Expr::bin(
-                            graph::codelet::BinOp::Add,
-                            Expr::Local(1),
-                            Expr::index(1, Expr::Local(0)),
-                        ),
-                    )],
-                },
-                Stmt::Store { param: 0, index: Expr::Const(Value::I32(0)), value: Expr::Local(1) },
-            ],
+        let name = self.fresh_name("sum");
+        let c = if (in_dtype, out_dtype) == (DType::F32, DType::F32) {
+            Kernel::Sum.codelet(&name)
+        } else {
+            Codelet {
+                name,
+                params: vec![
+                    ParamDecl { dtype: out_dtype, mutable: true },
+                    ParamDecl { dtype: in_dtype, mutable: false },
+                ],
+                num_locals: 2,
+                body: vec![
+                    Stmt::SetLocal(1, Expr::Const(zero_const(in_dtype))),
+                    Stmt::For {
+                        local: 0,
+                        start: Expr::Const(Value::I32(0)),
+                        end: Expr::ParamLen(1),
+                        step: Expr::Const(Value::I32(1)),
+                        body: vec![Stmt::SetLocal(
+                            1,
+                            Expr::bin(BinOp::Add, Expr::Local(1), Expr::index(1, Expr::Local(0))),
+                        )],
+                    },
+                    Stmt::Store {
+                        param: 0,
+                        index: Expr::Const(Value::I32(0)),
+                        value: Expr::Local(1),
+                    },
+                ],
+            }
         };
         self.graph.add_codelet(c).expect("sum codelet")
     }
@@ -563,6 +579,20 @@ fn lower(e: &TExpr, param_of: &HashMap<TensorId, usize>, leaves: &[TensorRef]) -
             then: Box::new(lower(t, param_of, leaves)),
             otherwise: Box::new(lower(o, param_of, leaves)),
         },
+    }
+}
+
+/// For a product of two F32 vector leaves, whether they are one leaf
+/// (`x * x`): the reductions [`Kernel::Dot`] runs.
+fn dot_square(expr: &TExpr) -> Option<bool> {
+    let TExpr::Bin(BinOp::Mul, a, b) = expr else { return None };
+    match (&**a, &**b) {
+        (TExpr::Tensor(x), TExpr::Tensor(y))
+            if [x, y].iter().all(|t| t.dtype == DType::F32 && !t.scalar) =>
+        {
+            Some(x.id == y.id)
+        }
+        _ => None,
     }
 }
 

@@ -40,8 +40,8 @@ pub use ir::{
     Stmt, UnOp, Value,
 };
 pub use kernels::{
-    backward_subst_template, forward_subst_template, gauss_seidel_template, spmv_template, F32Ops,
-    Kernel, Native, Template,
+    backward_subst_template, dot_template, forward_subst_template, gauss_seidel_template,
+    spmv_template, sum_template, F32Ops, Kernel, Native, Template,
 };
 pub use lower::{Charge, Lowered};
 pub use machine::Regs;

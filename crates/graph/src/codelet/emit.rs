@@ -178,9 +178,9 @@ pub(super) struct Bin {
 }
 
 /// A counted loop whose body is one multiply-accumulate, run to its end by
-/// one instruction — the inner loop of a dot product, or of a solver row
-/// bound to wider storage than its kernel takes. In a float domain `dt`,
-/// with `x` and `y` already in it:
+/// one instruction — the inner loop of a dot product or of a solver row
+/// bound to wider storage than its kernel takes (MPIR's double-word and
+/// f64 ones). In a float domain `dt`, with `x` and `y` already in it:
 ///
 /// ```text
 /// (A)  acc = acc ⊕ (x ⊗ y)

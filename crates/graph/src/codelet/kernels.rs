@@ -3,9 +3,10 @@
 //! and run as one native loop.
 //!
 //! The solvers build these codelets from the templates below — the SpMV and
-//! its residual, the two ILU(0) / DILU sweeps, the Gauss-Seidel row update —
-//! so a codelet that is not exactly one of them is some other codelet, and
-//! runs its lowered program.
+//! its residual, the two ILU(0) / DILU sweeps, the Gauss-Seidel row update,
+//! and the two stages of every F32 reduction: the dot product's per-tile
+//! partial and the sum of the partials — so a codelet that is not exactly
+//! one of them is some other codelet, and runs its lowered program.
 //!
 //! A kernel's vertex has no register program beside it: the loop is the
 //! only route. Values are exact because the loop performs the interpreter's
@@ -16,11 +17,12 @@
 //! operator that keeps the other NaN, which only that recompute can undo.
 //! Charges are exact because the loop adds, per row, the closed-form sums of
 //! what the interpreter charges for each statement of the template, and
-//! schedules the rows as it does: the SpMV's under the `ParFor` makespan,
-//! the sweeps' and the Gauss-Seidel rows' level by level. It reads what the
-//! interpreter reads before each row's store, in its order, so an index out
-//! of range (row pointers shorter than the rows, say) panics on the row
-//! where the interpreter panics.
+//! schedules the rows as it does: the SpMV's and the dot's trips under the
+//! `ParFor` makespan, the sweeps' and the Gauss-Seidel rows' level by level,
+//! the sum's serially. It reads what the interpreter reads before each
+//! row's store, in its order, so an index out of range (row pointers
+//! shorter than the rows, say) panics on the row where the interpreter
+//! panics.
 
 use super::interp::parfor_makespan;
 use super::ir::{arith_f32, through_f64, BinOp, Codelet, Expr, ParamData, ParamDecl, Stmt, Value};
@@ -53,6 +55,12 @@ pub enum Kernel {
     /// `x_i = (b_i − Σ_k v_k x_{c_k}) / d_i` over the row's off-diagonal
     /// entries. The level order carries the sweep's direction.
     GaussSeidel,
+    /// `dot` / `dot_square` (`square`), a `Simple` vertex: a reduction's
+    /// per-tile stage, `p_0 = Σ_i x_i y_i` or `p_0 = Σ_i x_i x_i`.
+    Dot { square: bool },
+    /// `sum`, a `Simple` vertex: a reduction's tree and final stages,
+    /// `p_0 = Σ_i q_i` over the partials `q`.
+    Sum,
 }
 
 /// The f32 `+ − × ÷` a kernel loop performs. Which NaN an operation returns
@@ -115,6 +123,8 @@ impl Kernel {
             (true, [F32, F32, F32, I32, I32]) => {
                 &[Backward { divide: false }, Backward { divide: true }]
             }
+            (false, [F32, F32, F32]) => &[Dot { square: false }],
+            (false, [F32, F32]) => &[Dot { square: true }, Sum],
             _ => return None,
         };
         candidates.iter().copied().find(|k| {
@@ -130,6 +140,8 @@ impl Kernel {
             Kernel::Forward { divide } => forward_subst_template(divide),
             Kernel::Backward { divide } => backward_subst_template(divide),
             Kernel::GaussSeidel => gauss_seidel_template(),
+            Kernel::Dot { square } => dot_template(square),
+            Kernel::Sum => sum_template(),
         }
     }
 
@@ -149,6 +161,9 @@ impl Kernel {
             Kernel::Backward { divide: false } => "backward_subst",
             Kernel::Backward { divide: true } => "backward_subst_div",
             Kernel::GaussSeidel => "gauss_seidel",
+            Kernel::Dot { square: false } => "dot",
+            Kernel::Dot { square: true } => "dot_square",
+            Kernel::Sum => "sum",
         }
     }
 
@@ -175,6 +190,8 @@ impl Kernel {
             (Kernel::GaussSeidel, VertexKind::LevelSet { levels }) => {
                 gauss_seidel::<O>(levels, params, lpt, cost, workers)
             }
+            (Kernel::Dot { square }, VertexKind::Simple) => dot::<O>(square, params, cost, workers),
+            (Kernel::Sum, VertexKind::Simple) => sum::<O>(params, cost),
             _ => unreachable!("{self:?} was recognised for the other vertex kind"),
         }
     }
@@ -553,6 +570,99 @@ fn gs_row_nan(
     arith_f32(Div, acc, diag[i])
 }
 
+/// The dot product's per-tile stage over `p · x · y`, or `p · x` squared.
+fn dot<O: F32Ops>(
+    square: bool,
+    params: &mut [ParamData],
+    cost: &CostModel,
+    workers: u64,
+) -> Charge {
+    use ParamData::{F32Ro, F32};
+    // `recognise` pinned the storage and the template the mutability.
+    let (p, x, y) = match params {
+        [F32(p), F32Ro(x)] if square => (p, &**x, &**x),
+        [F32(p), F32Ro(x), F32Ro(y)] if !square => (p, &**x, &**y),
+        _ => unreachable!("the dot template is bound to its declared storage"),
+    };
+    // `ParamLen`, the `ParFor`'s end: no trips when it wraps negative.
+    let n = (x.len() as i32).max(0) as usize;
+
+    // Per trip: the loop step, two loads, the multiply and the add; then
+    // the store of the partial.
+    let l_f = cost.op_cycles(Op::Load, DType::F32);
+    let trip_cy = cost.op_cycles(Op::LoopStep, DType::I32)
+        + 2 * l_f
+        + cost.op_cycles(Op::Mul, DType::F32)
+        + cost.op_cycles(Op::Add, DType::F32);
+
+    let mut acc = 0.0f32;
+    for i in 0..n {
+        acc = O::add(acc, O::mul(x[i], y[i]));
+    }
+    if acc.is_nan() {
+        acc = dot_nan(n, x, y);
+    }
+    p[0] = through_f64(acc);
+    let trips = n as u64;
+    Charge {
+        cycles: parfor_makespan(trips * trip_cy, workers, cost)
+            + cost.op_cycles(Op::Store, DType::F32),
+        flops: trips * 2,
+        mem_bytes: trips * 8 + 4,
+    }
+}
+
+/// The dot again, every operation through `arith_f32`: which NaN a native
+/// operation returns depends on how the compiler ordered its operands, and
+/// this is the interpreter's answer.
+#[cold]
+#[inline(never)]
+fn dot_nan(n: usize, x: &[f32], y: &[f32]) -> f32 {
+    use BinOp::*;
+    (0..n).fold(0.0, |acc, i| arith_f32(Add, acc, arith_f32(Mul, x[i], y[i])))
+}
+
+/// The sum of the partials over `p · q`.
+fn sum<O: F32Ops>(params: &mut [ParamData], cost: &CostModel) -> Charge {
+    use ParamData::{F32Ro, F32};
+    // `recognise` pinned the storage and the template the mutability.
+    let [F32(p), F32Ro(q)] = params else {
+        unreachable!("the sum template is bound to its declared storage")
+    };
+    let q: &[f32] = q;
+    // `ParamLen`, the `For`'s end: no trips when it wraps negative.
+    let n = (q.len() as i32).max(0) as usize;
+
+    // Per trip: the loop step, the load and the add; then the store.
+    let trip_cy = cost.op_cycles(Op::LoopStep, DType::I32)
+        + cost.op_cycles(Op::Load, DType::F32)
+        + cost.op_cycles(Op::Add, DType::F32);
+
+    let mut acc = 0.0f32;
+    for &v in &q[..n] {
+        acc = O::add(acc, v);
+    }
+    if acc.is_nan() {
+        acc = sum_nan(&q[..n]);
+    }
+    p[0] = through_f64(acc);
+    let trips = n as u64;
+    Charge {
+        cycles: trips * trip_cy + cost.op_cycles(Op::Store, DType::F32),
+        flops: trips,
+        mem_bytes: trips * 4 + 4,
+    }
+}
+
+/// The sum again, every add through `arith_f32`: which NaN a native add
+/// returns depends on how the compiler ordered its operands, and this is
+/// the interpreter's answer.
+#[cold]
+#[inline(never)]
+fn sum_nan(q: &[f32]) -> f32 {
+    q.iter().fold(0.0, |acc, &v| arith_f32(BinOp::Add, acc, v))
+}
+
 /// The SpMV codelet (`spmv`) and its residual (`residual`) the distributed
 /// system builds: a `ParFor` over the rows of `y`, per row
 /// `acc = d_i x_i; for k in rptr[i]..rptr[i+1] { acc = acc + v_k x_{c_k} }`,
@@ -788,4 +898,63 @@ pub fn gauss_seidel_template() -> Template {
         },
     ];
     (params, 5, body)
+}
+
+/// A reduction's per-tile stage `DslCtx::reduce_into` builds for `x * y`,
+/// or for `x * x` (`square`): `acc = 0; ParFor i < len(x) { acc = acc +
+/// x_i y_i }; p_0 = acc`, local 0 the index and local 1 the accumulator.
+/// Params: the partial `p` (mut) · `x` · `y` (not `square`'s).
+pub fn dot_template(square: bool) -> Template {
+    let ro = ParamDecl { dtype: DType::F32, mutable: false };
+    let mut params = vec![ParamDecl { dtype: DType::F32, mutable: true }, ro];
+    let y = if square { 1 } else { 2 };
+    if !square {
+        params.push(ro);
+    }
+    let product =
+        Expr::bin(BinOp::Mul, Expr::index(1, Expr::Local(0)), Expr::index(y, Expr::Local(0)));
+    (
+        params,
+        2,
+        reduction_body(Stmt::ParFor {
+            local: 0,
+            start: Expr::Const(Value::I32(0)),
+            end: Expr::ParamLen(1),
+            body: vec![Stmt::SetLocal(1, Expr::bin(BinOp::Add, Expr::Local(1), product))],
+        }),
+    )
+}
+
+/// A reduction's tree and final stages over F32 partials, as
+/// `DslCtx::reduce_into` builds them: `acc = 0; For i < len(q) step 1 {
+/// acc = acc + q_i }; p_0 = acc`. Params: `p` (mut) · `q`.
+pub fn sum_template() -> Template {
+    let params = vec![
+        ParamDecl { dtype: DType::F32, mutable: true },  // p
+        ParamDecl { dtype: DType::F32, mutable: false }, // q
+    ];
+    (
+        params,
+        2,
+        reduction_body(Stmt::For {
+            local: 0,
+            start: Expr::Const(Value::I32(0)),
+            end: Expr::ParamLen(1),
+            step: Expr::Const(Value::I32(1)),
+            body: vec![Stmt::SetLocal(
+                1,
+                Expr::bin(BinOp::Add, Expr::Local(1), Expr::index(1, Expr::Local(0))),
+            )],
+        }),
+    )
+}
+
+/// Both reduction stages' bodies: local 1 from zero, `each` accumulating
+/// into it, then element 0 of parameter 0 stored from it.
+fn reduction_body(each: Stmt) -> Vec<Stmt> {
+    vec![
+        Stmt::SetLocal(1, Expr::Const(Value::F32(0.0))),
+        each,
+        Stmt::Store { param: 0, index: Expr::Const(Value::I32(0)), value: Expr::Local(1) },
+    ]
 }

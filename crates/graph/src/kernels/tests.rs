@@ -5,8 +5,9 @@
 //! is *exact* equality: output bits, cycles, flops and SRAM bytes.
 
 use crate::codelet::{
-    backward_subst_template, forward_subst_template, spmv_template, BinOp, Charge, Codelet, Expr,
-    Interp, Kernel, Lowered, ParamData, ParamDecl, Regs, Stmt, Template, Value,
+    backward_subst_template, dot_template, forward_subst_template, spmv_template, sum_template,
+    BinOp, Charge, Codelet, Expr, Interp, Kernel, Lowered, ParamData, ParamDecl, Regs, Stmt,
+    Template, Value,
 };
 use crate::compute::VertexKind;
 use ipu_sim::cost::{CostModel, DType};
@@ -238,9 +239,13 @@ fn spmv_row_pointers_that_step_back_or_go_negative_match_interpreter() {
 
     let negative = layout(vec![0, 1, -1, 2, 5, 7]);
     let cost = CostModel::default();
+    // Whether the run panicked, and the storage it left: the rows before
+    // the panic stored alike, so both routes stop on the same row.
     let panics = |run: &dyn Fn(&mut [Buf])| {
         let mut bufs = negative.clone();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut bufs))).is_err()
+        let panicked =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut bufs))).is_err();
+        (panicked, bufs.iter().map(Buf::bits).collect::<Vec<_>>())
     };
     let by_interp = panics(&|bufs| {
         interp(&c, &VertexKind::Simple, bufs, &cost);
@@ -248,15 +253,14 @@ fn spmv_row_pointers_that_step_back_or_go_negative_match_interpreter() {
     let by_kernel = panics(&|bufs| {
         engine_route(&c, &VertexKind::Simple, bufs, &cost);
     });
-    assert!(
-        by_interp && by_kernel,
-        "a negative row pointer: interp panics {by_interp}, the kernel {by_kernel}"
-    );
+    assert!(by_interp.0, "a negative row pointer: interp must panic");
+    assert_eq!(by_interp, by_kernel, "a negative row pointer: the kernel panics on another row");
 }
 
 // ------------------------------------------------------------------
-// The shapes that are no kernel — the DSL's `ParFor` map, the `reduce1`
-// dot, the serial `sum` combiner: they run their register program.
+// The DSL's `ParFor` map, which runs its register program, and the
+// `reduce1` dot and the serial `sum` combiner, kernels over F32 storage and
+// register programs over the rest.
 // ------------------------------------------------------------------
 
 /// `y[i] = value` over `y`, parameter 0.
@@ -386,7 +390,13 @@ fn reduce_dot_matches_interpreter() {
             Buf::F32((0..n).map(|i| x(i) as f32).collect()),
             Buf::F32((0..n).map(|i| y(i) as f32).collect()),
         ];
-        assert_eq!(check(&f32s, &VertexKind::Simple, &bufs), None, "f32, n={n}");
+        assert_eq!(check(&f32s, &VertexKind::Simple, &bufs), Some("dot"), "f32, n={n}");
+        let square = from_template("dot_square", dot_template(true));
+        assert_eq!(
+            check(&square, &VertexKind::Simple, &bufs[..2]),
+            Some("dot_square"),
+            "f32 squared, n={n}"
+        );
         let bufs = [
             Buf::F64(vec![SoftDouble(0.0)]),
             Buf::F64((0..n).map(|i| SoftDouble(x(i))).collect()),
@@ -438,7 +448,8 @@ fn sum_f32_matches_interpreter() {
     let c = sum_codelet(Value::F32(0.0), DType::F32);
     for n in [0usize, 1, 8] {
         let xs = Buf::F32((0..n).map(|i| (0.51 * i as f32).sin()).collect());
-        assert_eq!(check(&c, &VertexKind::Simple, &[Buf::F32(vec![0.0]), xs]), None, "n={n}");
+        let bufs = [Buf::F32(vec![0.0]), xs];
+        assert_eq!(check(&c, &VertexKind::Simple, &bufs), Some("sum"), "n={n}");
     }
 }
 
@@ -481,14 +492,19 @@ fn matcher_rejects_near_misses() {
     {
         assert_eq!(check(&from_template(name, t), &VertexKind::Simple, &bufs), None, "{name}");
     }
-    // The map, reduction and sum shapes are no kernel; nor are the
-    // triangular sweeps on a `Simple` vertex, or the SpMV on a `LevelSet`
-    // one: each template is a kernel for the vertex kind it is built for.
+    // The map shape and the reduction stages one local off are no kernel;
+    // nor are the triangular sweeps on a `Simple` vertex, or the SpMV and
+    // the reduction stages on a `LevelSet` one: each template is a kernel
+    // for the vertex kind it is built for.
     let f32s = DType::F32;
+    let mut dot = dot_template(false);
+    dot.1 += 1;
+    let mut sum = sum_template();
+    sum.1 += 1;
     let simple = [
         (axpy_codelet(f32s, f32s, f32s), vec![vector(4), vector(4), vector(1)]),
-        (dot_codelet(Value::F32(0.0), f32s, f32s, f32s), vec![vector(1), vector(4), vector(4)]),
-        (sum_codelet(Value::F32(0.0), f32s), vec![vector(1), vector(4)]),
+        (from_template("dot", dot), vec![vector(1), vector(4), vector(4)]),
+        (from_template("sum", sum), vec![vector(1), vector(4)]),
     ];
     for (c, bufs) in simple {
         assert_eq!(check(&c, &VertexKind::Simple, &bufs), None, "{}", c.name);
@@ -507,4 +523,12 @@ fn matcher_rejects_near_misses() {
     let spmv = from_template("spmv", spmv_template(false));
     let lowered = lower(&spmv, &VertexKind::LevelSet { levels: vec![] }, &spmv_bufs(false));
     assert_eq!(lowered.and_then(|l| l.kernel()), None, "spmv on a level set");
+    let level_set = VertexKind::LevelSet { levels: vec![] };
+    for (c, bufs) in [
+        (from_template("dot", dot_template(false)), vec![vector(1), vector(4), vector(4)]),
+        (from_template("sum", sum_template()), vec![vector(1), vector(4)]),
+    ] {
+        let lowered = lower(&c, &level_set, &bufs);
+        assert_eq!(lowered.and_then(|l| l.kernel()), None, "{} on a level set", c.name);
+    }
 }

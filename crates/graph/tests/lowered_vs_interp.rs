@@ -14,9 +14,9 @@
 //! read of it can follow — so there is nothing to compare.
 
 use graph::codelet::{
-    backward_subst_template, forward_subst_template, gauss_seidel_template, spmv_template, BinOp,
-    Charge, Codelet, Expr, F32Ops, Interp, Kernel, Lowered, Native, ParamData, ParamDecl, Regs,
-    Stmt, UnOp, Value,
+    backward_subst_template, dot_template, forward_subst_template, gauss_seidel_template,
+    spmv_template, sum_template, BinOp, Charge, Codelet, Expr, F32Ops, Interp, Kernel, Lowered,
+    Native, ParamData, ParamDecl, Regs, Stmt, UnOp, Value,
 };
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
 use graph::program::Prog;
@@ -160,7 +160,8 @@ fn lowered_outcome<O: F32Ops>(
 
 /// Lower, run both routes, compare. `None` if the codelet did not lower,
 /// else whether the run completed (on both routes) rather than panicked (on
-/// both).
+/// both); a kernel that panicked must have left `Interp`'s storage
+/// ([`panics_alike`]).
 fn check(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str) -> Option<bool> {
     check_with::<Native>(c, kind, bufs, who)
 }
@@ -180,6 +181,11 @@ fn check_with<O: F32Ops>(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str
         }
     }
     assert_eq!(want, got, "{who}: lowered diverged from Interp\n{c:#?}\n{kind:?}\n{bufs:?}");
+    if want.is_none() && lowered.kernel().is_some() {
+        // A kernel stores a row (or a partial) at a time, as `Interp` does,
+        // so where both panic they left the same storage behind.
+        panics_alike(c, kind, bufs, who);
+    }
     Some(want.is_some())
 }
 
@@ -687,14 +693,16 @@ fn next(l: usize) -> Expr {
 /// dtype per operand drawn independently of the F32 / I32 it declares, and
 /// a vertex kind; one time in twelve each the backward- and the
 /// forward-substitution template itself ([`sweep_case`]), the SpMV or its
-/// residual ([`spmv_case`]) and the Gauss-Seidel row update or a near miss
-/// of it ([`gs_case`]).
+/// residual ([`spmv_case`]), the Gauss-Seidel row update or a near miss of
+/// it ([`gs_case`]) and a reduction stage or a near miss of it
+/// ([`reduction_case`]).
 fn random_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
     match rng.below(12) {
         0 => return sweep_case(rng, false),
         1 => return sweep_case(rng, true),
         2 => return spmv_case(rng),
         3 => return gs_case(rng),
+        4 => return reduction_case(rng),
         _ => {}
     }
     // Now and then more elements than a map's chunk holds.
@@ -893,12 +901,80 @@ fn spmv_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
     (codelet(params, num_locals, body), VertexKind::Simple, bufs.collect())
 }
 
+/// A reduction stage's template over the F32 storage it declares: the dot
+/// (`x · y`, or `x · x`) of up to 149 [`kernel_value`]s, or the sum of as
+/// many partials. Now and then `y` is short or the partial empty (a panic
+/// on both routes), or the partial longer than one. One time in three a
+/// near miss that runs its lowered program: a sum of the operands rather
+/// than their product, a cast, a scalar leaf, a gather (one past `y` now
+/// and then), a double-word partial, a spare local or a level-set vertex.
+fn reduction_case(rng: &mut TestRng) -> (Codelet, VertexKind, Vec<Buf>) {
+    use BinOp::*;
+    let n = if rng.below(4) == 0 { 60 + rng.below(90) } else { rng.below(24) };
+    let kernel = match rng.below(3) {
+        0 => Kernel::Dot { square: false },
+        1 => Kernel::Dot { square: true },
+        _ => Kernel::Sum,
+    };
+    let mut c = kernel.codelet("reduction");
+    let partial = match rng.below(16) {
+        0 => 0,
+        1 => 2,
+        _ => 1,
+    };
+    let y_len = if rng.below(10) == 0 { rng.below(n + 1) } else { n };
+    let mut value = || kernel_value(rng);
+    let p = Buf::F32((0..partial).map(|_| value()).collect());
+    let x = Buf::F32((0..n).map(|_| value()).collect());
+    let y = Buf::F32((0..y_len).map(|_| value()).collect());
+    let mut bufs = vec![p, x];
+    if kernel == (Kernel::Dot { square: false }) {
+        bufs.push(y);
+    }
+    let mut kind = VertexKind::Simple;
+    let near = rng.below(21);
+    // The dot's `x_i · y_i` (`x_i · x_i`), as its near misses rewrite it.
+    let last = bufs.len() - 1;
+    let x_i = || Expr::index(1, Expr::Local(0));
+    let y_i = || Expr::index(last, Expr::Local(0));
+    let product = match (near, kernel) {
+        (0, Kernel::Dot { .. }) => Some(Expr::bin(Add, x_i(), y_i())),
+        (1, Kernel::Dot { .. }) => {
+            Some(Expr::bin(Mul, Expr::Convert { to: DType::F32, arg: Box::new(x_i()) }, y_i()))
+        }
+        (2, Kernel::Dot { .. }) => Some(Expr::bin(Mul, x_i(), Expr::index(last, i(0)))),
+        (3, Kernel::Dot { .. }) => {
+            let len = bufs[last].bits().len();
+            let reach = len + (rng.below(8) == 0) as usize;
+            let g = (0..n).map(|_| rng.below(reach.max(1)) as i32).collect();
+            bufs.push(Buf::I32(g));
+            c.params.push(ro(DType::I32));
+            Some(Expr::bin(Mul, x_i(), Expr::index(last, Expr::index(last + 1, Expr::Local(0)))))
+        }
+        _ => None,
+    };
+    if let Some(product) = product {
+        let Stmt::ParFor { body, .. } = &mut c.body[1] else { unreachable!("the dot's loop") };
+        body[0] = Stmt::SetLocal(1, Expr::bin(Add, Expr::Local(1), product));
+    }
+    match near {
+        // A double-word partial: an F32 accumulator over double-word terms
+        // would change its dtype across the loop's back-edge, and not lower.
+        4 => bufs[0] = Buf::Dw(vec![TwoFloat::from_f64(1e-9); partial]),
+        5 => c.num_locals += 1,
+        6 => kind = random_levels(rng, n),
+        _ => {}
+    }
+    (c, kind, bufs)
+}
+
 #[test]
 fn random_codelets_run_identically_lowered_and_dynamic() {
-    let cases = 4200;
+    let cases = 4900;
     let (mut lowered, mut completed, mut level_sets, mut wide) = (0, 0, 0, 0);
     let (mut looped, mut level_set_loops, mut mapped, mut chunked) = (0, 0, 0, 0);
     let (mut kernels, mut kernels_ran, mut forward, mut spmv, mut gs) = (0, 0, 0, 0, 0);
+    let (mut dots, mut sums) = (0, 0);
     for seed in 0..cases {
         let mut rng = TestRng::seed_from_u64(0x10e7_0000 + seed);
         let (codelet, kind, bufs) = random_case(&mut rng);
@@ -921,20 +997,24 @@ fn random_codelets_run_identically_lowered_and_dynamic() {
             forward += matches!(form.kernel(), Some(Kernel::Forward { .. })) as u32;
             spmv += matches!(form.kernel(), Some(Kernel::Spmv { .. })) as u32;
             gs += (form.kernel() == Some(Kernel::GaussSeidel)) as u32;
+            dots += matches!(form.kernel(), Some(Kernel::Dot { .. })) as u32;
+            sums += (form.kernel() == Some(Kernel::Sum)) as u32;
         }
     }
     // Not vacuous: most random bodies type and run to the end, level sets,
     // wide storage under F32-declared parameters, accumulate loops (level-set
     // rows' among them) and maps, some over more than one chunk, run as one
-    // instruction among them, and both sweeps, the SpMV and the Gauss-Seidel
-    // row update as one kernel instruction, most of them to the end.
+    // instruction among them, and both sweeps, the SpMV, the Gauss-Seidel
+    // row update and both reduction stages as one kernel instruction, most
+    // of them to the end.
     assert!(completed * 2 > cases, "{completed} of {cases} ran lowered ({lowered} lowered)");
     assert!(level_sets > 400 && wide > 1000, "{level_sets} level sets, {wide} wide");
     assert!(looped > 600, "{looped} took the accumulate loop instruction");
     assert!(level_set_loops > 150, "{level_set_loops} level-set programs with a loop instruction");
     assert!(mapped > 300 && chunked > 20, "{mapped} took the map instruction, {chunked} chunked");
-    assert!(kernels > 600 && kernels_ran > 350, "{kernels} kernels, {kernels_ran} ran to the end");
-    let backward = kernels - forward - spmv - gs;
+    assert!(kernels > 850 && kernels_ran > 550, "{kernels} kernels, {kernels_ran} ran to the end");
+    assert!(dots > 150 && sums > 75, "{dots} dot, {sums} sum kernels");
+    let backward = kernels - forward - spmv - gs - dots - sums;
     assert!(
         forward > 150 && backward > 150 && spmv > 150 && gs > 150,
         "{forward} forward, {backward} backward, {spmv} SpMV, {gs} Gauss-Seidel kernels"
@@ -1986,8 +2066,10 @@ fn accumulate_loops_and_their_near_misses_match_the_interpreter() {
 }
 
 /// A dot product's per-tile stage: `acc = 0; ParFor i { acc = acc + x[i] *
-/// y[i] }; out[0] = acc`. The instruction charges between `ParBegin` and
-/// `ParEnd`, so the makespan covers the whole loop.
+/// y[i] }; out[0] = acc`. Over F32 storage it is the dot kernel's template
+/// and runs as that kernel; over the wider storages the loop instruction
+/// charges between `ParBegin` and `ParEnd`. Either way the makespan covers
+/// the whole loop.
 #[test]
 fn a_parfor_reduction_runs_as_one_instruction_inside_its_makespan() {
     use BinOp::*;
@@ -2104,7 +2186,7 @@ fn degenerate_rows_match_the_interpreter() {
 
 /// A row id past the row pointers, a gather past the vector, a row pointer
 /// past the values, a store past the output: each panics on both routes, as
-/// the flat program's bounds checks would.
+/// the flat program's bounds checks would, with the same storage left.
 #[test]
 fn an_out_of_bounds_row_or_gather_index_panics_on_both_routes() {
     let gs = gauss_seidel();
@@ -2115,18 +2197,18 @@ fn an_out_of_bounds_row_or_gather_index_panics_on_both_routes() {
         let bufs = vec![v(1.0), v(2.0), v(3.0), vals.clone(), cols.clone(), rptr.clone()];
         let past = VertexKind::LevelSet { levels: vec![vec![0], vec![4]] };
         let who = format!("row id 4 of 4 over {dtype:?}");
-        assert_eq!(check(&gs, &past, &bufs, &who), Some(false), "{who}");
+        panics_alike(&gs, &past, &bufs, &who);
 
         let [vals, _, rptr] = rows(dtype, false);
         let gather = Buf::I32(vec![0, 1, 2, 0, 3, 1, 2, 4, 0, 3]);
         let bufs = vec![v(0.0), v(1.0), v(3.0), vals.clone(), gather, rptr];
         let who = format!("column 4 of 4 over {dtype:?}");
-        assert_eq!(check(&spmv, &VertexKind::Simple, &bufs, &who), Some(false), "{who}");
+        panics_alike(&spmv, &VertexKind::Simple, &bufs, &who);
 
         let long = Buf::I32(vec![0, 3, 5, 8, 11]);
         let bufs = vec![v(0.0), v(1.0), v(3.0), vals, cols, long];
         let who = format!("row pointer 11 of 10 over {dtype:?}");
-        assert_eq!(check(&spmv, &VertexKind::Simple, &bufs, &who), Some(false), "{who}");
+        panics_alike(&spmv, &VertexKind::Simple, &bufs, &who);
         let l = lower(&spmv, &VertexKind::Simple, &bufs).unwrap();
         let kernel = (dtype == DType::F32).then_some(Kernel::Spmv { residual: false });
         assert_eq!((l.kernel(), l.loops()), (kernel, 1), "{who}");
@@ -2559,7 +2641,7 @@ fn a_short_row_pointer_runs_the_kernel_as_interp_does() {
         let who = format!("backward, four row pointers of six (divide: {divide})");
         must_kernel(&c, &covered, &bufs, &who, Kernel::Backward { divide });
         let past = VertexKind::LevelSet { levels: vec![vec![4, 3], vec![2, 1], vec![0]] };
-        assert_eq!(check(&c, &past, &bufs, &who), Some(false), "{who}: row 4 panics");
+        panics_alike(&c, &past, &bufs, &format!("{who}: row 4"));
 
         let c = template(forward_subst_template(divide));
         let mut bufs = forward_layout();
@@ -2567,7 +2649,7 @@ fn a_short_row_pointer_runs_the_kernel_as_interp_does() {
         let covered = VertexKind::LevelSet { levels: vec![vec![0, 1, 2], vec![3]] };
         let who = format!("forward, five row pointers of six (divide: {divide})");
         must_kernel(&c, &covered, &bufs, &who, Kernel::Forward { divide });
-        assert_eq!(check(&c, &forward_levels(), &bufs, &who), Some(false), "{who}: row 4 panics");
+        panics_alike(&c, &forward_levels(), &bufs, &format!("{who}: row 4"));
     }
 }
 
@@ -2654,7 +2736,7 @@ fn a_row_pointer_that_steps_back_or_goes_negative_runs_the_kernel_as_interp_does
         must_kernel(&c, &forward_levels(), &bufs, &who, Kernel::Forward { divide });
         bufs[5] = Buf::I32(vec![0, 1, -1, 2, 5, 7]);
         let who = format!("forward, a negative pointer (divide: {divide})");
-        assert_eq!(check(&c, &forward_levels(), &bufs, &who), Some(false), "{who}: row 2 panics");
+        panics_alike(&c, &forward_levels(), &bufs, &format!("{who}: row 2"));
 
         let c = template(backward_subst_template(divide));
         let levels = VertexKind::LevelSet { levels: vec![vec![4, 3], vec![2, 1], vec![0]] };
@@ -2664,7 +2746,7 @@ fn a_row_pointer_that_steps_back_or_goes_negative_runs_the_kernel_as_interp_does
         must_kernel(&c, &levels, &bufs, &who, Kernel::Backward { divide });
         bufs[4] = Buf::I32(vec![0, 2, -4, 5, 7, 7]);
         let who = format!("backward, a negative pointer (divide: {divide})");
-        assert_eq!(check(&c, &levels, &bufs, &who), Some(false), "{who}: row 2 panics");
+        panics_alike(&c, &levels, &bufs, &format!("{who}: row 2"));
     }
 }
 
@@ -2721,7 +2803,8 @@ fn nan(k: u32) -> f32 {
 /// `v_k · x_{c_k}`, the sum, `b_i − …`), both forward sweeps (`l_ij · w_j`,
 /// `b_i − …`, `… / d_i`), both backward sweeps (`u_ij · z_j`, the sum,
 /// `z_i − …`, the divide) and the Gauss-Seidel update (`v_k · x_{c_k}`,
-/// `acc − …`, `… / d_i`).
+/// `acc − …`, `… / d_i`), a dot (`x_i · y_i`, the sum) and a sum of
+/// partials.
 fn nan_rows() -> Vec<(String, Codelet, VertexKind, Vec<Buf>, Kernel)> {
     let nans = |from: u32, n: u32| Buf::F32((from..from + n).map(nan).collect());
     let mut cases = vec![];
@@ -2756,6 +2839,17 @@ fn nan_rows() -> Vec<(String, Codelet, VertexKind, Vec<Buf>, Kernel)> {
     (*x, *b, *diag, *vals) = (nans(0, 7), nans(10, 5), nans(20, 5), nans(30, 8));
     let who = "Gauss-Seidel NaN rows".to_string();
     cases.push((who, gauss_seidel(), gs_levels(true), bufs, Kernel::GaussSeidel));
+    let dot = Kernel::Dot { square: false };
+    let bufs = vec![Buf::F32(vec![0.0]), nans(0, 5), nans(10, 5)];
+    cases.push(("dot NaN terms".into(), dot.codelet("dot"), VertexKind::Simple, bufs, dot));
+    let bufs = vec![Buf::F32(vec![0.0]), nans(0, 6)];
+    cases.push((
+        "sum of NaN partials".into(),
+        Kernel::Sum.codelet("sum"),
+        VertexKind::Simple,
+        bufs,
+        Kernel::Sum,
+    ));
     cases
 }
 
@@ -2847,7 +2941,9 @@ fn backward_levels() -> VertexKind {
 }
 
 /// Both routes panic and leave the same storage bits behind: every row
-/// before the one that panics stored alike, so it is the same row.
+/// before the one that panics stored alike, so it is the same row. Every
+/// kernel's panic cases go through it; a map's do not, since a map stores a
+/// chunk at a time, so where its storage stands at a panic differs.
 fn panics_alike(c: &Codelet, kind: &VertexKind, bufs: &[Buf], who: &str) {
     let l = lower(c, kind, bufs).unwrap_or_else(|| panic!("{who}: lowers"));
     let cost = CostModel::default();
@@ -3030,6 +3126,133 @@ fn the_spmv_kernels_near_misses_run_their_lowered_program() {
         bufs[at] = short;
         let kernel = lower(&c, &VertexKind::Simple, &bufs).unwrap().kernel();
         assert_eq!(kernel, Some(Kernel::Spmv { residual: true }), "{what}");
-        assert_eq!(check(&c, &VertexKind::Simple, &bufs, what), Some(false), "{what}: panics");
+        panics_alike(&c, &VertexKind::Simple, &bufs, what);
+    }
+}
+
+/// `n` F32 values, signs and magnitudes mixed, none of them NaN.
+fn terms(n: usize, k: f32) -> Buf {
+    Buf::F32((0..n).map(|i| (k + 0.37 * i as f32).sin() * (1.0 + i as f32)).collect())
+}
+
+/// The dot (`x · y` and `x · x`) and the sum of partials run as one kernel
+/// instruction each and leave `Interp`'s storage bits and charge: no terms
+/// (the `ParFor` makespan's floor), one, 23 and 64 (a tile's worth), 150;
+/// a `−0.0` sum (`0 + −0` is `+0`); a signalling NaN, whose payload the
+/// store quiets; infinities that meet as `∞ − ∞`; a partial longer than
+/// one, of which the stage writes element 0.
+#[test]
+fn the_reduction_kernels_match_the_interpreter() {
+    let run = |kernel: Kernel, bufs: &[Buf], who: &str| {
+        must_kernel(&kernel.codelet("reduction"), &VertexKind::Simple, bufs, who, kernel)
+    };
+    let (dot, square) = (Kernel::Dot { square: false }, Kernel::Dot { square: true });
+    let zeros = Buf::F32(vec![-0.0; 3]);
+    let snan = Buf::F32(vec![1.0, f32::from_bits(0x7f80_0001), 2.0]);
+    let infs = Buf::F32(vec![f32::INFINITY, 1.0, f32::NEG_INFINITY]);
+    let mut cases: Vec<(String, [Buf; 3])> = [0, 1, 23, 64, 150]
+        .into_iter()
+        .map(|n| (format!("{n} terms"), [Buf::F32(vec![7.0]), terms(n, 0.0), terms(n, 1.0)]))
+        .collect();
+    for (what, q) in [("negative zeros", zeros), ("a signalling NaN", snan), ("∞ − ∞", infs)]
+    {
+        cases.push((what.into(), [Buf::F32(vec![0.0]), q.clone(), terms(3, 2.0)]));
+        let longer = format!("{what}, a longer partial");
+        cases.push((longer, [Buf::F32(vec![3.0, 4.0]), q, terms(3, 2.0)]));
+    }
+    for (who, bufs) in &cases {
+        run(dot, bufs, who);
+        run(square, &bufs[..2], who);
+        run(Kernel::Sum, &bufs[..2], who);
+    }
+}
+
+/// A `y` shorter than `x` panics on the element where `Interp` does, and an
+/// empty partial on its store, for either stage; both routes leave the same
+/// storage behind.
+#[test]
+fn the_reduction_kernels_panic_where_the_interpreter_does() {
+    let dot = Kernel::Dot { square: false };
+    let (p, none) = (|| Buf::F32(vec![5.0]), || Buf::F32(vec![]));
+    for (what, kernel, bufs) in [
+        ("y of 3 for x of 5", dot, vec![p(), terms(5, 0.0), terms(3, 1.0)]),
+        ("an empty y", dot, vec![p(), terms(5, 0.0), none()]),
+        ("an empty partial", dot, vec![none(), terms(5, 0.0), terms(5, 1.0)]),
+        ("an empty partial, squared", Kernel::Dot { square: true }, vec![none(), terms(5, 0.0)]),
+        ("an empty partial, summed", Kernel::Sum, vec![none(), terms(5, 0.0)]),
+        ("an empty partial of no terms", Kernel::Sum, vec![none(), none()]),
+    ] {
+        let c = kernel.codelet("reduction");
+        assert_eq!(lower(&c, &VertexKind::Simple, &bufs).unwrap().kernel(), Some(kernel), "{what}");
+        panics_alike(&c, &VertexKind::Simple, &bufs, what);
+    }
+}
+
+/// A sum of the operands rather than their product, a cast of `x_i`, a
+/// scalar leaf, a gather, a double-word partial, a spare local, or the
+/// template on a `LevelSet` vertex: no kernel instruction, and the lowered
+/// program leaves what `Interp` leaves. The sum's near misses too: a spare
+/// local, a double-word partial, a level set.
+#[test]
+fn the_reduction_kernels_near_misses_run_their_lowered_program() {
+    use BinOp::*;
+    let (params, locals, body) = dot_template(false);
+    let with_term = |term: Expr, params: Vec<ParamDecl>| {
+        let mut body = body.clone();
+        let Stmt::ParFor { body: trip, .. } = &mut body[1] else { unreachable!("the loop") };
+        trip[0] = Stmt::SetLocal(1, Expr::bin(Add, Expr::Local(1), term));
+        codelet(params, locals, body)
+    };
+    let (x_i, y_i) = (|| Expr::index(1, Expr::Local(0)), || Expr::index(2, Expr::Local(0)));
+    let mut gathered = params.clone();
+    gathered.push(ro(DType::I32));
+    let cast = Expr::Convert { to: DType::F32, arg: Box::new(x_i()) };
+    let gather = Expr::index(2, Expr::index(3, Expr::Local(0)));
+    let bufs = vec![Buf::F32(vec![0.0]), terms(9, 0.0), terms(9, 1.0)];
+    let mut with_cols = bufs.clone();
+    with_cols.push(Buf::I32(vec![8, 0, 3, 3, 1, 7, 2, 6, 5]));
+    // A double-word partial: an F32 accumulator over double-word terms would
+    // change its dtype across the loop's back-edge, and not lower.
+    let wide = |bufs: &[Buf]| -> Vec<Buf> {
+        let mut bufs = bufs.to_vec();
+        bufs[0] = Buf::Dw(vec![TwoFloat::from_f64(1.0 / 3.0)]);
+        bufs
+    };
+    let levels = VertexKind::LevelSet { levels: vec![vec![0, 2], vec![1]] };
+    let simple = VertexKind::Simple;
+    let template = codelet(params.clone(), locals, body.clone());
+    let (sum_params, sum_locals, sum_body) = sum_template();
+    let sum = codelet(sum_params.clone(), sum_locals, sum_body.clone());
+    let sum_bufs = bufs[..2].to_vec();
+    for (what, c, kind, bufs) in [
+        (
+            "a sum, not a product",
+            with_term(Expr::bin(Add, x_i(), y_i()), params.clone()),
+            &simple,
+            bufs.clone(),
+        ),
+        ("a cast", with_term(Expr::bin(Mul, cast, y_i()), params.clone()), &simple, bufs.clone()),
+        (
+            "a scalar leaf",
+            with_term(Expr::bin(Mul, x_i(), Expr::index(2, i(0))), params.clone()),
+            &simple,
+            bufs.clone(),
+        ),
+        ("a gather", with_term(Expr::bin(Mul, x_i(), gather), gathered), &simple, with_cols),
+        ("a double-word partial", template.clone(), &simple, wide(&bufs)),
+        ("a spare local", codelet(params.clone(), locals + 1, body.clone()), &simple, bufs.clone()),
+        ("a level set", template, &levels, bufs.clone()),
+        (
+            "a sum with a spare local",
+            codelet(sum_params, sum_locals + 1, sum_body),
+            &simple,
+            sum_bufs.clone(),
+        ),
+        ("a double-word sum", sum.clone(), &simple, wide(&sum_bufs)),
+        ("a sum on a level set", sum, &levels, sum_bufs),
+    ] {
+        let lowered = lower(&c, kind, &bufs).unwrap_or_else(|| panic!("{what} lowers"));
+        assert_eq!(lowered.kernel(), None, "{what}");
+        assert_eq!(check(&c, kind, &bufs, what), Some(true), "{what}");
     }
 }

@@ -102,17 +102,20 @@ fn double_runs_are_bit_identical() {
 /// still correct, ≈1.4× slower — and fails here instead.
 ///
 /// Of the four benchmark stacks, exactly so many vertices also run an inner
-/// loop as one multiply-accumulate instruction: on four tiles, four per
-/// compute set of SpMV (all but MPIR's double-word residual, which casts its
-/// f32 values), ILU(0) substitution, Gauss-Seidel row update or dot / norm
-/// stage one. A DSL change that breaks the pattern runs those loops a trip
-/// at a time — correct, ≈1.4× slower — and fails here instead. And exactly
-/// so many run an element-wise map (`x + p·α`, a copy, a zero fill) as one
-/// map instruction, a column at a time: not the scalar maps that read what
-/// they store (`iter + 1`), select, compare or cast. And exactly so many run
-/// as one kernel instruction, per family: every f32 SpMV and SpMV residual,
-/// fig8's ILU(0) forward and backward sweeps and SGS's Gauss-Seidel row
-/// updates, four per compute set, whose loops the looped count still holds.
+/// loop as one accumulate instruction: on four tiles, four per compute set
+/// of SpMV (all but MPIR's double-word residual, which casts its f32
+/// values), ILU(0) substitution, Gauss-Seidel row update or dot / norm stage
+/// one, and one per sum of partials. A DSL change that breaks the pattern
+/// runs those loops a trip at a time — correct, ≈1.4× slower — and fails
+/// here instead. And exactly so many run an element-wise map (`x + p·α`, a
+/// copy, a zero fill) as one map instruction, a column at a time: not the
+/// scalar maps that read what they store (`iter + 1`), select, compare or
+/// cast. And exactly so many run as one kernel instruction, per family:
+/// every f32 SpMV and SpMV residual, fig8's ILU(0) forward and backward
+/// sweeps, SGS's Gauss-Seidel row updates, and every f32 reduction's dot /
+/// norm stage and sums, whose loops the looped count still holds. The looped
+/// vertices that are no kernel are fig8's four double-word dot stages of
+/// MPIR's outer loop; heat, SGS and Jacobi have none.
 #[test]
 fn every_solver_vertex_is_lowered() {
     use graphene::graphene_core::runner::{solve_or_panic, SolveOptions};
@@ -129,8 +132,15 @@ fn every_solver_vertex_is_lowered() {
     // A benchmark stack's `vertices_looped`, `vertices_mapped` and
     // `vertices_kernel`, the last per kernel family.
     type Pinned = Option<(u64, u64, &'static [(&'static str, u64)])>;
-    const FIG8_KERNELS: &[(&str, u64)] =
-        &[("backward_subst_div", 8), ("forward_subst", 8), ("spmv", 8), ("spmv_residual", 4)];
+    const FIG8_KERNELS: &[(&str, u64)] = &[
+        ("backward_subst_div", 8),
+        ("dot", 20),
+        ("dot_square", 16),
+        ("forward_subst", 8),
+        ("spmv", 8),
+        ("spmv_residual", 4),
+        ("sum", 9),
+    ];
     let mut stacks: Vec<(&str, SolverConfig, Pinned)> =
         suite.into_iter().map(|case| (case.name, case.config, None)).collect();
     stacks.extend([
@@ -146,12 +156,16 @@ fn every_solver_vertex_is_lowered() {
                 max_outer: 4,
                 rel_tol: 1e-9,
             },
-            Some((68, 31, FIG8_KERNELS)),
+            Some((77, 31, FIG8_KERNELS)),
         ),
         (
             "heat",
             SolverConfig::Cg { max_iters: 100, rel_tol: 1e-6, precond: None },
-            Some((32, 14, &[("spmv", 4), ("spmv_residual", 4)])),
+            Some((
+                38,
+                14,
+                &[("dot", 12), ("dot_square", 12), ("spmv", 4), ("spmv_residual", 4), ("sum", 6)],
+            )),
         ),
         (
             "sgs",
