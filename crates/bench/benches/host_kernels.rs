@@ -149,10 +149,10 @@ fn two_scalar_codelet() -> Codelet {
 /// The interpreter routes, per element, on one tile's worth of rows (32 is what
 /// the benchmark's `fig8_mpir` maps to a tile, 64 what `cold_oneshot` does; the
 /// two maps also at 39 and 256, a part-filled chunk of the map instruction and
-/// four whole ones): `lowered` is the form the engine builds per vertex and
-/// runs (for SpMV, its residual, the dot, the two sweeps, the Gauss-Seidel
+/// four whole ones): `lowered` is the form the compiler builds per vertex and
+/// the engine runs (for SpMV, its residual, the dot, the two sweeps, the Gauss-Seidel
 /// update and the sum a kernel instruction), and `dynamic` the tree-walking
-/// `Interp` it falls back to and is tested against. An axpy map, BiCGStab's
+/// `Interp` it is tested against. An axpy map, BiCGStab's
 /// two-scalar map, the SpMV codelet and its residual, a dot product's
 /// per-tile stage, the forward- and backward-substitution and the
 /// Gauss-Seidel `LevelSet` vertices go through them at codelet level, and

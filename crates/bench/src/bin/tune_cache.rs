@@ -171,7 +171,6 @@ fn main() {
         ("strategy", Json::from(strategy.as_str())),
         ("rows_per_tile", Json::from(p1.counter("rows_per_tile"))),
         ("tiles", Json::from(p1.counter("tiles"))),
-        ("sell_c", Json::from(p1.counter("sell_c"))),
         ("search_micros_cold", Json::from(p1.counter("search_micros"))),
         ("search_micros_hit", Json::from(p2.counter("search_micros"))),
         ("untuned_device_cycles", Json::from(untuned.stats.device_cycles())),

@@ -24,8 +24,8 @@ use sparse::formats::CsrMatrix;
 use sparse::gen::Grid3;
 use sparse::partition::Partition;
 use tune::{
-    candidate_space, pick_sell_c, solver_key, tune_with_cache, Candidate, PlanCache, Score,
-    Strategy, TuneKey, TunedPlan, DEFAULT_CACHE_DIR, SELL_C_LADDER,
+    candidate_space, solver_key, tune_with_cache, Candidate, PlanCache, Score, Strategy, TuneKey,
+    TunedPlan, DEFAULT_CACHE_DIR,
 };
 
 use crate::config::SolverConfig;
@@ -62,7 +62,6 @@ impl TuneDecision {
         s.count("rows_per_tile", self.plan.rows_per_tile as u64);
         s.count("tiles", self.tiles as u64);
         s.count(&format!("strategy.{}", self.plan.strategy.name()), 1);
-        s.count("sell_c", self.plan.sell_c as u64);
         s.count("search_micros", self.search_micros);
         s
     }
@@ -143,7 +142,6 @@ pub fn tune(
     let key = TuneKey::new(fp.digest, solver_key(&key_refs));
     let cache = PlanCache::at(opts.tune_cache.clone().unwrap_or_else(|| DEFAULT_CACHE_DIR.into()));
 
-    let (sell_c, _bytes) = pick_sell_c(a, SELL_C_LADDER);
     let score = |cand: &Candidate| -> Result<Score, String> {
         let tiles = opts.pick_tiles(a.nrows, cand.rows_per_tile);
         let part = build_partition(a, grid, cand.strategy, tiles)?;
@@ -152,7 +150,7 @@ pub fn tune(
         Ok(Score { device_cycles, imbalance_milli })
     };
 
-    let outcome = tune_with_cache(&cache, &key, &candidates, default_idx, sell_c, score)
+    let outcome = tune_with_cache(&cache, &key, &candidates, default_idx, score)
         .map_err(SolveError::Config)?;
 
     // Materialise the winner (identical whether it was just scored or

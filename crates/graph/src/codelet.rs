@@ -8,8 +8,8 @@
 //! [`Interp`] walks the IR as built, discovering dtypes and charges node by
 //! node; [`Lowered`] is the same codelet typed and costed once for the
 //! storage dtypes of one vertex's operands and flattened into a register
-//! program — what the engine runs, with `Interp` as its fallback and its
-//! oracle.
+//! program — what the engine runs, with `Interp` as its oracle. A codelet
+//! that cannot be lowered is a compile error, not a slower route.
 //!
 //! Codelets access data exclusively through their declared **parameters**
 //! (tensor slices handed to the vertex), mirroring the tile-local

@@ -366,7 +366,7 @@ pub(super) const MAP_PARAMS: usize = 8;
 /// the same operator per element and the same bounds checks. Constants,
 /// locals and `q[c]` are bound once, at entry (no trip changes them). It
 /// leaves `I[local]` as the last trip leaves it and charges `trip` per trip.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(super) struct Map {
     pub(super) dt: DType,
     /// What [`Src::Splat`] reads.

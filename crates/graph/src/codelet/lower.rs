@@ -7,7 +7,7 @@ use super::machine::Regs;
 use ipu_sim::cost::{CostModel, DType, Op};
 
 // ---------------------------------------------------------------------------
-// The lowered form: a codelet typed and costed once, at engine build.
+// The lowered form: a codelet typed and costed once, at graph compile.
 //
 // A codelet is dynamically typed only while it is being *built*. Bound to a
 // vertex its operands have fixed storage dtypes, so every expression node's
@@ -22,8 +22,9 @@ use ipu_sim::cost::{CostModel, DType, Op};
 // solvers' templates — the SpMV, its residual, the two triangular sweeps,
 // the Gauss-Seidel row update — runs as one native loop ([`Kernel`]), with
 // no program at all. What is left to run time is data: values, trip counts,
-// the `ParFor` makespan and the level-set schedule. `Interp` stays as the fallback for what cannot be typed, and as
-// the oracle the lowered form is tested against.
+// the `ParFor` makespan and the level-set schedule. A body that cannot be
+// typed is a compile error (`Graph::compile`), so the engine runs every
+// vertex on its lowered form; `Interp` is the oracle it is tested against.
 // ---------------------------------------------------------------------------
 
 /// What a fragment of codelet IR costs every time it executes — and, summed
@@ -370,7 +371,7 @@ impl Lowerer<'_> {
 /// A codelet lowered for one binding: operand storage dtypes and vertex
 /// kind fixed, every node typed and costed, then flattened into a linear
 /// register program. The typed tree does not outlive [`Lowered::lower`].
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Lowered {
     pub(super) code: Vec<Ins>,
     /// What each `Charge` instruction adds: one per basic block.
@@ -399,8 +400,8 @@ pub struct Lowered {
 impl Lowered {
     /// Lower `codelet` for operands of the given storage dtypes, for a
     /// `LevelSet` vertex or a `Simple` one. `None` — never a panic — when
-    /// the body cannot be typed (see `Lowerer::expr`); such a vertex
-    /// keeps the dynamic [`Interp`].
+    /// the body cannot be typed (see `Lowerer::expr`), which
+    /// `Graph::compile` reports as a `CompileError::Codelet`.
     pub fn lower(
         codelet: &Codelet,
         storage: &[DType],

@@ -458,8 +458,8 @@ fn conversions_round_correctly() {
 }
 
 /// An instruction names a parameter in a `u16`: a codelet with more
-/// parameters than that counts does not lower — `None`, not a panic —
-/// and runs on `Interp`; one parameter fewer lowers.
+/// parameters than that counts does not lower — `None`, not a panic, and
+/// so a compile error — though `Interp` runs it; one parameter fewer lowers.
 #[test]
 fn a_codelet_with_65536_parameters_runs_on_interp() {
     let wide = |n: usize| Codelet {

@@ -23,19 +23,17 @@
 //! # One path
 //!
 //! The simulated *device* semantics are fixed, and so is how the *host*
-//! runs each vertex. Dispatch is decided per vertex at engine build, in two
-//! tiers: the codelet's lowered form ([`Lowered`]) — for the solvers' SpMV,
-//! its residual and the two triangular sweeps one kernel instruction, else
-//! the body typed and costed for the vertex's operand storage dtypes and
-//! flattened into a register program — or, for a body that cannot be
-//! typed, the dynamic [`Interp`], the oracle the lowered form is tested
-//! against.
+//! runs each vertex: on its codelet's lowered form ([`Lowered`]), built by
+//! `Graph::compile`'s `native-kernel-selection` pass — for the solvers'
+//! templates one kernel instruction, else the body typed and costed for the
+//! vertex's operand storage dtypes and flattened into a register program.
+//! A codelet that cannot be typed is a compile error, so it never gets here.
 //!
 //! Every compute set runs its vertices in program order on the caller's
 //! thread; tile and worker concurrency is a device property, modelled in
 //! cycles (per-tile counts merged in tile-id order), not a host schedule.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use ipu_sim::clock::CycleStats;
 use ipu_sim::cost::DType;
@@ -43,12 +41,13 @@ use ipu_sim::exchange::ExchangeProgram;
 use ipu_sim::fault::{Fault, FaultEvent, FaultKind, FaultPlan};
 use ipu_sim::model::TileId;
 use profile::perf::{PerfRecorder, PerfReport};
-use profile::{CompileReport, PassStat, TraceRecorder};
+use profile::{CompileReport, TraceRecorder};
 use twofloat::{SoftDouble, TwoF32, TwoFloat};
 
-use crate::codelet::{Charge, Codelet, Interp, Lowered, ParamData, Regs};
-use crate::compute::{TensorSlice, Vertex, VertexKind};
+use crate::codelet::{Charge, Codelet, Lowered, ParamData, Regs};
+use crate::compute::{TensorSlice, Vertex};
 use crate::graph::{Executable, Graph};
+use crate::passes::LoweredTable;
 use crate::plan::{CopyStep, ExchangePhase, ExecPlan, ExecuteStep, PlanStep, StepId};
 use crate::program::ElemCopy;
 use crate::tensor::TensorId;
@@ -210,34 +209,14 @@ pub struct Engine {
     /// with `stats`. Purely observational: it never reads or advances the
     /// clock, so device cycle totals are identical with or without it.
     perf: Option<PerfRecorder>,
-    /// Every vertex's codelet lowered for its operand storage dtypes,
-    /// stamped into the compile report as the `"native-kernel-selection"`
-    /// pass.
+    /// Every vertex's codelet lowered for its operand storage dtypes.
     lowered: LoweredTable,
 }
 
 impl Engine {
     /// Build an engine: every vertex on its codelet's lowered form.
     pub fn new(exec: Executable) -> Self {
-        let Executable { graph, plan, mut report } = exec;
-        let lowered = LoweredTable::build(&graph);
-        let mut stat = PassStat::new("native-kernel-selection", report.plan_steps);
-        stat.count("codelets_total", graph.codelets.len() as u64);
-        // Totals, not a row per codelet: a vertex that is not lowered runs
-        // on the dynamic interpreter, correct but slower; one whose inner
-        // loops are not recognised runs them a trip at a time, and one whose
-        // maps are not recognised runs them a trip at a time.
-        let Coverage { vertices, lowered: vertices_lowered, looped, mapped, kernels: families } =
-            lowered.coverage();
-        stat.count("vertices_total", vertices);
-        stat.count("vertices_lowered", vertices_lowered);
-        stat.count("vertices_looped", looped);
-        stat.count("vertices_mapped", mapped);
-        stat.count("vertices_kernel", families.values().sum());
-        for (name, n) in families {
-            stat.count(&format!("kernel.{name}"), n);
-        }
-        report.passes.push(stat);
+        let Executable { graph, plan, lowered, report } = exec;
         let storage = graph.tensors.iter().map(|t| Storage::zeros(t.dtype, t.len())).collect();
         let stats = CycleStats::new(graph.model.num_tiles());
         Engine {
@@ -871,93 +850,6 @@ impl TensorBases {
     }
 }
 
-/// Every vertex's codelet lowered at engine build, memoised per (codelet,
-/// operand storage dtypes, vertex kind): a graph has a few dozen distinct
-/// bindings and thousands of vertices, so each vertex holds an index.
-struct LoweredTable {
-    /// One entry per distinct binding; `None` for one that cannot be typed
-    /// (remembered too, so it is tried once).
-    forms: Vec<Option<Lowered>>,
-    /// Per compute set, per vertex: its form's index.
-    of_vertex: Vec<Vec<u32>>,
-}
-
-impl LoweredTable {
-    fn build(graph: &Graph) -> LoweredTable {
-        let mut forms: Vec<Option<Lowered>> = Vec::new();
-        // What each form was lowered for, and each codelet's forms: the
-        // memo keys, needed only here.
-        let mut bindings: Vec<(bool, Vec<DType>)> = Vec::new();
-        let mut of_codelet: Vec<Vec<u32>> = vec![Vec::new(); graph.codelets.len()];
-        let mut form_of = |v: &Vertex| -> u32 {
-            let level_set = matches!(v.kind, VertexKind::LevelSet { .. });
-            // Compared in place: a hit allocates nothing.
-            let storage = || v.operands.iter().map(|op| graph.tensors[op.tensor].dtype);
-            let known = of_codelet[v.codelet].iter().copied().find(|&f| {
-                let (for_level_set, for_storage) = &bindings[f as usize];
-                *for_level_set == level_set && for_storage.iter().copied().eq(storage())
-            });
-            known.unwrap_or_else(|| {
-                let storage: Vec<DType> = storage().collect();
-                let f = u32::try_from(forms.len()).expect("fewer than 2^32 distinct bindings");
-                forms.push(Lowered::lower(
-                    &graph.codelets[v.codelet],
-                    &storage,
-                    level_set,
-                    &graph.cost,
-                ));
-                bindings.push((level_set, storage));
-                of_codelet[v.codelet].push(f);
-                f
-            })
-        };
-        let of_vertex = graph
-            .compute_sets
-            .iter()
-            .map(|cs| cs.vertices.iter().map(&mut form_of).collect())
-            .collect();
-        LoweredTable { forms, of_vertex }
-    }
-
-    /// The lowered form of vertex `vertex` of compute set `cs`, if its
-    /// binding could be typed.
-    fn get(&self, cs: usize, vertex: usize) -> Option<&Lowered> {
-        self.forms[self.of_vertex[cs][vertex] as usize].as_ref()
-    }
-
-    fn coverage(&self) -> Coverage {
-        let mut c = Coverage::default();
-        for &f in self.of_vertex.iter().flatten() {
-            let form = self.forms[f as usize].as_ref();
-            c.vertices += 1;
-            c.lowered += form.is_some() as u64;
-            c.looped += form.is_some_and(|l| l.loops() > 0) as u64;
-            c.mapped += form.is_some_and(|l| l.maps() > 0) as u64;
-            if let Some(k) = form.and_then(Lowered::kernel) {
-                *c.kernels.entry(k.name()).or_default() += 1;
-            }
-        }
-        c
-    }
-}
-
-/// How many vertices the lowered forms cover, and how far.
-#[derive(Default)]
-struct Coverage {
-    vertices: u64,
-    /// With a lowered form.
-    lowered: u64,
-    /// Whose lowered form runs at least one loop as one accumulate
-    /// instruction, a kernel's loop included.
-    looped: u64,
-    /// Whose lowered form runs at least one element-wise map as one
-    /// instruction.
-    mapped: u64,
-    /// Whose lowered form runs the whole vertex as one kernel instruction,
-    /// per kernel family, by name.
-    kernels: BTreeMap<&'static str, u64>,
-}
-
 /// Hand out one slice per operand: `&mut` for mutable parameters, shared
 /// for immutable ones. The slices claim the engine's lifetime `'a`; they
 /// are alive only while one vertex runs (see `TensorBases`).
@@ -1016,10 +908,9 @@ fn params_from_bases<'a, 'b>(
 /// Cycles are time (worker-parallel constructs shrink them); flops/bytes
 /// are work (parallelism leaves them unchanged).
 ///
-/// Two tiers, decided at engine build: the codelet's lowered form (a kernel
-/// instruction or a register program); else — a body lowering could not
-/// type — the dynamic interpreter. Free of engine state: a vertex's result
-/// depends only on the graph, the storage it reads and its own operands.
+/// On the vertex's lowered form: a kernel instruction or a register program.
+/// Free of engine state: a vertex's result depends only on the graph, the
+/// storage it reads and its own operands.
 ///
 /// `params` (empty between vertices) and `regs` are buffers reused from
 /// vertex to vertex for a whole run, so replay does not allocate per
@@ -1028,22 +919,13 @@ fn run_vertex<'a>(
     graph: &'a Graph,
     bases: &TensorBases,
     v: &'a Vertex,
-    lowered: Option<&Lowered>,
+    lowered: &Lowered,
     params: &mut Vec<ParamData<'a>>,
     regs: &mut Regs,
 ) -> Charge {
-    let codelet = &graph.codelets[v.codelet];
-    let cost = &graph.cost;
     let workers = graph.model.workers_per_tile as u64;
-    params.extend(params_from_bases(bases, codelet, &v.operands));
-    let run = match lowered {
-        Some(l) => l.run_vertex(&v.kind, params, regs, cost, workers),
-        None => {
-            let mut interp = Interp::new(cost, params, codelet.num_locals, workers);
-            let cycles = interp.run_vertex(&v.kind, &codelet.body);
-            Charge { cycles, flops: interp.flops, mem_bytes: interp.mem_bytes }
-        }
-    };
+    params.extend(params_from_bases(bases, &graph.codelets[v.codelet], &v.operands));
+    let run = lowered.run_vertex(&v.kind, params, regs, &graph.cost, workers);
     params.clear();
     run
 }
@@ -1133,7 +1015,7 @@ fn apply_copy(storage: &mut [Storage], c: &ElemCopy) {
 mod tests {
     use super::*;
     use crate::codelet::{BinOp, Codelet, Expr, ParamDecl, Stmt, Value};
-    use crate::compute::{ComputeSet, Vertex};
+    use crate::compute::{ComputeSet, Vertex, VertexKind};
     use crate::program::{ExchangeStep, Prog};
     use crate::tensor::TensorDef;
     use ipu_sim::clock::Phase;
@@ -1813,11 +1695,10 @@ mod tests {
         // only a kernel family that runs gets a `kernel.*` counter.
         assert_eq!(sel.counter("codelets_total"), 1);
         assert_eq!(sel.counter("vertices_total"), 2);
-        assert_eq!(sel.counter("vertices_lowered"), 2);
         assert_eq!(sel.counter("vertices_looped"), 0);
         assert_eq!(sel.counter("vertices_mapped"), 2);
         assert_eq!(sel.counter("vertices_kernel"), 0);
-        assert_eq!(sel.counters.len(), 6, "{:?}", sel.counters);
+        assert_eq!(sel.counters.len(), 5, "{:?}", sel.counters);
     }
 
     #[test]

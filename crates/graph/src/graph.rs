@@ -10,7 +10,7 @@
 
 use crate::codelet::{Codelet, CodeletId};
 use crate::compute::{ComputeSet, ComputeSetId, VertexKind};
-use crate::passes;
+use crate::passes::{self, LoweredTable};
 use crate::plan::ExecPlan;
 use crate::program::{ExchangeStep, Prog};
 use crate::tensor::{TensorDef, TensorId};
@@ -301,26 +301,31 @@ impl Graph {
     /// executable.
     ///
     /// This is the graph *compiler*: validation, lowering of the `Prog`
-    /// tree into the flat [`ExecPlan`] arena, and the planning passes
+    /// tree into the flat [`ExecPlan`] arena, the planning passes
     /// (`crate::passes`) that precompute every broadcast, exchange
-    /// program, sync decision and tile grouping the engine will replay.
+    /// program, sync decision and tile grouping the engine will replay,
+    /// and the lowering of every vertex's codelet for its operand storage
+    /// — a codelet that cannot be typed is a [`CompileError::Codelet`].
     /// The per-pass statistics are stamped on the executable as a
     /// [`CompileReport`].
     pub fn compile(self, program: Prog) -> Result<Executable, CompileError> {
         self.validate_prog(&program)?;
-        let (plan, report) = passes::compile_plan(&self, &program);
-        Ok(Executable { graph: self, plan, report })
+        let (plan, lowered, report) = passes::compile_plan(&self, &program)?;
+        Ok(Executable { graph: self, plan, lowered, report })
     }
 }
 
 /// A compiled (graph, program) pair ready for the engine: the graph, the
-/// validated program lowered to an [`ExecPlan`], and the
-/// [`CompileReport`] describing what the pass pipeline did.
+/// validated program lowered to an [`ExecPlan`], every vertex's codelet
+/// lowered for its operands, and the [`CompileReport`] describing what the
+/// pass pipeline did.
 #[derive(Clone, Debug)]
 pub struct Executable {
     pub graph: Graph,
     /// The lowered, planned program the engine executes.
     pub plan: ExecPlan,
+    /// The form the engine runs each vertex on.
+    pub lowered: LoweredTable,
     /// Per-pass compile statistics.
     pub report: CompileReport,
 }

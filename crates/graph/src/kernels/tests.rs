@@ -1,7 +1,7 @@
 //! Whole vertices as the engine runs them — a kernel instruction where the
 //! codelet is one of the solvers' templates bound to the storage it
-//! declares, else the lowered register program, else `Interp` — against
-//! `Interp` itself, on adversarial operand layouts. The contract under test
+//! declares, else the lowered register program — against `Interp`, on
+//! adversarial operand layouts. The contract under test
 //! is *exact* equality: output bits, cycles, flops and SRAM bytes.
 
 use crate::codelet::{
@@ -78,21 +78,17 @@ fn interp(c: &Codelet, kind: &VertexKind, bufs: &mut [Buf], cost: &CostModel) ->
     Charge { cycles, flops: interp.flops, mem_bytes: interp.mem_bytes }
 }
 
-/// One vertex as `run_vertex` runs it: its lowered form if it has one, else
-/// `Interp`. Also names the kernel instruction that ran, if one did.
+/// One vertex as `run_vertex` runs it: on its lowered form. Also names the
+/// kernel instruction that ran, if one did.
 fn engine_route(
     c: &Codelet,
     kind: &VertexKind,
     bufs: &mut [Buf],
     cost: &CostModel,
 ) -> (Charge, Option<&'static str>) {
-    match lower(c, kind, bufs) {
-        Some(l) => {
-            let run = l.run_vertex(kind, &mut params(c, bufs), &mut Regs::default(), cost, WORKERS);
-            (run, l.kernel().map(Kernel::name))
-        }
-        None => (interp(c, kind, bufs, cost), None),
-    }
+    let l = lower(c, kind, bufs).unwrap_or_else(|| panic!("{} does not lower", c.name));
+    let run = l.run_vertex(kind, &mut params(c, bufs), &mut Regs::default(), cost, WORKERS);
+    (run, l.kernel().map(Kernel::name))
 }
 
 /// Run one vertex on the engine's route and on `Interp`, each on its own
@@ -337,14 +333,13 @@ fn map_bool_arithmetic_matches_interpreter() {
 fn map_with_a_non_integer_index_is_not_fused() {
     // `x[1.0]`: the dynamic interpreter truncates any index to an integer,
     // the lowering types only I32 indices, so this codelet is neither a
-    // kernel nor lowered: it stays on `Interp`.
+    // kernel nor lowered: `Graph::compile` refuses it. `x[1]` lowers.
     let bufs = [Buf::F32(vec![0.0; 3]), Buf::F32(vec![1.0, 2.0, 3.0])];
     let copy = |at| map_codelet(vec![mutp(DType::F32), rop(DType::F32)], Expr::index(1, at));
     let c = copy(Expr::Const(Value::F32(1.0)));
     assert!(lower(&c, &VertexKind::Simple, &bufs).is_none());
-    assert_eq!(check(&c, &VertexKind::Simple, &bufs), None);
     let c = copy(Expr::Const(Value::I32(1)));
-    assert!(lower(&c, &VertexKind::Simple, &bufs).is_some());
+    assert_eq!(check(&c, &VertexKind::Simple, &bufs), None);
 }
 
 /// `out[0] = sum_i x[i] * y[i]` with an explicit accumulator dtype.

@@ -19,18 +19,26 @@
 //! 3. **`exchange-planning`** — resolves each `Exchange` step's
 //!    `BlockCopy`s, fabric cycles and sync decision, and each `Copy`
 //!    step's per-tile memcpy cycles.
+//! 4. **`native-kernel-selection`** — types, costs and flattens every
+//!    vertex's codelet for its operand storage dtypes ([`LoweredTable`]):
+//!    a kernel instruction where the codelet is one of the solvers'
+//!    templates, else a register program. A codelet that cannot be typed
+//!    is a [`CompileError::Codelet`], so it never reaches the engine, which
+//!    runs every vertex on its lowered form.
 //!
 //! Every pass emits a [`PassStat`] (steps before/after + counters) into
 //! the [`CompileReport`] stamped on the `Executable`.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
+use ipu_sim::cost::DType;
 use ipu_sim::exchange::{BlockCopy, ExchangeProgram, RegionKey};
 use ipu_sim::model::{IpuModel, TileId};
 use profile::{CompileReport, PassStat};
 
-use crate::compute::ComputeSetId;
-use crate::graph::Graph;
+use crate::codelet::Lowered;
+use crate::compute::{ComputeSetId, Vertex, VertexKind};
+use crate::graph::{CompileError, Graph};
 use crate::plan::{CopyStep, ExchangePhase, ExecPlan, ExecuteStep, PlanStep, StepId};
 use crate::program::{ElemCopy, Prog};
 use crate::tensor::TensorId;
@@ -291,26 +299,125 @@ fn pass_exchange_planning(graph: &Graph, plan: &mut ExecPlan) -> PassStat {
     stat
 }
 
+/// Lower every vertex's codelet ([`LoweredTable`]) and count what runs the
+/// vertices.
+fn pass_native_kernel_selection(
+    graph: &Graph,
+    plan: &ExecPlan,
+) -> Result<(LoweredTable, PassStat), CompileError> {
+    let table = LoweredTable::build(graph)?;
+    // Totals, not a row per codelet: a vertex whose inner loops are not
+    // recognised runs them a trip at a time, and one whose maps are not
+    // recognised runs them a trip at a time.
+    let (mut vertices, mut looped, mut mapped) = (0, 0, 0);
+    let mut kernels: BTreeMap<&str, u64> = BTreeMap::new();
+    for &f in table.of_vertex.iter().flatten() {
+        let form = &table.forms[f as usize];
+        vertices += 1;
+        looped += (form.loops() > 0) as u64;
+        mapped += (form.maps() > 0) as u64;
+        if let Some(k) = form.kernel() {
+            *kernels.entry(k.name()).or_default() += 1;
+        }
+    }
+    let mut stat = PassStat::new("native-kernel-selection", plan.num_dispatch_steps());
+    stat.count("codelets_total", graph.codelets.len() as u64);
+    stat.count("vertices_total", vertices);
+    stat.count("vertices_looped", looped);
+    stat.count("vertices_mapped", mapped);
+    stat.count("vertices_kernel", kernels.values().sum());
+    for (name, n) in kernels {
+        stat.count(&format!("kernel.{name}"), n);
+    }
+    Ok((table, stat))
+}
+
+/// Every vertex's codelet lowered for its binding, memoised per (codelet,
+/// operand storage dtypes, vertex kind): a graph has a few dozen distinct
+/// bindings and thousands of vertices, so each vertex holds an index.
+#[derive(Clone, Debug)]
+pub struct LoweredTable {
+    /// One entry per distinct binding.
+    forms: Vec<Lowered>,
+    /// Per compute set, per vertex: its form's index.
+    of_vertex: Vec<Vec<u32>>,
+}
+
+impl LoweredTable {
+    /// Lower each distinct binding once. One that lowering declines is a
+    /// [`CompileError::Codelet`] naming the codelet, its operand storage
+    /// dtypes and the vertex kind.
+    fn build(graph: &Graph) -> Result<LoweredTable, CompileError> {
+        let mut forms: Vec<Lowered> = Vec::new();
+        // What each form was lowered for, and each codelet's forms: the
+        // memo keys, needed only here.
+        let mut bindings: Vec<(bool, Vec<DType>)> = Vec::new();
+        let mut of_codelet: Vec<Vec<u32>> = vec![Vec::new(); graph.codelets.len()];
+        let mut form_of = |v: &Vertex| -> Result<u32, CompileError> {
+            let level_set = matches!(v.kind, VertexKind::LevelSet { .. });
+            // Compared in place: a hit allocates nothing.
+            let storage = || v.operands.iter().map(|op| graph.tensors[op.tensor].dtype);
+            let known = of_codelet[v.codelet].iter().copied().find(|&f| {
+                let (for_level_set, for_storage) = &bindings[f as usize];
+                *for_level_set == level_set && for_storage.iter().copied().eq(storage())
+            });
+            if let Some(f) = known {
+                return Ok(f);
+            }
+            let storage: Vec<DType> = storage().collect();
+            let codelet = &graph.codelets[v.codelet];
+            let Some(form) = Lowered::lower(codelet, &storage, level_set, &graph.cost) else {
+                let (name, kind) = (&codelet.name, if level_set { "level-set" } else { "simple" });
+                return Err(CompileError::Codelet(format!(
+                    "codelet '{name}' cannot be typed for operand storage {storage:?} on a {kind} \
+                     vertex"
+                )));
+            };
+            let f = u32::try_from(forms.len()).expect("fewer than 2^32 distinct bindings");
+            forms.push(form);
+            bindings.push((level_set, storage));
+            of_codelet[v.codelet].push(f);
+            Ok(f)
+        };
+        let of_vertex = graph
+            .compute_sets
+            .iter()
+            .map(|cs| cs.vertices.iter().map(&mut form_of).collect())
+            .collect::<Result<_, _>>()?;
+        Ok(LoweredTable { forms, of_vertex })
+    }
+
+    /// The lowered form of vertex `vertex` of compute set `cs`.
+    pub(crate) fn get(&self, cs: usize, vertex: usize) -> &Lowered {
+        &self.forms[self.of_vertex[cs][vertex] as usize]
+    }
+}
+
 // ----------------------------------------------------------------------
 // Pass manager
 // ----------------------------------------------------------------------
 
-/// Lower `prog` and run the pass pipeline, returning the executable plan
-/// and the per-pass compile report.
-pub fn compile_plan(graph: &Graph, prog: &Prog) -> (ExecPlan, CompileReport) {
+/// Lower `prog` and run the pass pipeline, returning the executable plan,
+/// every vertex's lowered form and the per-pass compile report.
+pub fn compile_plan(
+    graph: &Graph,
+    prog: &Prog,
+) -> Result<(ExecPlan, LoweredTable, CompileReport), CompileError> {
     let mut plan = ExecPlan::default();
     plan.root = lower(graph, prog, &mut plan);
     plan.callback_ids.sort_unstable();
 
-    let passes =
+    let mut passes =
         vec![pass_broadcast_planning(graph, &mut plan), pass_exchange_planning(graph, &mut plan)];
+    let (lowered, selection) = pass_native_kernel_selection(graph, &plan)?;
+    passes.push(selection);
     let report = CompileReport {
         source_steps: prog.num_steps(),
         plan_steps: plan.num_dispatch_steps(),
         passes,
     };
     debug_assert_eq!(report.plan_steps, report.source_steps, "no pass adds or removes a step");
-    (plan, report)
+    Ok((plan, lowered, report))
 }
 
 #[cfg(test)]
@@ -328,7 +435,7 @@ mod tests {
         // collected so run-entry registration checks cover it.
         let g = graph2();
         let prog = Prog::Seq(vec![Prog::Callback(7), Prog::Repeat(0, Box::new(Prog::Callback(3)))]);
-        let (plan, _) = compile_plan(&g, &prog);
+        let (plan, _, _) = compile_plan(&g, &prog).unwrap();
         assert_eq!(plan.callback_ids, vec![3, 7]);
     }
 }

@@ -5,8 +5,8 @@
 //! `Interp` discovers both per node per run. The contract: where lowering
 //! returns `Some`, one vertex leaves the same storage bits, the same locals
 //! and the same cycles / flops / SRAM bytes behind on both routes (or
-//! panics on both); where the body cannot be typed it returns `None` — at
-//! build, without a panic — and the engine runs the vertex on `Interp`.
+//! panics on both); where the body cannot be typed it returns `None`,
+//! without a panic, and `Graph::compile` returns `CompileError::Codelet`.
 //!
 //! The lowered form's locals are registers, read back through
 //! `Lowered::local`, which knows a local's dtype at the end wherever every
@@ -21,8 +21,7 @@ use graph::codelet::{
 use graph::compute::{ComputeSet, TensorSlice, Vertex, VertexKind};
 use graph::program::Prog;
 use graph::tensor::TensorDef;
-use graph::{Engine, Graph};
-use ipu_sim::clock::Phase;
+use graph::{CompileError, Executable, Graph};
 use ipu_sim::cost::{CostModel, DType, Op};
 use ipu_sim::model::IpuModel;
 use proptest::TestRng;
@@ -1221,8 +1220,28 @@ fn bool_arithmetic_yields_i32() {
     assert_eq!(got.locals, vec![Some((DType::I32, 2))]);
 }
 
+/// `c` on one `Simple` vertex of a one-tile graph whose operands are
+/// tensors with the storage of `bufs`, compiled.
+fn compile_one(c: Codelet, bufs: &[Buf]) -> Result<Executable, CompileError> {
+    let mut g = Graph::new(IpuModel::tiny(1));
+    let operands = bufs
+        .iter()
+        .enumerate()
+        .map(|(k, b)| {
+            let len = b.bits().len();
+            let t = g.add_tensor(TensorDef::on_tile(format!("p{k}"), b.dtype(), len, 0)).unwrap();
+            TensorSlice::whole(t, len)
+        })
+        .collect();
+    let codelet = g.add_codelet(c).unwrap();
+    let mut cs = ComputeSet::new("one");
+    cs.add(Vertex { tile: 0, codelet, operands, kind: VertexKind::Simple });
+    let cs = g.add_compute_set(cs).unwrap();
+    g.compile(Prog::Execute(cs))
+}
+
 /// What lowering declines: what it cannot type, and what `Interp` panics on
-/// whenever it gets there.
+/// whenever it gets there. Each is a compile error naming the codelet.
 #[test]
 fn untypable_bodies_are_none_not_a_panic() {
     let set = |e| vec![Stmt::SetLocal(0, e)];
@@ -1271,54 +1290,51 @@ fn untypable_bodies_are_none_not_a_panic() {
     ];
     let bufs = vec![Buf::F32(vec![0.0; 2]), Buf::Bool(vec![true])];
     for (what, body) in table {
-        let c = codelet(vec![rw(DType::F32), ro(DType::Bool)], 2, body);
+        let c = Codelet {
+            name: what.into(),
+            ..codelet(vec![rw(DType::F32), ro(DType::Bool)], 2, body)
+        };
         c.validate().unwrap();
         assert!(lower(&c, &VertexKind::Simple, &bufs).is_none(), "{what} must not lower");
+        let err = compile_one(c, &bufs).unwrap_err();
+        assert!(
+            matches!(&err, CompileError::Codelet(m) if m.contains(&format!("'{what}'"))),
+            "{what}: {err}"
+        );
     }
 }
 
-/// The engine builds with a vertex it cannot lower, says so, and runs it on
-/// the dynamic interpreter: here `sqrt` of an I32, which has no cost row,
-/// behind a condition that is never true.
+/// A vertex lowering cannot type is a compile error that names its codelet,
+/// the storage it was bound to and its kind, even where `Interp` would run
+/// it: here `sqrt` of an I32, which has no cost row, behind a condition
+/// that is never true.
 #[test]
-fn an_unlowered_vertex_builds_runs_and_matches_the_interpreter() {
-    let c = codelet(
-        vec![rw(DType::F32)],
-        0,
-        vec![
-            Stmt::If {
-                cond: Expr::c(Value::Bool(false)),
-                then: vec![Stmt::Store {
-                    param: 0,
-                    index: i(0),
-                    value: Expr::un(UnOp::Sqrt, i(4)),
-                }],
-                otherwise: vec![],
-            },
-            Stmt::Store { param: 0, index: i(1), value: f(3.0) },
-        ],
-    );
+fn an_untypable_vertex_is_a_compile_error() {
+    let c = Codelet {
+        name: "sqrt_i32".into(),
+        ..codelet(
+            vec![rw(DType::F32)],
+            0,
+            vec![
+                Stmt::If {
+                    cond: Expr::c(Value::Bool(false)),
+                    then: vec![Stmt::Store {
+                        param: 0,
+                        index: i(0),
+                        value: Expr::un(UnOp::Sqrt, i(4)),
+                    }],
+                    otherwise: vec![],
+                },
+                Stmt::Store { param: 0, index: i(1), value: f(3.0) },
+            ],
+        )
+    };
     let bufs = vec![Buf::F32(vec![0.0; 2])];
     assert!(lower(&c, &VertexKind::Simple, &bufs).is_none());
-    let want = interp_outcome(&c, &VertexKind::Simple, &bufs).expect("the sqrt never runs");
-
-    let mut g = Graph::new(IpuModel::tiny(1));
-    let x = g.add_tensor(TensorDef::on_tile("x", DType::F32, 2, 0)).unwrap();
-    let codelet = g.add_codelet(c).unwrap();
-    let mut cs = ComputeSet::new("unlowered");
-    cs.add(Vertex {
-        tile: 0,
-        codelet,
-        operands: vec![TensorSlice::whole(x, 2)],
-        kind: VertexKind::Simple,
-    });
-    let cs = g.add_compute_set(cs).unwrap();
-    let mut e = Engine::new(g.compile(Prog::Execute(cs)).unwrap());
-    let sel = e.compile_report().pass("native-kernel-selection").unwrap();
-    assert_eq!((sel.counter("vertices_total"), sel.counter("vertices_lowered")), (1, 0));
-    e.run();
-    assert_eq!(e.read_tensor(x), vec![0.0, 3.0]);
-    assert_eq!(e.stats().phase_cycles(Phase::Compute), want.run.cycles);
+    assert!(interp_outcome(&c, &VertexKind::Simple, &bufs).is_some(), "the sqrt never runs");
+    let err = compile_one(c, &bufs).unwrap_err();
+    let want = "codelet 'sqrt_i32' cannot be typed for operand storage [F32] on a simple vertex";
+    assert!(matches!(&err, CompileError::Codelet(m) if m == want), "{err}");
 }
 
 // ---- flattening edge cases -------------------------------------------------

@@ -21,9 +21,6 @@
 //! * [`levelset`] — level-set scheduling (§V-A): the dependency levels of
 //!   triangular solves, used to parallelise Gauss-Seidel and ILU across the
 //!   six worker threads of a tile.
-
-//! * [`reorder`] — reverse Cuthill–McKee bandwidth reduction (improves
-//!   level-set parallelism of the triangular factors).
 //! * [`sell`] — the Sliced ELLPACK format the paper defers to future work
 //!   (§II-C), implemented so its IPU hypothesis can be tested.
 
@@ -34,7 +31,6 @@ pub mod halo;
 pub mod io;
 pub mod levelset;
 pub mod partition;
-pub mod reorder;
 pub mod sell;
 
 pub use formats::{CooMatrix, CsrMatrix, ModifiedCsr};

@@ -27,12 +27,6 @@
 //! `graphene-core`, which wires it into `runner::solve`): it owns the
 //! search space, the argmin and the cache, and scores through the closure
 //! the runner provides.
-//!
-//! A SELL-C-σ slice width rides along as an *advisory* decision
-//! ([`pick_sell_c`], scored by padded device bytes): the solve path
-//! stores the matrix in modified CSR, so the chosen width is recorded in
-//! the plan (for format-conversion consumers like the `ablations` bench)
-//! but does not change the compiled program.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -40,12 +34,10 @@ use std::time::Instant;
 use ipu_sim::COST_MODEL_REVISION;
 use json::Json;
 use sparse::fingerprint::fold_bytes;
-use sparse::formats::CsrMatrix;
-use sparse::sell::SellMatrix;
 
 /// Version of the on-disk plan schema. Bump on any incompatible change;
 /// older files then read as cache misses, never as garbage plans.
-pub const TUNE_SCHEMA_VERSION: u64 = 1;
+pub const TUNE_SCHEMA_VERSION: u64 = 2;
 
 /// Default cache directory (relative to the working directory;
 /// `GRAPHENE_TUNE_CACHE` / `SolveOptions::tune_cache` override it).
@@ -108,9 +100,6 @@ pub struct Score {
 /// tile count.
 pub const ROWS_PER_TILE_LADDER: &[usize] = &[16, 32, 64, 128, 256];
 
-/// SELL-C-σ slice widths considered by [`pick_sell_c`].
-pub const SELL_C_LADDER: &[usize] = &[2, 4, 8, 16, 32];
-
 /// Enumerate the candidate space deterministically and return it together
 /// with the index of the **default-heuristic candidate** (nnz-balanced at
 /// `default_rows_per_tile`) — always a member, so the argmin can never be
@@ -147,19 +136,6 @@ pub fn candidate_space(
         }
     }
     (out, default_idx)
-}
-
-/// Advisory SELL-C-σ slice width: the ladder entry minimising padded
-/// device bytes for this structure (ties to the smaller width).
-pub fn pick_sell_c(a: &CsrMatrix, ladder: &[usize]) -> (usize, u64) {
-    let mut best = (ladder.first().copied().unwrap_or(4), u64::MAX);
-    for &c in ladder {
-        let bytes = SellMatrix::from_csr(a, c).device_bytes() as u64;
-        if bytes < best.1 {
-            best = (c, bytes);
-        }
-    }
-    best
 }
 
 // ---------------------------------------------------------------------
@@ -210,8 +186,6 @@ pub fn solver_key(parts: &[&str]) -> u64 {
 pub struct TunedPlan {
     pub strategy: Strategy,
     pub rows_per_tile: usize,
-    /// Advisory SELL-C-σ slice width (see crate docs).
-    pub sell_c: usize,
     /// Modelled probe device cycles of the winner.
     pub modelled_cycles: u64,
     /// Modelled probe device cycles of the default-heuristic candidate —
@@ -230,7 +204,6 @@ impl TunedPlan {
             ("solver_key", Json::from(format!("{:016x}", key.solver_key).as_str())),
             ("strategy", Json::from(self.strategy.name())),
             ("rows_per_tile", Json::from(self.rows_per_tile)),
-            ("sell_c", Json::from(self.sell_c)),
             ("modelled_cycles", Json::from(self.modelled_cycles)),
             ("default_cycles", Json::from(self.default_cycles)),
             ("candidates_scored", Json::from(self.candidates_scored)),
@@ -264,7 +237,6 @@ impl TunedPlan {
                 format!("unknown strategy '{}'", s("strategy").unwrap_or_default())
             })?,
             rows_per_tile: u("rows_per_tile")?.max(1) as usize,
-            sell_c: u("sell_c")?.max(1) as usize,
             modelled_cycles: u("modelled_cycles")?,
             default_cycles: u("default_cycles")?,
             candidates_scored: u("candidates_scored")?,
@@ -356,7 +328,6 @@ pub fn tune_with_cache<F>(
     key: &TuneKey,
     candidates: &[Candidate],
     default_idx: usize,
-    sell_c: usize,
     mut score: F,
 ) -> Result<TuneOutcome, String>
 where
@@ -404,7 +375,6 @@ where
     let plan = TunedPlan {
         strategy: winner.strategy,
         rows_per_tile: winner.rows_per_tile,
-        sell_c,
         modelled_cycles: s.device_cycles,
         default_cycles: default_cycles.expect("default candidate was scored"),
         candidates_scored: scored as u64,
@@ -424,7 +394,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparse::gen::tridiagonal;
 
     fn tmp_cache(tag: &str) -> PlanCache {
         let dir = std::env::temp_dir().join(format!("graphene-tune-{tag}-{}", std::process::id()));
@@ -461,7 +430,7 @@ mod tests {
         let cache = tmp_cache("roundtrip");
         let key = TuneKey::new(0xabc, 0xdef);
         let (cands, didx) = candidate_space(32, false, false);
-        let cold = tune_with_cache(&cache, &key, &cands, didx, 8, fake_score).unwrap();
+        let cold = tune_with_cache(&cache, &key, &cands, didx, fake_score).unwrap();
         assert!(!cold.cache_hit);
         assert_eq!(cold.candidates_scored, cands.len());
         // Winner under the synthetic objective: contiguous @ 64.
@@ -469,7 +438,7 @@ mod tests {
         assert_eq!(cold.plan.rows_per_tile, 64);
         assert!(cold.plan.modelled_cycles <= cold.plan.default_cycles);
 
-        let hit = tune_with_cache(&cache, &key, &cands, didx, 8, |_| {
+        let hit = tune_with_cache(&cache, &key, &cands, didx, |_| {
             panic!("a cache hit must not score candidates")
         })
         .unwrap();
@@ -484,7 +453,7 @@ mod tests {
         let cache = tmp_cache("invalidate");
         let key = TuneKey::new(1, 2);
         let (cands, didx) = candidate_space(32, false, false);
-        let cold = tune_with_cache(&cache, &key, &cands, didx, 4, fake_score).unwrap();
+        let cold = tune_with_cache(&cache, &key, &cands, didx, fake_score).unwrap();
         assert!(!cold.cache_hit);
 
         // Different fingerprint or solver key: miss.
@@ -496,7 +465,7 @@ mod tests {
         // Torn/corrupt file: miss, then a re-tune overwrites it.
         std::fs::write(cache.path_of(&key), "{\"schema\": 1, \"trunc").unwrap();
         assert!(cache.load(&key).is_none());
-        let again = tune_with_cache(&cache, &key, &cands, didx, 4, fake_score).unwrap();
+        let again = tune_with_cache(&cache, &key, &cands, didx, fake_score).unwrap();
         assert!(!again.cache_hit);
         assert_eq!(again.plan, cold.plan);
         assert!(cache.load(&key).is_some(), "re-tune must repair the entry");
@@ -514,7 +483,6 @@ mod tests {
         let variant = |i: u64| TunedPlan {
             strategy: Strategy::Contiguous,
             rows_per_tile: 16 + (i as usize % 8) * 16,
-            sell_c: 4,
             modelled_cycles: 1000 + i,
             default_cycles: 2000,
             candidates_scored: i,
@@ -558,7 +526,7 @@ mod tests {
         let cache = tmp_cache("skip");
         let key = TuneKey::new(3, 4);
         let (cands, didx) = candidate_space(32, false, true);
-        let out = tune_with_cache(&cache, &key, &cands, didx, 4, |c| {
+        let out = tune_with_cache(&cache, &key, &cands, didx, |c| {
             if c.strategy == Strategy::Grid3dAuto {
                 Err("unfactorable".into())
             } else {
@@ -569,18 +537,6 @@ mod tests {
         assert!(out.candidates_scored < cands.len());
         assert_ne!(out.plan.strategy, Strategy::Grid3dAuto);
         let _ = std::fs::remove_dir_all(&cache.dir);
-    }
-
-    #[test]
-    fn sell_width_minimises_padded_bytes() {
-        // Uniform tridiagonal rows: small slices pad least; the ladder
-        // argmin must beat (or match) every other ladder entry.
-        let a = tridiagonal(64);
-        let (c, bytes) = pick_sell_c(&a, SELL_C_LADDER);
-        assert!(SELL_C_LADDER.contains(&c));
-        for &other in SELL_C_LADDER {
-            assert!(bytes <= SellMatrix::from_csr(&a, other).device_bytes() as u64);
-        }
     }
 
     #[test]
@@ -613,7 +569,7 @@ mod tests {
         // key reads back only under that key.
         let cache = tmp_cache("backend-keys");
         let (cands, didx) = candidate_space(32, false, false);
-        let cold = tune_with_cache(&cache, &keys[0], &cands, didx, 4, fake_score).unwrap();
+        let cold = tune_with_cache(&cache, &keys[0], &cands, didx, fake_score).unwrap();
         assert!(!cold.cache_hit);
         assert!(cache.load(&keys[0]).is_some());
         assert!(cache.load(&keys[1]).is_none(), "cpu key must miss the ipu-sim plan");

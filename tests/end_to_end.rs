@@ -174,27 +174,6 @@ fn chebyshev_preconditioner_accelerates_cg() {
 }
 
 #[test]
-fn rcm_reordered_system_solves_identically() {
-    use graphene::sparse::reorder::rcm;
-    let a0 = gen::random_spd(60, 6, 31);
-    let perm = rcm(&a0);
-    let a = Rc::new(a0.permute_symmetric(&perm));
-    let b0 = gen::random_vector(60, 2);
-    let b: Vec<f64> = perm.iter().map(|&old| b0[old]).collect();
-    let res = solve_or_panic(a, &b, &bicgstab_ilu(200, 1e-6), &opts(3));
-    assert!(res.residual < 2e-6, "residual {:.3e}", res.residual);
-    // Un-permute and check against the original system.
-    let mut x0 = vec![0.0; 60];
-    for (new, &old) in perm.iter().enumerate() {
-        x0[old] = res.x[new];
-    }
-    let ax = a0.spmv_alloc(&x0);
-    let r: f64 = ax.iter().zip(&b0).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
-    let bn: f64 = b0.iter().map(|v| v * v).sum::<f64>().sqrt();
-    assert!(r / bn < 1e-5, "unpermuted residual {}", r / bn);
-}
-
-#[test]
 fn geometric_partition_option_is_honoured() {
     use graphene::sparse::gen::Grid3;
     use graphene::sparse::partition::Partition;
