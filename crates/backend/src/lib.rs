@@ -339,6 +339,11 @@ pub trait PreparedPlan {
     /// Solve for right-hand side `b` from initial guess `x0` (zeros when
     /// `None`).
     fn execute(&mut self, b: &[f64], x0: Option<&[f64]>) -> Result<BackendRun, BackendError>;
+
+    /// Free what the plan holds between executes; the next `execute`
+    /// rebuilds it, with the same results. A no-op unless the backend holds
+    /// something (the simulated IPU holds its compiled device).
+    fn release(&mut self) {}
 }
 
 #[cfg(test)]

@@ -6,9 +6,11 @@
 //!
 //! * [`IpuSimBackend`] — the cycle-modelled IPU simulator behind the
 //!   trait. `prepare` resolves
-//!   the options and builds a [`runner::Plan`](crate::runner::Plan);
-//!   `execute` is `Plan::run`, so a trait-level run is bit-, cycle- and
-//!   report-identical to `runner::solve` with that backend pinned.
+//!   the options and builds a [`runner::Plan`](crate::runner::Plan), which
+//!   compiles and holds the device; `execute` is `Plan::run`, so a
+//!   trait-level run is bit-, cycle- and report-identical to
+//!   `runner::solve` with that backend pinned; `release` drops the device
+//!   until the next `execute` builds it again.
 //! * [`resolve`] / [`backend_for`] — the name → backend registry behind
 //!   `GRAPHENE_BACKEND` and `SolveOptions::backend`. Unknown names are
 //!   [`SolveError::Config`].
@@ -77,7 +79,8 @@ impl Backend for IpuSimBackend {
     /// here, once: the environment is resolved, the matrix, configuration
     /// and partition are validated (a non-square matrix or a malformed
     /// configuration is refused now, not by the first `execute`), the
-    /// tuner decides and the matrix is partitioned. One visible
+    /// tuner decides, the matrix is partitioned and the device is compiled
+    /// (a configuration that does not compile is refused now too). One visible
     /// consequence: under tuning the decision is taken once per plan, so
     /// every execute's report carries the prepare-time `tune.*` counters
     /// (a cache miss stays a miss however many times the plan runs).
@@ -118,6 +121,10 @@ impl PreparedPlan for IpuSimPrepared {
             timing: Timing::Cycles { stats: res.stats, seconds: res.seconds },
             report: res.report,
         })
+    }
+
+    fn release(&mut self) {
+        self.plan.release();
     }
 }
 
@@ -237,6 +244,7 @@ mod tests {
     use sparse::gen::{poisson_2d_5pt, rhs_for_ones};
 
     use super::*;
+    use crate::resilience::RecoveryPolicy;
     use crate::runner::solve;
 
     fn sim_opts() -> SolveOptions {
@@ -295,6 +303,25 @@ mod tests {
         format!("{}\n{}\n{counters:?}\n{gauges:?}", r.to_value(), perf.attribution_json())
     }
 
+    /// The fields of two successful runs that must be equal: solution and
+    /// residual bits, iterations, `CycleStats` and the comparable report.
+    fn assert_same_run(case: &str, run: &BackendRun, direct: &SolveResult, n: usize) {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&run.x), bits(&direct.x), "{case}: solution bits");
+        assert_eq!(run.residual.to_bits(), direct.residual.to_bits(), "{case}");
+        assert_eq!(run.iterations, direct.iterations, "{case}");
+        assert_eq!(run.history, direct.history, "{case}");
+        let stats = run.timing.cycle_stats().expect("ipu-sim counts cycles");
+        assert_eq!(stats.device_cycles(), direct.stats.device_cycles(), "{case}");
+        assert_eq!(stats.supersteps(), direct.stats.supersteps(), "{case}");
+        assert_eq!(stats.labels_by_phase_sorted(), direct.stats.labels_by_phase_sorted(), "{case}");
+        if n > 1 {
+            assert_eq!(comparable(&run.report), comparable(&direct.report), "{case}");
+        } else {
+            assert_eq!(run.report.to_value(), direct.report.to_value(), "{case}");
+        }
+    }
+
     #[test]
     fn ipu_sim_backend_matches_a_direct_runner_call() {
         let a = Rc::new(poisson_2d_5pt(8, 8, 1.0));
@@ -308,77 +335,145 @@ mod tests {
         let cache = std::env::temp_dir().join(format!("graphene-plan-tune-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&cache);
         let faults = ipu_sim::fault::FaultPlan::parse("seed=7;n=3;classes=flip+xflip").unwrap();
+        // A flip at superstep 10 that the ILU-preconditioned solve detects.
+        let flip = ipu_sim::fault::FaultPlan::parse("flip@s10.t0:w2.b30").unwrap();
+        let ilu = SolverConfig::BiCgStab {
+            max_iters: 60,
+            rel_tol: 1e-6,
+            precond: Some(Box::new(SolverConfig::Ilu0 {})),
+        };
+        let policy = |p: RecoveryPolicy| SolveOptions { recovery: Some(p), ..sim_opts() };
 
         // One prepare, then every (b, x0) through `execute`, against the
-        // same number of direct `runner::solve` calls.
+        // same number of direct `runner::solve` calls. `release`: the plan
+        // drops its device after every execute.
         type Runs<'a> = Vec<(&'a [f64], Option<&'a [f64]>)>;
-        let cases: Vec<(&str, Rc<CsrMatrix>, SolveOptions, Runs<'_>)> = vec![
-            ("plain", a.clone(), sim_opts(), vec![(&b, None), (&b2, Some(&ones)), (&b, None)]),
-            ("0x0", tiny(0, vec![]), sim_opts(), vec![(&[], None), (&[], None)]),
-            ("1x1", tiny(1, vec![4.0]), sim_opts(), vec![(&[8.0], None), (&[3.0], Some(&[1.0]))]),
-            (
+        struct Case<'a> {
+            name: &'a str,
+            a: Rc<CsrMatrix>,
+            cfg: SolverConfig,
+            opts: SolveOptions,
+            runs: Runs<'a>,
+            release: bool,
+        }
+        let case = |name, a: &Rc<CsrMatrix>, cfg: &SolverConfig, opts, runs| Case {
+            name,
+            a: a.clone(),
+            cfg: cfg.clone(),
+            opts,
+            runs,
+            release: false,
+        };
+        let cases = vec![
+            case("plain", &a, &cfg(), sim_opts(), vec![(&b, None), (&b2, Some(&ones)), (&b, None)]),
+            case("0x0", &tiny(0, vec![]), &cfg(), sim_opts(), vec![(&[], None), (&[], None)]),
+            case(
+                "1x1",
+                &tiny(1, vec![4.0]),
+                &cfg(),
+                sim_opts(),
+                vec![(&[8.0], None), (&[3.0], Some(&[1.0]))],
+            ),
+            case(
                 "faulted",
-                a.clone(),
+                &a,
+                &cfg(),
                 SolveOptions { faults: Some(faults), ..sim_opts() },
                 vec![(&b, None), (&b2, None)],
             ),
-            (
+            case(
+                "restart",
+                &a,
+                &ilu,
+                SolveOptions {
+                    faults: Some(flip.clone()),
+                    ..policy(RecoveryPolicy { checkpoint_every: 4, ..RecoveryPolicy::resilient() })
+                },
+                vec![(&b, None), (&b2, None), (&b, None)],
+            ),
+            case(
+                "degradation",
+                &a,
+                &ilu,
+                SolveOptions {
+                    faults: Some(flip),
+                    ..policy(RecoveryPolicy {
+                        max_degradations: 4,
+                        divergence_factor: 1e4,
+                        retry_on_tolerance_miss: true,
+                        ..RecoveryPolicy::default()
+                    })
+                },
+                vec![(&b, None), (&b2, None), (&b, None)],
+            ),
+            case(
+                "history",
+                &a,
+                &ilu,
+                SolveOptions { record_history: true, ..sim_opts() },
+                vec![(&b, None), (&b2, Some(&ones))],
+            ),
+            case(
+                "checkpoints",
+                &a,
+                &cfg(),
+                policy(RecoveryPolicy { checkpoint_every: 4, ..RecoveryPolicy::default() }),
+                vec![(&b, None), (&b2, None)],
+            ),
+            case(
                 "tuned",
-                a.clone(),
+                &a,
+                &cfg(),
                 SolveOptions { tune: Some(true), tune_cache: Some(cache.clone()), ..sim_opts() },
                 vec![(&b, None), (&b2, Some(&ones))],
             ),
-            (
+            case(
                 "expired deadline",
-                a.clone(),
+                &a,
+                &cfg(),
                 SolveOptions { deadline: Some(std::time::Duration::ZERO), ..sim_opts() },
                 vec![(&b, None)],
             ),
+            Case {
+                release: true,
+                ..case("release", &a, &ilu, sim_opts(), vec![(&b, None), (&b2, None), (&b, None)])
+            },
         ];
-        for (case, a, base, runs) in cases {
+        for Case { name: case, a, cfg, opts: base, runs, release } in cases {
             let be = IpuSimBackend::new(base.clone());
             assert!(be.capabilities().cycle_accounting);
-            let plan =
-                SolvePlan { a: Rc::clone(&a), solver: cfg().to_value(), record_history: false };
+            let plan = SolvePlan {
+                a: Rc::clone(&a),
+                solver: cfg.to_value(),
+                record_history: base.record_history,
+            };
             let mut prepared = be.prepare(&plan).unwrap_or_else(|e| panic!("{case}: {e}"));
+            let mut events = Vec::new();
             for (b, x0) in runs {
                 let pinned = SolveOptions {
                     backend: Some(BackendSpec::IpuSim),
                     x0: x0.map(<[f64]>::to_vec),
                     ..base.clone()
                 };
-                let (run, direct) =
-                    match (prepared.execute(b, x0), solve(a.clone(), b, &cfg(), &pinned)) {
-                        (Ok(run), Ok(direct)) => (run, direct),
-                        (Err(BackendError::Failed { reason, .. }), Err(e)) => {
-                            // Elapsed milliseconds aside, the same typed error.
-                            let kind = |s: &str| s.split(':').next().map(str::to_string);
-                            assert_eq!(kind(&reason), kind(&e.to_string()), "{case}");
-                            continue;
-                        }
-                        (run, direct) => {
-                            panic!(
-                                "{case}: outcomes diverged: {:?} vs {:?}",
-                                run.err(),
-                                direct.err()
-                            )
-                        }
-                    };
+                let outcomes = (prepared.execute(b, x0), solve(a.clone(), b, &cfg, &pinned));
+                if release {
+                    prepared.release();
+                }
+                let (run, direct) = match outcomes {
+                    (Ok(run), Ok(direct)) => (run, direct),
+                    (Err(BackendError::Failed { reason, .. }), Err(e)) => {
+                        // Elapsed milliseconds aside, the same typed error.
+                        let kind = |s: &str| s.split(':').next().map(str::to_string);
+                        assert_eq!(kind(&reason), kind(&e.to_string()), "{case}");
+                        continue;
+                    }
+                    (run, direct) => {
+                        panic!("{case}: outcomes diverged: {:?} vs {:?}", run.err(), direct.err())
+                    }
+                };
                 assert_ne!(case, "expired deadline", "an expired deadline must not run");
-                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-                assert_eq!(bits(&run.x), bits(&direct.x), "{case}: solution bits");
-                assert_eq!(run.residual.to_bits(), direct.residual.to_bits(), "{case}");
-                assert_eq!(run.iterations, direct.iterations, "{case}");
-                let stats = run.timing.cycle_stats().expect("ipu-sim counts cycles");
-                assert_eq!(stats.device_cycles(), direct.stats.device_cycles(), "{case}");
-                assert_eq!(stats.supersteps(), direct.stats.supersteps(), "{case}");
-                assert_eq!(
-                    stats.labels_by_phase_sorted(),
-                    direct.stats.labels_by_phase_sorted(),
-                    "{case}"
-                );
+                assert_same_run(case, &run, &direct, a.nrows);
                 if a.nrows > 1 {
-                    assert_eq!(comparable(&run.report), comparable(&direct.report), "{case}");
                     let info = run.report.backend.as_ref().expect("schema v3 stamps the backend");
                     assert_eq!(
                         (info.name.as_str(), info.timing.as_str()),
@@ -386,12 +481,49 @@ mod tests {
                     );
                     assert_eq!(run.report.executor, be.name());
                     assert!(run.iterations > 0, "{case}: iterations are counted without history");
-                } else {
-                    assert_eq!(run.report.to_value(), direct.report.to_value(), "{case}");
+                    assert_eq!(run.history.is_empty(), !base.record_history, "{case}");
                 }
+                if let Some(r) = &run.report.resilience {
+                    events.push((r.restarts, r.degradations.len(), r.checkpoints));
+                }
+            }
+            // Each recovery case exercises what it is named after.
+            let seen = |f: fn(&(u32, usize, u64)) -> bool| events.iter().any(f);
+            match case {
+                "restart" => assert!(seen(|e| e.0 > 0), "{case}: {events:?}"),
+                "degradation" => assert!(seen(|e| e.1 > 0), "{case}: {events:?}"),
+                "checkpoints" => assert!(seen(|e| e.2 > 0), "{case}: {events:?}"),
+                _ => {}
             }
         }
         let _ = std::fs::remove_dir_all(&cache);
+
+        // A deadline that passes mid-run leaves the held device part-way
+        // through its program; the next run on it must not notice. `start`
+        // is the origin of the plan's deadline, so the first run gets 5 ms
+        // of its hour, and the second all of it.
+        let big = Rc::new(poisson_2d_5pt(48, 48, 1.0));
+        let hour = std::time::Duration::from_secs(3600);
+        let cg = SolverConfig::Cg { max_iters: 4000, rel_tol: 1e-6, precond: None };
+        let opts = SolveOptions { deadline: Some(hour), ..sim_opts() };
+        let mut plan = Plan::new(big.clone(), &cg, &opts).unwrap();
+        let ones = vec![1.0; big.nrows];
+        let almost_spent = Instant::now() - hour + std::time::Duration::from_millis(5);
+        match plan.run(&ones, None, almost_spent) {
+            Err(SolveError::DeadlineExceeded { .. }) => {}
+            other => panic!("expected DeadlineExceeded, got {:?}", other.map(|r| r.iterations)),
+        }
+        let run = plan.run(&ones, None, Instant::now()).unwrap();
+        let direct = solve(big.clone(), &ones, &cg, &opts).unwrap();
+        let run = BackendRun {
+            x: run.x,
+            residual: run.residual,
+            iterations: run.iterations,
+            history: run.history,
+            timing: Timing::Cycles { stats: run.stats, seconds: run.seconds },
+            report: run.report,
+        };
+        assert_same_run("mid-run deadline", &run, &direct, big.nrows);
 
         // What does not depend on b is refused by `prepare`, not by the
         // first `execute`: a non-square matrix, a configuration that

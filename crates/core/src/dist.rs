@@ -51,11 +51,11 @@ pub struct DistSystem {
     mat_offsets: Vec<(usize, usize, usize)>,
     /// Per-tile off-diagonal nnz.
     mat_nnz: Vec<usize>,
-    /// Host-side initial data for the matrix tensors.
-    diag_data: Vec<f64>,
-    vals_data: Vec<f64>,
-    cols_data: Vec<f64>,
-    rptr_data: Vec<f64>,
+    /// Host-side data of the matrix tensors, in their device dtypes.
+    diag_data: Vec<f32>,
+    vals_data: Vec<f32>,
+    cols_data: Vec<i32>,
+    rptr_data: Vec<i32>,
     /// The single SpMV / residual codelets (shared by all tiles).
     spmv_codelet: graph::codelet::CodeletId,
     residual_codelet: graph::codelet::CodeletId,
@@ -155,17 +155,17 @@ impl DistSystem {
                         d = v;
                     } else {
                         col_idx.push(c);
-                        vals_data.push(v);
+                        vals_data.push(v as f32);
                     }
                 }
                 if d == 0.0 {
                     return Err(ZeroDiagonal { row });
                 }
-                diag_data.push(d);
+                diag_data.push(d as f32);
                 row_ptr.push(col_idx.len());
             }
-            cols_data.extend(col_idx.iter().map(|&c| c as f64));
-            rptr_data.extend(row_ptr.iter().map(|&p| p as f64));
+            cols_data.extend(col_idx.iter().map(|&c| c as i32));
+            rptr_data.extend(row_ptr.iter().map(|&p| p as i32));
 
             let (rows, nnz) = (layout.owned.len(), col_idx.len());
             mat_nnz.push(nnz);
@@ -380,10 +380,10 @@ impl DistSystem {
 
     /// Write the matrix data into a built engine (step 4 of the pipeline).
     pub fn upload(&self, engine: &mut Engine) {
-        engine.write_tensor(self.diag.id, &self.diag_data);
-        engine.write_tensor(self.vals.id, &self.vals_data);
-        engine.write_tensor(self.cols.id, &self.cols_data);
-        engine.write_tensor(self.rptr.id, &self.rptr_data);
+        engine.write_f32(self.diag.id, &self.diag_data);
+        engine.write_f32(self.vals.id, &self.vals_data);
+        engine.write_i32(self.cols.id, &self.cols_data);
+        engine.write_i32(self.rptr.id, &self.rptr_data);
     }
 
     /// Rearrange a global host vector into the device vector layout
@@ -620,29 +620,34 @@ mod tests {
             fwd.push(LevelSets::analyze(&lm.a, Sweep::Forward).levels);
             bwd.push(LevelSets::analyze(&lm.a, Sweep::Backward).levels);
         }
-        (vec![bits(&diag), bits(&vals), bits(&cols), bits(&rptr)], fwd, bwd)
+        // The device's values: the f32 and i32 the upload writes.
+        let f32_bits = |v: &[f64]| v.iter().map(|&x| (x as f32).to_bits() as u64).collect();
+        let i32_bits = |v: &[f64]| v.iter().map(|&x| x as i32 as u64).collect();
+        (vec![f32_bits(&diag), f32_bits(&vals), i32_bits(&cols), i32_bits(&rptr)], fwd, bwd)
     }
 
     type Levels = Vec<Vec<Vec<usize>>>;
-
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
 
     fn assert_matches_oracle(a: Rc<CsrMatrix>, part: Partition) {
         let want = oracle_data(&a, &part);
         let mut ctx = DslCtx::new(IpuModel::tiny(part.num_parts()));
         let sys = DistSystem::build(&mut ctx, a, part);
-        let tensors =
-            [&sys.diag_data, &sys.vals_data, &sys.cols_data, &sys.rptr_data].map(|v| bits(v));
-        let got = (tensors.to_vec(), sys.fwd_levels.clone(), sys.bwd_levels.clone());
+        let f32_bits = |v: &[f32]| v.iter().map(|x| x.to_bits() as u64).collect();
+        let i32_bits = |v: &[i32]| v.iter().map(|&x| x as u64).collect();
+        let tensors = vec![
+            f32_bits(&sys.diag_data),
+            f32_bits(&sys.vals_data),
+            i32_bits(&sys.cols_data),
+            i32_bits(&sys.rptr_data),
+        ];
+        let got = (tensors, sys.fwd_levels.clone(), sys.bwd_levels.clone());
         assert_eq!(got, want);
         // The per-tile slices of the four tensors follow the local row counts.
         let (mut v0, mut r0) = (0, 0);
         for (t, vc) in sys.vec_chunks.iter().enumerate() {
             let nnz = sys.mat_nnz[t];
             assert_eq!(sys.mat_offsets[t], (r0 - t, v0, r0));
-            assert_eq!(sys.rptr_data[r0 + vc.owned], nnz as f64);
+            assert_eq!(sys.rptr_data[r0 + vc.owned], nnz as i32);
             v0 += nnz;
             r0 += vc.owned + 1;
         }

@@ -185,7 +185,10 @@ pub struct Detection {
 // Sentinel — in-flight residual watchdog
 // ----------------------------------------------------------------------
 
+#[derive(Default)]
 struct SentinelState {
+    /// Absolute wall-clock cutoff; past it the Deadline detector trips.
+    deadline: Option<Instant>,
     /// First residual observed this attempt (divergence baseline).
     baseline: Option<f64>,
     best: f64,
@@ -195,38 +198,30 @@ struct SentinelState {
 
 /// Host-side watchdog over the monitored residual stream. Cloned into
 /// monitor callbacks and loop-condition abort callbacks; all clones share
-/// state. See the module docs for the detectors.
+/// state, which [`Sentinel::reset`] clears before each attempt. See the
+/// module docs for the detectors.
 #[derive(Clone)]
 pub struct Sentinel {
     divergence_factor: f64,
     stagnation_window: usize,
-    /// Absolute wall-clock cutoff; past it the Deadline detector trips.
-    deadline: Option<Instant>,
     state: Rc<RefCell<SentinelState>>,
 }
 
 impl Sentinel {
     pub fn new(divergence_factor: f64, stagnation_window: usize) -> Sentinel {
-        Sentinel {
-            divergence_factor,
-            stagnation_window,
-            deadline: None,
-            state: Rc::new(RefCell::new(SentinelState {
-                baseline: None,
-                best: f64::INFINITY,
-                since_best: 0,
-                detection: None,
-            })),
-        }
+        let sentinel = Sentinel { divergence_factor, stagnation_window, state: Rc::default() };
+        sentinel.reset(None);
+        sentinel
     }
 
-    /// Arm the wall-clock deadline detector: past `at`, the sentinel
-    /// trips with [`DetectionKind::Deadline`] on the next poll (every
-    /// monitored sample and every loop-condition abort hook polls), so
-    /// the device loop unwinds within one superstep of the cutoff.
-    pub fn with_deadline(mut self, at: Instant) -> Sentinel {
-        self.deadline = Some(at);
-        self
+    /// Start an attempt: nothing observed, nothing detected, and the
+    /// wall-clock deadline detector armed at `deadline`. Past it, the
+    /// sentinel trips with [`DetectionKind::Deadline`] on the next poll
+    /// (every monitored sample and every loop-condition abort hook polls),
+    /// so the device loop unwinds within one superstep of the cutoff.
+    pub fn reset(&self, deadline: Option<Instant>) {
+        *self.state.borrow_mut() =
+            SentinelState { deadline, best: f64::INFINITY, ..SentinelState::default() };
     }
 
     /// Check the deadline detector. Returns true if the sentinel is
@@ -236,7 +231,7 @@ impl Sentinel {
         if st.detection.is_some() {
             return true;
         }
-        match self.deadline {
+        match st.deadline {
             Some(at) if Instant::now() >= at => {
                 st.detection = Some(Detection {
                     kind: DetectionKind::Deadline,
@@ -351,7 +346,8 @@ pub struct CheckpointTensors {
 /// Periodic checkpoints of the solution vector. The device copy runs
 /// under a `checkpoint` label (its cycles are the measurable overhead);
 /// a host callback mirrors each snapshot so rollback works even after
-/// the engine that produced it is gone.
+/// the engine that produced it has been reset. All clones share the
+/// snapshot and the count, which [`Checkpointer::reset`] clears.
 #[derive(Clone)]
 pub struct Checkpointer {
     /// Checkpoint every `every` solver iterations (> 0).
@@ -410,6 +406,12 @@ impl Checkpointer {
                 }
             });
         });
+    }
+
+    /// Start an attempt: no snapshot, none taken.
+    pub fn reset(&self) {
+        *self.snapshot.borrow_mut() = None;
+        *self.count.borrow_mut() = 0;
     }
 
     /// Last finite snapshot, in device element order.
@@ -933,17 +935,20 @@ mod tests {
 
     #[test]
     fn sentinel_deadline_trips_once_past_the_cutoff() {
-        let s = Sentinel::new(f64::INFINITY, 0)
-            .with_deadline(Instant::now() - Duration::from_millis(1));
+        let s = Sentinel::new(f64::INFINITY, 0);
+        s.reset(Some(Instant::now() - Duration::from_millis(1)));
         assert!(s.poll_deadline());
         let d = s.detection().unwrap();
         assert_eq!(d.kind, DetectionKind::Deadline);
         // A healthy sample doesn't clear it.
         s.observe(1, 0.5);
         assert_eq!(s.detection().unwrap().kind, DetectionKind::Deadline);
+        // The next attempt starts clean, with its own deadline.
+        s.reset(None);
+        assert!(!s.poll_deadline() && !s.tripped());
 
-        let s = Sentinel::new(f64::INFINITY, 0)
-            .with_deadline(Instant::now() + Duration::from_secs(3600));
+        let s = Sentinel::new(f64::INFINITY, 0);
+        s.reset(Some(Instant::now() + Duration::from_secs(3600)));
         assert!(!s.poll_deadline());
         s.observe(1, 0.5);
         assert!(!s.tripped());
@@ -951,8 +956,8 @@ mod tests {
 
     #[test]
     fn sentinel_observe_polls_the_deadline() {
-        let s = Sentinel::new(f64::INFINITY, 0)
-            .with_deadline(Instant::now() - Duration::from_millis(1));
+        let s = Sentinel::new(f64::INFINITY, 0);
+        s.reset(Some(Instant::now() - Duration::from_millis(1)));
         s.observe(3, 0.25);
         assert_eq!(s.detection().unwrap().kind, DetectionKind::Deadline);
     }

@@ -11,13 +11,15 @@
 //!    `backends::external_solve`; everything else is the simulated IPU;
 //! 4. **[`Plan::new`]** — what depends on the matrix, configuration and
 //!    options only: validation, recovery policy, fault plan, the tuner's
-//!    decision, the partition;
+//!    decision, the partition, and the device: distribute (a row with a
+//!    zero or missing diagonal is a [`SolveError::Config`] naming it),
+//!    symbolically execute the solver (probes attached through
+//!    `Solver::instrument`), compile;
 //! 5. **[`Plan::run`]** — what depends on `b` and `x0`: validation, the
 //!    deadline, the 0×0 / 1×1 host answers, then the attempt loop;
-//! 6. **attempt** — one full device run: distribute (a row with a zero or
-//!    missing diagonal is a [`SolveError::Config`] naming it), symbolically
-//!    execute the solver (probes attached through `Solver::instrument`),
-//!    compile, upload, run, read back, recompute the true residual in f64;
+//! 6. **attempt** — one run of the held device: reset it, upload the
+//!    matrix, `b` and `x0`, run, read back, recompute the true residual in
+//!    f64;
 //! 7. **judge** — accept, or name a detection; a detection rolls back to
 //!    the last finite checkpoint and retries, first with the same
 //!    configuration (up to `max_restarts` per rung), then down the
@@ -35,6 +37,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use dsl::prelude::*;
+use graph::engine::Engine;
 use graph::FaultState;
 use ipu_sim::clock::CycleStats;
 use ipu_sim::fault::FaultPlan;
@@ -256,10 +259,11 @@ pub fn solve(
 /// Everything about a solve on the simulated IPU that is a function of the
 /// matrix, the solver configuration and the (resolved) options alone:
 /// validated inputs, the recovery policy, the fault plan, the tuner's
-/// decision and the partition. Built once — per [`solve`] call, or per
-/// `Backend::prepare` and then shared by every `execute` — and run once
-/// per right-hand side. The compiled engine is rebuilt by every attempt;
-/// holding it here is ROADMAP item 3.
+/// decision, the partition and the device compiled for them. Built once —
+/// per [`solve`] call, or per `Backend::prepare` and then shared by every
+/// `execute` — and run once per right-hand side. Every attempt, restarts
+/// included, resets the held device and uploads again; a degradation
+/// compiles its configuration for the rest of that run only.
 pub struct Plan {
     a: Rc<CsrMatrix>,
     config: SolverConfig,
@@ -272,6 +276,36 @@ pub struct Plan {
     partition: Partition,
     decision: Option<TuneDecision>,
     trace: Option<TraceConfig>,
+    /// The device compiled for `config`. `None` for a system the host
+    /// answers (0×0, 1×1), after [`Plan::release`], and for a matrix the
+    /// device cannot hold; the next run builds it.
+    device: Option<Device>,
+}
+
+/// One solver configuration compiled for the plan's machine: the engine,
+/// and what its program is wired to on the host.
+struct Device {
+    engine: Engine,
+    wiring: Wiring,
+    /// Whether a run has written the engine's tensors since it was built.
+    used: bool,
+}
+
+/// What a compiled program reads and writes on the host: the distributed
+/// system, the probes its callbacks feed (their state is reset per
+/// attempt) and the tensors an attempt uploads and reads back.
+struct Wiring {
+    sys: DistSystem,
+    monitor: Monitor,
+    sentinel: Option<Sentinel>,
+    checkpoint: Option<Checkpointer>,
+    /// Whether an attempt returns the monitor's history (it records one
+    /// for the sentinel too).
+    history: bool,
+    b: TensorRef,
+    x: TensorRef,
+    /// MPIR's extended-precision solution, read back instead of `x`.
+    x_ext: Option<TensorRef>,
 }
 
 /// What the attempt loop has accumulated so far; stamped into the report.
@@ -384,7 +418,7 @@ impl Plan {
                 (tiles, partition)
             }
         };
-        Ok(Plan {
+        let mut plan = Plan {
             a,
             config: config.clone(),
             model: opts.model.clone(),
@@ -396,7 +430,25 @@ impl Plan {
             partition,
             decision,
             trace: EnvConfig::trace(),
-        })
+            device: None,
+        };
+        // A configuration that does not compile is refused here. A matrix
+        // the device cannot hold (a zero or missing diagonal) is refused by
+        // `run`, the only step a solve reaches it in: `run` builds again and
+        // returns that error.
+        if plan.a.nrows > 1 {
+            match plan.build(config) {
+                Ok(device) => plan.device = Some(device),
+                Err(SolveError::Config(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(plan)
+    }
+
+    /// Drop the held device; the next [`Plan::run`] builds it again.
+    pub fn release(&mut self) {
+        self.device = None;
     }
 
     /// The per-right-hand-side half: validate `b` and `x0`, answer
@@ -405,7 +457,7 @@ impl Plan {
     /// accepted or the policy's budget is spent. `start` is the origin of
     /// the deadline and of the retry budget.
     pub fn run(
-        &self,
+        &mut self,
         b: &[f64],
         x0: Option<&[f64]>,
         start: Instant,
@@ -424,13 +476,26 @@ impl Plan {
         let mut guess = x0.map(<[f64]>::to_vec);
         let mut restarts_this_rung: u32 = 0;
         let mut ledger = Ledger::default();
+        if self.device.is_none() {
+            self.device = Some(self.build(&cfg)?);
+        }
+        // The device of the current degradation rung, if any.
+        let mut degraded: Option<Device> = None;
 
         loop {
             ledger.attempts += 1;
             if deadline_at.is_some_and(|at| Instant::now() >= at) {
                 return Err(deadline_error(start, self.deadline));
             }
-            let att = self.run_attempt(b, &cfg, guess.as_deref(), deadline_at, &mut fault_state)?;
+            if !ledger.degradations.is_empty() && degraded.is_none() {
+                degraded = Some(self.build(&cfg)?);
+            }
+            let device = match degraded.as_mut() {
+                Some(d) => d,
+                None => self.device.as_mut().expect("built before the first attempt"),
+            };
+            let trace = self.trace.as_ref();
+            let att = device.attempt(b, guess.as_deref(), deadline_at, &mut fault_state, trace);
             ledger.checkpoints += att.checkpoints;
             ledger.device_cycles += att.stats.device_cycles();
 
@@ -476,6 +541,7 @@ impl Plan {
                 cfg = next;
                 ledger.degradations.push(desc);
                 restarts_this_rung = 0;
+                degraded = None;
             } else {
                 // Budget spent: surface the detection as a typed error.
                 return Err(detection_error(&det, ledger.attempts, att.residual, &cfg));
@@ -565,33 +631,22 @@ impl Plan {
         report
     }
 
-    /// One full device run: build, compile, execute, read back.
-    fn run_attempt(
-        &self,
-        b: &[f64],
-        cfg: &SolverConfig,
-        x0: Option<&[f64]>,
-        deadline_at: Option<Instant>,
-        fault_state: &mut Option<FaultState>,
-    ) -> Result<Attempt, SolveError> {
+    /// Steps 1 and 2 of the paper's pipeline for `cfg`: distribute the
+    /// matrix and symbolically execute the solver with the probes attached.
+    fn emit(&self, cfg: &SolverConfig) -> Result<(DslCtx, Wiring), SolveError> {
         let policy = &self.policy;
         let mut ctx = DslCtx::new(self.model.clone());
         let sys = DistSystem::try_build(&mut ctx, self.a.clone(), self.partition.clone())
             .map_err(|e| SolveError::Config(e.to_string()))?;
-        let bt = sys.new_vector(&mut ctx, "b", DType::F32);
-        let xt = sys.new_vector(&mut ctx, "x", DType::F32);
+        let b = sys.new_vector(&mut ctx, "b", DType::F32);
+        let x = sys.new_vector(&mut ctx, "x", DType::F32);
 
-        let monitor = Monitor::new(&sys, Rc::new(b.to_vec()));
+        let monitor = Monitor::of(&sys);
         // A deadline arms the sentinel even under an otherwise-inert
         // policy: its abort hook is what unwinds the device loop at the
         // cutoff.
-        let sentinel = (policy.wants_sentinel() || deadline_at.is_some()).then(|| {
-            let s = Sentinel::new(policy.divergence_factor, policy.stagnation_window);
-            match deadline_at {
-                Some(at) => s.with_deadline(at),
-                None => s,
-            }
-        });
+        let sentinel = (policy.wants_sentinel() || self.deadline.is_some())
+            .then(|| Sentinel::new(policy.divergence_factor, policy.stagnation_window));
         let checkpoint =
             (policy.checkpoint_every > 0).then(|| Checkpointer::new(policy.checkpoint_every));
         // Every run counts its iterations; the per-iteration true residual
@@ -606,29 +661,68 @@ impl Plan {
         let mut solver = solver_from_config(cfg);
         solver.instrument(&probes, None);
         solver.setup(&mut ctx, &sys);
-        solver.solve(&mut ctx, &sys, bt, xt);
+        solver.solve(&mut ctx, &sys, b, x);
 
         // If MPIR ran, read the extended-precision solution tensor instead
         // of the rounded f32 output.
         let x_ext = solver.as_any().downcast_mut::<Mpir>().and_then(|m| m.x_ext);
+        let Probes { sentinel, checkpoint, .. } = probes;
+        let history = self.record_history;
+        Ok((ctx, Wiring { sys, monitor, sentinel, checkpoint, history, b, x, x_ext }))
+    }
 
-        before_build(&mut ctx);
-        let mut engine = ctx.build_engine().map_err(|e| SolveError::Compile(e.to_string()))?;
+    /// The device for `cfg`: emitted, then compiled.
+    fn build(&self, cfg: &SolverConfig) -> Result<Device, SolveError> {
+        let (ctx, wiring) = self.emit(cfg)?;
+        Device::compile(ctx, wiring)
+    }
+}
+
+impl Device {
+    /// Steps 3 and 4: compile the emitted program into an engine.
+    fn compile(ctx: DslCtx, wiring: Wiring) -> Result<Device, SolveError> {
+        let engine = ctx.build_engine().map_err(|e| SolveError::Compile(e.to_string()))?;
+        Ok(Device { engine, wiring, used: false })
+    }
+
+    /// One device run: reset, upload, execute, read back. `fault_state` is
+    /// the run's, handed to the engine for this attempt and taken back.
+    fn attempt(
+        &mut self,
+        b: &[f64],
+        x0: Option<&[f64]>,
+        deadline_at: Option<Instant>,
+        fault_state: &mut Option<FaultState>,
+        trace: Option<&TraceConfig>,
+    ) -> Attempt {
+        let Device { engine, wiring: w, used } = self;
+        if std::mem::replace(used, true) {
+            engine.reset();
+        }
+        w.monitor.reset(b);
+        if let Some(s) = &w.sentinel {
+            s.reset(deadline_at);
+        }
+        if let Some(c) = &w.checkpoint {
+            c.reset();
+        }
         // Per-step performance attribution rides along with every run: pure
         // host-side bookkeeping, zero device cycles.
         engine.enable_perf();
-        // Hand the (cross-attempt) fault state to this attempt's engine.
+        // Hand the (cross-attempt) fault state to this attempt.
         engine.set_fault_state(fault_state.take());
         // Tracing is opt-in (`GRAPHENE_TRACE`): record a timeline alongside
         // the cycle accounting and drop a Chrome trace + a text profile
         // report next to it after the run.
-        if let Some(t) = &self.trace {
+        if let Some(t) = trace {
             engine.set_trace(TraceRecorder::new(t.tile_lanes));
         }
-        sys.upload(&mut engine);
-        engine.write_tensor(bt.id, &sys.to_device_order(b));
+        // The matrix goes up every time: a seeded `flip` fault may have hit
+        // its values in the previous attempt.
+        w.sys.upload(engine);
+        engine.write_tensor(w.b.id, &w.sys.to_device_order(b));
         if let Some(x0) = x0 {
-            engine.write_tensor(xt.id, &sys.to_device_order(x0));
+            engine.write_tensor(w.x.id, &w.sys.to_device_order(x0));
         }
         // Host wall-clock around the device run — device `seconds` come
         // from the cycle model and do not depend on the host.
@@ -636,43 +730,46 @@ impl Plan {
         engine.run();
         let host_seconds = host_start.elapsed().as_secs_f64();
         let perf = engine.perf_report(12);
-        if let (Some(t), Some(trace)) = (&self.trace, engine.trace()) {
+        if let (Some(t), Some(trace)) = (trace, engine.trace()) {
             let path = profile::numbered_trace_path(&t.path);
             eprint!(
                 "{}",
                 profile::write_trace_artifacts(&path, trace, engine.stats(), perf.as_ref(), 12)
             );
         }
+        // The recorders hold this run's per-step arrays: a held engine
+        // keeps none of them between runs.
+        engine.detach_recorders();
         // Take the fault state back (fired flags + event log) for the next
         // attempt / the final report.
         *fault_state = engine.take_fault_state();
 
-        let raw = engine.read_tensor(x_ext.map(|t| t.id).unwrap_or(xt.id));
-        let x = sys.from_device_order(&raw);
-        let residual = true_residual(&monitor, &x);
+        let raw = engine.read_tensor(w.x_ext.unwrap_or(w.x).id);
+        let x = w.sys.from_device_order(&raw);
+        let residual = true_residual(&w.monitor, &x);
 
         let stats = engine.stats().clone();
         // Map the last finite device-order snapshot to global row order.
-        let snapshot_global = probes
+        let snapshot_global = w
             .checkpoint
             .as_ref()
             .and_then(|c| c.snapshot())
-            .map(|snap| monitor.gather.iter().map(|&slot| snap[slot]).collect());
-        Ok(Attempt {
+            .map(|snap| w.monitor.gather.iter().map(|&slot| snap[slot]).collect());
+        Attempt {
             x,
             residual,
-            history: if self.record_history { monitor.take_history() } else { Vec::new() },
-            iterations: monitor.iterations(),
+            history: if w.history { w.monitor.take_history() } else { Vec::new() },
+            iterations: w.monitor.iterations(),
             seconds: engine.elapsed_seconds(),
             host_seconds,
             compile: engine.compile_report().clone(),
-            detection: probes.sentinel.as_ref().and_then(|s| s.detection()),
+            detection: w.sentinel.as_ref().and_then(|s| s.detection()),
             snapshot_global,
-            checkpoints: probes.checkpoint.as_ref().map_or(0, |c| c.count()),
+            checkpoints: w.checkpoint.as_ref().map_or(0, |c| c.count()),
             checkpoint_cycles: stats.label_cycles("checkpoint"),
             stats,
             perf,
-        })
+        }
     }
 }
 
@@ -837,31 +934,15 @@ fn trivial_result(config: &SolverConfig, a: &CsrMatrix, x: Vec<f64>, residual: f
     }
 }
 
-/// Called on every attempt's graph just before it is compiled: nothing,
-/// outside this module's tests, which add a vertex the compiler refuses.
-#[cfg(not(test))]
-fn before_build(_: &mut DslCtx) {}
-#[cfg(test)]
-use tests::before_build;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use graph::codelet::{Codelet, Expr, ParamDecl, Stmt, UnOp, Value};
     use sparse::gen::{poisson_2d_5pt, poisson_3d_7pt, rhs_for_ones, tridiagonal};
-    use std::cell::Cell;
 
-    thread_local! {
-        /// Set by a test: every attempt's graph gains one untypable vertex.
-        static UNTYPABLE: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// When the test on this thread asks, bind one vertex to a codelet the
-    /// lowering cannot type (`sqrt` of an I32, which has no cost row).
-    pub(super) fn before_build(ctx: &mut DslCtx) {
-        if !UNTYPABLE.get() {
-            return;
-        }
+    /// Bind one vertex to a codelet the lowering cannot type (`sqrt` of an
+    /// I32, which has no cost row).
+    fn add_untypable_vertex(ctx: &mut DslCtx) {
         let codelet = ctx.add_codelet(Codelet {
             name: "sqrt_i32".into(),
             params: vec![ParamDecl { dtype: DType::F32, mutable: true }],
@@ -885,14 +966,18 @@ mod tests {
         let a = Rc::new(poisson_2d_5pt(4, 4, 1.0));
         let b = rhs_for_ones(&a);
         let cfg = SolverConfig::Jacobi { sweeps: 1, omega: 1.0 };
-        UNTYPABLE.set(true);
-        let res = solve(a, &b, &cfg, &opts(2));
-        UNTYPABLE.set(false);
-        match res {
+        let mut plan = Plan::new(a, &cfg, &opts(2)).unwrap();
+        // The plan's own device: the same steps with the vertex added
+        // between emission and compilation.
+        let (mut ctx, wiring) = plan.emit(&cfg).unwrap();
+        add_untypable_vertex(&mut ctx);
+        match Device::compile(ctx, wiring) {
             Err(SolveError::Compile(m)) => assert!(m.contains("codelet 'sqrt_i32'"), "{m}"),
             Err(e) => panic!("not a compile error: {e}"),
-            Ok(_) => panic!("an untypable codelet solved"),
+            Ok(_) => panic!("an untypable codelet compiled"),
         }
+        // Without it, the plan solves.
+        assert!(plan.run(&b, None, Instant::now()).is_ok());
     }
 
     fn opts(tiles: usize) -> SolveOptions {

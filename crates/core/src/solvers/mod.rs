@@ -97,22 +97,56 @@ pub struct Probes {
 /// the *solution* carries extended precision — and is what lets MPIR
 /// curves reach 1e-13..1e-15 instead of flooring at the f32 data-rounding
 /// level.
+///
+/// A monitor is wired into a compiled program once and serves every run of
+/// it: the right-hand side, the iteration counter and the history live in
+/// cells shared by every clone, and [`reset`](Monitor::reset) starts a run.
 #[derive(Clone)]
 pub struct Monitor {
+    /// The device system: `A` with its values rounded to f32.
     pub a: Rc<CsrMatrix>,
-    pub b: Rc<Vec<f64>>,
+    /// The current run's right-hand side, rounded to f32.
+    pub b: Rhs,
     /// device flat index of each global row's owned slot.
     pub gather: Rc<Vec<usize>>,
-    /// (cumulative inner iteration, relative true residual).
-    pub history: Rc<RefCell<Vec<(usize, f64)>>>,
-    pub b_norm: f64,
-    counter: Rc<RefCell<usize>>,
+    run: Rc<RefCell<MonitorRun>>,
     /// `false`: [`record`](Monitor::record) only counts the iteration.
     residuals: bool,
 }
 
+/// A run's right-hand side, shared by a [`Monitor`] and its callbacks.
+#[derive(Clone, Default)]
+pub struct Rhs(Rc<RefCell<Vec<f64>>>);
+
+impl Rhs {
+    /// The values in global row order.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+        let b = self.0.borrow();
+        (0..b.len()).map(move |i| b[i])
+    }
+}
+
+/// What one run of a [`Monitor`] has seen.
+#[derive(Default)]
+struct MonitorRun {
+    b_norm: f64,
+    /// Iterations counted.
+    counter: usize,
+    /// (cumulative inner iteration, relative true residual).
+    history: Vec<(usize, f64)>,
+}
+
 impl Monitor {
+    /// A monitor of `sys`, started on `b` (see [`Monitor::reset`]).
     pub fn new(sys: &DistSystem, b: Rc<Vec<f64>>) -> Monitor {
+        let m = Monitor::of(sys);
+        m.reset(&b);
+        m
+    }
+
+    /// A monitor of `sys` with no run started: the f32-rounded matrix and
+    /// the device slot of each row, built once per compiled program.
+    pub fn of(sys: &DistSystem) -> Monitor {
         let mut gather = vec![0usize; sys.num_rows()];
         for (t, layout) in sys.halo.layouts.iter().enumerate() {
             let base = sys.vec_chunks[t].start;
@@ -125,17 +159,22 @@ impl Monitor {
         for v in &mut a32.values {
             *v = *v as f32 as f64;
         }
-        let b32: Vec<f64> = b.iter().map(|&v| v as f32 as f64).collect();
-        let b_norm = b32.iter().map(|v| v * v).sum::<f64>().sqrt().max(f64::MIN_POSITIVE);
         Monitor {
             a: Rc::new(a32),
-            b: Rc::new(b32),
+            b: Rhs::default(),
             gather: Rc::new(gather),
-            history: Rc::new(RefCell::new(Vec::new())),
-            b_norm,
-            counter: Rc::new(RefCell::new(0)),
+            run: Rc::default(),
             residuals: true,
         }
+    }
+
+    /// Start a run on right-hand side `b`: every clone sees `b` rounded to
+    /// f32, a zero counter and an empty history.
+    pub fn reset(&self, b: &[f64]) {
+        let b32: Vec<f64> = b.iter().map(|&v| v as f32 as f64).collect();
+        let b_norm = b32.iter().map(|v| v * v).sum::<f64>().sqrt().max(f64::MIN_POSITIVE);
+        *self.b.0.borrow_mut() = b32;
+        *self.run.borrow_mut() = MonitorRun { b_norm, ..MonitorRun::default() };
     }
 
     /// This monitor (same counter), counting iterations only: no tensor is
@@ -160,7 +199,7 @@ impl Monitor {
     ) {
         let m = self.clone();
         if !m.residuals {
-            return ctx.callback(move |_| *m.counter.borrow_mut() += 1);
+            return ctx.callback(move |_| m.run.borrow_mut().counter += 1);
         }
         let xid = x.id;
         let sid = shift.map(|s| s.id);
@@ -174,24 +213,25 @@ impl Monitor {
             }
             let ax = m.a.spmv_alloc(&xg);
             let r2: f64 = m.b.iter().zip(&ax).map(|(b, a)| (b - a) * (b - a)).sum();
-            let mut c = m.counter.borrow_mut();
-            *c += 1;
-            let rel = r2.sqrt() / m.b_norm;
-            m.history.borrow_mut().push((*c, rel));
+            let mut run = m.run.borrow_mut();
+            run.counter += 1;
+            let (c, rel) = (run.counter, r2.sqrt() / run.b_norm);
+            run.history.push((c, rel));
+            drop(run);
             if let Some(s) = &sentinel {
-                s.observe(*c, rel);
+                s.observe(c, rel);
             }
         });
     }
 
     /// The recorded history: (iteration, relative residual).
     pub fn take_history(&self) -> Vec<(usize, f64)> {
-        self.history.borrow().clone()
+        std::mem::take(&mut self.run.borrow_mut().history)
     }
 
     /// Total recorded iterations.
     pub fn iterations(&self) -> usize {
-        *self.counter.borrow()
+        self.run.borrow().counter
     }
 }
 

@@ -41,7 +41,8 @@ pub struct DslCtx {
     /// being populated by symbolic execution.
     frames: Vec<Vec<Prog>>,
     fresh: usize,
-    callbacks: Vec<(usize, HostCallback)>,
+    /// Host callbacks; a callback's id (`Prog::Callback(id)`) is its index.
+    callbacks: Vec<HostCallback>,
 }
 
 impl DslCtx {
@@ -523,9 +524,8 @@ impl DslCtx {
 
     /// Schedule a host callback (progress reporting, host-side checks).
     pub fn callback(&mut self, f: impl FnMut(&mut HostView<'_>) + 'static) {
-        let id = self.callbacks.len();
-        self.callbacks.push((id, Box::new(f)));
-        self.emit(Prog::Callback(id));
+        self.emit(Prog::Callback(self.callbacks.len()));
+        self.callbacks.push(Box::new(f));
     }
 
     // ---------------------------------------------------------------
@@ -543,7 +543,7 @@ impl DslCtx {
             if steps.len() == 1 { steps.into_iter().next().unwrap() } else { Prog::Seq(steps) };
         let exec = self.graph.compile(program)?;
         let mut engine = Engine::new(exec);
-        for (id, cb) in self.callbacks {
+        for (id, cb) in self.callbacks.into_iter().enumerate() {
             engine.register_callback(id, cb);
         }
         Ok(engine)

@@ -31,8 +31,6 @@ mod ir;
 mod kernels;
 mod lower;
 mod machine;
-#[cfg(test)]
-mod tests;
 
 pub use interp::Interp;
 pub use ir::{
@@ -45,3 +43,6 @@ pub use kernels::{
 };
 pub use lower::{Charge, Lowered};
 pub use machine::Regs;
+
+#[cfg(test)]
+mod tests;

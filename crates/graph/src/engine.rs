@@ -32,8 +32,13 @@
 //! Every compute set runs its vertices in program order on the caller's
 //! thread; tile and worker concurrency is a device property, modelled in
 //! cycles (per-tile counts merged in tile-id order), not a host schedule.
-
-use std::collections::HashMap;
+//!
+//! # Reuse
+//!
+//! An engine outlives a run. [`Engine::reset`] zeroes its tensors and
+//! clears its statistics in place, keeping the compiled program and the
+//! registered callbacks, so a caller that holds it (the runner's prepared
+//! plan) uploads its inputs again and gets the run a new engine would give.
 
 use ipu_sim::clock::CycleStats;
 use ipu_sim::cost::DType;
@@ -154,6 +159,45 @@ impl Storage {
             Storage::F64(v) => v[i] = SoftDouble(x),
         }
     }
+
+    /// Every element as [`Storage::get_f64`] reads it, the dtype matched
+    /// once per call.
+    fn to_f64(&self) -> Vec<f64> {
+        match self {
+            Storage::F32(v) => v.iter().map(|&x| x as f64).collect(),
+            Storage::I32(v) => v.iter().map(|&x| x as f64).collect(),
+            Storage::Bool(v) => v.iter().map(|&x| x as u8 as f64).collect(),
+            Storage::Dw(v) => v.iter().map(|x| x.to_f64()).collect(),
+            Storage::F64(v) => v.iter().map(|x| x.0).collect(),
+        }
+    }
+
+    /// Store every element as [`Storage::set_f64`] does, the dtype matched
+    /// once per call. Panics unless `values` has one entry per element.
+    fn fill_from_f64(&mut self, t: TensorId, values: &[f64]) {
+        assert_eq!(values.len(), self.len(), "length mismatch writing tensor {t}");
+        fn fill<T>(dst: &mut [T], values: &[f64], f: impl Fn(f64) -> T) {
+            dst.iter_mut().zip(values).for_each(|(d, &x)| *d = f(x));
+        }
+        match self {
+            Storage::F32(v) => fill(v, values, |x| x as f32),
+            Storage::I32(v) => fill(v, values, |x| x as i32),
+            Storage::Bool(v) => fill(v, values, |x| x != 0.0),
+            Storage::Dw(v) => fill(v, values, TwoFloat::from_f64),
+            Storage::F64(v) => fill(v, values, SoftDouble),
+        }
+    }
+
+    /// Zero every element in place, as [`Storage::zeros`] made them.
+    fn zero(&mut self) {
+        match self {
+            Storage::F32(v) => v.fill(0.0),
+            Storage::I32(v) => v.fill(0),
+            Storage::Bool(v) => v.fill(false),
+            Storage::Dw(v) => v.fill(TwoFloat::ZERO),
+            Storage::F64(v) => v.fill(SoftDouble::ZERO),
+        }
+    }
 }
 
 /// Host-side view of tensor storage handed to callbacks.
@@ -166,18 +210,13 @@ impl HostView<'_> {
     /// Read a tensor's values as f64 (double-word pairs are summed —
     /// lossless; f32 widened).
     pub fn read_f64(&self, t: TensorId) -> Vec<f64> {
-        let s = &self.storage[t];
-        (0..s.len()).map(|i| s.get_f64(i)).collect()
+        self.storage[t].to_f64()
     }
 
     /// Write f64 values into a tensor with the conversion its dtype
     /// implies.
     pub fn write_f64(&mut self, t: TensorId, values: &[f64]) {
-        let s = &mut self.storage[t];
-        assert_eq!(values.len(), s.len(), "length mismatch writing tensor {t}");
-        for (i, &v) in values.iter().enumerate() {
-            s.set_f64(i, v);
-        }
+        self.storage[t].fill_from_f64(t, values);
     }
 
     /// Read element 0 of a tensor as f64.
@@ -198,7 +237,9 @@ pub struct Engine {
     report: CompileReport,
     storage: Vec<Storage>,
     stats: CycleStats,
-    callbacks: HashMap<usize, HostCallback>,
+    /// Host callbacks indexed by id (`Prog::Callback(id)`); `None`: no
+    /// callback registered under that id.
+    callbacks: Vec<Option<HostCallback>>,
     /// Optional timeline recorder, driven in lock-step with `stats`.
     trace: Option<TraceRecorder>,
     /// Optional fault-injection state. `None` (the default) keeps the hot
@@ -225,7 +266,7 @@ impl Engine {
             report,
             storage,
             stats,
-            callbacks: HashMap::new(),
+            callbacks: Vec::new(),
             trace: None,
             faults: None,
             perf: None,
@@ -238,6 +279,14 @@ impl Engine {
     /// charge to its `StepId`. No effect on device cycles.
     pub fn enable_perf(&mut self) {
         self.perf = Some(PerfRecorder::new(self.plan.steps.len(), self.graph.model.num_tiles()));
+    }
+
+    /// Drop the perf and trace recorders, if attached: they hold one run's
+    /// per-step and per-tile arrays, which an engine kept between runs has
+    /// no use for once its report is built.
+    pub fn detach_recorders(&mut self) {
+        self.perf = None;
+        self.trace = None;
     }
 
     /// The attached perf recorder, if any.
@@ -295,7 +344,10 @@ impl Engine {
 
     /// Register the host callback invoked by `Prog::Callback(id)`.
     pub fn register_callback(&mut self, id: usize, f: HostCallback) {
-        self.callbacks.insert(id, f);
+        if self.callbacks.len() <= id {
+            self.callbacks.resize_with(id + 1, || None);
+        }
+        self.callbacks[id] = Some(f);
     }
 
     /// Accumulated cycle statistics across all `run()` calls since the last
@@ -304,8 +356,18 @@ impl Engine {
         &self.stats
     }
 
-    pub fn reset_stats(&mut self) {
+    /// Put the device back where [`Engine::new`] left it, in place: every
+    /// tensor zeroed, the cycle statistics (labels included) cleared and the
+    /// fault superstep at 0. The compiled program, the registered callbacks,
+    /// the attached recorders and the fault state's fired flags and log
+    /// stay. A reset engine that is given the same uploads runs exactly as
+    /// a new one: the same bits, cycles and attribution.
+    pub fn reset(&mut self) {
+        self.storage.iter_mut().for_each(Storage::zero);
         self.stats.reset();
+        if let Some(f) = self.faults.as_mut() {
+            f.superstep = 0;
+        }
     }
 
     /// Attach a trace recorder; subsequent `run()` calls record one
@@ -324,16 +386,40 @@ impl Engine {
         self.graph.model.cycles_to_seconds(self.stats.device_cycles())
     }
 
+    /// A tensor's values as f64 (see [`HostView::read_f64`]).
     pub fn read_tensor(&self, t: TensorId) -> Vec<f64> {
-        let s = &self.storage[t];
-        (0..s.len()).map(|i| s.get_f64(i)).collect()
+        self.storage[t].to_f64()
     }
 
+    /// Write f64 values into a tensor with the conversion its dtype
+    /// implies. Panics unless `values` has one entry per element.
     pub fn write_tensor(&mut self, t: TensorId, values: &[f64]) {
-        let s = &mut self.storage[t];
-        assert_eq!(values.len(), s.len(), "length mismatch writing tensor {t}");
-        for (i, &v) in values.iter().enumerate() {
-            s.set_f64(i, v);
+        self.storage[t].fill_from_f64(t, values);
+    }
+
+    /// Copy f32 values into an F32 tensor, bit for bit. Panics on another
+    /// dtype or length.
+    pub fn write_f32(&mut self, t: TensorId, values: &[f32]) {
+        match &mut self.storage[t] {
+            Storage::F32(v) if v.len() == values.len() => v.copy_from_slice(values),
+            s => panic!(
+                "cannot write {} f32 values into tensor {t} ({} elements)",
+                values.len(),
+                s.len()
+            ),
+        }
+    }
+
+    /// Copy i32 values into an I32 tensor. Panics on another dtype or
+    /// length.
+    pub fn write_i32(&mut self, t: TensorId, values: &[i32]) {
+        match &mut self.storage[t] {
+            Storage::I32(v) if v.len() == values.len() => v.copy_from_slice(values),
+            s => panic!(
+                "cannot write {} i32 values into tensor {t} ({} elements)",
+                values.len(),
+                s.len()
+            ),
         }
     }
 
@@ -351,9 +437,9 @@ impl Engine {
     /// registered callback — silently skipping a host callback (progress
     /// reporting, data transfer) would corrupt solver state invisibly.
     pub fn run(&mut self) {
-        for id in &self.plan.callback_ids {
-            assert!(
-                self.callbacks.contains_key(id),
+        let registered = |&id: &usize| self.callbacks.get(id).is_some_and(Option::is_some);
+        if let Some(id) = self.plan.callback_ids.iter().find(|id| !registered(id)) {
+            panic!(
                 "program invokes host callback {id}, but no callback with that id was \
                  registered (Engine::register_callback) before Engine::run"
             );
@@ -394,7 +480,7 @@ struct ExecCtx<'a> {
     graph: &'a Graph,
     storage: &'a mut Vec<Storage>,
     stats: &'a mut CycleStats,
-    callbacks: &'a mut HashMap<usize, HostCallback>,
+    callbacks: &'a mut [Option<HostCallback>],
     trace: &'a mut Option<TraceRecorder>,
     faults: &'a mut Option<FaultState>,
     perf: &'a mut Option<PerfRecorder>,
@@ -480,10 +566,8 @@ impl ExecCtx<'_> {
     }
 
     fn invoke_callback(&mut self, id: usize) {
-        if let Some(mut cb) = self.callbacks.remove(&id) {
-            let mut view = HostView { graph: self.graph, storage: self.storage };
-            cb(&mut view);
-            self.callbacks.insert(id, cb);
+        if let Some(cb) = self.callbacks.get_mut(id).and_then(Option::as_mut) {
+            cb(&mut HostView { graph: self.graph, storage: self.storage });
         }
     }
 
@@ -1421,10 +1505,50 @@ mod tests {
         let one = e.stats().device_cycles();
         e.run();
         assert_eq!(e.stats().device_cycles(), 2 * one);
-        e.reset_stats();
+        e.reset();
         assert_eq!(e.stats().device_cycles(), 0);
         e.run();
         assert_eq!(e.stats().device_cycles(), one);
+    }
+
+    #[test]
+    fn a_reset_engine_reruns_like_a_new_one() {
+        // A labelled program with a callback: the reset must clear every
+        // tensor, the stats and the labels, and keep the callback.
+        let (mut g, prog, x) = double_graph();
+        let seen = g.add_tensor(TensorDef::on_tile("seen", DType::F32, 1, 0)).unwrap();
+        let prog = Prog::Seq(vec![Prog::Label("double".into(), Box::new(prog)), Prog::Callback(0)]);
+        let exec = g.compile(prog).unwrap();
+        let run = |e: &mut Engine| {
+            e.write_tensor(x, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+            e.run();
+            (e.read_tensor(x), e.read_tensor(seen), e.stats().clone())
+        };
+        let counter = |e: &mut Engine| {
+            e.register_callback(
+                0,
+                Box::new(move |view| {
+                    let n = view.read_scalar(seen);
+                    view.write_f64(seen, &[n + 1.0]);
+                }),
+            )
+        };
+        let mut fresh = Engine::new(exec.clone());
+        counter(&mut fresh);
+        let (want_x, want_seen, want_stats) = run(&mut fresh);
+        assert_eq!(want_seen, vec![1.0]);
+
+        let mut held = Engine::new(exec);
+        counter(&mut held);
+        run(&mut held);
+        held.write_tensor(seen, &[99.0]);
+        held.reset();
+        let (x2, seen2, stats2) = run(&mut held);
+        assert_eq!(x2, want_x);
+        assert_eq!(seen2, want_seen, "every tensor is zeroed and the callback kept");
+        assert_eq!(stats2.device_cycles(), want_stats.device_cycles());
+        assert_eq!(stats2.supersteps(), want_stats.supersteps());
+        assert_eq!(stats2.labels_by_phase_sorted(), want_stats.labels_by_phase_sorted());
     }
 
     #[test]

@@ -585,7 +585,12 @@ fn attempt(
             ctx.plans.insert(key.clone(), prepared);
         }
         let prepared = ctx.plans.get_mut(&key).expect("plan just inserted");
-        match prepared.execute(&spec.b, None) {
+        let run = prepared.execute(&spec.b, None);
+        // A cached plan keeps no device between jobs: up to
+        // `PLAN_CACHE_CAP` held devices per worker cost more memory than
+        // the compile they save (DESIGN.md §16).
+        prepared.release();
+        match run {
             Ok(run) => (run.x, run.residual, run.iterations, run.report),
             Err(e) => {
                 // A failed plan may hold poisoned state: drop it so the

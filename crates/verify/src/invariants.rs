@@ -5,8 +5,10 @@
 //!
 //! * [`assert_deterministic`] — running the *same* solve twice must give
 //!   bit-identical solutions and cycle-identical profiles (device cycles,
-//!   per-label/per-phase splits, exchanged bytes, superstep count). Any
-//!   drift means hidden host state leaked into the program.
+//!   per-label/per-phase splits, exchanged bytes, superstep count), and so
+//!   must two runs of one prepared plan, whose second run resets the
+//!   device the first left behind. Any drift means hidden host state
+//!   leaked into the program.
 //! * [`audit_exchange_conservation`] — with a trace attached, the bytes
 //!   recorded per exchange step must sum to exactly
 //!   `CycleStats::exchange_bytes()`, the label stack must balance
@@ -19,7 +21,7 @@ use dsl::prelude::*;
 use graph::Engine;
 use graphene_core::config::SolverConfig;
 use graphene_core::dist::DistSystem;
-use graphene_core::runner::{solve_or_panic, SolveOptions, SolveResult};
+use graphene_core::runner::{solve_or_panic, Plan, SolveOptions, SolveResult};
 use graphene_core::solvers::solver_from_config;
 use profile::TraceRecorder;
 use sparse::formats::CsrMatrix;
@@ -64,6 +66,16 @@ pub fn assert_deterministic(
 ) -> DeterminismReport {
     let r1 = solve_or_panic(a.clone(), b, config, &sim_opts());
     let r2 = solve_or_panic(a.clone(), b, config, &sim_opts());
+    let mut plan = Plan::new(a.clone(), config, &sim_opts()).expect("the plan builds");
+    for held in 1..=2 {
+        let r = plan.run(b, None, std::time::Instant::now()).expect("a held plan solves");
+        assert_eq!(
+            fingerprint(&r),
+            fingerprint(&r1),
+            "run {held} of one plan differs from a solve"
+        );
+        assert_eq!(r.iterations, r1.iterations, "run {held} of one plan: iteration count");
+    }
     let (x1, dc1, xb1, ss1, sc1, lb1) = fingerprint(&r1);
     let (x2, dc2, xb2, ss2, sc2, lb2) = fingerprint(&r2);
     assert_eq!(x1, x2, "solution bits differ between identical runs");
